@@ -11,6 +11,13 @@ or interpreter version.  Convention:
 * a soft-threshold application costs 2 comparisons and 1 addition per
   entry (the add is charged on every entry, dead zone included, so that
   identical iteration maps always charge identical amounts);
+* one cyclic coordinate-descent sweep over p coordinates costs
+  ``p*(p+2)`` multiplications, ``p*(p+4)`` additions and ``2*p``
+  comparisons: per coordinate the partial residual (1 mult, 2 adds), the
+  soft threshold, the division by the column norm (1 mult), the step
+  (1 add) and a length-p axpy on the cached ``X'X beta``.  Hot loops
+  charge such closed-form totals once per sweep or step, not per
+  operation;
 * one-time precomputation (gram matrix, eigendecomposition, the search
   for the starting homotopy level) goes into a separate ``setup_ops``
   bucket that is excluded from ``total()``.

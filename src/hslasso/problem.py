@@ -44,8 +44,12 @@ class LassoProblem:
             raise ValueError("need n >= 1 and p >= 1")
         if y.shape != (n,):
             raise ValueError(f"y must have shape ({n},), got {y.shape}")
-        if not lam > 0:
-            raise ValueError("lambda must be strictly positive")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("X must be finite (no NaN or inf entries)")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y must be finite (no NaN or inf entries)")
+        if not 0 < lam < np.inf:
+            raise ValueError("lambda must be finite and strictly positive")
         self.n = n
         self.p = p
         self.lam = float(lam)

@@ -1,11 +1,14 @@
 """Shared independent oracles for the test suite: brute-force grid search,
-multiresolution refinement, finite differences, and instance factories.
-These deliberately avoid the library's own solver paths."""
+multiresolution refinement, finite differences, a per-coordinate
+coordinate-descent sweep, and instance factories.  These deliberately
+avoid the library's own solver paths."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from hslasso.baselines import soft_threshold
+from hslasso.opcount import charge_axpy, charge_scalar, charge_soft_threshold
 from hslasso.problem import LassoProblem
 
 
@@ -107,3 +110,24 @@ def identity_closed_form(y, n, lam):
     """Per-coordinate solution for the X = I instance."""
     y = np.asarray(y, dtype=float)
     return np.sign(y) * np.maximum(np.abs(y) - n * lam, 0.0)
+
+
+def cd_sweep_per_op(beta, xtx, xty_raw, diag, thresh, resid, counter):
+    """Reference coordinate-descent sweep: the array soft threshold on each
+    coordinate and one charge call per arithmetic step.  The library's
+    sweep must match it bit for bit, in iterates and in op counts."""
+    p = beta.size
+    for j in range(p):
+        z = xty_raw[j] - (resid[j] - diag[j] * beta[j])
+        charge_scalar(counter, "mult")
+        charge_scalar(counter, "add")
+        charge_scalar(counter, "add")
+        bj = soft_threshold(z, thresh) / diag[j]
+        charge_soft_threshold(counter, 1)
+        charge_scalar(counter, "mult")
+        delta = bj - beta[j]
+        charge_scalar(counter, "add")
+        beta[j] = bj
+        resid += delta * xtx[:, j]
+        charge_axpy(counter, p)
+    return beta, resid

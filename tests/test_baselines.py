@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import central_diff, identity_closed_form, identity_problem, make_problem
+from helpers import (
+    cd_sweep_per_op,
+    central_diff,
+    identity_closed_form,
+    identity_problem,
+    make_problem,
+)
 from hslasso.baselines import (
     BaselineConfig,
+    _cd_sweep,
     cd_solve,
     fista_solve,
     ista_solve,
@@ -19,6 +26,7 @@ from hslasso.baselines import (
 from hslasso.opcount import OpCounter
 from hslasso.problem import (
     LassoProblem,
+    ReferenceSolution,
     lasso_objective,
     reference_minimum,
     subgradient_residual,
@@ -134,6 +142,94 @@ def test_cd_deterministic():
     t2 = cd_solve(pr, _cfg("cd", pr, ref, iters=50))
     assert np.array_equal(t1.final_beta, t2.final_beta)
     assert t1.f_values().tolist() == t2.f_values().tolist()
+
+
+def _orthonormal_problem():
+    n = 8
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((n, 4)))
+    return LassoProblem(y=np.random.default_rng(4).standard_normal(n),
+                        X=q * math.sqrt(n), lam=0.05)
+
+
+def _sign_crossing_start(pr):
+    # start on the far side of zero from the minimizer in every coordinate
+    beta_hat = reference_minimum(pr, 1e-10).beta_hat
+    return -3.0 * np.where(beta_hat >= 0.0, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("charged", [True, False], ids=["counter", "none"])
+@pytest.mark.parametrize("case", ["p<n", "p>n", "orthonormal", "all-zero", "sign-crossing"])
+def test_cd_sweep_matches_per_op_sweep(case, charged):
+    if case == "p<n":
+        pr, beta0 = make_problem(20, n=30, p=6, lam=0.05), None
+    elif case == "p>n":
+        pr, beta0 = make_problem(21, n=10, p=25, lam=0.02), None
+    elif case == "orthonormal":
+        pr, beta0 = _orthonormal_problem(), None
+    elif case == "all-zero":
+        pr = make_problem(22, n=15, p=5, lam=50.0)
+        beta0 = np.zeros(pr.p)
+    else:
+        pr = make_problem(23, n=20, p=7, lam=0.01)
+        beta0 = _sign_crossing_start(pr)
+    if beta0 is None:
+        beta0 = np.random.default_rng(24).uniform(-2.0, 2.0, pr.p)
+    xtx = pr.gram * pr.n
+    xty_raw = pr.xty * pr.n
+    diag = np.diag(xtx).copy()
+    thresh = pr.n * pr.lam
+    runs = []
+    for sweep in (_cd_sweep, cd_sweep_per_op):
+        beta = beta0.copy()
+        resid = xtx @ beta
+        counter = OpCounter() if charged else None
+        states = []
+        for _ in range(6):
+            beta, resid = sweep(beta, xtx, xty_raw, diag, thresh, resid, counter)
+            states.append((beta.copy(), resid.copy(),
+                           counter.snapshot() if charged else None))
+        runs.append(states)
+    for (b_new, r_new, c_new), (b_ref, r_ref, c_ref) in zip(*runs):
+        assert np.array_equal(b_new, b_ref)
+        assert np.array_equal(r_new, r_ref)
+        assert c_new == c_ref
+    if case == "all-zero":
+        assert not np.any(runs[0][-1][0])
+    if case == "sign-crossing":
+        assert np.any(np.sign(runs[0][-1][0]) != np.sign(beta0))
+
+
+def test_cd_sweep_rejects_negative_threshold():
+    beta = np.zeros(2)
+    with pytest.raises(ValueError):
+        _cd_sweep(beta, np.eye(2), np.ones(2), np.ones(2), -1.0, np.zeros(2), None)
+
+
+def test_cd_charge_pinned():
+    # counts recorded from the per-operation sweep; any change here is a
+    # change of op-count convention
+    pr = make_problem(3, n=20, p=8)
+    p = pr.p
+    never = ReferenceSolution(beta_hat=np.zeros(p), f_min=-np.inf, gap_tolerance=1e-9)
+    c = OpCounter()
+    tr = cd_solve(pr, BaselineConfig("cd", np.ones(p), 1e-12, 50, never), c)
+    assert len(tr.records) == 51
+    assert (c.mults, c.adds, c.transcendentals, c.comparisons, c.setup_ops) == (
+        4065, 4856, 0, 800, 72)
+    assert np.all(np.diff(tr.ops()) == 2 * p * p + 8 * p)
+    xtx = pr.gram * pr.n
+    beta = np.ones(p)
+    resid = xtx @ beta
+    sweep = OpCounter()
+    for _ in range(3):
+        before = sweep.snapshot()
+        beta, resid = _cd_sweep(beta, xtx, pr.xty * pr.n, np.diag(xtx).copy(),
+                                pr.n * pr.lam, resid, sweep)
+        after = sweep.snapshot()
+        assert after.mults - before.mults == p * (p + 2)
+        assert after.adds - before.adds == p * (p + 4)
+        assert after.comparisons - before.comparisons == 2 * p
+        assert after.transcendentals == before.transcendentals == 0
 
 
 def test_sl_penalty_grad_matches_finite_differences():

@@ -39,6 +39,15 @@ def test_malformed_problem_json_is_usage_error(tmp_path):
     assert rc == 2
 
 
+def test_non_finite_problem_json_is_usage_error(tmp_path):
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps({"n": 2, "p": 2, "lambda": 0.1, "y": [1.0, 2.0],
+                               "X": [[1.0, float("nan")], [0.0, 1.0]]}))
+    rc = run_cli(["solve", "--method", "ista", "--input", str(bad),
+                  "--out-dir", str(tmp_path)])
+    assert rc == 2
+
+
 def test_datagen_writes_all_formats(tmp_path):
     rc = run_cli(["datagen", "--scenario", "sim1", "--n", "12", "--p", "5",
                   "--seed", "3", "--out-dir", str(tmp_path)])

@@ -160,6 +160,23 @@ def test_agd_step_fixed_point():
     assert np.allclose(new.beta_bar, st.beta_bar)
 
 
+@pytest.mark.parametrize("cons,mults,adds", [
+    (SmoothnessConstants(L=4.0, mu=1.0, kappa=4.0), 80, 55),
+    (SmoothnessConstants(L=2.0, mu=2.0, kappa=1.0), 70, 50),  # gamma = inf
+], ids=["momentum", "degenerate"])
+def test_agd_step_charge_pinned(cons, mults, adds):
+    # counts recorded from the per-operation charges; p = 5, so the
+    # gradient alone is p*p + 4p = 45 mults, p*(p-1) + 3p = 35 adds, p cmps
+    pr = make_problem(4, n=12, p=5)
+    spec = SurrogateSpec(0.5)
+    g = OpCounter()
+    surrogate_grad(pr, spec, np.ones(5), g)
+    assert (g.mults, g.adds, g.transcendentals, g.comparisons) == (45, 35, 0, 5)
+    c = OpCounter()
+    agd_step(agd_state(np.ones(5), cons), lambda v: surrogate_grad(pr, spec, v, c), c)
+    assert (c.mults, c.adds, c.transcendentals, c.comparisons) == (mults, adds, 0, 5)
+
+
 def test_agd_step_gamma_mu_one_direction():
     # mu/L = 1/4 gives alpha = 1/2 and gamma*mu = 1
     cons = SmoothnessConstants(L=4.0, mu=1.0, kappa=4.0)

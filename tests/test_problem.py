@@ -37,6 +37,22 @@ def test_construction_validates():
         LassoProblem(y=np.zeros(3), X=np.zeros((3, 2, 1)), lam=1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_construction_rejects_non_finite(bad):
+    X = np.ones((3, 2))
+    y = np.ones(3)
+    X_bad = X.copy()
+    X_bad[1, 0] = bad
+    y_bad = y.copy()
+    y_bad[2] = bad
+    with pytest.raises(ValueError, match="X must be finite"):
+        LassoProblem(y=y, X=X_bad, lam=0.1)
+    with pytest.raises(ValueError, match="y must be finite"):
+        LassoProblem(y=y_bad, X=X, lam=0.1)
+    with pytest.raises(ValueError, match="lambda"):
+        LassoProblem(y=y, X=X, lam=bad)
+
+
 def test_cached_gram_and_immutability():
     pr = make_problem(0)
     assert np.allclose(pr.gram, pr.X.T @ pr.X / pr.n)
