@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .homotopy import HSConfig, _inner_solve_full
+from .homotopy import minimize_surrogate
 from .problem import LassoProblem
+from .surrogate import SurrogateSpec
 
 SVD_METHOD = "one-sided-jacobi"
 PINV_RCOND = 1e-12
@@ -183,15 +184,12 @@ def support_conditions_check(X, s_set) -> SupportConditionReport:
 
 def surrogate_minimizer(problem: LassoProblem, t: float,
                         grad_tol: float = 1e-10, max_iters: int = 500_000) -> np.ndarray:
-    """Minimizer of the level-t smoothed objective to a tight gradient
-    tolerance; uncounted (diagnostic use only)."""
-    cfg = HSConfig(t0=max(t * 2.0, 1.0), inner_stop="gradient",
-                   inner_grad_tol=grad_tol, max_inner=max_iters,
-                   tau=min(t, 1e-4))
-    res = _inner_solve_full(problem, t, np.zeros(problem.p), cfg, None,
-                            B=max(10.0 * float(np.max(np.abs(problem.xty))) /
-                                  max(problem.eig_min, problem.lam), 10.0))
-    return res.beta
+    """Minimizer of the level-t smoothed objective by damped Newton from
+    zero to ||grad F_t|| <= grad_tol; uncounted (diagnostic use only).
+    Raises NumericalFailure when max_iters Newton steps do not get there."""
+    beta, _ = minimize_surrogate(problem, SurrogateSpec(t), np.zeros(problem.p),
+                                 grad_tol, max_iters)
+    return beta
 
 
 def closeness_sweep(problem: LassoProblem, ref, ts=(1.0, 0.1, 0.01, 1e-3, 1e-4)) -> list[dict]:

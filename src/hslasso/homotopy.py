@@ -38,6 +38,10 @@ OUTER_STOP_MODES = ("oracle", "theoretical-count", "t-floor")
 T0_PREDICATE_SHIFT = "lambda*log1p(t)^2/(3*t^3)"
 INIT_SHIFT = "2*lambda*log1p(t0)^2/(3*t0^3)"
 
+# Newton iteration cap of the theoretical stop's oracle (a few hundred at most
+# from zero on p > n designs down to t = 1e-4; warm starts need far fewer).
+AUX_NEWTON_MAX_ITERS = 1000
+
 
 @dataclass
 class HSConfig:
@@ -188,6 +192,61 @@ def surrogate_value(problem: LassoProblem, spec: SurrogateSpec, beta: np.ndarray
     return float(r @ r / (2.0 * problem.n) + problem.lam * np.sum(spec.value(beta)))
 
 
+def minimize_surrogate(problem: LassoProblem, spec: SurrogateSpec, beta_init: np.ndarray,
+                       grad_tol: float, max_iters: int) -> tuple[np.ndarray, float]:
+    """Damped Newton minimizer of the smoothed objective; never charges a
+    counter (oracle and diagnostic use only).
+
+    F_t is C^2 and strictly convex: its Hessian gram + diag(lam*hess_diag)
+    is positive definite because hess_diag > 0.  Each iteration solves for
+    the Newton direction d and halves the step s until the Armijo test
+    F(b + s d) <= F(b) + 1e-4 s g'd holds (Boyd & Vandenberghe, Convex
+    Optimization, 9.5).  Near the optimum F differences fall below
+    round-off, so a step that raises F by at most 4 eps |F| and strictly
+    lowers ||g|| is accepted too.  When gram is singular (p > n) and many
+    entries sit on the flat outer branch, hess can be singular to working
+    precision and the computed direction need not descend; the step then
+    falls back to d = -g.  Returns (beta, F(beta)) once
+    ||g|| <= grad_tol; raises NumericalFailure after max_iters Newton
+    steps or when the step falls below 1e-20.
+    """
+    beta = np.array(beta_init, dtype=float)
+    f = surrogate_value(problem, spec, beta)
+    g = surrogate_grad(problem, spec, beta)
+    gnorm = float(np.linalg.norm(g))
+    iters = 0
+    while gnorm > grad_tol:
+        if iters >= max_iters:
+            raise NumericalFailure(f"damped Newton at t={spec.t:g}: ||grad|| = {gnorm:.3g} "
+                                   f"> {grad_tol:.3g} after {max_iters} iterations")
+        hess = problem.gram + np.diag(problem.lam * spec.hess_diag(beta))
+        d = -np.linalg.solve(hess, g)
+        slope = float(g @ d)
+        if not slope < 0.0:  # hess numerically singular: no descent direction
+            d = -g
+            slope = -gnorm * gnorm
+        noise = 4.0 * np.finfo(float).eps * abs(f)
+        s = 1.0
+        while True:
+            cand = beta + s * d
+            f_cand = surrogate_value(problem, spec, cand)
+            if f_cand <= f + 1e-4 * s * slope:
+                g_cand = surrogate_grad(problem, spec, cand)
+                break
+            if f_cand <= f + noise:
+                g_cand = surrogate_grad(problem, spec, cand)
+                if float(np.linalg.norm(g_cand)) < gnorm:
+                    break
+            s *= 0.5
+            if s < 1e-20:
+                raise NumericalFailure(f"damped Newton at t={spec.t:g}: line search stalled "
+                                       f"at ||grad|| = {gnorm:.3g} > {grad_tol:.3g}")
+        beta, f, g = cand, f_cand, g_cand
+        gnorm = float(np.linalg.norm(g))
+        iters += 1
+    return beta, f
+
+
 def find_t0(problem: LassoProblem, counter: OpCounter | None = None) -> float:
     """Smallest bracketed level satisfying the boundedness predicate.
 
@@ -295,15 +354,7 @@ def _auxiliary_surrogate_minimum(problem, spec, constants, beta_init, gap_target
     work.  Stops once the gradient norm certifies a gap below gap_target.
     """
     gtol = math.sqrt(2.0 * constants.mu * max(gap_target, 1e-18)) * 1e-2
-    state = agd_state(beta_init, constants)
-    best = surrogate_value(problem, spec, state.beta_bar)
-    for _ in range(500_000):
-        g = surrogate_grad(problem, spec, state.beta_bar)
-        if float(np.linalg.norm(g)) <= gtol:
-            break
-        state = agd_step(state, lambda v: surrogate_grad(problem, spec, v))
-        best = min(best, surrogate_value(problem, spec, state.beta_bar))
-    return min(best, surrogate_value(problem, spec, state.beta_bar))
+    return minimize_surrogate(problem, spec, beta_init, gtol, AUX_NEWTON_MAX_ITERS)[1]
 
 
 def _inner_solve_full(problem: LassoProblem, t_k: float, beta_init: np.ndarray,

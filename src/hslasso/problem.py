@@ -1,12 +1,14 @@
 """Lasso problem container, objectives, precision test, reference oracle.
 
 The problem instance is immutable after construction: the normalized gram
-matrix X'X/n, the vector X'y/n, and the gram eigendecomposition are
-computed once and shared read-only by every solver.
+matrix X'X/n, the vector X'y/n, and the gram eigenvalues are computed once
+and shared read-only by every solver; the eigenvectors, which only the
+ridge solve uses, are computed once on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass
@@ -57,13 +59,19 @@ class LassoProblem:
         self.X = _readonly(X)
         self.gram = _readonly(X.T @ X / n)
         self.xty = _readonly(X.T @ y / n)
-        eigvals, eigvecs = np.linalg.eigh(self.gram)
+        eigvals = np.linalg.eigh(self.gram)[0]
         if eigvals[0] < -1e-10:
             raise ValueError("gram matrix not positive semidefinite within 1e-10")
         self.gram_eigvals = _readonly(eigvals)
-        self.gram_eigvecs = _readonly(eigvecs)
         self.eig_min = float(max(eigvals[0], 0.0))
         self.eig_max = float(max(eigvals[-1], 0.0))
+
+    @functools.cached_property
+    def gram_eigvecs(self) -> np.ndarray:
+        """Eigenvectors of the gram matrix, from the same deterministic eigh
+        call as gram_eigvals.  Only ridge_solve needs them, so they are
+        computed on first use instead of being held by every instance."""
+        return _readonly(np.linalg.eigh(self.gram)[1])
 
     def ridge_solve(self, shift: float) -> np.ndarray:
         """Solve (X'X/n + shift I) b = X'y/n through the cached spectrum.

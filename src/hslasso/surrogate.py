@@ -7,12 +7,13 @@ For a level ``t > 0`` the penalty applied to each coefficient is
                                    + log(1+t)^2 / (3|x|)
                                    - log(1+t)^2 / t
 
-The two branches agree in value and first derivative at |x| = t, the
-function is even and convex, sits below |x| everywhere, and converges to
-|x| pointwise as t -> 0.  The second derivative is discontinuous at the
-branch point; the diagonal curvature used for step-size constants is the
-max-form (2/3) log(1+t)^2 * max(|x|, t)^-3, which matches both one-sided
-limits.
+The two branches agree in value and in first and second derivative at
+|x| = t (both one-sided second derivatives equal 2 log(1+t)^2 / (3 t^3));
+only the third derivative jumps there.  The function is even and convex,
+sits below |x| everywhere, and converges to |x| pointwise as t -> 0.  The
+second derivative is the max-form (2/3) log(1+t)^2 * max(|x|, t)^-3 on
+both branches; it serves both the step-size constants and the Newton
+Hessian of the smoothed objective.
 """
 
 from __future__ import annotations
@@ -67,18 +68,6 @@ class SurrogateSpec:
         """Diagonal curvature (2/3) log(1+t)^2 * max(|beta_i|, t)^-3."""
         beta = np.asarray(beta, dtype=float)
         return 2.0 * self.c_inv * np.maximum(np.abs(beta), self.t) ** (-3.0)
-
-
-def ft_value(spec: SurrogateSpec, x):
-    return spec.value(x)
-
-
-def ft_grad(spec: SurrogateSpec, x):
-    return spec.grad(x)
-
-
-def ft_hess_diag(spec: SurrogateSpec, beta):
-    return spec.hess_diag(beta)
 
 
 @dataclass(frozen=True)

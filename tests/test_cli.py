@@ -185,6 +185,20 @@ def test_bench_json_format(tmp_path):
     assert rows[0]["method"] == "hs"
 
 
+def test_verify_minimizer_failure_is_numerical_exit(tmp_path, monkeypatch, capsys):
+    import functools
+
+    from hslasso import diagnostics
+
+    capped = functools.partial(diagnostics.surrogate_minimizer, max_iters=1)
+    monkeypatch.setattr(diagnostics, "surrogate_minimizer", capped)
+    rc = run_cli(["verify", "--scenario", "sim1", "--n", "40", "--p", "10",
+                  "--levels", "1e-3", "--out-dir", str(tmp_path)])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
+
+
 def test_verify_reports(tmp_path, capsys):
     rc = run_cli(["verify", "--scenario", "sim1", "--n", "40", "--p", "10",
                   "--seed", "2", "--levels", "0.1", "0.01", "1e-3",

@@ -14,7 +14,7 @@ from hslasso.diagnostics import (
     support_set,
     surrogate_minimizer,
 )
-from hslasso.problem import reference_minimum
+from hslasso.problem import NumericalFailure, reference_minimum
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +114,12 @@ def test_estimation_error_small_under_well_conditioned_design():
     ref = reference_minimum(pr, 1e-10)
     bt = surrogate_minimizer(pr, 1e-4)
     assert estimation_error(bt, ref.beta_hat) < 1e-4
+
+
+def test_surrogate_minimizer_raises_when_not_converged():
+    pr = generate(SyntheticSpec(n=50, p=20, rho=0.1, seed=4), lam=1e-3)
+    with pytest.raises(NumericalFailure):
+        surrogate_minimizer(pr, 1e-4, max_iters=1)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from hslasso.homotopy import (
     initial_beta,
     inner_solve,
     inner_tolerance,
+    minimize_surrogate,
     outer_iteration_count,
     surrogate_grad,
     surrogate_value,
@@ -288,6 +289,20 @@ def test_inner_solve_theoretical_steps_scale_with_log_tolerance():
     assert np.all(steps <= 1.5 * c_fit * logs + 5.0)
 
 
+def test_inner_solve_theoretical_stop_pinned():
+    # Per-level steps and op total of the theoretical stop, recorded when its
+    # uncounted oracle still ran accelerated gradient; the Newton oracle must
+    # stop every level at the same step.
+    pr = sim1_problem()
+    cfg = HSConfig(t0=3.0, h=0.1, outer_stop="t-floor", tau=5e-3,
+                   inner_stop="theoretical", B=10.0)
+    counter = OpCounter()
+    tr = hs_solve(pr, cfg, counter)
+    assert [r.inner_iters for r in tr.records] == [0] * 31 + [1, 1, 2, 1, 2, 1] + [2] * 23 + [1]
+    assert counter.total() == 66423
+    assert tr.converged
+
+
 def test_inner_solve_rejects_level_below_floor():
     pr = sim1_problem()
     cfg = HSConfig(t0=1.0, tau=1e-2, B=10.0)
@@ -423,3 +438,64 @@ def test_hs_config_validation_and_from_dict():
 def test_default_iterate_bound():
     assert default_iterate_bound(np.array([0.0, 0.0])) == 1.0
     assert default_iterate_bound(np.array([0.3, -0.7])) == pytest.approx(7.0)
+
+
+# ---------------------------------------------------------------------------
+# damped Newton minimizer of the smoothed objective
+# ---------------------------------------------------------------------------
+
+
+def _shape_problem(n, p, rho=0.1, lam=1e-3, seed=3):
+    return generate(SyntheticSpec(n=n, p=p, rho=rho, sparsity=min(10, p), seed=seed), lam=lam)
+
+
+@pytest.mark.parametrize("n,p", [(50, 20), (8, 12)])
+def test_minimize_surrogate_matches_gradient_inner_solve(n, p):
+    pr = _shape_problem(n, p, lam=0.1)
+    t = 0.1
+    cfg = HSConfig(t0=1.0, inner_stop="gradient", inner_grad_tol=1e-10, B=10.0)
+    agd, _ = inner_solve(pr, t, np.zeros(pr.p), cfg)
+    newton, _ = minimize_surrogate(pr, SurrogateSpec(t), np.zeros(pr.p), 1e-10, 200)
+    assert np.max(np.abs(newton - agd)) <= 1e-8
+
+
+def test_minimize_surrogate_commutes_with_column_sign_flips():
+    base = _shape_problem(50, 80, lam=0.1)
+    signs = np.random.default_rng(5).choice((-1.0, 1.0), size=base.p)
+    flipped = LassoProblem(base.y, base.X * signs, base.lam)
+    for t in (1.0, 1e-4):
+        spec = SurrogateSpec(t)
+        b, f = minimize_surrogate(base, spec, np.zeros(base.p), 1e-10, 1000)
+        bf, ff = minimize_surrogate(flipped, spec, np.zeros(base.p), 1e-10, 1000)
+        assert np.array_equal(bf, signs * b)
+        assert ff == f
+
+
+@pytest.mark.parametrize("t", [1.0, 1e-4])
+@pytest.mark.parametrize("lam", [1e-3, 1.0])
+@pytest.mark.parametrize("rho", [0.0, 0.9])
+@pytest.mark.parametrize("n,p", [(50, 20), (50, 80)])
+def test_minimize_surrogate_converges_across_designs(n, p, rho, lam, t):
+    pr = _shape_problem(n, p, rho=rho, lam=lam, seed=7)
+    spec = SurrogateSpec(t)
+    beta, value = minimize_surrogate(pr, spec, np.zeros(pr.p), 1e-10, 1000)
+    assert float(np.linalg.norm(surrogate_grad(pr, spec, beta))) <= 1e-10
+    assert value == surrogate_value(pr, spec, beta)
+
+
+def test_minimize_surrogate_survives_singular_newton_system():
+    # p > n with lam = 1e-3 and t = 1e-4: after a few steps most entries sit
+    # on the flat outer branch, the Newton matrix is singular to working
+    # precision and its solution points uphill; plain Newton stalls here.
+    pr = _shape_problem(20, 40, rho=0.0, seed=3)
+    spec = SurrogateSpec(1e-4)
+    beta, _ = minimize_surrogate(pr, spec, np.zeros(pr.p), 1e-10, 1000)
+    assert float(np.linalg.norm(surrogate_grad(pr, spec, beta))) <= 1e-10
+
+
+def test_minimize_surrogate_returns_converged_start_unchanged():
+    pr = sim1_problem()
+    spec = SurrogateSpec(1e-4)
+    beta, value = minimize_surrogate(pr, spec, np.zeros(pr.p), 1e-10, 1000)
+    again, again_value = minimize_surrogate(pr, spec, beta, 1e-10, 0)
+    assert np.array_equal(again, beta) and again_value == value

@@ -62,6 +62,20 @@ def test_cached_gram_and_immutability():
         pr.gram[0, 0] = 99.0
 
 
+def test_ridge_solve_matches_up_front_spectrum():
+    # the eigenvectors are computed on the first ridge_solve; the solve must
+    # equal, bit for bit, the one through a single eigh at construction
+    pr = make_problem(0, n=12, p=20)
+    vals, vecs = np.linalg.eigh(pr.gram)
+    vecs = np.ascontiguousarray(vecs)
+    assert np.array_equal(pr.gram_eigvals, vals)
+    for shift in (0.3, 1e-6):
+        expected = vecs @ ((vecs.T @ pr.xty) / (np.maximum(vals, 0.0) + shift))
+        assert np.array_equal(pr.ridge_solve(shift), expected)
+    assert np.array_equal(pr.gram_eigvecs, vecs)
+    assert not pr.gram_eigvecs.flags.writeable
+
+
 def test_objective_zero_cases():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((6, 4))

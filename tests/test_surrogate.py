@@ -85,7 +85,7 @@ def test_grad_matches_finite_differences():
     for t in T_GRID:
         s = SurrogateSpec(t)
         xs = rng.uniform(-3.0 * max(t, 1.0), 3.0 * max(t, 1.0), size=1000)
-        # keep away from the branch point where the second derivative jumps
+        # keep away from the branch point, where the third derivative jumps
         xs = xs[np.abs(np.abs(xs) - t) > 1e-4]
         for x in xs:
             fd = central_diff(s.value, x)
@@ -103,6 +103,21 @@ def test_hess_diag_values_and_positivity():
         assert h[2] == pytest.approx(at_zero, rel=1e-13)
         assert h[3] < at_zero * 1e-4
         assert np.all(h > 0)
+
+
+def test_second_derivative_continuous_at_branch():
+    # one-sided difference quotients of grad, taken wholly inside and wholly
+    # outside |x| = t, both match the curvature 2 log(1+t)^2 / (3 t^3) there
+    for t in T_GRID:
+        s = SurrogateSpec(t)
+        expected = float(s.hess_diag(np.array([t]))[0])
+        assert expected == pytest.approx(2 * math.log1p(t) ** 2 / (3 * t**3), rel=1e-13)
+        h = 1e-6 * t
+        for sign in (1.0, -1.0):
+            inside = sign * (s.grad(sign * (t - h)) - s.grad(sign * (t - 2 * h))) / h
+            outside = sign * (s.grad(sign * (t + 2 * h)) - s.grad(sign * (t + h))) / h
+            assert inside == pytest.approx(expected, rel=1e-5)
+            assert outside == pytest.approx(expected, rel=1e-5)
 
 
 def test_hess_diag_matches_grad_finite_differences():
