@@ -13,6 +13,7 @@ from helpers import (
     make_problem,
 )
 from hslasso.baselines import (
+    METHODS,
     BaselineConfig,
     _cd_sweep,
     cd_solve,
@@ -21,8 +22,10 @@ from hslasso.baselines import (
     sl_penalty_grad,
     sl_solve,
     soft_threshold,
+    solve,
     theoretical_bound,
 )
+from hslasso.homotopy import HSConfig, initial_beta, inner_solve
 from hslasso.opcount import OpCounter
 from hslasso.problem import (
     LassoProblem,
@@ -205,18 +208,44 @@ def test_cd_sweep_rejects_negative_threshold():
         _cd_sweep(beta, np.eye(2), np.ones(2), np.ones(2), -1.0, np.zeros(2), None)
 
 
-def test_cd_charge_pinned():
-    # counts recorded from the per-operation sweep; any change here is a
+PINNED_CHARGES = {
+    # (mults, adds, transcendentals, comparisons, setup_ops), then the ops of
+    # one iterate (flat methods) or the step count (inner solve)
+    "ista": ((3601, 4000, 0, 800, 0), 168),
+    "fista": ((4151, 4900, 50, 800, 0), 198),
+    "sl": ((5252, 5301, 400, 0, 0), 219),
+    "cd": ((4065, 4856, 0, 800, 72), 192),
+    "inner-fixed": ((7610, 5604, 2, 400, 0), 50),
+    "inner-gradient": ((7282, 5663, 31, 485, 0), 28),
+    "initial-beta": ((138, 120, 1, 0, 0), None),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_CHARGES))
+def test_charge_pinned(case):
+    # counts recorded from the per-operation charges; any change here is a
     # change of op-count convention
     pr = make_problem(3, n=20, p=8)
     p = pr.p
-    never = ReferenceSolution(beta_hat=np.zeros(p), f_min=-np.inf, gap_tolerance=1e-9)
+    counts, per_iterate = PINNED_CHARGES[case]
     c = OpCounter()
-    tr = cd_solve(pr, BaselineConfig("cd", np.ones(p), 1e-12, 50, never), c)
-    assert len(tr.records) == 51
-    assert (c.mults, c.adds, c.transcendentals, c.comparisons, c.setup_ops) == (
-        4065, 4856, 0, 800, 72)
-    assert np.all(np.diff(tr.ops()) == 2 * p * p + 8 * p)
+    if case in METHODS:
+        never = ReferenceSolution(beta_hat=np.zeros(p), f_min=-np.inf, gap_tolerance=1e-9)
+        alpha = 100.0 if case == "sl" else None
+        tr = solve(pr, BaselineConfig(case, np.ones(p), 1e-12, 50, never, alpha), c)
+        assert len(tr.records) == 51
+        assert not tr.converged
+        assert np.all(np.diff(tr.ops()) == per_iterate)
+        assert tr.ops()[-1] == c.total()
+    elif case == "initial-beta":
+        initial_beta(pr, 3.0, c)
+    else:
+        cfg = HSConfig(inner_stop=case.split("-")[1], inner_grad_tol=1e-6)
+        _, steps = inner_solve(pr, 0.5, np.zeros(p), cfg, c)
+        assert steps == per_iterate
+    assert (c.mults, c.adds, c.transcendentals, c.comparisons, c.setup_ops) == counts
+    if case != "cd":
+        return
     xtx = pr.gram * pr.n
     beta = np.ones(p)
     resid = xtx @ beta

@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hslasso.cli import main
+from hslasso.cli import BenchmarkGrid, main, run_bench
 
 
 def run_cli(args):
@@ -148,6 +149,27 @@ def test_bench_deterministic_bytes(tmp_path):
     assert run_cli(args + ["--out-dir", str(b_dir)]) == 0
     for name in ("bench_table.csv", "bench_curves.csv", "bench_ops.csv"):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+
+GOLDEN_GRIDS = {
+    # HS does no outer level here: the ridge start already meets both targets
+    "golden_lam0.001": BenchmarkGrid(scenarios=((50, 20),), epsilons=(0.05, 0.01),
+                                     methods=("ista", "fista", "cd", "sl", "hs")),
+    # lambda = 0.1: HS runs 57 and 53 levels of the homotopy loop
+    "golden_lam0.1": BenchmarkGrid(scenarios=((50, 20),), lam=0.1, epsilons=(1e-2, 1e-3),
+                                   methods=("ista", "fista", "cd", "hs")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GRIDS))
+def test_bench_matches_golden_bytes(name):
+    # Files written by run_bench on these grids before the solver loops
+    # shared one driver; any byte change is a change of results or of the
+    # op-count convention.
+    table, _, ops, _ = run_bench(GOLDEN_GRIDS[name])
+    golden = Path(__file__).parent / "data" / name
+    assert table.encode() == (golden / "bench_table.csv").read_bytes()
+    assert ops.encode() == (golden / "bench_ops.csv").read_bytes()
 
 
 def test_bench_unreached_thresholds_leave_cells_empty(tmp_path):
