@@ -2,9 +2,13 @@
 coordinate descent, and a smoothed-penalty momentum method, plus
 evaluators for their published worst-case gap envelopes.
 
-All four stop against a precomputed reference minimum, matching the
-measurement protocol of the benchmark harness: the stopping comparison is
-free, only the update map charges the operation counter.
+Each method is a step map on a state tuple whose first entry is the
+iterate, and :func:`iterate` drives every map (the homotopy inner and outer
+loops too).  Each map charges its work to the operation counter once per
+step, in closed form.  The four solvers stop against a precomputed
+reference minimum, matching the measurement protocol of the benchmark
+harness: the stopping comparison is free.  The reference oracle runs the
+same FISTA and CD maps uncharged, to a subgradient-residual tolerance.
 """
 
 from __future__ import annotations
@@ -14,15 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opcount import (
-    OpCounter,
-    charge_matvec,
-    charge_scalar,
-    charge_setup,
-    charge_soft_threshold,
-    charge_vec_add,
-    charge_vec_scale,
-)
+from .opcount import OpCounter
 from .problem import (
     LassoProblem,
     ReferenceSolution,
@@ -57,6 +53,22 @@ class BaselineConfig:
             raise ValueError("sl_alpha is only meaningful for method 'sl'")
 
 
+def iterate(state, step, stop, max_iters: int):
+    """Apply ``state = step(state)`` until ``stop(state, k)`` holds after k
+    steps, at most ``max_iters`` times.
+
+    The stop test runs before every step and once more at the cap.
+    Returns (final state, steps taken, whether the stop test fired).
+    """
+    k = 0
+    while not stop(state, k):
+        if k >= max_iters:
+            return state, k, False
+        state = step(state)
+        k += 1
+    return state, k, True
+
+
 def soft_threshold(x, alpha):
     """Shrink toward zero by alpha with a dead zone; prox of alpha*|.|."""
     if np.any(np.asarray(alpha) < 0):
@@ -66,95 +78,83 @@ def soft_threshold(x, alpha):
     return float(out) if out.ndim == 0 else out
 
 
-def _gap(problem, beta, ref) -> float:
-    return lasso_objective(problem, beta) - ref.f_min
+def _run_flat(problem, config, metadata, counter, start, step, inner_iters=1, aux=None):
+    """Drive a flat method from ``start(beta0)`` until the objective is
+    within config.epsilon of the reference minimum, appending one trace
+    row per iterate (``aux`` gives the F_t column; default F).
+
+    Returns (trace, final state).
+    """
+    trace = SolverTrace(metadata=metadata)
+
+    def stop(state, k):
+        beta = state[0]
+        f = lasso_objective(problem, beta)
+        trace.append(k, 0.0, inner_iters if k else 0, f,
+                     f if aux is None else aux(beta), counter.total())
+        return f - config.ref.f_min <= config.epsilon
+
+    beta0 = np.asarray(config.beta0, dtype=float).copy()
+    state, _, trace.converged = iterate(start(beta0), step, stop, config.max_iters)
+    trace.final_beta = state[0]
+    return trace, state
 
 
-def _prox_grad_step(problem, point, L, counter):
-    """point - (gram*point - xty)/L then entrywise soft threshold."""
-    p = problem.p
-    g = problem.gram @ point - problem.xty
-    charge_matvec(counter, p, p)
-    charge_vec_add(counter, p)
-    moved = point - g / L
-    charge_vec_scale(counter, p)
-    charge_vec_add(counter, p)
-    charge_soft_threshold(counter, p)
-    return soft_threshold(moved, problem.lam / L)
+def _prox_grad_step(problem, point, L, thr, counter):
+    """Soft threshold at thr = lambda/L of point - (gram*point - xty)/L.
+
+    Charged p^2+p mults, p^2+2p adds and 2p comparisons: the matvec, the
+    shift, the scaled step and the soft threshold.
+    """
+    moved = point - (problem.gram @ point - problem.xty) / L
+    if counter is not None:
+        p = point.size
+        counter.mults += p * p + p
+        counter.adds += p * p + 2 * p
+        counter.comparisons += 2 * p
+    return np.sign(moved) * np.maximum(np.abs(moved) - thr, 0.0)
+
+
+def _fista_step(problem, L, thr, state, counter):
+    """Prox-gradient step at the extrapolated point, then the momentum
+    update: 1 sqrt, p+3 mults and 2p+2 adds beyond the prox-gradient step."""
+    beta, point, momentum = state
+    beta_new = _prox_grad_step(problem, point, L, thr, counter)
+    momentum_new = (1.0 + math.sqrt(1.0 + 4.0 * momentum**2)) / 2.0
+    point = beta_new + ((momentum - 1.0) / momentum_new) * (beta_new - beta)
+    if counter is not None:
+        p = beta.size
+        counter.transcendentals += 1
+        counter.mults += p + 3
+        counter.adds += 2 * p + 2
+    return beta_new, point, momentum_new
+
+
+def _prox_grad_setup(problem, config, counter):
+    """Step size L, threshold lambda/L (one mult) and the counter to charge."""
+    config.validate()
+    L = problem.eig_max
+    if not L > 0:
+        raise ValueError("gram matrix has no positive eigenvalue; step size undefined")
+    counter = counter if counter is not None else OpCounter()
+    counter.mults += 1
+    return L, problem.lam / L, counter
 
 
 def ista_solve(problem: LassoProblem, config: BaselineConfig,
                counter: OpCounter | None = None) -> SolverTrace:
-    config.validate()
-    L = problem.eig_max
-    if not L > 0:
-        raise ValueError("gram matrix has no positive eigenvalue; step size undefined")
-    beta = np.asarray(config.beta0, dtype=float).copy()
-    counter = counter if counter is not None else OpCounter()
-    charge_scalar(counter, "mult")  # lambda/L
-    trace = SolverTrace(metadata={"method": "ista", "L": L})
-    f0 = lasso_objective(problem, beta)
-    trace.append(0, 0.0, 0, f0, f0, counter.total())
-    k = 0
-    converged = False
-    while True:
-        if _gap(problem, beta, config.ref) <= config.epsilon:
-            converged = True
-            break
-        if k >= config.max_iters:
-            break
-        beta = _prox_grad_step(problem, beta, L, counter)
-        k += 1
-        f = lasso_objective(problem, beta)
-        trace.append(k, 0.0, 1, f, f, counter.total())
-    trace.final_beta = beta
-    trace.converged = converged
-    return trace
+    L, thr, counter = _prox_grad_setup(problem, config, counter)
+    return _run_flat(problem, config, {"method": "ista", "L": L}, counter, lambda b: (b,),
+                     lambda s: (_prox_grad_step(problem, s[0], L, thr, counter),))[0]
 
 
 def fista_solve(problem: LassoProblem, config: BaselineConfig,
                 counter: OpCounter | None = None) -> SolverTrace:
-    config.validate()
-    L = problem.eig_max
-    if not L > 0:
-        raise ValueError("gram matrix has no positive eigenvalue; step size undefined")
-    beta = np.asarray(config.beta0, dtype=float).copy()
-    point = beta.copy()  # extrapolated sequence; first step has zero momentum
-    momentum = 1.0
-    counter = counter if counter is not None else OpCounter()
-    charge_scalar(counter, "mult")
-    trace = SolverTrace(metadata={"method": "fista", "L": L})
-    f0 = lasso_objective(problem, beta)
-    trace.append(0, 0.0, 0, f0, f0, counter.total())
-    p = problem.p
-    k = 0
-    converged = False
-    while True:
-        if _gap(problem, beta, config.ref) <= config.epsilon:
-            converged = True
-            break
-        if k >= config.max_iters:
-            break
-        beta_new = _prox_grad_step(problem, point, L, counter)
-        momentum_new = (1.0 + math.sqrt(1.0 + 4.0 * momentum**2)) / 2.0
-        charge_scalar(counter, "transcendental")
-        charge_scalar(counter, "mult")
-        charge_scalar(counter, "mult")
-        charge_scalar(counter, "add")
-        point = beta_new + ((momentum - 1.0) / momentum_new) * (beta_new - beta)
-        charge_scalar(counter, "mult")
-        charge_scalar(counter, "add")
-        charge_vec_add(counter, p)
-        charge_vec_scale(counter, p)
-        charge_vec_add(counter, p)
-        beta = beta_new
-        momentum = momentum_new
-        k += 1
-        f = lasso_objective(problem, beta)
-        trace.append(k, 0.0, 1, f, f, counter.total())
-    trace.final_beta = beta
-    trace.converged = converged
-    return trace
+    L, thr, counter = _prox_grad_setup(problem, config, counter)
+    # the extrapolated point starts at beta, so the first step has zero momentum
+    return _run_flat(problem, config, {"method": "fista", "L": L}, counter,
+                     lambda b: (b, b.copy(), 1.0),
+                     lambda s: _fista_step(problem, L, thr, s, counter))[0]
 
 
 def _cd_sweep(beta, xtx, xty_raw, diag, thresh, resid, counter):
@@ -181,41 +181,27 @@ def _cd_sweep(beta, xtx, xty_raw, diag, thresh, resid, counter):
     return beta, resid
 
 
+def _cd_data(problem):
+    """X'X, X'y, the squared column norms and the threshold n*lambda."""
+    xtx = problem.gram * problem.n
+    return xtx, problem.xty * problem.n, np.diag(xtx).copy(), problem.n * problem.lam
+
+
 def cd_solve(problem: LassoProblem, config: BaselineConfig,
              counter: OpCounter | None = None) -> SolverTrace:
     """Cyclic coordinate descent, ascending order, one trace row per sweep."""
     config.validate()
     counter = counter if counter is not None else OpCounter()
     p = problem.p
-    xtx = problem.gram * problem.n
-    xty_raw = problem.xty * problem.n
-    charge_setup(counter, p * p + p)  # rescale cached gram and xty
-    diag = np.diag(xtx).copy()
+    xtx, xty_raw, diag, thresh = _cd_data(problem)
     if np.any(diag <= 0):
         raise ValueError("degenerate column: zero diagonal in X'X")
-    thresh = problem.n * problem.lam
-    charge_scalar(counter, "mult")
-    beta = np.asarray(config.beta0, dtype=float).copy()
-    resid = xtx @ beta
-    charge_matvec(counter, p, p)
-    trace = SolverTrace(metadata={"method": "cd"})
-    f0 = lasso_objective(problem, beta)
-    trace.append(0, 0.0, 0, f0, f0, counter.total())
-    k = 0
-    converged = False
-    while True:
-        if _gap(problem, beta, config.ref) <= config.epsilon:
-            converged = True
-            break
-        if k >= config.max_iters:
-            break
-        beta, resid = _cd_sweep(beta, xtx, xty_raw, diag, thresh, resid, counter)
-        k += 1
-        f = lasso_objective(problem, beta)
-        trace.append(k, 0.0, p, f, f, counter.total())
-    trace.final_beta = beta
-    trace.converged = converged
-    return trace
+    counter.setup_ops += p * p + p  # rescale cached gram and xty
+    counter.mults += 1 + p * p  # n*lambda, then the matvec xtx @ beta0
+    counter.adds += p * (p - 1)
+    return _run_flat(problem, config, {"method": "cd"}, counter, lambda b: (b, xtx @ b),
+                     lambda s: _cd_sweep(s[0], xtx, xty_raw, diag, thresh, s[1], counter),
+                     inner_iters=p)[0]
 
 
 def sl_penalty_grad(w, alpha):
@@ -231,14 +217,6 @@ def sl_penalty_grad(w, alpha):
     return np.tanh(0.5 * alpha * w), 0
 
 
-def _charge_sl_penalty(counter, p):
-    if counter is None:
-        return
-    counter.transcendentals += p  # tanh per entry
-    counter.mults += 2 * p
-    counter.adds += p
-
-
 def sl_objective(problem, beta, alpha) -> float:
     w = np.asarray(beta, dtype=float)
     z = alpha * w
@@ -246,6 +224,25 @@ def sl_objective(problem, beta, alpha) -> float:
     phi = 2.0 * softplus / alpha - w
     r = problem.y - problem.X @ w
     return float(r @ r / (2.0 * problem.n) + problem.lam * np.sum(phi))
+
+
+def _sl_step(problem, alpha, step, state, counter):
+    """Momentum point w, then a gradient step on the smoothed objective.
+
+    Charged 1 tanh per entry, p^2+5p+1 mults and p^2+5p+2 adds: the
+    momentum weight and extrapolation, the penalty derivative, the matvec
+    with its shift and penalty term, and the step.
+    """
+    beta, beta_prev, k, guard_events = state
+    w = beta + ((k - 2.0) / (k + 1.0)) * (beta - beta_prev)
+    v, guards = sl_penalty_grad(w, alpha)
+    g = problem.gram @ w - problem.xty + problem.lam * v
+    if counter is not None:
+        p = beta.size
+        counter.transcendentals += p
+        counter.mults += p * p + 5 * p + 1
+        counter.adds += p * p + 5 * p + 2
+    return w - step * g, beta, k + 1, guard_events + guards
 
 
 def sl_solve(problem: LassoProblem, config: BaselineConfig,
@@ -256,49 +253,13 @@ def sl_solve(problem: LassoProblem, config: BaselineConfig,
     alpha = config.sl_alpha
     counter = counter if counter is not None else OpCounter()
     step = 1.0 / (problem.eig_max + problem.lam * alpha / 2.0)
-    charge_scalar(counter, "mult")
-    charge_scalar(counter, "mult")
-    charge_scalar(counter, "add")
-    p = problem.p
-    beta = np.asarray(config.beta0, dtype=float).copy()
-    beta_prev = beta.copy()
-    guard_events = 0
-    trace = SolverTrace(metadata={"method": "sl", "alpha": alpha, "step": step})
-    f0 = lasso_objective(problem, beta)
-    trace.append(0, 0.0, 0, f0, sl_objective(problem, beta, alpha), counter.total())
-    k = 0
-    converged = False
-    while True:
-        if _gap(problem, beta, config.ref) <= config.epsilon:
-            converged = True
-            break
-        if k >= config.max_iters:
-            break
-        w = beta + ((k - 2.0) / (k + 1.0)) * (beta - beta_prev)
-        charge_scalar(counter, "add")
-        charge_scalar(counter, "add")
-        charge_scalar(counter, "mult")
-        charge_vec_add(counter, p)
-        charge_vec_scale(counter, p)
-        charge_vec_add(counter, p)
-        v, guards = sl_penalty_grad(w, alpha)
-        guard_events += guards
-        _charge_sl_penalty(counter, p)
-        g = problem.gram @ w - problem.xty + problem.lam * v
-        charge_matvec(counter, p, p)
-        charge_vec_add(counter, p)
-        charge_vec_scale(counter, p)
-        charge_vec_add(counter, p)
-        beta_prev = beta
-        beta = w - step * g
-        charge_vec_scale(counter, p)
-        charge_vec_add(counter, p)
-        k += 1
-        trace.append(k, 0.0, 1, lasso_objective(problem, beta),
-                     sl_objective(problem, beta, alpha), counter.total())
-    trace.final_beta = beta
-    trace.converged = converged
-    trace.metadata["guard_events"] = guard_events
+    counter.mults += 2
+    counter.adds += 1
+    trace, state = _run_flat(problem, config, {"method": "sl", "alpha": alpha, "step": step},
+                             counter, lambda b: (b, b.copy(), 0, 0),
+                             lambda s: _sl_step(problem, alpha, step, s, counter),
+                             aux=lambda b: sl_objective(problem, b, alpha))
+    trace.metadata["guard_events"] = state[3]
     return trace
 
 
@@ -340,6 +301,12 @@ def solve(problem: LassoProblem, config: BaselineConfig,
 # ---------------------------------------------------------------------------
 
 
+def _minimize_to_residual(problem, state, step, tol, max_iters):
+    state, _, reached = iterate(
+        state, step, lambda s, k: subgradient_residual(problem, s[0]) <= tol, max_iters)
+    return state[0] if reached else None
+
+
 def fista_minimize_to_residual(problem, beta0, tol, max_iters=500_000):
     """Accelerated proximal gradient until the minimum-norm subgradient of
     the objective drops below tol; returns None if the cap is hit."""
@@ -347,38 +314,24 @@ def fista_minimize_to_residual(problem, beta0, tol, max_iters=500_000):
     if not L > 0:
         return np.zeros(problem.p) if subgradient_residual(problem, np.zeros(problem.p)) <= tol else None
     thr = problem.lam / L
-    if thr < 0:
-        raise ValueError("threshold must be nonnegative")
-    gram, xty = problem.gram, problem.xty
     beta = np.asarray(beta0, dtype=float).copy()
-    point = beta.copy()
-    momentum = 1.0
-    for _ in range(max_iters):
-        if subgradient_residual(problem, beta) <= tol:
-            return beta
-        moved = point - (gram @ point - xty) / L
-        beta_new = np.sign(moved) * np.maximum(np.abs(moved) - thr, 0.0)
-        momentum_new = (1.0 + math.sqrt(1.0 + 4.0 * momentum**2)) / 2.0
-        point = beta_new + ((momentum - 1.0) / momentum_new) * (beta_new - beta)
-        beta = beta_new
-        momentum = momentum_new
-    return beta if subgradient_residual(problem, beta) <= tol else None
+    return _minimize_to_residual(problem, (beta, beta.copy(), 1.0),
+                                 lambda s: _fista_step(problem, L, thr, s, None), tol, max_iters)
 
 
 def cd_minimize_to_residual(problem, beta0, tol, max_iters=500_000):
     """Cyclic coordinate descent until the subgradient residual drops below
-    tol; returns None if the sweep cap is hit."""
-    p = problem.p
-    xtx = problem.gram * problem.n
-    xty_raw = problem.xty * problem.n
-    diag = np.diag(xtx).copy()
-    if np.any(diag <= 0):
-        raise ValueError("degenerate column: zero diagonal in X'X")
-    thresh = problem.n * problem.lam
+    tol; returns None if the sweep cap is hit.
+
+    Only the penalty depends on the coefficient of an all-zero column, so
+    it is held at 0: with a unit norm in place of the zero one, the sweep
+    maps that coordinate from 0 to 0.
+    """
+    xtx, xty_raw, diag, thresh = _cd_data(problem)
+    zero = diag <= 0
+    diag[zero] = 1.0
     beta = np.asarray(beta0, dtype=float).copy()
-    resid = xtx @ beta
-    for _ in range(max_iters):
-        if subgradient_residual(problem, beta) <= tol:
-            return beta
-        beta, resid = _cd_sweep(beta, xtx, xty_raw, diag, thresh, resid, None)
-    return beta if subgradient_residual(problem, beta) <= tol else None
+    beta[zero] = 0.0
+    return _minimize_to_residual(
+        problem, (beta, xtx @ beta),
+        lambda s: _cd_sweep(s[0], xtx, xty_raw, diag, thresh, s[1], None), tol, max_iters)

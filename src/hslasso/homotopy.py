@@ -3,7 +3,8 @@
 Outer loop: shrink the smoothing level geometrically, t_k = t0*(1-h)^k.
 Inner loop: minimize the smoothed objective F_t with accelerated gradient
 descent using step constants derived from the curvature bounds, warm
-started from the previous outer iterate.
+started from the previous outer iterate.  Both loops run on the shared
+driver ``baselines.iterate``.
 
 The starting level t0 can be searched automatically: the search predicate
 solves the ridge system with shift lambda*log(1+t)^2/(3 t^3) and accepts
@@ -20,14 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .opcount import (
-    OpCounter,
-    charge_matvec,
-    charge_scalar,
-    charge_setup,
-    charge_vec_add,
-    charge_vec_scale,
-)
+from .baselines import iterate
+from .opcount import OpCounter, charge_setup
 from .problem import LassoProblem, NumericalFailure, ReferenceSolution, lasso_objective
 from .surrogate import SmoothnessConstants, SurrogateSpec, smoothness_constants
 from .trace import SolverTrace
@@ -295,14 +290,11 @@ def initial_beta(problem: LassoProblem, t0: float,
         raise ValueError("t0 must be positive")
     shift = 2.0 * problem.lam * math.log1p(t0) ** 2 / (3.0 * t0**3)
     beta = problem.ridge_solve(shift)
-    p = problem.p
-    charge_scalar(counter, "transcendental")
-    charge_scalar(counter, "mult")
-    charge_scalar(counter, "mult")
-    charge_matvec(counter, p, p)
-    charge_vec_add(counter, p)
-    charge_vec_scale(counter, p)
-    charge_matvec(counter, p, p)
+    if counter is not None:  # log1p, the shift, two spectral matvecs, the scaling
+        p = problem.p
+        counter.transcendentals += 1
+        counter.mults += 2 * p * p + p + 2
+        counter.adds += 2 * p * p - p
     return beta
 
 
@@ -328,15 +320,6 @@ def outer_iteration_count(lam: float, p: int, t0: float, B: float,
 def default_iterate_bound(beta0: np.ndarray) -> float:
     m = float(np.max(np.abs(beta0))) if beta0.size else 0.0
     return 10.0 * m if m > 0 else 1.0
-
-
-def _charge_level_constants(counter: OpCounter | None) -> None:
-    # per-outer scalar work: log1p, branch coefficients, step constants
-    if counter is None:
-        return
-    counter.transcendentals += 2  # log1p and the sqrt in alpha
-    counter.mults += 10
-    counter.adds += 4
 
 
 @dataclass
@@ -366,56 +349,40 @@ def _inner_solve_full(problem: LassoProblem, t_k: float, beta_init: np.ndarray,
         raise ValueError("inner solve called below the level floor tau")
     spec = SurrogateSpec(t_k)
     constants = smoothness_constants(problem, spec, B)
-    _charge_level_constants(counter)
+    if counter is not None:  # log1p, the sqrt in alpha, branch and step coefficients
+        counter.transcendentals += 2
+        counter.mults += 10
+        counter.adds += 4
     state = agd_state(beta_init, constants)
     grad_fn = lambda v: surrogate_grad(problem, spec, v, counter)
     max_abs = float(np.max(np.abs(state.beta)))
-    steps = 0
-    cap_hit = False
+
+    def step(state):
+        nonlocal max_abs
+        state = agd_step(state, grad_fn, counter)
+        max_abs = max(max_abs, float(np.max(np.abs(state.beta))),
+                      float(np.max(np.abs(state.beta_bar))))
+        return state
 
     if config.inner_stop == "fixed":
-        target = config.inner_fixed_count
-        budget = min(target, config.max_inner)
-        for _ in range(budget):
-            state = agd_step(state, grad_fn, counter)
-            steps += 1
-            max_abs = max(max_abs, float(np.max(np.abs(state.beta))),
-                          float(np.max(np.abs(state.beta_bar))))
-        cap_hit = budget < target
+        stop = lambda state, k: k >= config.inner_fixed_count
     elif config.inner_stop == "gradient":
-        p = problem.p
-        while True:
+        def stop(state, k):
             g = surrogate_grad(problem, spec, state.beta_bar, counter)
             if counter is not None:  # norm: p mults, p-1 adds, sqrt, compare
-                counter.mults += p
-                counter.adds += p - 1
+                counter.mults += problem.p
+                counter.adds += problem.p - 1
                 counter.transcendentals += 1
                 counter.comparisons += 1
-            if float(np.linalg.norm(g)) <= config.inner_grad_tol:
-                break
-            if steps >= config.max_inner:
-                cap_hit = True
-                break
-            state = agd_step(state, grad_fn, counter)
-            steps += 1
-            max_abs = max(max_abs, float(np.max(np.abs(state.beta))),
-                          float(np.max(np.abs(state.beta_bar))))
+            return float(np.linalg.norm(g)) <= config.inner_grad_tol
     else:  # theoretical
         eps_k = inner_tolerance(problem.lam, problem.p, B, t_k)
         fmin_k = _auxiliary_surrogate_minimum(problem, spec, constants, beta_init,
                                               gap_target=eps_k * 1e-3)
-        while True:
-            if surrogate_value(problem, spec, state.beta_bar) - fmin_k <= eps_k:
-                break
-            if steps >= config.max_inner:
-                cap_hit = True
-                break
-            state = agd_step(state, grad_fn, counter)
-            steps += 1
-            max_abs = max(max_abs, float(np.max(np.abs(state.beta))),
-                          float(np.max(np.abs(state.beta_bar))))
+        stop = lambda state, k: surrogate_value(problem, spec, state.beta_bar) - fmin_k <= eps_k
 
-    return _InnerResult(beta=state.beta_bar, steps=steps, cap_hit=cap_hit, max_abs=max_abs)
+    state, steps, stopped = iterate(state, step, stop, config.max_inner)
+    return _InnerResult(beta=state.beta_bar, steps=steps, cap_hit=not stopped, max_abs=max_abs)
 
 
 def inner_solve(problem: LassoProblem, t_k: float, beta_init: np.ndarray,
@@ -471,42 +438,33 @@ def hs_solve(problem: LassoProblem, config: HSConfig,
         "init_shift": INIT_SHIFT,
         "t0_predicate_shift": T0_PREDICATE_SHIFT,
     }
-    spec0 = SurrogateSpec(t0)
-    trace.append(0, t0, 0, lasso_objective(problem, beta),
-                 surrogate_value(problem, spec0, beta), counter.total())
-
-    ref = config.outer_ref
-    t_cur = t0
-    k_done = 0
     inner_caps = 0
-    converged = False
-    while True:
-        if config.outer_stop == "oracle":
-            if lasso_objective(problem, beta) - ref.f_min <= config.epsilon:
-                converged = True
-                break
-        elif config.outer_stop == "theoretical-count":
-            if k_done >= planned:
-                converged = True
-                break
-        if t_cur * (1.0 - config.h) < config.tau:
-            converged = config.outer_stop == "t-floor"
-            break
-        if k_done >= config.max_outer:
-            converged = False
-            break
-        t_cur *= 1.0 - config.h
-        charge_scalar(counter, "mult")
-        k_done += 1
-        res = _inner_solve_full(problem, t_cur, beta, config, counter, B=B)
-        beta = res.beta
+
+    def append_row(t, inner_steps, beta):
+        trace.append(len(trace.records), t, inner_steps, lasso_objective(problem, beta),
+                     surrogate_value(problem, SurrogateSpec(t), beta), counter.total())
+
+    def reached(k):  # the configured outer stop; the level floor is checked apart
+        if config.outer_stop == "oracle":  # the last row holds the current objective
+            return trace.records[-1].f_value - config.outer_ref.f_min <= config.epsilon
+        return config.outer_stop == "theoretical-count" and k >= planned
+
+    def level(state):
+        nonlocal inner_caps, max_abs, violated
+        t = state[1] * (1.0 - config.h)
+        counter.mults += 1
+        res = _inner_solve_full(problem, t, state[0], config, counter, B=B)
         inner_caps += int(res.cap_hit)
         max_abs = max(max_abs, res.max_abs)
         violated = violated or res.max_abs > B
-        spec_k = SurrogateSpec(t_cur)
-        trace.append(k_done, t_cur, res.steps, lasso_objective(problem, beta),
-                     surrogate_value(problem, spec_k, beta), counter.total())
+        append_row(t, res.steps, res.beta)
+        return res.beta, t
 
+    append_row(t0, 0, beta)
+    (beta, _), k_done, stopped = iterate(
+        (beta, t0), level, lambda state, k: reached(k) or state[1] * (1.0 - config.h) < config.tau,
+        config.max_outer)
+    converged = stopped and (config.outer_stop == "t-floor" or reached(k_done))
     trace.final_beta = beta
     trace.converged = converged and inner_caps == 0
     trace.metadata.update({

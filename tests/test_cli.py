@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hslasso.cli import BenchmarkGrid, main, run_bench
+from hslasso.problem import LassoProblem, reference_minimum, save_problem_json
 
 
 def run_cli(args):
@@ -47,6 +48,27 @@ def test_non_finite_problem_json_is_usage_error(tmp_path):
     rc = run_cli(["solve", "--method", "ista", "--input", str(bad),
                   "--out-dir", str(tmp_path)])
     assert rc == 2
+
+
+def test_zero_column_design_is_solved(tmp_path):
+    # An all-zero design column is a well-posed Lasso: only the penalty
+    # depends on its coefficient, so the minimizer holds it at 0.
+    rng = np.random.default_rng(31)
+    X = rng.standard_normal((30, 6))
+    X[:, 2] = 0.0
+    y = X @ rng.uniform(-1.0, 1.0, 6) + 0.3 * rng.standard_normal(30)
+    pr = LassoProblem(y=y, X=X, lam=0.05)
+    ref = reference_minimum(pr, 1e-10)
+    assert ref.beta_hat[2] == 0.0
+    # duality gap at the dual point theta = s*r, scaled to be feasible
+    r = pr.y - pr.X @ ref.beta_hat
+    theta = r * min(1.0 / pr.n, pr.lam / float(np.max(np.abs(pr.X.T @ r))))
+    dual = float(theta @ pr.y - 0.5 * pr.n * (theta @ theta))
+    assert 0.0 <= ref.f_min - dual <= 1e-9
+    path = tmp_path / "zero_column.json"
+    save_problem_json(pr, path)
+    assert run_cli(["solve", "--method", "fista", "--input", str(path),
+                    "--out-dir", str(tmp_path)]) == 0
 
 
 def test_datagen_writes_all_formats(tmp_path):
