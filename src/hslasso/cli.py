@@ -177,7 +177,7 @@ def cmd_solve(args) -> int:
     gap = float(trace.records[-1].f_value - ref.f_min) if trace.records else math.nan
     print(f"method={args.method} converged={trace.converged} "
           f"final_gap={_fmt_sig(gap)} ops={snap.total()} setup_ops={snap.setup_ops} "
-          f"trace={trace_path}")
+          f"ref_dual_gap={_fmt_sig(ref.dual_gap)} trace={trace_path}")
     return 0 if trace.converged else 1
 
 
@@ -293,6 +293,7 @@ def run_bench(grid: BenchmarkGrid) -> tuple[str, str, str, dict]:
                     "seed": seed,
                     "converged": trace.converged,
                     "f_min": ref.f_min,
+                    "ref_dual_gap": ref.dual_gap,
                     "ops_total": snap.total(),
                     "ops_setup": snap.setup_ops,
                     **({"hs_metadata": {k: trace.metadata[k] for k in
@@ -341,7 +342,7 @@ def cmd_verify(args) -> int:
     else:
         spec = SyntheticSpec(n=args.n, p=args.p, rho=args.rho, snr=args.snr,
                              pattern=SIM_PATTERNS[args.scenario or "sim1"],
-                             seed=args.seed)
+                             sparsity=min(10, args.p), seed=args.seed)
         problem = generate(spec, lam=args.lam)
     ref = reference_minimum(problem, args.ref_tol)
     sweep = diagnostics.closeness_sweep(problem, ref, ts=tuple(args.levels))

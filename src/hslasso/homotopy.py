@@ -23,7 +23,8 @@ import numpy as np
 
 from .baselines import iterate
 from .opcount import OpCounter, charge_setup
-from .problem import LassoProblem, NumericalFailure, ReferenceSolution, lasso_objective
+from .problem import (LassoProblem, NumericalFailure, ReferenceSolution, lasso_objective,
+                      surrogate_value)
 from .surrogate import SmoothnessConstants, SurrogateSpec, smoothness_constants
 from .trace import SolverTrace
 
@@ -91,7 +92,10 @@ class HSConfig:
             if key == "t0" and value == "auto":
                 value = None
             setattr(cfg, key, value)
-        cfg.validate()
+        try:
+            cfg.validate()
+        except TypeError as exc:  # e.g. "h": "0.1", a string where a number belongs
+            raise ValueError(f"config value of the wrong type: {exc}") from exc
         return cfg
 
     @classmethod
@@ -180,11 +184,6 @@ def surrogate_grad(problem: LassoProblem, spec: SurrogateSpec, beta: np.ndarray,
         counter.adds += p * (p - 1) + 3 * p
         counter.comparisons += p
     return g
-
-
-def surrogate_value(problem: LassoProblem, spec: SurrogateSpec, beta: np.ndarray) -> float:
-    r = problem.y - problem.X @ beta
-    return float(r @ r / (2.0 * problem.n) + problem.lam * np.sum(spec.value(beta)))
 
 
 def minimize_surrogate(problem: LassoProblem, spec: SurrogateSpec, beta_init: np.ndarray,

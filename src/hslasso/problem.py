@@ -1,4 +1,4 @@
-"""Lasso problem container, objectives, precision test, reference oracle.
+"""Lasso problem container, objectives, precision test, certified reference oracle.
 
 The problem instance is immutable after construction: the normalized gram
 matrix X'X/n, the vector X'y/n, and the gram eigenvalues are computed once
@@ -90,11 +90,11 @@ class LassoProblem:
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """High-accuracy minimizer used to measure objective gaps."""
+    """High-accuracy minimizer and its duality gap, which bounds f_min - f*."""
 
     beta_hat: np.ndarray
     f_min: float
-    gap_tolerance: float
+    dual_gap: float
 
 
 def lasso_objective(problem: LassoProblem, beta) -> float:
@@ -105,16 +105,17 @@ def lasso_objective(problem: LassoProblem, beta) -> float:
     return float(r @ r / (2.0 * problem.n) + problem.lam * np.sum(np.abs(beta)))
 
 
+def surrogate_value(problem: LassoProblem, spec: SurrogateSpec, beta: np.ndarray) -> float:
+    r = problem.y - problem.X @ beta
+    return float(r @ r / (2.0 * problem.n) + problem.lam * np.sum(spec.value(beta)))
+
+
 def surrogate_objective(problem: LassoProblem, t: float, beta) -> float:
     """Objective with the l1 penalty replaced by the level-t smoothed penalty."""
-    if not t > 0:
-        raise ValueError("surrogate level t must be strictly positive")
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (problem.p,):
         raise ValueError(f"beta must have shape ({problem.p},), got {beta.shape}")
-    spec = SurrogateSpec(t)
-    r = problem.y - problem.X @ beta
-    return float(r @ r / (2.0 * problem.n) + problem.lam * np.sum(spec.value(beta)))
+    return surrogate_value(problem, SurrogateSpec(t), beta)
 
 
 def epsilon_precision(problem: LassoProblem, beta, ref: ReferenceSolution, epsilon: float) -> bool:
@@ -138,32 +139,34 @@ def subgradient_residual(problem: LassoProblem, beta) -> float:
 
 
 def reference_minimum(problem: LassoProblem, tol: float) -> ReferenceSolution:
-    """Cross-checked ground-truth minimum from two independent solvers.
-
-    Runs an accelerated proximal-gradient solver and a cyclic coordinate
-    descent solver until the subgradient residual drops below ``tol`` and
-    returns the lower of the two final objective values.  Disagreement of
-    the objectives beyond 10*tol signals ill-conditioning.
+    """Certified ground-truth minimum: FISTA from zero to subgradient residual
+    <= tol, then the Lasso duality gap G at its iterate b (Gap Safe screening:
+    Fercoq, Gramfort & Salmon, ICML 2015).  With r = y - X b, g = X'r/n and
+    a = min(1, lambda/||g||_inf), theta = a r/n is dual feasible, so
+    G = f(b) - (theta'y - (n/2)||theta||^2) >= f(b) - f*.  The residual stop bounds G:
+      G = (1-a)^2 ||r||^2/(2n) + lambda ||b||_1 - a g'b;
+      ||g||_inf <= lambda + tol, so 1-a <= tol/lambda, and g_i b_i >= (lambda - tol)|b_i|;
+      so G <= (tol/lambda)^2 ||r||^2/(2n) + (lambda (1-a) + a tol) ||b||_1
+           <= (tol/lambda)^2 ||r||^2/(2n) + 2 tol ||b||_1.
+    A larger G, beyond 1e-12 max(1, |f|) of round-off, raises NumericalFailure.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    from .baselines import cd_minimize_to_residual, fista_minimize_to_residual
+    from .baselines import fista_minimize_to_residual
 
-    beta0 = np.zeros(problem.p)
-    beta_f = fista_minimize_to_residual(problem, beta0, tol)
-    beta_c = cd_minimize_to_residual(problem, beta0, tol)
-    if beta_f is None or beta_c is None:
-        raise NumericalFailure("reference solvers did not reach the residual tolerance")
-    f_f = lasso_objective(problem, beta_f)
-    f_c = lasso_objective(problem, beta_c)
-    if abs(f_f - f_c) > 10.0 * tol:
-        raise NumericalFailure(
-            f"reference solvers disagree: {f_f!r} vs {f_c!r} (tol {tol!r}); "
-            "lower the tolerance or inspect conditioning"
-        )
-    if f_f <= f_c:
-        return ReferenceSolution(beta_hat=_readonly(beta_f), f_min=f_f, gap_tolerance=tol)
-    return ReferenceSolution(beta_hat=_readonly(beta_c), f_min=f_c, gap_tolerance=tol)
+    beta = fista_minimize_to_residual(problem, np.zeros(problem.p), tol)
+    if beta is None:
+        raise NumericalFailure("reference solver did not reach the residual tolerance")
+    f = lasso_objective(problem, beta)
+    n, lam = problem.n, problem.lam
+    r = problem.y - problem.X @ beta
+    theta = r / max(n, float(np.max(np.abs(problem.X.T @ r))) / lam)
+    gap = f - float(theta @ problem.y - 0.5 * n * (theta @ theta))
+    bound = 2.0 * tol * float(np.sum(np.abs(beta))) + (tol / lam) ** 2 * float(r @ r) / (2.0 * n)
+    if not gap <= bound + 1e-12 * max(1.0, abs(f)):
+        raise NumericalFailure(f"reference duality gap {gap!r} exceeds {bound!r}, the bound "
+                               f"implied by the residual tolerance {tol!r}")
+    return ReferenceSolution(beta_hat=_readonly(beta), f_min=f, dual_gap=gap)
 
 
 # ---------------------------------------------------------------------------

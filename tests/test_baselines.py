@@ -71,6 +71,11 @@ def test_validation():
         _cfg("sl", pr, ref).validate()  # missing alpha
     with pytest.raises(ValueError):
         _cfg("ista", pr, ref, alpha=3.0).validate()  # stray alpha
+    for bad in (np.nan, np.inf):
+        beta0 = np.ones(pr.p)
+        beta0[1] = bad
+        with pytest.raises(ValueError, match="beta0 must be finite"):
+            _cfg("fista", pr, ref, beta0=beta0).validate()
 
 
 def test_ista_stops_immediately_at_reference():
@@ -133,7 +138,7 @@ def test_cd_rejects_zero_diagonal():
     X = np.zeros((4, 2))
     X[:, 0] = 1.0
     pr = LassoProblem(y=np.ones(4), X=X, lam=0.1)
-    fake = ReferenceSolution(beta_hat=np.zeros(2), f_min=0.0, gap_tolerance=1e-10)
+    fake = ReferenceSolution(beta_hat=np.zeros(2), f_min=0.0, dual_gap=1e-10)
     with pytest.raises(ValueError):
         cd_solve(pr, _cfg("cd", pr, fake))
 
@@ -230,7 +235,7 @@ def test_charge_pinned(case):
     counts, per_iterate = PINNED_CHARGES[case]
     c = OpCounter()
     if case in METHODS:
-        never = ReferenceSolution(beta_hat=np.zeros(p), f_min=-np.inf, gap_tolerance=1e-9)
+        never = ReferenceSolution(beta_hat=np.zeros(p), f_min=-np.inf, dual_gap=1e-9)
         alpha = 100.0 if case == "sl" else None
         tr = solve(pr, BaselineConfig(case, np.ones(p), 1e-12, 50, never, alpha), c)
         assert len(tr.records) == 51

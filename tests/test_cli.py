@@ -60,15 +60,33 @@ def test_zero_column_design_is_solved(tmp_path):
     pr = LassoProblem(y=y, X=X, lam=0.05)
     ref = reference_minimum(pr, 1e-10)
     assert ref.beta_hat[2] == 0.0
-    # duality gap at the dual point theta = s*r, scaled to be feasible
-    r = pr.y - pr.X @ ref.beta_hat
-    theta = r * min(1.0 / pr.n, pr.lam / float(np.max(np.abs(pr.X.T @ r))))
-    dual = float(theta @ pr.y - 0.5 * pr.n * (theta @ theta))
-    assert 0.0 <= ref.f_min - dual <= 1e-9
+    assert 0.0 <= ref.dual_gap <= 1e-9
     path = tmp_path / "zero_column.json"
     save_problem_json(pr, path)
     assert run_cli(["solve", "--method", "fista", "--input", str(path),
                     "--out-dir", str(tmp_path)]) == 0
+
+
+def test_uncertified_reference_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    # A reference iterate moved off the minimizer has a duality gap far
+    # above the bound its residual tolerance implies.
+    from hslasso import baselines
+    from hslasso.problem import NumericalFailure
+
+    fista = baselines.fista_minimize_to_residual
+
+    def perturbed(problem, beta0, tol):
+        return fista(problem, beta0, tol) + 1e-3
+
+    monkeypatch.setattr(baselines, "fista_minimize_to_residual", perturbed)
+    pr = LassoProblem(y=np.arange(6.0), X=np.eye(6) + 0.1, lam=0.05)
+    with pytest.raises(NumericalFailure, match="duality gap"):
+        reference_minimum(pr, 1e-10)
+    path = tmp_path / "problem.json"
+    save_problem_json(pr, path)
+    assert run_cli(["solve", "--method", "fista", "--input", str(path),
+                    "--out-dir", str(tmp_path)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_datagen_writes_all_formats(tmp_path):
@@ -89,7 +107,7 @@ def test_datagen_writes_all_formats(tmp_path):
     assert np.array_equal(pj.y, pb.y)
 
 
-def test_solve_roundtrip_and_exit_codes(tmp_path):
+def test_solve_roundtrip_and_exit_codes(tmp_path, capsys):
     assert run_cli(["datagen", "--scenario", "sim1", "--n", "30", "--p", "8",
                     "--seed", "1", "--out-dir", str(tmp_path)]) == 0
     prob = str(tmp_path / "problem.json")
@@ -101,9 +119,17 @@ def test_solve_roundtrip_and_exit_codes(tmp_path):
     trace = (tmp_path / "trace_hs.csv").read_text().splitlines()
     assert trace[0] == "k,t_k,inner_iters,F,F_t,ops"
 
+    capsys.readouterr()
     rc = run_cli(["solve", "--method", "fista", "--input", prob,
                   "--epsilon", "0.005", "--out-dir", str(tmp_path)])
     assert rc == 0
+    fields = dict(f.split("=", 1) for f in capsys.readouterr().out.split())
+    assert abs(float(fields["ref_dual_gap"])) <= 1e-9
+
+    # a non-finite start point is a usage error
+    for bad in ("nan", "inf"):
+        assert run_cli(["solve", "--method", "fista", "--input", prob, "--beta0", bad,
+                        "--out-dir", str(tmp_path)]) == 2
 
     # unreachable precision within one iteration: finishes unconverged
     rc = run_cli(["solve", "--method", "ista", "--input", prob,
@@ -118,6 +144,13 @@ def test_solve_roundtrip_and_exit_codes(tmp_path):
                   "--epsilon", "0.01", "--hs-config", str(cfg_path),
                   "--out-dir", str(tmp_path)])
     assert rc == 0
+
+    # a wrongly typed config value is a usage error, not a crash
+    cfg_path.write_text('{"h": "0.1"}')
+    rc = run_cli(["solve", "--method", "hs", "--input", prob, "--hs-config", str(cfg_path),
+                  "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_bench_table_shape_matches_contract(tmp_path):
@@ -159,6 +192,7 @@ def test_bench_small_grid_outputs(tmp_path):
     assert meta["ref_tol"] == 1e-10
     for cell in meta["cells"].values():
         assert cell["converged"]
+        assert abs(cell["ref_dual_gap"]) <= 1e-9
 
 
 def test_bench_deterministic_bytes(tmp_path):
@@ -241,6 +275,14 @@ def test_verify_minimizer_failure_is_numerical_exit(tmp_path, monkeypatch, capsy
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
     assert not (tmp_path / "verify.json").exists()
+
+
+def test_verify_sparse_scenario_with_fewer_than_ten_columns(tmp_path):
+    # sim2 keeps min(10, p) nonzero coefficients, as the bench grid does
+    rc = run_cli(["verify", "--scenario", "sim2", "--n", "20", "--p", "5",
+                  "--levels", "0.1", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / "verify.json").exists()
 
 
 def test_verify_reports(tmp_path, capsys):

@@ -154,11 +154,11 @@ def test_epsilon_precision_cases():
     # gap 0.02 vs eps 0.01 -> False; boundary inclusive
     fake = ReferenceSolution(beta_hat=ref.beta_hat,
                              f_min=lasso_objective(pr, ref.beta_hat) - 0.02,
-                             gap_tolerance=1e-10)
+                             dual_gap=1e-10)
     assert not epsilon_precision(pr, ref.beta_hat, fake, 0.01)
     boundary = ReferenceSolution(beta_hat=ref.beta_hat,
                                  f_min=lasso_objective(pr, ref.beta_hat) - 0.005,
-                                 gap_tolerance=1e-10)
+                                 dual_gap=1e-10)
     assert epsilon_precision(pr, ref.beta_hat, boundary, 0.005)
 
 
@@ -201,6 +201,31 @@ def test_reference_residual_and_idempotence():
     assert subgradient_residual(pr, ref1.beta_hat) <= 1e-10
     assert abs(ref1.f_min - ref2.f_min) <= 10 * 1e-10
     assert ref1.f_min == pytest.approx(lasso_objective(pr, ref1.beta_hat), rel=0, abs=0)
+
+
+def _cross_check_instances():
+    # the criterion-2 instances, then one p > n design
+    for seed in range(15):
+        yield make_problem(200 + seed, n=10, p=2, lam=0.1 + 0.02 * seed)
+    for seed in range(35):
+        yield make_problem(300 + seed, n=12, p=3, lam=0.08 + 0.01 * seed)
+    for seed in range(10):
+        rng = np.random.default_rng(400 + seed)
+        yield identity_problem(2.0 * rng.standard_normal(5 + seed), 0.02 + 0.01 * seed)
+    yield make_problem(13, n=10, p=25, lam=0.05)
+
+
+def test_reference_agrees_with_coordinate_descent():
+    # The FISTA reference against an independent solver, cyclic CD run to
+    # the same residual tolerance.
+    from hslasso.baselines import cd_minimize_to_residual
+
+    for pr in _cross_check_instances():
+        ref = reference_minimum(pr, 1e-10)
+        beta_cd = cd_minimize_to_residual(pr, np.zeros(pr.p), 1e-10)
+        assert beta_cd is not None
+        assert abs(ref.f_min - lasso_objective(pr, beta_cd)) <= 1e-12
+        assert abs(ref.dual_gap) <= 1e-9  # round-off may leave it just below 0
 
 
 def test_reference_rejects_bad_tol():
