@@ -8,7 +8,8 @@ loops too).  Each map charges its work to the operation counter once per
 step, in closed form.  The four solvers stop against a precomputed
 reference minimum, matching the measurement protocol of the benchmark
 harness: the stopping comparison is free.  The reference oracle runs the
-same FISTA map uncharged, to a subgradient-residual tolerance; the CD map
+same FISTA map uncharged, to a subgradient-residual tolerance, and may
+finish it early with an exact solve on the iterate's support; the CD map
 run the same way is the test suite's independent cross-check.
 """
 
@@ -162,7 +163,7 @@ def fista_solve(problem: LassoProblem, config: BaselineConfig,
 
 def _cd_sweep(beta, xtx, xty_raw, diag, thresh, resid, counter):
     """One full cycle j = 1..p; resid caches xtx @ beta and is updated in
-    place at O(p) per coordinate.
+    place at O(p) per coordinate that moves.
 
     Each coordinate is scalar float arithmetic with the soft threshold
     applied inline; the sweep's work is charged once, in closed form
@@ -171,12 +172,15 @@ def _cd_sweep(beta, xtx, xty_raw, diag, thresh, resid, counter):
     if thresh < 0:
         raise ValueError("threshold must be nonnegative")
     p = beta.size
+    values = beta.tolist()
     for j, (d, xy) in enumerate(zip(diag.tolist(), xty_raw.tolist())):
-        b = beta.item(j)
+        b = values[j]
         z = xy - (resid.item(j) - d * b)
         bj = math.copysign(max(abs(z) - thresh, 0.0), z) / d
-        beta[j] = bj
-        resid += (bj - b) * xtx[:, j]
+        if bj != b:  # an unmoved coordinate leaves resid as it is
+            values[j] = bj
+            resid += (bj - b) * xtx[:, j]
+    beta[:] = values
     if counter is not None:
         counter.mults += p * (p + 2)
         counter.adds += p * (p + 4)
@@ -304,22 +308,46 @@ def solve(problem: LassoProblem, config: BaselineConfig,
 # ---------------------------------------------------------------------------
 
 
-def _minimize_to_residual(problem, state, step, tol, max_iters):
-    state, _, reached = iterate(
-        state, step, lambda s, k: subgradient_residual(problem, s[0]) <= tol, max_iters)
-    return state[0] if reached else None
+FINISH_LOOSE_TOL = 1e-5
+FINISH_TIGHTEN = 100.0
 
 
-def fista_minimize_to_residual(problem, beta0, tol, max_iters=500_000):
+def _minimize_to_residual(problem, state, step, tol, max_iters, finish=None):
+    """Drive ``step`` until the subgradient residual is <= tol; None at the cap.
+
+    With ``finish``, the run also stops at residual FINISH_LOOSE_TOL and at
+    each FINISH_TIGHTEN times smaller one above tol, and returns
+    finish(iterate) the first time that is not None.  It resumes from its
+    full state after each refusal, so without an accepted finish the result
+    is the plain run's iterate; the cap counts every step.
+    """
+    stop_tol = tol if finish is None else max(FINISH_LOOSE_TOL, tol)
+    while True:
+        state, steps, reached = iterate(
+            state, step, lambda s, k: subgradient_residual(problem, s[0]) <= stop_tol, max_iters)
+        max_iters -= steps
+        if not reached:
+            return None
+        if stop_tol <= tol:
+            return state[0]
+        finished = finish(state[0])
+        if finished is not None:
+            return finished
+        stop_tol = max(stop_tol / FINISH_TIGHTEN, tol)
+
+
+def fista_minimize_to_residual(problem, beta0, tol, max_iters=500_000, finish=None):
     """Accelerated proximal gradient until the minimum-norm subgradient of
-    the objective drops below tol; returns None if the cap is hit."""
+    the objective drops below tol; returns None if the cap is hit.
+    ``finish`` is tried on the way, as in :func:`_minimize_to_residual`."""
     L = problem.eig_max
     if not L > 0:
         return np.zeros(problem.p) if subgradient_residual(problem, np.zeros(problem.p)) <= tol else None
     thr = problem.lam / L
     beta = np.asarray(beta0, dtype=float).copy()
     return _minimize_to_residual(problem, (beta, beta.copy(), 1.0),
-                                 lambda s: _fista_step(problem, L, thr, s, None), tol, max_iters)
+                                 lambda s: _fista_step(problem, L, thr, s, None), tol, max_iters,
+                                 finish)
 
 
 def cd_minimize_to_residual(problem, beta0, tol, max_iters=500_000):

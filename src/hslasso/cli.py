@@ -96,8 +96,9 @@ def _fmt_sig(x: float, digits: int = 12) -> str:
 
 def cmd_datagen(args) -> int:
     pattern = SIM_PATTERNS[args.scenario] if args.scenario else args.pattern
+    sparsity = min(10, args.p) if args.sparsity is None else args.sparsity
     spec = SyntheticSpec(n=args.n, p=args.p, rho=args.rho, snr=args.snr,
-                         pattern=pattern, sparsity=args.sparsity, seed=args.seed)
+                         pattern=pattern, sparsity=sparsity, seed=args.seed)
     problem = generate(spec, lam=args.lam)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -294,6 +295,7 @@ def run_bench(grid: BenchmarkGrid) -> tuple[str, str, str, dict]:
                     "converged": trace.converged,
                     "f_min": ref.f_min,
                     "ref_dual_gap": ref.dual_gap,
+                    "ref_method": ref.method,
                     "ops_total": snap.total(),
                     "ops_setup": snap.setup_ops,
                     **({"hs_metadata": {k: trace.metadata[k] for k in
@@ -390,7 +392,7 @@ def _add_gen_params(parser):
     parser.add_argument("--p", type=int, default=20)
     parser.add_argument("--rho", type=float, default=0.1)
     parser.add_argument("--snr", type=float, default=3.0)
-    parser.add_argument("--sparsity", type=int, default=10)
+    parser.add_argument("--sparsity", type=int, default=None, help="default min(10, p)")
     parser.add_argument("--lambda", dest="lam", type=float, default=1e-3)
 
 

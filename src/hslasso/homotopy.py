@@ -250,12 +250,13 @@ def find_t0(problem: LassoProblem, counter: OpCounter | None = None) -> float:
     """
     p = problem.p
     probes = 0
+    ridge_solve = problem.ridge_solver()
 
     def predicate(t: float) -> bool:
         nonlocal probes
         probes += 1
         shift = problem.lam * math.log1p(t) ** 2 / (3.0 * t**3)
-        sol = problem.ridge_solve(shift)
+        sol = ridge_solve(shift)
         return float(np.max(np.abs(sol))) <= t
 
     t = 1.0

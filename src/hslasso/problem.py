@@ -2,13 +2,13 @@
 
 The problem instance is immutable after construction: the normalized gram
 matrix X'X/n, the vector X'y/n, and the gram eigenvalues are computed once
-and shared read-only by every solver; the eigenvectors, which only the
-ridge solve uses, are computed once on first use.
+and shared read-only by every solver.  The eigenvectors, which only the
+ridge solves use, are recomputed by each call that needs them and never
+stored, so an instance holds no p x p array besides the gram.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import struct
 from dataclasses import dataclass
@@ -66,23 +66,34 @@ class LassoProblem:
         self.eig_min = float(max(eigvals[0], 0.0))
         self.eig_max = float(max(eigvals[-1], 0.0))
 
-    @functools.cached_property
+    @property
     def gram_eigvecs(self) -> np.ndarray:
         """Eigenvectors of the gram matrix, from the same deterministic eigh
-        call as gram_eigvals.  Only ridge_solve needs them, so they are
-        computed on first use instead of being held by every instance."""
+        call as gram_eigvals; computed on every access, never stored."""
         return _readonly(np.linalg.eigh(self.gram)[1])
 
-    def ridge_solve(self, shift: float) -> np.ndarray:
-        """Solve (X'X/n + shift I) b = X'y/n through the cached spectrum.
+    def ridge_solver(self):
+        """The map shift -> b solving (X'X/n + shift I) b = X'y/n through the
+        spectrum, with one eigendecomposition for all the shifts it is given.
 
         Eigenvalue noise below zero is clamped (the gram is validated
         positive semidefinite at construction).
         """
-        denom = np.maximum(self.gram_eigvals, 0.0) + shift
-        if np.min(denom) <= 0:
-            raise NumericalFailure("ridge system not positive definite")
-        return self.gram_eigvecs @ ((self.gram_eigvecs.T @ self.xty) / denom)
+        vecs = self.gram_eigvecs
+        evals = np.maximum(self.gram_eigvals, 0.0)
+        coords = vecs.T @ self.xty
+
+        def solve(shift: float) -> np.ndarray:
+            denom = evals + shift
+            if np.min(denom) <= 0:
+                raise NumericalFailure("ridge system not positive definite")
+            return vecs @ (coords / denom)
+
+        return solve
+
+    def ridge_solve(self, shift: float) -> np.ndarray:
+        """Solve (X'X/n + shift I) b = X'y/n; see :meth:`ridge_solver`."""
+        return self.ridge_solver()(shift)
 
     def __repr__(self):
         return f"LassoProblem(n={self.n}, p={self.p}, lambda={self.lam})"
@@ -90,11 +101,16 @@ class LassoProblem:
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """High-accuracy minimizer and its duality gap, which bounds f_min - f*."""
+    """High-accuracy minimizer and its duality gap, which bounds f_min - f*.
+
+    ``method`` names the path that produced beta_hat: "support-kkt" for the
+    exact solve on FISTA's sign pattern, "fista" for the FISTA iterate.
+    """
 
     beta_hat: np.ndarray
     f_min: float
     dual_gap: float
+    method: str = "fista"
 
 
 def lasso_objective(problem: LassoProblem, beta) -> float:
@@ -138,12 +154,54 @@ def subgradient_residual(problem: LassoProblem, beta) -> float:
     return float(np.max(np.abs(r))) if r.size else 0.0
 
 
+def support_kkt_solution(problem: LassoProblem, beta, tol: float) -> np.ndarray | None:
+    """Exact minimizer on the sign pattern of beta, or None.
+
+    With S = supp(beta) and s = sign(beta_S), solves the stationarity
+    condition gram_SS b_S = xty_S - lambda s with b zero off S: the
+    active-set step of the exact Lasso homotopy (Osborne, Presnell &
+    Turlach, IMA J. Numer. Anal. 2000; LARS, Efron et al., Ann. Stat. 2004).
+    b is returned only if it keeps the signs s and its subgradient residual
+    is <= tol; a singular gram_SS returns None.
+    """
+    beta = np.asarray(beta, dtype=float)
+    S = np.flatnonzero(beta)
+    s = np.sign(beta[S])
+    b = np.zeros(problem.p)
+    try:
+        b[S] = np.linalg.solve(problem.gram[np.ix_(S, S)], problem.xty[S] - problem.lam * s)
+    except np.linalg.LinAlgError:
+        return None
+    if np.array_equal(np.sign(b[S]), s) and subgradient_residual(problem, b) <= tol:
+        return b
+    return None
+
+
+def _reference_iterate(problem: LassoProblem, tol: float) -> tuple[np.ndarray | None, str]:
+    """FISTA from zero, finished by :func:`support_kkt_solution` at the first
+    looser residual where that solve is accepted; otherwise FISTA's own
+    iterate at residual <= tol.  Returns (beta or None at the cap, method)."""
+    from . import baselines
+
+    accepted = []  # the run returns at the first accepted solve
+
+    def finish(beta):
+        exact = support_kkt_solution(problem, beta, tol)
+        if exact is not None:
+            accepted.append(exact)
+        return exact
+
+    beta = baselines.fista_minimize_to_residual(problem, np.zeros(problem.p), tol, finish=finish)
+    return beta, "support-kkt" if accepted else "fista"
+
+
 def reference_minimum(problem: LassoProblem, tol: float) -> ReferenceSolution:
-    """Certified ground-truth minimum: FISTA from zero to subgradient residual
-    <= tol, then the Lasso duality gap G at its iterate b (Gap Safe screening:
-    Fercoq, Gramfort & Salmon, ICML 2015).  With r = y - X b, g = X'r/n and
-    a = min(1, lambda/||g||_inf), theta = a r/n is dual feasible, so
-    G = f(b) - (theta'y - (n/2)||theta||^2) >= f(b) - f*.  The residual stop bounds G:
+    """Certified ground-truth minimum: the iterate of :func:`_reference_iterate`,
+    whose subgradient residual is <= tol, certified by the Lasso duality gap G
+    (Gap Safe screening: Fercoq, Gramfort & Salmon, ICML 2015).  With
+    r = y - X b, g = X'r/n and a = min(1, lambda/||g||_inf), theta = a r/n is
+    dual feasible, so G = f(b) - (theta'y - (n/2)||theta||^2) >= f(b) - f*.
+    The residual bound tol bounds G:
       G = (1-a)^2 ||r||^2/(2n) + lambda ||b||_1 - a g'b;
       ||g||_inf <= lambda + tol, so 1-a <= tol/lambda, and g_i b_i >= (lambda - tol)|b_i|;
       so G <= (tol/lambda)^2 ||r||^2/(2n) + (lambda (1-a) + a tol) ||b||_1
@@ -152,9 +210,7 @@ def reference_minimum(problem: LassoProblem, tol: float) -> ReferenceSolution:
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    from .baselines import fista_minimize_to_residual
-
-    beta = fista_minimize_to_residual(problem, np.zeros(problem.p), tol)
+    beta, method = _reference_iterate(problem, tol)
     if beta is None:
         raise NumericalFailure("reference solver did not reach the residual tolerance")
     f = lasso_objective(problem, beta)
@@ -166,7 +222,7 @@ def reference_minimum(problem: LassoProblem, tol: float) -> ReferenceSolution:
     if not gap <= bound + 1e-12 * max(1.0, abs(f)):
         raise NumericalFailure(f"reference duality gap {gap!r} exceeds {bound!r}, the bound "
                                f"implied by the residual tolerance {tol!r}")
-    return ReferenceSolution(beta_hat=_readonly(beta), f_min=f, dual_gap=gap)
+    return ReferenceSolution(beta_hat=_readonly(beta), f_min=f, dual_gap=gap, method=method)
 
 
 # ---------------------------------------------------------------------------

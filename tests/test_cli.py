@@ -69,24 +69,31 @@ def test_zero_column_design_is_solved(tmp_path):
 
 def test_uncertified_reference_is_numerical_failure(tmp_path, monkeypatch, capsys):
     # A reference iterate moved off the minimizer has a duality gap far
-    # above the bound its residual tolerance implies.
-    from hslasso import baselines
+    # above the bound its residual tolerance implies.  The iterate is moved
+    # after the path that produced it and before the certificate; the second
+    # round refuses every support solve, so FISTA's iterate is certified.
+    from hslasso import problem as problem_module
     from hslasso.problem import NumericalFailure
 
-    fista = baselines.fista_minimize_to_residual
-
-    def perturbed(problem, beta0, tol):
-        return fista(problem, beta0, tol) + 1e-3
-
-    monkeypatch.setattr(baselines, "fista_minimize_to_residual", perturbed)
+    find = problem_module._reference_iterate
     pr = LassoProblem(y=np.arange(6.0), X=np.eye(6) + 0.1, lam=0.05)
-    with pytest.raises(NumericalFailure, match="duality gap"):
-        reference_minimum(pr, 1e-10)
     path = tmp_path / "problem.json"
     save_problem_json(pr, path)
-    assert run_cli(["solve", "--method", "fista", "--input", str(path),
-                    "--out-dir", str(tmp_path)]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    for method in ("support-kkt", "fista"):
+        if method == "fista":
+            monkeypatch.setattr(problem_module, "support_kkt_solution", lambda *args: None)
+
+        def perturbed(problem, tol, method=method):
+            beta, found = find(problem, tol)
+            assert found == method
+            return beta + 1e-3, found
+
+        monkeypatch.setattr(problem_module, "_reference_iterate", perturbed)
+        with pytest.raises(NumericalFailure, match="duality gap"):
+            reference_minimum(pr, 1e-10)
+        assert run_cli(["solve", "--method", "fista", "--input", str(path),
+                        "--out-dir", str(tmp_path)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
 
 
 def test_datagen_writes_all_formats(tmp_path):
@@ -193,6 +200,7 @@ def test_bench_small_grid_outputs(tmp_path):
     for cell in meta["cells"].values():
         assert cell["converged"]
         assert abs(cell["ref_dual_gap"]) <= 1e-9
+        assert cell["ref_method"] in ("support-kkt", "fista")
 
 
 def test_bench_deterministic_bytes(tmp_path):
@@ -283,6 +291,15 @@ def test_verify_sparse_scenario_with_fewer_than_ten_columns(tmp_path):
                   "--levels", "0.1", "--out-dir", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "verify.json").exists()
+
+
+def test_datagen_sparse_scenario_with_fewer_than_ten_columns(tmp_path):
+    # --sparsity defaults to min(10, p), as in bench and verify
+    assert run_cli(["datagen", "--scenario", "sim2", "--n", "20", "--p", "5",
+                    "--out-dir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "problem.meta.json").read_text())["sparsity"] == 5
+    assert run_cli(["datagen", "--scenario", "sim2", "--p", "5", "--sparsity", "6",
+                    "--out-dir", str(tmp_path)]) == 2
 
 
 def test_verify_reports(tmp_path, capsys):

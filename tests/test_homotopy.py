@@ -420,6 +420,18 @@ def test_hs_auto_t0_resolution():
     assert tr.metadata["t0"] > 0
 
 
+def test_hs_auto_t0_keeps_no_eigenvectors_on_the_problem():
+    # find_t0 and initial_beta decompose the gram per call; afterwards the
+    # instance holds no p x p array but the gram itself
+    pr = make_problem(16, n=12, p=20, lam=0.05)
+    ref = reference_minimum(pr, 1e-10)
+    cfg = HSConfig(t0=None, h=0.1, epsilon=0.05, outer_stop="oracle", outer_ref=ref)
+    hs_solve(pr, cfg, OpCounter())
+    square = [name for name, value in vars(pr).items()
+              if isinstance(value, np.ndarray) and value.shape == (pr.p, pr.p)]
+    assert square == ["gram"]
+
+
 def test_hs_config_validation_and_from_dict():
     with pytest.raises(ValueError):
         HSConfig(h=1.5).validate()

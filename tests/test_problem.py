@@ -11,6 +11,7 @@ from helpers import (
     identity_problem,
     make_problem,
 )
+from hslasso.datagen import SyntheticSpec, generate
 from hslasso.problem import (
     LassoProblem,
     ReferenceSolution,
@@ -63,7 +64,7 @@ def test_cached_gram_and_immutability():
 
 
 def test_ridge_solve_matches_up_front_spectrum():
-    # the eigenvectors are computed on the first ridge_solve; the solve must
+    # the eigenvectors are recomputed by each ridge solve; the solve must
     # equal, bit for bit, the one through a single eigh at construction
     pr = make_problem(0, n=12, p=20)
     vals, vecs = np.linalg.eigh(pr.gram)
@@ -226,6 +227,81 @@ def test_reference_agrees_with_coordinate_descent():
         assert beta_cd is not None
         assert abs(ref.f_min - lasso_objective(pr, beta_cd)) <= 1e-12
         assert abs(ref.dual_gap) <= 1e-9  # round-off may leave it just below 0
+
+
+def test_reference_support_kkt_on_paper_grid():
+    # The four problems of the default bench grid (seed 0, lambda 1e-3): the
+    # support solve is accepted, certifies far below the FISTA iterate's gap
+    # and moves f_min only by round-off.
+    from hslasso.baselines import fista_minimize_to_residual
+
+    for sim_idx, pattern in enumerate(("dense-exp", "sparse-exp"), start=1):
+        for scen_idx, (n, p) in enumerate(((50, 20), (50, 80))):
+            spec = SyntheticSpec(n=n, p=p, rho=0.1, snr=3.0, pattern=pattern,
+                                 sparsity=min(10, p), seed=1000 * sim_idx + scen_idx)
+            pr = generate(spec, lam=1e-3)
+            ref = reference_minimum(pr, 1e-10)
+            assert ref.method == "support-kkt"
+            assert abs(ref.dual_gap) <= 1e-13
+            beta_fista = fista_minimize_to_residual(pr, np.zeros(pr.p), 1e-10)
+            f_fista = lasso_objective(pr, beta_fista)
+            assert abs(ref.f_min - f_fista) <= 1e-15 * max(1.0, abs(ref.f_min))
+
+
+def test_reference_falls_back_to_fista_on_singular_support():
+    # Two equal columns: FISTA from zero keeps their coefficients equal, so
+    # gram_SS is singular at every stop and each support solve is refused.
+    # The certified iterate is then exactly the plain FISTA run's.
+    from hslasso.baselines import fista_minimize_to_residual
+
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((20, 8))
+    X[:, 3] = X[:, 1]
+    pr = LassoProblem(y=X @ rng.uniform(-1.0, 1.0, 8) + 0.1 * rng.standard_normal(20),
+                      X=X, lam=0.01)
+    ref = reference_minimum(pr, 1e-10)
+    assert ref.method == "fista"
+    assert ref.beta_hat[1] == ref.beta_hat[3] != 0.0
+    assert np.array_equal(ref.beta_hat, fista_minimize_to_residual(pr, np.zeros(pr.p), 1e-10))
+    assert 0.0 <= ref.dual_gap <= 1e-9
+
+
+def test_reference_retries_a_refused_support_solve(monkeypatch):
+    # p > n: at the loosest stop FISTA's support has more than n entries, so
+    # gram_SS is singular and the solve is refused; a tighter stop finds the
+    # n-entry support, whose solve is exact.
+    import hslasso.problem as problem_module
+
+    solve = problem_module.support_kkt_solution
+    sizes = []
+
+    def spy(problem, beta, tol):
+        exact = solve(problem, beta, tol)
+        sizes.append((np.count_nonzero(beta), exact is not None))
+        return exact
+
+    monkeypatch.setattr(problem_module, "support_kkt_solution", spy)
+    rng = np.random.default_rng(2)
+    pr = LassoProblem(y=rng.standard_normal(10), X=rng.standard_normal((10, 30)), lam=1e-5)
+    ref = reference_minimum(pr, 1e-10)
+    assert sizes[0][0] > pr.n and not sizes[0][1]
+    assert sizes[-1] == (pr.n, True)
+    assert ref.method == "support-kkt"
+    assert subgradient_residual(pr, ref.beta_hat) <= 1e-10
+    assert abs(ref.dual_gap) <= 1e-13
+
+
+def test_support_kkt_solution_refuses_wrong_signs():
+    from hslasso.problem import support_kkt_solution
+
+    pr = make_problem(11)
+    ref = reference_minimum(pr, 1e-10)
+    assert np.count_nonzero(ref.beta_hat) >= 1
+    assert support_kkt_solution(pr, ref.beta_hat, 1e-10) is not None
+    j = int(np.flatnonzero(ref.beta_hat)[0])
+    flipped = ref.beta_hat.copy()
+    flipped[j] = -flipped[j]
+    assert support_kkt_solution(pr, flipped, 1e-10) is None
 
 
 def test_reference_rejects_bad_tol():
