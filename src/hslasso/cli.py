@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -94,11 +94,15 @@ def _fmt_sig(x: float, digits: int = 12) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _synthetic_spec(args, sparsity=None) -> SyntheticSpec:
+    return SyntheticSpec(n=args.n, p=args.p, rho=args.rho, snr=args.snr,
+                         pattern=SIM_PATTERNS[args.scenario],
+                         sparsity=min(10, args.p) if sparsity is None else sparsity,
+                         seed=args.seed)
+
+
 def cmd_datagen(args) -> int:
-    pattern = SIM_PATTERNS[args.scenario] if args.scenario else args.pattern
-    sparsity = min(10, args.p) if args.sparsity is None else args.sparsity
-    spec = SyntheticSpec(n=args.n, p=args.p, rho=args.rho, snr=args.snr,
-                         pattern=pattern, sparsity=sparsity, seed=args.seed)
+    spec = _synthetic_spec(args, args.sparsity)
     problem = generate(spec, lam=args.lam)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -129,47 +133,37 @@ def _beta0_vector(problem: LassoProblem, spec: str) -> np.ndarray:
         raise ValueError(f"unknown beta0 spec {spec!r}; use zeros, ones, or a number")
 
 
-def _run_method(problem, method, ref, epsilon, args):
+def _solve_cell(problem, method, ref, epsilon, hs, beta0, max_iters, sl_alpha):
+    """One solver run to ``epsilon`` with its own counter: the path of both
+    ``solve`` and every ``bench`` cell.  ``hs`` is the homotopy config
+    before the precision and the reference are filled in."""
     counter = OpCounter()
     if method == "hs":
-        if getattr(args, "hs_config", None):
-            with open(args.hs_config) as fh:
-                cfg = HSConfig.from_json(fh.read())
-            cfg.epsilon = epsilon
-            cfg.outer_ref = ref
-        else:
-            cfg = HSConfig(
-                t0=None if args.t0 == "auto" else float(args.t0),
-                h=args.h,
-                epsilon=epsilon,
-                B=args.bound,
-                tau=args.tau,
-                inner_stop=args.inner_stop,
-                inner_fixed_count=args.inner_fixed,
-                inner_grad_tol=args.inner_grad_tol,
-                outer_stop=args.outer_stop,
-                outer_ref=ref,
-                max_outer=args.max_outer,
-                max_inner=args.max_inner,
-            )
-        trace = hs_solve(problem, cfg, counter)
+        trace = hs_solve(problem, replace(hs, epsilon=epsilon, outer_ref=ref), counter)
     else:
-        cfg = baselines.BaselineConfig(
-            method=method,
-            beta0=_beta0_vector(problem, args.beta0),
-            epsilon=epsilon,
-            max_iters=args.max_iters,
-            ref=ref,
-            sl_alpha=args.sl_alpha if method == "sl" else None,
-        )
+        cfg = baselines.BaselineConfig(method=method, beta0=beta0, epsilon=epsilon,
+                                       max_iters=max_iters, ref=ref,
+                                       sl_alpha=sl_alpha if method == "sl" else None)
         trace = baselines.solve(problem, cfg, counter)
     return trace, counter
+
+
+def _hs_config(args) -> HSConfig:
+    if args.hs_config:
+        with open(args.hs_config) as fh:
+            return HSConfig.from_json(fh.read())
+    t0 = None if args.t0 == "auto" else float(args.t0)
+    return HSConfig(t0=t0, h=args.h, B=args.bound, tau=args.tau, inner_stop=args.inner_stop,
+                    inner_fixed_count=args.inner_fixed, inner_grad_tol=args.inner_grad_tol,
+                    outer_stop=args.outer_stop, max_outer=args.max_outer, max_inner=args.max_inner)
 
 
 def cmd_solve(args) -> int:
     problem = _load_problem(args.input)
     ref = reference_minimum(problem, args.ref_tol)
-    trace, counter = _run_method(problem, args.method, ref, args.epsilon, args)
+    trace, counter = _solve_cell(problem, args.method, ref, args.epsilon, _hs_config(args),
+                                 _beta0_vector(problem, args.beta0), args.max_iters,
+                                 args.sl_alpha)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / f"trace_{args.method}.csv"
@@ -198,16 +192,14 @@ def _bench_cells(trace, f_min, epsilons):
 def grid_from_args(args) -> BenchmarkGrid:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     sims = ("sim1", "sim2") if args.sim == "both" else (args.sim,)
-    if args.n is not None and args.p is not None:
-        scenarios = ((args.n, args.p),)
-    else:
-        scenarios = DEFAULT_SCENARIOS
+    if (args.n is None) != (args.p is None):
+        raise ValueError("--n and --p must be given together")
+    scenarios = DEFAULT_SCENARIOS if args.n is None else ((args.n, args.p),)
     epsilons = tuple(sorted({float(e) for e in args.epsilons}, reverse=True))
     return BenchmarkGrid(
         sims=sims, scenarios=scenarios, epsilons=epsilons, methods=methods,
         seed=args.seed, lam=args.lam,
-        hs_t0=3.0 if args.t0 == "auto" else float(args.t0),
-        hs_h=args.h, hs_tau=args.tau, hs_inner_fixed=args.inner_fixed,
+        hs_t0=args.t0, hs_h=args.h, hs_tau=args.tau, hs_inner_fixed=args.inner_fixed,
         hs_max_outer=args.max_outer, hs_max_inner=args.max_inner,
         max_iters=args.max_iters, sl_alpha=args.sl_alpha,
     )
@@ -222,6 +214,9 @@ def run_bench(grid: BenchmarkGrid) -> tuple[str, str, str, dict]:
     grid.validate()
     epsilons = list(grid.epsilons)
     tightest = min(epsilons)
+    hs = HSConfig(t0=grid.hs_t0, h=grid.hs_h, tau=grid.hs_tau, inner_stop="fixed",
+                  inner_fixed_count=grid.hs_inner_fixed, outer_stop="oracle",
+                  max_outer=grid.hs_max_outer, max_inner=grid.hs_max_inner)
 
     eps_headers = ",".join(f"eps_{e!r}" for e in epsilons)
     table_lines = [f"sim,n,p,method,{eps_headers}"]
@@ -254,26 +249,9 @@ def run_bench(grid: BenchmarkGrid) -> tuple[str, str, str, dict]:
             problem = generate(spec, lam=grid.lam)
             ref = reference_minimum(problem, REF_TOL)
             for method in grid.methods:
-                counter = OpCounter()
-                if method == "hs":
-                    cfg = HSConfig(
-                        t0=grid.hs_t0, h=grid.hs_h, epsilon=tightest,
-                        tau=grid.hs_tau, inner_stop="fixed",
-                        inner_fixed_count=grid.hs_inner_fixed,
-                        outer_stop="oracle", outer_ref=ref,
-                        max_outer=grid.hs_max_outer, max_inner=grid.hs_max_inner,
-                    )
-                    trace = hs_solve(problem, cfg, counter)
-                else:
-                    cfg = baselines.BaselineConfig(
-                        method=method,
-                        beta0=SIM_BETA0[sim] * np.ones(p),
-                        epsilon=tightest,
-                        max_iters=grid.max_iters,
-                        ref=ref,
-                        sl_alpha=grid.sl_alpha if method == "sl" else None,
-                    )
-                    trace = baselines.solve(problem, cfg, counter)
+                trace, counter = _solve_cell(problem, method, ref, tightest, hs,
+                                             SIM_BETA0[sim] * np.ones(p), grid.max_iters,
+                                             grid.sl_alpha)
                 cells = _bench_cells(trace, ref.f_min, epsilons)
                 table_lines.append(f"{sim},{n},{p},{method}," + ",".join(cells))
                 for eps, cell in zip(epsilons, cells):
@@ -342,10 +320,7 @@ def cmd_verify(args) -> int:
     if args.input:
         problem = _load_problem(args.input)
     else:
-        spec = SyntheticSpec(n=args.n, p=args.p, rho=args.rho, snr=args.snr,
-                             pattern=SIM_PATTERNS[args.scenario or "sim1"],
-                             sparsity=min(10, args.p), seed=args.seed)
-        problem = generate(spec, lam=args.lam)
+        problem = generate(_synthetic_spec(args), lam=args.lam)
     ref = reference_minimum(problem, args.ref_tol)
     sweep = diagnostics.closeness_sweep(problem, ref, ts=tuple(args.levels))
     tol = diagnostics.default_support_tol(ref.beta_hat)
@@ -379,34 +354,22 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out-dir", default="out")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
 def _add_gen_params(parser):
-    parser.add_argument("--scenario", choices=("sim1", "sim2"), default=None)
-    parser.add_argument("--pattern", choices=("dense-exp", "sparse-exp"), default="dense-exp")
+    parser.add_argument("--scenario", choices=("sim1", "sim2"), default="sim1")
     parser.add_argument("--n", type=int, default=50)
     parser.add_argument("--p", type=int, default=20)
     parser.add_argument("--rho", type=float, default=0.1)
     parser.add_argument("--snr", type=float, default=3.0)
-    parser.add_argument("--sparsity", type=int, default=None, help="default min(10, p)")
     parser.add_argument("--lambda", dest="lam", type=float, default=1e-3)
+    parser.add_argument("--seed", type=int, default=0)
 
 
-def _add_hs_params(parser):
-    parser.add_argument("--t0", default="auto", help="starting level or 'auto'")
+def _add_solver_params(parser):
+    parser.add_argument("--max-iters", type=int, default=200000)
+    parser.add_argument("--sl-alpha", type=float, default=100.0)
     parser.add_argument("--h", type=float, default=0.1)
     parser.add_argument("--tau", type=float, default=1e-4)
-    parser.add_argument("--bound", type=float, default=None, help="iterate bound B")
-    parser.add_argument("--inner-stop", choices=("fixed", "theoretical", "gradient"),
-                        default="fixed")
     parser.add_argument("--inner-fixed", type=int, default=50)
-    parser.add_argument("--inner-grad-tol", type=float, default=1e-8)
-    parser.add_argument("--outer-stop", choices=("oracle", "theoretical-count", "t-floor"),
-                        default="oracle")
     parser.add_argument("--max-outer", type=int, default=1000)
     parser.add_argument("--max-inner", type=int, default=100000)
 
@@ -417,27 +380,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pg = sub.add_parser("datagen", help="write a synthetic problem instance")
-    _add_common(pg)
     _add_gen_params(pg)
+    pg.add_argument("--sparsity", type=int, default=None, help="default min(10, p)")
     pg.add_argument("--name", default="problem")
     pg.set_defaults(func=cmd_datagen)
 
     ps = sub.add_parser("solve", help="run one solver on a stored problem")
-    _add_common(ps)
-    ps.add_argument("--method", required=True, choices=("ista", "fista", "cd", "sl", "hs"))
+    ps.add_argument("--method", required=True, choices=KNOWN_METHODS)
     ps.add_argument("--input", required=True)
     ps.add_argument("--epsilon", type=float, default=0.005)
     ps.add_argument("--beta0", default="ones", help="zeros | ones | a flat value")
-    ps.add_argument("--max-iters", type=int, default=200000)
-    ps.add_argument("--sl-alpha", type=float, default=100.0)
     ps.add_argument("--ref-tol", type=float, default=REF_TOL)
     ps.add_argument("--hs-config", default=None,
                     help="JSON file with homotopy settings (overrides hs flags)")
-    _add_hs_params(ps)
+    ps.add_argument("--t0", default="auto", help="starting level or 'auto'")
+    ps.add_argument("--bound", type=float, default=None, help="iterate bound B")
+    ps.add_argument("--inner-stop", choices=("fixed", "theoretical", "gradient"),
+                    default="fixed")
+    ps.add_argument("--inner-grad-tol", type=float, default=1e-8)
+    ps.add_argument("--outer-stop", choices=("oracle", "theoretical-count", "t-floor"),
+                    default="oracle")
+    _add_solver_params(ps)
     ps.set_defaults(func=cmd_solve)
 
+    # the bench protocol: fixed-count inner loop, oracle outer stop
     pb = sub.add_parser("bench", help="run the benchmark grid")
-    _add_common(pb)
     pb.add_argument("--scenario", "--sim", dest="sim",
                     choices=("sim1", "sim2", "both"), default="both")
     pb.add_argument("--n", type=int, default=None)
@@ -445,29 +412,22 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--methods", default=",".join(DEFAULT_METHODS))
     pb.add_argument("--epsilons", type=float, nargs="+", default=list(DEFAULT_EPSILONS))
     pb.add_argument("--lambda", dest="lam", type=float, default=1e-3)
-    pb.add_argument("--max-iters", type=int, default=200000)
-    pb.add_argument("--sl-alpha", type=float, default=100.0)
-    _add_hs_params(pb)
+    pb.add_argument("--seed", type=int, default=0)
+    pb.add_argument("--t0", type=float, default=3.0)
+    pb.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_solver_params(pb)
     pb.set_defaults(func=cmd_bench)
 
     pv = sub.add_parser("verify", help="closeness diagnostics on an instance")
-    _add_common(pv)
     pv.add_argument("--input", default=None)
-    _add_gen_params_verify(pv)
+    _add_gen_params(pv)
     pv.add_argument("--levels", type=float, nargs="+",
                     default=[1.0, 0.1, 0.01, 1e-3, 1e-4])
     pv.add_argument("--ref-tol", type=float, default=REF_TOL)
     pv.set_defaults(func=cmd_verify)
+    for sp in (pg, ps, pb, pv):
+        sp.add_argument("--out-dir", default="out")
     return parser
-
-
-def _add_gen_params_verify(parser):
-    parser.add_argument("--scenario", choices=("sim1", "sim2"), default="sim1")
-    parser.add_argument("--n", type=int, default=50)
-    parser.add_argument("--p", type=int, default=20)
-    parser.add_argument("--rho", type=float, default=0.1)
-    parser.add_argument("--snr", type=float, default=3.0)
-    parser.add_argument("--lambda", dest="lam", type=float, default=1e-3)
 
 
 def main(argv=None) -> int:
@@ -478,7 +438,7 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # bad flag combinations or malformed inputs
+    except (ValueError, OSError) as exc:  # bad flags, malformed or unreadable files
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

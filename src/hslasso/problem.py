@@ -278,7 +278,10 @@ def load_problem_binary(path) -> LassoProblem:
         magic = fh.read(4)
         if magic != BINARY_MAGIC:
             raise ValueError(f"bad magic {magic!r}; expected {BINARY_MAGIC!r}")
-        n, p, lam = struct.unpack("<IId", fh.read(16))
+        header = fh.read(16)
+        if len(header) != 16:
+            raise ValueError(f"truncated header: {len(header)} of 16 bytes after the magic")
+        n, p, lam = struct.unpack("<IId", header)
         y = np.frombuffer(fh.read(8 * n), dtype="<f8")
         X = np.frombuffer(fh.read(8 * n * p), dtype="<f8").reshape((n, p), order="F")
     return LassoProblem(y=y.copy(), X=X.copy(), lam=lam)

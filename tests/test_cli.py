@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hslasso.cli import BenchmarkGrid, main, run_bench
+from hslasso.cli import BenchmarkGrid, build_parser, main, run_bench
 from hslasso.problem import LassoProblem, reference_minimum, save_problem_json
 
 
@@ -25,6 +25,97 @@ def test_usage_error_exit_code():
         capture_output=True,
     )
     assert proc.returncode == 2
+    # flags a subcommand would only have ignored are not accepted
+    solve = ["solve", "--method", "ista", "--input", "p.json"]
+    removed = [["bench", "--bound", "5"], ["bench", "--inner-stop", "gradient"],
+               ["bench", "--inner-grad-tol", "1e-6"], ["bench", "--outer-stop", "t-floor"],
+               ["bench", "--t0", "auto"], ["datagen", "--pattern", "sparse-exp"],
+               ["datagen", "--format", "csv"], solve + ["--format", "csv"],
+               solve + ["--seed", "1"], ["verify", "--format", "json"]]
+    for argv in removed:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2, argv
+
+
+FLAG_SURFACE = {
+    "datagen": ["--lambda", "--n", "--name", "--out-dir", "--p", "--rho", "--scenario",
+                "--seed", "--snr", "--sparsity"],
+    "solve": ["--beta0", "--bound", "--epsilon", "--h", "--hs-config", "--inner-fixed",
+              "--inner-grad-tol", "--inner-stop", "--input", "--max-inner", "--max-iters",
+              "--max-outer", "--method", "--out-dir", "--outer-stop", "--ref-tol",
+              "--sl-alpha", "--t0", "--tau"],
+    "bench": ["--epsilons", "--format", "--h", "--inner-fixed", "--lambda", "--max-inner",
+              "--max-iters", "--max-outer", "--methods", "--n", "--out-dir", "--p",
+              "--scenario", "--seed", "--sim", "--sl-alpha", "--t0", "--tau"],
+    "verify": ["--input", "--lambda", "--levels", "--n", "--out-dir", "--p", "--ref-tol",
+               "--rho", "--scenario", "--seed", "--snr"],
+}
+
+
+def test_cli_flag_surface():
+    # Every option a subcommand accepts is one its command reads; adding
+    # one is a deliberate change to this list.
+    import argparse
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {name: sorted(o for a in sp._actions for o in a.option_strings
+                            if o not in ("-h", "--help"))
+               for name, sp in sub.choices.items()}
+    assert surface == FLAG_SURFACE
+
+
+@pytest.mark.parametrize("flag", ["--n", "--p"])
+def test_bench_size_flag_alone_is_usage_error(tmp_path, flag, capsys):
+    rc = run_cli(["bench", "--sim", "sim1", flag, "10", "--methods", "ista",
+                  "--epsilons", "0.05", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "--n and --p must be given together" in capsys.readouterr().err
+    assert not (tmp_path / "bench_ops.csv").exists()
+
+
+def test_unreadable_paths_are_usage_errors(tmp_path, capsys):
+    assert run_cli(["datagen", "--n", "12", "--p", "5", "--out-dir", str(tmp_path)]) == 0
+    prob = str(tmp_path / "problem.json")
+    missing = str(tmp_path / "missing.json")
+    assert run_cli(["solve", "--method", "ista", "--input", missing,
+                    "--out-dir", str(tmp_path)]) == 2
+    assert "missing.json" in capsys.readouterr().err
+    assert run_cli(["solve", "--method", "hs", "--input", prob, "--hs-config", missing,
+                    "--out-dir", str(tmp_path)]) == 2
+    assert run_cli(["verify", "--input", missing, "--out-dir", str(tmp_path)]) == 2
+    # an output directory that is a regular file cannot be written
+    assert run_cli(["solve", "--method", "ista", "--input", prob,
+                    "--out-dir", prob]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_truncated_binary_header_is_usage_error(tmp_path):
+    from hslasso.problem import load_problem_binary
+
+    short = tmp_path / "short.bin"
+    short.write_bytes(b"LSSO\x01")
+    with pytest.raises(ValueError, match="truncated header"):
+        load_problem_binary(short)
+    assert run_cli(["solve", "--method", "ista", "--input", str(short),
+                    "--out-dir", str(tmp_path)]) == 2
+
+
+def test_solve_reproduces_bench_cell(tmp_path, capsys):
+    # bench problem seed = seed + 1000*sim_index + scenario_index: 5 + 1000 + 0
+    methods = ("ista", "fista", "cd", "sl", "hs")
+    assert run_cli(["bench", "--sim", "sim1", "--n", "30", "--p", "10", "--seed", "5",
+                    "--methods", ",".join(methods), "--out-dir", str(tmp_path)]) == 0
+    rows = (tmp_path / "bench_ops.csv").read_text().splitlines()[1:]
+    bench_ops = {row.split(",")[3]: row.split(",")[4] for row in rows}
+    assert run_cli(["datagen", "--scenario", "sim1", "--n", "30", "--p", "10",
+                    "--seed", "1005", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for method in methods:
+        assert run_cli(["solve", "--method", method, "--input", str(tmp_path / "problem.json"),
+                        "--beta0", "1", "--t0", "3", "--out-dir", str(tmp_path)]) == 0
+        fields = dict(f.split("=", 1) for f in capsys.readouterr().out.split())
+        assert fields["ops"] == bench_ops[method], method
 
 
 def test_bad_method_list_is_usage_error(tmp_path):
