@@ -33,14 +33,7 @@ from .homotopy import (
     inner_tolerance,
     outer_iteration_count,
 )
-from .opcount import (
-    CounterSnapshot,
-    OpCounter,
-    charge_axpy,
-    charge_matvec,
-    charge_scalar,
-    snapshot,
-)
+from .opcount import OpCounter
 from .problem import (
     LassoProblem,
     NumericalFailure,

@@ -86,8 +86,6 @@ def _run_flat(problem, config, metadata, counter, start, step, inner_iters=1, au
     """Drive a flat method from ``start(beta0)`` until the objective is
     within config.epsilon of the reference minimum, appending one trace
     row per iterate (``aux`` gives the F_t column; default F).
-
-    Returns (trace, final state).
     """
     trace = SolverTrace(metadata=metadata)
 
@@ -101,7 +99,7 @@ def _run_flat(problem, config, metadata, counter, start, step, inner_iters=1, au
     beta0 = np.asarray(config.beta0, dtype=float).copy()
     state, _, trace.converged = iterate(start(beta0), step, stop, config.max_iters)
     trace.final_beta = state[0]
-    return trace, state
+    return trace
 
 
 def _prox_grad_step(problem, point, L, thr, counter):
@@ -149,7 +147,7 @@ def ista_solve(problem: LassoProblem, config: BaselineConfig,
                counter: OpCounter | None = None) -> SolverTrace:
     L, thr, counter = _prox_grad_setup(problem, config, counter)
     return _run_flat(problem, config, {"method": "ista", "L": L}, counter, lambda b: (b,),
-                     lambda s: (_prox_grad_step(problem, s[0], L, thr, counter),))[0]
+                     lambda s: (_prox_grad_step(problem, s[0], L, thr, counter),))
 
 
 def fista_solve(problem: LassoProblem, config: BaselineConfig,
@@ -158,7 +156,7 @@ def fista_solve(problem: LassoProblem, config: BaselineConfig,
     # the extrapolated point starts at beta, so the first step has zero momentum
     return _run_flat(problem, config, {"method": "fista", "L": L}, counter,
                      lambda b: (b, b.copy(), 1.0),
-                     lambda s: _fista_step(problem, L, thr, s, counter))[0]
+                     lambda s: _fista_step(problem, L, thr, s, counter))
 
 
 def _cd_sweep(beta, xtx, xty_raw, diag, thresh, resid, counter):
@@ -208,20 +206,19 @@ def cd_solve(problem: LassoProblem, config: BaselineConfig,
     counter.adds += p * (p - 1)
     return _run_flat(problem, config, {"method": "cd"}, counter, lambda b: (b, xtx @ b),
                      lambda s: _cd_sweep(s[0], xtx, xty_raw, diag, thresh, s[1], counter),
-                     inner_iters=p)[0]
+                     inner_iters=p)
 
 
 def sl_penalty_grad(w, alpha):
     """Entrywise derivative of the smoothed penalty
     phi_a(u) = (2/a) log(1+e^(a u)) - u, namely tanh(a u / 2).
 
-    Smooth and bounded in (-1, 1); finite at u = 0, so no singularity
-    guard can fire (the event count is kept for trace-schema stability).
-    The curvature is at most a/2, matching the solver's step size
+    Smooth, bounded in (-1, 1) and finite at u = 0.  The curvature is at
+    most a/2, matching the solver's step size
     1/(sigma_max^2 + lambda a / 2).
     """
     w = np.asarray(w, dtype=float)
-    return np.tanh(0.5 * alpha * w), 0
+    return np.tanh(0.5 * alpha * w)
 
 
 def sl_objective(problem, beta, alpha) -> float:
@@ -240,16 +237,15 @@ def _sl_step(problem, alpha, step, state, counter):
     momentum weight and extrapolation, the penalty derivative, the matvec
     with its shift and penalty term, and the step.
     """
-    beta, beta_prev, k, guard_events = state
+    beta, beta_prev, k = state
     w = beta + ((k - 2.0) / (k + 1.0)) * (beta - beta_prev)
-    v, guards = sl_penalty_grad(w, alpha)
-    g = problem.gram @ w - problem.xty + problem.lam * v
+    g = problem.gram @ w - problem.xty + problem.lam * sl_penalty_grad(w, alpha)
     if counter is not None:
         p = beta.size
         counter.transcendentals += p
         counter.mults += p * p + 5 * p + 1
         counter.adds += p * p + 5 * p + 2
-    return w - step * g, beta, k + 1, guard_events + guards
+    return w - step * g, beta, k + 1
 
 
 def sl_solve(problem: LassoProblem, config: BaselineConfig,
@@ -262,12 +258,10 @@ def sl_solve(problem: LassoProblem, config: BaselineConfig,
     step = 1.0 / (problem.eig_max + problem.lam * alpha / 2.0)
     counter.mults += 2
     counter.adds += 1
-    trace, state = _run_flat(problem, config, {"method": "sl", "alpha": alpha, "step": step},
-                             counter, lambda b: (b, b.copy(), 0, 0),
-                             lambda s: _sl_step(problem, alpha, step, s, counter),
-                             aux=lambda b: sl_objective(problem, b, alpha))
-    trace.metadata["guard_events"] = state[3]
-    return trace
+    return _run_flat(problem, config, {"method": "sl", "alpha": alpha, "step": step},
+                     counter, lambda b: (b, b.copy(), 0),
+                     lambda s: _sl_step(problem, alpha, step, s, counter),
+                     aux=lambda b: sl_objective(problem, b, alpha))
 
 
 def theoretical_bound(method: str, k: int, problem: LassoProblem,

@@ -38,6 +38,7 @@ KNOWN_METHODS = ("ista", "fista", "cd", "sl", "hs")
 REF_TOL = 1e-10
 SIM_PATTERNS = {"sim1": "dense-exp", "sim2": "sparse-exp"}
 SIM_BETA0 = {"sim1": 1.0, "sim2": 0.1}  # flat starting values of the flat methods
+GEN_DEFAULTS = dict(scenario="sim1", n=50, p=20, rho=0.1, snr=3.0, lam=1e-3, seed=0)
 
 OPS_CSV_HEADER = "sim,n,p,method,ops_total,ops_setup,ops_mult,ops_add,ops_trans,ops_cmp"
 
@@ -66,6 +67,10 @@ class BenchmarkGrid:
     def validate(self) -> None:
         if not self.methods:
             raise ValueError("methods must be nonempty")
+        for name, values in (("methods", self.methods), ("sims", self.sims),
+                             ("scenarios", [tuple(s) for s in self.scenarios])):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat")
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -168,10 +173,9 @@ def cmd_solve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / f"trace_{args.method}.csv"
     trace.write_csv(trace_path)
-    snap = counter.snapshot()
     gap = float(trace.records[-1].f_value - ref.f_min) if trace.records else math.nan
     print(f"method={args.method} converged={trace.converged} "
-          f"final_gap={_fmt_sig(gap)} ops={snap.total()} setup_ops={snap.setup_ops} "
+          f"final_gap={_fmt_sig(gap)} ops={counter.total()} setup_ops={counter.setup_ops} "
           f"ref_dual_gap={_fmt_sig(ref.dual_gap)} trace={trace_path}")
     return 0 if trace.converged else 1
 
@@ -263,19 +267,17 @@ def run_bench(grid: BenchmarkGrid) -> tuple[str, str, str, dict]:
                         f"{_fmt_sig(math.log10(1.0 / eps))},{ops},"
                         f"{_fmt_sig(math.log10(ops)) if ops > 0 else ''}"
                     )
-                snap = counter.snapshot()
-                ops_lines.append(
-                    f"{sim},{n},{p},{method},{snap.total()},{snap.setup_ops},"
-                    f"{snap.mults},{snap.adds},{snap.transcendentals},{snap.comparisons}"
-                )
+                ops_lines.append(f"{sim},{n},{p},{method},{counter.total()},{counter.setup_ops},"
+                                 f"{counter.mults},{counter.adds},"
+                                 f"{counter.transcendentals},{counter.comparisons}")
                 meta["cells"][f"{sim}/n{n}p{p}/{method}"] = {
                     "seed": seed,
                     "converged": trace.converged,
                     "f_min": ref.f_min,
                     "ref_dual_gap": ref.dual_gap,
                     "ref_method": ref.method,
-                    "ops_total": snap.total(),
-                    "ops_setup": snap.setup_ops,
+                    "ops_total": counter.total(),
+                    "ops_setup": counter.setup_ops,
                     **({"hs_metadata": {k: trace.metadata[k] for k in
                         ("outer_iterations", "violated_bound", "max_abs_iterate")}}
                        if method == "hs" else {}),
@@ -317,10 +319,15 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    given = {k: getattr(args, k) for k in GEN_DEFAULTS if getattr(args, k) is not None}
     if args.input:
+        if given:
+            raise ValueError("verify --input reads a stored problem; it takes none of "
+                             "--scenario, --n, --p, --rho, --snr, --lambda, --seed")
         problem = _load_problem(args.input)
     else:
-        problem = generate(_synthetic_spec(args), lam=args.lam)
+        gen = argparse.Namespace(**{**GEN_DEFAULTS, **given})
+        problem = generate(_synthetic_spec(gen), lam=gen.lam)
     ref = reference_minimum(problem, args.ref_tol)
     sweep = diagnostics.closeness_sweep(problem, ref, ts=tuple(args.levels))
     tol = diagnostics.default_support_tol(ref.beta_hat)
@@ -355,13 +362,15 @@ def cmd_verify(args) -> int:
 
 
 def _add_gen_params(parser):
-    parser.add_argument("--scenario", choices=("sim1", "sim2"), default="sim1")
-    parser.add_argument("--n", type=int, default=50)
-    parser.add_argument("--p", type=int, default=20)
-    parser.add_argument("--rho", type=float, default=0.1)
-    parser.add_argument("--snr", type=float, default=3.0)
-    parser.add_argument("--lambda", dest="lam", type=float, default=1e-3)
-    parser.add_argument("--seed", type=int, default=0)
+    # No argparse defaults, so that verify can tell a given flag from an
+    # absent one; the values left unset come from GEN_DEFAULTS.
+    parser.add_argument("--scenario", choices=("sim1", "sim2"))
+    parser.add_argument("--n", type=int)
+    parser.add_argument("--p", type=int)
+    parser.add_argument("--rho", type=float)
+    parser.add_argument("--snr", type=float)
+    parser.add_argument("--lambda", dest="lam", type=float)
+    parser.add_argument("--seed", type=int)
 
 
 def _add_solver_params(parser):
@@ -381,6 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("datagen", help="write a synthetic problem instance")
     _add_gen_params(pg)
+    pg.set_defaults(**GEN_DEFAULTS)
     pg.add_argument("--sparsity", type=int, default=None, help="default min(10, p)")
     pg.add_argument("--name", default="problem")
     pg.set_defaults(func=cmd_datagen)

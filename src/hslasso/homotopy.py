@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import iterate
-from .opcount import OpCounter, charge_setup
+from .opcount import OpCounter
 from .problem import (LassoProblem, NumericalFailure, ReferenceSolution, lasso_objective,
                       surrogate_value)
 from .surrogate import SmoothnessConstants, SurrogateSpec, smoothness_constants
@@ -68,8 +68,8 @@ class HSConfig:
             raise ValueError("epsilon must be positive")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
-        if self.t0 is not None and not self.tau < self.t0:
-            raise ValueError("tau must be smaller than t0")
+        if self.t0 is not None and not self.tau < self.t0 < math.inf:
+            raise ValueError("t0 must be finite and larger than tau")
         if self.B is not None and not self.B > 0:
             raise ValueError("B must be positive")
         if self.inner_stop not in INNER_STOP_MODES:
@@ -278,7 +278,8 @@ def find_t0(problem: LassoProblem, counter: OpCounter | None = None) -> float:
             hi = mid
         else:
             lo = mid
-    charge_setup(counter, probes * (2 * p * (2 * p - 1) + 2 * p))
+    if counter is not None:
+        counter.setup_ops += probes * (2 * p * (2 * p - 1) + 2 * p)
     return hi
 
 

@@ -3,8 +3,8 @@
 Counts are exact integers, so they do not depend on the host platform,
 BLAS kernels, or interpreter version.  Each solver step adds its
 closed-form total to the counter once per step, inside one
-``if counter is not None:`` block; the ``charge_*`` helpers below cover
-one-off work and the building blocks.  Convention:
+``if counter is not None:`` block; one-off work is charged the same way.
+Convention:
 
 * a dense matrix-vector product of shape (rows, cols) costs
   ``rows*cols`` multiplications and ``rows*(cols-1)`` additions, i.e.
@@ -43,22 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-_SCALAR_KINDS = ("mult", "add", "transcendental", "comparison")
-
-
-@dataclass(frozen=True)
-class CounterSnapshot:
-    """Immutable copy of all counter buckets."""
-
-    mults: int
-    adds: int
-    transcendentals: int
-    comparisons: int
-    setup_ops: int
-
-    def total(self) -> int:
-        return self.mults + self.adds + self.transcendentals + self.comparisons
-
 
 @dataclass
 class OpCounter:
@@ -71,64 +55,3 @@ class OpCounter:
     def total(self) -> int:
         """Benchmark total: everything except the setup bucket."""
         return self.mults + self.adds + self.transcendentals + self.comparisons
-
-    def snapshot(self) -> CounterSnapshot:
-        return CounterSnapshot(
-            self.mults, self.adds, self.transcendentals, self.comparisons, self.setup_ops
-        )
-
-
-def charge_matvec(counter: OpCounter | None, rows: int, cols: int) -> None:
-    """Dense matrix-vector product: rows*cols mults, rows*(cols-1) adds."""
-    if counter is None:
-        return
-    if rows < 1 or cols < 1:
-        raise ValueError("matvec charge requires rows >= 1 and cols >= 1")
-    counter.mults += rows * cols
-    counter.adds += rows * (cols - 1)
-
-
-def charge_axpy(counter: OpCounter | None, length: int) -> None:
-    if counter is None:
-        return
-    if length < 0:
-        raise ValueError("axpy charge requires length >= 0")
-    counter.mults += length
-    counter.adds += length
-
-
-def charge_soft_threshold(counter: OpCounter | None, count: int) -> None:
-    """Entrywise soft threshold: 2 comparisons + 1 add per entry."""
-    if counter is None:
-        return
-    if count < 0:
-        raise ValueError("soft-threshold charge requires count >= 0")
-    counter.comparisons += 2 * count
-    counter.adds += count
-
-
-def charge_scalar(counter: OpCounter | None, kind: str) -> None:
-    if counter is None:
-        return
-    if kind == "mult":
-        counter.mults += 1
-    elif kind == "add":
-        counter.adds += 1
-    elif kind == "transcendental":
-        counter.transcendentals += 1
-    elif kind == "comparison":
-        counter.comparisons += 1
-    else:
-        raise ValueError(f"unknown scalar kind {kind!r}; expected one of {_SCALAR_KINDS}")
-
-
-def charge_setup(counter: OpCounter | None, amount: int) -> None:
-    if counter is None:
-        return
-    if amount < 0:
-        raise ValueError("setup charge must be nonnegative")
-    counter.setup_ops += amount
-
-
-def snapshot(counter: OpCounter) -> CounterSnapshot:
-    return counter.snapshot()

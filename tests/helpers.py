@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from hslasso.baselines import soft_threshold
-from hslasso.opcount import charge_axpy, charge_scalar, charge_soft_threshold
+from hslasso.opcount import OpCounter
 from hslasso.problem import LassoProblem
 
 
@@ -114,20 +114,24 @@ def identity_closed_form(y, n, lam):
 
 def cd_sweep_per_op(beta, xtx, xty_raw, diag, thresh, resid, counter):
     """Reference coordinate-descent sweep: the array soft threshold on each
-    coordinate and one charge call per arithmetic step.  The library's
-    sweep must match it bit for bit, in iterates and in op counts."""
+    coordinate and one counter increment per arithmetic step.  The
+    library's sweep must match it bit for bit, in iterates and in op
+    counts."""
     p = beta.size
+    c = counter if counter is not None else OpCounter()  # None: charge a throwaway
     for j in range(p):
         z = xty_raw[j] - (resid[j] - diag[j] * beta[j])
-        charge_scalar(counter, "mult")
-        charge_scalar(counter, "add")
-        charge_scalar(counter, "add")
+        c.mults += 1
+        c.adds += 1
+        c.adds += 1
         bj = soft_threshold(z, thresh) / diag[j]
-        charge_soft_threshold(counter, 1)
-        charge_scalar(counter, "mult")
+        c.comparisons += 2  # soft threshold: two comparisons and one add
+        c.adds += 1
+        c.mults += 1  # the division by the column norm
         delta = bj - beta[j]
-        charge_scalar(counter, "add")
+        c.adds += 1
         beta[j] = bj
         resid += delta * xtx[:, j]
-        charge_axpy(counter, p)
+        c.mults += p  # the length-p axpy
+        c.adds += p
     return beta, resid

@@ -14,7 +14,7 @@ def run_cli(args):
     return main(list(args))
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "hslasso.cli", "frobnicate"],
         capture_output=True,
@@ -36,6 +36,13 @@ def test_usage_error_exit_code():
         with pytest.raises(SystemExit) as exc:
             run_cli(argv)
         assert exc.value.code == 2, argv
+    # a starting level must be finite: inf gave a NaN trace (solve) and
+    # empty hs cells (bench)
+    assert run_cli(["datagen", "--n", "20", "--p", "5", "--out-dir", str(tmp_path)]) == 0
+    infinite = [["solve", "--method", "hs", "--input", str(tmp_path / "problem.json")],
+                ["bench", "--sim", "sim1", "--n", "20", "--p", "5", "--methods", "hs"]]
+    for argv in infinite:
+        assert run_cli(argv + ["--t0", "inf", "--out-dir", str(tmp_path / "out")]) == 2, argv
 
 
 FLAG_SURFACE = {
@@ -119,9 +126,11 @@ def test_solve_reproduces_bench_cell(tmp_path, capsys):
 
 
 def test_bad_method_list_is_usage_error(tmp_path):
-    rc = run_cli(["bench", "--methods", "ista,frobnicate",
-                  "--out-dir", str(tmp_path)])
-    assert rc == 2
+    # a repeated method wrote every row twice, against one metadata cell
+    for methods in ("ista,frobnicate", "ista,ista"):
+        rc = run_cli(["bench", "--methods", methods, "--out-dir", str(tmp_path)])
+        assert rc == 2, methods
+    assert not (tmp_path / "bench_table.csv").exists()
 
 
 def test_malformed_problem_json_is_usage_error(tmp_path):
@@ -351,6 +360,12 @@ def test_benchmark_grid_validation():
         BenchmarkGrid(epsilons=(0.01, 0.05)).validate()  # not descending
     with pytest.raises(ValueError):
         BenchmarkGrid(epsilons=(0.05, -0.01)).validate()
+    with pytest.raises(ValueError, match="methods"):
+        BenchmarkGrid(methods=("ista", "hs", "ista")).validate()
+    with pytest.raises(ValueError, match="scenarios"):
+        BenchmarkGrid(scenarios=((20, 5), (30, 5), (20, 5))).validate()
+    with pytest.raises(ValueError, match="sims"):
+        BenchmarkGrid(sims=("sim1", "sim1")).validate()
 
 
 def test_bench_json_format(tmp_path):
@@ -391,6 +406,19 @@ def test_datagen_sparse_scenario_with_fewer_than_ten_columns(tmp_path):
     assert json.loads((tmp_path / "problem.meta.json").read_text())["sparsity"] == 5
     assert run_cli(["datagen", "--scenario", "sim2", "--p", "5", "--sparsity", "6",
                     "--out-dir", str(tmp_path)]) == 2
+
+
+def test_verify_input_takes_no_generation_flag(tmp_path, capsys):
+    assert run_cli(["datagen", "--n", "20", "--p", "5", "--out-dir", str(tmp_path)]) == 0
+    verify = ["verify", "--input", str(tmp_path / "problem.json"), "--levels", "0.1",
+              "--out-dir", str(tmp_path)]
+    # rejected even at its default value: the stored problem is what runs
+    for flag in (["--scenario", "sim1"], ["--n", "50"], ["--p", "20"], ["--rho", "0.1"],
+                 ["--snr", "3"], ["--lambda", "1e-3"], ["--seed", "0"]):
+        assert run_cli(verify + flag) == 2, flag
+        assert "--input" in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
+    assert run_cli(verify) == 0
 
 
 def test_verify_reports(tmp_path, capsys):

@@ -445,6 +445,8 @@ def test_hs_config_validation_and_from_dict():
         HSConfig.from_dict({"no_such_key": 1})
     with pytest.raises(ValueError, match="wrong type"):
         HSConfig.from_dict({"h": "0.1"})
+    with pytest.raises(ValueError, match="finite"):
+        HSConfig.from_json('{"t0": Infinity}')
     cfg = HSConfig.from_json('{"t0": 2.5, "h": 0.05, "inner_fixed_count": 9}')
     assert cfg.t0 == 2.5 and cfg.inner_fixed_count == 9
 

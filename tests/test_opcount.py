@@ -1,76 +1,23 @@
+from dataclasses import astuple
+
 import numpy as np
-import pytest
 
 from helpers import make_problem
 from hslasso.baselines import BaselineConfig, ista_solve
-from hslasso.opcount import (
-    OpCounter,
-    charge_axpy,
-    charge_matvec,
-    charge_scalar,
-    charge_setup,
-    charge_soft_threshold,
-    snapshot,
-)
+from hslasso.opcount import OpCounter
 from hslasso.problem import reference_minimum
-
-
-def test_matvec_convention():
-    c = OpCounter()
-    charge_matvec(c, 20, 20)
-    assert c.total() == 20 * (2 * 20 - 1)
-
-    c = OpCounter()
-    charge_matvec(c, 7, 1)  # pure scaling
-    assert c.total() == 7 and c.adds == 0
-
-    c = OpCounter()
-    charge_matvec(c, 1, 9)  # inner product
-    assert c.total() == 2 * 9 - 1
-
-
-def test_matvec_rejects_degenerate_shapes():
-    with pytest.raises(ValueError):
-        charge_matvec(OpCounter(), 0, 3)
-
-
-def test_axpy_and_scalars():
-    c = OpCounter()
-    charge_axpy(c, 0)
-    assert c.total() == 0
-    charge_axpy(c, 5)
-    assert c.mults == 5 and c.adds == 5
-    charge_scalar(c, "transcendental")
-    charge_scalar(c, "comparison")
-    assert c.transcendentals == 1 and c.comparisons == 1
-    with pytest.raises(ValueError):
-        charge_scalar(c, "bogus")
-
-
-def test_soft_threshold_charge():
-    c = OpCounter()
-    charge_soft_threshold(c, 4)
-    assert c.comparisons == 8 and c.adds == 4
 
 
 def test_setup_excluded_from_total():
     c = OpCounter()
-    charge_setup(c, 1000)
-    charge_axpy(c, 3)
+    c.setup_ops += 1000
+    c.mults += 3
+    c.adds += 3
     assert c.setup_ops == 1000
     assert c.total() == 6
-    snap = snapshot(c)
-    assert snap.total() == 6 and snap.setup_ops == 1000
-
-
-def test_snapshot_is_immutable_copy():
-    c = OpCounter()
-    charge_axpy(c, 2)
-    snap = c.snapshot()
-    charge_axpy(c, 2)
-    assert snap.total() == 4 and c.total() == 8
-    with pytest.raises(Exception):
-        snap.mults = 99
+    c.transcendentals += 1
+    c.comparisons += 1
+    assert c.total() == 8 and astuple(c) == (3, 3, 1, 1, 1000)
 
 
 def test_counters_never_decrease_across_solver_run():
@@ -93,10 +40,10 @@ def test_ista_iteration_charge_constant_and_deterministic():
 
     tr1, c1 = run()
     tr2, c2 = run()
-    assert c1.snapshot() == c2.snapshot()  # determinism
+    assert astuple(c1) == astuple(c2)  # determinism
     deltas = np.diff(tr1.ops())
     assert len(set(deltas.tolist())) == 1  # constant per-iteration cost
-    # snapshot-delta ~ p(2p-1) + O(p)
+    # per-iterate delta ~ p(2p-1) + O(p)
     p = 20
     assert p * (2 * p - 1) <= deltas[0] <= p * (2 * p - 1) + 10 * p
 
