@@ -32,8 +32,10 @@ from .trace import SolverTrace
 METHODS = ("ista", "fista", "cd", "sl")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BaselineConfig:
+    """Settings of one flat solve, checked when built."""
+
     method: str
     beta0: np.ndarray
     epsilon: float
@@ -41,7 +43,7 @@ class BaselineConfig:
     ref: ReferenceSolution
     sl_alpha: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
         if not self.epsilon > 0:
@@ -132,9 +134,8 @@ def _fista_step(problem, L, thr, state, counter):
     return beta_new, point, momentum_new
 
 
-def _prox_grad_setup(problem, config, counter):
+def _prox_grad_setup(problem, counter):
     """Step size L, threshold lambda/L (one mult) and the counter to charge."""
-    config.validate()
     L = problem.eig_max
     if not L > 0:
         raise ValueError("gram matrix has no positive eigenvalue; step size undefined")
@@ -145,14 +146,14 @@ def _prox_grad_setup(problem, config, counter):
 
 def ista_solve(problem: LassoProblem, config: BaselineConfig,
                counter: OpCounter | None = None) -> SolverTrace:
-    L, thr, counter = _prox_grad_setup(problem, config, counter)
+    L, thr, counter = _prox_grad_setup(problem, counter)
     return _run_flat(problem, config, {"method": "ista", "L": L}, counter, lambda b: (b,),
                      lambda s: (_prox_grad_step(problem, s[0], L, thr, counter),))
 
 
 def fista_solve(problem: LassoProblem, config: BaselineConfig,
                 counter: OpCounter | None = None) -> SolverTrace:
-    L, thr, counter = _prox_grad_setup(problem, config, counter)
+    L, thr, counter = _prox_grad_setup(problem, counter)
     # the extrapolated point starts at beta, so the first step has zero momentum
     return _run_flat(problem, config, {"method": "fista", "L": L}, counter,
                      lambda b: (b, b.copy(), 1.0),
@@ -195,7 +196,6 @@ def _cd_data(problem):
 def cd_solve(problem: LassoProblem, config: BaselineConfig,
              counter: OpCounter | None = None) -> SolverTrace:
     """Cyclic coordinate descent, ascending order, one trace row per sweep."""
-    config.validate()
     counter = counter if counter is not None else OpCounter()
     p = problem.p
     xtx, xty_raw, diag, thresh = _cd_data(problem)
@@ -252,7 +252,6 @@ def sl_solve(problem: LassoProblem, config: BaselineConfig,
              counter: OpCounter | None = None) -> SolverTrace:
     """Momentum descent on the smoothed objective with fixed step
     1 / (sigma_max^2(X/sqrt(n)) + lambda*alpha/2)."""
-    config.validate()
     alpha = config.sl_alpha
     counter = counter if counter is not None else OpCounter()
     step = 1.0 / (problem.eig_max + problem.lam * alpha / 2.0)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import baselines, diagnostics
 from .datagen import SyntheticSpec, generate
-from .homotopy import HSConfig, hs_solve
+from .homotopy import INNER_STOP_MODES, OUTER_STOP_MODES, HSConfig, hs_solve
 from .opcount import OpCounter
 from .problem import (
     LassoProblem,
@@ -39,13 +39,15 @@ REF_TOL = 1e-10
 SIM_PATTERNS = {"sim1": "dense-exp", "sim2": "sparse-exp"}
 SIM_BETA0 = {"sim1": 1.0, "sim2": 0.1}  # flat starting values of the flat methods
 GEN_DEFAULTS = dict(scenario="sim1", n=50, p=20, rho=0.1, snr=3.0, lam=1e-3, seed=0)
+SL_ALPHA = 100.0
 
 OPS_CSV_HEADER = "sim,n,p,method,ops_total,ops_setup,ops_mult,ops_add,ops_trans,ops_cmp"
 
 
-@dataclass
+@dataclass(frozen=True)
 class BenchmarkGrid:
-    """Benchmark configuration: scenarios, precision targets, methods."""
+    """Benchmark configuration: scenarios, precision targets, methods;
+    checked when built."""
 
     sims: tuple = ("sim1", "sim2")
     scenarios: tuple = DEFAULT_SCENARIOS
@@ -53,16 +55,18 @@ class BenchmarkGrid:
     methods: tuple = DEFAULT_METHODS
     seed: int = 0
     lam: float = 1e-3
-    rho: float = 0.1
-    snr: float = 3.0
     hs_t0: float = 3.0
-    hs_h: float = 0.1
-    hs_tau: float = 1e-4
     hs_inner_fixed: int = 50
-    hs_max_outer: int = 1000
-    hs_max_inner: int = 100000
     max_iters: int = 200000
-    sl_alpha: float = 100.0
+
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def hs_config(self) -> HSConfig:
+        """The bench protocol's HS config: fixed-count inner loop, oracle outer
+        stop, and HSConfig's own h, tau and max_outer."""
+        return HSConfig(t0=self.hs_t0, inner_stop="fixed", inner_fixed_count=self.hs_inner_fixed,
+                        outer_stop="oracle")
 
     def validate(self) -> None:
         if not self.methods:
@@ -78,10 +82,11 @@ class BenchmarkGrid:
             if s not in SIM_PATTERNS:
                 raise ValueError(f"unknown simulation {s!r}")
         eps = list(self.epsilons)
-        if not eps or any(e <= 0 for e in eps):
-            raise ValueError("epsilons must be positive")
+        if not eps or not all(0 < e < math.inf for e in eps):
+            raise ValueError("epsilons must be positive and finite")
         if eps != sorted(set(eps), reverse=True):
             raise ValueError("epsilons must be strictly descending")
+        self.hs_config()
 
 
 def _load_problem(path: str) -> LassoProblem:
@@ -101,9 +106,7 @@ def _fmt_sig(x: float, digits: int = 12) -> str:
 
 def _synthetic_spec(args, sparsity=None) -> SyntheticSpec:
     return SyntheticSpec(n=args.n, p=args.p, rho=args.rho, snr=args.snr,
-                         pattern=SIM_PATTERNS[args.scenario],
-                         sparsity=min(10, args.p) if sparsity is None else sparsity,
-                         seed=args.seed)
+                         pattern=SIM_PATTERNS[args.scenario], sparsity=sparsity, seed=args.seed)
 
 
 def cmd_datagen(args) -> int:
@@ -160,13 +163,14 @@ def _hs_config(args) -> HSConfig:
     t0 = None if args.t0 == "auto" else float(args.t0)
     return HSConfig(t0=t0, h=args.h, B=args.bound, tau=args.tau, inner_stop=args.inner_stop,
                     inner_fixed_count=args.inner_fixed, inner_grad_tol=args.inner_grad_tol,
-                    outer_stop=args.outer_stop, max_outer=args.max_outer, max_inner=args.max_inner)
+                    outer_stop=args.outer_stop, max_outer=args.max_outer)
 
 
 def cmd_solve(args) -> int:
+    hs = _hs_config(args)
     problem = _load_problem(args.input)
     ref = reference_minimum(problem, args.ref_tol)
-    trace, counter = _solve_cell(problem, args.method, ref, args.epsilon, _hs_config(args),
+    trace, counter = _solve_cell(problem, args.method, ref, args.epsilon, hs,
                                  _beta0_vector(problem, args.beta0), args.max_iters,
                                  args.sl_alpha)
     out = Path(args.out_dir)
@@ -202,10 +206,8 @@ def grid_from_args(args) -> BenchmarkGrid:
     epsilons = tuple(sorted({float(e) for e in args.epsilons}, reverse=True))
     return BenchmarkGrid(
         sims=sims, scenarios=scenarios, epsilons=epsilons, methods=methods,
-        seed=args.seed, lam=args.lam,
-        hs_t0=args.t0, hs_h=args.h, hs_tau=args.tau, hs_inner_fixed=args.inner_fixed,
-        hs_max_outer=args.max_outer, hs_max_inner=args.max_inner,
-        max_iters=args.max_iters, sl_alpha=args.sl_alpha,
+        seed=args.seed, lam=args.lam, hs_t0=args.t0, hs_inner_fixed=args.inner_fixed,
+        max_iters=args.max_iters,
     )
 
 
@@ -215,12 +217,9 @@ def run_bench(grid: BenchmarkGrid) -> tuple[str, str, str, dict]:
     One run per (simulation, scenario, method) to the tightest precision;
     the looser thresholds are read off the same trace.
     """
-    grid.validate()
     epsilons = list(grid.epsilons)
     tightest = min(epsilons)
-    hs = HSConfig(t0=grid.hs_t0, h=grid.hs_h, tau=grid.hs_tau, inner_stop="fixed",
-                  inner_fixed_count=grid.hs_inner_fixed, outer_stop="oracle",
-                  max_outer=grid.hs_max_outer, max_inner=grid.hs_max_inner)
+    hs = grid.hs_config()
 
     eps_headers = ",".join(f"eps_{e!r}" for e in epsilons)
     table_lines = [f"sim,n,p,method,{eps_headers}"]
@@ -232,13 +231,13 @@ def run_bench(grid: BenchmarkGrid) -> tuple[str, str, str, dict]:
         "scenarios": [list(s) for s in grid.scenarios],
         "sims": list(grid.sims),
         "seed": grid.seed,
-        "rho": grid.rho,
-        "snr": grid.snr,
+        "rho": GEN_DEFAULTS["rho"],
+        "snr": GEN_DEFAULTS["snr"],
         "lambda": grid.lam,
         "ref_tol": REF_TOL,
-        "hs": {"t0": grid.hs_t0, "h": grid.hs_h, "inner_stop": "fixed",
-               "inner_fixed": grid.hs_inner_fixed, "tau": grid.hs_tau},
-        "sl_alpha": grid.sl_alpha,
+        "hs": {"t0": hs.t0, "h": hs.h, "inner_stop": hs.inner_stop,
+               "inner_fixed": hs.inner_fixed_count, "tau": hs.tau},
+        "sl_alpha": SL_ALPHA,
         "max_iters": grid.max_iters,
         "seed_rule": "problem seed = seed + 1000*sim_index + scenario_index",
         "cells": {},
@@ -247,15 +246,14 @@ def run_bench(grid: BenchmarkGrid) -> tuple[str, str, str, dict]:
     for sim_idx, sim in enumerate(grid.sims, start=1):
         for scen_idx, (n, p) in enumerate(grid.scenarios):
             seed = grid.seed + 1000 * sim_idx + scen_idx
-            spec = SyntheticSpec(n=n, p=p, rho=grid.rho, snr=grid.snr,
-                                 pattern=SIM_PATTERNS[sim],
-                                 sparsity=min(10, p), seed=seed)
+            spec = SyntheticSpec(n=n, p=p, rho=GEN_DEFAULTS["rho"], snr=GEN_DEFAULTS["snr"],
+                                 pattern=SIM_PATTERNS[sim], seed=seed)
             problem = generate(spec, lam=grid.lam)
             ref = reference_minimum(problem, REF_TOL)
             for method in grid.methods:
                 trace, counter = _solve_cell(problem, method, ref, tightest, hs,
                                              SIM_BETA0[sim] * np.ones(p), grid.max_iters,
-                                             grid.sl_alpha)
+                                             SL_ALPHA)
                 cells = _bench_cells(trace, ref.f_min, epsilons)
                 table_lines.append(f"{sim},{n},{p},{method}," + ",".join(cells))
                 for eps, cell in zip(epsilons, cells):
@@ -373,16 +371,6 @@ def _add_gen_params(parser):
     parser.add_argument("--seed", type=int)
 
 
-def _add_solver_params(parser):
-    parser.add_argument("--max-iters", type=int, default=200000)
-    parser.add_argument("--sl-alpha", type=float, default=100.0)
-    parser.add_argument("--h", type=float, default=0.1)
-    parser.add_argument("--tau", type=float, default=1e-4)
-    parser.add_argument("--inner-fixed", type=int, default=50)
-    parser.add_argument("--max-outer", type=int, default=1000)
-    parser.add_argument("--max-inner", type=int, default=100000)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hslasso",
                                      description="Lasso solvers with operation-count benchmarking")
@@ -404,13 +392,16 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--hs-config", default=None,
                     help="JSON file with homotopy settings (overrides hs flags)")
     ps.add_argument("--t0", default="auto", help="starting level or 'auto'")
-    ps.add_argument("--bound", type=float, default=None, help="iterate bound B")
-    ps.add_argument("--inner-stop", choices=("fixed", "theoretical", "gradient"),
-                    default="fixed")
-    ps.add_argument("--inner-grad-tol", type=float, default=1e-8)
-    ps.add_argument("--outer-stop", choices=("oracle", "theoretical-count", "t-floor"),
-                    default="oracle")
-    _add_solver_params(ps)
+    ps.add_argument("--h", type=float, default=HSConfig.h)
+    ps.add_argument("--bound", type=float, default=HSConfig.B, help="iterate bound B")
+    ps.add_argument("--tau", type=float, default=HSConfig.tau)
+    ps.add_argument("--inner-stop", choices=INNER_STOP_MODES, default=HSConfig.inner_stop)
+    ps.add_argument("--inner-fixed", type=int, default=HSConfig.inner_fixed_count)
+    ps.add_argument("--inner-grad-tol", type=float, default=HSConfig.inner_grad_tol)
+    ps.add_argument("--outer-stop", choices=OUTER_STOP_MODES, default=HSConfig.outer_stop)
+    ps.add_argument("--max-outer", type=int, default=HSConfig.max_outer)
+    ps.add_argument("--max-iters", type=int, default=BenchmarkGrid.max_iters)
+    ps.add_argument("--sl-alpha", type=float, default=SL_ALPHA)
     ps.set_defaults(func=cmd_solve)
 
     # the bench protocol: fixed-count inner loop, oracle outer stop
@@ -421,11 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--p", type=int, default=None)
     pb.add_argument("--methods", default=",".join(DEFAULT_METHODS))
     pb.add_argument("--epsilons", type=float, nargs="+", default=list(DEFAULT_EPSILONS))
-    pb.add_argument("--lambda", dest="lam", type=float, default=1e-3)
-    pb.add_argument("--seed", type=int, default=0)
-    pb.add_argument("--t0", type=float, default=3.0)
+    pb.add_argument("--lambda", dest="lam", type=float, default=BenchmarkGrid.lam)
+    pb.add_argument("--seed", type=int, default=BenchmarkGrid.seed)
+    pb.add_argument("--t0", type=float, default=BenchmarkGrid.hs_t0)
+    pb.add_argument("--inner-fixed", type=int, default=BenchmarkGrid.hs_inner_fixed)
+    pb.add_argument("--max-iters", type=int, default=BenchmarkGrid.max_iters)
     pb.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_solver_params(pb)
     pb.set_defaults(func=cmd_bench)
 
     pv = sub.add_parser("verify", help="closeness diagnostics on an instance")
@@ -437,6 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_verify)
     for sp in (pg, ps, pb, pv):
         sp.add_argument("--out-dir", default="out")
+        sp.allow_abbrev = False  # an unknown "--h 0.2" is not "--help"; no prefix is a flag
     return parser
 
 

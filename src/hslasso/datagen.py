@@ -36,12 +36,14 @@ class SyntheticSpec:
     rho: float
     snr: float = 3.0
     pattern: str = "dense-exp"
-    sparsity: int = 10
+    sparsity: int | None = None  # nonzero coefficients of sparse-exp; None: min(10, p)
     seed: int = 0
 
     def __post_init__(self):
         if self.n < 1 or self.p < 1:
             raise ValueError("need n >= 1 and p >= 1")
+        if self.sparsity is None:
+            object.__setattr__(self, "sparsity", min(10, self.p))
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
         if not self.snr > 0:

@@ -17,7 +17,7 @@ shift conventions are recorded in the trace metadata.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -37,11 +37,13 @@ INIT_SHIFT = "2*lambda*log1p(t0)^2/(3*t0^3)"
 # Newton iteration cap of the theoretical stop's oracle (a few hundred at most
 # from zero on p > n designs down to t = 1e-4; warm starts need far fewer).
 AUX_NEWTON_MAX_ITERS = 1000
+# Safety cap on the AGD steps of one level; the bench's fixed-count loop takes 50.
+MAX_INNER_STEPS = 100_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class HSConfig:
-    """Tunables of the homotopy solver.
+    """Tunables of the homotopy solver, checked when built.
 
     ``t0=None`` resolves the starting level with :func:`find_t0`;
     ``B=None`` defaults to 10x the largest entry magnitude of the initial
@@ -59,9 +61,8 @@ class HSConfig:
     outer_stop: str = "oracle"
     outer_ref: ReferenceSolution | None = None
     max_outer: int = 1000
-    max_inner: int = 100000
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 < self.h < 1.0:
             raise ValueError("h must lie strictly in (0, 1)")
         if not self.epsilon > 0:
@@ -80,23 +81,22 @@ class HSConfig:
             raise ValueError("inner_fixed_count must be >= 1")
         if not self.inner_grad_tol > 0:
             raise ValueError("inner_grad_tol must be positive")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError("iteration caps must be >= 1")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be >= 1")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "HSConfig":
-        cfg = cls()
-        for key, value in doc.items():
-            if not hasattr(cfg, key):
-                raise ValueError(f"unknown config key {key!r}")
-            if key == "t0" and value == "auto":
-                value = None
-            setattr(cfg, key, value)
+        if not isinstance(doc, dict):
+            raise ValueError("an HS config must be a JSON object")
+        unknown = doc.keys() - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown config key {sorted(unknown)[0]!r}")
+        if doc.get("t0") == "auto":
+            doc = {**doc, "t0": None}
         try:
-            cfg.validate()
+            return cls(**doc)
         except TypeError as exc:  # e.g. "h": "0.1", a string where a number belongs
             raise ValueError(f"config value of the wrong type: {exc}") from exc
-        return cfg
 
     @classmethod
     def from_json(cls, text: str) -> "HSConfig":
@@ -382,7 +382,7 @@ def _inner_solve_full(problem: LassoProblem, t_k: float, beta_init: np.ndarray,
                                               gap_target=eps_k * 1e-3)
         stop = lambda state, k: surrogate_value(problem, spec, state.beta_bar) - fmin_k <= eps_k
 
-    state, steps, stopped = iterate(state, step, stop, config.max_inner)
+    state, steps, stopped = iterate(state, step, stop, MAX_INNER_STEPS)
     return _InnerResult(beta=state.beta_bar, steps=steps, cap_hit=not stopped, max_abs=max_abs)
 
 
@@ -404,7 +404,6 @@ def hs_solve(problem: LassoProblem, config: HSConfig,
     additionally stops as soon as the objective gap against the reference
     drops to config.epsilon.
     """
-    config.validate()
     if config.outer_stop == "oracle" and config.outer_ref is None:
         raise ValueError("oracle outer stop requires config.outer_ref")
     if counter is None:

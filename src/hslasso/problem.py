@@ -245,14 +245,19 @@ def problem_to_json(problem: LassoProblem) -> str:
 
 def problem_from_json(text: str) -> LassoProblem:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("a problem document must be a JSON object")
     missing = {"n", "p", "lambda", "y", "X"} - doc.keys()
     if missing:
         raise ValueError(f"problem document missing keys: {sorted(missing)}")
-    X = np.asarray(doc["X"], dtype=float)
-    y = np.asarray(doc["y"], dtype=float)
-    if X.shape != (doc["n"], doc["p"]):
-        raise ValueError("X dimensions disagree with the declared n, p")
-    return LassoProblem(y=y, X=X, lam=doc["lambda"])
+    try:
+        X = np.asarray(doc["X"], dtype=float)
+        y = np.asarray(doc["y"], dtype=float)
+        if X.shape != (doc["n"], doc["p"]):
+            raise ValueError("X dimensions disagree with the declared n, p")
+        return LassoProblem(y=y, X=X, lam=doc["lambda"])
+    except TypeError as exc:  # e.g. "lambda": "0.1" or "y": {...}
+        raise ValueError(f"problem value of the wrong type: {exc}") from exc
 
 
 def save_problem_json(problem: LassoProblem, path) -> None:

@@ -67,16 +67,16 @@ def test_validation():
     pr = make_problem(0)
     ref = reference_minimum(pr, 1e-10)
     with pytest.raises(ValueError):
-        _cfg("nope", pr, ref).validate()
+        _cfg("nope", pr, ref)
     with pytest.raises(ValueError):
-        _cfg("sl", pr, ref).validate()  # missing alpha
+        _cfg("sl", pr, ref)  # missing alpha
     with pytest.raises(ValueError):
-        _cfg("ista", pr, ref, alpha=3.0).validate()  # stray alpha
+        _cfg("ista", pr, ref, alpha=3.0)  # stray alpha
     for bad in (np.nan, np.inf):
         beta0 = np.ones(pr.p)
         beta0[1] = bad
         with pytest.raises(ValueError, match="beta0 must be finite"):
-            _cfg("fista", pr, ref, beta0=beta0).validate()
+            _cfg("fista", pr, ref, beta0=beta0)
 
 
 def test_ista_stops_immediately_at_reference():

@@ -31,16 +31,22 @@ def test_usage_error_exit_code(tmp_path):
                ["bench", "--inner-grad-tol", "1e-6"], ["bench", "--outer-stop", "t-floor"],
                ["bench", "--t0", "auto"], ["datagen", "--pattern", "sparse-exp"],
                ["datagen", "--format", "csv"], solve + ["--format", "csv"],
-               solve + ["--seed", "1"], ["verify", "--format", "json"]]
+               solve + ["--seed", "1"], ["verify", "--format", "json"],
+               # one bench protocol and one inner-step cap: these knobs are constants
+               ["bench", "--h", "0.2"], ["bench", "--tau", "1e-3"], ["bench", "--max-outer", "5"],
+               ["bench", "--max-inner", "5"], ["bench", "--sl-alpha", "10"],
+               solve + ["--max-inner", "5"]]
     for argv in removed:
         with pytest.raises(SystemExit) as exc:
             run_cli(argv)
         assert exc.value.code == 2, argv
     # a starting level must be finite: inf gave a NaN trace (solve) and
-    # empty hs cells (bench)
+    # empty hs cells (bench); it is rejected even where no hs cell runs
     assert run_cli(["datagen", "--n", "20", "--p", "5", "--out-dir", str(tmp_path)]) == 0
-    infinite = [["solve", "--method", "hs", "--input", str(tmp_path / "problem.json")],
-                ["bench", "--sim", "sim1", "--n", "20", "--p", "5", "--methods", "hs"]]
+    infinite = [["solve", "--method", method, "--input", str(tmp_path / "problem.json")]
+                for method in ("hs", "ista")]
+    infinite += [["bench", "--sim", "sim1", "--n", "20", "--p", "5", "--methods", method]
+                 for method in ("hs", "ista")]
     for argv in infinite:
         assert run_cli(argv + ["--t0", "inf", "--out-dir", str(tmp_path / "out")]) == 2, argv
 
@@ -49,12 +55,11 @@ FLAG_SURFACE = {
     "datagen": ["--lambda", "--n", "--name", "--out-dir", "--p", "--rho", "--scenario",
                 "--seed", "--snr", "--sparsity"],
     "solve": ["--beta0", "--bound", "--epsilon", "--h", "--hs-config", "--inner-fixed",
-              "--inner-grad-tol", "--inner-stop", "--input", "--max-inner", "--max-iters",
-              "--max-outer", "--method", "--out-dir", "--outer-stop", "--ref-tol",
-              "--sl-alpha", "--t0", "--tau"],
-    "bench": ["--epsilons", "--format", "--h", "--inner-fixed", "--lambda", "--max-inner",
-              "--max-iters", "--max-outer", "--methods", "--n", "--out-dir", "--p",
-              "--scenario", "--seed", "--sim", "--sl-alpha", "--t0", "--tau"],
+              "--inner-grad-tol", "--inner-stop", "--input", "--max-iters", "--max-outer",
+              "--method", "--out-dir", "--outer-stop", "--ref-tol", "--sl-alpha", "--t0",
+              "--tau"],
+    "bench": ["--epsilons", "--format", "--inner-fixed", "--lambda", "--max-iters",
+              "--methods", "--n", "--out-dir", "--p", "--scenario", "--seed", "--sim", "--t0"],
     "verify": ["--input", "--lambda", "--levels", "--n", "--out-dir", "--p", "--ref-tol",
                "--rho", "--scenario", "--seed", "--snr"],
 }
@@ -139,6 +144,29 @@ def test_malformed_problem_json_is_usage_error(tmp_path):
     rc = run_cli(["solve", "--method", "ista", "--input", str(bad),
                   "--out-dir", str(tmp_path)])
     assert rc == 2
+
+
+PROBLEM_2x1 = '"n": 2, "p": 1, "X": [[1.0], [2.0]]'
+
+
+@pytest.mark.parametrize("flag,text", [
+    ("--input", "[]"),
+    ("--input", '{%s, "lambda": "0.1", "y": [1.0, 2.0]}' % PROBLEM_2x1),
+    ("--input", '{%s, "lambda": null, "y": [1.0, 2.0]}' % PROBLEM_2x1),
+    ("--input", '{%s, "lambda": 0.1, "y": {"a": 1}}' % PROBLEM_2x1),
+    ("--hs-config", "[]"),
+], ids=["problem-array", "lambda-string", "lambda-null", "y-object", "hs-config-array"])
+def test_wrongly_shaped_json_is_usage_error(tmp_path, capsys, flag, text):
+    # each was a traceback (exit 1) from an AttributeError or TypeError
+    files = {"--input": '{%s, "lambda": 0.1, "y": [1.0, 2.0]}' % PROBLEM_2x1,
+             "--hs-config": "{}", flag: text}
+    argv = ["solve", "--method", "hs", "--out-dir", str(tmp_path)]
+    for key, content in files.items():
+        path = tmp_path / f"{key[2:]}.json"
+        path.write_text(content)
+        argv += [key, str(path)]
+    assert run_cli(argv) == 2
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_non_finite_problem_json_is_usage_error(tmp_path):
@@ -348,24 +376,30 @@ def test_bench_unreached_thresholds_leave_cells_empty(tmp_path):
     assert not next(iter(meta["cells"].values()))["converged"]
 
 
-def test_benchmark_grid_validation():
-    from hslasso.cli import BenchmarkGrid
-
+def test_benchmark_grid_validation(tmp_path):
     BenchmarkGrid().validate()
     with pytest.raises(ValueError):
-        BenchmarkGrid(methods=()).validate()
+        BenchmarkGrid(methods=())
     with pytest.raises(ValueError):
-        BenchmarkGrid(methods=("ista", "nope")).validate()
+        BenchmarkGrid(methods=("ista", "nope"))
     with pytest.raises(ValueError):
-        BenchmarkGrid(epsilons=(0.01, 0.05)).validate()  # not descending
+        BenchmarkGrid(epsilons=(0.01, 0.05))  # not descending
     with pytest.raises(ValueError):
-        BenchmarkGrid(epsilons=(0.05, -0.01)).validate()
+        BenchmarkGrid(epsilons=(0.05, -0.01))
+    # a NaN precision wrote an eps_nan column that no run can fill
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            BenchmarkGrid(epsilons=(0.05, bad))
+        assert run_cli(["bench", "--epsilons", "0.05", str(bad), "--out-dir", str(tmp_path)]) == 2
     with pytest.raises(ValueError, match="methods"):
-        BenchmarkGrid(methods=("ista", "hs", "ista")).validate()
+        BenchmarkGrid(methods=("ista", "hs", "ista"))
     with pytest.raises(ValueError, match="scenarios"):
-        BenchmarkGrid(scenarios=((20, 5), (30, 5), (20, 5))).validate()
+        BenchmarkGrid(scenarios=((20, 5), (30, 5), (20, 5)))
     with pytest.raises(ValueError, match="sims"):
-        BenchmarkGrid(sims=("sim1", "sim1")).validate()
+        BenchmarkGrid(sims=("sim1", "sim1"))
+    with pytest.raises(ValueError, match="t0"):
+        BenchmarkGrid(hs_t0=float("inf"))
+    assert not (tmp_path / "bench_table.csv").exists()
 
 
 def test_bench_json_format(tmp_path):

@@ -23,6 +23,11 @@ def test_spec_validation():
         SyntheticSpec(n=5, p=3, rho=0.1, pattern="sparse-exp", sparsity=4)
 
 
+def test_sparse_pattern_defaults_to_at_most_ten_nonzeros():
+    assert SyntheticSpec(n=20, p=5, rho=0.1, pattern="sparse-exp").sparsity == 5
+    assert SyntheticSpec(n=20, p=25, rho=0.1, pattern="sparse-exp").sparsity == 10
+
+
 def test_beta_pattern_dense():
     spec = SyntheticSpec(n=5, p=25, rho=0.1)
     beta = beta_pattern(spec)

@@ -380,7 +380,8 @@ def test_hs_warm_start_matches_manual_chain():
 def test_hs_violated_bound_flag():
     pr = sim1_problem()
     cfg = HSConfig(t0=3.0, h=0.1, outer_stop="t-floor", tau=1.0, B=1e-6)
-    tr = hs_solve(pr, cfg, OpCounter())
+    with pytest.warns(UserWarning, match="B below surrogate level t"):
+        tr = hs_solve(pr, cfg, OpCounter())
     assert tr.metadata["violated_bound"]
 
 
@@ -434,15 +435,16 @@ def test_hs_auto_t0_keeps_no_eigenvectors_on_the_problem():
 
 def test_hs_config_validation_and_from_dict():
     with pytest.raises(ValueError):
-        HSConfig(h=1.5).validate()
+        HSConfig(h=1.5)
     with pytest.raises(ValueError):
-        HSConfig(t0=1.0, tau=2.0).validate()
+        HSConfig(t0=1.0, tau=2.0)
     with pytest.raises(ValueError):
-        HSConfig(inner_stop="nope").validate()
+        HSConfig(inner_stop="nope")
     cfg = HSConfig.from_dict({"t0": "auto", "h": 0.2, "inner_stop": "gradient"})
     assert cfg.t0 is None and cfg.h == 0.2
-    with pytest.raises(ValueError):
-        HSConfig.from_dict({"no_such_key": 1})
+    for key in ("no_such_key", "max_inner"):  # max_inner is the constant MAX_INNER_STEPS
+        with pytest.raises(ValueError, match="unknown config key"):
+            HSConfig.from_dict({key: 1})
     with pytest.raises(ValueError, match="wrong type"):
         HSConfig.from_dict({"h": "0.1"})
     with pytest.raises(ValueError, match="finite"):

@@ -1,4 +1,8 @@
+import dataclasses
 import types
+
+import numpy as np
+import pytest
 
 import hslasso
 
@@ -23,3 +27,14 @@ def test_public_surface():
     names = sorted(name for name, value in vars(hslasso).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_SURFACE
+
+
+def test_configs_are_frozen():
+    # configs are checked when built, so none may change afterwards
+    configs = [hslasso.HSConfig(), hslasso.BenchmarkGrid(),
+               hslasso.BaselineConfig(method="ista", beta0=np.ones(2), epsilon=0.1,
+                                      max_iters=10, ref=None)]
+    for cfg in configs:
+        name = dataclasses.fields(cfg)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
