@@ -40,7 +40,7 @@ class BaselineConfig:
     beta0: np.ndarray
     epsilon: float
     max_iters: int
-    ref: ReferenceSolution
+    ref: ReferenceSolution | None  # None until the reference is computed
     sl_alpha: float | None = None
 
     def __post_init__(self) -> None:

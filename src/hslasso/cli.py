@@ -19,7 +19,7 @@ import numpy as np
 
 from . import baselines, diagnostics
 from .datagen import SyntheticSpec, generate
-from .homotopy import INNER_STOP_MODES, OUTER_STOP_MODES, HSConfig, hs_solve
+from .homotopy import HSConfig, hs_solve
 from .opcount import OpCounter
 from .problem import (
     LassoProblem,
@@ -141,38 +141,45 @@ def _beta0_vector(problem: LassoProblem, spec: str) -> np.ndarray:
         raise ValueError(f"unknown beta0 spec {spec!r}; use zeros, ones, or a number")
 
 
-def _solve_cell(problem, method, ref, epsilon, hs, beta0, max_iters, sl_alpha):
-    """One solver run to ``epsilon`` with its own counter: the path of both
-    ``solve`` and every ``bench`` cell.  ``hs`` is the homotopy config
-    before the precision and the reference are filled in."""
-    counter = OpCounter()
+def _cell_config(method, epsilon, hs, beta0, max_iters, sl_alpha):
+    """The checked config of one solver run to ``epsilon``, built before the
+    reference; ``hs`` is the homotopy config before its precision is set."""
     if method == "hs":
-        trace = hs_solve(problem, replace(hs, epsilon=epsilon, outer_ref=ref), counter)
+        return replace(hs, epsilon=epsilon)
+    return baselines.BaselineConfig(method=method, beta0=beta0, epsilon=epsilon,
+                                    max_iters=max_iters, ref=None,
+                                    sl_alpha=sl_alpha if method == "sl" else None)
+
+
+def _solve_cell(problem, cfg, ref):
+    """Run ``cfg`` against ``ref`` with its own counter: the path of both
+    ``solve`` and every ``bench`` cell."""
+    counter = OpCounter()
+    if isinstance(cfg, HSConfig):
+        trace = hs_solve(problem, replace(cfg, outer_ref=ref), counter)
     else:
-        cfg = baselines.BaselineConfig(method=method, beta0=beta0, epsilon=epsilon,
-                                       max_iters=max_iters, ref=ref,
-                                       sl_alpha=sl_alpha if method == "sl" else None)
-        trace = baselines.solve(problem, cfg, counter)
+        trace = baselines.solve(problem, replace(cfg, ref=ref), counter)
     return trace, counter
 
 
 def _hs_config(args) -> HSConfig:
-    if args.hs_config:
-        with open(args.hs_config) as fh:
-            return HSConfig.from_json(fh.read())
-    t0 = None if args.t0 == "auto" else float(args.t0)
-    return HSConfig(t0=t0, h=args.h, B=args.bound, tau=args.tau, inner_stop=args.inner_stop,
-                    inner_fixed_count=args.inner_fixed, inner_grad_tol=args.inner_grad_tol,
-                    outer_stop=args.outer_stop, max_outer=args.max_outer)
+    """The HS settings from the --hs-config file or the --t0/--h flags, never both."""
+    flags = {k: v for k, v in (("t0", args.t0), ("h", args.h)) if v is not None}
+    if not args.hs_config:
+        return HSConfig.from_dict(flags)
+    if flags:
+        raise ValueError("--hs-config sets t0 and h itself; give it or --t0/--h, not both")
+    with open(args.hs_config) as fh:
+        return HSConfig.from_dict(json.load(fh))
 
 
 def cmd_solve(args) -> int:
     hs = _hs_config(args)
     problem = _load_problem(args.input)
+    cfg = _cell_config(args.method, args.epsilon, hs, _beta0_vector(problem, args.beta0),
+                       args.max_iters, args.sl_alpha)
     ref = reference_minimum(problem, args.ref_tol)
-    trace, counter = _solve_cell(problem, args.method, ref, args.epsilon, hs,
-                                 _beta0_vector(problem, args.beta0), args.max_iters,
-                                 args.sl_alpha)
+    trace, counter = _solve_cell(problem, cfg, ref)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / f"trace_{args.method}.csv"
@@ -249,11 +256,11 @@ def run_bench(grid: BenchmarkGrid) -> tuple[str, str, str, dict]:
             spec = SyntheticSpec(n=n, p=p, rho=GEN_DEFAULTS["rho"], snr=GEN_DEFAULTS["snr"],
                                  pattern=SIM_PATTERNS[sim], seed=seed)
             problem = generate(spec, lam=grid.lam)
+            cfgs = [_cell_config(method, tightest, hs, SIM_BETA0[sim] * np.ones(p),
+                                 grid.max_iters, SL_ALPHA) for method in grid.methods]
             ref = reference_minimum(problem, REF_TOL)
-            for method in grid.methods:
-                trace, counter = _solve_cell(problem, method, ref, tightest, hs,
-                                             SIM_BETA0[sim] * np.ones(p), grid.max_iters,
-                                             SL_ALPHA)
+            for method, cfg in zip(grid.methods, cfgs):
+                trace, counter = _solve_cell(problem, cfg, ref)
                 cells = _bench_cells(trace, ref.f_min, epsilons)
                 table_lines.append(f"{sim},{n},{p},{method}," + ",".join(cells))
                 for eps, cell in zip(epsilons, cells):
@@ -389,17 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--epsilon", type=float, default=0.005)
     ps.add_argument("--beta0", default="ones", help="zeros | ones | a flat value")
     ps.add_argument("--ref-tol", type=float, default=REF_TOL)
-    ps.add_argument("--hs-config", default=None,
-                    help="JSON file with homotopy settings (overrides hs flags)")
-    ps.add_argument("--t0", default="auto", help="starting level or 'auto'")
-    ps.add_argument("--h", type=float, default=HSConfig.h)
-    ps.add_argument("--bound", type=float, default=HSConfig.B, help="iterate bound B")
-    ps.add_argument("--tau", type=float, default=HSConfig.tau)
-    ps.add_argument("--inner-stop", choices=INNER_STOP_MODES, default=HSConfig.inner_stop)
-    ps.add_argument("--inner-fixed", type=int, default=HSConfig.inner_fixed_count)
-    ps.add_argument("--inner-grad-tol", type=float, default=HSConfig.inner_grad_tol)
-    ps.add_argument("--outer-stop", choices=OUTER_STOP_MODES, default=HSConfig.outer_stop)
-    ps.add_argument("--max-outer", type=int, default=HSConfig.max_outer)
+    ps.add_argument("--hs-config", help="JSON file of HS settings; excludes --t0 and --h")
+    ps.add_argument("--t0", type=lambda s: s if s == "auto" else float(s), help="a level or auto")
+    ps.add_argument("--h", type=float, help="level shrink factor")
     ps.add_argument("--max-iters", type=int, default=BenchmarkGrid.max_iters)
     ps.add_argument("--sl-alpha", type=float, default=SL_ALPHA)
     ps.set_defaults(func=cmd_solve)

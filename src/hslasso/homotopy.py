@@ -10,8 +10,7 @@ The starting level t0 can be searched automatically: the search predicate
 solves the ridge system with shift lambda*log(1+t)^2/(3 t^3) and accepts
 t once the solution is bounded entrywise by t.  The initial iterate
 solves the ridge system with the stationarity shift of the smoothed
-objective on its quadratic branch, 2*lambda*log(1+t0)^2/(3 t0^3); both
-shift conventions are recorded in the trace metadata.
+objective on its quadratic branch, 2*lambda*log(1+t0)^2/(3 t0^3).
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ from .trace import SolverTrace
 
 INNER_STOP_MODES = ("fixed", "theoretical", "gradient")
 OUTER_STOP_MODES = ("oracle", "theoretical-count", "t-floor")
-
-T0_PREDICATE_SHIFT = "lambda*log1p(t)^2/(3*t^3)"
-INIT_SHIFT = "2*lambda*log1p(t0)^2/(3*t0^3)"
 
 # Newton iteration cap of the theoretical stop's oracle (a few hundred at most
 # from zero on p > n designs down to t = 1e-4; warm starts need far fewer).
@@ -86,11 +82,14 @@ class HSConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "HSConfig":
+        """Build from user settings; ``"t0": "auto"`` means None.  The run's
+        target, ``epsilon`` and ``outer_ref``, is the caller's to set."""
         if not isinstance(doc, dict):
             raise ValueError("an HS config must be a JSON object")
-        unknown = doc.keys() - {f.name for f in fields(cls)}
+        keys = {f.name for f in fields(cls)} - {"epsilon", "outer_ref"}
+        unknown = sorted(doc.keys() - keys)
         if unknown:
-            raise ValueError(f"unknown config key {sorted(unknown)[0]!r}")
+            raise ValueError(f"no config key {unknown[0]!r}; the keys are {sorted(keys)}")
         if doc.get("t0") == "auto":
             doc = {**doc, "t0": None}
         try:
@@ -415,7 +414,6 @@ def hs_solve(problem: LassoProblem, config: HSConfig,
     beta = initial_beta(problem, t0, counter)
     B = config.B if config.B is not None else default_iterate_bound(beta)
     max_abs = float(np.max(np.abs(beta)))
-    violated = bool(np.any(np.abs(beta) > B))
 
     planned = None
     if config.outer_stop == "theoretical-count":
@@ -423,21 +421,7 @@ def hs_solve(problem: LassoProblem, config: HSConfig,
                                         config.h, config.epsilon)
 
     trace = SolverTrace()
-    trace.metadata = {
-        "method": "hs",
-        "t0": t0,
-        "h": config.h,
-        "B": B,
-        "tau": config.tau,
-        "epsilon": config.epsilon,
-        "inner_stop": config.inner_stop,
-        "inner_fixed_count": config.inner_fixed_count,
-        "inner_grad_tol": config.inner_grad_tol,
-        "outer_stop": config.outer_stop,
-        "planned_outer": planned,
-        "init_shift": INIT_SHIFT,
-        "t0_predicate_shift": T0_PREDICATE_SHIFT,
-    }
+    trace.metadata = {"method": "hs", "t0": t0, "B": B, "planned_outer": planned}
     inner_caps = 0
 
     def append_row(t, inner_steps, beta):
@@ -450,13 +434,12 @@ def hs_solve(problem: LassoProblem, config: HSConfig,
         return config.outer_stop == "theoretical-count" and k >= planned
 
     def level(state):
-        nonlocal inner_caps, max_abs, violated
+        nonlocal inner_caps, max_abs
         t = state[1] * (1.0 - config.h)
         counter.mults += 1
         res = _inner_solve_full(problem, t, state[0], config, counter, B=B)
         inner_caps += int(res.cap_hit)
         max_abs = max(max_abs, res.max_abs)
-        violated = violated or res.max_abs > B
         append_row(t, res.steps, res.beta)
         return res.beta, t
 
@@ -470,7 +453,7 @@ def hs_solve(problem: LassoProblem, config: HSConfig,
     trace.metadata.update({
         "outer_iterations": k_done,
         "inner_cap_hits": inner_caps,
-        "violated_bound": violated,
+        "violated_bound": max_abs > B,
         "max_abs_iterate": max_abs,
     })
     return trace

@@ -35,7 +35,12 @@ def test_usage_error_exit_code(tmp_path):
                # one bench protocol and one inner-step cap: these knobs are constants
                ["bench", "--h", "0.2"], ["bench", "--tau", "1e-3"], ["bench", "--max-outer", "5"],
                ["bench", "--max-inner", "5"], ["bench", "--sl-alpha", "10"],
-               solve + ["--max-inner", "5"]]
+               solve + ["--max-inner", "5"],
+               # homotopy settings other than t0 and h are keys of the --hs-config file
+               solve + ["--bound", "5"], solve + ["--tau", "1e-3"],
+               solve + ["--inner-stop", "gradient"], solve + ["--inner-fixed", "9"],
+               solve + ["--inner-grad-tol", "1e-6"], solve + ["--outer-stop", "t-floor"],
+               solve + ["--max-outer", "5"]]
     for argv in removed:
         with pytest.raises(SystemExit) as exc:
             run_cli(argv)
@@ -54,10 +59,8 @@ def test_usage_error_exit_code(tmp_path):
 FLAG_SURFACE = {
     "datagen": ["--lambda", "--n", "--name", "--out-dir", "--p", "--rho", "--scenario",
                 "--seed", "--snr", "--sparsity"],
-    "solve": ["--beta0", "--bound", "--epsilon", "--h", "--hs-config", "--inner-fixed",
-              "--inner-grad-tol", "--inner-stop", "--input", "--max-iters", "--max-outer",
-              "--method", "--out-dir", "--outer-stop", "--ref-tol", "--sl-alpha", "--t0",
-              "--tau"],
+    "solve": ["--beta0", "--epsilon", "--h", "--hs-config", "--input", "--max-iters",
+              "--method", "--out-dir", "--ref-tol", "--sl-alpha", "--t0"],
     "bench": ["--epsilons", "--format", "--inner-fixed", "--lambda", "--max-iters",
               "--methods", "--n", "--out-dir", "--p", "--scenario", "--seed", "--sim", "--t0"],
     "verify": ["--input", "--lambda", "--levels", "--n", "--out-dir", "--p", "--ref-tol",
@@ -167,6 +170,47 @@ def test_wrongly_shaped_json_is_usage_error(tmp_path, capsys, flag, text):
         argv += [key, str(path)]
     assert run_cli(argv) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,config", [
+    (["--t0", "7"], {}),
+    (["--h", "0.5"], {"t0": 3.0}),
+    ([], {"epsilon": 1e-9}),
+    ([], {"outer_ref": 5}),
+], ids=["file-and-t0", "file-and-h", "file-epsilon", "file-outer-ref"])
+def test_hs_settings_have_one_source(tmp_path, capsys, flags, config):
+    # each value was silently dropped (exit 0): the flags beside a file,
+    # the file's epsilon under the --epsilon default, the file's outer_ref
+    assert run_cli(["datagen", "--n", "20", "--p", "5", "--out-dir", str(tmp_path)]) == 0
+    cfg = tmp_path / "hs.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(["solve", "--method", "hs", "--input", str(tmp_path / "problem.json"),
+                    "--hs-config", str(cfg), "--out-dir", str(tmp_path)] + flags) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "trace_hs.csv").exists()
+
+
+@pytest.mark.parametrize("method,flags", [
+    ("sl", ["--sl-alpha", "-1"]),
+    ("ista", ["--epsilon", "-1"]),
+    ("fista", ["--max-iters", "0"]),
+    ("cd", ["--beta0", "nan"]),
+    ("cd", ["--beta0", "foo"]),
+    ("hs", ["--epsilon", "0"]),
+], ids=["sl-alpha", "ista-epsilon", "fista-max-iters", "cd-beta0-nan", "cd-beta0-word",
+        "hs-epsilon"])
+def test_solve_checks_inputs_before_the_reference(tmp_path, monkeypatch, method, flags):
+    # each was rejected only after a full reference solve
+    import hslasso.cli as cli
+
+    assert run_cli(["datagen", "--n", "20", "--p", "5", "--out-dir", str(tmp_path)]) == 0
+
+    def no_reference(*args):
+        raise AssertionError("reference_minimum ran before the inputs were checked")
+
+    monkeypatch.setattr(cli, "reference_minimum", no_reference)
+    assert run_cli(["solve", "--method", method, "--input", str(tmp_path / "problem.json"),
+                    "--out-dir", str(tmp_path)] + flags) == 2
 
 
 def test_non_finite_problem_json_is_usage_error(tmp_path):

@@ -403,6 +403,9 @@ def test_hs_theoretical_count_mode_runs_planned_iterations():
     planned = outer_iteration_count(pr.lam, pr.p, 3.0, 10.0, 0.1, 0.5)
     assert tr.converged
     assert tr.metadata["outer_iterations"] == planned == tr.metadata["planned_outer"]
+    # what the run resolved, not an echo of its config
+    assert sorted(tr.metadata) == ["B", "inner_cap_hits", "max_abs_iterate", "method",
+                                   "outer_iterations", "planned_outer", "t0", "violated_bound"]
 
 
 def test_hs_oracle_mode_requires_reference():
@@ -440,10 +443,16 @@ def test_hs_config_validation_and_from_dict():
         HSConfig(t0=1.0, tau=2.0)
     with pytest.raises(ValueError):
         HSConfig(inner_stop="nope")
+    for bad in ({"epsilon": 0.0}, {"tau": 0.0}, {"B": -1.0}, {"outer_stop": "nope"},
+                {"inner_fixed_count": 0}, {"inner_grad_tol": 0.0}, {"max_outer": 0}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            HSConfig(**bad)
     cfg = HSConfig.from_dict({"t0": "auto", "h": 0.2, "inner_stop": "gradient"})
     assert cfg.t0 is None and cfg.h == 0.2
-    for key in ("no_such_key", "max_inner"):  # max_inner is the constant MAX_INNER_STEPS
-        with pytest.raises(ValueError, match="unknown config key"):
+    # max_inner is the constant MAX_INNER_STEPS; the precision and the
+    # reference are the caller's, not settings of a config file
+    for key in ("no_such_key", "max_inner", "epsilon", "outer_ref"):
+        with pytest.raises(ValueError, match=f"no config key '{key}'"):
             HSConfig.from_dict({key: 1})
     with pytest.raises(ValueError, match="wrong type"):
         HSConfig.from_dict({"h": "0.1"})
