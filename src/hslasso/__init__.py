@@ -46,7 +46,6 @@ from .problem import (
     save_problem_binary,
     save_problem_json,
     subgradient_residual,
-    surrogate_objective,
 )
 from .surrogate import (
     SmoothnessConstants,
@@ -54,6 +53,7 @@ from .surrogate import (
     condition_number_bound,
     smoothness_constants,
     surrogate_gap_bounds,
+    surrogate_value,
 )
 from .trace import SolverTrace, TraceRecord
 

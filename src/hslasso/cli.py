@@ -143,12 +143,13 @@ def _beta0_vector(problem: LassoProblem, spec: str) -> np.ndarray:
 
 def _cell_config(method, epsilon, hs, beta0, max_iters, sl_alpha):
     """The checked config of one solver run to ``epsilon``, built before the
-    reference; ``hs`` is the homotopy config before its precision is set."""
+    reference; ``hs`` is the homotopy config before its precision is set.
+    The flat settings are checked for every method, as ``sl`` reads them all."""
+    flat = baselines.BaselineConfig(method="sl", beta0=beta0, epsilon=epsilon,
+                                    max_iters=max_iters, ref=None, sl_alpha=sl_alpha)
     if method == "hs":
         return replace(hs, epsilon=epsilon)
-    return baselines.BaselineConfig(method=method, beta0=beta0, epsilon=epsilon,
-                                    max_iters=max_iters, ref=None,
-                                    sl_alpha=sl_alpha if method == "sl" else None)
+    return replace(flat, method=method, sl_alpha=sl_alpha if method == "sl" else None)
 
 
 def _solve_cell(problem, cfg, ref):

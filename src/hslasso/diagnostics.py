@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .homotopy import minimize_surrogate
 from .problem import LassoProblem
-from .surrogate import SurrogateSpec
+from .surrogate import SurrogateSpec, minimize_surrogate
 
 SVD_METHOD = "one-sided-jacobi"
 PINV_RCOND = 1e-12

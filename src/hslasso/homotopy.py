@@ -22,9 +22,9 @@ import numpy as np
 
 from .baselines import iterate
 from .opcount import OpCounter
-from .problem import (LassoProblem, NumericalFailure, ReferenceSolution, lasso_objective,
-                      surrogate_value)
-from .surrogate import SmoothnessConstants, SurrogateSpec, smoothness_constants
+from .problem import LassoProblem, NumericalFailure, ReferenceSolution, lasso_objective
+from .surrogate import (SmoothnessConstants, SurrogateSpec, minimize_surrogate,
+                        smoothness_constants, surrogate_grad, surrogate_value)
 from .trace import SolverTrace
 
 INNER_STOP_MODES = ("fixed", "theoretical", "gradient")
@@ -97,12 +97,6 @@ class HSConfig:
         except TypeError as exc:  # e.g. "h": "0.1", a string where a number belongs
             raise ValueError(f"config value of the wrong type: {exc}") from exc
 
-    @classmethod
-    def from_json(cls, text: str) -> "HSConfig":
-        import json
-
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class AGDState:
@@ -170,76 +164,6 @@ def agd_step(state: AGDState, grad, counter: OpCounter | None = None) -> AGDStat
     return replace(state, beta=beta_new, beta_bar=beta_bar_new)
 
 
-def surrogate_grad(problem: LassoProblem, spec: SurrogateSpec, beta: np.ndarray,
-                   counter: OpCounter | None = None) -> np.ndarray:
-    """Gradient of the smoothed objective, charged at matvec + O(p): the
-    p x p matvec, the -xty shift (p adds), the penalty derivative (1 branch
-    comparison, ~3 mults and 1 add per entry), the lambda scale and the sum."""
-    p = problem.p
-    g = problem.gram @ beta - problem.xty
-    g = g + problem.lam * spec.grad(beta)
-    if counter is not None:
-        counter.mults += p * p + 4 * p
-        counter.adds += p * (p - 1) + 3 * p
-        counter.comparisons += p
-    return g
-
-
-def minimize_surrogate(problem: LassoProblem, spec: SurrogateSpec, beta_init: np.ndarray,
-                       grad_tol: float, max_iters: int) -> tuple[np.ndarray, float]:
-    """Damped Newton minimizer of the smoothed objective; never charges a
-    counter (oracle and diagnostic use only).
-
-    F_t is C^2 and strictly convex: its Hessian gram + diag(lam*hess_diag)
-    is positive definite because hess_diag > 0.  Each iteration solves for
-    the Newton direction d and halves the step s until the Armijo test
-    F(b + s d) <= F(b) + 1e-4 s g'd holds (Boyd & Vandenberghe, Convex
-    Optimization, 9.5).  Near the optimum F differences fall below
-    round-off, so a step that raises F by at most 4 eps |F| and strictly
-    lowers ||g|| is accepted too.  When gram is singular (p > n) and many
-    entries sit on the flat outer branch, hess can be singular to working
-    precision and the computed direction need not descend; the step then
-    falls back to d = -g.  Returns (beta, F(beta)) once
-    ||g|| <= grad_tol; raises NumericalFailure after max_iters Newton
-    steps or when the step falls below 1e-20.
-    """
-    beta = np.array(beta_init, dtype=float)
-    f = surrogate_value(problem, spec, beta)
-    g = surrogate_grad(problem, spec, beta)
-    gnorm = float(np.linalg.norm(g))
-    iters = 0
-    while gnorm > grad_tol:
-        if iters >= max_iters:
-            raise NumericalFailure(f"damped Newton at t={spec.t:g}: ||grad|| = {gnorm:.3g} "
-                                   f"> {grad_tol:.3g} after {max_iters} iterations")
-        hess = problem.gram + np.diag(problem.lam * spec.hess_diag(beta))
-        d = -np.linalg.solve(hess, g)
-        slope = float(g @ d)
-        if not slope < 0.0:  # hess numerically singular: no descent direction
-            d = -g
-            slope = -gnorm * gnorm
-        noise = 4.0 * np.finfo(float).eps * abs(f)
-        s = 1.0
-        while True:
-            cand = beta + s * d
-            f_cand = surrogate_value(problem, spec, cand)
-            if f_cand <= f + 1e-4 * s * slope:
-                g_cand = surrogate_grad(problem, spec, cand)
-                break
-            if f_cand <= f + noise:
-                g_cand = surrogate_grad(problem, spec, cand)
-                if float(np.linalg.norm(g_cand)) < gnorm:
-                    break
-            s *= 0.5
-            if s < 1e-20:
-                raise NumericalFailure(f"damped Newton at t={spec.t:g}: line search stalled "
-                                       f"at ||grad|| = {gnorm:.3g} > {grad_tol:.3g}")
-        beta, f, g = cand, f_cand, g_cand
-        gnorm = float(np.linalg.norm(g))
-        iters += 1
-    return beta, f
-
-
 def find_t0(problem: LassoProblem, counter: OpCounter | None = None) -> float:
     """Smallest bracketed level satisfying the boundedness predicate.
 
@@ -289,7 +213,7 @@ def initial_beta(problem: LassoProblem, t0: float,
     if not t0 > 0:
         raise ValueError("t0 must be positive")
     shift = 2.0 * problem.lam * math.log1p(t0) ** 2 / (3.0 * t0**3)
-    beta = problem.ridge_solve(shift)
+    beta = problem.ridge_solver()(shift)
     if counter is not None:  # log1p, the shift, two spectral matvecs, the scaling
         p = problem.p
         counter.transcendentals += 1
@@ -330,16 +254,6 @@ class _InnerResult:
     max_abs: float
 
 
-def _auxiliary_surrogate_minimum(problem, spec, constants, beta_init, gap_target):
-    """High-accuracy minimum of F_t, used only as a stopping oracle.
-
-    Never charges a counter: this is measurement machinery, not solver
-    work.  Stops once the gradient norm certifies a gap below gap_target.
-    """
-    gtol = math.sqrt(2.0 * constants.mu * max(gap_target, 1e-18)) * 1e-2
-    return minimize_surrogate(problem, spec, beta_init, gtol, AUX_NEWTON_MAX_ITERS)[1]
-
-
 def _inner_solve_full(problem: LassoProblem, t_k: float, beta_init: np.ndarray,
                       config: HSConfig, counter: OpCounter | None,
                       B: float | None = None) -> _InnerResult:
@@ -376,9 +290,11 @@ def _inner_solve_full(problem: LassoProblem, t_k: float, beta_init: np.ndarray,
                 counter.comparisons += 1
             return float(np.linalg.norm(g)) <= config.inner_grad_tol
     else:  # theoretical
+        # F_t's minimum is a stopping oracle, uncharged: Newton to a gradient
+        # norm that certifies a gap below eps_k / 1000.
         eps_k = inner_tolerance(problem.lam, problem.p, B, t_k)
-        fmin_k = _auxiliary_surrogate_minimum(problem, spec, constants, beta_init,
-                                              gap_target=eps_k * 1e-3)
+        gtol = math.sqrt(2.0 * constants.mu * max(eps_k * 1e-3, 1e-18)) * 1e-2
+        fmin_k = minimize_surrogate(problem, spec, beta_init, gtol, AUX_NEWTON_MAX_ITERS)[1]
         stop = lambda state, k: surrogate_value(problem, spec, state.beta_bar) - fmin_k <= eps_k
 
     state, steps, stopped = iterate(state, step, stop, MAX_INNER_STEPS)

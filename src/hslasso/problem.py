@@ -1,10 +1,10 @@
 """Lasso problem container, objectives, precision test, certified reference oracle.
 
 The problem instance is immutable after construction: the normalized gram
-matrix X'X/n, the vector X'y/n, and the gram eigenvalues are computed once
-and shared read-only by every solver.  The eigenvectors, which only the
-ridge solves use, are recomputed by each call that needs them and never
-stored, so an instance holds no p x p array besides the gram.
+matrix X'X/n, the vector X'y/n, and the extreme gram eigenvalues are
+computed once and shared read-only by every solver.  The eigenvectors,
+which only the ridge solves use, are recomputed by each ridge solver and
+never stored, so an instance holds no p x p array besides the gram.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-
-from .surrogate import SurrogateSpec
 
 BINARY_MAGIC = b"LSSO"
 
@@ -62,25 +60,20 @@ class LassoProblem:
         eigvals = np.linalg.eigh(self.gram)[0]
         if eigvals[0] < -1e-10:
             raise ValueError("gram matrix not positive semidefinite within 1e-10")
-        self.gram_eigvals = _readonly(eigvals)
         self.eig_min = float(max(eigvals[0], 0.0))
         self.eig_max = float(max(eigvals[-1], 0.0))
 
-    @property
-    def gram_eigvecs(self) -> np.ndarray:
-        """Eigenvectors of the gram matrix, from the same deterministic eigh
-        call as gram_eigvals; computed on every access, never stored."""
-        return _readonly(np.linalg.eigh(self.gram)[1])
-
     def ridge_solver(self):
         """The map shift -> b solving (X'X/n + shift I) b = X'y/n through the
-        spectrum, with one eigendecomposition for all the shifts it is given.
+        spectrum, with one eigendecomposition for all the shifts it is given:
+        the same deterministic eigh as the one at construction.
 
         Eigenvalue noise below zero is clamped (the gram is validated
         positive semidefinite at construction).
         """
-        vecs = self.gram_eigvecs
-        evals = np.maximum(self.gram_eigvals, 0.0)
+        evals, vecs = np.linalg.eigh(self.gram)
+        evals = np.maximum(evals, 0.0)
+        vecs = np.ascontiguousarray(vecs)
         coords = vecs.T @ self.xty
 
         def solve(shift: float) -> np.ndarray:
@@ -90,10 +83,6 @@ class LassoProblem:
             return vecs @ (coords / denom)
 
         return solve
-
-    def ridge_solve(self, shift: float) -> np.ndarray:
-        """Solve (X'X/n + shift I) b = X'y/n; see :meth:`ridge_solver`."""
-        return self.ridge_solver()(shift)
 
     def __repr__(self):
         return f"LassoProblem(n={self.n}, p={self.p}, lambda={self.lam})"
@@ -119,19 +108,6 @@ def lasso_objective(problem: LassoProblem, beta) -> float:
         raise ValueError(f"beta must have shape ({problem.p},), got {beta.shape}")
     r = problem.y - problem.X @ beta
     return float(r @ r / (2.0 * problem.n) + problem.lam * np.sum(np.abs(beta)))
-
-
-def surrogate_value(problem: LassoProblem, spec: SurrogateSpec, beta: np.ndarray) -> float:
-    r = problem.y - problem.X @ beta
-    return float(r @ r / (2.0 * problem.n) + problem.lam * np.sum(spec.value(beta)))
-
-
-def surrogate_objective(problem: LassoProblem, t: float, beta) -> float:
-    """Objective with the l1 penalty replaced by the level-t smoothed penalty."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (problem.p,):
-        raise ValueError(f"beta must have shape ({problem.p},), got {beta.shape}")
-    return surrogate_value(problem, SurrogateSpec(t), beta)
 
 
 def epsilon_precision(problem: LassoProblem, beta, ref: ReferenceSolution, epsilon: float) -> bool:

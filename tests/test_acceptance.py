@@ -41,12 +41,10 @@ from hslasso.homotopy import (
     agd_state,
     agd_step,
     hs_solve,
-    surrogate_grad,
-    surrogate_value,
 )
 from hslasso.opcount import OpCounter
 from hslasso.problem import reference_minimum
-from hslasso.surrogate import SurrogateSpec, smoothness_constants
+from hslasso.surrogate import SurrogateSpec, smoothness_constants, surrogate_grad, surrogate_value
 
 
 ACCEPTANCE_LINES = []

@@ -197,8 +197,11 @@ def test_hs_settings_have_one_source(tmp_path, capsys, flags, config):
     ("cd", ["--beta0", "nan"]),
     ("cd", ["--beta0", "foo"]),
     ("hs", ["--epsilon", "0"]),
+    ("hs", ["--beta0", "nan"]),
+    ("hs", ["--max-iters", "0"]),
+    ("ista", ["--sl-alpha", "-5"]),
 ], ids=["sl-alpha", "ista-epsilon", "fista-max-iters", "cd-beta0-nan", "cd-beta0-word",
-        "hs-epsilon"])
+        "hs-epsilon", "hs-beta0-nan", "hs-max-iters", "ista-sl-alpha"])
 def test_solve_checks_inputs_before_the_reference(tmp_path, monkeypatch, method, flags):
     # each was rejected only after a full reference solve
     import hslasso.cli as cli

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,14 +17,18 @@ from hslasso.homotopy import (
     initial_beta,
     inner_solve,
     inner_tolerance,
-    minimize_surrogate,
     outer_iteration_count,
-    surrogate_grad,
-    surrogate_value,
 )
 from hslasso.opcount import OpCounter
 from hslasso.problem import LassoProblem, reference_minimum
-from hslasso.surrogate import SmoothnessConstants, SurrogateSpec, smoothness_constants
+from hslasso.surrogate import (
+    SmoothnessConstants,
+    SurrogateSpec,
+    minimize_surrogate,
+    smoothness_constants,
+    surrogate_grad,
+    surrogate_value,
+)
 
 
 def sim1_problem(seed=1000):
@@ -46,7 +51,7 @@ def test_find_t0_satisfies_predicate_at_return():
     pr = LassoProblem(y=50.0 * np.ones(6) + rng.standard_normal(6), X=np.eye(6), lam=0.5)
     t0 = find_t0(pr)
     shift = pr.lam * math.log1p(t0) ** 2 / (3.0 * t0**3)
-    sol = pr.ridge_solve(shift)
+    sol = pr.ridge_solver()(shift)
     assert np.max(np.abs(sol)) <= t0
 
 
@@ -55,7 +60,7 @@ def test_find_t0_predicate_ratio_vanishes_at_large_t():
     prev = None
     for t in (1.0, 10.0, 100.0, 1000.0):
         shift = pr.lam * math.log1p(t) ** 2 / (3.0 * t**3)
-        ratio = np.max(np.abs(pr.ridge_solve(shift))) / t
+        ratio = np.max(np.abs(pr.ridge_solver()(shift))) / t
         if prev is not None:
             assert ratio < prev
         prev = ratio
@@ -457,8 +462,8 @@ def test_hs_config_validation_and_from_dict():
     with pytest.raises(ValueError, match="wrong type"):
         HSConfig.from_dict({"h": "0.1"})
     with pytest.raises(ValueError, match="finite"):
-        HSConfig.from_json('{"t0": Infinity}')
-    cfg = HSConfig.from_json('{"t0": 2.5, "h": 0.05, "inner_fixed_count": 9}')
+        HSConfig.from_dict(json.loads('{"t0": Infinity}'))
+    cfg = HSConfig.from_dict(json.loads('{"t0": 2.5, "h": 0.05, "inner_fixed_count": 9}'))
     assert cfg.t0 == 2.5 and cfg.inner_fixed_count == 9
 
 
@@ -526,3 +531,31 @@ def test_minimize_surrogate_returns_converged_start_unchanged():
     beta, value = minimize_surrogate(pr, spec, np.zeros(pr.p), 1e-10, 1000)
     again, again_value = minimize_surrogate(pr, spec, beta, 1e-10, 0)
     assert np.array_equal(again, beta) and again_value == value
+
+
+def _p_gt_n_cell():
+    # sim1, p > n, at the lam = 0.1 where the homotopy runs many levels
+    return generate(SyntheticSpec(n=50, p=80, rho=0.1, seed=1002), lam=0.1)
+
+
+def test_minimize_surrogate_stops_at_the_round_off_floor():
+    # 2.74e-16 is below what this gradient resolves (its norm stalls near
+    # 5e-16), so the stop must come from the round-off floor, not the cap
+    pr = _p_gt_n_cell()
+    spec = SurrogateSpec(1.07642e-05)
+    beta, value = minimize_surrogate(pr, spec, np.zeros(pr.p), 2.74e-16, 1000)
+    floor = 4.0 * np.finfo(float).eps * (pr.eig_max * np.linalg.norm(beta)
+                                         + np.linalg.norm(pr.xty))
+    assert float(np.linalg.norm(surrogate_grad(pr, spec, beta))) <= floor
+    assert value == surrogate_value(pr, spec, beta)
+
+
+def test_hs_theoretical_inner_stop_converges_on_p_gt_n():
+    # mu is ~1e-12 at the small levels, so the stop's Newton oracle is asked
+    # for gradient norms below round-off (2.74e-16 at t = 1.07642e-05)
+    pr = _p_gt_n_cell()
+    cfg = HSConfig(t0=3, h=0.1, epsilon=1e-5, tau=1e-9, inner_stop="theoretical",
+                   outer_ref=reference_minimum(pr, 1e-10))
+    trace = hs_solve(pr, cfg)
+    assert trace.converged
+    assert trace.metadata["outer_iterations"] == 123

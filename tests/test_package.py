@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ PUBLIC_SURFACE = [
     "outer_iteration_count", "pinv", "prediction_error", "reference_minimum", "run_bench",
     "save_problem_binary", "save_problem_json", "sl_solve", "smoothness_constants",
     "soft_threshold", "subgradient_residual", "support_conditions_check", "support_set",
-    "surrogate_gap_bounds", "surrogate_objective", "theoretical_bound",
+    "surrogate_gap_bounds", "surrogate_value", "theoretical_bound",
 ]
 
 
@@ -38,3 +40,28 @@ def test_configs_are_frozen():
         name = dataclasses.fields(cfg)[0].name
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cfg, name, getattr(cfg, name))
+
+
+def _imported_modules(module):
+    # the package modules a source file imports, at any depth of its body
+    tree = ast.parse(Path(module.__file__).read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level and node.module is None:  # from . import a, b
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add((node.module or "").rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    return found
+
+
+def test_layering():
+    # surrogate.py alone defines F_t: the Lasso layer knows nothing of it,
+    # and the diagnostics reach its minimizer without the solver
+    import hslasso.diagnostics
+    import hslasso.problem
+
+    assert not _imported_modules(hslasso.problem) & {"surrogate", "homotopy"}
+    assert "homotopy" not in _imported_modules(hslasso.diagnostics)

@@ -25,8 +25,8 @@ from hslasso.problem import (
     save_problem_binary,
     save_problem_json,
     subgradient_residual,
-    surrogate_objective,
 )
+from hslasso.surrogate import SurrogateSpec, surrogate_value
 
 
 def test_construction_validates():
@@ -64,17 +64,16 @@ def test_cached_gram_and_immutability():
 
 
 def test_ridge_solve_matches_up_front_spectrum():
-    # the eigenvectors are recomputed by each ridge solve; the solve must
+    # the eigenvectors are recomputed by each ridge solver; the solve must
     # equal, bit for bit, the one through a single eigh at construction
     pr = make_problem(0, n=12, p=20)
     vals, vecs = np.linalg.eigh(pr.gram)
     vecs = np.ascontiguousarray(vecs)
-    assert np.array_equal(pr.gram_eigvals, vals)
+    assert (pr.eig_min, pr.eig_max) == (max(vals[0], 0.0), vals[-1])
+    solve = pr.ridge_solver()
     for shift in (0.3, 1e-6):
         expected = vecs @ ((vecs.T @ pr.xty) / (np.maximum(vals, 0.0) + shift))
-        assert np.array_equal(pr.ridge_solve(shift), expected)
-    assert np.array_equal(pr.gram_eigvecs, vecs)
-    assert not pr.gram_eigvecs.flags.writeable
+        assert np.array_equal(solve(shift), expected)
 
 
 def test_objective_zero_cases():
@@ -113,14 +112,15 @@ def test_objective_convex_along_segments():
 
 def test_surrogate_objective_zero_beta_is_residual_only():
     pr = make_problem(3)
-    assert surrogate_objective(pr, 0.7, np.zeros(pr.p)) == pytest.approx(
+    assert surrogate_value(pr, SurrogateSpec(0.7), np.zeros(pr.p)) == pytest.approx(
         float(pr.y @ pr.y) / (2 * pr.n), rel=1e-14)
 
 
 def test_surrogate_objective_boundary_example():
     pr = LassoProblem(y=np.array([0.0]), X=np.array([[1.0]]), lam=1.0)
     expected = 0.5 + math.log(2.0) ** 2 / 3.0
-    assert surrogate_objective(pr, 1.0, np.array([1.0])) == pytest.approx(expected, rel=1e-14)
+    value = surrogate_value(pr, SurrogateSpec(1.0), np.array([1.0]))
+    assert value == pytest.approx(expected, rel=1e-14)
 
 
 def test_surrogate_objective_converges_to_objective():
@@ -128,9 +128,10 @@ def test_surrogate_objective_converges_to_objective():
     rng = np.random.default_rng(9)
     beta = rng.uniform(0.5, 2.0, pr.p) * rng.choice([-1, 1], pr.p)
     target = lasso_objective(pr, beta)
-    diffs = [abs(surrogate_objective(pr, t, beta) - target) for t in (1.0, 0.1, 0.01, 0.001)]
+    diffs = [abs(surrogate_value(pr, SurrogateSpec(t), beta) - target)
+             for t in (1.0, 0.1, 0.01, 0.001)]
     assert all(d2 < d1 for d1, d2 in zip(diffs, diffs[1:]))
-    assert abs(surrogate_objective(pr, 1e-6, beta) - target) < 1e-6
+    assert abs(surrogate_value(pr, SurrogateSpec(1e-6), beta) - target) < 1e-6
 
 
 def test_surrogate_objective_below_objective():
@@ -139,13 +140,15 @@ def test_surrogate_objective_below_objective():
     for _ in range(30):
         beta = rng.standard_normal(pr.p) * 3
         for t in (2.0, 0.5, 0.01):
-            assert surrogate_objective(pr, t, beta) <= lasso_objective(pr, beta) + 1e-12
+            assert surrogate_value(pr, SurrogateSpec(t), beta) <= lasso_objective(pr, beta) + 1e-12
 
 
 def test_surrogate_objective_rejects_bad_t():
     pr = make_problem(6)
     with pytest.raises(ValueError):
-        surrogate_objective(pr, 0.0, np.zeros(pr.p))
+        surrogate_value(pr, SurrogateSpec(0.0), np.zeros(pr.p))
+    with pytest.raises(ValueError, match="shape"):
+        surrogate_value(pr, SurrogateSpec(0.5), np.zeros(pr.p + 1))
 
 
 def test_epsilon_precision_cases():
