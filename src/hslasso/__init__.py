@@ -6,6 +6,7 @@ from .baselines import (
     cd_solve,
     fista_solve,
     ista_solve,
+    reference_minimum,
     sl_solve,
     soft_threshold,
     theoretical_bound,
@@ -42,7 +43,6 @@ from .problem import (
     lasso_objective,
     load_problem_binary,
     load_problem_json,
-    reference_minimum,
     save_problem_binary,
     save_problem_json,
     subgradient_residual,

@@ -8,9 +8,10 @@ loops too).  Each map charges its work to the operation counter once per
 step, in closed form.  The four solvers stop against a precomputed
 reference minimum, matching the measurement protocol of the benchmark
 harness: the stopping comparison is free.  The reference oracle runs the
-same FISTA map uncharged, to a subgradient-residual tolerance, and may
-finish it early with an exact solve on the iterate's support; the CD map
-run the same way is the test suite's independent cross-check.
+same FISTA map uncharged, to a subgradient-residual tolerance, may
+finish it early with an exact solve on the iterate's support, and
+certifies the result by the Lasso duality gap; the CD map run the same
+way is the test suite's independent cross-check.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ import numpy as np
 from .opcount import OpCounter
 from .problem import (
     LassoProblem,
+    NumericalFailure,
     ReferenceSolution,
+    _readonly,
     lasso_objective,
     subgradient_residual,
 )
@@ -297,7 +300,7 @@ def solve(problem: LassoProblem, config: BaselineConfig,
 
 
 # ---------------------------------------------------------------------------
-# Residual-driven drivers for the reference oracle (never charged).
+# The reference oracle and its residual-driven drivers (never charged).
 # ---------------------------------------------------------------------------
 
 
@@ -353,3 +356,73 @@ def cd_minimize_to_residual(problem, beta0, tol, max_iters=500_000):
     return _minimize_to_residual(
         problem, (beta, xtx @ beta),
         lambda s: _cd_sweep(s[0], xtx, xty_raw, diag, thresh, s[1], None), tol, max_iters)
+
+
+def support_kkt_solution(problem: LassoProblem, beta, tol: float) -> np.ndarray | None:
+    """Exact minimizer on the sign pattern of beta, or None.
+
+    With S = supp(beta) and s = sign(beta_S), solves the stationarity
+    condition gram_SS b_S = xty_S - lambda s with b zero off S: the
+    active-set step of the exact Lasso homotopy (Osborne, Presnell &
+    Turlach, IMA J. Numer. Anal. 2000; LARS, Efron et al., Ann. Stat. 2004).
+    b is returned only if it keeps the signs s and its subgradient residual
+    is <= tol; a singular gram_SS returns None.
+    """
+    beta = np.asarray(beta, dtype=float)
+    S = np.flatnonzero(beta)
+    s = np.sign(beta[S])
+    b = np.zeros(problem.p)
+    try:
+        b[S] = np.linalg.solve(problem.gram[np.ix_(S, S)], problem.xty[S] - problem.lam * s)
+    except np.linalg.LinAlgError:
+        return None
+    if np.array_equal(np.sign(b[S]), s) and subgradient_residual(problem, b) <= tol:
+        return b
+    return None
+
+
+def _reference_iterate(problem: LassoProblem, tol: float) -> tuple[np.ndarray | None, str]:
+    """FISTA from zero, finished by :func:`support_kkt_solution` at the first
+    looser residual where that solve is accepted; otherwise FISTA's own
+    iterate at residual <= tol.  Returns (beta or None at the cap, method)."""
+    method = "fista"
+
+    def finish(beta):
+        nonlocal method
+        exact = support_kkt_solution(problem, beta, tol)
+        if exact is not None:  # the run returns at the first accepted solve
+            method = "support-kkt"
+        return exact
+
+    beta = fista_minimize_to_residual(problem, np.zeros(problem.p), tol, finish=finish)
+    return beta, method
+
+
+def reference_minimum(problem: LassoProblem, tol: float) -> ReferenceSolution:
+    """Certified ground-truth minimum: the iterate of :func:`_reference_iterate`,
+    whose subgradient residual is <= tol, certified by the Lasso duality gap G
+    (Gap Safe screening: Fercoq, Gramfort & Salmon, ICML 2015).  With
+    r = y - X b, g = X'r/n and a = min(1, lambda/||g||_inf), theta = a r/n is
+    dual feasible, so G = f(b) - (theta'y - (n/2)||theta||^2) >= f(b) - f*.
+    The residual bound tol bounds G:
+      G = (1-a)^2 ||r||^2/(2n) + lambda ||b||_1 - a g'b;
+      ||g||_inf <= lambda + tol, so 1-a <= tol/lambda, and g_i b_i >= (lambda - tol)|b_i|;
+      so G <= (tol/lambda)^2 ||r||^2/(2n) + (lambda (1-a) + a tol) ||b||_1
+           <= (tol/lambda)^2 ||r||^2/(2n) + 2 tol ||b||_1.
+    A larger G, beyond 1e-12 max(1, |f|) of round-off, raises NumericalFailure.
+    """
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    beta, method = _reference_iterate(problem, tol)
+    if beta is None:
+        raise NumericalFailure("reference solver did not reach the residual tolerance")
+    f = lasso_objective(problem, beta)
+    n, lam = problem.n, problem.lam
+    r = problem.y - problem.X @ beta
+    theta = r / max(n, float(np.max(np.abs(problem.X.T @ r))) / lam)
+    gap = f - float(theta @ problem.y - 0.5 * n * (theta @ theta))
+    bound = 2.0 * tol * float(np.sum(np.abs(beta))) + (tol / lam) ** 2 * float(r @ r) / (2.0 * n)
+    if not gap <= bound + 1e-12 * max(1.0, abs(f)):
+        raise NumericalFailure(f"reference duality gap {gap!r} exceeds {bound!r}, the bound "
+                               f"implied by the residual tolerance {tol!r}")
+    return ReferenceSolution(beta_hat=_readonly(beta), f_min=f, dual_gap=gap, method=method)

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, diagnostics
+from .baselines import reference_minimum
 from .datagen import SyntheticSpec, generate
 from .homotopy import HSConfig, hs_solve
 from .opcount import OpCounter
@@ -26,15 +27,15 @@ from .problem import (
     NumericalFailure,
     load_problem_binary,
     load_problem_json,
-    reference_minimum,
     save_problem_binary,
     save_problem_json,
 )
+from .surrogate import SurrogateSpec
 
 DEFAULT_EPSILONS = (0.05, 0.03, 0.02, 0.01, 0.009, 0.008, 0.007, 0.006, 0.005)
 DEFAULT_SCENARIOS = ((50, 20), (50, 80))
 DEFAULT_METHODS = ("ista", "fista", "hs")
-KNOWN_METHODS = ("ista", "fista", "cd", "sl", "hs")
+KNOWN_METHODS = baselines.METHODS + ("hs",)
 REF_TOL = 1e-10
 SIM_PATTERNS = {"sim1": "dense-exp", "sim2": "sparse-exp"}
 SIM_BETA0 = {"sim1": 1.0, "sim2": 0.1}  # flat starting values of the flat methods
@@ -49,7 +50,7 @@ class BenchmarkGrid:
     """Benchmark configuration: scenarios, precision targets, methods;
     checked when built."""
 
-    sims: tuple = ("sim1", "sim2")
+    sims: tuple = tuple(SIM_PATTERNS)
     scenarios: tuple = DEFAULT_SCENARIOS
     epsilons: tuple = DEFAULT_EPSILONS
     methods: tuple = DEFAULT_METHODS
@@ -71,6 +72,10 @@ class BenchmarkGrid:
     def validate(self) -> None:
         if not self.methods:
             raise ValueError("methods must be nonempty")
+        for s in self.scenarios:  # type(), not isinstance(): a bool is no size
+            if not (isinstance(s, (tuple, list)) and len(s) == 2
+                    and all(type(v) is int and v >= 1 for v in s)):
+                raise ValueError(f"scenario {s!r} is not a pair of ints n, p >= 1")
         for name, values in (("methods", self.methods), ("sims", self.sims),
                              ("scenarios", [tuple(s) for s in self.scenarios])):
             if len(set(values)) != len(values):
@@ -207,7 +212,7 @@ def _bench_cells(trace, f_min, epsilons):
 
 def grid_from_args(args) -> BenchmarkGrid:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    sims = ("sim1", "sim2") if args.sim == "both" else (args.sim,)
+    sims = tuple(SIM_PATTERNS) if args.sim == "both" else (args.sim,)
     if (args.n is None) != (args.p is None):
         raise ValueError("--n and --p must be given together")
     scenarios = DEFAULT_SCENARIOS if args.n is None else ((args.n, args.p),)
@@ -325,6 +330,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for t in args.levels:  # each level is checked before the reference runs
+        SurrogateSpec(t)
     given = {k: getattr(args, k) for k in GEN_DEFAULTS if getattr(args, k) is not None}
     if args.input:
         if given:
@@ -370,7 +377,7 @@ def cmd_verify(args) -> int:
 def _add_gen_params(parser):
     # No argparse defaults, so that verify can tell a given flag from an
     # absent one; the values left unset come from GEN_DEFAULTS.
-    parser.add_argument("--scenario", choices=("sim1", "sim2"))
+    parser.add_argument("--scenario", choices=tuple(SIM_PATTERNS))
     parser.add_argument("--n", type=int)
     parser.add_argument("--p", type=int)
     parser.add_argument("--rho", type=float)
@@ -407,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the bench protocol: fixed-count inner loop, oracle outer stop
     pb = sub.add_parser("bench", help="run the benchmark grid")
     pb.add_argument("--scenario", "--sim", dest="sim",
-                    choices=("sim1", "sim2", "both"), default="both")
+                    choices=(*SIM_PATTERNS, "both"), default="both")
     pb.add_argument("--n", type=int, default=None)
     pb.add_argument("--p", type=int, default=None)
     pb.add_argument("--methods", default=",".join(DEFAULT_METHODS))

@@ -10,7 +10,7 @@ treats singular values below 1e-12 * sigma_max as zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -124,15 +124,7 @@ class SupportConditionReport:
     svd_method: str = SVD_METHOD
 
     def to_dict(self) -> dict:
-        return {
-            "s_set": self.s_set.tolist(),
-            "frob_pinv_s": self.frob_pinv_s,
-            "frob_pinv_sc": self.frob_pinv_sc,
-            "sigma_max_s1": self.sigma_max_s1,
-            "sigma_min_s2": self.sigma_min_s2,
-            "condition3_holds": self.condition3_holds,
-            "svd_method": self.svd_method,
-        }
+        return {**asdict(self), "s_set": self.s_set.tolist()}
 
 
 def support_conditions_check(X, s_set) -> SupportConditionReport:

@@ -246,17 +246,16 @@ def default_iterate_bound(beta0: np.ndarray) -> float:
     return 10.0 * m if m > 0 else 1.0
 
 
-@dataclass
-class _InnerResult:
-    beta: np.ndarray
-    steps: int
-    cap_hit: bool
-    max_abs: float
+def inner_solve(problem: LassoProblem, t_k: float, beta_init, config: HSConfig,
+                counter: OpCounter | None = None,
+                B: float | None = None) -> tuple[np.ndarray, int, bool, float]:
+    """Minimize the level-t_k smoothed objective from beta_init.
 
-
-def _inner_solve_full(problem: LassoProblem, t_k: float, beta_init: np.ndarray,
-                      config: HSConfig, counter: OpCounter | None,
-                      B: float | None = None) -> _InnerResult:
+    B defaults to config.B, else to :func:`default_iterate_bound` of beta_init.
+    Returns (final averaged iterate, steps taken, whether the step cap was
+    hit, largest entry magnitude of any iterate).
+    """
+    beta_init = np.asarray(beta_init, dtype=float)
     if B is None:
         B = config.B if config.B is not None else default_iterate_bound(beta_init)
     if t_k < config.tau * (1.0 - 1e-12):
@@ -298,17 +297,7 @@ def _inner_solve_full(problem: LassoProblem, t_k: float, beta_init: np.ndarray,
         stop = lambda state, k: surrogate_value(problem, spec, state.beta_bar) - fmin_k <= eps_k
 
     state, steps, stopped = iterate(state, step, stop, MAX_INNER_STEPS)
-    return _InnerResult(beta=state.beta_bar, steps=steps, cap_hit=not stopped, max_abs=max_abs)
-
-
-def inner_solve(problem: LassoProblem, t_k: float, beta_init: np.ndarray,
-                config: HSConfig, counter: OpCounter | None = None):
-    """Minimize the level-t_k smoothed objective from beta_init.
-
-    Returns (final averaged iterate, steps taken).
-    """
-    res = _inner_solve_full(problem, t_k, np.asarray(beta_init, dtype=float), config, counter)
-    return res.beta, res.steps
+    return state.beta_bar, steps, not stopped, max_abs
 
 
 def hs_solve(problem: LassoProblem, config: HSConfig,
@@ -353,11 +342,11 @@ def hs_solve(problem: LassoProblem, config: HSConfig,
         nonlocal inner_caps, max_abs
         t = state[1] * (1.0 - config.h)
         counter.mults += 1
-        res = _inner_solve_full(problem, t, state[0], config, counter, B=B)
-        inner_caps += int(res.cap_hit)
-        max_abs = max(max_abs, res.max_abs)
-        append_row(t, res.steps, res.beta)
-        return res.beta, t
+        beta, steps, cap_hit, level_max_abs = inner_solve(problem, t, state[0], config, counter, B)
+        inner_caps += int(cap_hit)
+        max_abs = max(max_abs, level_max_abs)
+        append_row(t, steps, beta)
+        return beta, t
 
     append_row(t0, 0, beta)
     (beta, _), k_done, stopped = iterate(

@@ -44,8 +44,8 @@ class SurrogateSpec:
     c_const: float = field(init=False)
 
     def __post_init__(self):
-        if not self.t > 0:
-            raise ValueError("surrogate level t must be strictly positive")
+        if not 0 < self.t < math.inf:
+            raise ValueError("surrogate level t must be finite and strictly positive")
         log1pt = math.log1p(self.t)
         object.__setattr__(self, "log1pt", log1pt)
         object.__setattr__(self, "c_quad", log1pt**2 / (3.0 * self.t**3))

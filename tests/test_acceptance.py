@@ -25,6 +25,7 @@ from hslasso.baselines import (
     cd_solve,
     fista_solve,
     ista_solve,
+    reference_minimum,
     sl_solve,
     theoretical_bound,
 )
@@ -43,7 +44,6 @@ from hslasso.homotopy import (
     hs_solve,
 )
 from hslasso.opcount import OpCounter
-from hslasso.problem import reference_minimum
 from hslasso.surrogate import SurrogateSpec, smoothness_constants, surrogate_grad, surrogate_value
 
 

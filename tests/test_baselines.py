@@ -20,6 +20,7 @@ from hslasso.baselines import (
     cd_solve,
     fista_solve,
     ista_solve,
+    reference_minimum,
     sl_penalty_grad,
     sl_solve,
     soft_threshold,
@@ -32,7 +33,6 @@ from hslasso.problem import (
     LassoProblem,
     ReferenceSolution,
     lasso_objective,
-    reference_minimum,
     subgradient_residual,
 )
 
@@ -250,7 +250,7 @@ def test_charge_pinned(case):
         find_t0(pr, c)
     else:
         cfg = HSConfig(inner_stop=case.split("-")[1], inner_grad_tol=1e-6)
-        _, steps = inner_solve(pr, 0.5, np.zeros(p), cfg, c)
+        steps = inner_solve(pr, 0.5, np.zeros(p), cfg, c)[1]
         assert steps == per_iterate
     assert astuple(c) == counts
     if case != "cd":

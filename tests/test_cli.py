@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hslasso.baselines import reference_minimum
 from hslasso.cli import BenchmarkGrid, build_parser, main, run_bench
-from hslasso.problem import LassoProblem, reference_minimum, save_problem_json
+from hslasso.problem import LassoProblem, save_problem_json
 
 
 def run_cli(args):
@@ -247,23 +248,23 @@ def test_uncertified_reference_is_numerical_failure(tmp_path, monkeypatch, capsy
     # above the bound its residual tolerance implies.  The iterate is moved
     # after the path that produced it and before the certificate; the second
     # round refuses every support solve, so FISTA's iterate is certified.
-    from hslasso import problem as problem_module
+    from hslasso import baselines
     from hslasso.problem import NumericalFailure
 
-    find = problem_module._reference_iterate
+    find = baselines._reference_iterate
     pr = LassoProblem(y=np.arange(6.0), X=np.eye(6) + 0.1, lam=0.05)
     path = tmp_path / "problem.json"
     save_problem_json(pr, path)
     for method in ("support-kkt", "fista"):
         if method == "fista":
-            monkeypatch.setattr(problem_module, "support_kkt_solution", lambda *args: None)
+            monkeypatch.setattr(baselines, "support_kkt_solution", lambda *args: None)
 
         def perturbed(problem, tol, method=method):
             beta, found = find(problem, tol)
             assert found == method
             return beta + 1e-3, found
 
-        monkeypatch.setattr(problem_module, "_reference_iterate", perturbed)
+        monkeypatch.setattr(baselines, "_reference_iterate", perturbed)
         with pytest.raises(NumericalFailure, match="duality gap"):
             reference_minimum(pr, 1e-10)
         assert run_cli(["solve", "--method", "fista", "--input", str(path),
@@ -446,6 +447,10 @@ def test_benchmark_grid_validation(tmp_path):
         BenchmarkGrid(sims=("sim1", "sim1"))
     with pytest.raises(ValueError, match="t0"):
         BenchmarkGrid(hs_t0=float("inf"))
+    # each was found only by run_bench, the first after a full scenario had run
+    for bad in ((0, 5), (5,), (5.5, 3), (20, True), 5):
+        with pytest.raises(ValueError, match="scenario"):
+            BenchmarkGrid(scenarios=((20, 5), bad))
     assert not (tmp_path / "bench_table.csv").exists()
 
 
@@ -469,6 +474,20 @@ def test_verify_minimizer_failure_is_numerical_exit(tmp_path, monkeypatch, capsy
                   "--levels", "1e-3", "--out-dir", str(tmp_path)])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
+
+
+@pytest.mark.parametrize("level", ["inf", "0", "nan"])
+def test_verify_checks_levels_before_the_reference(tmp_path, monkeypatch, level):
+    # --levels inf exited 0 and wrote "t": Infinity, which is not JSON
+    import hslasso.cli as cli
+
+    def no_reference(*args):
+        raise AssertionError("reference_minimum ran before the levels were checked")
+
+    monkeypatch.setattr(cli, "reference_minimum", no_reference)
+    assert run_cli(["verify", "--n", "20", "--p", "5", "--levels", "0.1", level,
+                    "--out-dir", str(tmp_path)]) == 2
     assert not (tmp_path / "verify.json").exists()
 
 

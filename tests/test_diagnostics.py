@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import make_problem
+from hslasso.baselines import reference_minimum
 from hslasso.datagen import SyntheticSpec, generate
 from hslasso.diagnostics import (
     closeness_sweep,
@@ -14,7 +15,7 @@ from hslasso.diagnostics import (
     support_set,
     surrogate_minimizer,
 )
-from hslasso.problem import NumericalFailure, reference_minimum
+from hslasso.problem import NumericalFailure
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import make_problem, numeric_prox_argmin
+from hslasso.baselines import reference_minimum
 from hslasso.datagen import SyntheticSpec, generate
 from hslasso.homotopy import (
     HSConfig,
@@ -20,7 +21,7 @@ from hslasso.homotopy import (
     outer_iteration_count,
 )
 from hslasso.opcount import OpCounter
-from hslasso.problem import LassoProblem, reference_minimum
+from hslasso.problem import LassoProblem
 from hslasso.surrogate import (
     SmoothnessConstants,
     SurrogateSpec,
@@ -243,16 +244,16 @@ def test_inner_solve_stops_at_entry_when_optimal():
     pr = sim1_problem()
     cfg = HSConfig(t0=1.0, inner_stop="gradient", inner_grad_tol=1e-6, B=10.0)
     # converge once, then restart from the solution
-    beta1, steps1 = inner_solve(pr, 0.5, np.zeros(pr.p), cfg)
+    beta1, steps1, _, _ = inner_solve(pr, 0.5, np.zeros(pr.p), cfg)
     assert steps1 > 0
-    beta2, steps2 = inner_solve(pr, 0.5, beta1, cfg)
+    steps2 = inner_solve(pr, 0.5, beta1, cfg)[1]
     assert steps2 <= 1
 
 
 def test_inner_solve_fixed_mode_runs_exact_count():
     pr = sim1_problem()
     cfg = HSConfig(t0=1.0, inner_stop="fixed", inner_fixed_count=7, B=10.0)
-    _, steps = inner_solve(pr, 0.5, np.ones(pr.p), cfg)
+    steps = inner_solve(pr, 0.5, np.ones(pr.p), cfg)[1]
     assert steps == 7
 
 
@@ -377,7 +378,7 @@ def test_hs_warm_start_matches_manual_chain():
     betas = []
     for _ in range(tr.metadata["outer_iterations"]):
         t *= 0.9
-        beta, _ = inner_solve(pr, t, beta, cfg)
+        beta = inner_solve(pr, t, beta, cfg)[0]
         betas.append(beta)
     assert np.array_equal(tr.final_beta, betas[-1])
 
@@ -486,7 +487,7 @@ def test_minimize_surrogate_matches_gradient_inner_solve(n, p):
     pr = _shape_problem(n, p, lam=0.1)
     t = 0.1
     cfg = HSConfig(t0=1.0, inner_stop="gradient", inner_grad_tol=1e-10, B=10.0)
-    agd, _ = inner_solve(pr, t, np.zeros(pr.p), cfg)
+    agd = inner_solve(pr, t, np.zeros(pr.p), cfg)[0]
     newton, _ = minimize_surrogate(pr, SurrogateSpec(t), np.zeros(pr.p), 1e-10, 200)
     assert np.max(np.abs(newton - agd)) <= 1e-8
 

@@ -3,9 +3,8 @@ from dataclasses import astuple
 import numpy as np
 
 from helpers import make_problem
-from hslasso.baselines import BaselineConfig, ista_solve
+from hslasso.baselines import BaselineConfig, ista_solve, reference_minimum
 from hslasso.opcount import OpCounter
-from hslasso.problem import reference_minimum
 
 
 def test_setup_excluded_from_total():

@@ -57,11 +57,25 @@ def _imported_modules(module):
     return found
 
 
+# The package's modules in import order: each may import only from the
+# layers before its own, so the imports form one stack without a cycle.
+STACK = (("opcount", "trace"), ("problem",), ("surrogate", "datagen"), ("baselines",),
+         ("homotopy",), ("diagnostics",), ("cli",))
+
+
 def test_layering():
-    # surrogate.py alone defines F_t: the Lasso layer knows nothing of it,
-    # and the diagnostics reach its minimizer without the solver
+    import importlib
+
     import hslasso.diagnostics
     import hslasso.problem
 
-    assert not _imported_modules(hslasso.problem) & {"surrogate", "homotopy"}
+    rank = {name: i for i, layer in enumerate(STACK) for name in layer}
+    package = Path(hslasso.__file__).parent
+    assert set(rank) == {f.stem for f in package.glob("*.py")} - {"__init__"}
+    for name, i in rank.items():
+        imported = _imported_modules(importlib.import_module(f"hslasso.{name}"))
+        assert not {m for m in imported if rank.get(m, -1) >= i}, name
+    # the Lasso layer stands alone, and the diagnostics reach F_t's
+    # minimizer in surrogate.py without the solver
+    assert not _imported_modules(hslasso.problem) & set(rank)
     assert "homotopy" not in _imported_modules(hslasso.diagnostics)

@@ -11,6 +11,7 @@ from helpers import (
     identity_problem,
     make_problem,
 )
+from hslasso.baselines import reference_minimum
 from hslasso.datagen import SyntheticSpec, generate
 from hslasso.problem import (
     LassoProblem,
@@ -21,7 +22,6 @@ from hslasso.problem import (
     load_problem_json,
     problem_from_json,
     problem_to_json,
-    reference_minimum,
     save_problem_binary,
     save_problem_json,
     subgradient_residual,
@@ -273,9 +273,9 @@ def test_reference_retries_a_refused_support_solve(monkeypatch):
     # p > n: at the loosest stop FISTA's support has more than n entries, so
     # gram_SS is singular and the solve is refused; a tighter stop finds the
     # n-entry support, whose solve is exact.
-    import hslasso.problem as problem_module
+    from hslasso import baselines
 
-    solve = problem_module.support_kkt_solution
+    solve = baselines.support_kkt_solution
     sizes = []
 
     def spy(problem, beta, tol):
@@ -283,7 +283,7 @@ def test_reference_retries_a_refused_support_solve(monkeypatch):
         sizes.append((np.count_nonzero(beta), exact is not None))
         return exact
 
-    monkeypatch.setattr(problem_module, "support_kkt_solution", spy)
+    monkeypatch.setattr(baselines, "support_kkt_solution", spy)
     rng = np.random.default_rng(2)
     pr = LassoProblem(y=rng.standard_normal(10), X=rng.standard_normal((10, 30)), lam=1e-5)
     ref = reference_minimum(pr, 1e-10)
@@ -295,7 +295,7 @@ def test_reference_retries_a_refused_support_solve(monkeypatch):
 
 
 def test_support_kkt_solution_refuses_wrong_signs():
-    from hslasso.problem import support_kkt_solution
+    from hslasso.baselines import support_kkt_solution
 
     pr = make_problem(11)
     ref = reference_minimum(pr, 1e-10)

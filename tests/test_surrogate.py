@@ -28,10 +28,9 @@ def test_spec_constants_match_definitions():
 
 
 def test_spec_rejects_nonpositive_t():
-    with pytest.raises(ValueError):
-        SurrogateSpec(0.0)
-    with pytest.raises(ValueError):
-        SurrogateSpec(-1.0)
+    for t in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SurrogateSpec(t)
 
 
 def test_value_zero_and_branch_point():
