@@ -49,8 +49,8 @@ class BaselineConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not np.all(np.isfinite(self.beta0)):
@@ -411,8 +411,8 @@ def reference_minimum(problem: LassoProblem, tol: float) -> ReferenceSolution:
            <= (tol/lambda)^2 ||r||^2/(2n) + 2 tol ||b||_1.
     A larger G, beyond 1e-12 max(1, |f|) of round-off, raises NumericalFailure.
     """
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"reference tolerance {tol!r} must be positive and finite")
     beta, method = _reference_iterate(problem, tol)
     if beta is None:
         raise NumericalFailure("reference solver did not reach the residual tolerance")

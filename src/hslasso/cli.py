@@ -41,6 +41,10 @@ SIM_PATTERNS = {"sim1": "dense-exp", "sim2": "sparse-exp"}
 SIM_BETA0 = {"sim1": 1.0, "sim2": 0.1}  # flat starting values of the flat methods
 GEN_DEFAULTS = dict(scenario="sim1", n=50, p=20, rho=0.1, snr=3.0, lam=1e-3, seed=0)
 SL_ALPHA = 100.0
+# the paper's bench protocol: fixed-count inner loop, oracle outer stop,
+# and HSConfig's own h, tau and max_outer
+BENCH_HS = HSConfig(t0=3.0, inner_stop="fixed", inner_fixed_count=50, outer_stop="oracle")
+MAX_ITERS = 200000  # step cap of every bench flat solve; solve's default
 
 OPS_CSV_HEADER = "sim,n,p,method,ops_total,ops_setup,ops_mult,ops_add,ops_trans,ops_cmp"
 
@@ -56,18 +60,9 @@ class BenchmarkGrid:
     methods: tuple = DEFAULT_METHODS
     seed: int = 0
     lam: float = 1e-3
-    hs_t0: float = 3.0
-    hs_inner_fixed: int = 50
-    max_iters: int = 200000
 
     def __post_init__(self) -> None:
         self.validate()
-
-    def hs_config(self) -> HSConfig:
-        """The bench protocol's HS config: fixed-count inner loop, oracle outer
-        stop, and HSConfig's own h, tau and max_outer."""
-        return HSConfig(t0=self.hs_t0, inner_stop="fixed", inner_fixed_count=self.hs_inner_fixed,
-                        outer_stop="oracle")
 
     def validate(self) -> None:
         if not self.methods:
@@ -91,7 +86,6 @@ class BenchmarkGrid:
             raise ValueError("epsilons must be positive and finite")
         if eps != sorted(set(eps), reverse=True):
             raise ValueError("epsilons must be strictly descending")
-        self.hs_config()
 
 
 def _load_problem(path: str) -> LassoProblem:
@@ -217,11 +211,8 @@ def grid_from_args(args) -> BenchmarkGrid:
         raise ValueError("--n and --p must be given together")
     scenarios = DEFAULT_SCENARIOS if args.n is None else ((args.n, args.p),)
     epsilons = tuple(sorted({float(e) for e in args.epsilons}, reverse=True))
-    return BenchmarkGrid(
-        sims=sims, scenarios=scenarios, epsilons=epsilons, methods=methods,
-        seed=args.seed, lam=args.lam, hs_t0=args.t0, hs_inner_fixed=args.inner_fixed,
-        max_iters=args.max_iters,
-    )
+    return BenchmarkGrid(sims=sims, scenarios=scenarios, epsilons=epsilons, methods=methods,
+                         seed=args.seed, lam=args.lam)
 
 
 def run_bench(grid: BenchmarkGrid) -> tuple[str, str, str, dict]:
@@ -232,7 +223,6 @@ def run_bench(grid: BenchmarkGrid) -> tuple[str, str, str, dict]:
     """
     epsilons = list(grid.epsilons)
     tightest = min(epsilons)
-    hs = grid.hs_config()
 
     eps_headers = ",".join(f"eps_{e!r}" for e in epsilons)
     table_lines = [f"sim,n,p,method,{eps_headers}"]
@@ -248,10 +238,10 @@ def run_bench(grid: BenchmarkGrid) -> tuple[str, str, str, dict]:
         "snr": GEN_DEFAULTS["snr"],
         "lambda": grid.lam,
         "ref_tol": REF_TOL,
-        "hs": {"t0": hs.t0, "h": hs.h, "inner_stop": hs.inner_stop,
-               "inner_fixed": hs.inner_fixed_count, "tau": hs.tau},
+        "hs": {"t0": BENCH_HS.t0, "h": BENCH_HS.h, "inner_stop": BENCH_HS.inner_stop,
+               "inner_fixed": BENCH_HS.inner_fixed_count, "tau": BENCH_HS.tau},
         "sl_alpha": SL_ALPHA,
-        "max_iters": grid.max_iters,
+        "max_iters": MAX_ITERS,
         "seed_rule": "problem seed = seed + 1000*sim_index + scenario_index",
         "cells": {},
     }
@@ -262,8 +252,8 @@ def run_bench(grid: BenchmarkGrid) -> tuple[str, str, str, dict]:
             spec = SyntheticSpec(n=n, p=p, rho=GEN_DEFAULTS["rho"], snr=GEN_DEFAULTS["snr"],
                                  pattern=SIM_PATTERNS[sim], seed=seed)
             problem = generate(spec, lam=grid.lam)
-            cfgs = [_cell_config(method, tightest, hs, SIM_BETA0[sim] * np.ones(p),
-                                 grid.max_iters, SL_ALPHA) for method in grid.methods]
+            cfgs = [_cell_config(method, tightest, BENCH_HS, SIM_BETA0[sim] * np.ones(p),
+                                 MAX_ITERS, SL_ALPHA) for method in grid.methods]
             ref = reference_minimum(problem, REF_TOL)
             for method, cfg in zip(grid.methods, cfgs):
                 trace, counter = _solve_cell(problem, cfg, ref)
@@ -303,21 +293,9 @@ def cmd_bench(args) -> int:
     table_csv, curves_csv, ops_csv, meta = run_bench(grid_from_args(args))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if args.format == "json":
-        table_rows = []
-        lines = table_csv.strip().split("\n")
-        header = lines[0].split(",")
-        for line in lines[1:]:
-            table_rows.append(dict(zip(header, line.split(","))))
-        with open(out / "bench_table.json", "w") as fh:
-            json.dump(table_rows, fh, indent=2)
-    else:
-        with open(out / "bench_table.csv", "w") as fh:
-            fh.write(table_csv)
-    with open(out / "bench_curves.csv", "w") as fh:
-        fh.write(curves_csv)
-    with open(out / "bench_ops.csv", "w") as fh:
-        fh.write(ops_csv)
+    for name, text in (("bench_table.csv", table_csv), ("bench_curves.csv", curves_csv),
+                       ("bench_ops.csv", ops_csv)):
+        (out / name).write_text(text)
     with open(out / "bench_meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
     print(f"wrote benchmark outputs to {out}")
@@ -407,11 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--hs-config", help="JSON file of HS settings; excludes --t0 and --h")
     ps.add_argument("--t0", type=lambda s: s if s == "auto" else float(s), help="a level or auto")
     ps.add_argument("--h", type=float, help="level shrink factor")
-    ps.add_argument("--max-iters", type=int, default=BenchmarkGrid.max_iters)
+    ps.add_argument("--max-iters", type=int, default=MAX_ITERS)
     ps.add_argument("--sl-alpha", type=float, default=SL_ALPHA)
     ps.set_defaults(func=cmd_solve)
 
-    # the bench protocol: fixed-count inner loop, oracle outer stop
+    # one protocol, BENCH_HS and MAX_ITERS; the flags pick the grid only
     pb = sub.add_parser("bench", help="run the benchmark grid")
     pb.add_argument("--scenario", "--sim", dest="sim",
                     choices=(*SIM_PATTERNS, "both"), default="both")
@@ -421,10 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--epsilons", type=float, nargs="+", default=list(DEFAULT_EPSILONS))
     pb.add_argument("--lambda", dest="lam", type=float, default=BenchmarkGrid.lam)
     pb.add_argument("--seed", type=int, default=BenchmarkGrid.seed)
-    pb.add_argument("--t0", type=float, default=BenchmarkGrid.hs_t0)
-    pb.add_argument("--inner-fixed", type=int, default=BenchmarkGrid.hs_inner_fixed)
-    pb.add_argument("--max-iters", type=int, default=BenchmarkGrid.max_iters)
-    pb.add_argument("--format", choices=("csv", "json"), default="csv")
     pb.set_defaults(func=cmd_bench)
 
     pv = sub.add_parser("verify", help="closeness diagnostics on an instance")

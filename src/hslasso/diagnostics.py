@@ -76,7 +76,11 @@ def jacobi_svd(a, tol: float = 1e-13, max_sweeps: int = 60):
 
 
 def pinv(a, rcond: float = PINV_RCOND) -> np.ndarray:
-    u, s, vt = jacobi_svd(a)
+    return _pinv_from_svd(*jacobi_svd(a), rcond)
+
+
+def _pinv_from_svd(u, s, vt, rcond: float) -> np.ndarray:
+    """Pseudo-inverse from the thin SVD a = U diag(s) Vt."""
     cutoff = rcond * (s[0] if s.size else 0.0)
     sinv = np.where(s > cutoff, 1.0 / np.where(s > 0, s, 1.0), 0.0)
     return vt.T @ (sinv[:, None] * u.T)
@@ -148,10 +152,11 @@ def support_conditions_check(X, s_set) -> SupportConditionReport:
     xs = X[:, s_idx]
     xsc = X[:, sc_idx]
 
-    _, s_vals, _ = jacobi_svd(xs)
+    u_s, s_vals, vt_s = jacobi_svd(xs)
     if s_vals.size == 0 or s_vals[-1] <= PINV_RCOND * s_vals[0] or s_vals[-1] == 0.0:
         raise ValueError("X_S is rank deficient")
-    gram_s_inv_xs_t = pinv(xs)  # equals (X_S'X_S)^-1 X_S' at full column rank
+    # equals (X_S'X_S)^-1 X_S' at full column rank; reuses the rank test's SVD
+    gram_s_inv_xs_t = _pinv_from_svd(u_s, s_vals, vt_s, PINV_RCOND)
     pinv_sc = pinv(xsc)
 
     a_mat = gram_s_inv_xs_t @ xsc + (pinv_sc @ xs).T

@@ -61,8 +61,8 @@ class HSConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.h < 1.0:
             raise ValueError("h must lie strictly in (0, 1)")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
         if self.t0 is not None and not self.tau < self.t0 < math.inf:

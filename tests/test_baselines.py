@@ -77,6 +77,11 @@ def test_validation():
         beta0[1] = bad
         with pytest.raises(ValueError, match="beta0 must be finite"):
             _cfg("fista", pr, ref, beta0=beta0)
+        with pytest.raises(ValueError, match="epsilon"):
+            _cfg("fista", pr, ref, eps=bad)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="reference tolerance"):
+            reference_minimum(pr, bad)
 
 
 def test_ista_stops_immediately_at_reference():

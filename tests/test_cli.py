@@ -37,6 +37,8 @@ def test_usage_error_exit_code(tmp_path):
                ["bench", "--h", "0.2"], ["bench", "--tau", "1e-3"], ["bench", "--max-outer", "5"],
                ["bench", "--max-inner", "5"], ["bench", "--sl-alpha", "10"],
                solve + ["--max-inner", "5"],
+               ["bench", "--t0", "3"], ["bench", "--inner-fixed", "9"],
+               ["bench", "--max-iters", "5"], ["bench", "--format", "json"],
                # homotopy settings other than t0 and h are keys of the --hs-config file
                solve + ["--bound", "5"], solve + ["--tau", "1e-3"],
                solve + ["--inner-stop", "gradient"], solve + ["--inner-fixed", "9"],
@@ -46,15 +48,12 @@ def test_usage_error_exit_code(tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(argv)
         assert exc.value.code == 2, argv
-    # a starting level must be finite: inf gave a NaN trace (solve) and
-    # empty hs cells (bench); it is rejected even where no hs cell runs
+    # a starting level must be finite: inf gave a NaN trace; it is rejected
+    # even for a method that does not read it
     assert run_cli(["datagen", "--n", "20", "--p", "5", "--out-dir", str(tmp_path)]) == 0
-    infinite = [["solve", "--method", method, "--input", str(tmp_path / "problem.json")]
-                for method in ("hs", "ista")]
-    infinite += [["bench", "--sim", "sim1", "--n", "20", "--p", "5", "--methods", method]
-                 for method in ("hs", "ista")]
-    for argv in infinite:
-        assert run_cli(argv + ["--t0", "inf", "--out-dir", str(tmp_path / "out")]) == 2, argv
+    for method in ("hs", "ista"):
+        assert run_cli(["solve", "--method", method, "--input", str(tmp_path / "problem.json"),
+                        "--t0", "inf", "--out-dir", str(tmp_path / "out")]) == 2, method
 
 
 FLAG_SURFACE = {
@@ -62,8 +61,8 @@ FLAG_SURFACE = {
                 "--seed", "--snr", "--sparsity"],
     "solve": ["--beta0", "--epsilon", "--h", "--hs-config", "--input", "--max-iters",
               "--method", "--out-dir", "--ref-tol", "--sl-alpha", "--t0"],
-    "bench": ["--epsilons", "--format", "--inner-fixed", "--lambda", "--max-iters",
-              "--methods", "--n", "--out-dir", "--p", "--scenario", "--seed", "--sim", "--t0"],
+    "bench": ["--epsilons", "--lambda", "--methods", "--n", "--out-dir", "--p", "--scenario",
+              "--seed", "--sim"],
     "verify": ["--input", "--lambda", "--levels", "--n", "--out-dir", "--p", "--ref-tol",
                "--rho", "--scenario", "--seed", "--snr"],
 }
@@ -215,6 +214,28 @@ def test_solve_checks_inputs_before_the_reference(tmp_path, monkeypatch, method,
     monkeypatch.setattr(cli, "reference_minimum", no_reference)
     assert run_cli(["solve", "--method", method, "--input", str(tmp_path / "problem.json"),
                     "--out-dir", str(tmp_path)] + flags) == 2
+
+
+@pytest.mark.parametrize("argv,setting", [
+    (["solve", "--method", "ista", "--ref-tol", "inf"], "reference tolerance"),
+    (["verify", "--ref-tol", "inf"], "reference tolerance"),
+    (["solve", "--method", "ista", "--epsilon", "inf"], "epsilon"),
+    (["solve", "--method", "hs", "--epsilon", "inf"], "epsilon"),
+    (["solve", "--method", "hs", "--epsilon", "inf", "--hs-config", "theoretical.json"],
+     "epsilon"),
+], ids=["solve-ref-tol", "verify-ref-tol", "ista-epsilon", "hs-epsilon", "hs-epsilon-count"])
+def test_non_finite_tolerances_are_usage_errors(tmp_path, capsys, argv, setting):
+    # --ref-tol inf exited 3 ("duality gap exceeds nan"); --epsilon inf
+    # exited 0 after no step, or 2 with only "math domain error"
+    assert run_cli(["datagen", "--n", "20", "--p", "5", "--out-dir", str(tmp_path)]) == 0
+    (tmp_path / "theoretical.json").write_text('{"outer_stop": "theoretical-count"}')
+    capsys.readouterr()
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    argv += ["--input", str(tmp_path / "problem.json"), "--out-dir", str(tmp_path / "out")]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and setting in err, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_finite_problem_json_is_usage_error(tmp_path):
@@ -412,16 +433,33 @@ def test_bench_matches_golden_bytes(name):
     assert ops.encode() == (golden / "bench_ops.csv").read_bytes()
 
 
-def test_bench_unreached_thresholds_leave_cells_empty(tmp_path):
-    rc = run_cli(["bench", "--sim", "sim1", "--n", "20", "--p", "6",
-                  "--methods", "ista", "--epsilons", "0.05", "1e-9",
-                  "--max-iters", "2", "--out-dir", str(tmp_path)])
-    assert rc == 0
-    table = (tmp_path / "bench_table.csv").read_text().splitlines()
-    cells = table[1].split(",")[4:]
+def test_bench_unreached_thresholds_leave_cells_empty(monkeypatch):
+    import hslasso.cli as cli
+
+    monkeypatch.setattr(cli, "MAX_ITERS", 2)
+    table, _, _, meta = run_bench(BenchmarkGrid(sims=("sim1",), scenarios=((20, 6),),
+                                                methods=("ista",), epsilons=(0.05, 1e-9)))
+    cells = table.splitlines()[1].split(",")[4:]
     assert cells[-1] == ""  # 1e-9 unreachable in two iterations
-    meta = json.loads((tmp_path / "bench_meta.json").read_text())
     assert not next(iter(meta["cells"].values()))["converged"]
+
+
+def test_bench_runs_one_protocol():
+    # the HS settings and the iteration cap are constants, echoed in the metadata
+    import dataclasses
+
+    import hslasso.cli as cli
+
+    assert [f.name for f in dataclasses.fields(BenchmarkGrid)] == [
+        "sims", "scenarios", "epsilons", "methods", "seed", "lam"]
+    _, _, _, meta = run_bench(BenchmarkGrid(sims=("sim1",), scenarios=((20, 6),),
+                                            methods=("hs",), epsilons=(0.05,)))
+    hs = cli.BENCH_HS
+    assert (hs.t0, hs.h, hs.inner_stop, hs.inner_fixed_count, hs.tau, hs.outer_stop) == (
+        3.0, 0.1, "fixed", 50, 1e-4, "oracle")
+    assert meta["hs"] == {"t0": hs.t0, "h": hs.h, "inner_stop": hs.inner_stop,
+                          "inner_fixed": hs.inner_fixed_count, "tau": hs.tau}
+    assert meta["max_iters"] == cli.MAX_ITERS == 200000
 
 
 def test_benchmark_grid_validation(tmp_path):
@@ -445,22 +483,11 @@ def test_benchmark_grid_validation(tmp_path):
         BenchmarkGrid(scenarios=((20, 5), (30, 5), (20, 5)))
     with pytest.raises(ValueError, match="sims"):
         BenchmarkGrid(sims=("sim1", "sim1"))
-    with pytest.raises(ValueError, match="t0"):
-        BenchmarkGrid(hs_t0=float("inf"))
     # each was found only by run_bench, the first after a full scenario had run
     for bad in ((0, 5), (5,), (5.5, 3), (20, True), 5):
         with pytest.raises(ValueError, match="scenario"):
             BenchmarkGrid(scenarios=((20, 5), bad))
     assert not (tmp_path / "bench_table.csv").exists()
-
-
-def test_bench_json_format(tmp_path):
-    rc = run_cli(["bench", "--sim", "sim1", "--n", "20", "--p", "6",
-                  "--methods", "hs", "--epsilons", "0.05",
-                  "--format", "json", "--out-dir", str(tmp_path)])
-    assert rc == 0
-    rows = json.loads((tmp_path / "bench_table.json").read_text())
-    assert rows[0]["method"] == "hs"
 
 
 def test_verify_minimizer_failure_is_numerical_exit(tmp_path, monkeypatch, capsys):

@@ -162,6 +162,24 @@ def test_condition_flag_matches_invariant():
             rep.sigma_max_s1 < min(2.0, 2.0 * rep.sigma_min_s2))
 
 
+def test_conditions_factor_x_s_once(monkeypatch):
+    # one SVD each of X_S, X_Sc, S1 and S2: the pseudo-inverse of X_S
+    # reuses the factors of its rank test
+    from hslasso import diagnostics
+
+    calls = []
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return jacobi_svd(a)
+
+    monkeypatch.setattr(diagnostics, "jacobi_svd", counted)
+    X = np.random.default_rng(3).standard_normal((10, 6))
+    rep = support_conditions_check(X, [0, 1, 2])
+    assert len(calls) == 4, calls
+    assert rep.frob_pinv_s == float(np.linalg.norm(pinv(X[:, [0, 1, 2]])))
+
+
 def test_conditions_validate_support():
     X = _orthonormal_design()
     with pytest.raises(ValueError):
