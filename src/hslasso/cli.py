@@ -103,13 +103,10 @@ def _fmt_sig(x: float, digits: int = 12) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _synthetic_spec(args, sparsity=None) -> SyntheticSpec:
-    return SyntheticSpec(n=args.n, p=args.p, rho=args.rho, snr=args.snr,
-                         pattern=SIM_PATTERNS[args.scenario], sparsity=sparsity, seed=args.seed)
-
-
 def cmd_datagen(args) -> int:
-    spec = _synthetic_spec(args, args.sparsity)
+    spec = SyntheticSpec(n=args.n, p=args.p, rho=args.rho, snr=args.snr,
+                         pattern=SIM_PATTERNS[args.scenario], sparsity=args.sparsity,
+                         seed=args.seed)
     problem = generate(spec, lam=args.lam)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -310,15 +307,7 @@ def cmd_bench(args) -> int:
 def cmd_verify(args) -> int:
     for t in args.levels:  # each level is checked before the reference runs
         SurrogateSpec(t)
-    given = {k: getattr(args, k) for k in GEN_DEFAULTS if getattr(args, k) is not None}
-    if args.input:
-        if given:
-            raise ValueError("verify --input reads a stored problem; it takes none of "
-                             "--scenario, --n, --p, --rho, --snr, --lambda, --seed")
-        problem = _load_problem(args.input)
-    else:
-        gen = argparse.Namespace(**{**GEN_DEFAULTS, **given})
-        problem = generate(_synthetic_spec(gen), lam=gen.lam)
+    problem = _load_problem(args.input)
     ref = reference_minimum(problem, args.ref_tol)
     sweep = diagnostics.closeness_sweep(problem, ref, ts=tuple(args.levels))
     tol = diagnostics.default_support_tol(ref.beta_hat)
@@ -352,25 +341,19 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_gen_params(parser):
-    # No argparse defaults, so that verify can tell a given flag from an
-    # absent one; the values left unset come from GEN_DEFAULTS.
-    parser.add_argument("--scenario", choices=tuple(SIM_PATTERNS))
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--p", type=int)
-    parser.add_argument("--rho", type=float)
-    parser.add_argument("--snr", type=float)
-    parser.add_argument("--lambda", dest="lam", type=float)
-    parser.add_argument("--seed", type=int)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hslasso",
                                      description="Lasso solvers with operation-count benchmarking")
     sub = parser.add_subparsers(dest="command", required=True)
 
     pg = sub.add_parser("datagen", help="write a synthetic problem instance")
-    _add_gen_params(pg)
+    pg.add_argument("--scenario", choices=tuple(SIM_PATTERNS))
+    pg.add_argument("--n", type=int)
+    pg.add_argument("--p", type=int)
+    pg.add_argument("--rho", type=float)
+    pg.add_argument("--snr", type=float)
+    pg.add_argument("--lambda", dest="lam", type=float)
+    pg.add_argument("--seed", type=int)
     pg.set_defaults(**GEN_DEFAULTS)
     pg.add_argument("--sparsity", type=int, default=None, help="default min(10, p)")
     pg.add_argument("--name", default="problem")
@@ -401,9 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--seed", type=int, default=BenchmarkGrid.seed)
     pb.set_defaults(func=cmd_bench)
 
-    pv = sub.add_parser("verify", help="closeness diagnostics on an instance")
-    pv.add_argument("--input", default=None)
-    _add_gen_params(pv)
+    pv = sub.add_parser("verify", help="closeness diagnostics on a stored problem")
+    pv.add_argument("--input", required=True)
     pv.add_argument("--levels", type=float, nargs="+",
                     default=[1.0, 0.1, 0.01, 1e-3, 1e-4])
     pv.add_argument("--ref-tol", type=float, default=REF_TOL)

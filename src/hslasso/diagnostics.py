@@ -79,10 +79,14 @@ def pinv(a, rcond: float = PINV_RCOND) -> np.ndarray:
     return _pinv_from_svd(*jacobi_svd(a), rcond)
 
 
+def _kept(s, rcond: float) -> np.ndarray:
+    """The singular values above rcond * sigma_max, which a pseudo-inverse inverts."""
+    return s > rcond * (s[0] if s.size else 0.0)
+
+
 def _pinv_from_svd(u, s, vt, rcond: float) -> np.ndarray:
     """Pseudo-inverse from the thin SVD a = U diag(s) Vt."""
-    cutoff = rcond * (s[0] if s.size else 0.0)
-    sinv = np.where(s > cutoff, 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    sinv = np.where(_kept(s, rcond), 1.0 / np.where(s > 0, s, 1.0), 0.0)
     return vt.T @ (sinv[:, None] * u.T)
 
 
@@ -136,8 +140,8 @@ def support_conditions_check(X, s_set) -> SupportConditionReport:
 
     Reports ||(X_S' X_S)^-1 X_S'||_F, ||pinv(X_Sc)||_F, and the singular
     value test sigma_max(S1) < min(2, 2*sigma_min(S2)) where S1 comes from
-    (X_S'X_S)^-1 X_S' X_Sc + (pinv(X_Sc) X_S)' and S2 from the symmetrized
-    pinv(X_Sc) X_Sc.
+    (X_S'X_S)^-1 X_S' X_Sc + (pinv(X_Sc) X_S)' and S2 = pinv(X_Sc) X_Sc, a
+    projector: sigma_min(S2) is exactly 1 if X_Sc has full column rank, else 0.
     """
     X = np.asarray(X, dtype=float)
     s_idx = np.asarray(sorted(set(int(i) for i in np.asarray(s_set).ravel())))
@@ -148,25 +152,24 @@ def support_conditions_check(X, s_set) -> SupportConditionReport:
         raise ValueError("support indices out of range")
     if s_idx.size >= p:
         raise ValueError("support set must be a proper subset of the columns")
-    sc_idx = np.setdiff1d(np.arange(p), s_idx)
-    xs = X[:, s_idx]
-    xsc = X[:, sc_idx]
+    in_s = np.zeros(p, dtype=bool)
+    in_s[s_idx] = True
+    xs = X[:, in_s]
+    xsc = X[:, ~in_s]
 
     u_s, s_vals, vt_s = jacobi_svd(xs)
-    if s_vals.size == 0 or s_vals[-1] <= PINV_RCOND * s_vals[0] or s_vals[-1] == 0.0:
+    if np.count_nonzero(_kept(s_vals, PINV_RCOND)) < s_idx.size:
         raise ValueError("X_S is rank deficient")
     # equals (X_S'X_S)^-1 X_S' at full column rank; reuses the rank test's SVD
     gram_s_inv_xs_t = _pinv_from_svd(u_s, s_vals, vt_s, PINV_RCOND)
-    pinv_sc = pinv(xsc)
+    u_sc, s_sc, vt_sc = jacobi_svd(xsc)
+    pinv_sc = _pinv_from_svd(u_sc, s_sc, vt_sc, PINV_RCOND)
 
     a_mat = gram_s_inv_xs_t @ xsc + (pinv_sc @ xs).T
     _, s1, _ = jacobi_svd(a_mat)
-    proj = pinv_sc @ xsc
-    sym = 0.5 * (proj + proj.T)
-    _, s2, _ = jacobi_svd(sym)
 
     sigma_max_s1 = float(s1[0]) if s1.size else 0.0
-    sigma_min_s2 = float(s2[-1]) if s2.size else 0.0
+    sigma_min_s2 = 1.0 if np.count_nonzero(_kept(s_sc, PINV_RCOND)) == xsc.shape[1] else 0.0
     holds = sigma_max_s1 < min(2.0, 2.0 * sigma_min_s2)
     return SupportConditionReport(
         s_set=s_idx,

@@ -67,8 +67,8 @@ class HSConfig:
             raise ValueError("tau must be positive")
         if self.t0 is not None and not self.tau < self.t0 < math.inf:
             raise ValueError("t0 must be finite and larger than tau")
-        if self.B is not None and not self.B > 0:
-            raise ValueError("B must be positive")
+        if self.B is not None and not 0 < self.B < math.inf:
+            raise ValueError("B must be positive and finite")
         if self.inner_stop not in INNER_STOP_MODES:
             raise ValueError(f"inner_stop must be one of {INNER_STOP_MODES}")
         if self.outer_stop not in OUTER_STOP_MODES:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,7 @@ def test_usage_error_exit_code(tmp_path):
     assert proc.returncode == 2
     # flags a subcommand would only have ignored are not accepted
     solve = ["solve", "--method", "ista", "--input", "p.json"]
+    verify = ["verify", "--input", "p.json"]
     removed = [["bench", "--bound", "5"], ["bench", "--inner-stop", "gradient"],
                ["bench", "--inner-grad-tol", "1e-6"], ["bench", "--outer-stop", "t-floor"],
                ["bench", "--t0", "auto"], ["datagen", "--pattern", "sparse-exp"],
@@ -43,7 +45,11 @@ def test_usage_error_exit_code(tmp_path):
                solve + ["--bound", "5"], solve + ["--tau", "1e-3"],
                solve + ["--inner-stop", "gradient"], solve + ["--inner-fixed", "9"],
                solve + ["--inner-grad-tol", "1e-6"], solve + ["--outer-stop", "t-floor"],
-               solve + ["--max-outer", "5"]]
+               solve + ["--max-outer", "5"],
+               # verify reads a stored problem only; datagen writes one
+               ["verify"], verify + ["--scenario", "sim1"], verify + ["--n", "50"],
+               verify + ["--p", "20"], verify + ["--rho", "0.1"], verify + ["--snr", "3"],
+               verify + ["--lambda", "1e-3"], verify + ["--seed", "0"]]
     for argv in removed:
         with pytest.raises(SystemExit) as exc:
             run_cli(argv)
@@ -63,8 +69,7 @@ FLAG_SURFACE = {
               "--method", "--out-dir", "--ref-tol", "--sl-alpha", "--t0"],
     "bench": ["--epsilons", "--lambda", "--methods", "--n", "--out-dir", "--p", "--scenario",
               "--seed", "--sim"],
-    "verify": ["--input", "--lambda", "--levels", "--n", "--out-dir", "--p", "--ref-tol",
-               "--rho", "--scenario", "--seed", "--snr"],
+    "verify": ["--input", "--levels", "--out-dir", "--ref-tol"],
 }
 
 
@@ -223,12 +228,17 @@ def test_solve_checks_inputs_before_the_reference(tmp_path, monkeypatch, method,
     (["solve", "--method", "hs", "--epsilon", "inf"], "epsilon"),
     (["solve", "--method", "hs", "--epsilon", "inf", "--hs-config", "theoretical.json"],
      "epsilon"),
-], ids=["solve-ref-tol", "verify-ref-tol", "ista-epsilon", "hs-epsilon", "hs-epsilon-count"])
+    (["solve", "--method", "hs", "--hs-config", "infinite_b.json"], "B"),
+], ids=["solve-ref-tol", "verify-ref-tol", "ista-epsilon", "hs-epsilon", "hs-epsilon-count",
+        "hs-infinite-b"])
 def test_non_finite_tolerances_are_usage_errors(tmp_path, capsys, argv, setting):
     # --ref-tol inf exited 3 ("duality gap exceeds nan"); --epsilon inf
-    # exited 0 after no step, or 2 with only "math domain error"
+    # exited 0 after no step, or 2 with only "math domain error"; B = inf
+    # ended in an OverflowError traceback when counting the levels
     assert run_cli(["datagen", "--n", "20", "--p", "5", "--out-dir", str(tmp_path)]) == 0
     (tmp_path / "theoretical.json").write_text('{"outer_stop": "theoretical-count"}')
+    (tmp_path / "infinite_b.json").write_text(
+        '{"B": Infinity, "outer_stop": "theoretical-count"}')
     capsys.readouterr()
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     argv += ["--input", str(tmp_path / "problem.json"), "--out-dir", str(tmp_path / "out")]
@@ -497,7 +507,9 @@ def test_verify_minimizer_failure_is_numerical_exit(tmp_path, monkeypatch, capsy
 
     capped = functools.partial(diagnostics.surrogate_minimizer, max_iters=1)
     monkeypatch.setattr(diagnostics, "surrogate_minimizer", capped)
-    rc = run_cli(["verify", "--scenario", "sim1", "--n", "40", "--p", "10",
+    assert run_cli(["datagen", "--scenario", "sim1", "--n", "40", "--p", "10",
+                    "--out-dir", str(tmp_path)]) == 0
+    rc = run_cli(["verify", "--input", str(tmp_path / "problem.json"),
                   "--levels", "1e-3", "--out-dir", str(tmp_path)])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
@@ -513,14 +525,17 @@ def test_verify_checks_levels_before_the_reference(tmp_path, monkeypatch, level)
         raise AssertionError("reference_minimum ran before the levels were checked")
 
     monkeypatch.setattr(cli, "reference_minimum", no_reference)
-    assert run_cli(["verify", "--n", "20", "--p", "5", "--levels", "0.1", level,
-                    "--out-dir", str(tmp_path)]) == 2
+    assert run_cli(["datagen", "--n", "20", "--p", "5", "--out-dir", str(tmp_path)]) == 0
+    assert run_cli(["verify", "--input", str(tmp_path / "problem.json"),
+                    "--levels", "0.1", level, "--out-dir", str(tmp_path)]) == 2
     assert not (tmp_path / "verify.json").exists()
 
 
 def test_verify_sparse_scenario_with_fewer_than_ten_columns(tmp_path):
     # sim2 keeps min(10, p) nonzero coefficients, as the bench grid does
-    rc = run_cli(["verify", "--scenario", "sim2", "--n", "20", "--p", "5",
+    assert run_cli(["datagen", "--scenario", "sim2", "--n", "20", "--p", "5",
+                    "--out-dir", str(tmp_path)]) == 0
+    rc = run_cli(["verify", "--input", str(tmp_path / "problem.json"),
                   "--levels", "0.1", "--out-dir", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "verify.json").exists()
@@ -535,26 +550,32 @@ def test_datagen_sparse_scenario_with_fewer_than_ten_columns(tmp_path):
                     "--out-dir", str(tmp_path)]) == 2
 
 
-def test_verify_input_takes_no_generation_flag(tmp_path, capsys):
-    assert run_cli(["datagen", "--n", "20", "--p", "5", "--out-dir", str(tmp_path)]) == 0
-    verify = ["verify", "--input", str(tmp_path / "problem.json"), "--levels", "0.1",
-              "--out-dir", str(tmp_path)]
-    # rejected even at its default value: the stored problem is what runs
-    for flag in (["--scenario", "sim1"], ["--n", "50"], ["--p", "20"], ["--rho", "0.1"],
-                 ["--snr", "3"], ["--lambda", "1e-3"], ["--seed", "0"]):
-        assert run_cli(verify + flag) == 2, flag
-        assert "--input" in capsys.readouterr().err
-    assert not (tmp_path / "verify.json").exists()
-    assert run_cli(verify) == 0
-
-
 def test_verify_reports(tmp_path, capsys):
-    rc = run_cli(["verify", "--scenario", "sim1", "--n", "40", "--p", "10",
-                  "--seed", "2", "--levels", "0.1", "0.01", "1e-3",
-                  "--out-dir", str(tmp_path)])
+    assert run_cli(["datagen", "--scenario", "sim1", "--n", "40", "--p", "10", "--seed", "2",
+                    "--out-dir", str(tmp_path)]) == 0
+    rc = run_cli(["verify", "--input", str(tmp_path / "problem.json"),
+                  "--levels", "0.1", "0.01", "1e-3", "--out-dir", str(tmp_path)])
     assert rc == 0
     report = json.loads((tmp_path / "verify.json").read_text())
     assert len(report["closeness_sweep"]) == 3
     errs = [row["prediction_error"] for row in report["closeness_sweep"]]
     assert errs[-1] <= errs[0] + 1e-12
     assert "support" in report
+
+
+def test_verify_leaves_numpy_ma_unimported(tmp_path):
+    # np.setdiff1d, through np.unique, imported numpy.ma (about 0.9 MB) on
+    # the first support-condition check of a process
+    import hslasso
+
+    assert run_cli(["datagen", "--scenario", "sim2", "--n", "20", "--p", "8", "--sparsity", "2",
+                    "--lambda", "0.1", "--out-dir", str(tmp_path)]) == 0
+    code = ("import sys; from hslasso.cli import main; "
+            f"assert main(['verify', '--input', {str(tmp_path / 'problem.json')!r}, "
+            f"'--levels', '0.1', '--out-dir', {str(tmp_path)!r}]) == 0; "
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'")
+    env = {**os.environ, "PYTHONPATH": str(Path(hslasso.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "verify.json").read_text())
+    assert "error" not in report["support_conditions"]  # the check ran

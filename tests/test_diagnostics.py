@@ -163,8 +163,8 @@ def test_condition_flag_matches_invariant():
 
 
 def test_conditions_factor_x_s_once(monkeypatch):
-    # one SVD each of X_S, X_Sc, S1 and S2: the pseudo-inverse of X_S
-    # reuses the factors of its rank test
+    # one SVD each of X_S, X_Sc and S1: each pseudo-inverse reuses the
+    # factors of its rank count, and S2 needs no SVD of its own
     from hslasso import diagnostics
 
     calls = []
@@ -176,8 +176,21 @@ def test_conditions_factor_x_s_once(monkeypatch):
     monkeypatch.setattr(diagnostics, "jacobi_svd", counted)
     X = np.random.default_rng(3).standard_normal((10, 6))
     rep = support_conditions_check(X, [0, 1, 2])
-    assert len(calls) == 4, calls
+    assert len(calls) == 3, calls
     assert rep.frob_pinv_s == float(np.linalg.norm(pinv(X[:, [0, 1, 2]])))
+
+
+def test_sigma_min_s2_is_exact():
+    # S2 = pinv(X_Sc) X_Sc is a projector; the SVD of its symmetric part
+    # reported round-off here: 4.0e-17 for the 0 and 1 - 3.3e-16 for the 1
+    rng = np.random.default_rng(5)
+    wide = rng.standard_normal((6, 10))  # |S^c| = 8 > n = 6: X_Sc is rank deficient
+    rep = support_conditions_check(wide, [0, 1])
+    assert rep.sigma_min_s2 == 0.0
+    assert not rep.condition3_holds
+    tall = rng.standard_normal((12, 6))  # X_Sc has full column rank
+    rep = support_conditions_check(tall, [0, 1, 2])
+    assert rep.sigma_min_s2 == 1.0
 
 
 def test_conditions_validate_support():
@@ -190,3 +203,6 @@ def test_conditions_validate_support():
     X_rankdef[:, 1] = X_rankdef[:, 0]
     with pytest.raises(ValueError):
         support_conditions_check(X_rankdef, [0, 1])  # rank-deficient X_S
+    wide = np.random.default_rng(9).standard_normal((4, 8))
+    with pytest.raises(ValueError, match="rank deficient"):
+        support_conditions_check(wide, [0, 1, 2, 3, 4])  # |S| = 5 > n = 4

@@ -449,7 +449,8 @@ def test_hs_config_validation_and_from_dict():
         HSConfig(t0=1.0, tau=2.0)
     with pytest.raises(ValueError):
         HSConfig(inner_stop="nope")
-    for bad in ({"epsilon": 0.0}, {"epsilon": math.inf}, {"tau": 0.0}, {"B": -1.0}, {"outer_stop": "nope"},
+    for bad in ({"epsilon": 0.0}, {"epsilon": math.inf}, {"tau": 0.0}, {"B": -1.0}, {"B": math.inf},
+                {"outer_stop": "nope"},
                 {"inner_fixed_count": 0}, {"inner_grad_tol": 0.0}, {"max_outer": 0}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             HSConfig(**bad)
