@@ -8,7 +8,6 @@ from .baselines import (
     ista_solve,
     reference_minimum,
     sl_solve,
-    soft_threshold,
     theoretical_bound,
 )
 from .cli import BenchmarkGrid, run_bench
@@ -17,7 +16,6 @@ from .diagnostics import (
     SupportConditionReport,
     estimation_error,
     jacobi_svd,
-    pinv,
     prediction_error,
     support_conditions_check,
     support_set,
@@ -39,7 +37,6 @@ from .problem import (
     LassoProblem,
     NumericalFailure,
     ReferenceSolution,
-    epsilon_precision,
     lasso_objective,
     load_problem_binary,
     load_problem_json,
@@ -50,9 +47,7 @@ from .problem import (
 from .surrogate import (
     SmoothnessConstants,
     SurrogateSpec,
-    condition_number_bound,
     smoothness_constants,
-    surrogate_gap_bounds,
     surrogate_value,
 )
 from .trace import SolverTrace, TraceRecord

@@ -78,15 +78,6 @@ def iterate(state, step, stop, max_iters: int):
     return state, k, True
 
 
-def soft_threshold(x, alpha):
-    """Shrink toward zero by alpha with a dead zone; prox of alpha*|.|."""
-    if np.any(np.asarray(alpha) < 0):
-        raise ValueError("threshold must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    out = np.sign(x) * np.maximum(np.abs(x) - alpha, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def _run_flat(problem, config, metadata, counter, start, step, inner_iters=1, aux=None):
     """Drive a flat method from ``start(beta0)`` until the objective is
     within config.epsilon of the reference minimum, appending one trace

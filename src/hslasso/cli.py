@@ -65,6 +65,10 @@ class BenchmarkGrid:
         self.validate()
 
     def validate(self) -> None:
+        if type(self.seed) is not int or self.seed < 0:  # a bool is no seed
+            raise ValueError("seed must be an int >= 0")
+        if isinstance(self.lam, bool) or not 0 < self.lam < math.inf:
+            raise ValueError("lambda must be positive and finite")
         if not self.methods:
             raise ValueError("methods must be nonempty")
         for s in self.scenarios:  # type(), not isinstance(): a bool is no size

@@ -50,8 +50,8 @@ class SyntheticSpec:
             raise ValueError("snr must be positive")
         if self.pattern not in PATTERNS:
             raise ValueError(f"pattern must be one of {PATTERNS}")
-        if self.pattern == "sparse-exp" and not 1 <= self.sparsity <= self.p:
-            raise ValueError("sparse-exp requires 1 <= sparsity <= p")
+        if not 1 <= self.sparsity <= self.p:  # checked for dense-exp too, which ignores it
+            raise ValueError("sparsity must satisfy 1 <= sparsity <= p")
 
     def metadata(self) -> dict:
         return {

@@ -75,10 +75,6 @@ def jacobi_svd(a, tol: float = 1e-13, max_sweeps: int = 60):
     return u, sing, v.T
 
 
-def pinv(a, rcond: float = PINV_RCOND) -> np.ndarray:
-    return _pinv_from_svd(*jacobi_svd(a), rcond)
-
-
 def _kept(s, rcond: float) -> np.ndarray:
     """The singular values above rcond * sigma_max, which a pseudo-inverse inverts."""
     return s > rcond * (s[0] if s.size else 0.0)

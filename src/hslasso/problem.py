@@ -1,4 +1,4 @@
-"""Lasso problem container, objectives, precision test, serialization.
+"""Lasso problem container, objectives, serialization.
 
 The problem instance is immutable after construction: the normalized gram
 matrix X'X/n, the vector X'y/n, and the extreme gram eigenvalues are
@@ -108,13 +108,6 @@ def lasso_objective(problem: LassoProblem, beta) -> float:
         raise ValueError(f"beta must have shape ({problem.p},), got {beta.shape}")
     r = problem.y - problem.X @ beta
     return float(r @ r / (2.0 * problem.n) + problem.lam * np.sum(np.abs(beta)))
-
-
-def epsilon_precision(problem: LassoProblem, beta, ref: ReferenceSolution, epsilon: float) -> bool:
-    """True iff the objective at beta is within epsilon of the reference minimum."""
-    if not np.isfinite(ref.f_min):
-        raise ValueError("reference minimum must be finite")
-    return lasso_objective(problem, beta) - ref.f_min <= epsilon
 
 
 def subgradient_residual(problem: LassoProblem, beta) -> float:

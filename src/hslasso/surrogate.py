@@ -37,7 +37,6 @@ class SurrogateSpec:
     """Homotopy level t with the branch coefficients precomputed."""
 
     t: float
-    log1pt: float = field(init=False)
     c_quad: float = field(init=False)
     c_lin: float = field(init=False)
     c_inv: float = field(init=False)
@@ -47,7 +46,6 @@ class SurrogateSpec:
         if not 0 < self.t < math.inf:
             raise ValueError("surrogate level t must be finite and strictly positive")
         log1pt = math.log1p(self.t)
-        object.__setattr__(self, "log1pt", log1pt)
         object.__setattr__(self, "c_quad", log1pt**2 / (3.0 * self.t**3))
         object.__setattr__(self, "c_lin", (log1pt / self.t) ** 2)
         object.__setattr__(self, "c_inv", log1pt**2 / 3.0)
@@ -103,28 +101,6 @@ def smoothness_constants(problem, spec: SurrogateSpec, B: float) -> SmoothnessCo
     mu = problem.eig_min + lam * 2.0 * spec.c_inv / B**3
     kappa = L / mu if mu > 0 else math.inf
     return SmoothnessConstants(L=L, mu=mu, kappa=kappa)
-
-
-def condition_number_bound(problem, B: float, tau: float) -> float:
-    """Upper bound on the smoothed objective's condition number over all
-    levels t >= tau, assuming iterates bounded entrywise by B."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if B <= 0:
-        raise ValueError("B must be positive")
-    log_term = math.log1p(tau) ** 2
-    return 3.0 * B**3 * problem.eig_max / (2.0 * problem.lam * log_term) + (B / tau) ** 3
-
-
-def surrogate_gap_bounds(spec: SurrogateSpec, B: float) -> tuple[float, float]:
-    """Closed interval containing value(x) - |x| for every |x| <= B.
-
-    The upper bound is always 0; the lower bound is attained at |x| = B
-    (valid regime B >= t, warned otherwise).
-    """
-    if B < spec.t:
-        warnings.warn("gap bounds assume B >= t")
-    return (float(spec.value(B)) - B, 0.0)
 
 
 def surrogate_value(problem: LassoProblem, spec: SurrogateSpec, beta) -> float:

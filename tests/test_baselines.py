@@ -12,6 +12,7 @@ from helpers import (
     identity_closed_form,
     identity_problem,
     make_problem,
+    soft_threshold,
 )
 from hslasso.baselines import (
     METHODS,
@@ -23,7 +24,6 @@ from hslasso.baselines import (
     reference_minimum,
     sl_penalty_grad,
     sl_solve,
-    soft_threshold,
     solve,
     theoretical_bound,
 )

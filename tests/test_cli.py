@@ -54,6 +54,10 @@ def test_usage_error_exit_code(tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(argv)
         assert exc.value.code == 2, argv
+    # a sparsity outside 1..p wrote "sparsity": null on a dense scenario and exited 0
+    assert run_cli(["datagen", "--scenario", "sim1", "--sparsity", "-3",
+                    "--out-dir", str(tmp_path)]) == 2
+    assert not (tmp_path / "problem.json").exists()
     # a starting level must be finite: inf gave a NaN trace; it is rejected
     # even for a method that does not read it
     assert run_cli(["datagen", "--n", "20", "--p", "5", "--out-dir", str(tmp_path)]) == 0
@@ -497,6 +501,15 @@ def test_benchmark_grid_validation(tmp_path):
     for bad in ((0, 5), (5,), (5.5, 3), (20, True), 5):
         with pytest.raises(ValueError, match="scenario"):
             BenchmarkGrid(scenarios=((20, 5), bad))
+    # each built, and run_bench then failed: seed=1.5 with a TypeError
+    for bad in (-1.0, 0.0, float("nan"), float("inf"), True):
+        with pytest.raises(ValueError, match="lambda"):
+            BenchmarkGrid(lam=bad)
+    for bad in (-5000, -1, 1.5, True):
+        with pytest.raises(ValueError, match="seed"):
+            BenchmarkGrid(seed=bad)
+    assert run_cli(["bench", "--seed", "-1", "--out-dir", str(tmp_path)]) == 2
+    assert run_cli(["bench", "--lambda", "-1", "--out-dir", str(tmp_path)]) == 2
     assert not (tmp_path / "bench_table.csv").exists()
 
 

@@ -21,6 +21,11 @@ def test_spec_validation():
         SyntheticSpec(n=5, p=3, rho=0.1, snr=0.0)
     with pytest.raises(ValueError):
         SyntheticSpec(n=5, p=3, rho=0.1, pattern="sparse-exp", sparsity=4)
+    # dense-exp ignores the sparsity, but a bad one is an error there too
+    for bad in (-3, 0, 4):
+        with pytest.raises(ValueError, match="sparsity"):
+            SyntheticSpec(n=5, p=3, rho=0.1, sparsity=bad)
+    assert SyntheticSpec(n=5, p=3, rho=0.1, sparsity=3).metadata()["sparsity"] is None
 
 
 def test_sparse_pattern_defaults_to_at_most_ten_nonzeros():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import make_problem
+from helpers import make_problem, pinv
 from hslasso.baselines import reference_minimum
 from hslasso.datagen import SyntheticSpec, generate
 from hslasso.diagnostics import (
@@ -9,7 +9,6 @@ from hslasso.diagnostics import (
     default_support_tol,
     estimation_error,
     jacobi_svd,
-    pinv,
     prediction_error,
     support_conditions_check,
     support_set,

@@ -12,14 +12,13 @@ PUBLIC_SURFACE = [
     "AGDState", "BaselineConfig", "BenchmarkGrid", "HSConfig", "LassoProblem",
     "NumericalFailure", "OpCounter", "ReferenceSolution", "SmoothnessConstants", "SolverTrace",
     "SupportConditionReport", "SurrogateSpec", "SyntheticSpec", "TraceRecord", "agd_state",
-    "agd_step", "beta_pattern", "cd_solve", "condition_number_bound", "epsilon_precision",
-    "equicorrelated_design", "estimation_error", "find_t0", "fista_solve", "generate",
-    "hs_solve", "initial_beta", "inner_solve", "inner_tolerance", "ista_solve", "jacobi_svd",
-    "lasso_objective", "load_problem_binary", "load_problem_json", "noise_scale_for_snr",
-    "outer_iteration_count", "pinv", "prediction_error", "reference_minimum", "run_bench",
-    "save_problem_binary", "save_problem_json", "sl_solve", "smoothness_constants",
-    "soft_threshold", "subgradient_residual", "support_conditions_check", "support_set",
-    "surrogate_gap_bounds", "surrogate_value", "theoretical_bound",
+    "agd_step", "beta_pattern", "cd_solve", "equicorrelated_design", "estimation_error",
+    "find_t0", "fista_solve", "generate", "hs_solve", "initial_beta", "inner_solve",
+    "inner_tolerance", "ista_solve", "jacobi_svd", "lasso_objective", "load_problem_binary",
+    "load_problem_json", "noise_scale_for_snr", "outer_iteration_count", "prediction_error",
+    "reference_minimum", "run_bench", "save_problem_binary", "save_problem_json", "sl_solve",
+    "smoothness_constants", "subgradient_residual", "support_conditions_check", "support_set",
+    "surrogate_value", "theoretical_bound",
 ]
 
 

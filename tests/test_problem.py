@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     grid_search_2d,
+    grid_search_2d_brute,
     identity_closed_form,
     identity_problem,
     make_problem,
@@ -15,8 +16,6 @@ from hslasso.baselines import reference_minimum
 from hslasso.datagen import SyntheticSpec, generate
 from hslasso.problem import (
     LassoProblem,
-    ReferenceSolution,
-    epsilon_precision,
     lasso_objective,
     load_problem_binary,
     load_problem_json,
@@ -151,21 +150,6 @@ def test_surrogate_objective_rejects_bad_t():
         surrogate_value(pr, SurrogateSpec(0.5), np.zeros(pr.p + 1))
 
 
-def test_epsilon_precision_cases():
-    pr = make_problem(7)
-    ref = reference_minimum(pr, 1e-10)
-    assert epsilon_precision(pr, ref.beta_hat, ref, 1e-12)
-    # gap 0.02 vs eps 0.01 -> False; boundary inclusive
-    fake = ReferenceSolution(beta_hat=ref.beta_hat,
-                             f_min=lasso_objective(pr, ref.beta_hat) - 0.02,
-                             dual_gap=1e-10)
-    assert not epsilon_precision(pr, ref.beta_hat, fake, 0.01)
-    boundary = ReferenceSolution(beta_hat=ref.beta_hat,
-                                 f_min=lasso_objective(pr, ref.beta_hat) - 0.005,
-                                 dual_gap=1e-10)
-    assert epsilon_precision(pr, ref.beta_hat, boundary, 0.005)
-
-
 def test_reference_matches_identity_closed_form():
     rng = np.random.default_rng(21)
     y = rng.standard_normal(6) * 2.0
@@ -196,6 +180,16 @@ def test_reference_matches_grid_search_p2():
     best, _ = grid_search_2d(pr, res=1e-3)
     assert abs(ref.f_min - best) < 1e-5
     assert ref.f_min <= best + 1e-12
+
+
+def test_windowed_grid_search_matches_brute_force():
+    # two of criterion 2's instances: the same minimum, bit for bit, at the same point
+    for seed in (0, 14):
+        pr = make_problem(200 + seed, n=10, p=2, lam=0.1 + 0.02 * seed)
+        best, pt = grid_search_2d(pr)
+        best_brute, pt_brute = grid_search_2d_brute(pr)
+        assert best == best_brute
+        assert np.array_equal(pt, pt_brute)
 
 
 def test_reference_residual_and_idempotence():

@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import central_diff, make_problem
-from hslasso.surrogate import (
-    SurrogateSpec,
-    condition_number_bound,
-    smoothness_constants,
-    surrogate_gap_bounds,
-)
+from hslasso.surrogate import SurrogateSpec, smoothness_constants
 
 T_GRID = (10.0, 1.0, 0.1, 0.01, 0.001)
 
@@ -20,7 +15,6 @@ def test_spec_constants_match_definitions():
     for t in T_GRID:
         s = SurrogateSpec(t)
         lg = math.log1p(t)
-        assert s.log1pt == lg
         assert s.c_quad == lg**2 / (3 * t**3)
         assert s.c_lin == (lg / t) ** 2
         assert s.c_inv == lg**2 / 3
@@ -153,26 +147,18 @@ def test_sandwich_on_dense_grids():
         for B in (1.0, 2.0, 10.0):
             if B < t:
                 continue
-            lower, upper = surrogate_gap_bounds(s, B)
-            assert upper == 0.0
+            lower = s.value(B) - B  # the gap value(x) - |x| is least at |x| = B
             xs = np.linspace(-B, B, 10_001)
             gap = s.value(xs) - np.abs(xs)
-            assert np.all(gap <= upper + 1e-12)
+            assert np.all(gap <= 1e-12)
             assert np.all(gap >= lower - 1e-12)
 
 
 def test_gap_bounds_example_t1_b2():
     s = SurrogateSpec(1.0)
-    lower, upper = surrogate_gap_bounds(s, 2.0)
     lg2 = math.log(2.0) ** 2
     expected = (lg2 * 2.0 + lg2 / 6.0 - lg2) - 2.0  # outer branch at x = 2
-    assert lower == pytest.approx(expected, rel=1e-13)
-    assert upper == 0.0
-
-
-def test_gap_bounds_warns_below_t():
-    with pytest.warns(UserWarning):
-        surrogate_gap_bounds(SurrogateSpec(2.0), 1.0)
+    assert s.value(2.0) - 2.0 == pytest.approx(expected, rel=1e-13)
 
 
 def test_smoothness_constants_identity_gram():
@@ -225,24 +211,12 @@ def test_smoothness_constants_zero_penalty_sentinel():
     assert cons.kappa == pytest.approx(4.0)
 
 
-def test_condition_number_bound_zero_design():
-    from hslasso.problem import LassoProblem
-
-    pr = LassoProblem(y=np.zeros(3), X=np.zeros((3, 2)), lam=1.0)
-    assert condition_number_bound(pr, B=2.0, tau=0.5) == pytest.approx((2.0 / 0.5) ** 3)
-
-
-def test_condition_number_bound_b_equals_tau():
-    pr = make_problem(1)
-    tau = 0.7
-    expected = 3 * tau**3 * pr.eig_max / (2 * pr.lam * math.log1p(tau) ** 2) + 1.0
-    assert condition_number_bound(pr, B=tau, tau=tau) == pytest.approx(expected, rel=1e-12)
-
-
 def test_condition_number_bound_dominates_constants():
+    # the paper's bound on kappa over all levels t >= tau, for iterates
+    # bounded entrywise by B: 3 B^3 eig_max / (2 lam log(1+tau)^2) + (B/tau)^3
     pr = make_problem(2, n=30, p=6, lam=0.05)
     B, tau = 5.0, 0.01
-    bound = condition_number_bound(pr, B, tau)
+    bound = 3.0 * B**3 * pr.eig_max / (2.0 * pr.lam * math.log1p(tau) ** 2) + (B / tau) ** 3
     t = tau
     # the levels above B take constants outside their assumption B >= t
     with pytest.warns(UserWarning, match="B below surrogate level t"):
