@@ -10,7 +10,6 @@ from .baselines import (
     sl_solve,
     theoretical_bound,
 )
-from .cli import BenchmarkGrid, run_bench
 from .datagen import SyntheticSpec, beta_pattern, equicorrelated_design, generate, noise_scale_for_snr
 from .diagnostics import (
     SupportConditionReport,
@@ -53,3 +52,20 @@ from .surrogate import (
 from .trace import SolverTrace, TraceRecord
 
 __version__ = "0.1.0"
+
+# The bench lives in the CLI module. It is resolved on first use (PEP 562),
+# so that `import hslasso` leaves hslasso.cli unimported and
+# `python -m hslasso.cli` runs that module once, as __main__.
+_FROM_CLI = ("BenchmarkGrid", "run_bench")
+
+
+def __getattr__(name):
+    if name in _FROM_CLI:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), *_FROM_CLI])

@@ -36,15 +36,18 @@ DEFAULT_EPSILONS = (0.05, 0.03, 0.02, 0.01, 0.009, 0.008, 0.007, 0.006, 0.005)
 DEFAULT_SCENARIOS = ((50, 20), (50, 80))
 DEFAULT_METHODS = ("ista", "fista", "hs")
 KNOWN_METHODS = baselines.METHODS + ("hs",)
-REF_TOL = 1e-10
 SIM_PATTERNS = {"sim1": "dense-exp", "sim2": "sparse-exp"}
 SIM_BETA0 = {"sim1": 1.0, "sim2": 0.1}  # flat starting values of the flat methods
-GEN_DEFAULTS = dict(scenario="sim1", n=50, p=20, rho=0.1, snr=3.0, lam=1e-3, seed=0)
+GEN_DEFAULTS = dict(scenario="sim1", n=50, p=20, rho=0.1, snr=SyntheticSpec.snr, lam=1e-3,
+                    seed=0)
+# the protocol of every run, solve's, verify's and each bench cell's: the
+# reference tolerance, the step cap of a flat solve and sl's smoothing
+REF_TOL = 1e-10
+MAX_ITERS = 200000
 SL_ALPHA = 100.0
 # the paper's bench protocol: fixed-count inner loop, oracle outer stop,
 # and HSConfig's own h, tau and max_outer
 BENCH_HS = HSConfig(t0=3.0, inner_stop="fixed", inner_fixed_count=50, outer_stop="oracle")
-MAX_ITERS = 200000  # step cap of every bench flat solve; solve's default
 
 OPS_CSV_HEADER = "sim,n,p,method,ops_total,ops_setup,ops_mult,ops_add,ops_trans,ops_cmp"
 
@@ -59,7 +62,7 @@ class BenchmarkGrid:
     epsilons: tuple = DEFAULT_EPSILONS
     methods: tuple = DEFAULT_METHODS
     seed: int = 0
-    lam: float = 1e-3
+    lam: float = GEN_DEFAULTS["lam"]
 
     def __post_init__(self) -> None:
         self.validate()
@@ -86,7 +89,7 @@ class BenchmarkGrid:
             if s not in SIM_PATTERNS:
                 raise ValueError(f"unknown simulation {s!r}")
         eps = list(self.epsilons)
-        if not eps or not all(0 < e < math.inf for e in eps):
+        if not eps or not all(not isinstance(e, bool) and 0 < e < math.inf for e in eps):
             raise ValueError("epsilons must be positive and finite")
         if eps != sorted(set(eps), reverse=True):
             raise ValueError("epsilons must be strictly descending")
@@ -141,15 +144,15 @@ def _beta0_vector(problem: LassoProblem, spec: str) -> np.ndarray:
         raise ValueError(f"unknown beta0 spec {spec!r}; use zeros, ones, or a number")
 
 
-def _cell_config(method, epsilon, hs, beta0, max_iters, sl_alpha):
+def _cell_config(method, epsilon, hs, beta0):
     """The checked config of one solver run to ``epsilon``, built before the
     reference; ``hs`` is the homotopy config before its precision is set.
     The flat settings are checked for every method, as ``sl`` reads them all."""
     flat = baselines.BaselineConfig(method="sl", beta0=beta0, epsilon=epsilon,
-                                    max_iters=max_iters, ref=None, sl_alpha=sl_alpha)
+                                    max_iters=MAX_ITERS, ref=None, sl_alpha=SL_ALPHA)
     if method == "hs":
         return replace(hs, epsilon=epsilon)
-    return replace(flat, method=method, sl_alpha=sl_alpha if method == "sl" else None)
+    return replace(flat, method=method, sl_alpha=SL_ALPHA if method == "sl" else None)
 
 
 def _solve_cell(problem, cfg, ref):
@@ -163,23 +166,14 @@ def _solve_cell(problem, cfg, ref):
     return trace, counter
 
 
-def _hs_config(args) -> HSConfig:
-    """The HS settings from the --hs-config file or the --t0/--h flags, never both."""
-    flags = {k: v for k, v in (("t0", args.t0), ("h", args.h)) if v is not None}
-    if not args.hs_config:
-        return HSConfig.from_dict(flags)
-    if flags:
-        raise ValueError("--hs-config sets t0 and h itself; give it or --t0/--h, not both")
-    with open(args.hs_config) as fh:
-        return HSConfig.from_dict(json.load(fh))
-
-
 def cmd_solve(args) -> int:
-    hs = _hs_config(args)
+    hs = HSConfig()  # the HS settings come from the --hs-config file only
+    if args.hs_config:
+        with open(args.hs_config) as fh:
+            hs = HSConfig.from_dict(json.load(fh))
     problem = _load_problem(args.input)
-    cfg = _cell_config(args.method, args.epsilon, hs, _beta0_vector(problem, args.beta0),
-                       args.max_iters, args.sl_alpha)
-    ref = reference_minimum(problem, args.ref_tol)
+    cfg = _cell_config(args.method, args.epsilon, hs, _beta0_vector(problem, args.beta0))
+    ref = reference_minimum(problem, REF_TOL)
     trace, counter = _solve_cell(problem, cfg, ref)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -253,8 +247,8 @@ def run_bench(grid: BenchmarkGrid) -> tuple[str, str, str, dict]:
             spec = SyntheticSpec(n=n, p=p, rho=GEN_DEFAULTS["rho"], snr=GEN_DEFAULTS["snr"],
                                  pattern=SIM_PATTERNS[sim], seed=seed)
             problem = generate(spec, lam=grid.lam)
-            cfgs = [_cell_config(method, tightest, BENCH_HS, SIM_BETA0[sim] * np.ones(p),
-                                 MAX_ITERS, SL_ALPHA) for method in grid.methods]
+            cfgs = [_cell_config(method, tightest, BENCH_HS, SIM_BETA0[sim] * np.ones(p))
+                    for method in grid.methods]
             ref = reference_minimum(problem, REF_TOL)
             for method, cfg in zip(grid.methods, cfgs):
                 trace, counter = _solve_cell(problem, cfg, ref)
@@ -312,8 +306,8 @@ def cmd_verify(args) -> int:
     for t in args.levels:  # each level is checked before the reference runs
         SurrogateSpec(t)
     problem = _load_problem(args.input)
-    ref = reference_minimum(problem, args.ref_tol)
-    sweep = diagnostics.closeness_sweep(problem, ref, ts=tuple(args.levels))
+    ref = reference_minimum(problem, REF_TOL)
+    sweep = diagnostics.closeness_sweep(problem, ref, tuple(args.levels))
     tol = diagnostics.default_support_tol(ref.beta_hat)
     support = diagnostics.support_set(ref.beta_hat, tol)
     report: dict = {
@@ -368,15 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--input", required=True)
     ps.add_argument("--epsilon", type=float, default=0.005)
     ps.add_argument("--beta0", default="ones", help="zeros | ones | a flat value")
-    ps.add_argument("--ref-tol", type=float, default=REF_TOL)
-    ps.add_argument("--hs-config", help="JSON file of HS settings; excludes --t0 and --h")
-    ps.add_argument("--t0", type=lambda s: s if s == "auto" else float(s), help="a level or auto")
-    ps.add_argument("--h", type=float, help="level shrink factor")
-    ps.add_argument("--max-iters", type=int, default=MAX_ITERS)
-    ps.add_argument("--sl-alpha", type=float, default=SL_ALPHA)
+    ps.add_argument("--hs-config", help="JSON file of HS settings; default HSConfig()")
     ps.set_defaults(func=cmd_solve)
 
-    # one protocol, BENCH_HS and MAX_ITERS; the flags pick the grid only
+    # one protocol, BENCH_HS, MAX_ITERS, SL_ALPHA and REF_TOL; the flags pick the grid only
     pb = sub.add_parser("bench", help="run the benchmark grid")
     pb.add_argument("--scenario", "--sim", dest="sim",
                     choices=(*SIM_PATTERNS, "both"), default="both")
@@ -392,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--input", required=True)
     pv.add_argument("--levels", type=float, nargs="+",
                     default=[1.0, 0.1, 0.01, 1e-3, 1e-4])
-    pv.add_argument("--ref-tol", type=float, default=REF_TOL)
     pv.set_defaults(func=cmd_verify)
     for sp in (pg, ps, pb, pv):
         sp.add_argument("--out-dir", default="out")

@@ -40,8 +40,13 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "p", "seed") + (() if self.sparsity is None else ("sparsity",)):
+            if type(getattr(self, name)) is not int:  # type(), not isinstance(): a bool is no int
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.n < 1 or self.p < 1:
             raise ValueError("need n >= 1 and p >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.sparsity is None:
             object.__setattr__(self, "sparsity", min(10, self.p))
         if not 0.0 <= self.rho < 1.0:
@@ -93,7 +98,7 @@ def noise_scale_for_snr(spec: SyntheticSpec, beta) -> float:
     return math.sqrt(signal_var / spec.snr)
 
 
-def generate(spec: SyntheticSpec, lam: float = 1e-3) -> LassoProblem:
+def generate(spec: SyntheticSpec, lam: float) -> LassoProblem:
     """Full instance: X from the equicorrelated design, y = X beta + q z."""
     design_ss, noise_ss = np.random.SeedSequence(spec.seed).spawn(2)
     X = equicorrelated_design(spec, np.random.Generator(np.random.PCG64(design_ss)))

@@ -187,7 +187,7 @@ def surrogate_minimizer(problem: LassoProblem, t: float,
     return beta
 
 
-def closeness_sweep(problem: LassoProblem, ref, ts=(1.0, 0.1, 0.01, 1e-3, 1e-4)) -> list[dict]:
+def closeness_sweep(problem: LassoProblem, ref, ts) -> list[dict]:
     """Prediction and estimation errors of the smoothed minimizer along a
     decreasing grid of levels."""
     rows = []

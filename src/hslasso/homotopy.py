@@ -16,6 +16,7 @@ objective on its quadratic branch, 2*lambda*log(1+t0)^2/(3 t0^3).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -59,6 +60,14 @@ class HSConfig:
     max_outer: int = 1000
 
     def __post_init__(self) -> None:
+        counts = ("inner_fixed_count", "max_outer")
+        reals = ("h", "epsilon", "tau", "inner_grad_tol") + tuple(
+            name for name in ("t0", "B") if getattr(self, name) is not None)
+        for kind, names in ((int, counts), (numbers.Real, reals)):
+            for name in names:  # a bool is no number, and a count is no float
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError(f"{name} has the wrong type: {value!r}")
         if not 0.0 < self.h < 1.0:
             raise ValueError("h must lie strictly in (0, 1)")
         if not 0 < self.epsilon < math.inf:
@@ -92,10 +101,7 @@ class HSConfig:
             raise ValueError(f"no config key {unknown[0]!r}; the keys are {sorted(keys)}")
         if doc.get("t0") == "auto":
             doc = {**doc, "t0": None}
-        try:
-            return cls(**doc)
-        except TypeError as exc:  # e.g. "h": "0.1", a string where a number belongs
-            raise ValueError(f"config value of the wrong type: {exc}") from exc
+        return cls(**doc)
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,9 @@ def problem_from_json(text: str) -> LassoProblem:
     missing = {"n", "p", "lambda", "y", "X"} - doc.keys()
     if missing:
         raise ValueError(f"problem document missing keys: {sorted(missing)}")
+    for key, kind in (("n", int), ("p", int), ("lambda", (int, float))):
+        if isinstance(doc[key], bool) or not isinstance(doc[key], kind):  # a bool is no number
+            raise ValueError(f"problem value of the wrong type: {key} = {doc[key]!r}")
     try:
         X = np.asarray(doc["X"], dtype=float)
         y = np.asarray(doc["y"], dtype=float)

@@ -79,6 +79,10 @@ def test_validation():
             _cfg("fista", pr, ref, beta0=beta0)
         with pytest.raises(ValueError, match="epsilon"):
             _cfg("fista", pr, ref, eps=bad)
+    with pytest.raises(ValueError, match="max_iters"):
+        _cfg("fista", pr, ref, iters=0)
+    with pytest.raises(ValueError, match="sl_alpha"):
+        _cfg("sl", pr, ref, alpha=-1.0)
     for bad in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="reference tolerance"):
             reference_minimum(pr, bad)

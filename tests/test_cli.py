@@ -49,7 +49,11 @@ def test_usage_error_exit_code(tmp_path):
                # verify reads a stored problem only; datagen writes one
                ["verify"], verify + ["--scenario", "sim1"], verify + ["--n", "50"],
                verify + ["--p", "20"], verify + ["--rho", "0.1"], verify + ["--snr", "3"],
-               verify + ["--lambda", "1e-3"], verify + ["--seed", "0"]]
+               verify + ["--lambda", "1e-3"], verify + ["--seed", "0"],
+               # one protocol for every run, and HS settings from the file only
+               solve + ["--ref-tol", "1e-8"], solve + ["--max-iters", "5"],
+               solve + ["--sl-alpha", "10"], solve + ["--t0", "3"], solve + ["--h", "0.2"],
+               verify + ["--ref-tol", "1e-8"]]
     for argv in removed:
         with pytest.raises(SystemExit) as exc:
             run_cli(argv)
@@ -61,19 +65,20 @@ def test_usage_error_exit_code(tmp_path):
     # a starting level must be finite: inf gave a NaN trace; it is rejected
     # even for a method that does not read it
     assert run_cli(["datagen", "--n", "20", "--p", "5", "--out-dir", str(tmp_path)]) == 0
+    (tmp_path / "inf.json").write_text('{"t0": Infinity}')
     for method in ("hs", "ista"):
         assert run_cli(["solve", "--method", method, "--input", str(tmp_path / "problem.json"),
-                        "--t0", "inf", "--out-dir", str(tmp_path / "out")]) == 2, method
+                        "--hs-config", str(tmp_path / "inf.json"),
+                        "--out-dir", str(tmp_path / "out")]) == 2, method
 
 
 FLAG_SURFACE = {
     "datagen": ["--lambda", "--n", "--name", "--out-dir", "--p", "--rho", "--scenario",
                 "--seed", "--snr", "--sparsity"],
-    "solve": ["--beta0", "--epsilon", "--h", "--hs-config", "--input", "--max-iters",
-              "--method", "--out-dir", "--ref-tol", "--sl-alpha", "--t0"],
+    "solve": ["--beta0", "--epsilon", "--hs-config", "--input", "--method", "--out-dir"],
     "bench": ["--epsilons", "--lambda", "--methods", "--n", "--out-dir", "--p", "--scenario",
               "--seed", "--sim"],
-    "verify": ["--input", "--levels", "--out-dir", "--ref-tol"],
+    "verify": ["--input", "--levels", "--out-dir"],
 }
 
 
@@ -134,10 +139,13 @@ def test_solve_reproduces_bench_cell(tmp_path, capsys):
     bench_ops = {row.split(",")[3]: row.split(",")[4] for row in rows}
     assert run_cli(["datagen", "--scenario", "sim1", "--n", "30", "--p", "10",
                     "--seed", "1005", "--out-dir", str(tmp_path)]) == 0
+    # HSConfig() with the bench's t0 is the bench's HS protocol
+    (tmp_path / "hs.json").write_text('{"t0": 3}')
     capsys.readouterr()
     for method in methods:
         assert run_cli(["solve", "--method", method, "--input", str(tmp_path / "problem.json"),
-                        "--beta0", "1", "--t0", "3", "--out-dir", str(tmp_path)]) == 0
+                        "--beta0", "1", "--hs-config", str(tmp_path / "hs.json"),
+                        "--out-dir", str(tmp_path)]) == 0
         fields = dict(f.split("=", 1) for f in capsys.readouterr().out.split())
         assert fields["ops"] == bench_ops[method], method
 
@@ -166,10 +174,15 @@ PROBLEM_2x1 = '"n": 2, "p": 1, "X": [[1.0], [2.0]]'
     ("--input", '{%s, "lambda": "0.1", "y": [1.0, 2.0]}' % PROBLEM_2x1),
     ("--input", '{%s, "lambda": null, "y": [1.0, 2.0]}' % PROBLEM_2x1),
     ("--input", '{%s, "lambda": 0.1, "y": {"a": 1}}' % PROBLEM_2x1),
+    ("--input", '{%s, "lambda": true, "y": [1.0, 2.0]}' % PROBLEM_2x1),
+    ("--input", '{"n": true, "p": 1, "X": [[1.0]], "lambda": 0.1, "y": [1.0]}'),
     ("--hs-config", "[]"),
-], ids=["problem-array", "lambda-string", "lambda-null", "y-object", "hs-config-array"])
+    ("--hs-config", '{"inner_fixed_count": 2.5}'),
+], ids=["problem-array", "lambda-string", "lambda-null", "y-object", "lambda-bool", "n-bool",
+        "hs-config-array", "hs-config-float-count"])
 def test_wrongly_shaped_json_is_usage_error(tmp_path, capsys, flag, text):
-    # each was a traceback (exit 1) from an AttributeError or TypeError
+    # each was a traceback (exit 1) from an AttributeError or TypeError,
+    # or a run (exit 0): lambda = 1.0, a 1-row X, 3 inner steps
     files = {"--input": '{%s, "lambda": 0.1, "y": [1.0, 2.0]}' % PROBLEM_2x1,
              "--hs-config": "{}", flag: text}
     argv = ["solve", "--method", "hs", "--out-dir", str(tmp_path)]
@@ -189,33 +202,45 @@ def test_wrongly_shaped_json_is_usage_error(tmp_path, capsys, flag, text):
 ], ids=["file-and-t0", "file-and-h", "file-epsilon", "file-outer-ref"])
 def test_hs_settings_have_one_source(tmp_path, capsys, flags, config):
     # each value was silently dropped (exit 0): the flags beside a file,
-    # the file's epsilon under the --epsilon default, the file's outer_ref
+    # the file's epsilon under the --epsilon default, the file's outer_ref.
+    # The file is now the only source: --t0 and --h are no flags at all.
     assert run_cli(["datagen", "--n", "20", "--p", "5", "--out-dir", str(tmp_path)]) == 0
     cfg = tmp_path / "hs.json"
     cfg.write_text(json.dumps(config))
-    assert run_cli(["solve", "--method", "hs", "--input", str(tmp_path / "problem.json"),
-                    "--hs-config", str(cfg), "--out-dir", str(tmp_path)] + flags) == 2
-    assert "usage error" in capsys.readouterr().err
+    argv = ["solve", "--method", "hs", "--input", str(tmp_path / "problem.json"),
+            "--hs-config", str(cfg), "--out-dir", str(tmp_path)] + flags
+    if flags:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + " ".join(flags) in capsys.readouterr().err
+    else:
+        assert run_cli(argv) == 2
+        assert "usage error" in capsys.readouterr().err
     assert not (tmp_path / "trace_hs.csv").exists()
 
 
-@pytest.mark.parametrize("method,flags", [
-    ("sl", ["--sl-alpha", "-1"]),
-    ("ista", ["--epsilon", "-1"]),
-    ("fista", ["--max-iters", "0"]),
-    ("cd", ["--beta0", "nan"]),
-    ("cd", ["--beta0", "foo"]),
-    ("hs", ["--epsilon", "0"]),
-    ("hs", ["--beta0", "nan"]),
-    ("hs", ["--max-iters", "0"]),
-    ("ista", ["--sl-alpha", "-5"]),
+@pytest.mark.parametrize("method,flags,protocol", [
+    ("sl", [], {"SL_ALPHA": -1.0}),
+    ("ista", ["--epsilon", "-1"], {}),
+    ("fista", [], {"MAX_ITERS": 0}),
+    ("cd", ["--beta0", "nan"], {}),
+    ("cd", ["--beta0", "foo"], {}),
+    ("hs", ["--epsilon", "0"], {}),
+    ("hs", ["--beta0", "nan"], {}),
+    ("hs", [], {"MAX_ITERS": 0}),
+    ("ista", [], {"SL_ALPHA": -5.0}),
 ], ids=["sl-alpha", "ista-epsilon", "fista-max-iters", "cd-beta0-nan", "cd-beta0-word",
         "hs-epsilon", "hs-beta0-nan", "hs-max-iters", "ista-sl-alpha"])
-def test_solve_checks_inputs_before_the_reference(tmp_path, monkeypatch, method, flags):
-    # each was rejected only after a full reference solve
+def test_solve_checks_inputs_before_the_reference(tmp_path, monkeypatch, method, flags,
+                                                  protocol):
+    # each was rejected only after a full reference solve; the step cap and
+    # sl's smoothing, once flags, are protocol constants checked the same way
     import hslasso.cli as cli
 
     assert run_cli(["datagen", "--n", "20", "--p", "5", "--out-dir", str(tmp_path)]) == 0
+    for name, value in protocol.items():
+        monkeypatch.setattr(cli, name, value)
 
     def no_reference(*args):
         raise AssertionError("reference_minimum ran before the inputs were checked")
@@ -226,19 +251,16 @@ def test_solve_checks_inputs_before_the_reference(tmp_path, monkeypatch, method,
 
 
 @pytest.mark.parametrize("argv,setting", [
-    (["solve", "--method", "ista", "--ref-tol", "inf"], "reference tolerance"),
-    (["verify", "--ref-tol", "inf"], "reference tolerance"),
     (["solve", "--method", "ista", "--epsilon", "inf"], "epsilon"),
     (["solve", "--method", "hs", "--epsilon", "inf"], "epsilon"),
     (["solve", "--method", "hs", "--epsilon", "inf", "--hs-config", "theoretical.json"],
      "epsilon"),
     (["solve", "--method", "hs", "--hs-config", "infinite_b.json"], "B"),
-], ids=["solve-ref-tol", "verify-ref-tol", "ista-epsilon", "hs-epsilon", "hs-epsilon-count",
-        "hs-infinite-b"])
+], ids=["ista-epsilon", "hs-epsilon", "hs-epsilon-count", "hs-infinite-b"])
 def test_non_finite_tolerances_are_usage_errors(tmp_path, capsys, argv, setting):
-    # --ref-tol inf exited 3 ("duality gap exceeds nan"); --epsilon inf
-    # exited 0 after no step, or 2 with only "math domain error"; B = inf
-    # ended in an OverflowError traceback when counting the levels
+    # --epsilon inf exited 0 after no step, or 2 with only "math domain
+    # error"; B = inf ended in an OverflowError traceback when counting the
+    # levels. The reference tolerance is the constant REF_TOL, no flag.
     assert run_cli(["datagen", "--n", "20", "--p", "5", "--out-dir", str(tmp_path)]) == 0
     (tmp_path / "theoretical.json").write_text('{"outer_stop": "theoretical-count"}')
     (tmp_path / "infinite_b.json").write_text(
@@ -325,14 +347,17 @@ def test_datagen_writes_all_formats(tmp_path):
     assert np.array_equal(pj.y, pb.y)
 
 
-def test_solve_roundtrip_and_exit_codes(tmp_path, capsys):
+def test_solve_roundtrip_and_exit_codes(tmp_path, capsys, monkeypatch):
+    import hslasso.cli as cli
+
     assert run_cli(["datagen", "--scenario", "sim1", "--n", "30", "--p", "8",
                     "--seed", "1", "--out-dir", str(tmp_path)]) == 0
     prob = str(tmp_path / "problem.json")
 
-    rc = run_cli(["solve", "--method", "hs", "--input", prob,
-                  "--epsilon", "0.005", "--t0", "3", "--h", "0.1",
-                  "--out-dir", str(tmp_path)])
+    cfg_path = tmp_path / "hs.json"
+    cfg_path.write_text('{"t0": 3, "h": 0.1}')
+    rc = run_cli(["solve", "--method", "hs", "--input", prob, "--epsilon", "0.005",
+                  "--hs-config", str(cfg_path), "--out-dir", str(tmp_path)])
     assert rc == 0
     trace = (tmp_path / "trace_hs.csv").read_text().splitlines()
     assert trace[0] == "k,t_k,inner_iters,F,F_t,ops"
@@ -350,13 +375,13 @@ def test_solve_roundtrip_and_exit_codes(tmp_path, capsys):
                         "--out-dir", str(tmp_path)]) == 2
 
     # unreachable precision within one iteration: finishes unconverged
+    monkeypatch.setattr(cli, "MAX_ITERS", 1)
     rc = run_cli(["solve", "--method", "ista", "--input", prob,
-                  "--epsilon", "1e-14", "--max-iters", "1",
-                  "--out-dir", str(tmp_path)])
+                  "--epsilon", "1e-14", "--out-dir", str(tmp_path)])
     assert rc == 1
+    monkeypatch.undo()
 
     # homotopy settings from a JSON config file
-    cfg_path = tmp_path / "hs.json"
     cfg_path.write_text('{"t0": 2.0, "h": 0.2, "inner_fixed_count": 10}')
     rc = run_cli(["solve", "--method", "hs", "--input", prob,
                   "--epsilon", "0.01", "--hs-config", str(cfg_path),
@@ -491,6 +516,10 @@ def test_benchmark_grid_validation(tmp_path):
         with pytest.raises(ValueError, match="finite"):
             BenchmarkGrid(epsilons=(0.05, bad))
         assert run_cli(["bench", "--epsilons", "0.05", str(bad), "--out-dir", str(tmp_path)]) == 2
+    # (True,) built and wrote an eps_True column
+    for bad in ((True,), (0.05, False)):
+        with pytest.raises(ValueError, match="epsilons"):
+            BenchmarkGrid(epsilons=bad)
     with pytest.raises(ValueError, match="methods"):
         BenchmarkGrid(methods=("ista", "hs", "ista"))
     with pytest.raises(ValueError, match="scenarios"):

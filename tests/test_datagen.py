@@ -26,6 +26,12 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="sparsity"):
             SyntheticSpec(n=5, p=3, rho=0.1, sparsity=bad)
     assert SyntheticSpec(n=5, p=3, rho=0.1, sparsity=3).metadata()["sparsity"] is None
+    # sparsity=2.5 built and reported 2.5; n=2.5 and seed=1.5 failed in numpy
+    # with a TypeError, seed=-1 with a message that named no field
+    for field, bad in (("sparsity", 2.5), ("sparsity", True), ("n", 2.5), ("n", True),
+                       ("p", 3.0), ("seed", 1.5), ("seed", True), ("seed", -1)):
+        with pytest.raises(ValueError, match=field):
+            SyntheticSpec(**{"n": 5, "p": 3, "rho": 0.1, "pattern": "sparse-exp", field: bad})
 
 
 def test_sparse_pattern_defaults_to_at_most_ten_nonzeros():
@@ -114,7 +120,7 @@ def test_generate_deterministic_and_shapes():
 
 def test_generate_noiseless_limit():
     spec = SyntheticSpec(n=30, p=10, rho=0.1, snr=1e18, seed=3)
-    pr = generate(spec)
+    pr = generate(spec, lam=1e-3)
     beta = beta_pattern(spec)
     assert np.max(np.abs(pr.y - pr.X @ beta)) < 1e-6
 

@@ -454,6 +454,12 @@ def test_hs_config_validation_and_from_dict():
                 {"inner_fixed_count": 0}, {"inner_grad_tol": 0.0}, {"max_outer": 0}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             HSConfig(**bad)
+    # each was accepted: a count of 2.5 ran 3 steps or levels, and true was 1.0
+    for bad in ({"inner_fixed_count": 2.5}, {"max_outer": 2.5}, {"inner_fixed_count": True},
+                {"tau": True}, {"B": True}, {"t0": True}, {"inner_grad_tol": True},
+                {"h": "0.1"}):
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} has the wrong type"):
+            HSConfig.from_dict(bad)
     cfg = HSConfig.from_dict({"t0": "auto", "h": 0.2, "inner_stop": "gradient"})
     assert cfg.t0 is None and cfg.h == 0.2
     # max_inner is the constant MAX_INNER_STEPS; the precision and the

@@ -1,5 +1,8 @@
 import ast
 import dataclasses
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -25,9 +28,25 @@ PUBLIC_SURFACE = [
 def test_public_surface():
     # Every name the package exports, submodules aside; adding or removing
     # one is a deliberate change to this list.
-    names = sorted(name for name, value in vars(hslasso).items()
-                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    names = sorted(name for name in dir(hslasso) if not name.startswith("_")
+                   and not isinstance(getattr(hslasso, name), types.ModuleType))
     assert names == PUBLIC_SURFACE
+
+
+def test_import_leaves_the_cli_unimported():
+    # `import hslasso` imported hslasso.cli for the bench names, so runpy
+    # warned on `python -m hslasso.cli` that the module was already imported
+    env = {**os.environ, "PYTHONPATH": str(Path(hslasso.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "hslasso.cli", "bench", "--help"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout
+    assert proc.stderr == ""
+    code = ("import sys, hslasso; assert 'hslasso.cli' not in sys.modules; "
+            "from hslasso import BenchmarkGrid; import hslasso.cli; "
+            "assert hslasso.run_bench is hslasso.cli.run_bench; "
+            "assert BenchmarkGrid is hslasso.cli.BenchmarkGrid")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_configs_are_frozen():
