@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -107,20 +108,22 @@ def lasso_objective(problem: LassoProblem, beta) -> float:
     if beta.shape != (problem.p,):
         raise ValueError(f"beta must have shape ({problem.p},), got {beta.shape}")
     r = problem.y - problem.X @ beta
-    return float(r @ r / (2.0 * problem.n) + problem.lam * np.sum(np.abs(beta)))
+    return float(r @ r / (2.0 * problem.n) + problem.lam * np.abs(beta).sum())
 
 
 def subgradient_residual(problem: LassoProblem, beta) -> float:
     """Sup-norm of the minimum-norm subgradient of the objective at beta.
 
     Zero exactly at the minimizer; entries at beta_i = 0 contribute the
-    distance of the smooth gradient from the interval [-lambda, lambda].
+    distance of the smooth gradient from the interval [-lambda, lambda],
+    here |g_i| - lambda, negative inside it, which the final max with 0
+    clamps.
     """
     beta = np.asarray(beta, dtype=float)
     g = problem.gram @ beta - problem.xty
     lam = problem.lam
-    r = np.where(beta != 0.0, g + lam * np.sign(beta), g - np.clip(g, -lam, lam))
-    return float(np.max(np.abs(r))) if r.size else 0.0
+    a = np.abs(g + lam * np.sign(beta))  # |g_i| where beta_i = 0
+    return max(float(np.where(beta != 0.0, a, a - lam).max()), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +155,17 @@ def problem_from_json(text: str) -> LassoProblem:
         if isinstance(doc[key], bool) or not isinstance(doc[key], kind):  # a bool is no number
             raise ValueError(f"problem value of the wrong type: {key} = {doc[key]!r}")
     try:
+        # one C-level pass over the entries' types: numpy would read a bool
+        # as 1.0/0.0 and a string of digits as its number
+        if not set(map(type, chain.from_iterable(doc["X"]))) | set(map(type, doc["y"])) <= {
+                int, float}:
+            raise ValueError("X and y entries must be numbers (a bool or string is none)")
         X = np.asarray(doc["X"], dtype=float)
         y = np.asarray(doc["y"], dtype=float)
         if X.shape != (doc["n"], doc["p"]):
             raise ValueError("X dimensions disagree with the declared n, p")
         return LassoProblem(y=y, X=X, lam=doc["lambda"])
-    except TypeError as exc:  # e.g. "lambda": "0.1" or "y": {...}
+    except (TypeError, OverflowError) as exc:  # e.g. "X": 5, or an int past float range
         raise ValueError(f"problem value of the wrong type: {exc}") from exc
 
 

@@ -2,13 +2,19 @@
 multiresolution refinement, finite differences, the soft threshold, a
 per-coordinate coordinate-descent sweep, a Jacobi pseudo-inverse, and
 instance factories.  These deliberately avoid the library's own solver
-paths."""
+paths.  The earlier bodies of the CD sweep, the subgradient residual and
+the objective are kept here too, so that their faster library versions
+are pinned to the same bytes."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from hslasso.diagnostics import PINV_RCOND, _pinv_from_svd, jacobi_svd
+from hslasso.cli import GEN_DEFAULTS, SIM_PATTERNS
+from hslasso.datagen import SyntheticSpec, generate
 from hslasso.opcount import OpCounter
 from hslasso.problem import LassoProblem
 
@@ -26,6 +32,16 @@ def make_problem(seed, n=12, p=4, lam=0.1, scale=0.5):
     beta_star = scale * rng.uniform(-1.0, 1.0, size=p)
     y = X @ beta_star + 0.3 * rng.standard_normal(n)
     return LassoProblem(y=y, X=X, lam=lam)
+
+
+def bench_problems(scenarios, lam, seed=0):
+    """The problems ``run_bench`` draws for a grid of both simulations, in
+    its order: problem seed = seed + 1000*sim index + scenario index."""
+    for sim_idx, sim in enumerate(SIM_PATTERNS, start=1):
+        for scen_idx, (n, p) in enumerate(scenarios):
+            spec = SyntheticSpec(n=n, p=p, rho=GEN_DEFAULTS["rho"], snr=GEN_DEFAULTS["snr"],
+                                 pattern=SIM_PATTERNS[sim], seed=seed + 1000 * sim_idx + scen_idx)
+            yield generate(spec, lam=lam)
 
 
 def objective_on_grid(problem, pts):
@@ -194,3 +210,51 @@ def cd_sweep_per_op(beta, xtx, xty_raw, diag, thresh, resid, counter):
         c.mults += p  # the length-p axpy
         c.adds += p
     return beta, resid
+
+
+def cd_sweep_before(beta, xtx, xty_raw, diag, thresh, resid, counter):
+    """One full cycle j = 1..p; resid caches xtx @ beta and is updated in
+    place at O(p) per coordinate that moves.
+
+    Each coordinate is scalar float arithmetic with the soft threshold
+    applied inline; the sweep's work is charged once, in closed form
+    (the coordinate-descent convention in ``opcount``).
+    """
+    if thresh < 0:
+        raise ValueError("threshold must be nonnegative")
+    p = beta.size
+    values = beta.tolist()
+    for j, (d, xy) in enumerate(zip(diag.tolist(), xty_raw.tolist())):
+        b = values[j]
+        z = xy - (resid.item(j) - d * b)
+        bj = math.copysign(max(abs(z) - thresh, 0.0), z) / d
+        if bj != b:  # an unmoved coordinate leaves resid as it is
+            values[j] = bj
+            resid += (bj - b) * xtx[:, j]
+    beta[:] = values
+    if counter is not None:
+        counter.mults += p * (p + 2)
+        counter.adds += p * (p + 4)
+        counter.comparisons += 2 * p
+    return beta, resid
+
+
+def lasso_objective_before(problem, beta) -> float:
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (problem.p,):
+        raise ValueError(f"beta must have shape ({problem.p},), got {beta.shape}")
+    r = problem.y - problem.X @ beta
+    return float(r @ r / (2.0 * problem.n) + problem.lam * np.sum(np.abs(beta)))
+
+
+def subgradient_residual_before(problem, beta) -> float:
+    """Sup-norm of the minimum-norm subgradient of the objective at beta.
+
+    Zero exactly at the minimizer; entries at beta_i = 0 contribute the
+    distance of the smooth gradient from the interval [-lambda, lambda].
+    """
+    beta = np.asarray(beta, dtype=float)
+    g = problem.gram @ beta - problem.xty
+    lam = problem.lam
+    r = np.where(beta != 0.0, g + lam * np.sign(beta), g - np.clip(g, -lam, lam))
+    return float(np.max(np.abs(r))) if r.size else 0.0

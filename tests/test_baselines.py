@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    bench_problems,
+    cd_sweep_before,
     cd_sweep_per_op,
     central_diff,
     identity_closed_form,
@@ -17,6 +19,7 @@ from helpers import (
 from hslasso.baselines import (
     METHODS,
     BaselineConfig,
+    _cd_data,
     _cd_sweep,
     cd_solve,
     fista_solve,
@@ -175,9 +178,11 @@ def _sign_crossing_start(pr):
     return -3.0 * np.where(beta_hat >= 0.0, 1.0, -1.0)
 
 
-@pytest.mark.parametrize("charged", [True, False], ids=["counter", "none"])
-@pytest.mark.parametrize("case", ["p<n", "p>n", "orthonormal", "all-zero", "sign-crossing"])
-def test_cd_sweep_matches_per_op_sweep(case, charged):
+SWEEP_CASES = ["p<n", "p>n", "orthonormal", "all-zero", "sign-crossing"]
+
+
+def _sweep_case(case):
+    """(problem, start) of one sweep case."""
     if case == "p<n":
         pr, beta0 = make_problem(20, n=30, p=6, lam=0.05), None
     elif case == "p>n":
@@ -187,26 +192,46 @@ def test_cd_sweep_matches_per_op_sweep(case, charged):
     elif case == "all-zero":
         pr = make_problem(22, n=15, p=5, lam=50.0)
         beta0 = np.zeros(pr.p)
+    elif case == "paper-grid":  # the default bench's second 50 x 80 problem (sim2)
+        pr = list(bench_problems(((50, 80),), 1e-3))[1]
+        beta0 = 0.1 * np.ones(pr.p)
     else:
         pr = make_problem(23, n=20, p=7, lam=0.01)
         beta0 = _sign_crossing_start(pr)
     if beta0 is None:
         beta0 = np.random.default_rng(24).uniform(-2.0, 2.0, pr.p)
+    return pr, beta0
+
+
+def _sweep_states(pr, beta0, sweep, charged, sweeps):
+    """(beta, resid, counter tuple) after each of ``sweeps`` sweeps of
+    ``sweep(beta, xtx, xty_raw, diag, thresh, resid, counter)``."""
     xtx = pr.gram * pr.n
     xty_raw = pr.xty * pr.n
     diag = np.diag(xtx).copy()
     thresh = pr.n * pr.lam
-    runs = []
-    for sweep in (_cd_sweep, cd_sweep_per_op):
-        beta = beta0.copy()
-        resid = xtx @ beta
-        counter = OpCounter() if charged else None
-        states = []
-        for _ in range(6):
-            beta, resid = sweep(beta, xtx, xty_raw, diag, thresh, resid, counter)
-            states.append((beta.copy(), resid.copy(),
-                           astuple(counter) if charged else None))
-        runs.append(states)
+    beta = beta0.copy()
+    resid = xtx @ beta
+    counter = OpCounter() if charged else None
+    states = []
+    for _ in range(sweeps):
+        beta, resid = sweep(beta, xtx, xty_raw, diag, thresh, resid, counter)
+        states.append((beta.copy(), resid.copy(), astuple(counter) if charged else None))
+    return states
+
+
+def _library_sweep(beta, xtx, xty_raw, diag, thresh, resid, counter):
+    """The library sweep in the argument order of the oracles (``diag`` is
+    X'X's diagonal, which :func:`_cd_data` reads off xtx itself)."""
+    return _cd_sweep(beta, _cd_data(xtx, xty_raw, thresh), resid, counter)
+
+
+@pytest.mark.parametrize("charged", [True, False], ids=["counter", "none"])
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_cd_sweep_matches_per_op_sweep(case, charged):
+    pr, beta0 = _sweep_case(case)
+    runs = [_sweep_states(pr, beta0, sweep, charged, 6)
+            for sweep in (_library_sweep, cd_sweep_per_op)]
     for (b_new, r_new, c_new), (b_ref, r_ref, c_ref) in zip(*runs):
         assert np.array_equal(b_new, b_ref)
         assert np.array_equal(r_new, r_ref)
@@ -217,10 +242,26 @@ def test_cd_sweep_matches_per_op_sweep(case, charged):
         assert np.any(np.sign(runs[0][-1][0]) != np.sign(beta0))
 
 
+@pytest.mark.parametrize("charged", [True, False], ids=["counter", "none"])
+@pytest.mark.parametrize("case", SWEEP_CASES + ["paper-grid"])
+def test_cd_sweep_matches_earlier_sweep(case, charged):
+    # The sweep with a prebuilt data tuple, a scratch buffer and a
+    # two-comparison soft threshold writes the bytes of the earlier
+    # per-sweep-allocating body after every sweep, signed zeros included.
+    pr, beta0 = _sweep_case(case)
+    sweeps = 200 if case == "paper-grid" else 6
+    new = _sweep_states(pr, beta0, _library_sweep, charged, sweeps)
+    before = _sweep_states(pr, beta0, cd_sweep_before, charged, sweeps)
+    assert len(new) == len(before) == sweeps
+    for (b_new, r_new, c_new), (b_ref, r_ref, c_ref) in zip(new, before):
+        assert b_new.tobytes() == b_ref.tobytes()
+        assert r_new.tobytes() == r_ref.tobytes()
+        assert c_new == c_ref
+
+
 def test_cd_sweep_rejects_negative_threshold():
-    beta = np.zeros(2)
     with pytest.raises(ValueError):
-        _cd_sweep(beta, np.eye(2), np.ones(2), np.ones(2), -1.0, np.zeros(2), None)
+        _cd_data(np.eye(2), np.ones(2), -1.0)
 
 
 PINNED_CHARGES = {
@@ -270,8 +311,8 @@ def test_charge_pinned(case):
     sweep = OpCounter()
     for _ in range(3):
         before = astuple(sweep)
-        beta, resid = _cd_sweep(beta, xtx, pr.xty * pr.n, np.diag(xtx).copy(),
-                                pr.n * pr.lam, resid, sweep)
+        beta, resid = _cd_sweep(beta, _cd_data(xtx, pr.xty * pr.n, pr.n * pr.lam), resid,
+                                sweep)
         # (mults, adds, transcendentals, comparisons, setup_ops) of one sweep
         assert np.subtract(astuple(sweep), before).tolist() == [p * (p + 2), p * (p + 4), 0,
                                                                 2 * p, 0]

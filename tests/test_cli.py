@@ -176,13 +176,20 @@ PROBLEM_2x1 = '"n": 2, "p": 1, "X": [[1.0], [2.0]]'
     ("--input", '{%s, "lambda": 0.1, "y": {"a": 1}}' % PROBLEM_2x1),
     ("--input", '{%s, "lambda": true, "y": [1.0, 2.0]}' % PROBLEM_2x1),
     ("--input", '{"n": true, "p": 1, "X": [[1.0]], "lambda": 0.1, "y": [1.0]}'),
+    ("--input", '{"n": 2, "p": 1, "X": [[true], [2.0]], "lambda": 0.1, "y": [1.0, 2.0]}'),
+    ("--input", '{%s, "lambda": 0.1, "y": [true, false]}' % PROBLEM_2x1),
+    ("--input", '{%s, "lambda": 0.1, "y": ["1.0", 2.0]}' % PROBLEM_2x1),
+    ("--input", '{"n": 2, "p": 1, "X": [1.0, 2.0], "lambda": 0.1, "y": [1.0, 2.0]}'),
+    ("--input", '{%s, "lambda": 0.1, "y": [1%s, 2.0]}' % (PROBLEM_2x1, "0" * 400)),
     ("--hs-config", "[]"),
     ("--hs-config", '{"inner_fixed_count": 2.5}'),
 ], ids=["problem-array", "lambda-string", "lambda-null", "y-object", "lambda-bool", "n-bool",
-        "hs-config-array", "hs-config-float-count"])
+        "X-bool", "y-bool", "y-string", "X-flat", "y-huge-int", "hs-config-array",
+        "hs-config-float-count"])
 def test_wrongly_shaped_json_is_usage_error(tmp_path, capsys, flag, text):
-    # each was a traceback (exit 1) from an AttributeError or TypeError,
-    # or a run (exit 0): lambda = 1.0, a 1-row X, 3 inner steps
+    # each was a traceback (exit 1) from an AttributeError, TypeError or
+    # OverflowError, or a run (exit 0): lambda = 1.0, a 1-row X, 3 inner steps, a bool
+    # or a string of digits read as a number
     files = {"--input": '{%s, "lambda": 0.1, "y": [1.0, 2.0]}' % PROBLEM_2x1,
              "--hs-config": "{}", flag: text}
     argv = ["solve", "--method", "hs", "--out-dir", str(tmp_path)]

@@ -6,14 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    bench_problems,
     grid_search_2d,
     grid_search_2d_brute,
     identity_closed_form,
     identity_problem,
+    lasso_objective_before,
     make_problem,
+    subgradient_residual_before,
 )
+from hslasso import baselines
 from hslasso.baselines import reference_minimum
-from hslasso.datagen import SyntheticSpec, generate
 from hslasso.problem import (
     LassoProblem,
     lasso_objective,
@@ -226,23 +229,90 @@ def test_reference_agrees_with_coordinate_descent():
         assert abs(ref.dual_gap) <= 1e-9  # round-off may leave it just below 0
 
 
+PAPER_GRID = ((50, 20), (50, 80)), 1e-3  # the default bench grid's scenarios and lambda
+DEEP_GRID = ((50, 20), (100, 50), (50, 80)), 0.1  # homotopy-deep's grids, at grid seed 0
+
+
 def test_reference_support_kkt_on_paper_grid():
     # The four problems of the default bench grid (seed 0, lambda 1e-3): the
     # support solve is accepted, certifies far below the FISTA iterate's gap
     # and moves f_min only by round-off.
     from hslasso.baselines import fista_minimize_to_residual
 
-    for sim_idx, pattern in enumerate(("dense-exp", "sparse-exp"), start=1):
-        for scen_idx, (n, p) in enumerate(((50, 20), (50, 80))):
-            spec = SyntheticSpec(n=n, p=p, rho=0.1, snr=3.0, pattern=pattern,
-                                 sparsity=min(10, p), seed=1000 * sim_idx + scen_idx)
-            pr = generate(spec, lam=1e-3)
-            ref = reference_minimum(pr, 1e-10)
-            assert ref.method == "support-kkt"
-            assert abs(ref.dual_gap) <= 1e-13
-            beta_fista = fista_minimize_to_residual(pr, np.zeros(pr.p), 1e-10)
-            f_fista = lasso_objective(pr, beta_fista)
-            assert abs(ref.f_min - f_fista) <= 1e-15 * max(1.0, abs(ref.f_min))
+    for pr in bench_problems(*PAPER_GRID):
+        ref = reference_minimum(pr, 1e-10)
+        assert ref.method == "support-kkt"
+        assert abs(ref.dual_gap) <= 1e-13
+        beta_fista = fista_minimize_to_residual(pr, np.zeros(pr.p), 1e-10)
+        f_fista = lasso_objective(pr, beta_fista)
+        assert abs(ref.f_min - f_fista) <= 1e-15 * max(1.0, abs(ref.f_min))
+
+
+def test_reference_bytes_do_not_depend_on_the_finish_schedule(monkeypatch):
+    # An accepted support solve depends only on its sign pattern, and these
+    # continuous designs have one minimizer with one pattern, whatever stop
+    # finds it: the earlier schedule (from 1e-5, 100 times tighter each
+    # time) and the current one give the same bytes, objective, gap and
+    # method.
+    problems = [*bench_problems(*PAPER_GRID), *bench_problems(*DEEP_GRID),
+                *_cross_check_instances()]
+    assert len(problems) == 4 + 6 + 61
+    current = [reference_minimum(pr, 1e-10) for pr in problems]
+    monkeypatch.setattr(baselines, "FINISH_LOOSE_TOL", 1e-5)
+    monkeypatch.setattr(baselines, "FINISH_TIGHTEN", 100.0)
+    for pr, ref in zip(problems, current):
+        before = reference_minimum(pr, 1e-10)
+        assert ref.beta_hat.tobytes() == before.beta_hat.tobytes()
+        assert (ref.f_min, ref.dual_gap, ref.method) == (before.f_min, before.dual_gap,
+                                                         before.method)
+
+
+def test_reference_finish_is_tried_early_on_paper_grid(monkeypatch):
+    # The four default-grid references took 5 680 FISTA steps when the
+    # first support solve waited for residual 1e-5; tried from 1e-1 on,
+    # they take under 3 000.
+    step = baselines._fista_step
+    steps = 0
+
+    def spy(*args):
+        nonlocal steps
+        steps += 1
+        return step(*args)
+
+    monkeypatch.setattr(baselines, "_fista_step", spy)
+    methods = [reference_minimum(pr, 1e-10).method for pr in bench_problems(*PAPER_GRID)]
+    assert methods == ["support-kkt"] * 4
+    assert 0 < steps <= 3000
+
+
+def test_stop_tests_match_their_earlier_bodies():
+    # subgradient_residual and lasso_objective against their earlier
+    # bodies, by ==, on seeded random problems with +-0.0 entries, all-zero
+    # beta, and identity designs where |g_i| = lambda exactly at beta_i = 0.
+    rng = np.random.default_rng(1800)
+    edges = 0
+    for case in range(1200):
+        if case % 3 == 0:  # X = I with n a power of two: g = (beta - y)/n exactly
+            n = p = int(rng.choice([1, 2, 4, 8]))
+            lam = float(rng.choice([0.125, 0.25, 0.5]))
+            y = rng.choice([-1.0, 1.0], n) * n * lam
+            y[rng.random(n) < 0.3] = rng.standard_normal()
+            pr = LassoProblem(y=y, X=np.eye(n), lam=lam)
+        else:
+            n, p = (int(v) for v in rng.integers(1, 9, 2))
+            pr = LassoProblem(y=rng.standard_normal(n), X=rng.standard_normal((n, p)),
+                              lam=float(rng.uniform(0.01, 2.0)))
+        beta = rng.standard_normal(p)
+        kind = rng.random(p)
+        beta[kind < 0.3] = 0.0
+        beta[kind > 0.8] = -0.0
+        if case % 5 == 0:
+            beta[:] = rng.choice([0.0, -0.0], p)
+        g = pr.gram @ beta - pr.xty
+        edges += int(np.any((beta == 0.0) & (np.abs(g) == pr.lam)))
+        assert subgradient_residual(pr, beta) == subgradient_residual_before(pr, beta)
+        assert lasso_objective(pr, beta) == lasso_objective_before(pr, beta)
+    assert edges >= 100
 
 
 def test_reference_falls_back_to_fista_on_singular_support():
