@@ -5,20 +5,37 @@ estimation consistency.
 
 Small dense matrices only; the SVD is a one-sided Jacobi implementation
 (identifier recorded in the report metadata) and the pseudo-inverse
-treats singular values below 1e-12 * sigma_max as zero.
+treats singular values below 1e-12 * sigma_max as zero.  The Jacobi
+kernel caches each column's squared norm and rotates columns in place;
+its factors are byte for byte those of the plain loop that recomputes
+three dot products per pair and copies each rotated column.  It raises
+NumericalFailure, rather than returning factors that are not
+orthogonal, when its last sweep still rotates a pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .problem import LassoProblem
+from .problem import LassoProblem, NumericalFailure
 from .surrogate import SurrogateSpec, minimize_surrogate
 
 SVD_METHOD = "one-sided-jacobi"
 PINV_RCOND = 1e-12
+
+
+def _rotate(x, y, c: float, s: float, bufs) -> None:
+    """x <- c*x - s*y and y <- s*x + c*y in place, each product rounded once."""
+    cx, sy, sx = bufs
+    np.multiply(x, c, out=cx)
+    np.multiply(y, s, out=sy)
+    np.multiply(x, s, out=sx)
+    np.subtract(cx, sy, out=x)
+    np.multiply(y, c, out=cx)
+    np.add(sx, cx, out=y)
 
 
 def jacobi_svd(a, tol: float = 1e-13, max_sweeps: int = 60):
@@ -27,6 +44,14 @@ def jacobi_svd(a, tol: float = 1e-13, max_sweeps: int = 60):
     Columns are rotated pairwise until mutually orthogonal; singular
     values sorted descending.  Exact-zero singular values keep zero U
     columns (harmless for reconstruction and pseudo-inversion).
+
+    Each column's squared norm is cached and recomputed only after the
+    column is rotated, and a rotation writes into the columns of U and V
+    in place through three scratch buffers each.  The floating-point
+    operations and their order are those of the plain loop with three
+    dot products per pair, so the factors are the same bytes.  Raises
+    NumericalFailure when the last of max_sweeps sweeps still finds a
+    column pair with cosine >= tol: its factors would not be orthogonal.
     """
     a = np.array(a, dtype=float)
     if a.ndim != 2:
@@ -35,33 +60,45 @@ def jacobi_svd(a, tol: float = 1e-13, max_sweeps: int = 60):
     if transposed:
         a = a.T
     m, n = a.shape
+    # C order, so each column is a strided view: contiguous (Fortran-order)
+    # columns change the summation order of BLAS's dot product and its low bits
     u = a.copy()
     v = np.eye(n)
+    ucols = [u[:, k] for k in range(n)]
+    vcols = [v[:, k] for k in range(n)]
+    norms = [float(col @ col) for col in ucols]
+    ubufs = (np.empty(m), np.empty(m), np.empty(m))
+    vbufs = (np.empty(n), np.empty(n), np.empty(n))
+    off = math.inf  # max_sweeps = 0 shows nothing converged
     for _ in range(max_sweeps):
         off = 0.0
         for i in range(n - 1):
+            ui = ucols[i]
             for j in range(i + 1, n):
-                aii = float(u[:, i] @ u[:, i])
-                ajj = float(u[:, j] @ u[:, j])
-                aij = float(u[:, i] @ u[:, j])
+                uj = ucols[j]
+                aii, ajj = norms[i], norms[j]
+                aij = float(ui @ uj)
+                root = math.sqrt(aii * ajj)
                 if aii * ajj > 0:
-                    off = max(off, abs(aij) / np.sqrt(aii * ajj))
-                if abs(aij) <= tol * np.sqrt(aii * ajj) or aij == 0.0:
+                    off = max(off, abs(aij) / root)
+                if abs(aij) <= tol * root or aij == 0.0:
                     continue
                 zeta = (ajj - aii) / (2.0 * aij)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
                 if zeta == 0.0:
                     t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                c = 1.0 / math.sqrt(1.0 + t * t)
                 s = c * t
-                ui = u[:, i].copy()
-                u[:, i] = c * ui - s * u[:, j]
-                u[:, j] = s * ui + c * u[:, j]
-                vi = v[:, i].copy()
-                v[:, i] = c * vi - s * v[:, j]
-                v[:, j] = s * vi + c * v[:, j]
+                _rotate(ui, uj, c, s, ubufs)
+                _rotate(vcols[i], vcols[j], c, s, vbufs)
+                norms[i] = float(ui @ ui)
+                norms[j] = float(uj @ uj)
         if off < tol:
             break
+    else:
+        raise NumericalFailure(
+            f"Jacobi SVD of a {m}x{n} matrix not converged after {max_sweeps} sweeps "
+            f"(largest column cosine {off:.3g}, tolerance {tol:.3g})")
     sing = np.linalg.norm(u, axis=0)
     order = np.argsort(-sing)
     sing = sing[order]
@@ -140,7 +177,10 @@ def support_conditions_check(X, s_set) -> SupportConditionReport:
     projector: sigma_min(S2) is exactly 1 if X_Sc has full column rank, else 0.
     """
     X = np.asarray(X, dtype=float)
-    s_idx = np.asarray(sorted(set(int(i) for i in np.asarray(s_set).ravel())))
+    entries = np.asarray(s_set, dtype=object).ravel().tolist()
+    if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in entries):
+        raise ValueError("support indices must be integers")
+    s_idx = np.asarray(sorted(set(entries)))
     p = X.shape[1]
     if s_idx.size == 0:
         raise ValueError("support set must be nonempty")

@@ -2,9 +2,9 @@
 multiresolution refinement, finite differences, the soft threshold, a
 per-coordinate coordinate-descent sweep, a Jacobi pseudo-inverse, and
 instance factories.  These deliberately avoid the library's own solver
-paths.  The earlier bodies of the CD sweep, the subgradient residual and
-the objective are kept here too, so that their faster library versions
-are pinned to the same bytes."""
+paths.  The earlier bodies of the CD sweep, the subgradient residual,
+the objective and the Jacobi SVD are kept here too, so that their faster
+library versions are pinned to the same bytes."""
 
 from __future__ import annotations
 
@@ -258,3 +258,57 @@ def subgradient_residual_before(problem, beta) -> float:
     lam = problem.lam
     r = np.where(beta != 0.0, g + lam * np.sign(beta), g - np.clip(g, -lam, lam))
     return float(np.max(np.abs(r))) if r.size else 0.0
+
+
+def jacobi_svd_before(a, tol: float = 1e-13, max_sweeps: int = 60):
+    """Thin SVD by one-sided Jacobi rotations: a = U @ diag(s) @ Vt.
+
+    Columns are rotated pairwise until mutually orthogonal; singular
+    values sorted descending.  Exact-zero singular values keep zero U
+    columns (harmless for reconstruction and pseudo-inversion).
+    """
+    a = np.array(a, dtype=float)
+    if a.ndim != 2:
+        raise ValueError("need a 2-d matrix")
+    transposed = a.shape[0] < a.shape[1]
+    if transposed:
+        a = a.T
+    m, n = a.shape
+    u = a.copy()
+    v = np.eye(n)
+    for _ in range(max_sweeps):
+        off = 0.0
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                aii = float(u[:, i] @ u[:, i])
+                ajj = float(u[:, j] @ u[:, j])
+                aij = float(u[:, i] @ u[:, j])
+                if aii * ajj > 0:
+                    off = max(off, abs(aij) / np.sqrt(aii * ajj))
+                if abs(aij) <= tol * np.sqrt(aii * ajj) or aij == 0.0:
+                    continue
+                zeta = (ajj - aii) / (2.0 * aij)
+                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+                if zeta == 0.0:
+                    t = 1.0
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = c * t
+                ui = u[:, i].copy()
+                u[:, i] = c * ui - s * u[:, j]
+                u[:, j] = s * ui + c * u[:, j]
+                vi = v[:, i].copy()
+                v[:, i] = c * vi - s * v[:, j]
+                v[:, j] = s * vi + c * v[:, j]
+        if off < tol:
+            break
+    sing = np.linalg.norm(u, axis=0)
+    order = np.argsort(-sing)
+    sing = sing[order]
+    u = u[:, order]
+    v = v[:, order]
+    nonzero = sing > 0
+    u[:, nonzero] = u[:, nonzero] / sing[nonzero]
+    u[:, ~nonzero] = 0.0
+    if transposed:
+        return v, sing, u.T
+    return u, sing, v.T

@@ -565,6 +565,23 @@ def test_verify_minimizer_failure_is_numerical_exit(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "verify.json").exists()
 
 
+def test_verify_svd_failure_is_numerical_exit(tmp_path, monkeypatch, capsys):
+    # one Jacobi sweep left non-orthogonal factors, and verify exited 0 on them
+    import functools
+
+    from hslasso import diagnostics
+
+    capped = functools.partial(diagnostics.jacobi_svd, max_sweeps=1)
+    monkeypatch.setattr(diagnostics, "jacobi_svd", capped)
+    assert run_cli(["datagen", "--scenario", "sim2", "--n", "50", "--p", "20",
+                    "--lambda", "0.1", "--out-dir", str(tmp_path)]) == 0
+    rc = run_cli(["verify", "--input", str(tmp_path / "problem.json"),
+                  "--levels", "0.1", "--out-dir", str(tmp_path)])
+    assert rc == 3
+    assert "Jacobi SVD" in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
+
+
 @pytest.mark.parametrize("level", ["inf", "0", "nan"])
 def test_verify_checks_levels_before_the_reference(tmp_path, monkeypatch, level):
     # --levels inf exited 0 and wrote "t": Infinity, which is not JSON

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import make_problem, pinv
+from helpers import bench_problems, jacobi_svd_before, make_problem, pinv
+from hslasso import diagnostics
 from hslasso.baselines import reference_minimum
 from hslasso.datagen import SyntheticSpec, generate
 from hslasso.diagnostics import (
@@ -40,6 +41,75 @@ def test_jacobi_svd_rank_deficient():
     u, s, vt = jacobi_svd(a)
     assert np.linalg.norm(u @ np.diag(s) @ vt - a) < 1e-10
     assert s[-1] < 1e-12 * s[0]
+
+
+def _assert_same_factors(a):
+    got, want = jacobi_svd(a), jacobi_svd_before(a)
+    for name, x, y in zip(("U", "s", "Vt"), got, want):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), (np.shape(a), name)
+
+
+def _seeded_matrices():
+    rng = np.random.default_rng(11)
+    base = rng.standard_normal((9, 3))
+    zero_col = rng.standard_normal((7, 4))
+    zero_col[:, 2] = 0.0
+    return {
+        "tall": rng.standard_normal((30, 8)),
+        "wide": rng.standard_normal((6, 25)),
+        "square": rng.standard_normal((12, 12)),
+        "rank-deficient": np.hstack([base, base @ rng.standard_normal((3, 2))]),
+        "zero-column": zero_col,
+        "single-column": rng.standard_normal((10, 1)),
+        "single-row": rng.standard_normal((1, 10)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_seeded_matrices()))
+def test_jacobi_svd_matches_earlier_kernel_on_seeded_matrices(name):
+    _assert_same_factors(_seeded_matrices()[name])
+
+
+@pytest.fixture(scope="module")
+def verify_supports():
+    """The six closeness-verify problems (grid seed 0, lambda 0.1, before the
+    workload's sign flips) with their reference supports."""
+    out = []
+    for pr in bench_problems(((50, 20), (100, 50), (50, 80)), 0.1):
+        beta = reference_minimum(pr, 1e-10).beta_hat
+        out.append((pr.X, support_set(beta, default_support_tol(beta))))
+    return out
+
+
+def test_jacobi_svd_matches_earlier_kernel_on_verify_problems(verify_supports, monkeypatch):
+    factored = []
+
+    def spy(a):
+        factored.append(np.array(a))
+        return jacobi_svd(a)
+
+    monkeypatch.setattr(diagnostics, "jacobi_svd", spy)
+    for X, support in verify_supports:
+        support_conditions_check(X, support)
+    assert len(factored) == 18
+    for a in factored:
+        _assert_same_factors(a)
+
+
+def test_conditions_report_matches_earlier_kernel(verify_supports, monkeypatch):
+    reports = [support_conditions_check(X, s).to_dict() for X, s in verify_supports]
+    monkeypatch.setattr(diagnostics, "jacobi_svd", jacobi_svd_before)
+    assert reports == [support_conditions_check(X, s).to_dict() for X, s in verify_supports]
+
+
+def test_jacobi_svd_raises_when_not_converged():
+    # one sweep left this matrix with max |U'U - I| = 0.40 and no error
+    a = np.random.default_rng(0).standard_normal((40, 30))
+    with pytest.raises(NumericalFailure, match="not converged"):
+        jacobi_svd(a, max_sweeps=1)
+    u, _, vt = jacobi_svd(a)
+    assert np.abs(u.T @ u - np.eye(30)).max() < 1e-12
+    assert np.abs(vt @ vt.T - np.eye(30)).max() < 1e-12
 
 
 def test_pinv_identities():
@@ -205,3 +275,9 @@ def test_conditions_validate_support():
     wide = np.random.default_rng(9).standard_normal((4, 8))
     with pytest.raises(ValueError, match="rank deficient"):
         support_conditions_check(wide, [0, 1, 2, 3, 4])  # |S| = 5 > n = 4
+    # int() read these as columns [0, 1, 2] and [1, 2]
+    for bad in ([0.7, 1.9, 2.2], [True, 2], [1.0, 2], np.array([True, False]), ["1"]):
+        with pytest.raises(ValueError, match="must be integers"):
+            support_conditions_check(X, bad)
+    assert support_conditions_check(X, np.array([1, 0])).to_dict() == \
+        support_conditions_check(X, [0, 1]).to_dict()
