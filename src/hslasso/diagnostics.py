@@ -6,11 +6,12 @@ estimation consistency.
 Small dense matrices only; the SVD is a one-sided Jacobi implementation
 (identifier recorded in the report metadata) and the pseudo-inverse
 treats singular values below 1e-12 * sigma_max as zero.  The Jacobi
-kernel caches each column's squared norm and rotates columns in place;
-its factors are byte for byte those of the plain loop that recomputes
-three dot products per pair and copies each rotated column.  It raises
-NumericalFailure, rather than returning factors that are not
-orthogonal, when its last sweep still rotates a pair.
+kernel stacks U above V, caches each column's squared norm and rotates
+both factors' columns in place with one update; its factors are byte
+for byte those of the plain loop that recomputes three dot products per
+pair and copies each rotated column.  It raises ValueError on a NaN or
+inf entry, and NumericalFailure, rather than returning factors that are
+not orthogonal, when its last sweep still rotates a pair.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ PINV_RCOND = 1e-12
 
 
 def _rotate(x, y, c: float, s: float, bufs) -> None:
-    """x <- c*x - s*y and y <- s*x + c*y in place, each product rounded once."""
+    """x <- c*x - s*y and y <- s*x + c*y in place, each product rounded once;
+    x and y are columns of [U; V], so one call rotates both factors."""
     cx, sy, sx = bufs
     np.multiply(x, c, out=cx)
     np.multiply(y, s, out=sy)
@@ -45,30 +47,31 @@ def jacobi_svd(a, tol: float = 1e-13, max_sweeps: int = 60):
     values sorted descending.  Exact-zero singular values keep zero U
     columns (harmless for reconstruction and pseudo-inversion).
 
-    Each column's squared norm is cached and recomputed only after the
-    column is rotated, and a rotation writes into the columns of U and V
-    in place through three scratch buffers each.  The floating-point
-    operations and their order are those of the plain loop with three
-    dot products per pair, so the factors are the same bytes.  Raises
+    U is stacked above V, so a rotation is one in-place update of a
+    column pair of length m + n through three scratch buffers.  Each
+    column's squared norm is cached and recomputed only after the column
+    is rotated.  The floating-point operations and their order are those
+    of the plain loop with three dot products per pair, so the factors
+    are the same bytes.  Raises ValueError on a NaN or inf entry, and
     NumericalFailure when the last of max_sweeps sweeps still finds a
     column pair with cosine >= tol: its factors would not be orthogonal.
     """
-    a = np.array(a, dtype=float)
+    a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError("need a 2-d matrix")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a NaN or inf entry")
     transposed = a.shape[0] < a.shape[1]
     if transposed:
         a = a.T
     m, n = a.shape
-    # C order, so each column is a strided view: contiguous (Fortran-order)
-    # columns change the summation order of BLAS's dot product and its low bits
-    u = a.copy()
-    v = np.eye(n)
-    ucols = [u[:, k] for k in range(n)]
-    vcols = [v[:, k] for k in range(n)]
+    # C order, so each U column is a view with an m x n array's stride:
+    # contiguous (Fortran-order) columns change BLAS's dot summation order
+    w = np.vstack((a, np.eye(n)))
+    wcols = [w[:, k] for k in range(n)]
+    ucols = [w[:m, k] for k in range(n)]
     norms = [float(col @ col) for col in ucols]
-    ubufs = (np.empty(m), np.empty(m), np.empty(m))
-    vbufs = (np.empty(n), np.empty(n), np.empty(n))
+    bufs = (np.empty(m + n), np.empty(m + n), np.empty(m + n))
     off = math.inf  # max_sweeps = 0 shows nothing converged
     for _ in range(max_sweeps):
         off = 0.0
@@ -89,8 +92,7 @@ def jacobi_svd(a, tol: float = 1e-13, max_sweeps: int = 60):
                     t = 1.0
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = c * t
-                _rotate(ui, uj, c, s, ubufs)
-                _rotate(vcols[i], vcols[j], c, s, vbufs)
+                _rotate(wcols[i], wcols[j], c, s, bufs)
                 norms[i] = float(ui @ ui)
                 norms[j] = float(uj @ uj)
         if off < tol:
@@ -99,6 +101,7 @@ def jacobi_svd(a, tol: float = 1e-13, max_sweeps: int = 60):
         raise NumericalFailure(
             f"Jacobi SVD of a {m}x{n} matrix not converged after {max_sweeps} sweeps "
             f"(largest column cosine {off:.3g}, tolerance {tol:.3g})")
+    u, v = w[:m], w[m:]
     sing = np.linalg.norm(u, axis=0)
     order = np.argsort(-sing)
     sing = sing[order]

@@ -43,10 +43,13 @@ def test_jacobi_svd_rank_deficient():
     assert s[-1] < 1e-12 * s[0]
 
 
-def _assert_same_factors(a):
-    got, want = jacobi_svd(a), jacobi_svd_before(a)
+def _assert_same_bytes(got, want, label):
     for name, x, y in zip(("U", "s", "Vt"), got, want):
-        assert x.shape == y.shape and x.tobytes() == y.tobytes(), (np.shape(a), name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), (label, name)
+
+
+def _assert_same_factors(a):
+    _assert_same_bytes(jacobi_svd(a), jacobi_svd_before(a), np.shape(a))
 
 
 def _seeded_matrices():
@@ -81,25 +84,43 @@ def verify_supports():
     return out
 
 
-def test_jacobi_svd_matches_earlier_kernel_on_verify_problems(verify_supports, monkeypatch):
-    factored = []
+def _factor_calls(monkeypatch, kernel, supports):
+    """Run the support checks with `kernel` as the SVD; return the reports and
+    each (input, factors) pair the checks asked for, all copied."""
+    calls = []
 
     def spy(a):
-        factored.append(np.array(a))
-        return jacobi_svd(a)
+        out = kernel(a)
+        calls.append((np.array(a), tuple(np.array(x) for x in out)))
+        return out
 
     monkeypatch.setattr(diagnostics, "jacobi_svd", spy)
-    for X, support in verify_supports:
-        support_conditions_check(X, support)
-    assert len(factored) == 18
-    for a in factored:
-        _assert_same_factors(a)
+    reports = [support_conditions_check(X, s).to_dict() for X, s in supports]
+    return reports, calls
 
 
-def test_conditions_report_matches_earlier_kernel(verify_supports, monkeypatch):
+@pytest.fixture(scope="module")
+def earlier_kernel(verify_supports):
+    """The verify problems' reports and their 18 factorizations under the
+    earlier kernel, computed once for the byte-pin tests."""
+    with pytest.MonkeyPatch.context() as mp:
+        return _factor_calls(mp, jacobi_svd_before, verify_supports)
+
+
+def test_jacobi_svd_matches_earlier_kernel_on_verify_problems(
+        verify_supports, earlier_kernel, monkeypatch):
+    _, calls = _factor_calls(monkeypatch, jacobi_svd, verify_supports)
+    _, want = earlier_kernel
+    assert len(calls) == len(want) == 18
+    for (a, got), (a_before, factors) in zip(calls, want):
+        # same input, so the earlier kernel's factors of it are `factors`
+        assert a.shape == a_before.shape and a.tobytes() == a_before.tobytes()
+        _assert_same_bytes(got, factors, a.shape)
+
+
+def test_conditions_report_matches_earlier_kernel(verify_supports, earlier_kernel):
     reports = [support_conditions_check(X, s).to_dict() for X, s in verify_supports]
-    monkeypatch.setattr(diagnostics, "jacobi_svd", jacobi_svd_before)
-    assert reports == [support_conditions_check(X, s).to_dict() for X, s in verify_supports]
+    assert reports == earlier_kernel[0]
 
 
 def test_jacobi_svd_raises_when_not_converged():
@@ -110,6 +131,33 @@ def test_jacobi_svd_raises_when_not_converged():
     u, _, vt = jacobi_svd(a)
     assert np.abs(u.T @ u - np.eye(30)).max() < 1e-12
     assert np.abs(vt @ vt.T - np.eye(30)).max() < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_jacobi_svd_rejects_non_finite_entries(bad):
+    # a NaN once made the first sweep count as converged: s = [nan, nan]
+    for a in ([[bad, 1.0], [2.0, 3.0], [1.0, 1.0]], [[1.0, 2.0, bad], [0.5, 3.0, 1.0]]):
+        with pytest.raises(ValueError, match="NaN or inf"):
+            jacobi_svd(a)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("col", [1, 4])  # in the support, in its complement
+def test_conditions_reject_non_finite_x(bad, col):
+    X = np.random.default_rng(3).standard_normal((10, 6))
+    X[3, col] = bad
+    with pytest.raises(ValueError, match="NaN or inf"):
+        support_conditions_check(X, [0, 1])
+
+
+@pytest.mark.parametrize("shape", [(9, 4), (4, 9)])
+def test_jacobi_svd_factors_share_no_memory(shape):
+    a = np.random.default_rng(4).standard_normal(shape)
+    before = a.copy()
+    u, s, vt = jacobi_svd(a)
+    assert a.tobytes() == before.tobytes()
+    for x, y in ((u, s), (u, vt), (s, vt), (u, a), (s, a), (vt, a)):
+        assert not np.shares_memory(x, y)
 
 
 def test_pinv_identities():
