@@ -3,8 +3,10 @@
 Outer loop: shrink the smoothing level geometrically, t_k = t0*(1-h)^k.
 Inner loop: minimize the smoothed objective F_t with accelerated gradient
 descent using step constants derived from the curvature bounds, warm
-started from the previous outer iterate.  Both loops run on the shared
-driver ``baselines.iterate``.
+started from the previous outer iterate.  The outer loop runs on the shared
+driver ``baselines.iterate``.  The inner loop steps a local iterate pair
+with the expressions and charges of :func:`agd_step`, which stays the
+public single step that the tests pin the loop against, bit for bit.
 
 The starting level t0 can be searched automatically: the search predicate
 solves the ridge system with shift lambda*log(1+t)^2/(3 t^3) and accepts
@@ -260,6 +262,15 @@ def inner_solve(problem: LassoProblem, t_k: float, beta_init, config: HSConfig,
     B defaults to config.B, else to :func:`default_iterate_bound` of beta_init.
     Returns (final averaged iterate, steps taken, whether the step cap was
     hit, largest entry magnitude of any iterate).
+
+    The loop steps a local (beta, beta_bar) pair with :func:`agd_step`'s
+    expressions and charges, its coefficients formed once per level, and
+    builds no :class:`AGDState`; the tests pin it to a plain loop of
+    ``agd_step``.  The stop test runs before every step and once more at the
+    cap, as in ``baselines.iterate``.  The largest magnitude is one running
+    entrywise peak over both iterates, reduced once per level: max is exact,
+    so for finite iterates it is the float that per-step reductions give (a
+    NaN entry is skipped).
     """
     beta_init = np.asarray(beta_init, dtype=float)
     if B is None:
@@ -272,25 +283,23 @@ def inner_solve(problem: LassoProblem, t_k: float, beta_init, config: HSConfig,
         counter.transcendentals += 2
         counter.mults += 10
         counter.adds += 4
-    state = agd_state(beta_init, constants)
-    grad_fn = lambda v: surrogate_grad(problem, spec, v, counter)
-    max_abs = float(np.max(np.abs(state.beta)))
-
-    def step(state):
-        nonlocal max_abs
-        state = agd_step(state, grad_fn, counter)
-        max_abs = max(max_abs, float(np.max(np.abs(state.beta))),
-                      float(np.max(np.abs(state.beta_bar))))
-        return state
+    alpha, q, gamma = agd_coefficients(constants)
+    mu = constants.mu
+    one_q, one_alpha = 1.0 - q, 1.0 - alpha
+    gm = gamma * mu
+    one_gm = 1.0 + gm
+    momentum = not math.isinf(gamma)
+    p = problem.p
+    mults, adds = (7 * p, 4 * p) if momentum else (5 * p, 3 * p)
 
     if config.inner_stop == "fixed":
-        stop = lambda state, k: k >= config.inner_fixed_count
+        stop = lambda beta_bar, k: k >= config.inner_fixed_count
     elif config.inner_stop == "gradient":
-        def stop(state, k):
-            g = surrogate_grad(problem, spec, state.beta_bar, counter)
+        def stop(beta_bar, k):
+            g = surrogate_grad(problem, spec, beta_bar, counter)
             if counter is not None:  # norm: p mults, p-1 adds, sqrt, compare
-                counter.mults += problem.p
-                counter.adds += problem.p - 1
+                counter.mults += p
+                counter.adds += p - 1
                 counter.transcendentals += 1
                 counter.comparisons += 1
             return float(np.linalg.norm(g)) <= config.inner_grad_tol
@@ -300,10 +309,27 @@ def inner_solve(problem: LassoProblem, t_k: float, beta_init, config: HSConfig,
         eps_k = inner_tolerance(problem.lam, problem.p, B, t_k)
         gtol = math.sqrt(2.0 * constants.mu * max(eps_k * 1e-3, 1e-18)) * 1e-2
         fmin_k = minimize_surrogate(problem, spec, beta_init, gtol, AUX_NEWTON_MAX_ITERS)[1]
-        stop = lambda state, k: surrogate_value(problem, spec, state.beta_bar) - fmin_k <= eps_k
+        stop = lambda beta_bar, k: surrogate_value(problem, spec, beta_bar) - fmin_k <= eps_k
 
-    state, steps, stopped = iterate(state, step, stop, MAX_INNER_STEPS)
-    return state.beta_bar, steps, not stopped, max_abs
+    beta = beta_bar = beta_init.copy()  # each step rebinds both; no array is written
+    peak = np.abs(beta)
+    scratch = np.empty_like(peak)
+    steps = 0
+    while not (stopped := stop(beta_bar, steps)) and steps < MAX_INNER_STEPS:
+        mid = one_q * beta_bar + q * beta
+        g = surrogate_grad(problem, spec, mid, counter)
+        if momentum:
+            beta = (beta + gm * mid - gamma * g) / one_gm
+        else:
+            beta = mid - g / mu
+        beta_bar = one_alpha * beta_bar + alpha * beta
+        if counter is not None:
+            counter.mults += mults
+            counter.adds += adds
+        np.fmax(peak, np.abs(beta, out=scratch), out=peak)
+        np.fmax(peak, np.abs(beta_bar, out=scratch), out=peak)
+        steps += 1
+    return beta_bar, steps, not stopped, float(peak.max())
 
 
 def hs_solve(problem: LassoProblem, config: HSConfig,

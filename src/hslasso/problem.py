@@ -1,10 +1,12 @@
 """Lasso problem container, objectives, serialization.
 
-The problem instance is immutable after construction: the normalized gram
-matrix X'X/n, the vector X'y/n, and the extreme gram eigenvalues are
-computed once and shared read-only by every solver.  The eigenvectors,
-which only the ridge solves use, are recomputed by each ridge solver and
-never stored, so an instance holds no p x p array besides the gram.
+The problem instance is immutable after construction: it keeps read-only
+copies of y and X, leaving the caller's arrays as they were, and the
+normalized gram matrix X'X/n, the vector X'y/n, and the extreme gram
+eigenvalues are computed once and shared read-only by every solver.  The
+eigenvectors, which only the ridge solves use, are recomputed by each
+ridge solver and never stored, so an instance holds no p x p array
+besides the gram.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ class NumericalFailure(RuntimeError):
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    """Freeze, without a copy, an array that the library built itself."""
     a.flags.writeable = False
     return a
 
@@ -36,8 +38,9 @@ class LassoProblem:
     """
 
     def __init__(self, y, X, lam: float):
-        y = np.asarray(y, dtype=float)
-        X = np.asarray(X, dtype=float)
+        # private C-order copies: the caller's arrays stay writeable and unaliased
+        y = np.array(y, dtype=float, order="C")
+        X = np.array(X, dtype=float, order="C")
         if X.ndim != 2:
             raise ValueError("X must be a 2-d matrix")
         n, p = X.shape
@@ -198,4 +201,4 @@ def load_problem_binary(path) -> LassoProblem:
         n, p, lam = struct.unpack("<IId", header)
         y = np.frombuffer(fh.read(8 * n), dtype="<f8")
         X = np.frombuffer(fh.read(8 * n * p), dtype="<f8").reshape((n, p), order="F")
-    return LassoProblem(y=y.copy(), X=X.copy(), lam=lam)
+    return LassoProblem(y=y, X=X, lam=lam)

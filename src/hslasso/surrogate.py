@@ -61,13 +61,24 @@ class SurrogateSpec:
         return float(out) if out.ndim == 0 else out
 
     def grad(self, x):
-        """First derivative, elementwise; odd and continuous at |x| = t."""
+        """First derivative, elementwise; odd and continuous at |x| = t.
+
+        The outer branch's magnitude v = c_lin - c_inv / max(|x|, t)^2 is
+        never negative, so copysign(v, x) equals sign(x) * v bit for bit
+        there (a NaN x gives a NaN v).  Both branches are written in place
+        into one array, the quadratic one by a masked put.
+        """
         x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            return float(self.grad(x.reshape(1))[0])
         ax = np.abs(x)
-        safe = np.maximum(ax, self.t)
-        outer = np.sign(x) * (self.c_lin - self.c_inv / (safe * safe))
-        out = np.where(ax <= self.t, 2.0 * self.c_quad * x, outer)
-        return float(out) if out.ndim == 0 else out
+        outer = np.maximum(ax, self.t)
+        np.multiply(outer, outer, out=outer)
+        np.divide(self.c_inv, outer, out=outer)
+        np.subtract(self.c_lin, outer, out=outer)
+        np.copysign(outer, x, out=outer)
+        np.putmask(outer, ax <= self.t, 2.0 * self.c_quad * x)
+        return outer
 
     def hess_diag(self, beta):
         """Diagonal curvature (2/3) log(1+t)^2 * max(|beta_i|, t)^-3."""
@@ -119,8 +130,11 @@ def surrogate_grad(problem: LassoProblem, spec: SurrogateSpec, beta: np.ndarray,
     p x p matvec, the -xty shift (p adds), the penalty derivative (1 branch
     comparison, ~3 mults and 1 add per entry), the lambda scale and the sum."""
     p = problem.p
-    g = problem.gram @ beta - problem.xty
-    g = g + problem.lam * spec.grad(beta)
+    g = problem.gram @ beta
+    g -= problem.xty
+    penalty = spec.grad(beta)
+    penalty *= problem.lam
+    g += penalty
     if counter is not None:
         counter.mults += p * p + 4 * p
         counter.adds += p * (p - 1) + 3 * p

@@ -3,8 +3,10 @@ multiresolution refinement, finite differences, the soft threshold, a
 per-coordinate coordinate-descent sweep, a Jacobi pseudo-inverse, and
 instance factories.  These deliberately avoid the library's own solver
 paths.  The earlier bodies of the CD sweep, the subgradient residual,
-the objective and the Jacobi SVD are kept here too, so that their faster
-library versions are pinned to the same bytes."""
+the objective, the Jacobi SVD, the penalty gradient, the smoothed
+gradient and the HS inner loop (a plain loop of ``agd_step``) are kept
+here too, so that their faster library versions are pinned to the same
+bytes."""
 
 from __future__ import annotations
 
@@ -12,11 +14,16 @@ import math
 
 import numpy as np
 
+from hslasso import homotopy
+from hslasso.baselines import iterate
 from hslasso.diagnostics import PINV_RCOND, _pinv_from_svd, jacobi_svd
 from hslasso.cli import GEN_DEFAULTS, SIM_PATTERNS
 from hslasso.datagen import SyntheticSpec, generate
+from hslasso.homotopy import agd_state, agd_step, default_iterate_bound, inner_tolerance
 from hslasso.opcount import OpCounter
 from hslasso.problem import LassoProblem
+from hslasso.surrogate import (SurrogateSpec, minimize_surrogate, smoothness_constants,
+                               surrogate_value)
 
 # Grid points evaluated on each side of a row's continuous minimizer.
 ROW_WINDOW = 3
@@ -312,3 +319,73 @@ def jacobi_svd_before(a, tol: float = 1e-13, max_sweeps: int = 60):
     if transposed:
         return v, sing, u.T
     return u, sing, v.T
+
+
+def spec_grad_before(spec, x):
+    """First derivative, elementwise; odd and continuous at |x| = t."""
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    safe = np.maximum(ax, spec.t)
+    outer = np.sign(x) * (spec.c_lin - spec.c_inv / (safe * safe))
+    out = np.where(ax <= spec.t, 2.0 * spec.c_quad * x, outer)
+    return float(out) if out.ndim == 0 else out
+
+
+def surrogate_grad_before(problem, spec, beta, counter=None):
+    """Gradient of the smoothed objective, charged at matvec + O(p)."""
+    p = problem.p
+    g = problem.gram @ beta - problem.xty
+    g = g + problem.lam * spec_grad_before(spec, beta)
+    if counter is not None:
+        counter.mults += p * p + 4 * p
+        counter.adds += p * (p - 1) + 3 * p
+        counter.comparisons += p
+    return g
+
+
+def inner_solve_before(problem, t_k, beta_init, config, counter=None, B=None):
+    """The HS inner loop as a plain loop of ``agd_step`` on an ``AGDState``,
+    driven by ``baselines.iterate``, with two max|.| reductions per step and
+    the earlier gradient bodies.  Returns what ``inner_solve`` returns."""
+    beta_init = np.asarray(beta_init, dtype=float)
+    if B is None:
+        B = config.B if config.B is not None else default_iterate_bound(beta_init)
+    if t_k < config.tau * (1.0 - 1e-12):
+        raise ValueError("inner solve called below the level floor tau")
+    spec = SurrogateSpec(t_k)
+    constants = smoothness_constants(problem, spec, B)
+    if counter is not None:
+        counter.transcendentals += 2
+        counter.mults += 10
+        counter.adds += 4
+    state = agd_state(beta_init, constants)
+    grad_fn = lambda v: surrogate_grad_before(problem, spec, v, counter)
+    max_abs = float(np.max(np.abs(state.beta)))
+
+    def step(state):
+        nonlocal max_abs
+        state = agd_step(state, grad_fn, counter)
+        max_abs = max(max_abs, float(np.max(np.abs(state.beta))),
+                      float(np.max(np.abs(state.beta_bar))))
+        return state
+
+    if config.inner_stop == "fixed":
+        stop = lambda state, k: k >= config.inner_fixed_count
+    elif config.inner_stop == "gradient":
+        def stop(state, k):
+            g = surrogate_grad_before(problem, spec, state.beta_bar, counter)
+            if counter is not None:
+                counter.mults += problem.p
+                counter.adds += problem.p - 1
+                counter.transcendentals += 1
+                counter.comparisons += 1
+            return float(np.linalg.norm(g)) <= config.inner_grad_tol
+    else:
+        eps_k = inner_tolerance(problem.lam, problem.p, B, t_k)
+        gtol = math.sqrt(2.0 * constants.mu * max(eps_k * 1e-3, 1e-18)) * 1e-2
+        fmin_k = minimize_surrogate(problem, spec, beta_init, gtol,
+                                    homotopy.AUX_NEWTON_MAX_ITERS)[1]
+        stop = lambda state, k: surrogate_value(problem, spec, state.beta_bar) - fmin_k <= eps_k
+
+    state, steps, stopped = iterate(state, step, stop, homotopy.MAX_INNER_STEPS)
+    return state.beta_bar, steps, not stopped, max_abs

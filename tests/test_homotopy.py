@@ -1,13 +1,16 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from helpers import make_problem, numeric_prox_argmin
+from helpers import inner_solve_before, make_problem, numeric_prox_argmin
+from hslasso import homotopy
 from hslasso.baselines import reference_minimum
 from hslasso.datagen import SyntheticSpec, generate
 from hslasso.homotopy import (
+    INNER_STOP_MODES,
     HSConfig,
     agd_coefficients,
     agd_state,
@@ -314,6 +317,71 @@ def test_inner_solve_rejects_level_below_floor():
     cfg = HSConfig(t0=1.0, tau=1e-2, B=10.0)
     with pytest.raises(ValueError):
         inner_solve(pr, 1e-3, np.zeros(pr.p), cfg)
+
+
+def assert_same_inner_solve(pr, levels, beta0, cfg, B=None):
+    """inner_solve and the agd_step loop of the helpers, chained over the
+    levels, give the same bytes, counts, flags and charges."""
+    c_new, c_old = OpCounter(), OpCounter()
+    b_new = b_old = beta0
+    for t in levels:
+        new = inner_solve(pr, t, b_new, cfg, c_new, B)
+        old = inner_solve_before(pr, t, b_old, cfg, c_old, B)
+        assert new[0].tobytes() == old[0].tobytes()
+        assert new[1:] == old[1:]
+        assert type(new[3]) is float
+        b_new, b_old = new[0], old[0]
+    assert c_new == c_old
+    return c_new
+
+
+@pytest.mark.parametrize("inner_stop", INNER_STOP_MODES)
+@pytest.mark.parametrize("p", [1, 5, 20])
+def test_inner_solve_matches_a_loop_of_agd_step(p, inner_stop):
+    pr = generate(SyntheticSpec(n=30, p=p, rho=0.5, seed=p), lam=0.1)
+    beta0 = initial_beta(pr, 2.0)
+    for B in (None, 10.0):
+        cfg = HSConfig(t0=2.0, inner_stop=inner_stop, inner_fixed_count=40,
+                       inner_grad_tol=1e-6, B=B)
+        c = assert_same_inner_solve(pr, (1.5, 0.4, 0.05), beta0, cfg, B)
+        assert c.total() > 0
+
+
+@pytest.mark.parametrize("inner_stop", INNER_STOP_MODES)
+def test_inner_solve_matches_agd_step_when_gamma_is_infinite(inner_stop):
+    # a scaled identity gram with B < t puts mu above L: agd_step's exact gradient step
+    rng = np.random.default_rng(0)
+    pr = LassoProblem(y=rng.standard_normal(20), X=2.0 * np.eye(20), lam=0.1)
+    t, B = 0.5, 0.25
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # B below t is the point here
+        assert agd_coefficients(smoothness_constants(pr, SurrogateSpec(t), B))[2] == math.inf
+        cfg = HSConfig(t0=1.0, inner_stop=inner_stop, inner_fixed_count=9,
+                       inner_grad_tol=1e-10, B=B)
+        assert_same_inner_solve(pr, (t, 0.3), 0.2 * rng.standard_normal(20), cfg, B)
+
+
+def test_inner_solve_peak_counts_the_averaged_iterate():
+    # beta_bar is a rounded convex combination; here it tops every beta by one ulp
+    pr = generate(SyntheticSpec(n=30, p=1, rho=0.5, seed=5), lam=0.1)
+    spec = SurrogateSpec(0.05)
+    cfg = HSConfig(t0=2.0, inner_fixed_count=400, B=10.0)
+    out = inner_solve(pr, spec.t, np.zeros(1), cfg)
+    assert out[1:] == inner_solve_before(pr, spec.t, np.zeros(1), cfg)[1:]
+    st = agd_state(np.zeros(1), smoothness_constants(pr, spec, 10.0))
+    beta_peak = 0.0
+    for _ in range(400):
+        st = agd_step(st, lambda v: surrogate_grad(pr, spec, v))
+        beta_peak = max(beta_peak, abs(float(st.beta[0])))
+    assert out[3] > beta_peak
+
+
+def test_inner_solve_matches_agd_step_at_the_step_cap(monkeypatch):
+    monkeypatch.setattr(homotopy, "MAX_INNER_STEPS", 3)
+    pr = sim1_problem()
+    cfg = HSConfig(t0=1.0, inner_stop="gradient", inner_grad_tol=1e-300, B=10.0)
+    assert_same_inner_solve(pr, (0.5,), np.ones(pr.p), cfg, 10.0)
+    assert inner_solve(pr, 0.5, np.ones(pr.p), cfg)[1:3] == (3, True)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,27 @@ def test_cached_gram_and_immutability():
         pr.gram[0, 0] = 99.0
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "read-only"])
+def test_construction_copies_the_callers_arrays(layout):
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((6, 3))
+    y = rng.standard_normal(6)
+    if layout == "F":
+        X = np.asfortranarray(X)
+    if layout == "read-only":
+        X.flags.writeable = y.flags.writeable = False
+    X_before, y_before = X.copy(), y.copy()
+    pr = LassoProblem(y=y, X=X, lam=0.1)
+    assert X.flags.writeable == y.flags.writeable == (layout != "read-only")
+    assert X.flags.f_contiguous == (layout == "F")
+    assert not np.shares_memory(pr.X, X) and not np.shares_memory(pr.y, y)
+    assert pr.X.flags.c_contiguous and not pr.X.flags.writeable and not pr.y.flags.writeable
+    assert np.array_equal(pr.X, X_before) and np.array_equal(pr.y, y_before)
+    if layout != "read-only":
+        X[0, 0] = y[0] = 99.0
+        assert pr.X[0, 0] == X_before[0, 0] and pr.y[0] == y_before[0]
+
+
 def test_ridge_solve_matches_up_front_spectrum():
     # the eigenvectors are recomputed by each ridge solver; the solve must
     # equal, bit for bit, the one through a single eigh at construction

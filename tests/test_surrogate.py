@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import central_diff, make_problem
-from hslasso.surrogate import SurrogateSpec, smoothness_constants
+from helpers import central_diff, make_problem, spec_grad_before, surrogate_grad_before
+from hslasso.opcount import OpCounter
+from hslasso.surrogate import SurrogateSpec, smoothness_constants, surrogate_grad
 
 T_GRID = (10.0, 1.0, 0.1, 0.01, 0.001)
 
@@ -84,6 +85,48 @@ def test_grad_matches_finite_differences():
             fd = central_diff(s.value, x)
             g = s.grad(x)
             assert g == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
+def edge_points(t, rng):
+    """Signed zeros, the branch point and its neighbours, extreme magnitudes
+    and random points on both branches."""
+    special = [0.0, t, np.nextafter(t, 0.0), np.nextafter(t, np.inf), 1e-300, 5e-324,
+               1e300, np.finfo(float).max, np.inf]
+    xs = np.array(special + list(rng.uniform(-3.0 * t, 3.0 * t, size=40)))
+    return np.concatenate([xs, -xs])
+
+
+@pytest.mark.parametrize("t", [1e-4, 0.5, 3.0, 1e100])
+@np.errstate(over="ignore", invalid="ignore")  # x*x overflows alike in both bodies
+def test_grad_matches_its_earlier_body(t):
+    # copysign(v, x) for sign(x) * v, in place: the same bytes, arrays and scalars
+    s = SurrogateSpec(t)
+    xs = edge_points(t, np.random.default_rng(3))
+    new, old = s.grad(xs), spec_grad_before(s, xs)
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert new.tobytes() == old.tobytes()
+    assert s.grad(xs.reshape(2, -1)).tobytes() == old.tobytes()
+    for x in xs:
+        g = s.grad(x)
+        assert type(g) is float
+        assert np.float64(g).tobytes() == np.float64(spec_grad_before(s, x)).tobytes()
+    assert math.isnan(s.grad(math.nan)) and np.isnan(s.grad(np.array([math.nan, 1.0])))[0]
+
+
+@pytest.mark.parametrize("t", [1e-4, 0.5, 3.0])
+@np.errstate(over="ignore", invalid="ignore")
+def test_surrogate_grad_matches_its_earlier_body(t):
+    pr = make_problem(5, n=30, p=8)
+    spec = SurrogateSpec(t)
+    rng = np.random.default_rng(4)
+    points = edge_points(t, rng)
+    points = points[np.isfinite(points)]
+    for _ in range(20):
+        beta = rng.choice(points, size=pr.p)
+        c_new, c_old = OpCounter(), OpCounter()
+        new = surrogate_grad(pr, spec, beta, c_new)
+        assert new.tobytes() == surrogate_grad_before(pr, spec, beta, c_old).tobytes()
+        assert c_new == c_old
 
 
 def test_hess_diag_values_and_positivity():
