@@ -20,10 +20,8 @@ from .diagnostics import (
     support_set,
 )
 from .homotopy import (
-    AGDState,
     HSConfig,
-    agd_state,
-    agd_step,
+    agd_map,
     find_t0,
     hs_solve,
     initial_beta,

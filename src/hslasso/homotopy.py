@@ -3,10 +3,10 @@
 Outer loop: shrink the smoothing level geometrically, t_k = t0*(1-h)^k.
 Inner loop: minimize the smoothed objective F_t with accelerated gradient
 descent using step constants derived from the curvature bounds, warm
-started from the previous outer iterate.  The outer loop runs on the shared
-driver ``baselines.iterate``.  The inner loop steps a local iterate pair
-with the expressions and charges of :func:`agd_step`, which stays the
-public single step that the tests pin the loop against, bit for bit.
+started from the previous outer iterate.  One step map, :func:`agd_map`,
+holds the accelerated step and its charge; both loops run on the shared
+driver ``baselines.iterate``, the outer one over levels and the inner one
+over the step map's iterate pairs.
 
 The starting level t0 can be searched automatically: the search predicate
 solves the ridge system with shift lambda*log(1+t)^2/(3 t^3) and accepts
@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .baselines import iterate
 from .opcount import OpCounter
 from .problem import LassoProblem, NumericalFailure, ReferenceSolution, lasso_objective
-from .surrogate import (SmoothnessConstants, SurrogateSpec, minimize_surrogate,
+from .surrogate import (SmoothnessConstants, SurrogateSpec, check_level, minimize_surrogate,
                         smoothness_constants, surrogate_grad, surrogate_value)
 from .trace import SolverTrace
 
@@ -74,12 +74,11 @@ class HSConfig:
             raise ValueError("h must lie strictly in (0, 1)")
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
-        if self.t0 is not None and not self.tau < self.t0 < math.inf:
-            raise ValueError("t0 must be finite and larger than tau")
-        if self.B is not None and not 0 < self.B < math.inf:
-            raise ValueError("B must be positive and finite")
+        for name in ("tau", "t0", "B"):  # levels, and the bound that is cubed like them
+            if getattr(self, name) is not None:
+                check_level(name, getattr(self, name))
+        if self.t0 is not None and not self.tau < self.t0:
+            raise ValueError("t0 must be larger than tau")
         if self.inner_stop not in INNER_STOP_MODES:
             raise ValueError(f"inner_stop must be one of {INNER_STOP_MODES}")
         if self.outer_stop not in OUTER_STOP_MODES:
@@ -106,18 +105,6 @@ class HSConfig:
         return cls(**doc)
 
 
-@dataclass(frozen=True)
-class AGDState:
-    """Iterate pair plus the constant step coefficients of one inner loop."""
-
-    beta: np.ndarray
-    beta_bar: np.ndarray
-    alpha: float
-    q: float
-    gamma: float
-    constants: SmoothnessConstants
-
-
 def agd_coefficients(constants: SmoothnessConstants) -> tuple[float, float, float]:
     """Momentum/step constants from the curvature pair.
 
@@ -136,40 +123,40 @@ def agd_coefficients(constants: SmoothnessConstants) -> tuple[float, float, floa
     return alpha, q, gamma
 
 
-def agd_state(beta: np.ndarray, constants: SmoothnessConstants) -> AGDState:
-    alpha, q, gamma = agd_coefficients(constants)
-    beta = np.asarray(beta, dtype=float)
-    return AGDState(beta=beta.copy(), beta_bar=beta.copy(),
-                    alpha=alpha, q=q, gamma=gamma, constants=constants)
+def agd_map(constants: SmoothnessConstants, grad, counter: OpCounter | None = None):
+    """The accelerated step as a map (beta, beta_bar) -> (beta, beta_bar).
 
-
-def agd_step(state: AGDState, grad, counter: OpCounter | None = None) -> AGDState:
-    """One accelerated step; the proximal subproblem is solved in closed form.
-
-    With the Euclidean prox V(x, z) = ||z - x||^2 / 2 the inner argmin is
+    The level's coefficients are formed once, here.  With the Euclidean
+    prox V(x, z) = ||z - x||^2 / 2 the inner argmin is closed form:
     beta+ = (beta + gamma*mu*mid - gamma*g) / (1 + gamma*mu) where mid is
-    the extrapolated point and g its gradient.  Vector work is charged
-    once per step: the two weighted averages (mid, beta_bar) cost 2p mults
-    and p adds each; the update costs 3p mults and 2p adds, or p mults and
-    p adds in the degenerate gamma = inf case.
+    the extrapolated point and g = grad(mid).  Vector work is charged once
+    per step: the two weighted averages (mid, beta_bar) cost 2p mults and
+    p adds each; the update costs 3p mults and 2p adds, or p mults and p
+    adds in the degenerate gamma = inf case.  A step writes no array.
     """
-    p = state.beta.size
-    mu = state.constants.mu
-    mid = (1.0 - state.q) * state.beta_bar + state.q * state.beta
-    g = grad(mid)
-    if math.isinf(state.gamma):
-        beta_new = mid - g / mu
+    alpha, q, gamma = agd_coefficients(constants)
+    mu = constants.mu
+    one_q, one_alpha = 1.0 - q, 1.0 - alpha
+    gm = gamma * mu
+    one_gm = 1.0 + gm
+    momentum = not math.isinf(gamma)
+    mults, adds = (7, 4) if momentum else (5, 3)
+
+    def step(pair):
+        beta, beta_bar = pair
+        mid = one_q * beta_bar + q * beta
+        g = grad(mid)
+        if momentum:
+            beta = (beta + gm * mid - gamma * g) / one_gm
+        else:
+            beta = mid - g / mu
+        beta_bar = one_alpha * beta_bar + alpha * beta
         if counter is not None:
-            counter.mults += 5 * p
-            counter.adds += 3 * p
-    else:
-        gm = state.gamma * mu
-        beta_new = (state.beta + gm * mid - state.gamma * g) / (1.0 + gm)
-        if counter is not None:
-            counter.mults += 7 * p
-            counter.adds += 4 * p
-    beta_bar_new = (1.0 - state.alpha) * state.beta_bar + state.alpha * beta_new
-    return replace(state, beta=beta_new, beta_bar=beta_bar_new)
+            counter.mults += mults * beta.size
+            counter.adds += adds * beta.size
+        return beta, beta_bar
+
+    return step
 
 
 def find_t0(problem: LassoProblem, counter: OpCounter | None = None) -> float:
@@ -255,26 +242,23 @@ def default_iterate_bound(beta0: np.ndarray) -> float:
 
 
 def inner_solve(problem: LassoProblem, t_k: float, beta_init, config: HSConfig,
-                counter: OpCounter | None = None,
-                B: float | None = None) -> tuple[np.ndarray, int, bool, float]:
+                counter: OpCounter | None = None, *,
+                B: float) -> tuple[np.ndarray, int, bool, float]:
     """Minimize the level-t_k smoothed objective from beta_init.
 
-    B defaults to config.B, else to :func:`default_iterate_bound` of beta_init.
+    B is the iterate bound of the curvature constants, resolved once by the
+    caller (:func:`hs_solve` takes config.B, else :func:`default_iterate_bound`).
     Returns (final averaged iterate, steps taken, whether the step cap was
     hit, largest entry magnitude of any iterate).
 
-    The loop steps a local (beta, beta_bar) pair with :func:`agd_step`'s
-    expressions and charges, its coefficients formed once per level, and
-    builds no :class:`AGDState`; the tests pin it to a plain loop of
-    ``agd_step``.  The stop test runs before every step and once more at the
-    cap, as in ``baselines.iterate``.  The largest magnitude is one running
-    entrywise peak over both iterates, reduced once per level: max is exact,
-    so for finite iterates it is the float that per-step reductions give (a
-    NaN entry is skipped).
+    The steps of :func:`agd_map` run on ``baselines.iterate``, which calls
+    the stop test once per iterate pair, the start included.  The stop test
+    also folds the pair into one running entrywise peak of |beta| and
+    |beta_bar|, reduced once per level: max is exact, so for finite iterates
+    it is the float that per-step reductions give (a NaN entry is skipped
+    once a later pair holds a number there).
     """
     beta_init = np.asarray(beta_init, dtype=float)
-    if B is None:
-        B = config.B if config.B is not None else default_iterate_bound(beta_init)
     if t_k < config.tau * (1.0 - 1e-12):
         raise ValueError("inner solve called below the level floor tau")
     spec = SurrogateSpec(t_k)
@@ -283,19 +267,13 @@ def inner_solve(problem: LassoProblem, t_k: float, beta_init, config: HSConfig,
         counter.transcendentals += 2
         counter.mults += 10
         counter.adds += 4
-    alpha, q, gamma = agd_coefficients(constants)
-    mu = constants.mu
-    one_q, one_alpha = 1.0 - q, 1.0 - alpha
-    gm = gamma * mu
-    one_gm = 1.0 + gm
-    momentum = not math.isinf(gamma)
+    step = agd_map(constants, lambda v: surrogate_grad(problem, spec, v, counter), counter)
     p = problem.p
-    mults, adds = (7 * p, 4 * p) if momentum else (5 * p, 3 * p)
 
     if config.inner_stop == "fixed":
-        stop = lambda beta_bar, k: k >= config.inner_fixed_count
+        done = lambda beta_bar, k: k >= config.inner_fixed_count
     elif config.inner_stop == "gradient":
-        def stop(beta_bar, k):
+        def done(beta_bar, k):
             g = surrogate_grad(problem, spec, beta_bar, counter)
             if counter is not None:  # norm: p mults, p-1 adds, sqrt, compare
                 counter.mults += p
@@ -309,26 +287,18 @@ def inner_solve(problem: LassoProblem, t_k: float, beta_init, config: HSConfig,
         eps_k = inner_tolerance(problem.lam, problem.p, B, t_k)
         gtol = math.sqrt(2.0 * constants.mu * max(eps_k * 1e-3, 1e-18)) * 1e-2
         fmin_k = minimize_surrogate(problem, spec, beta_init, gtol, AUX_NEWTON_MAX_ITERS)[1]
-        stop = lambda beta_bar, k: surrogate_value(problem, spec, beta_bar) - fmin_k <= eps_k
+        done = lambda beta_bar, k: surrogate_value(problem, spec, beta_bar) - fmin_k <= eps_k
 
-    beta = beta_bar = beta_init.copy()  # each step rebinds both; no array is written
-    peak = np.abs(beta)
+    peak = np.abs(beta_init)
     scratch = np.empty_like(peak)
-    steps = 0
-    while not (stopped := stop(beta_bar, steps)) and steps < MAX_INNER_STEPS:
-        mid = one_q * beta_bar + q * beta
-        g = surrogate_grad(problem, spec, mid, counter)
-        if momentum:
-            beta = (beta + gm * mid - gamma * g) / one_gm
-        else:
-            beta = mid - g / mu
-        beta_bar = one_alpha * beta_bar + alpha * beta
-        if counter is not None:
-            counter.mults += mults
-            counter.adds += adds
-        np.fmax(peak, np.abs(beta, out=scratch), out=peak)
-        np.fmax(peak, np.abs(beta_bar, out=scratch), out=peak)
-        steps += 1
+
+    def stop(pair, k):
+        for v in pair:
+            np.fmax(peak, np.abs(v, out=scratch), out=peak)
+        return done(pair[1], k)
+
+    start = beta_init.copy()  # a step rebinds both iterates and writes neither
+    (_, beta_bar), steps, stopped = iterate((start, start), step, stop, MAX_INNER_STEPS)
     return beta_bar, steps, not stopped, float(peak.max())
 
 
@@ -374,9 +344,9 @@ def hs_solve(problem: LassoProblem, config: HSConfig,
         nonlocal inner_caps, max_abs
         t = state[1] * (1.0 - config.h)
         counter.mults += 1
-        beta, steps, cap_hit, level_max_abs = inner_solve(problem, t, state[0], config, counter, B)
+        beta, steps, cap_hit, level_max = inner_solve(problem, t, state[0], config, counter, B=B)
         inner_caps += int(cap_hit)
-        max_abs = max(max_abs, level_max_abs)
+        max_abs = max(max_abs, level_max)
         append_row(t, steps, beta)
         return beta, t
 

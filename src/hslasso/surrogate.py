@@ -32,6 +32,17 @@ from .opcount import OpCounter
 from .problem import LassoProblem, NumericalFailure
 
 
+# Range of a level t and of the iterate bound B, both cubed (t**3 in c_quad,
+# B**3 in mu): the cube of a number in this range is a normal float.
+LEVEL_RANGE = (1e-100, 1e100)
+
+
+def check_level(name: str, value: float) -> None:
+    lo, hi = LEVEL_RANGE
+    if not lo <= value <= hi:  # NaN included
+        raise ValueError(f"{name} must be finite and lie in [{lo:g}, {hi:g}], got {value!r}")
+
+
 @dataclass(frozen=True)
 class SurrogateSpec:
     """Homotopy level t with the branch coefficients precomputed."""
@@ -43,8 +54,7 @@ class SurrogateSpec:
     c_const: float = field(init=False)
 
     def __post_init__(self):
-        if not 0 < self.t < math.inf:
-            raise ValueError("surrogate level t must be finite and strictly positive")
+        check_level("surrogate level t", self.t)
         log1pt = math.log1p(self.t)
         object.__setattr__(self, "c_quad", log1pt**2 / (3.0 * self.t**3))
         object.__setattr__(self, "c_lin", (log1pt / self.t) ** 2)
@@ -103,8 +113,7 @@ def smoothness_constants(problem, spec: SurrogateSpec, B: float) -> SmoothnessCo
     to the bottom gram eigenvalue.  A rank-deficient gram with zero penalty
     weight yields kappa = inf.
     """
-    if B <= 0:
-        raise ValueError("iterate bound B must be positive")
+    check_level("iterate bound B", B)
     if B < spec.t:
         warnings.warn("iterate bound B below surrogate level t; constants assume B >= t")
     lam = problem.lam

@@ -39,8 +39,7 @@ from hslasso.diagnostics import (
 from hslasso.homotopy import (
     HSConfig,
     agd_coefficients,
-    agd_state,
-    agd_step,
+    agd_map,
     hs_solve,
 )
 from hslasso.opcount import OpCounter
@@ -179,20 +178,19 @@ def test_criterion_4_agd_contraction_and_prox():
         cons = smoothness_constants(pr, spec, 10.0)
         alpha = math.sqrt(cons.mu / cons.L)
         beta0 = np.ones(20)
-        grad = lambda v: surrogate_grad(pr, spec, v)
-        st = agd_state(beta0, cons)
+        step = agd_map(cons, lambda v: surrogate_grad(pr, spec, v))
+        pair = (beta0, beta0)
         for _ in range(3000):
-            st = agd_step(st, grad)
-        fstar = surrogate_value(pr, spec, st.beta_bar)
-        bstar = st.beta_bar
-        st = agd_state(beta0, cons)
-        gap0 = surrogate_value(pr, spec, st.beta_bar) - fstar
-        first = agd_step(st, grad)
-        bracket = gap0 + 0.5 * cons.mu * float(np.sum((first.beta - bstar) ** 2))
-        st = agd_state(beta0, cons)
+            pair = step(pair)
+        fstar = surrogate_value(pr, spec, pair[1])
+        bstar = pair[1]
+        gap0 = surrogate_value(pr, spec, beta0) - fstar
+        first = step((beta0, beta0))
+        bracket = gap0 + 0.5 * cons.mu * float(np.sum((first[0] - bstar) ** 2))
+        pair = (beta0, beta0)
         for s in range(1, 120):
-            st = agd_step(st, grad)
-            gap = surrogate_value(pr, spec, st.beta_bar) - fstar
+            pair = step(pair)
+            gap = surrogate_value(pr, spec, pair[1]) - fstar
             margin = gap - (1 - alpha) ** s * bracket
             worst_margin = max(worst_margin, margin)
             ok &= margin <= 1e-12
@@ -202,25 +200,21 @@ def test_criterion_4_agd_contraction_and_prox():
     from hslasso.surrogate import SmoothnessConstants
 
     cons = SmoothnessConstants(L=3.0, mu=0.4, kappa=7.5)
-    a, q, gamma = agd_coefficients(cons)
+    _, q, gamma = agd_coefficients(cons)
     worst_prox = 0.0
     for _ in range(5):
         beta = 0.05 * rng.standard_normal(2)
         beta_bar = 0.05 * rng.standard_normal(2)
         g = 0.05 * rng.standard_normal(2)
-        from hslasso.homotopy import AGDState
-
-        st = AGDState(beta=beta, beta_bar=beta_bar, alpha=a, q=q,
-                      gamma=gamma, constants=cons)
         mid = (1 - q) * beta_bar + q * beta
-        new = agd_step(st, lambda v: g)
+        new_beta = agd_map(cons, lambda v: g)((beta, beta_bar))[0]
 
         def prox_obj(z):
             return (gamma * (z @ g + cons.mu * 0.5 * np.sum((z - mid) ** 2))
                     + 0.5 * np.sum((z - beta) ** 2))
 
         center = numeric_prox_argmin(prox_obj, np.full(2, -0.5), np.full(2, 0.5))
-        worst_prox = max(worst_prox, float(np.max(np.abs(center - new.beta))))
+        worst_prox = max(worst_prox, float(np.max(np.abs(center - new_beta))))
     ok &= worst_prox < 1e-8
     finish(4, "inner-loop contraction", ok,
            f"10 instances, worst contraction margin {worst_margin:.2e}; "

@@ -300,7 +300,7 @@ def test_charge_pinned(case):
         find_t0(pr, c)
     else:
         cfg = HSConfig(inner_stop=case.split("-")[1], inner_grad_tol=1e-6)
-        steps = inner_solve(pr, 0.5, np.zeros(p), cfg, c)[1]
+        steps = inner_solve(pr, 0.5, np.zeros(p), cfg, c, B=1.0)[1]
         assert steps == per_iterate
     assert astuple(c) == counts
     if case != "cd":

@@ -16,17 +16,18 @@ def run_cli(args):
     return main(list(args))
 
 
+def run_module(args):
+    """``python -m hslasso.cli`` in a child process that imports this package."""
+    import hslasso
+
+    env = {**os.environ, "PYTHONPATH": str(Path(hslasso.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "hslasso.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
 def test_usage_error_exit_code(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "hslasso.cli", "frobnicate"],
-        capture_output=True,
-    )
-    assert proc.returncode == 2
-    proc = subprocess.run(
-        [sys.executable, "-m", "hslasso.cli", "bench", "--no-such-flag"],
-        capture_output=True,
-    )
-    assert proc.returncode == 2
+    assert run_module(["frobnicate"]).returncode == 2
+    assert run_module(["bench", "--no-such-flag"]).returncode == 2
     # flags a subcommand would only have ignored are not accepted
     solve = ["solve", "--method", "ista", "--input", "p.json"]
     verify = ["verify", "--input", "p.json"]
@@ -278,6 +279,28 @@ def test_non_finite_tolerances_are_usage_errors(tmp_path, capsys, argv, setting)
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert "usage error" in err and setting in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--levels", "1e160"],
+    ["verify", "--levels", "1e-120"],
+    ["solve", "--method", "hs", "--hs-config", '{"t0": 1e160}'],
+    ["solve", "--method", "hs", "--hs-config", '{"tau": 1e-300, "t0": 1e-200}'],
+    ["solve", "--method", "hs", "--hs-config", '{"B": 1e200, "outer_stop": "t-floor"}'],
+    ["solve", "--method", "hs", "--hs-config", '{"B": 1e-120, "outer_stop": "t-floor"}'],
+], ids=["level-huge", "level-tiny", "t0-huge", "tau-t0-tiny", "B-huge", "B-tiny"])
+def test_levels_and_bounds_out_of_float_range_are_usage_errors(tmp_path, argv):
+    # each ended in an OverflowError or ZeroDivisionError traceback (exit 1):
+    # t**3 or B**3 overflowed or underflowed a float
+    assert run_cli(["datagen", "--n", "20", "--p", "5", "--out-dir", str(tmp_path)]) == 0
+    if argv[-1].startswith("{"):
+        (tmp_path / "hs.json").write_text(argv[-1])
+        argv = argv[:-1] + [str(tmp_path / "hs.json")]
+    proc = run_module(argv + ["--input", str(tmp_path / "problem.json"),
+                              "--out-dir", str(tmp_path / "out")])
+    assert proc.returncode == 2, proc.stderr
+    assert "usage error" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
     assert not (tmp_path / "out").exists()
 
 

@@ -1,11 +1,12 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import inner_solve_before, make_problem, numeric_prox_argmin
+from helpers import agd_state, agd_step, inner_solve_before, make_problem, numeric_prox_argmin
 from hslasso import homotopy
 from hslasso.baselines import reference_minimum
 from hslasso.datagen import SyntheticSpec, generate
@@ -13,8 +14,7 @@ from hslasso.homotopy import (
     INNER_STOP_MODES,
     HSConfig,
     agd_coefficients,
-    agd_state,
-    agd_step,
+    agd_map,
     default_iterate_bound,
     find_t0,
     hs_solve,
@@ -164,10 +164,10 @@ def test_agd_coefficients_follow_definitions():
 
 def test_agd_step_fixed_point():
     cons = SmoothnessConstants(L=4.0, mu=1.0, kappa=4.0)
-    st = agd_state(np.array([1.0, -2.0]), cons)
-    new = agd_step(st, lambda v: np.zeros(2))
-    assert np.allclose(new.beta, st.beta)
-    assert np.allclose(new.beta_bar, st.beta_bar)
+    pair = (np.array([1.0, -2.0]), np.array([1.0, -2.0]))
+    new = agd_map(cons, lambda v: np.zeros(2))(pair)
+    assert np.allclose(new[0], pair[0])
+    assert np.allclose(new[1], pair[1])
 
 
 @pytest.mark.parametrize("cons,mults,adds", [
@@ -183,58 +183,80 @@ def test_agd_step_charge_pinned(cons, mults, adds):
     surrogate_grad(pr, spec, np.ones(5), g)
     assert (g.mults, g.adds, g.transcendentals, g.comparisons) == (45, 35, 0, 5)
     c = OpCounter()
-    agd_step(agd_state(np.ones(5), cons), lambda v: surrogate_grad(pr, spec, v, c), c)
+    agd_map(cons, lambda v: surrogate_grad(pr, spec, v, c), c)((np.ones(5), np.ones(5)))
     assert (c.mults, c.adds, c.transcendentals, c.comparisons) == (mults, adds, 0, 5)
+
+
+@pytest.mark.parametrize("p", [1, 5, 20])
+@pytest.mark.parametrize("degenerate", [False, True], ids=["momentum", "gamma-inf"])
+def test_agd_map_matches_agd_step(p, degenerate):
+    # the step map against the earlier AGDState step of the helpers, 30
+    # chained steps from a pair with beta != beta_bar
+    pr = generate(SyntheticSpec(n=30, p=p, rho=0.5, seed=p), lam=0.1)
+    spec = SurrogateSpec(0.3)
+    cons = smoothness_constants(pr, spec, 10.0)
+    if degenerate:
+        cons = SmoothnessConstants(L=cons.L, mu=cons.L, kappa=1.0)
+    assert math.isinf(agd_coefficients(cons)[2]) == degenerate
+    rng = np.random.default_rng(p)
+    beta, beta_bar = rng.standard_normal(p), rng.standard_normal(p)
+    c_new, c_old = OpCounter(), OpCounter()
+    step = agd_map(cons, lambda v: surrogate_grad(pr, spec, v, c_new), c_new)
+    state = replace(agd_state(beta, cons), beta_bar=beta_bar.copy())
+    pair = (beta, beta_bar)
+    for _ in range(30):
+        pair = step(pair)
+        state = agd_step(state, lambda v: surrogate_grad(pr, spec, v, c_old), c_old)
+        assert pair[0].tobytes() == state.beta.tobytes()
+        assert pair[1].tobytes() == state.beta_bar.tobytes()
+    assert c_new == c_old and c_new.mults > 0
 
 
 def test_agd_step_gamma_mu_one_direction():
     # mu/L = 1/4 gives alpha = 1/2 and gamma*mu = 1
     cons = SmoothnessConstants(L=4.0, mu=1.0, kappa=4.0)
-    st = agd_state(np.zeros(3), cons)
-    assert st.gamma * cons.mu == pytest.approx(1.0)
+    gamma = agd_coefficients(cons)[2]
+    assert gamma * cons.mu == pytest.approx(1.0)
     g = np.array([1.0, 0.0, 0.0])
-    new = agd_step(st, lambda v: g)
-    assert np.allclose(new.beta, -(st.gamma / 2.0) * g)
+    beta, _ = agd_map(cons, lambda v: g)((np.zeros(3), np.zeros(3)))
+    assert np.allclose(beta, -(gamma / 2.0) * g)
 
 
 def test_agd_step_prox_matches_numeric_argmin():
     rng = np.random.default_rng(12)
     cons = SmoothnessConstants(L=3.0, mu=0.4, kappa=7.5)
-    alpha, q, gamma = agd_coefficients(cons)
+    _, q, gamma = agd_coefficients(cons)
     for _ in range(5):
         beta = 0.05 * rng.standard_normal(2)
         beta_bar = 0.05 * rng.standard_normal(2)
         g = 0.05 * rng.standard_normal(2)
-        st = agd_state(beta, cons)
-        st = st.__class__(beta=beta, beta_bar=beta_bar, alpha=alpha, q=q,
-                          gamma=gamma, constants=cons)
         mid = (1 - q) * beta_bar + q * beta
-        new = agd_step(st, lambda v: g)
+        new_beta = agd_map(cons, lambda v: g)((beta, beta_bar))[0]
 
         def prox_obj(z):
             return (gamma * (z @ g + cons.mu * 0.5 * np.sum((z - mid) ** 2))
                     + 0.5 * np.sum((z - beta) ** 2))
 
         center = numeric_prox_argmin(prox_obj, np.full(2, -0.5), np.full(2, 0.5))
-        assert np.max(np.abs(center - new.beta)) < 1e-8
+        assert np.max(np.abs(center - new_beta)) < 1e-8
 
 
 def test_agd_descends_pure_quadratic():
     cons = SmoothnessConstants(L=1.0, mu=1.0, kappa=1.0)
-    st = agd_state(np.array([1.0]), cons)
-    new = agd_step(st, lambda v: v)  # gradient of ||b||^2 / 2
-    assert 0.5 * new.beta_bar[0] ** 2 < 0.5
+    step = agd_map(cons, lambda v: v)  # gradient of ||b||^2 / 2
+    beta_bar = step((np.array([1.0]), np.array([1.0])))[1]
+    assert 0.5 * beta_bar[0] ** 2 < 0.5
 
 
 def test_agd_monotone_bar_values_in_fixed_loop():
     pr = sim1_problem()
     spec = SurrogateSpec(0.5)
-    cons = smoothness_constants(pr, spec, 10.0)
-    st = agd_state(np.ones(pr.p), cons)
-    vals = [surrogate_value(pr, spec, st.beta_bar)]
+    step = agd_map(smoothness_constants(pr, spec, 10.0), lambda v: surrogate_grad(pr, spec, v))
+    pair = (np.ones(pr.p), np.ones(pr.p))
+    vals = [surrogate_value(pr, spec, pair[1])]
     for _ in range(80):
-        st = agd_step(st, lambda v: surrogate_grad(pr, spec, v))
-        vals.append(surrogate_value(pr, spec, st.beta_bar))
+        pair = step(pair)
+        vals.append(surrogate_value(pr, spec, pair[1]))
     assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
 
 
@@ -247,16 +269,16 @@ def test_inner_solve_stops_at_entry_when_optimal():
     pr = sim1_problem()
     cfg = HSConfig(t0=1.0, inner_stop="gradient", inner_grad_tol=1e-6, B=10.0)
     # converge once, then restart from the solution
-    beta1, steps1, _, _ = inner_solve(pr, 0.5, np.zeros(pr.p), cfg)
+    beta1, steps1, _, _ = inner_solve(pr, 0.5, np.zeros(pr.p), cfg, B=10.0)
     assert steps1 > 0
-    steps2 = inner_solve(pr, 0.5, beta1, cfg)[1]
+    steps2 = inner_solve(pr, 0.5, beta1, cfg, B=10.0)[1]
     assert steps2 <= 1
 
 
 def test_inner_solve_fixed_mode_runs_exact_count():
     pr = sim1_problem()
     cfg = HSConfig(t0=1.0, inner_stop="fixed", inner_fixed_count=7, B=10.0)
-    steps = inner_solve(pr, 0.5, np.ones(pr.p), cfg)[1]
+    steps = inner_solve(pr, 0.5, np.ones(pr.p), cfg, B=10.0)[1]
     assert steps == 7
 
 
@@ -268,21 +290,21 @@ def test_inner_solve_geometric_contraction():
     alpha = math.sqrt(cons.mu / cons.L)
     beta0 = np.ones(pr.p)
 
+    step = agd_map(cons, lambda v: surrogate_grad(pr, spec, v))
     # high accuracy minimum and minimizer for the bracket
-    st = agd_state(beta0, cons)
+    pair = (beta0, beta0)
     for _ in range(3000):
-        st = agd_step(st, lambda v: surrogate_grad(pr, spec, v))
-    fstar = surrogate_value(pr, spec, st.beta_bar)
-    bstar = st.beta_bar
+        pair = step(pair)
+    fstar = surrogate_value(pr, spec, pair[1])
+    bstar = pair[1]
 
-    st = agd_state(beta0, cons)
-    gap0 = surrogate_value(pr, spec, st.beta_bar) - fstar
-    first = agd_step(st, lambda v: surrogate_grad(pr, spec, v))
-    bracket = gap0 + 0.5 * cons.mu * float(np.sum((first.beta - bstar) ** 2))
-    st = agd_state(beta0, cons)
+    gap0 = surrogate_value(pr, spec, beta0) - fstar
+    first = step((beta0, beta0))
+    bracket = gap0 + 0.5 * cons.mu * float(np.sum((first[0] - bstar) ** 2))
+    pair = (beta0, beta0)
     for s in range(1, 150):
-        st = agd_step(st, lambda v: surrogate_grad(pr, spec, v))
-        gap = surrogate_value(pr, spec, st.beta_bar) - fstar
+        pair = step(pair)
+        gap = surrogate_value(pr, spec, pair[1]) - fstar
         assert gap <= (1 - alpha) ** s * bracket + 1e-12
 
 
@@ -316,16 +338,18 @@ def test_inner_solve_rejects_level_below_floor():
     pr = sim1_problem()
     cfg = HSConfig(t0=1.0, tau=1e-2, B=10.0)
     with pytest.raises(ValueError):
-        inner_solve(pr, 1e-3, np.zeros(pr.p), cfg)
+        inner_solve(pr, 1e-3, np.zeros(pr.p), cfg, B=10.0)
 
 
 def assert_same_inner_solve(pr, levels, beta0, cfg, B=None):
     """inner_solve and the agd_step loop of the helpers, chained over the
-    levels, give the same bytes, counts, flags and charges."""
+    levels, give the same bytes, counts, flags and charges.  B=None leaves
+    the bound to the helper's default and hands inner_solve the same value."""
     c_new, c_old = OpCounter(), OpCounter()
     b_new = b_old = beta0
     for t in levels:
-        new = inner_solve(pr, t, b_new, cfg, c_new, B)
+        B_new = B if B is not None else default_iterate_bound(np.asarray(b_new, dtype=float))
+        new = inner_solve(pr, t, b_new, cfg, c_new, B=B_new)
         old = inner_solve_before(pr, t, b_old, cfg, c_old, B)
         assert new[0].tobytes() == old[0].tobytes()
         assert new[1:] == old[1:]
@@ -366,13 +390,14 @@ def test_inner_solve_peak_counts_the_averaged_iterate():
     pr = generate(SyntheticSpec(n=30, p=1, rho=0.5, seed=5), lam=0.1)
     spec = SurrogateSpec(0.05)
     cfg = HSConfig(t0=2.0, inner_fixed_count=400, B=10.0)
-    out = inner_solve(pr, spec.t, np.zeros(1), cfg)
+    out = inner_solve(pr, spec.t, np.zeros(1), cfg, B=10.0)
     assert out[1:] == inner_solve_before(pr, spec.t, np.zeros(1), cfg)[1:]
-    st = agd_state(np.zeros(1), smoothness_constants(pr, spec, 10.0))
+    step = agd_map(smoothness_constants(pr, spec, 10.0), lambda v: surrogate_grad(pr, spec, v))
+    pair = (np.zeros(1), np.zeros(1))
     beta_peak = 0.0
     for _ in range(400):
-        st = agd_step(st, lambda v: surrogate_grad(pr, spec, v))
-        beta_peak = max(beta_peak, abs(float(st.beta[0])))
+        pair = step(pair)
+        beta_peak = max(beta_peak, abs(float(pair[0][0])))
     assert out[3] > beta_peak
 
 
@@ -381,7 +406,7 @@ def test_inner_solve_matches_agd_step_at_the_step_cap(monkeypatch):
     pr = sim1_problem()
     cfg = HSConfig(t0=1.0, inner_stop="gradient", inner_grad_tol=1e-300, B=10.0)
     assert_same_inner_solve(pr, (0.5,), np.ones(pr.p), cfg, 10.0)
-    assert inner_solve(pr, 0.5, np.ones(pr.p), cfg)[1:3] == (3, True)
+    assert inner_solve(pr, 0.5, np.ones(pr.p), cfg, B=10.0)[1:3] == (3, True)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +471,7 @@ def test_hs_warm_start_matches_manual_chain():
     betas = []
     for _ in range(tr.metadata["outer_iterations"]):
         t *= 0.9
-        beta = inner_solve(pr, t, beta, cfg)[0]
+        beta = inner_solve(pr, t, beta, cfg, B=10.0)[0]
         betas.append(beta)
     assert np.array_equal(tr.final_beta, betas[-1])
 
@@ -518,6 +543,7 @@ def test_hs_config_validation_and_from_dict():
     with pytest.raises(ValueError):
         HSConfig(inner_stop="nope")
     for bad in ({"epsilon": 0.0}, {"epsilon": math.inf}, {"tau": 0.0}, {"B": -1.0}, {"B": math.inf},
+                {"t0": 1e160}, {"tau": 1e-300}, {"B": 1e200}, {"B": 1e-120},
                 {"outer_stop": "nope"},
                 {"inner_fixed_count": 0}, {"inner_grad_tol": 0.0}, {"max_outer": 0}):
         with pytest.raises(ValueError, match=next(iter(bad))):
@@ -562,7 +588,7 @@ def test_minimize_surrogate_matches_gradient_inner_solve(n, p):
     pr = _shape_problem(n, p, lam=0.1)
     t = 0.1
     cfg = HSConfig(t0=1.0, inner_stop="gradient", inner_grad_tol=1e-10, B=10.0)
-    agd = inner_solve(pr, t, np.zeros(pr.p), cfg)[0]
+    agd = inner_solve(pr, t, np.zeros(pr.p), cfg, B=10.0)[0]
     newton, _ = minimize_surrogate(pr, SurrogateSpec(t), np.zeros(pr.p), 1e-10, 200)
     assert np.max(np.abs(newton - agd)) <= 1e-8
 

@@ -12,10 +12,10 @@ import pytest
 import hslasso
 
 PUBLIC_SURFACE = [
-    "AGDState", "BaselineConfig", "BenchmarkGrid", "HSConfig", "LassoProblem",
-    "NumericalFailure", "OpCounter", "ReferenceSolution", "SmoothnessConstants", "SolverTrace",
-    "SupportConditionReport", "SurrogateSpec", "SyntheticSpec", "TraceRecord", "agd_state",
-    "agd_step", "beta_pattern", "cd_solve", "equicorrelated_design", "estimation_error",
+    "BaselineConfig", "BenchmarkGrid", "HSConfig", "LassoProblem", "NumericalFailure",
+    "OpCounter", "ReferenceSolution", "SmoothnessConstants", "SolverTrace",
+    "SupportConditionReport", "SurrogateSpec", "SyntheticSpec", "TraceRecord", "agd_map",
+    "beta_pattern", "cd_solve", "equicorrelated_design", "estimation_error",
     "find_t0", "fista_solve", "generate", "hs_solve", "initial_beta", "inner_solve",
     "inner_tolerance", "ista_solve", "jacobi_svd", "lasso_objective", "load_problem_binary",
     "load_problem_json", "noise_scale_for_snr", "outer_iteration_count", "prediction_error",

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import central_diff, make_problem, spec_grad_before, surrogate_grad_before
 from hslasso.opcount import OpCounter
-from hslasso.surrogate import SurrogateSpec, smoothness_constants, surrogate_grad
+from hslasso.surrogate import LEVEL_RANGE, SurrogateSpec, smoothness_constants, surrogate_grad
 
 T_GRID = (10.0, 1.0, 0.1, 0.01, 0.001)
 
@@ -23,9 +23,13 @@ def test_spec_constants_match_definitions():
 
 
 def test_spec_rejects_nonpositive_t():
-    for t in (0.0, -1.0, math.inf, math.nan):
+    # outside LEVEL_RANGE, t**3 in c_quad overflowed or underflowed a float
+    lo, hi = LEVEL_RANGE
+    for t in (0.0, -1.0, math.inf, math.nan, 1e-120, np.nextafter(lo, 0.0),
+              np.nextafter(hi, math.inf), 1e160):
         with pytest.raises(ValueError):
             SurrogateSpec(t)
+    assert 0 < SurrogateSpec(lo).c_quad < math.inf and 0 < SurrogateSpec(hi).c_quad
 
 
 def test_value_zero_and_branch_point():
@@ -232,8 +236,9 @@ def test_smoothness_constants_rank_deficient_penalty_keeps_kappa_finite():
 
 def test_smoothness_constants_requires_positive_bound():
     pr = make_problem(0)
-    with pytest.raises(ValueError):
-        smoothness_constants(pr, SurrogateSpec(1.0), B=0.0)
+    for B in (0.0, 1e-120, 1e200):  # B**3 in mu underflowed or overflowed outside LEVEL_RANGE
+        with pytest.raises(ValueError, match="iterate bound B"):
+            smoothness_constants(pr, SurrogateSpec(1.0), B=B)
 
 
 def test_smoothness_constants_zero_penalty_sentinel():
