@@ -12,7 +12,6 @@ from .baselines import (
 )
 from .datagen import SyntheticSpec, beta_pattern, equicorrelated_design, generate, noise_scale_for_snr
 from .diagnostics import (
-    SupportConditionReport,
     estimation_error,
     jacobi_svd,
     prediction_error,
@@ -41,12 +40,7 @@ from .problem import (
     save_problem_json,
     subgradient_residual,
 )
-from .surrogate import (
-    SmoothnessConstants,
-    SurrogateSpec,
-    smoothness_constants,
-    surrogate_value,
-)
+from .surrogate import SurrogateSpec, smoothness_constants, surrogate_value
 from .trace import SolverTrace, TraceRecord
 
 __version__ = "0.1.0"

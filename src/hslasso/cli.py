@@ -191,14 +191,6 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bench_cells(trace, f_min, epsilons):
-    cells = []
-    for eps in epsilons:
-        ops = trace.first_ops_at_gap(f_min, eps)
-        cells.append("" if ops is None else str(int(ops)))
-    return cells
-
-
 def grid_from_args(args) -> BenchmarkGrid:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     sims = tuple(SIM_PATTERNS) if args.sim == "both" else (args.sim,)
@@ -252,12 +244,12 @@ def run_bench(grid: BenchmarkGrid) -> tuple[str, str, str, dict]:
             ref = reference_minimum(problem, REF_TOL)
             for method, cfg in zip(grid.methods, cfgs):
                 trace, counter = _solve_cell(problem, cfg, ref)
-                cells = _bench_cells(trace, ref.f_min, epsilons)
-                table_lines.append(f"{sim},{n},{p},{method}," + ",".join(cells))
-                for eps, cell in zip(epsilons, cells):
-                    if not cell:
+                hits = [trace.first_ops_at_gap(ref.f_min, eps) for eps in epsilons]
+                table_lines.append(f"{sim},{n},{p},{method}," + ",".join(
+                    "" if ops is None else str(ops) for ops in hits))
+                for eps, ops in zip(epsilons, hits):
+                    if ops is None:
                         continue
-                    ops = int(cell)
                     curve_lines.append(
                         f"{sim},{n},{p},{method},{eps!r},"
                         f"{_fmt_sig(math.log10(1.0 / eps))},{ops},"
@@ -319,7 +311,7 @@ def cmd_verify(args) -> int:
     if 0 < support.size < problem.p:
         try:
             report["support_conditions"] = diagnostics.support_conditions_check(
-                problem.X, support).to_dict()
+                problem.X, support)
         except ValueError as exc:
             report["support_conditions"] = {"error": str(exc)}
     else:

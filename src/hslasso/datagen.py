@@ -18,6 +18,7 @@ numpy PCG64.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,10 @@ class SyntheticSpec:
         for name in ("n", "p", "seed") + (() if self.sparsity is None else ("sparsity",)):
             if type(getattr(self, name)) is not int:  # type(), not isinstance(): a bool is no int
                 raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
+        for name in ("rho", "snr"):  # nor is a bool a real number
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.n < 1 or self.p < 1:
             raise ValueError("need n >= 1 and p >= 1")
         if self.seed < 0:

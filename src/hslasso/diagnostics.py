@@ -17,7 +17,6 @@ not orthogonal, when its last sweep still rotates a pair.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -157,27 +156,16 @@ def estimation_error(beta_tilde, beta_hat) -> float:
     return float(d @ d)
 
 
-@dataclass(frozen=True)
-class SupportConditionReport:
-    s_set: np.ndarray
-    frob_pinv_s: float
-    frob_pinv_sc: float
-    sigma_max_s1: float
-    sigma_min_s2: float
-    condition3_holds: bool
-    svd_method: str = SVD_METHOD
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "s_set": self.s_set.tolist()}
-
-
-def support_conditions_check(X, s_set) -> SupportConditionReport:
+def support_conditions_check(X, s_set) -> dict:
     """Evaluate the three design conditions for support-wise closeness.
 
     Reports ||(X_S' X_S)^-1 X_S'||_F, ||pinv(X_Sc)||_F, and the singular
     value test sigma_max(S1) < min(2, 2*sigma_min(S2)) where S1 comes from
     (X_S'X_S)^-1 X_S' X_Sc + (pinv(X_Sc) X_S)' and S2 = pinv(X_Sc) X_Sc, a
     projector: sigma_min(S2) is exactly 1 if X_Sc has full column rank, else 0.
+
+    Returns the ``support_conditions`` block of ``verify.json``, keys in the
+    order written; ``s_set`` lists the sorted distinct indices.
     """
     X = np.asarray(X, dtype=float)
     entries = np.asarray(s_set, dtype=object).ravel().tolist()
@@ -210,14 +198,15 @@ def support_conditions_check(X, s_set) -> SupportConditionReport:
     sigma_max_s1 = float(s1[0]) if s1.size else 0.0
     sigma_min_s2 = 1.0 if np.count_nonzero(_kept(s_sc, PINV_RCOND)) == xsc.shape[1] else 0.0
     holds = sigma_max_s1 < min(2.0, 2.0 * sigma_min_s2)
-    return SupportConditionReport(
-        s_set=s_idx,
-        frob_pinv_s=float(np.linalg.norm(gram_s_inv_xs_t)),
-        frob_pinv_sc=float(np.linalg.norm(pinv_sc)),
-        sigma_max_s1=sigma_max_s1,
-        sigma_min_s2=sigma_min_s2,
-        condition3_holds=holds,
-    )
+    return {
+        "s_set": s_idx.tolist(),
+        "frob_pinv_s": float(np.linalg.norm(gram_s_inv_xs_t)),
+        "frob_pinv_sc": float(np.linalg.norm(pinv_sc)),
+        "sigma_max_s1": sigma_max_s1,
+        "sigma_min_s2": sigma_min_s2,
+        "condition3_holds": holds,
+        "svd_method": SVD_METHOD,
+    }
 
 
 def surrogate_minimizer(problem: LassoProblem, t: float,

@@ -26,7 +26,7 @@ import numpy as np
 from .baselines import iterate
 from .opcount import OpCounter
 from .problem import LassoProblem, NumericalFailure, ReferenceSolution, lasso_objective
-from .surrogate import (SmoothnessConstants, SurrogateSpec, check_level, minimize_surrogate,
+from .surrogate import (LEVEL_RANGE, SurrogateSpec, check_level, minimize_surrogate,
                         smoothness_constants, surrogate_grad, surrogate_value)
 from .trace import SolverTrace
 
@@ -45,8 +45,7 @@ class HSConfig:
     """Tunables of the homotopy solver, checked when built.
 
     ``t0=None`` resolves the starting level with :func:`find_t0`;
-    ``B=None`` defaults to 10x the largest entry magnitude of the initial
-    iterate (floor 1.0).
+    ``B=None`` resolves with :func:`default_iterate_bound`.
     """
 
     t0: float | None = None
@@ -105,13 +104,12 @@ class HSConfig:
         return cls(**doc)
 
 
-def agd_coefficients(constants: SmoothnessConstants) -> tuple[float, float, float]:
-    """Momentum/step constants from the curvature pair.
+def agd_coefficients(L: float, mu: float) -> tuple[float, float, float]:
+    """Momentum/step constants (alpha, q, gamma) from the curvature pair.
 
     Degenerate L == mu gives (alpha, q, gamma) = (1, 0, inf), reducing the
     update to an exact gradient step of size 1/mu.
     """
-    L, mu = constants.L, constants.mu
     if not mu > 0:
         raise ValueError("strong convexity modulus must be positive")
     if L <= mu:
@@ -123,8 +121,9 @@ def agd_coefficients(constants: SmoothnessConstants) -> tuple[float, float, floa
     return alpha, q, gamma
 
 
-def agd_map(constants: SmoothnessConstants, grad, counter: OpCounter | None = None):
-    """The accelerated step as a map (beta, beta_bar) -> (beta, beta_bar).
+def agd_map(L: float, mu: float, grad, counter: OpCounter | None = None):
+    """The accelerated step on the curvature pair (L, mu) as a map
+    (beta, beta_bar) -> (beta, beta_bar).
 
     The level's coefficients are formed once, here.  With the Euclidean
     prox V(x, z) = ||z - x||^2 / 2 the inner argmin is closed form:
@@ -134,8 +133,7 @@ def agd_map(constants: SmoothnessConstants, grad, counter: OpCounter | None = No
     p adds each; the update costs 3p mults and 2p adds, or p mults and p
     adds in the degenerate gamma = inf case.  A step writes no array.
     """
-    alpha, q, gamma = agd_coefficients(constants)
-    mu = constants.mu
+    alpha, q, gamma = agd_coefficients(L, mu)
     one_q, one_alpha = 1.0 - q, 1.0 - alpha
     gm = gamma * mu
     one_gm = 1.0 + gm
@@ -237,8 +235,15 @@ def outer_iteration_count(lam: float, p: int, t0: float, B: float,
 
 
 def default_iterate_bound(beta0: np.ndarray) -> float:
+    """10 * max|beta0| (1.0 for a zero beta0), raised to the least level of
+    LEVEL_RANGE; above its top, ValueError names this source of B."""
     m = float(np.max(np.abs(beta0))) if beta0.size else 0.0
-    return 10.0 * m if m > 0 else 1.0
+    lo, hi = LEVEL_RANGE
+    B = max(10.0 * m, lo) if m > 0 else 1.0
+    if not B <= hi:
+        raise ValueError(f"the default iterate bound 10*max|beta0| = {B!r} exceeds {hi:g}; "
+                         "set B in the HS config")
+    return B
 
 
 def inner_solve(problem: LassoProblem, t_k: float, beta_init, config: HSConfig,
@@ -262,12 +267,12 @@ def inner_solve(problem: LassoProblem, t_k: float, beta_init, config: HSConfig,
     if t_k < config.tau * (1.0 - 1e-12):
         raise ValueError("inner solve called below the level floor tau")
     spec = SurrogateSpec(t_k)
-    constants = smoothness_constants(problem, spec, B)
+    L, mu = smoothness_constants(problem, spec, B)
     if counter is not None:  # log1p, the sqrt in alpha, branch and step coefficients
         counter.transcendentals += 2
         counter.mults += 10
         counter.adds += 4
-    step = agd_map(constants, lambda v: surrogate_grad(problem, spec, v, counter), counter)
+    step = agd_map(L, mu, lambda v: surrogate_grad(problem, spec, v, counter), counter)
     p = problem.p
 
     if config.inner_stop == "fixed":
@@ -285,7 +290,7 @@ def inner_solve(problem: LassoProblem, t_k: float, beta_init, config: HSConfig,
         # F_t's minimum is a stopping oracle, uncharged: Newton to a gradient
         # norm that certifies a gap below eps_k / 1000.
         eps_k = inner_tolerance(problem.lam, problem.p, B, t_k)
-        gtol = math.sqrt(2.0 * constants.mu * max(eps_k * 1e-3, 1e-18)) * 1e-2
+        gtol = math.sqrt(2.0 * mu * max(eps_k * 1e-3, 1e-18)) * 1e-2
         fmin_k = minimize_surrogate(problem, spec, beta_init, gtol, AUX_NEWTON_MAX_ITERS)[1]
         done = lambda beta_bar, k: surrogate_value(problem, spec, beta_bar) - fmin_k <= eps_k
 

@@ -12,6 +12,7 @@ besides the gram.
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 from dataclasses import dataclass
 from itertools import chain
@@ -52,6 +53,8 @@ class LassoProblem:
             raise ValueError("X must be finite (no NaN or inf entries)")
         if not np.all(np.isfinite(y)):
             raise ValueError("y must be finite (no NaN or inf entries)")
+        if isinstance(lam, bool) or not isinstance(lam, numbers.Real):  # a bool is no number
+            raise ValueError(f"lambda has the wrong type: {lam!r}")
         if not 0 < lam < np.inf:
             raise ValueError("lambda must be finite and strictly positive")
         self.n = n

@@ -96,22 +96,14 @@ class SurrogateSpec:
         return 2.0 * self.c_inv * np.maximum(np.abs(beta), self.t) ** (-3.0)
 
 
-@dataclass(frozen=True)
-class SmoothnessConstants:
-    """Gradient Lipschitz constant, strong-convexity modulus, their ratio."""
-
-    L: float
-    mu: float
-    kappa: float
-
-
-def smoothness_constants(problem, spec: SurrogateSpec, B: float) -> SmoothnessConstants:
-    """Curvature constants of the smoothed objective on {max|beta_i| <= B}.
+def smoothness_constants(problem, spec: SurrogateSpec, B: float) -> tuple[float, float]:
+    """Curvature pair (L, mu) of the smoothed objective on {max|beta_i| <= B}.
 
     L adds the largest diagonal curvature (attained for |beta_i| <= t) to
     the top gram eigenvalue; mu adds the smallest (attained at |beta_i| = B)
-    to the bottom gram eigenvalue.  A rank-deficient gram with zero penalty
-    weight yields kappa = inf.
+    to the bottom gram eigenvalue.  The condition number L / mu is left to
+    whoever reports it; mu is 0 only for a rank-deficient gram with zero
+    penalty weight.
     """
     check_level("iterate bound B", B)
     if B < spec.t:
@@ -119,8 +111,7 @@ def smoothness_constants(problem, spec: SurrogateSpec, B: float) -> SmoothnessCo
     lam = problem.lam
     L = problem.eig_max + lam * 2.0 * spec.c_quad
     mu = problem.eig_min + lam * 2.0 * spec.c_inv / B**3
-    kappa = L / mu if mu > 0 else math.inf
-    return SmoothnessConstants(L=L, mu=mu, kappa=kappa)
+    return L, mu
 
 
 def surrogate_value(problem: LassoProblem, spec: SurrogateSpec, beta) -> float:

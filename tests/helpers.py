@@ -6,12 +6,14 @@ paths.  The earlier bodies of the CD sweep, the subgradient residual,
 the objective, the Jacobi SVD, the penalty gradient, the smoothed
 gradient, the accelerated step (``AGDState``, ``agd_state``, ``agd_step``)
 and the HS inner loop (a plain loop of ``agd_step``) are kept here too, so
-that their library versions are pinned to the same bytes."""
+that their library versions are pinned to the same bytes; so is the
+earlier record of the support conditions, ``SupportConditionReport``, so
+that the block ``verify.json`` writes is pinned to the same JSON."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -23,8 +25,7 @@ from hslasso.datagen import SyntheticSpec, generate
 from hslasso.homotopy import agd_coefficients, default_iterate_bound, inner_tolerance
 from hslasso.opcount import OpCounter
 from hslasso.problem import LassoProblem
-from hslasso.surrogate import (SmoothnessConstants, SurrogateSpec, minimize_surrogate,
-                               smoothness_constants, surrogate_value)
+from hslasso.surrogate import SurrogateSpec, minimize_surrogate, smoothness_constants, surrogate_value
 
 # Grid points evaluated on each side of a row's continuous minimizer.
 ROW_WINDOW = 3
@@ -40,6 +41,14 @@ def make_problem(seed, n=12, p=4, lam=0.1, scale=0.5):
     beta_star = scale * rng.uniform(-1.0, 1.0, size=p)
     y = X @ beta_star + 0.3 * rng.standard_normal(n)
     return LassoProblem(y=y, X=X, lam=lam)
+
+
+def tiny_problem():
+    """20 x 5 instance with y of order 1e-110 and lambda 1e-112: the HS
+    default bound 10*max|beta0| is near 1e-109, below the level range."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((20, 5))
+    return LassoProblem(1e-110 * rng.standard_normal(20), X, 1e-112)
 
 
 def bench_problems(scenarios, lam, seed=0):
@@ -322,6 +331,23 @@ def jacobi_svd_before(a, tol: float = 1e-13, max_sweeps: int = 60):
     return u, sing, v.T
 
 
+@dataclass(frozen=True)
+class SupportConditionReport:
+    """The earlier record of the support conditions, whose ``to_dict()`` was
+    the ``support_conditions`` block of ``verify.json``."""
+
+    s_set: np.ndarray
+    frob_pinv_s: float
+    frob_pinv_sc: float
+    sigma_max_s1: float
+    sigma_min_s2: float
+    condition3_holds: bool
+    svd_method: str = "one-sided-jacobi"
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "s_set": self.s_set.tolist()}
+
+
 def spec_grad_before(spec, x):
     """First derivative, elementwise; odd and continuous at |x| = t."""
     x = np.asarray(x, dtype=float)
@@ -353,14 +379,14 @@ class AGDState:
     alpha: float
     q: float
     gamma: float
-    constants: SmoothnessConstants
+    mu: float
 
 
-def agd_state(beta, constants):
-    alpha, q, gamma = agd_coefficients(constants)
+def agd_state(beta, L, mu):
+    alpha, q, gamma = agd_coefficients(L, mu)
     beta = np.asarray(beta, dtype=float)
     return AGDState(beta=beta.copy(), beta_bar=beta.copy(),
-                    alpha=alpha, q=q, gamma=gamma, constants=constants)
+                    alpha=alpha, q=q, gamma=gamma, mu=mu)
 
 
 def agd_step(state, grad, counter=None):
@@ -374,7 +400,7 @@ def agd_step(state, grad, counter=None):
     p adds in the degenerate gamma = inf case.
     """
     p = state.beta.size
-    mu = state.constants.mu
+    mu = state.mu
     mid = (1.0 - state.q) * state.beta_bar + state.q * state.beta
     g = grad(mid)
     if math.isinf(state.gamma):
@@ -402,12 +428,12 @@ def inner_solve_before(problem, t_k, beta_init, config, counter=None, B=None):
     if t_k < config.tau * (1.0 - 1e-12):
         raise ValueError("inner solve called below the level floor tau")
     spec = SurrogateSpec(t_k)
-    constants = smoothness_constants(problem, spec, B)
+    L, mu = smoothness_constants(problem, spec, B)
     if counter is not None:
         counter.transcendentals += 2
         counter.mults += 10
         counter.adds += 4
-    state = agd_state(beta_init, constants)
+    state = agd_state(beta_init, L, mu)
     grad_fn = lambda v: surrogate_grad_before(problem, spec, v, counter)
     max_abs = float(np.max(np.abs(state.beta)))
 
@@ -431,7 +457,7 @@ def inner_solve_before(problem, t_k, beta_init, config, counter=None, B=None):
             return float(np.linalg.norm(g)) <= config.inner_grad_tol
     else:
         eps_k = inner_tolerance(problem.lam, problem.p, B, t_k)
-        gtol = math.sqrt(2.0 * constants.mu * max(eps_k * 1e-3, 1e-18)) * 1e-2
+        gtol = math.sqrt(2.0 * mu * max(eps_k * 1e-3, 1e-18)) * 1e-2
         fmin_k = minimize_surrogate(problem, spec, beta_init, gtol,
                                     homotopy.AUX_NEWTON_MAX_ITERS)[1]
         stop = lambda state, k: surrogate_value(problem, spec, state.beta_bar) - fmin_k <= eps_k

@@ -175,10 +175,10 @@ def test_criterion_4_agd_contraction_and_prox():
     for seed in range(10):
         pr = generate(SyntheticSpec(n=50, p=20, rho=0.1, seed=500 + seed), lam=1e-3)
         spec = SurrogateSpec(0.4 + 0.05 * seed)
-        cons = smoothness_constants(pr, spec, 10.0)
-        alpha = math.sqrt(cons.mu / cons.L)
+        L, mu = smoothness_constants(pr, spec, 10.0)
+        alpha = math.sqrt(mu / L)
         beta0 = np.ones(20)
-        step = agd_map(cons, lambda v: surrogate_grad(pr, spec, v))
+        step = agd_map(L, mu, lambda v: surrogate_grad(pr, spec, v))
         pair = (beta0, beta0)
         for _ in range(3000):
             pair = step(pair)
@@ -186,7 +186,7 @@ def test_criterion_4_agd_contraction_and_prox():
         bstar = pair[1]
         gap0 = surrogate_value(pr, spec, beta0) - fstar
         first = step((beta0, beta0))
-        bracket = gap0 + 0.5 * cons.mu * float(np.sum((first[0] - bstar) ** 2))
+        bracket = gap0 + 0.5 * mu * float(np.sum((first[0] - bstar) ** 2))
         pair = (beta0, beta0)
         for s in range(1, 120):
             pair = step(pair)
@@ -197,20 +197,18 @@ def test_criterion_4_agd_contraction_and_prox():
 
     # prox closed form against the numeric argmin
     rng = np.random.default_rng(77)
-    from hslasso.surrogate import SmoothnessConstants
-
-    cons = SmoothnessConstants(L=3.0, mu=0.4, kappa=7.5)
-    _, q, gamma = agd_coefficients(cons)
+    L, mu = 3.0, 0.4
+    _, q, gamma = agd_coefficients(L, mu)
     worst_prox = 0.0
     for _ in range(5):
         beta = 0.05 * rng.standard_normal(2)
         beta_bar = 0.05 * rng.standard_normal(2)
         g = 0.05 * rng.standard_normal(2)
         mid = (1 - q) * beta_bar + q * beta
-        new_beta = agd_map(cons, lambda v: g)((beta, beta_bar))[0]
+        new_beta = agd_map(L, mu, lambda v: g)((beta, beta_bar))[0]
 
         def prox_obj(z):
-            return (gamma * (z @ g + cons.mu * 0.5 * np.sum((z - mid) ** 2))
+            return (gamma * (z @ g + mu * 0.5 * np.sum((z - mid) ** 2))
                     + 0.5 * np.sum((z - beta) ** 2))
 
         center = numeric_prox_argmin(prox_obj, np.full(2, -0.5), np.full(2, 0.5))
@@ -321,10 +319,11 @@ def test_criterion_7_diagnostics():
     X_bad = q.copy()
     X_bad[:, 2] = X_bad[:, 0]
     rep_bad = support_conditions_check(X_bad, [0, 1])
-    ok &= rep_good.condition3_holds and not rep_bad.condition3_holds
+    ok &= rep_good["condition3_holds"] and not rep_bad["condition3_holds"]
     finish(7, "closeness diagnostics", ok,
            f"worst prediction error at t=1e-4: {worst:.2e}; condition flag "
-           f"orthogonal={rep_good.condition3_holds}, adversarial={rep_bad.condition3_holds}",
+           f"orthogonal={rep_good['condition3_holds']}, "
+           f"adversarial={rep_bad['condition3_holds']}",
            time.time() - start)
 
 

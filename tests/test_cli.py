@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import tiny_problem
 from hslasso.baselines import reference_minimum
 from hslasso.cli import BenchmarkGrid, build_parser, main, run_bench
 from hslasso.problem import LassoProblem, save_problem_json
@@ -302,6 +303,18 @@ def test_levels_and_bounds_out_of_float_range_are_usage_errors(tmp_path, argv):
     assert proc.returncode == 2, proc.stderr
     assert "usage error" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_solve_with_a_tiny_default_bound_converges(tmp_path, capsys):
+    # exited 2 with a usage error about B, which the config does not set:
+    # 10*max|beta0| = 8.7e-110 lay below the level range
+    save_problem_json(tiny_problem(), tmp_path / "tiny.json")
+    (tmp_path / "hs.json").write_text('{"t0": 1.0, "outer_stop": "t-floor", "tau": 0.5}')
+    with pytest.warns(UserWarning, match="B below surrogate level t"):
+        rc = run_cli(["solve", "--method", "hs", "--input", str(tmp_path / "tiny.json"),
+                      "--hs-config", str(tmp_path / "hs.json"), "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert "converged=True" in capsys.readouterr().out
 
 
 def test_non_finite_problem_json_is_usage_error(tmp_path):

@@ -27,9 +27,11 @@ def test_spec_validation():
             SyntheticSpec(n=5, p=3, rho=0.1, sparsity=bad)
     assert SyntheticSpec(n=5, p=3, rho=0.1, sparsity=3).metadata()["sparsity"] is None
     # sparsity=2.5 built and reported 2.5; n=2.5 and seed=1.5 failed in numpy
-    # with a TypeError, seed=-1 with a message that named no field
+    # with a TypeError, seed=-1 with a message that named no field; snr=True
+    # and rho=False were built, and the sidecar read "snr": true
     for field, bad in (("sparsity", 2.5), ("sparsity", True), ("n", 2.5), ("n", True),
-                       ("p", 3.0), ("seed", 1.5), ("seed", True), ("seed", -1)):
+                       ("p", 3.0), ("seed", 1.5), ("seed", True), ("seed", -1),
+                       ("snr", True), ("rho", False), ("rho", np.False_), ("snr", "3")):
         with pytest.raises(ValueError, match=field):
             SyntheticSpec(**{"n": 5, "p": 3, "rho": 0.1, "pattern": "sparse-exp", field: bad})
 

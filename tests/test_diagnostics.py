@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from helpers import bench_problems, jacobi_svd_before, make_problem, pinv
+from helpers import SupportConditionReport, bench_problems, jacobi_svd_before, make_problem, pinv
 from hslasso import diagnostics
 from hslasso.baselines import reference_minimum
 from hslasso.datagen import SyntheticSpec, generate
@@ -95,7 +97,7 @@ def _factor_calls(monkeypatch, kernel, supports):
         return out
 
     monkeypatch.setattr(diagnostics, "jacobi_svd", spy)
-    reports = [support_conditions_check(X, s).to_dict() for X, s in supports]
+    reports = [support_conditions_check(X, s) for X, s in supports]
     return reports, calls
 
 
@@ -119,8 +121,20 @@ def test_jacobi_svd_matches_earlier_kernel_on_verify_problems(
 
 
 def test_conditions_report_matches_earlier_kernel(verify_supports, earlier_kernel):
-    reports = [support_conditions_check(X, s).to_dict() for X, s in verify_supports]
+    reports = [support_conditions_check(X, s) for X, s in verify_supports]
     assert reports == earlier_kernel[0]
+
+
+def test_conditions_block_matches_earlier_record(verify_supports):
+    # the verify.json block, key order and value types included, against the
+    # earlier record's to_dict() on the same numbers
+    for X, s in verify_supports:
+        block = support_conditions_check(X, s)
+        record = SupportConditionReport(
+            s_set=np.asarray(s), frob_pinv_s=block["frob_pinv_s"],
+            frob_pinv_sc=block["frob_pinv_sc"], sigma_max_s1=block["sigma_max_s1"],
+            sigma_min_s2=block["sigma_min_s2"], condition3_holds=block["condition3_holds"])
+        assert json.dumps(block, indent=2) == json.dumps(record.to_dict(), indent=2)
 
 
 def test_jacobi_svd_raises_when_not_converged():
@@ -254,11 +268,10 @@ def _orthonormal_design(n=8, p=5, seed=7):
 def test_conditions_hold_on_orthogonal_construction():
     X = _orthonormal_design()
     rep = support_conditions_check(X, [0, 1])
-    assert rep.condition3_holds
-    assert rep.sigma_max_s1 < 1e-10
-    assert rep.sigma_min_s2 == pytest.approx(1.0, abs=1e-10)
-    assert rep.svd_method == "one-sided-jacobi"
-    assert rep.to_dict()["condition3_holds"] is True
+    assert rep["sigma_max_s1"] < 1e-10
+    assert rep["sigma_min_s2"] == pytest.approx(1.0, abs=1e-10)
+    assert rep["svd_method"] == "one-sided-jacobi"
+    assert rep["condition3_holds"] is True
 
 
 def test_conditions_fail_on_duplicate_column():
@@ -266,8 +279,8 @@ def test_conditions_fail_on_duplicate_column():
     X_dup = X.copy()
     X_dup[:, 2] = X_dup[:, 0]  # duplicate a support column into the complement
     rep = support_conditions_check(X_dup, [0, 1])
-    assert not rep.condition3_holds
-    assert rep.sigma_max_s1 >= 2.0 - 1e-10
+    assert not rep["condition3_holds"]
+    assert rep["sigma_max_s1"] >= 2.0 - 1e-10
 
 
 def test_condition_flag_matches_invariant():
@@ -275,8 +288,8 @@ def test_condition_flag_matches_invariant():
     for seed in range(5):
         X = np.random.default_rng(seed).standard_normal((10, 6))
         rep = support_conditions_check(X, [0, 1, 2])
-        assert rep.condition3_holds == (
-            rep.sigma_max_s1 < min(2.0, 2.0 * rep.sigma_min_s2))
+        assert rep["condition3_holds"] == (
+            rep["sigma_max_s1"] < min(2.0, 2.0 * rep["sigma_min_s2"]))
 
 
 def test_conditions_factor_x_s_once(monkeypatch):
@@ -294,7 +307,7 @@ def test_conditions_factor_x_s_once(monkeypatch):
     X = np.random.default_rng(3).standard_normal((10, 6))
     rep = support_conditions_check(X, [0, 1, 2])
     assert len(calls) == 3, calls
-    assert rep.frob_pinv_s == float(np.linalg.norm(pinv(X[:, [0, 1, 2]])))
+    assert rep["frob_pinv_s"] == float(np.linalg.norm(pinv(X[:, [0, 1, 2]])))
 
 
 def test_sigma_min_s2_is_exact():
@@ -303,11 +316,11 @@ def test_sigma_min_s2_is_exact():
     rng = np.random.default_rng(5)
     wide = rng.standard_normal((6, 10))  # |S^c| = 8 > n = 6: X_Sc is rank deficient
     rep = support_conditions_check(wide, [0, 1])
-    assert rep.sigma_min_s2 == 0.0
-    assert not rep.condition3_holds
+    assert rep["sigma_min_s2"] == 0.0
+    assert not rep["condition3_holds"]
     tall = rng.standard_normal((12, 6))  # X_Sc has full column rank
     rep = support_conditions_check(tall, [0, 1, 2])
-    assert rep.sigma_min_s2 == 1.0
+    assert rep["sigma_min_s2"] == 1.0
 
 
 def test_conditions_validate_support():
@@ -327,5 +340,4 @@ def test_conditions_validate_support():
     for bad in ([0.7, 1.9, 2.2], [True, 2], [1.0, 2], np.array([True, False]), ["1"]):
         with pytest.raises(ValueError, match="must be integers"):
             support_conditions_check(X, bad)
-    assert support_conditions_check(X, np.array([1, 0])).to_dict() == \
-        support_conditions_check(X, [0, 1]).to_dict()
+    assert support_conditions_check(X, np.array([1, 0])) == support_conditions_check(X, [0, 1])

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import agd_state, agd_step, inner_solve_before, make_problem, numeric_prox_argmin
+from helpers import (agd_state, agd_step, inner_solve_before, make_problem, numeric_prox_argmin,
+                     tiny_problem)
 from hslasso import homotopy
 from hslasso.baselines import reference_minimum
 from hslasso.datagen import SyntheticSpec, generate
@@ -26,7 +27,6 @@ from hslasso.homotopy import (
 from hslasso.opcount import OpCounter
 from hslasso.problem import LassoProblem
 from hslasso.surrogate import (
-    SmoothnessConstants,
     SurrogateSpec,
     minimize_surrogate,
     smoothness_constants,
@@ -152,29 +152,27 @@ def test_outer_iteration_count_matches_loop_oracle():
 
 
 def test_agd_coefficients_follow_definitions():
-    cons = SmoothnessConstants(L=4.0, mu=1.0, kappa=4.0)
-    alpha, q, gamma = agd_coefficients(cons)
+    alpha, q, gamma = agd_coefficients(4.0, 1.0)
     assert alpha == 0.5
     assert q == pytest.approx((0.5 - 0.25) / 0.75)
     assert gamma == pytest.approx(0.5 / (1.0 * 0.5))
     # degenerate perfectly conditioned case
-    alpha, q, gamma = agd_coefficients(SmoothnessConstants(L=2.0, mu=2.0, kappa=1.0))
+    alpha, q, gamma = agd_coefficients(2.0, 2.0)
     assert (alpha, q) == (1.0, 0.0) and math.isinf(gamma)
 
 
 def test_agd_step_fixed_point():
-    cons = SmoothnessConstants(L=4.0, mu=1.0, kappa=4.0)
     pair = (np.array([1.0, -2.0]), np.array([1.0, -2.0]))
-    new = agd_map(cons, lambda v: np.zeros(2))(pair)
+    new = agd_map(4.0, 1.0, lambda v: np.zeros(2))(pair)
     assert np.allclose(new[0], pair[0])
     assert np.allclose(new[1], pair[1])
 
 
-@pytest.mark.parametrize("cons,mults,adds", [
-    (SmoothnessConstants(L=4.0, mu=1.0, kappa=4.0), 80, 55),
-    (SmoothnessConstants(L=2.0, mu=2.0, kappa=1.0), 70, 50),  # gamma = inf
+@pytest.mark.parametrize("L,mu,mults,adds", [
+    (4.0, 1.0, 80, 55),
+    (2.0, 2.0, 70, 50),  # gamma = inf
 ], ids=["momentum", "degenerate"])
-def test_agd_step_charge_pinned(cons, mults, adds):
+def test_agd_step_charge_pinned(L, mu, mults, adds):
     # counts recorded from the per-operation charges; p = 5, so the
     # gradient alone is p*p + 4p = 45 mults, p*(p-1) + 3p = 35 adds, p cmps
     pr = make_problem(4, n=12, p=5)
@@ -183,7 +181,7 @@ def test_agd_step_charge_pinned(cons, mults, adds):
     surrogate_grad(pr, spec, np.ones(5), g)
     assert (g.mults, g.adds, g.transcendentals, g.comparisons) == (45, 35, 0, 5)
     c = OpCounter()
-    agd_map(cons, lambda v: surrogate_grad(pr, spec, v, c), c)((np.ones(5), np.ones(5)))
+    agd_map(L, mu, lambda v: surrogate_grad(pr, spec, v, c), c)((np.ones(5), np.ones(5)))
     assert (c.mults, c.adds, c.transcendentals, c.comparisons) == (mults, adds, 0, 5)
 
 
@@ -194,15 +192,15 @@ def test_agd_map_matches_agd_step(p, degenerate):
     # chained steps from a pair with beta != beta_bar
     pr = generate(SyntheticSpec(n=30, p=p, rho=0.5, seed=p), lam=0.1)
     spec = SurrogateSpec(0.3)
-    cons = smoothness_constants(pr, spec, 10.0)
+    L, mu = smoothness_constants(pr, spec, 10.0)
     if degenerate:
-        cons = SmoothnessConstants(L=cons.L, mu=cons.L, kappa=1.0)
-    assert math.isinf(agd_coefficients(cons)[2]) == degenerate
+        mu = L
+    assert math.isinf(agd_coefficients(L, mu)[2]) == degenerate
     rng = np.random.default_rng(p)
     beta, beta_bar = rng.standard_normal(p), rng.standard_normal(p)
     c_new, c_old = OpCounter(), OpCounter()
-    step = agd_map(cons, lambda v: surrogate_grad(pr, spec, v, c_new), c_new)
-    state = replace(agd_state(beta, cons), beta_bar=beta_bar.copy())
+    step = agd_map(L, mu, lambda v: surrogate_grad(pr, spec, v, c_new), c_new)
+    state = replace(agd_state(beta, L, mu), beta_bar=beta_bar.copy())
     pair = (beta, beta_bar)
     for _ in range(30):
         pair = step(pair)
@@ -214,27 +212,27 @@ def test_agd_map_matches_agd_step(p, degenerate):
 
 def test_agd_step_gamma_mu_one_direction():
     # mu/L = 1/4 gives alpha = 1/2 and gamma*mu = 1
-    cons = SmoothnessConstants(L=4.0, mu=1.0, kappa=4.0)
-    gamma = agd_coefficients(cons)[2]
-    assert gamma * cons.mu == pytest.approx(1.0)
+    L, mu = 4.0, 1.0
+    gamma = agd_coefficients(L, mu)[2]
+    assert gamma * mu == pytest.approx(1.0)
     g = np.array([1.0, 0.0, 0.0])
-    beta, _ = agd_map(cons, lambda v: g)((np.zeros(3), np.zeros(3)))
+    beta, _ = agd_map(L, mu, lambda v: g)((np.zeros(3), np.zeros(3)))
     assert np.allclose(beta, -(gamma / 2.0) * g)
 
 
 def test_agd_step_prox_matches_numeric_argmin():
     rng = np.random.default_rng(12)
-    cons = SmoothnessConstants(L=3.0, mu=0.4, kappa=7.5)
-    _, q, gamma = agd_coefficients(cons)
+    L, mu = 3.0, 0.4
+    _, q, gamma = agd_coefficients(L, mu)
     for _ in range(5):
         beta = 0.05 * rng.standard_normal(2)
         beta_bar = 0.05 * rng.standard_normal(2)
         g = 0.05 * rng.standard_normal(2)
         mid = (1 - q) * beta_bar + q * beta
-        new_beta = agd_map(cons, lambda v: g)((beta, beta_bar))[0]
+        new_beta = agd_map(L, mu, lambda v: g)((beta, beta_bar))[0]
 
         def prox_obj(z):
-            return (gamma * (z @ g + cons.mu * 0.5 * np.sum((z - mid) ** 2))
+            return (gamma * (z @ g + mu * 0.5 * np.sum((z - mid) ** 2))
                     + 0.5 * np.sum((z - beta) ** 2))
 
         center = numeric_prox_argmin(prox_obj, np.full(2, -0.5), np.full(2, 0.5))
@@ -242,8 +240,7 @@ def test_agd_step_prox_matches_numeric_argmin():
 
 
 def test_agd_descends_pure_quadratic():
-    cons = SmoothnessConstants(L=1.0, mu=1.0, kappa=1.0)
-    step = agd_map(cons, lambda v: v)  # gradient of ||b||^2 / 2
+    step = agd_map(1.0, 1.0, lambda v: v)  # gradient of ||b||^2 / 2
     beta_bar = step((np.array([1.0]), np.array([1.0])))[1]
     assert 0.5 * beta_bar[0] ** 2 < 0.5
 
@@ -251,7 +248,7 @@ def test_agd_descends_pure_quadratic():
 def test_agd_monotone_bar_values_in_fixed_loop():
     pr = sim1_problem()
     spec = SurrogateSpec(0.5)
-    step = agd_map(smoothness_constants(pr, spec, 10.0), lambda v: surrogate_grad(pr, spec, v))
+    step = agd_map(*smoothness_constants(pr, spec, 10.0), lambda v: surrogate_grad(pr, spec, v))
     pair = (np.ones(pr.p), np.ones(pr.p))
     vals = [surrogate_value(pr, spec, pair[1])]
     for _ in range(80):
@@ -286,11 +283,11 @@ def test_inner_solve_geometric_contraction():
     pr = sim1_problem()
     spec = SurrogateSpec(0.4)
     B = 10.0
-    cons = smoothness_constants(pr, spec, B)
-    alpha = math.sqrt(cons.mu / cons.L)
+    L, mu = smoothness_constants(pr, spec, B)
+    alpha = math.sqrt(mu / L)
     beta0 = np.ones(pr.p)
 
-    step = agd_map(cons, lambda v: surrogate_grad(pr, spec, v))
+    step = agd_map(L, mu, lambda v: surrogate_grad(pr, spec, v))
     # high accuracy minimum and minimizer for the bracket
     pair = (beta0, beta0)
     for _ in range(3000):
@@ -300,7 +297,7 @@ def test_inner_solve_geometric_contraction():
 
     gap0 = surrogate_value(pr, spec, beta0) - fstar
     first = step((beta0, beta0))
-    bracket = gap0 + 0.5 * cons.mu * float(np.sum((first[0] - bstar) ** 2))
+    bracket = gap0 + 0.5 * mu * float(np.sum((first[0] - bstar) ** 2))
     pair = (beta0, beta0)
     for s in range(1, 150):
         pair = step(pair)
@@ -379,7 +376,7 @@ def test_inner_solve_matches_agd_step_when_gamma_is_infinite(inner_stop):
     t, B = 0.5, 0.25
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # B below t is the point here
-        assert agd_coefficients(smoothness_constants(pr, SurrogateSpec(t), B))[2] == math.inf
+        assert agd_coefficients(*smoothness_constants(pr, SurrogateSpec(t), B))[2] == math.inf
         cfg = HSConfig(t0=1.0, inner_stop=inner_stop, inner_fixed_count=9,
                        inner_grad_tol=1e-10, B=B)
         assert_same_inner_solve(pr, (t, 0.3), 0.2 * rng.standard_normal(20), cfg, B)
@@ -392,7 +389,7 @@ def test_inner_solve_peak_counts_the_averaged_iterate():
     cfg = HSConfig(t0=2.0, inner_fixed_count=400, B=10.0)
     out = inner_solve(pr, spec.t, np.zeros(1), cfg, B=10.0)
     assert out[1:] == inner_solve_before(pr, spec.t, np.zeros(1), cfg)[1:]
-    step = agd_map(smoothness_constants(pr, spec, 10.0), lambda v: surrogate_grad(pr, spec, v))
+    step = agd_map(*smoothness_constants(pr, spec, 10.0), lambda v: surrogate_grad(pr, spec, v))
     pair = (np.zeros(1), np.zeros(1))
     beta_peak = 0.0
     for _ in range(400):
@@ -572,6 +569,20 @@ def test_hs_config_validation_and_from_dict():
 def test_default_iterate_bound():
     assert default_iterate_bound(np.array([0.0, 0.0])) == 1.0
     assert default_iterate_bound(np.array([0.3, -0.7])) == pytest.approx(7.0)
+    # clamped to the least level, and named as the default when above the top
+    assert default_iterate_bound(np.array([1e-120, 0.0])) == 1e-100
+    with pytest.raises(ValueError, match=r"default iterate bound 10\*max\|beta0\|"):
+        default_iterate_bound(np.array([1e100]))
+
+
+def test_hs_solve_raises_a_tiny_default_bound_to_the_level_range():
+    # the default B of 8.7e-110 failed the level range: a usage error about
+    # a B that no config set
+    cfg = HSConfig(t0=1.0, outer_stop="t-floor", tau=0.5)
+    with pytest.warns(UserWarning, match="B below surrogate level t"):
+        trace = hs_solve(tiny_problem(), cfg)
+    assert trace.metadata["B"] == 1e-100
+    assert trace.converged
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ import hslasso
 
 PUBLIC_SURFACE = [
     "BaselineConfig", "BenchmarkGrid", "HSConfig", "LassoProblem", "NumericalFailure",
-    "OpCounter", "ReferenceSolution", "SmoothnessConstants", "SolverTrace",
-    "SupportConditionReport", "SurrogateSpec", "SyntheticSpec", "TraceRecord", "agd_map",
+    "OpCounter", "ReferenceSolution", "SolverTrace", "SurrogateSpec", "SyntheticSpec",
+    "TraceRecord", "agd_map",
     "beta_pattern", "cd_solve", "equicorrelated_design", "estimation_error",
     "find_t0", "fista_solve", "generate", "hs_solve", "initial_beta", "inner_solve",
     "inner_tolerance", "ista_solve", "jacobi_svd", "lasso_objective", "load_problem_binary",
@@ -31,6 +31,23 @@ def test_public_surface():
     names = sorted(name for name in dir(hslasso) if not name.startswith("_")
                    and not isinstance(getattr(hslasso, name), types.ModuleType))
     assert names == PUBLIC_SURFACE
+
+
+# Every settable field of each config, in order; adding or removing one is a
+# deliberate change to this list, as FLAG_SURFACE is for the CLI's options.
+CONFIG_FIELDS = {
+    "HSConfig": ["t0", "h", "epsilon", "B", "tau", "inner_stop", "inner_fixed_count",
+                 "inner_grad_tol", "outer_stop", "outer_ref", "max_outer"],
+    "BaselineConfig": ["method", "beta0", "epsilon", "max_iters", "ref", "sl_alpha"],
+    "BenchmarkGrid": ["sims", "scenarios", "epsilons", "methods", "seed", "lam"],
+    "SyntheticSpec": ["n", "p", "rho", "snr", "pattern", "sparsity", "seed"],
+}
+
+
+def test_config_fields():
+    fields = {name: [f.name for f in dataclasses.fields(getattr(hslasso, name)) if f.init]
+              for name in CONFIG_FIELDS}
+    assert fields == CONFIG_FIELDS
 
 
 def test_import_leaves_the_cli_unimported():

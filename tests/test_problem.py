@@ -38,6 +38,9 @@ def test_construction_validates():
         LassoProblem(y=np.zeros(4), X=np.zeros((3, 2)), lam=1.0)
     with pytest.raises(ValueError):
         LassoProblem(y=np.zeros(3), X=np.zeros((3, 2, 1)), lam=1.0)
+    for bad in (True, np.True_, "1"):  # True built lambda = 1.0
+        with pytest.raises(ValueError, match="lambda"):
+            LassoProblem(y=np.zeros(3), X=np.ones((3, 2)), lam=bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

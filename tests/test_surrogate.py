@@ -215,11 +215,11 @@ def test_smoothness_constants_identity_gram():
     from hslasso.problem import LassoProblem
 
     pr = LassoProblem(y=np.zeros(n), X=X, lam=1.0)
-    cons = smoothness_constants(pr, SurrogateSpec(1.0), B=1.0)
+    L, mu = smoothness_constants(pr, SurrogateSpec(1.0), B=1.0)
     expected = 1.0 + (2.0 / 3.0) * math.log(2.0) ** 2
-    assert cons.L == pytest.approx(expected, rel=1e-12)
-    assert cons.mu == pytest.approx(expected, rel=1e-12)
-    assert cons.kappa == pytest.approx(1.0, rel=1e-12)
+    assert L == pytest.approx(expected, rel=1e-12)
+    assert mu == pytest.approx(expected, rel=1e-12)
+    assert L / mu == pytest.approx(1.0, rel=1e-12)
 
 
 def test_smoothness_constants_rank_deficient_penalty_keeps_kappa_finite():
@@ -228,10 +228,10 @@ def test_smoothness_constants_rank_deficient_penalty_keeps_kappa_finite():
 
     X = rng.standard_normal((5, 8))  # p > n: singular gram
     pr = LassoProblem(y=rng.standard_normal(5), X=X, lam=1e-3)
-    cons = smoothness_constants(pr, SurrogateSpec(0.5), B=10.0)
-    assert cons.mu > 0
-    assert math.isfinite(cons.kappa)
-    assert cons.L >= cons.mu
+    L, mu = smoothness_constants(pr, SurrogateSpec(0.5), B=10.0)
+    assert mu > 0
+    assert math.isfinite(L / mu)
+    assert L >= mu
 
 
 def test_smoothness_constants_requires_positive_bound():
@@ -242,21 +242,21 @@ def test_smoothness_constants_requires_positive_bound():
 
 
 def test_smoothness_constants_zero_penalty_sentinel():
-    # with no penalty weight and a singular gram the ratio degenerates;
-    # problem instances require lam > 0, so probe with a bare stub
+    # with no penalty weight and a singular gram mu is 0, which
+    # agd_coefficients rejects; problem instances require lam > 0, so probe
+    # with a bare stub
     class Stub:
         eig_max = 1.0
         eig_min = 0.0
         lam = 0.0
 
-    cons = smoothness_constants(Stub(), SurrogateSpec(1.0), B=2.0)
-    assert cons.mu == 0.0 and math.isinf(cons.kappa)
+    assert smoothness_constants(Stub(), SurrogateSpec(1.0), B=2.0) == (1.0, 0.0)
 
     class StubFull(Stub):
         eig_min = 0.25
 
-    cons = smoothness_constants(StubFull(), SurrogateSpec(1.0), B=2.0)
-    assert cons.kappa == pytest.approx(4.0)
+    L, mu = smoothness_constants(StubFull(), SurrogateSpec(1.0), B=2.0)
+    assert L / mu == pytest.approx(4.0)
 
 
 def test_condition_number_bound_dominates_constants():
@@ -269,6 +269,6 @@ def test_condition_number_bound_dominates_constants():
     # the levels above B take constants outside their assumption B >= t
     with pytest.warns(UserWarning, match="B below surrogate level t"):
         while t < 8.0:
-            cons = smoothness_constants(pr, SurrogateSpec(t), B)
-            assert cons.kappa <= bound * (1 + 1e-12)
+            L, mu = smoothness_constants(pr, SurrogateSpec(t), B)
+            assert L / mu <= bound * (1 + 1e-12)
             t *= 1.7
