@@ -19,6 +19,7 @@ through one scratch buffer, so it allocates no array per coordinate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,10 @@ class BaselineConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
+        for name, kind in (("epsilon", numbers.Real), ("max_iters", int)):
+            value = getattr(self, name)  # a bool is no number, and a count is no float
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} has the wrong type: {value!r}")
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
         if self.max_iters < 1:
@@ -80,12 +85,12 @@ def iterate(state, step, stop, max_iters: int):
     return state, k, True
 
 
-def _run_flat(problem, config, metadata, counter, start, step, inner_iters=1, aux=None):
+def _run_flat(problem, config, counter, start, step, inner_iters=1, aux=None):
     """Drive a flat method from ``start(beta0)`` until the objective is
     within config.epsilon of the reference minimum, appending one trace
     row per iterate (``aux`` gives the F_t column; default F).
     """
-    trace = SolverTrace(metadata=metadata)
+    trace = SolverTrace()
 
     def stop(state, k):
         beta = state[0]
@@ -143,7 +148,7 @@ def _prox_grad_setup(problem, counter):
 def ista_solve(problem: LassoProblem, config: BaselineConfig,
                counter: OpCounter | None = None) -> SolverTrace:
     L, thr, counter = _prox_grad_setup(problem, counter)
-    return _run_flat(problem, config, {"method": "ista", "L": L}, counter, lambda b: (b,),
+    return _run_flat(problem, config, counter, lambda b: (b,),
                      lambda s: (_prox_grad_step(problem, s[0], L, thr, counter),))
 
 
@@ -151,8 +156,7 @@ def fista_solve(problem: LassoProblem, config: BaselineConfig,
                 counter: OpCounter | None = None) -> SolverTrace:
     L, thr, counter = _prox_grad_setup(problem, counter)
     # the extrapolated point starts at beta, so the first step has zero momentum
-    return _run_flat(problem, config, {"method": "fista", "L": L}, counter,
-                     lambda b: (b, b.copy(), 1.0),
+    return _run_flat(problem, config, counter, lambda b: (b, b.copy(), 1.0),
                      lambda s: _fista_step(problem, L, thr, s, counter))
 
 
@@ -214,7 +218,7 @@ def cd_solve(problem: LassoProblem, config: BaselineConfig,
     counter.setup_ops += p * p + p  # rescale cached gram and xty
     counter.mults += 1 + p * p  # n*lambda, then the matvec xtx @ beta0
     counter.adds += p * (p - 1)
-    return _run_flat(problem, config, {"method": "cd"}, counter, lambda b: (b, xtx @ b),
+    return _run_flat(problem, config, counter, lambda b: (b, xtx @ b),
                      lambda s: _cd_sweep(s[0], data, s[1], counter),
                      inner_iters=p)
 
@@ -267,8 +271,7 @@ def sl_solve(problem: LassoProblem, config: BaselineConfig,
     step = 1.0 / (problem.eig_max + problem.lam * alpha / 2.0)
     counter.mults += 2
     counter.adds += 1
-    return _run_flat(problem, config, {"method": "sl", "alpha": alpha, "step": step},
-                     counter, lambda b: (b, b.copy(), 0),
+    return _run_flat(problem, config, counter, lambda b: (b, b.copy(), 0),
                      lambda s: _sl_step(problem, alpha, step, s, counter),
                      aux=lambda b: sl_objective(problem, b, alpha))
 

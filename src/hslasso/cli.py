@@ -159,11 +159,8 @@ def _solve_cell(problem, cfg, ref):
     """Run ``cfg`` against ``ref`` with its own counter: the path of both
     ``solve`` and every ``bench`` cell."""
     counter = OpCounter()
-    if isinstance(cfg, HSConfig):
-        trace = hs_solve(problem, replace(cfg, outer_ref=ref), counter)
-    else:
-        trace = baselines.solve(problem, replace(cfg, ref=ref), counter)
-    return trace, counter
+    run = hs_solve if isinstance(cfg, HSConfig) else baselines.solve
+    return run(problem, replace(cfg, ref=ref), counter), counter
 
 
 def cmd_solve(args) -> int:
@@ -178,7 +175,7 @@ def cmd_solve(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / f"trace_{args.method}.csv"
-    trace.write_csv(trace_path)
+    trace_path.write_text(trace.to_csv())
     gap = float(trace.records[-1].f_value - ref.f_min) if trace.records else math.nan
     print(f"method={args.method} converged={trace.converged} "
           f"final_gap={_fmt_sig(gap)} ops={counter.total()} setup_ops={counter.setup_ops} "

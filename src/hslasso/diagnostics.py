@@ -25,6 +25,9 @@ from .surrogate import SurrogateSpec, minimize_surrogate
 
 SVD_METHOD = "one-sided-jacobi"
 PINV_RCOND = 1e-12
+# the closeness sweep's Newton stop and step cap
+SWEEP_GRAD_TOL = 1e-10
+SWEEP_MAX_NEWTON = 500_000
 
 
 def _rotate(x, y, c: float, s: float, bufs) -> None:
@@ -209,22 +212,15 @@ def support_conditions_check(X, s_set) -> dict:
     }
 
 
-def surrogate_minimizer(problem: LassoProblem, t: float,
-                        grad_tol: float = 1e-10, max_iters: int = 500_000) -> np.ndarray:
-    """Minimizer of the level-t smoothed objective by damped Newton from
-    zero to ||grad F_t|| <= grad_tol; uncounted (diagnostic use only).
-    Raises NumericalFailure when max_iters Newton steps do not get there."""
-    beta, _ = minimize_surrogate(problem, SurrogateSpec(t), np.zeros(problem.p),
-                                 grad_tol, max_iters)
-    return beta
-
-
 def closeness_sweep(problem: LassoProblem, ref, ts) -> list[dict]:
     """Prediction and estimation errors of the smoothed minimizer along a
-    decreasing grid of levels."""
+    decreasing grid of levels.  Each minimizer is damped Newton from zero to
+    ||grad F_t|| <= SWEEP_GRAD_TOL, uncounted; NumericalFailure after
+    SWEEP_MAX_NEWTON steps."""
     rows = []
     for t in ts:
-        bt = surrogate_minimizer(problem, t)
+        bt = minimize_surrogate(problem, SurrogateSpec(t), np.zeros(problem.p), SWEEP_GRAD_TOL,
+                                SWEEP_MAX_NEWTON)[0]
         rows.append({
             "t": t,
             "prediction_error": prediction_error(problem, bt, ref.beta_hat),

@@ -57,7 +57,7 @@ class HSConfig:
     inner_fixed_count: int = 50
     inner_grad_tol: float = 1e-8
     outer_stop: str = "oracle"
-    outer_ref: ReferenceSolution | None = None
+    ref: ReferenceSolution | None = None
     max_outer: int = 1000
 
     def __post_init__(self) -> None:
@@ -92,10 +92,10 @@ class HSConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "HSConfig":
         """Build from user settings; ``"t0": "auto"`` means None.  The run's
-        target, ``epsilon`` and ``outer_ref``, is the caller's to set."""
+        target, ``epsilon`` and ``ref``, is the caller's to set."""
         if not isinstance(doc, dict):
             raise ValueError("an HS config must be a JSON object")
-        keys = {f.name for f in fields(cls)} - {"epsilon", "outer_ref"}
+        keys = {f.name for f in fields(cls)} - {"epsilon", "ref"}
         unknown = sorted(doc.keys() - keys)
         if unknown:
             raise ValueError(f"no config key {unknown[0]!r}; the keys are {sorted(keys)}")
@@ -315,8 +315,8 @@ def hs_solve(problem: LassoProblem, config: HSConfig,
     additionally stops as soon as the objective gap against the reference
     drops to config.epsilon.
     """
-    if config.outer_stop == "oracle" and config.outer_ref is None:
-        raise ValueError("oracle outer stop requires config.outer_ref")
+    if config.outer_stop == "oracle" and config.ref is None:
+        raise ValueError("oracle outer stop requires config.ref")
     if counter is None:
         counter = OpCounter()
 
@@ -342,7 +342,7 @@ def hs_solve(problem: LassoProblem, config: HSConfig,
 
     def reached(k):  # the configured outer stop; the level floor is checked apart
         if config.outer_stop == "oracle":  # the last row holds the current objective
-            return trace.records[-1].f_value - config.outer_ref.f_min <= config.epsilon
+            return trace.records[-1].f_value - config.ref.f_min <= config.epsilon
         return config.outer_stop == "theoretical-count" and k >= planned
 
     def level(state):

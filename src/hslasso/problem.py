@@ -139,7 +139,7 @@ def subgradient_residual(problem: LassoProblem, beta) -> float:
 # ---------------------------------------------------------------------------
 
 
-def problem_to_json(problem: LassoProblem) -> str:
+def save_problem_json(problem: LassoProblem, path) -> None:
     doc = {
         "n": problem.n,
         "p": problem.p,
@@ -147,11 +147,13 @@ def problem_to_json(problem: LassoProblem) -> str:
         "y": problem.y.tolist(),
         "X": problem.X.tolist(),
     }
-    return json.dumps(doc)
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc))  # one string: json.dump streams through the slow encoder
 
 
-def problem_from_json(text: str) -> LassoProblem:
-    doc = json.loads(text)
+def load_problem_json(path) -> LassoProblem:
+    with open(path) as fh:
+        doc = json.loads(fh.read())
     if not isinstance(doc, dict):
         raise ValueError("a problem document must be a JSON object")
     missing = {"n", "p", "lambda", "y", "X"} - doc.keys()
@@ -173,16 +175,6 @@ def problem_from_json(text: str) -> LassoProblem:
         return LassoProblem(y=y, X=X, lam=doc["lambda"])
     except (TypeError, OverflowError) as exc:  # e.g. "X": 5, or an int past float range
         raise ValueError(f"problem value of the wrong type: {exc}") from exc
-
-
-def save_problem_json(problem: LassoProblem, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(problem_to_json(problem))
-
-
-def load_problem_json(path) -> LassoProblem:
-    with open(path) as fh:
-        return problem_from_json(fh.read())
 
 
 def save_problem_binary(problem: LassoProblem, path) -> None:

@@ -23,7 +23,6 @@ damped-Newton minimizer.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,18 +98,21 @@ class SurrogateSpec:
 def smoothness_constants(problem, spec: SurrogateSpec, B: float) -> tuple[float, float]:
     """Curvature pair (L, mu) of the smoothed objective on {max|beta_i| <= B}.
 
-    L adds the largest diagonal curvature (attained for |beta_i| <= t) to
-    the top gram eigenvalue; mu adds the smallest (attained at |beta_i| = B)
-    to the bottom gram eigenvalue.  The condition number L / mu is left to
-    whoever reports it; mu is 0 only for a rank-deficient gram with zero
-    penalty weight.
+    The penalty's curvature (2/3) log(1+t)^2 max(|beta_i|, t)^-3 falls as
+    |beta_i| grows past t.  L adds its largest value (attained for
+    |beta_i| <= t) to the top gram eigenvalue; mu adds its smallest on the
+    box, attained at |beta_i| = max(B, t), to the bottom gram eigenvalue.
+    When B <= t every iterate lies on the quadratic branch, and mu's
+    penalty term is L's, so mu <= L always.  The condition number L / mu
+    is left to whoever reports it; mu is 0 only for a rank-deficient gram
+    with zero penalty weight.
     """
     check_level("iterate bound B", B)
-    if B < spec.t:
-        warnings.warn("iterate bound B below surrogate level t; constants assume B >= t")
     lam = problem.lam
     L = problem.eig_max + lam * 2.0 * spec.c_quad
-    mu = problem.eig_min + lam * 2.0 * spec.c_inv / B**3
+    # lam * 2.0 is not factored out: (lam * 2.0 * c_inv) / B**3 rounds otherwise
+    least = lam * 2.0 * spec.c_quad if B <= spec.t else lam * 2.0 * spec.c_inv / B**3
+    mu = problem.eig_min + least
     return L, mu
 
 

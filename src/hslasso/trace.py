@@ -38,12 +38,6 @@ class SolverTrace:
                         float(ft_value), int(cumulative_ops))
         )
 
-    def f_values(self) -> np.ndarray:
-        return np.array([r.f_value for r in self.records])
-
-    def ops(self) -> np.ndarray:
-        return np.array([r.cumulative_ops for r in self.records], dtype=np.int64)
-
     def first_ops_at_gap(self, f_min: float, epsilon: float) -> int | None:
         """Cumulative ops at the first record within epsilon of f_min."""
         for r in self.records:
@@ -58,7 +52,3 @@ class SolverTrace:
                 f"{r.k},{r.t!r},{r.inner_iters},{r.f_value!r},{r.ft_value!r},{r.cumulative_ops}"
             )
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())

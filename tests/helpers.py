@@ -1,14 +1,16 @@
 """Shared independent oracles for the test suite: exact 2-d grid search,
 multiresolution refinement, finite differences, the soft threshold, a
-per-coordinate coordinate-descent sweep, a Jacobi pseudo-inverse, and
-instance factories.  These deliberately avoid the library's own solver
-paths.  The earlier bodies of the CD sweep, the subgradient residual,
-the objective, the Jacobi SVD, the penalty gradient, the smoothed
-gradient, the accelerated step (``AGDState``, ``agd_state``, ``agd_step``)
-and the HS inner loop (a plain loop of ``agd_step``) are kept here too, so
-that their library versions are pinned to the same bytes; so is the
-earlier record of the support conditions, ``SupportConditionReport``, so
-that the block ``verify.json`` writes is pinned to the same JSON."""
+per-coordinate coordinate-descent sweep, a Jacobi pseudo-inverse,
+instance factories, the objective and ops columns of a trace, and the
+closeness sweep's level minimizer.  These deliberately avoid the
+library's own solver paths.  The earlier bodies of the CD sweep, the
+subgradient residual, the objective, the Jacobi SVD, the penalty
+gradient, the smoothed gradient, the accelerated step (``AGDState``,
+``agd_state``, ``agd_step``) and the HS inner loop (a plain loop of
+``agd_step``) are kept here too, so that their library versions are
+pinned to the same bytes; so is the earlier record of the support
+conditions, ``SupportConditionReport``, so that the block ``verify.json``
+writes is pinned to the same JSON."""
 
 from __future__ import annotations
 
@@ -59,6 +61,22 @@ def bench_problems(scenarios, lam, seed=0):
             spec = SyntheticSpec(n=n, p=p, rho=GEN_DEFAULTS["rho"], snr=GEN_DEFAULTS["snr"],
                                  pattern=SIM_PATTERNS[sim], seed=seed + 1000 * sim_idx + scen_idx)
             yield generate(spec, lam=lam)
+
+
+def f_values(trace) -> np.ndarray:
+    """The objective column of a solver trace."""
+    return np.array([r.f_value for r in trace.records])
+
+
+def trace_ops(trace) -> np.ndarray:
+    """The cumulative-ops column of a solver trace."""
+    return np.array([r.cumulative_ops for r in trace.records], dtype=np.int64)
+
+
+def surrogate_minimizer(problem, t) -> np.ndarray:
+    """The level-t minimizer that ``verify`` documents: damped Newton from
+    zero to ||grad F_t|| <= 1e-10, at most 500 000 steps."""
+    return minimize_surrogate(problem, SurrogateSpec(t), np.zeros(problem.p), 1e-10, 500_000)[0]
 
 
 def objective_on_grid(problem, pts):

@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 
 from helpers import (
+    f_values,
     grid_refine,
     grid_search_2d,
     identity_closed_form,
     identity_problem,
     make_problem,
     numeric_prox_argmin,
+    surrogate_minimizer,
 )
 from hslasso.baselines import (
     BaselineConfig,
@@ -34,7 +36,6 @@ from hslasso.datagen import SyntheticSpec, generate
 from hslasso.diagnostics import (
     prediction_error,
     support_conditions_check,
-    surrogate_minimizer,
 )
 from hslasso.homotopy import (
     HSConfig,
@@ -156,7 +157,7 @@ def test_criterion_3_bound_dominance():
             cfg = BaselineConfig(method=method, beta0=beta0, epsilon=1e-30,
                                  max_iters=5000, ref=ref, sl_alpha=alpha)
             tr = solver(pr, cfg)
-            f = tr.f_values()
+            f = f_values(tr)
             ks = np.arange(1, len(f))
             bounds = np.array([theoretical_bound(method, int(k), pr, beta0, ref)
                                for k in ks])
@@ -226,7 +227,7 @@ def test_criterion_5_hs_end_to_end():
     ref = reference_minimum(pr, 1e-10)
 
     oracle_cfg = HSConfig(t0=3.0, h=0.1, epsilon=0.005, outer_stop="oracle",
-                          outer_ref=ref, inner_stop="fixed", inner_fixed_count=50)
+                          ref=ref, inner_stop="fixed", inner_fixed_count=50)
     tr = hs_solve(pr, oracle_cfg, OpCounter())
     from hslasso.problem import lasso_objective
 

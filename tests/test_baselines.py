@@ -11,10 +11,12 @@ from helpers import (
     cd_sweep_before,
     cd_sweep_per_op,
     central_diff,
+    f_values,
     identity_closed_form,
     identity_problem,
     make_problem,
     soft_threshold,
+    trace_ops,
 )
 from hslasso.baselines import (
     METHODS,
@@ -84,6 +86,13 @@ def test_validation():
             _cfg("fista", pr, ref, eps=bad)
     with pytest.raises(ValueError, match="max_iters"):
         _cfg("fista", pr, ref, iters=0)
+    # ran at epsilon 1.0 and took 3 steps for 2.5: a bool is no number, a count no float
+    for bad in (True, "0.1", None):
+        with pytest.raises(ValueError, match="epsilon has the wrong type"):
+            _cfg("fista", pr, ref, eps=bad)
+    for bad in (True, 2.5, 100.0):
+        with pytest.raises(ValueError, match="max_iters has the wrong type"):
+            _cfg("fista", pr, ref, iters=bad)
     with pytest.raises(ValueError, match="sl_alpha"):
         _cfg("sl", pr, ref, alpha=-1.0)
     for bad in (0.0, np.nan, np.inf):
@@ -162,7 +171,7 @@ def test_cd_deterministic():
     t1 = cd_solve(pr, _cfg("cd", pr, ref, iters=50))
     t2 = cd_solve(pr, _cfg("cd", pr, ref, iters=50))
     assert np.array_equal(t1.final_beta, t2.final_beta)
-    assert t1.f_values().tolist() == t2.f_values().tolist()
+    assert f_values(t1).tolist() == f_values(t2).tolist()
 
 
 def _orthonormal_problem():
@@ -292,8 +301,8 @@ def test_charge_pinned(case):
         tr = solve(pr, BaselineConfig(case, np.ones(p), 1e-12, 50, never, alpha), c)
         assert len(tr.records) == 51
         assert not tr.converged
-        assert np.all(np.diff(tr.ops()) == per_iterate)
-        assert tr.ops()[-1] == c.total()
+        assert np.all(np.diff(trace_ops(tr)) == per_iterate)
+        assert trace_ops(tr)[-1] == c.total()
     elif case == "initial-beta":
         initial_beta(pr, 3.0, c)
     elif case == "find-t0":
@@ -392,7 +401,7 @@ def test_bound_dominance_small_instance(method, solver, alpha):
     ref = reference_minimum(pr, 1e-10)
     beta0 = np.ones(8)
     tr = solver(pr, _cfg(method, pr, ref, eps=1e-30, beta0=beta0, iters=800, alpha=alpha))
-    f = tr.f_values()
+    f = f_values(tr)
     for k in range(1, len(f)):
         bound = theoretical_bound(method, k, pr, beta0, ref)
         assert f[k] - ref.f_min <= bound + 1e-9

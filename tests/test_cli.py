@@ -208,10 +208,12 @@ def test_wrongly_shaped_json_is_usage_error(tmp_path, capsys, flag, text):
     (["--h", "0.5"], {"t0": 3.0}),
     ([], {"epsilon": 1e-9}),
     ([], {"outer_ref": 5}),
-], ids=["file-and-t0", "file-and-h", "file-epsilon", "file-outer-ref"])
+    ([], {"ref": 5}),
+], ids=["file-and-t0", "file-and-h", "file-epsilon", "file-outer-ref", "file-ref"])
 def test_hs_settings_have_one_source(tmp_path, capsys, flags, config):
     # each value was silently dropped (exit 0): the flags beside a file,
-    # the file's epsilon under the --epsilon default, the file's outer_ref.
+    # the file's epsilon under the --epsilon default, the file's reference
+    # (then HSConfig.outer_ref, now HSConfig.ref, the name BaselineConfig uses).
     # The file is now the only source: --t0 and --h are no flags at all.
     assert run_cli(["datagen", "--n", "20", "--p", "5", "--out-dir", str(tmp_path)]) == 0
     cfg = tmp_path / "hs.json"
@@ -310,9 +312,8 @@ def test_solve_with_a_tiny_default_bound_converges(tmp_path, capsys):
     # 10*max|beta0| = 8.7e-110 lay below the level range
     save_problem_json(tiny_problem(), tmp_path / "tiny.json")
     (tmp_path / "hs.json").write_text('{"t0": 1.0, "outer_stop": "t-floor", "tau": 0.5}')
-    with pytest.warns(UserWarning, match="B below surrogate level t"):
-        rc = run_cli(["solve", "--method", "hs", "--input", str(tmp_path / "tiny.json"),
-                      "--hs-config", str(tmp_path / "hs.json"), "--out-dir", str(tmp_path)])
+    rc = run_cli(["solve", "--method", "hs", "--input", str(tmp_path / "tiny.json"),
+                  "--hs-config", str(tmp_path / "hs.json"), "--out-dir", str(tmp_path)])
     assert rc == 0
     assert "converged=True" in capsys.readouterr().out
 
@@ -586,12 +587,9 @@ def test_benchmark_grid_validation(tmp_path):
 
 
 def test_verify_minimizer_failure_is_numerical_exit(tmp_path, monkeypatch, capsys):
-    import functools
-
     from hslasso import diagnostics
 
-    capped = functools.partial(diagnostics.surrogate_minimizer, max_iters=1)
-    monkeypatch.setattr(diagnostics, "surrogate_minimizer", capped)
+    monkeypatch.setattr(diagnostics, "SWEEP_MAX_NEWTON", 1)
     assert run_cli(["datagen", "--scenario", "sim1", "--n", "40", "--p", "10",
                     "--out-dir", str(tmp_path)]) == 0
     rc = run_cli(["verify", "--input", str(tmp_path / "problem.json"),

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from helpers import SupportConditionReport, bench_problems, jacobi_svd_before, make_problem, pinv
+from helpers import (SupportConditionReport, bench_problems, jacobi_svd_before, make_problem, pinv,
+                     surrogate_minimizer)
 from hslasso import diagnostics
 from hslasso.baselines import reference_minimum
 from hslasso.datagen import SyntheticSpec, generate
@@ -15,7 +16,6 @@ from hslasso.diagnostics import (
     prediction_error,
     support_conditions_check,
     support_set,
-    surrogate_minimizer,
 )
 from hslasso.problem import NumericalFailure
 
@@ -235,6 +235,12 @@ def test_prediction_error_sweep_decreases():
     pr = generate(SyntheticSpec(n=50, p=20, rho=0.1, seed=4), lam=1e-3)
     ref = reference_minimum(pr, 1e-10)
     rows = closeness_sweep(pr, ref, ts=(1.0, 0.1, 0.01, 1e-3, 1e-4))
+    # the documented Newton stop, bit for bit; at t = 0.5 and 3e-4 an iterate's
+    # gradient norm lies in (1e-10, 1e-9], so a stop of 1e-9 shows there too
+    for row in rows + closeness_sweep(pr, ref, ts=(0.5, 3e-4)):
+        bt = surrogate_minimizer(pr, row["t"])
+        assert row["prediction_error"] == prediction_error(pr, bt, ref.beta_hat)
+        assert row["estimation_error"] == estimation_error(bt, ref.beta_hat)
     errs = [r["prediction_error"] for r in rows]
     for a, b in zip(errs, errs[1:]):
         assert b <= a + 1e-12  # allow noise-level inversions only
@@ -248,10 +254,12 @@ def test_estimation_error_small_under_well_conditioned_design():
     assert estimation_error(bt, ref.beta_hat) < 1e-4
 
 
-def test_surrogate_minimizer_raises_when_not_converged():
+def test_surrogate_minimizer_raises_when_not_converged(monkeypatch):
     pr = generate(SyntheticSpec(n=50, p=20, rho=0.1, seed=4), lam=1e-3)
+    ref = reference_minimum(pr, 1e-10)
+    monkeypatch.setattr(diagnostics, "SWEEP_MAX_NEWTON", 1)
     with pytest.raises(NumericalFailure):
-        surrogate_minimizer(pr, 1e-4, max_iters=1)
+        closeness_sweep(pr, ref, (1e-4,))
 
 
 # ---------------------------------------------------------------------------

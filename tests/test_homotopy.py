@@ -1,13 +1,12 @@
 import json
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import (agd_state, agd_step, inner_solve_before, make_problem, numeric_prox_argmin,
-                     tiny_problem)
+                     tiny_problem, trace_ops)
 from hslasso import homotopy
 from hslasso.baselines import reference_minimum
 from hslasso.datagen import SyntheticSpec, generate
@@ -370,16 +369,14 @@ def test_inner_solve_matches_a_loop_of_agd_step(p, inner_stop):
 
 @pytest.mark.parametrize("inner_stop", INNER_STOP_MODES)
 def test_inner_solve_matches_agd_step_when_gamma_is_infinite(inner_stop):
-    # a scaled identity gram with B < t puts mu above L: agd_step's exact gradient step
+    # a scaled identity gram with B < t makes mu equal L: agd_step's exact gradient step
     rng = np.random.default_rng(0)
     pr = LassoProblem(y=rng.standard_normal(20), X=2.0 * np.eye(20), lam=0.1)
     t, B = 0.5, 0.25
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # B below t is the point here
-        assert agd_coefficients(*smoothness_constants(pr, SurrogateSpec(t), B))[2] == math.inf
-        cfg = HSConfig(t0=1.0, inner_stop=inner_stop, inner_fixed_count=9,
-                       inner_grad_tol=1e-10, B=B)
-        assert_same_inner_solve(pr, (t, 0.3), 0.2 * rng.standard_normal(20), cfg, B)
+    assert agd_coefficients(*smoothness_constants(pr, SurrogateSpec(t), B))[2] == math.inf
+    cfg = HSConfig(t0=1.0, inner_stop=inner_stop, inner_fixed_count=9,
+                   inner_grad_tol=1e-10, B=B)
+    assert_same_inner_solve(pr, (t, 0.3), 0.2 * rng.standard_normal(20), cfg, B)
 
 
 def test_inner_solve_peak_counts_the_averaged_iterate():
@@ -414,7 +411,7 @@ def test_inner_solve_matches_agd_step_at_the_step_cap(monkeypatch):
 def test_hs_zero_outer_iterations_for_huge_epsilon():
     pr = sim1_problem()
     ref = reference_minimum(pr, 1e-10)
-    cfg = HSConfig(t0=3.0, epsilon=1e9, outer_stop="oracle", outer_ref=ref)
+    cfg = HSConfig(t0=3.0, epsilon=1e9, outer_stop="oracle", ref=ref)
     tr = hs_solve(pr, cfg, OpCounter())
     assert tr.converged
     assert tr.metadata["outer_iterations"] == 0
@@ -424,7 +421,7 @@ def test_hs_zero_outer_iterations_for_huge_epsilon():
 def test_hs_reaches_table_scenario_precision():
     pr = sim1_problem()
     ref = reference_minimum(pr, 1e-10)
-    cfg = HSConfig(t0=3.0, h=0.1, epsilon=0.005, outer_stop="oracle", outer_ref=ref)
+    cfg = HSConfig(t0=3.0, h=0.1, epsilon=0.005, outer_stop="oracle", ref=ref)
     tr = hs_solve(pr, cfg, OpCounter())
     assert tr.converged
     from hslasso.problem import lasso_objective
@@ -442,7 +439,7 @@ def test_hs_t_column_exact_geometric_sequence():
         expected *= 0.9
         assert r.t == expected  # bit-exact repeated multiplication
     assert tr.records[-1].t * 0.9 < 1e-2
-    assert np.all(np.diff(tr.ops()) >= 0)  # cumulative ops never decrease
+    assert np.all(np.diff(trace_ops(tr)) >= 0)  # cumulative ops never decrease
 
 
 def test_hs_outer_gap_envelope_floor_mode():
@@ -476,8 +473,7 @@ def test_hs_warm_start_matches_manual_chain():
 def test_hs_violated_bound_flag():
     pr = sim1_problem()
     cfg = HSConfig(t0=3.0, h=0.1, outer_stop="t-floor", tau=1.0, B=1e-6)
-    with pytest.warns(UserWarning, match="B below surrogate level t"):
-        tr = hs_solve(pr, cfg, OpCounter())
+    tr = hs_solve(pr, cfg, OpCounter())
     assert tr.metadata["violated_bound"]
 
 
@@ -485,7 +481,7 @@ def test_hs_max_outer_cap_flags_nonconvergence():
     pr = sim1_problem()
     ref = reference_minimum(pr, 1e-10)
     cfg = HSConfig(t0=3.0, h=0.1, epsilon=1e-13, outer_stop="oracle",
-                   outer_ref=ref, max_outer=2)
+                   ref=ref, max_outer=2)
     tr = hs_solve(pr, cfg, OpCounter())
     assert not tr.converged
     assert tr.metadata["outer_iterations"] == 2
@@ -514,7 +510,7 @@ def test_hs_oracle_mode_requires_reference():
 def test_hs_auto_t0_resolution():
     pr = make_problem(15, n=25, p=5, lam=0.05)
     ref = reference_minimum(pr, 1e-10)
-    cfg = HSConfig(t0=None, h=0.1, epsilon=0.01, outer_stop="oracle", outer_ref=ref)
+    cfg = HSConfig(t0=None, h=0.1, epsilon=0.01, outer_stop="oracle", ref=ref)
     tr = hs_solve(pr, cfg, OpCounter())
     assert tr.converged
     assert tr.metadata["t0"] > 0
@@ -525,7 +521,7 @@ def test_hs_auto_t0_keeps_no_eigenvectors_on_the_problem():
     # instance holds no p x p array but the gram itself
     pr = make_problem(16, n=12, p=20, lam=0.05)
     ref = reference_minimum(pr, 1e-10)
-    cfg = HSConfig(t0=None, h=0.1, epsilon=0.05, outer_stop="oracle", outer_ref=ref)
+    cfg = HSConfig(t0=None, h=0.1, epsilon=0.05, outer_stop="oracle", ref=ref)
     hs_solve(pr, cfg, OpCounter())
     square = [name for name, value in vars(pr).items()
               if isinstance(value, np.ndarray) and value.shape == (pr.p, pr.p)]
@@ -555,7 +551,7 @@ def test_hs_config_validation_and_from_dict():
     assert cfg.t0 is None and cfg.h == 0.2
     # max_inner is the constant MAX_INNER_STEPS; the precision and the
     # reference are the caller's, not settings of a config file
-    for key in ("no_such_key", "max_inner", "epsilon", "outer_ref"):
+    for key in ("no_such_key", "max_inner", "epsilon", "ref"):
         with pytest.raises(ValueError, match=f"no config key '{key}'"):
             HSConfig.from_dict({key: 1})
     with pytest.raises(ValueError, match="wrong type"):
@@ -579,10 +575,12 @@ def test_hs_solve_raises_a_tiny_default_bound_to_the_level_range():
     # the default B of 8.7e-110 failed the level range: a usage error about
     # a B that no config set
     cfg = HSConfig(t0=1.0, outer_stop="t-floor", tau=0.5)
-    with pytest.warns(UserWarning, match="B below surrogate level t"):
-        trace = hs_solve(tiny_problem(), cfg)
+    trace = hs_solve(tiny_problem(), cfg)
     assert trace.metadata["B"] == 1e-100
     assert trace.converged
+    # with B < t, mu took B**3 (2.7e187 against L = 1.91 at t = 0.9), and
+    # the 1/mu steps left final_beta at initial_beta, bit for bit
+    assert not np.array_equal(trace.final_beta, initial_beta(tiny_problem(), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +666,7 @@ def test_hs_theoretical_inner_stop_converges_on_p_gt_n():
     # for gradient norms below round-off (2.74e-16 at t = 1.07642e-05)
     pr = _p_gt_n_cell()
     cfg = HSConfig(t0=3, h=0.1, epsilon=1e-5, tau=1e-9, inner_stop="theoretical",
-                   outer_ref=reference_minimum(pr, 1e-10))
+                   ref=reference_minimum(pr, 1e-10))
     trace = hs_solve(pr, cfg)
     assert trace.converged
     assert trace.metadata["outer_iterations"] == 123

@@ -2,7 +2,7 @@ from dataclasses import astuple
 
 import numpy as np
 
-from helpers import make_problem
+from helpers import make_problem, trace_ops
 from hslasso.baselines import BaselineConfig, ista_solve, reference_minimum
 from hslasso.opcount import OpCounter
 
@@ -24,7 +24,7 @@ def test_counters_never_decrease_across_solver_run():
     ref = reference_minimum(pr, 1e-10)
     c = OpCounter()
     trace = ista_solve(pr, BaselineConfig("ista", np.ones(pr.p), 1e-6, 500, ref), c)
-    ops = trace.ops()
+    ops = trace_ops(trace)
     assert np.all(np.diff(ops) >= 0)
 
 
@@ -40,7 +40,7 @@ def test_ista_iteration_charge_constant_and_deterministic():
     tr1, c1 = run()
     tr2, c2 = run()
     assert astuple(c1) == astuple(c2)  # determinism
-    deltas = np.diff(tr1.ops())
+    deltas = np.diff(trace_ops(tr1))
     assert len(set(deltas.tolist())) == 1  # constant per-iteration cost
     # per-iterate delta ~ p(2p-1) + O(p)
     p = 20
@@ -52,6 +52,6 @@ def test_additivity_of_per_iteration_deltas():
     ref = reference_minimum(pr, 1e-10)
     c = OpCounter()
     tr = ista_solve(pr, BaselineConfig("ista", np.ones(6), 1e-8, 300, ref), c)
-    ops = tr.ops()
+    ops = trace_ops(tr)
     total_from_deltas = ops[0] + np.sum(np.diff(ops))
     assert total_from_deltas == c.total()

@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +24,6 @@ from hslasso.problem import (
     lasso_objective,
     load_problem_binary,
     load_problem_json,
-    problem_from_json,
-    problem_to_json,
     save_problem_binary,
     save_problem_json,
     subgradient_residual,
@@ -405,7 +405,10 @@ def test_reference_rejects_bad_tol():
 @settings(max_examples=20, deadline=None)
 def test_json_roundtrip(seed):
     pr = make_problem(seed)
-    back = problem_from_json(problem_to_json(pr))
+    with tempfile.TemporaryDirectory() as tmp:  # @given takes no function-scoped tmp_path
+        path = Path(tmp) / "prob.json"
+        save_problem_json(pr, path)
+        back = load_problem_json(path)
     assert back.n == pr.n and back.p == pr.p and back.lam == pr.lam
     assert np.array_equal(back.X, pr.X)
     assert np.array_equal(back.y, pr.y)

@@ -220,6 +220,10 @@ def test_smoothness_constants_identity_gram():
     assert L == pytest.approx(expected, rel=1e-12)
     assert mu == pytest.approx(expected, rel=1e-12)
     assert L / mu == pytest.approx(1.0, rel=1e-12)
+    # B < t: every iterate is on the quadratic branch, whose curvature is flat,
+    # so the pair is the one at B = t (mu took B**3 and rose past L)
+    for B in (0.5, 1e-6):
+        assert smoothness_constants(pr, SurrogateSpec(1.0), B=B) == (L, mu)
 
 
 def test_smoothness_constants_rank_deficient_penalty_keeps_kappa_finite():
@@ -232,6 +236,8 @@ def test_smoothness_constants_rank_deficient_penalty_keeps_kappa_finite():
     assert mu > 0
     assert math.isfinite(L / mu)
     assert L >= mu
+    L, mu = smoothness_constants(pr, SurrogateSpec(0.5), B=0.1)
+    assert (L, mu) == smoothness_constants(pr, SurrogateSpec(0.5), B=0.5) and L >= mu
 
 
 def test_smoothness_constants_requires_positive_bound():
@@ -266,9 +272,8 @@ def test_condition_number_bound_dominates_constants():
     B, tau = 5.0, 0.01
     bound = 3.0 * B**3 * pr.eig_max / (2.0 * pr.lam * math.log1p(tau) ** 2) + (B / tau) ** 3
     t = tau
-    # the levels above B take constants outside their assumption B >= t
-    with pytest.warns(UserWarning, match="B below surrogate level t"):
-        while t < 8.0:
-            L, mu = smoothness_constants(pr, SurrogateSpec(t), B)
-            assert L / mu <= bound * (1 + 1e-12)
-            t *= 1.7
+    # the levels above B too, where mu is L's penalty term
+    while t < 8.0:
+        L, mu = smoothness_constants(pr, SurrogateSpec(t), B)
+        assert L / mu <= bound * (1 + 1e-12)
+        t *= 1.7
