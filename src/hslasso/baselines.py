@@ -52,7 +52,7 @@ class BaselineConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        for name, kind in (("epsilon", numbers.Real), ("max_iters", int)):
+        for name, kind in (("epsilon", numbers.Real), ("max_iters", numbers.Integral)):
             value = getattr(self, name)  # a bool is no number, and a count is no float
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"{name} has the wrong type: {value!r}")

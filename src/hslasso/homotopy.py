@@ -64,7 +64,7 @@ class HSConfig:
         counts = ("inner_fixed_count", "max_outer")
         reals = ("h", "epsilon", "tau", "inner_grad_tol") + tuple(
             name for name in ("t0", "B") if getattr(self, name) is not None)
-        for kind, names in ((int, counts), (numbers.Real, reals)):
+        for kind, names in ((numbers.Integral, counts), (numbers.Real, reals)):
             for name in names:  # a bool is no number, and a count is no float
                 value = getattr(self, name)
                 if isinstance(value, bool) or not isinstance(value, kind):
@@ -125,23 +125,31 @@ def agd_map(L: float, mu: float, grad, counter: OpCounter | None = None):
     """The accelerated step on the curvature pair (L, mu) as a map
     (beta, beta_bar) -> (beta, beta_bar).
 
-    The level's coefficients are formed once, here.  With the Euclidean
-    prox V(x, z) = ||z - x||^2 / 2 the inner argmin is closed form:
-    beta+ = (beta + gamma*mu*mid - gamma*g) / (1 + gamma*mu) where mid is
-    the extrapolated point and g = grad(mid).  Vector work is charged once
-    per step: the two weighted averages (mid, beta_bar) cost 2p mults and
-    p adds each; the update costs 3p mults and 2p adds, or p mults and p
-    adds in the degenerate gamma = inf case.  A step writes no array.
+    The level's coefficients are formed once, here, and broadcast at the
+    first step into float64 vectors of the iterate's shape (again for a
+    pair of another shape), so that no ufunc call of a step takes a
+    Python-float operand, the slower kind on short vectors; the values are
+    the same.  With the Euclidean prox V(x, z) = ||z - x||^2 / 2 the inner
+    argmin is closed form: beta+ = (beta + gamma*mu*mid - gamma*g) /
+    (1 + gamma*mu) where mid is the extrapolated point and g = grad(mid).
+    Vector work is charged once per step: the two weighted averages (mid,
+    beta_bar) cost 2p mults and p adds each; the update costs 3p mults and
+    2p adds, or p mults and p adds in the degenerate gamma = inf case.  A
+    step writes no array.
     """
     alpha, q, gamma = agd_coefficients(L, mu)
-    one_q, one_alpha = 1.0 - q, 1.0 - alpha
     gm = gamma * mu
-    one_gm = 1.0 + gm
+    scalars = (1.0 - q, q, gm, gamma, 1.0 + gm, mu, 1.0 - alpha, alpha)
+    vectors = None
     momentum = not math.isinf(gamma)
     mults, adds = (7, 4) if momentum else (5, 3)
 
     def step(pair):
+        nonlocal vectors
         beta, beta_bar = pair
+        if vectors is None or vectors[0].shape != beta.shape:
+            vectors = [np.full(beta.shape, c) for c in scalars]
+        one_q, q, gm, gamma, one_gm, mu, one_alpha, alpha = vectors
         mid = one_q * beta_bar + q * beta
         g = grad(mid)
         if momentum:
@@ -272,14 +280,15 @@ def inner_solve(problem: LassoProblem, t_k: float, beta_init, config: HSConfig,
         counter.transcendentals += 2
         counter.mults += 10
         counter.adds += 4
-    step = agd_map(L, mu, lambda v: surrogate_grad(problem, spec, v, counter), counter)
+    grad = surrogate_grad(problem, spec, counter)
+    step = agd_map(L, mu, grad, counter)
     p = problem.p
 
     if config.inner_stop == "fixed":
         done = lambda beta_bar, k: k >= config.inner_fixed_count
     elif config.inner_stop == "gradient":
         def done(beta_bar, k):
-            g = surrogate_grad(problem, spec, beta_bar, counter)
+            g = grad(beta_bar)
             if counter is not None:  # norm: p mults, p-1 adds, sqrt, compare
                 counter.mults += p
                 counter.adds += p - 1

@@ -179,7 +179,7 @@ def test_criterion_4_agd_contraction_and_prox():
         L, mu = smoothness_constants(pr, spec, 10.0)
         alpha = math.sqrt(mu / L)
         beta0 = np.ones(20)
-        step = agd_map(L, mu, lambda v: surrogate_grad(pr, spec, v))
+        step = agd_map(L, mu, surrogate_grad(pr, spec))
         pair = (beta0, beta0)
         for _ in range(3000):
             pair = step(pair)

@@ -93,6 +93,14 @@ def test_validation():
     for bad in (True, 2.5, 100.0):
         with pytest.raises(ValueError, match="max_iters has the wrong type"):
             _cfg("fista", pr, ref, iters=bad)
+    for bad in (np.True_, np.float64(100.0)):
+        with pytest.raises(ValueError, match="max_iters has the wrong type"):
+            _cfg("fista", pr, ref, iters=bad)
+    # a count is any integral number but a bool: NumPy's integers run as Python's
+    runs = [fista_solve(pr, _cfg("fista", pr, ref, eps=1e-30, iters=iters))
+            for iters in (np.int64(7), 7)]
+    assert [len(tr.records) for tr in runs] == [8, 8]
+    assert runs[0].final_beta.tobytes() == runs[1].final_beta.tobytes()
     with pytest.raises(ValueError, match="sl_alpha"):
         _cfg("sl", pr, ref, alpha=-1.0)
     for bad in (0.0, np.nan, np.inf):

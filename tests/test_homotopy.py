@@ -177,10 +177,10 @@ def test_agd_step_charge_pinned(L, mu, mults, adds):
     pr = make_problem(4, n=12, p=5)
     spec = SurrogateSpec(0.5)
     g = OpCounter()
-    surrogate_grad(pr, spec, np.ones(5), g)
+    surrogate_grad(pr, spec, g)(np.ones(5))
     assert (g.mults, g.adds, g.transcendentals, g.comparisons) == (45, 35, 0, 5)
     c = OpCounter()
-    agd_map(L, mu, lambda v: surrogate_grad(pr, spec, v, c), c)((np.ones(5), np.ones(5)))
+    agd_map(L, mu, surrogate_grad(pr, spec, c), c)((np.ones(5), np.ones(5)))
     assert (c.mults, c.adds, c.transcendentals, c.comparisons) == (mults, adds, 0, 5)
 
 
@@ -198,14 +198,52 @@ def test_agd_map_matches_agd_step(p, degenerate):
     rng = np.random.default_rng(p)
     beta, beta_bar = rng.standard_normal(p), rng.standard_normal(p)
     c_new, c_old = OpCounter(), OpCounter()
-    step = agd_map(L, mu, lambda v: surrogate_grad(pr, spec, v, c_new), c_new)
+    step = agd_map(L, mu, surrogate_grad(pr, spec, c_new), c_new)
     state = replace(agd_state(beta, L, mu), beta_bar=beta_bar.copy())
     pair = (beta, beta_bar)
     for _ in range(30):
         pair = step(pair)
-        state = agd_step(state, lambda v: surrogate_grad(pr, spec, v, c_old), c_old)
+        state = agd_step(state, surrogate_grad(pr, spec, c_old), c_old)
         assert pair[0].tobytes() == state.beta.tobytes()
         assert pair[1].tobytes() == state.beta_bar.tobytes()
+    assert c_new == c_old and c_new.mults > 0
+
+
+@pytest.mark.parametrize("degenerate", [False, True], ids=["momentum", "gamma-inf"])
+def test_agd_map_writes_neither_input(degenerate):
+    # criterion 4 steps from one (beta0, beta0) pair again and again
+    pr = sim1_problem()
+    spec = SurrogateSpec(0.05)
+    L, mu = smoothness_constants(pr, spec, 10.0)
+    step = agd_map(L, L if degenerate else mu, surrogate_grad(pr, spec))
+    rng = np.random.default_rng(8)
+    beta, beta_bar = rng.standard_normal(pr.p), rng.standard_normal(pr.p)
+    saved = beta.tobytes(), beta_bar.tobytes()
+    first = step((beta, beta_bar))
+    assert (beta.tobytes(), beta_bar.tobytes()) == saved
+    again = step((beta, beta_bar))
+    assert [a.tobytes() for a in again] == [a.tobytes() for a in first]
+    shared = step((beta, beta))
+    assert beta.tobytes() == saved[0] and shared[0] is not beta and shared[1] is not beta
+
+
+@pytest.mark.parametrize("degenerate", [False, True], ids=["momentum", "gamma-inf"])
+def test_agd_map_serves_pairs_of_two_sizes(degenerate):
+    # the coefficient vectors follow the pair's shape: p = 3, then 7, then 3
+    L, mu = (2.5, 2.5) if degenerate else (9.0, 0.3)
+    grad = lambda v: 2.0 * v - 1.0  # gradient of ||b||^2 - sum(b), any size
+    c_new, c_old = OpCounter(), OpCounter()
+    step = agd_map(L, mu, grad, c_new)
+    rng = np.random.default_rng(9)
+    for p in (3, 7, 3):
+        beta, beta_bar = rng.standard_normal(p), rng.standard_normal(p)
+        pair = (beta, beta_bar)
+        state = replace(agd_state(beta, L, mu), beta_bar=beta_bar.copy())
+        for _ in range(5):
+            pair = step(pair)
+            state = agd_step(state, grad, c_old)
+            assert pair[0].tobytes() == state.beta.tobytes()
+            assert pair[1].tobytes() == state.beta_bar.tobytes()
     assert c_new == c_old and c_new.mults > 0
 
 
@@ -247,7 +285,7 @@ def test_agd_descends_pure_quadratic():
 def test_agd_monotone_bar_values_in_fixed_loop():
     pr = sim1_problem()
     spec = SurrogateSpec(0.5)
-    step = agd_map(*smoothness_constants(pr, spec, 10.0), lambda v: surrogate_grad(pr, spec, v))
+    step = agd_map(*smoothness_constants(pr, spec, 10.0), surrogate_grad(pr, spec))
     pair = (np.ones(pr.p), np.ones(pr.p))
     vals = [surrogate_value(pr, spec, pair[1])]
     for _ in range(80):
@@ -286,7 +324,7 @@ def test_inner_solve_geometric_contraction():
     alpha = math.sqrt(mu / L)
     beta0 = np.ones(pr.p)
 
-    step = agd_map(L, mu, lambda v: surrogate_grad(pr, spec, v))
+    step = agd_map(L, mu, surrogate_grad(pr, spec))
     # high accuracy minimum and minimizer for the bracket
     pair = (beta0, beta0)
     for _ in range(3000):
@@ -386,7 +424,7 @@ def test_inner_solve_peak_counts_the_averaged_iterate():
     cfg = HSConfig(t0=2.0, inner_fixed_count=400, B=10.0)
     out = inner_solve(pr, spec.t, np.zeros(1), cfg, B=10.0)
     assert out[1:] == inner_solve_before(pr, spec.t, np.zeros(1), cfg)[1:]
-    step = agd_map(*smoothness_constants(pr, spec, 10.0), lambda v: surrogate_grad(pr, spec, v))
+    step = agd_map(*smoothness_constants(pr, spec, 10.0), surrogate_grad(pr, spec))
     pair = (np.zeros(1), np.zeros(1))
     beta_peak = 0.0
     for _ in range(400):
@@ -549,6 +587,13 @@ def test_hs_config_validation_and_from_dict():
             HSConfig.from_dict(bad)
     cfg = HSConfig.from_dict({"t0": "auto", "h": 0.2, "inner_stop": "gradient"})
     assert cfg.t0 is None and cfg.h == 0.2
+    # a count is any integral number but a bool, NumPy's included
+    cfg = HSConfig(max_outer=np.int64(10), inner_fixed_count=np.int32(5))
+    assert (cfg.max_outer, cfg.inner_fixed_count) == (10, 5)
+    for bad in ({"max_outer": True}, {"max_outer": np.True_}, {"max_outer": 2.5},
+                {"inner_fixed_count": np.float64(5.0)}):
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} has the wrong type"):
+            HSConfig(**bad)
     # max_inner is the constant MAX_INNER_STEPS; the precision and the
     # reference are the caller's, not settings of a config file
     for key in ("no_such_key", "max_inner", "epsilon", "ref"):
@@ -622,7 +667,7 @@ def test_minimize_surrogate_converges_across_designs(n, p, rho, lam, t):
     pr = _shape_problem(n, p, rho=rho, lam=lam, seed=7)
     spec = SurrogateSpec(t)
     beta, value = minimize_surrogate(pr, spec, np.zeros(pr.p), 1e-10, 1000)
-    assert float(np.linalg.norm(surrogate_grad(pr, spec, beta))) <= 1e-10
+    assert float(np.linalg.norm(surrogate_grad(pr, spec)(beta))) <= 1e-10
     assert value == surrogate_value(pr, spec, beta)
 
 
@@ -633,7 +678,7 @@ def test_minimize_surrogate_survives_singular_newton_system():
     pr = _shape_problem(20, 40, rho=0.0, seed=3)
     spec = SurrogateSpec(1e-4)
     beta, _ = minimize_surrogate(pr, spec, np.zeros(pr.p), 1e-10, 1000)
-    assert float(np.linalg.norm(surrogate_grad(pr, spec, beta))) <= 1e-10
+    assert float(np.linalg.norm(surrogate_grad(pr, spec)(beta))) <= 1e-10
 
 
 def test_minimize_surrogate_returns_converged_start_unchanged():
@@ -657,7 +702,7 @@ def test_minimize_surrogate_stops_at_the_round_off_floor():
     beta, value = minimize_surrogate(pr, spec, np.zeros(pr.p), 2.74e-16, 1000)
     floor = 4.0 * np.finfo(float).eps * (pr.eig_max * np.linalg.norm(beta)
                                          + np.linalg.norm(pr.xty))
-    assert float(np.linalg.norm(surrogate_grad(pr, spec, beta))) <= floor
+    assert float(np.linalg.norm(surrogate_grad(pr, spec)(beta))) <= floor
     assert value == surrogate_value(pr, spec, beta)
 
 

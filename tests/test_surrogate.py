@@ -117,20 +117,25 @@ def test_grad_matches_its_earlier_body(t):
     assert math.isnan(s.grad(math.nan)) and np.isnan(s.grad(np.array([math.nan, 1.0])))[0]
 
 
-@pytest.mark.parametrize("t", [1e-4, 0.5, 3.0])
+@pytest.mark.parametrize("t", [1e-4, 0.5, 3.0, 1e100])
 @np.errstate(over="ignore", invalid="ignore")
 def test_surrogate_grad_matches_its_earlier_body(t):
+    # one level map, its operands broadcast once, called on many iterates
     pr = make_problem(5, n=30, p=8)
     spec = SurrogateSpec(t)
     rng = np.random.default_rng(4)
     points = edge_points(t, rng)
     points = points[np.isfinite(points)]
-    for _ in range(20):
-        beta = rng.choice(points, size=pr.p)
-        c_new, c_old = OpCounter(), OpCounter()
-        new = surrogate_grad(pr, spec, beta, c_new)
+    c_new, c_old = OpCounter(), OpCounter()
+    grad = surrogate_grad(pr, spec, c_new)
+    betas = [np.array([t, -t, 0.0, -0.0, np.nextafter(t, 0.0), np.nextafter(t, np.inf),
+                       2.0 * t, -3.0 * t])]
+    betas += [rng.choice(points, size=pr.p) for _ in range(20)]
+    for beta in betas:
+        before = beta.copy()
+        new = grad(beta)
         assert new.tobytes() == surrogate_grad_before(pr, spec, beta, c_old).tobytes()
-        assert c_new == c_old
+        assert c_new == c_old and beta.tobytes() == before.tobytes()
 
 
 def test_hess_diag_values_and_positivity():
