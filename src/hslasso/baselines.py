@@ -19,7 +19,6 @@ through one scratch buffer, so it allocates no array per coordinate.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,7 @@ from .problem import (
     NumericalFailure,
     ReferenceSolution,
     _readonly,
+    check_number,
     lasso_objective,
     subgradient_residual,
 )
@@ -52,10 +52,10 @@ class BaselineConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        for name, kind in (("epsilon", numbers.Real), ("max_iters", numbers.Integral)):
-            value = getattr(self, name)  # a bool is no number, and a count is no float
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{name} has the wrong type: {value!r}")
+        counts = ("max_iters",)
+        reals = ("epsilon",) + (() if self.sl_alpha is None else ("sl_alpha",))
+        vars(self).update({name: check_number(name, getattr(self, name), integral=name in counts)
+                           for name in reals + counts})
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
         if self.max_iters < 1:
@@ -63,8 +63,8 @@ class BaselineConfig:
         if not np.all(np.isfinite(self.beta0)):
             raise ValueError("beta0 must be finite (no NaN or inf entries)")
         if self.method == "sl":
-            if self.sl_alpha is None or not self.sl_alpha > 0:
-                raise ValueError("sl requires a positive sl_alpha")
+            if self.sl_alpha is None or not 0 < self.sl_alpha < math.inf:
+                raise ValueError("sl requires a positive, finite sl_alpha")
         elif self.sl_alpha is not None:
             raise ValueError("sl_alpha is only meaningful for method 'sl'")
 
@@ -279,28 +279,21 @@ def sl_solve(problem: LassoProblem, config: BaselineConfig,
 def theoretical_bound(method: str, k: int, problem: LassoProblem,
                       beta0, ref: ReferenceSolution) -> float:
     """Published worst-case gap envelope of the given method at iteration k."""
-    beta0 = np.asarray(beta0, dtype=float)
-    d2 = float(np.sum((beta0 - ref.beta_hat) ** 2))
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    k_min = 0 if method == "cd" else 1
+    if k < k_min:
+        raise ValueError(f"{method} bound defined for k >= {k_min}")
+    d2 = float(np.sum((np.asarray(beta0, dtype=float) - ref.beta_hat) ** 2))
     L = problem.eig_max
     if method == "ista":
-        if k < 1:
-            raise ValueError("ista bound defined for k >= 1")
         return L * d2 / (2.0 * k)
     if method == "fista":
-        if k < 1:
-            raise ValueError("fista bound defined for k >= 1")
         return 2.0 * L * d2 / (k + 1.0) ** 2
     if method == "cd":
-        if k < 0:
-            raise ValueError("cd bound defined for k >= 0")
         return 4.0 * L * (1.0 + problem.p) * d2 / (k + 8.0 / problem.p)
-    if method == "sl":
-        if k < 1:
-            raise ValueError("sl bound defined for k >= 1")
-        return (4.0 * d2 * L / k**2
-                + 4.0 * math.sqrt(2.0 * problem.lam * problem.n * math.log(2.0))
-                * math.sqrt(d2) / k)
-    raise ValueError(f"unknown method {method!r}")
+    return (4.0 * d2 * L / k**2
+            + 4.0 * math.sqrt(2.0 * problem.lam * problem.n * math.log(2.0)) * math.sqrt(d2) / k)
 
 
 def solve(problem: LassoProblem, config: BaselineConfig,

@@ -25,6 +25,7 @@ from .opcount import OpCounter
 from .problem import (
     LassoProblem,
     NumericalFailure,
+    check_number,
     load_problem_binary,
     load_problem_json,
     save_problem_binary,
@@ -68,18 +69,23 @@ class BenchmarkGrid:
         self.validate()
 
     def validate(self) -> None:
-        if type(self.seed) is not int or self.seed < 0:  # a bool is no seed
+        # stores the numbers as Python's, so a second call changes nothing
+        seed = check_number("seed", self.seed, integral=True)
+        if seed < 0:
             raise ValueError("seed must be an int >= 0")
-        if isinstance(self.lam, bool) or not 0 < self.lam < math.inf:
+        lam = check_number("lambda", self.lam)
+        if not 0 < lam < math.inf:
             raise ValueError("lambda must be positive and finite")
-        if not self.methods:
-            raise ValueError("methods must be nonempty")
-        for s in self.scenarios:  # type(), not isinstance(): a bool is no size
-            if not (isinstance(s, (tuple, list)) and len(s) == 2
-                    and all(type(v) is int and v >= 1 for v in s)):
+        scenarios = tuple(tuple(check_number("scenario size", v, integral=True) for v in s)
+                          if isinstance(s, (tuple, list)) else s for s in self.scenarios)
+        for s in scenarios:
+            if not (isinstance(s, tuple) and len(s) == 2 and min(s) >= 1):
                 raise ValueError(f"scenario {s!r} is not a pair of ints n, p >= 1")
+        epsilons = tuple(check_number("epsilons", e) for e in self.epsilons)
         for name, values in (("methods", self.methods), ("sims", self.sims),
-                             ("scenarios", [tuple(s) for s in self.scenarios])):
+                             ("scenarios", scenarios)):
+            if not values:
+                raise ValueError(f"{name} must be nonempty")
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat")
         for m in self.methods:
@@ -88,11 +94,11 @@ class BenchmarkGrid:
         for s in self.sims:
             if s not in SIM_PATTERNS:
                 raise ValueError(f"unknown simulation {s!r}")
-        eps = list(self.epsilons)
-        if not eps or not all(not isinstance(e, bool) and 0 < e < math.inf for e in eps):
+        if not epsilons or not all(0 < e < math.inf for e in epsilons):
             raise ValueError("epsilons must be positive and finite")
-        if eps != sorted(set(eps), reverse=True):
+        if list(epsilons) != sorted(set(epsilons), reverse=True):
             raise ValueError("epsilons must be strictly descending")
+        vars(self).update(seed=seed, lam=lam, scenarios=scenarios, epsilons=epsilons)
 
 
 def _load_problem(path: str) -> LassoProblem:

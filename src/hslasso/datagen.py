@@ -18,12 +18,11 @@ numpy PCG64.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import LassoProblem
+from .problem import LassoProblem, check_number
 
 RNG_ID = "numpy-pcg64; SeedSequence(seed).spawn(2) -> [design: g0[n], g[n,p] row-major; noise: z[n]]"
 
@@ -41,13 +40,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "p", "seed") + (() if self.sparsity is None else ("sparsity",)):
-            if type(getattr(self, name)) is not int:  # type(), not isinstance(): a bool is no int
-                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
-        for name in ("rho", "snr"):  # nor is a bool a real number
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+        counts = ("n", "p", "seed") + (() if self.sparsity is None else ("sparsity",))
+        vars(self).update({name: check_number(name, getattr(self, name), integral=name in counts)
+                           for name in counts + ("rho", "snr")})
         if self.n < 1 or self.p < 1:
             raise ValueError("need n >= 1 and p >= 1")
         if self.seed < 0:

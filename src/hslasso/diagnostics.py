@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .problem import LassoProblem, NumericalFailure
+from .problem import LassoProblem, NumericalFailure, check_number
 from .surrogate import SurrogateSpec, minimize_surrogate
 
 SVD_METHOD = "one-sided-jacobi"
@@ -171,10 +171,8 @@ def support_conditions_check(X, s_set) -> dict:
     order written; ``s_set`` lists the sorted distinct indices.
     """
     X = np.asarray(X, dtype=float)
-    entries = np.asarray(s_set, dtype=object).ravel().tolist()
-    if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in entries):
-        raise ValueError("support indices must be integers")
-    s_idx = np.asarray(sorted(set(entries)))
+    s_idx = np.asarray(sorted({check_number("support index", i, integral=True)
+                               for i in np.asarray(s_set, dtype=object).ravel().tolist()}))
     p = X.shape[1]
     if s_idx.size == 0:
         raise ValueError("support set must be nonempty")

@@ -18,14 +18,14 @@ objective on its quadratic branch, 2*lambda*log(1+t0)^2/(3 t0^3).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .baselines import iterate
 from .opcount import OpCounter
-from .problem import LassoProblem, NumericalFailure, ReferenceSolution, lasso_objective
+from .problem import (LassoProblem, NumericalFailure, ReferenceSolution, check_number,
+                      lasso_objective)
 from .surrogate import (LEVEL_RANGE, SurrogateSpec, check_level, minimize_surrogate,
                         smoothness_constants, surrogate_grad, surrogate_value)
 from .trace import SolverTrace
@@ -64,11 +64,8 @@ class HSConfig:
         counts = ("inner_fixed_count", "max_outer")
         reals = ("h", "epsilon", "tau", "inner_grad_tol") + tuple(
             name for name in ("t0", "B") if getattr(self, name) is not None)
-        for kind, names in ((numbers.Integral, counts), (numbers.Real, reals)):
-            for name in names:  # a bool is no number, and a count is no float
-                value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, kind):
-                    raise ValueError(f"{name} has the wrong type: {value!r}")
+        vars(self).update({name: check_number(name, getattr(self, name), integral=name in counts)
+                           for name in counts + reals})
         if not 0.0 < self.h < 1.0:
             raise ValueError("h must lie strictly in (0, 1)")
         if not 0 < self.epsilon < math.inf:
@@ -82,12 +79,11 @@ class HSConfig:
             raise ValueError(f"inner_stop must be one of {INNER_STOP_MODES}")
         if self.outer_stop not in OUTER_STOP_MODES:
             raise ValueError(f"outer_stop must be one of {OUTER_STOP_MODES}")
-        if self.inner_fixed_count < 1:
-            raise ValueError("inner_fixed_count must be >= 1")
+        for name in counts:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not self.inner_grad_tol > 0:
             raise ValueError("inner_grad_tol must be positive")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be >= 1")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "HSConfig":

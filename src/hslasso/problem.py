@@ -11,6 +11,7 @@ besides the gram.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import numbers
 import struct
@@ -24,6 +25,16 @@ BINARY_MAGIC = b"LSSO"
 
 class NumericalFailure(RuntimeError):
     """Raised when an oracle or factorization cannot reach its tolerance."""
+
+
+def check_number(name: str, value, integral: bool = False):
+    """The one type test of a number given to a record: ``value`` as a Python int
+    (``integral``) or float; NumPy's pass, a bool (NumPy's too) raises ValueError."""
+    kind, what = (numbers.Integral, "integers") if integral else (numbers.Real, "real numbers")
+    if not isinstance(value, bool) and isinstance(value, kind):
+        with contextlib.suppress(OverflowError):  # an int past float range
+            return int(value) if integral else float(value)
+    raise ValueError(f"{name} has the wrong type: {value!r} (values must be {what}, no bool)")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -53,13 +64,12 @@ class LassoProblem:
             raise ValueError("X must be finite (no NaN or inf entries)")
         if not np.all(np.isfinite(y)):
             raise ValueError("y must be finite (no NaN or inf entries)")
-        if isinstance(lam, bool) or not isinstance(lam, numbers.Real):  # a bool is no number
-            raise ValueError(f"lambda has the wrong type: {lam!r}")
+        lam = check_number("lambda", lam)
         if not 0 < lam < np.inf:
             raise ValueError("lambda must be finite and strictly positive")
         self.n = n
         self.p = p
-        self.lam = float(lam)
+        self.lam = lam
         self.y = _readonly(y)
         self.X = _readonly(X)
         self.gram = _readonly(X.T @ X / n)
@@ -159,9 +169,7 @@ def load_problem_json(path) -> LassoProblem:
     missing = {"n", "p", "lambda", "y", "X"} - doc.keys()
     if missing:
         raise ValueError(f"problem document missing keys: {sorted(missing)}")
-    for key, kind in (("n", int), ("p", int), ("lambda", (int, float))):
-        if isinstance(doc[key], bool) or not isinstance(doc[key], kind):  # a bool is no number
-            raise ValueError(f"problem value of the wrong type: {key} = {doc[key]!r}")
+    n, p = (check_number(key, doc[key], integral=True) for key in ("n", "p"))
     try:
         # one C-level pass over the entries' types: numpy would read a bool
         # as 1.0/0.0 and a string of digits as its number
@@ -170,7 +178,7 @@ def load_problem_json(path) -> LassoProblem:
             raise ValueError("X and y entries must be numbers (a bool or string is none)")
         X = np.asarray(doc["X"], dtype=float)
         y = np.asarray(doc["y"], dtype=float)
-        if X.shape != (doc["n"], doc["p"]):
+        if X.shape != (n, p):
             raise ValueError("X dimensions disagree with the declared n, p")
         return LassoProblem(y=y, X=X, lam=doc["lambda"])
     except (TypeError, OverflowError) as exc:  # e.g. "X": 5, or an int past float range

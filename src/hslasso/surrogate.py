@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .opcount import OpCounter
-from .problem import LassoProblem, NumericalFailure
+from .problem import LassoProblem, NumericalFailure, check_number
 
 
 # Range of a level t and of the iterate bound B, both cubed (t**3 in c_quad,
@@ -76,6 +76,7 @@ class SurrogateSpec:
     c_const: float = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "t", check_number("surrogate level t", self.t))
         check_level("surrogate level t", self.t)
         log1pt = math.log1p(self.t)
         object.__setattr__(self, "c_quad", log1pt**2 / (3.0 * self.t**3))

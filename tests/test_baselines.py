@@ -101,8 +101,13 @@ def test_validation():
             for iters in (np.int64(7), 7)]
     assert [len(tr.records) for tr in runs] == [8, 8]
     assert runs[0].final_beta.tobytes() == runs[1].final_beta.tobytes()
-    with pytest.raises(ValueError, match="sl_alpha"):
-        _cfg("sl", pr, ref, alpha=-1.0)
+    for bad in (-1.0, np.inf):  # inf ran sl with step 0 and a NaN smoothed objective
+        with pytest.raises(ValueError, match="sl_alpha"):
+            _cfg("sl", pr, ref, alpha=bad)
+    for bad in (True, np.True_, "100"):  # True ran sl at alpha 1
+        with pytest.raises(ValueError, match="sl_alpha has the wrong type"):
+            _cfg("sl", pr, ref, alpha=bad)
+    assert type(_cfg("sl", pr, ref, alpha=np.int64(100)).sl_alpha) is float
     for bad in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="reference tolerance"):
             reference_minimum(pr, bad)

@@ -183,11 +183,13 @@ PROBLEM_2x1 = '"n": 2, "p": 1, "X": [[1.0], [2.0]]'
     ("--input", '{%s, "lambda": 0.1, "y": ["1.0", 2.0]}' % PROBLEM_2x1),
     ("--input", '{"n": 2, "p": 1, "X": [1.0, 2.0], "lambda": 0.1, "y": [1.0, 2.0]}'),
     ("--input", '{%s, "lambda": 0.1, "y": [1%s, 2.0]}' % (PROBLEM_2x1, "0" * 400)),
+    ("--input", '{%s, "lambda": 1%s, "y": [1.0, 2.0]}' % (PROBLEM_2x1, "0" * 400)),
     ("--hs-config", "[]"),
     ("--hs-config", '{"inner_fixed_count": 2.5}'),
+    ("--hs-config", '{"h": 1%s}' % ("0" * 400)),
 ], ids=["problem-array", "lambda-string", "lambda-null", "y-object", "lambda-bool", "n-bool",
-        "X-bool", "y-bool", "y-string", "X-flat", "y-huge-int", "hs-config-array",
-        "hs-config-float-count"])
+        "X-bool", "y-bool", "y-string", "X-flat", "y-huge-int", "lambda-huge-int",
+        "hs-config-array", "hs-config-float-count", "hs-config-huge-int"])
 def test_wrongly_shaped_json_is_usage_error(tmp_path, capsys, flag, text):
     # each was a traceback (exit 1) from an AttributeError, TypeError or
     # OverflowError, or a run (exit 0): lambda = 1.0, a 1-row X, 3 inner steps, a bool
@@ -581,9 +583,39 @@ def test_benchmark_grid_validation(tmp_path):
     for bad in (-5000, -1, 1.5, True):
         with pytest.raises(ValueError, match="seed"):
             BenchmarkGrid(seed=bad)
+    # NumPy's bools built (run_bench then failed on lambda, or wrote an eps_True
+    # column), and lambda "0.1" raised a TypeError
+    for bad in (np.True_, np.False_, "0.1"):
+        with pytest.raises(ValueError, match="lambda"):
+            BenchmarkGrid(lam=bad)
+    for bad in ((np.True_,), (0.05, np.False_), ("0.05",), (0.05, "0.01")):
+        with pytest.raises(ValueError, match="epsilons"):
+            BenchmarkGrid(epsilons=bad)
+    for bad in ((np.int64(20), np.True_), (np.float64(20.0), 5)):
+        with pytest.raises(ValueError, match="scenario"):
+            BenchmarkGrid(scenarios=(bad,))
+    # an empty sims or scenarios built, and run_bench wrote a header-only table
+    for field in ("sims", "scenarios"):
+        with pytest.raises(ValueError, match=f"{field} must be nonempty"):
+            BenchmarkGrid(**{field: ()})
     assert run_cli(["bench", "--seed", "-1", "--out-dir", str(tmp_path)]) == 2
     assert run_cli(["bench", "--lambda", "-1", "--out-dir", str(tmp_path)]) == 2
     assert not (tmp_path / "bench_table.csv").exists()
+    # a NumPy-int seed or scenario size was rejected, though HSConfig and
+    # BaselineConfig take NumPy counts; the grid stores Python numbers, so its
+    # outputs and their JSON are the int grid's
+    small = dict(sims=("sim1",), epsilons=(0.05, 0.01), methods=("ista", "hs"))
+    grid = BenchmarkGrid(scenarios=[(np.int64(20), np.int32(5))], seed=np.int64(3),
+                         lam=np.float32(0.5), **small)
+    plain = BenchmarkGrid(scenarios=((20, 5),), seed=3, lam=float(np.float32(0.5)), **small)
+    assert grid == plain
+    assert [type(v) for v in (grid.seed, grid.lam, *grid.scenarios[0], *grid.epsilons)] == [
+        int, float, int, int, float, float]
+    grid.validate()  # a second check changes nothing
+    assert grid == plain
+    outputs, expected = run_bench(grid), run_bench(plain)
+    assert outputs == expected
+    assert json.dumps(outputs[3]) == json.dumps(expected[3])
 
 
 def test_verify_minimizer_failure_is_numerical_exit(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -34,6 +35,19 @@ def test_spec_validation():
                        ("snr", True), ("rho", False), ("rho", np.False_), ("snr", "3")):
         with pytest.raises(ValueError, match=field):
             SyntheticSpec(**{"n": 5, "p": 3, "rho": 0.1, "pattern": "sparse-exp", field: bad})
+    for field, bad in (("n", np.True_), ("seed", np.float64(1.0)), ("rho", np.True_)):
+        with pytest.raises(ValueError, match=f"{field} has the wrong type"):
+            SyntheticSpec(**{"n": 5, "p": 3, "rho": 0.1, field: bad})
+    # NumPy integers were rejected; they are stored as Python numbers, so the
+    # sidecar and the draws are the int spec's
+    spec = SyntheticSpec(n=np.int64(5), p=np.int64(3), rho=np.float64(0.1), snr=np.int32(2),
+                         pattern="sparse-exp", sparsity=np.int64(2), seed=np.int64(7))
+    plain = SyntheticSpec(n=5, p=3, rho=0.1, snr=2.0, pattern="sparse-exp", sparsity=2, seed=7)
+    assert spec == plain
+    assert [type(getattr(spec, f)) for f in ("n", "p", "rho", "snr", "sparsity", "seed")] == [
+        int, int, float, float, int, int]
+    assert json.dumps(spec.metadata()) == json.dumps(plain.metadata())
+    assert generate(spec, 0.1).X.tobytes() == generate(plain, 0.1).X.tobytes()
 
 
 def test_sparse_pattern_defaults_to_at_most_ten_nonzeros():

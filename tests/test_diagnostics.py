@@ -76,14 +76,18 @@ def test_jacobi_svd_matches_earlier_kernel_on_seeded_matrices(name):
 
 
 @pytest.fixture(scope="module")
-def verify_supports():
+def verify_references():
     """The six closeness-verify problems (grid seed 0, lambda 0.1, before the
-    workload's sign flips) with their reference supports."""
-    out = []
-    for pr in bench_problems(((50, 20), (100, 50), (50, 80)), 0.1):
-        beta = reference_minimum(pr, 1e-10).beta_hat
-        out.append((pr.X, support_set(beta, default_support_tol(beta))))
-    return out
+    workload's sign flips) with their references."""
+    return [(pr, reference_minimum(pr, 1e-10))
+            for pr in bench_problems(((50, 20), (100, 50), (50, 80)), 0.1)]
+
+
+@pytest.fixture(scope="module")
+def verify_supports(verify_references):
+    """The closeness-verify designs with their reference supports."""
+    return [(pr.X, support_set(ref.beta_hat, default_support_tol(ref.beta_hat)))
+            for pr, ref in verify_references]
 
 
 def _factor_calls(monkeypatch, kernel, supports):
@@ -245,6 +249,19 @@ def test_prediction_error_sweep_decreases():
     for a, b in zip(errs, errs[1:]):
         assert b <= a + 1e-12  # allow noise-level inversions only
     assert errs[-1] < 1e-6
+
+
+def test_closeness_errors_fall_as_t_squared(verify_references, verify_supports):
+    # Both errors fall by at least 1.5 decades per decade of t, from 1e-2 to
+    # 1e-3 and from 1e-3 to 1e-4, on all six verify problems (1.69-1.97
+    # measured), though the support condition 3 holds on the two 50x20 ones only.
+    for pr, ref in verify_references:
+        rows = closeness_sweep(pr, ref, (1e-2, 1e-3, 1e-4))
+        for key in ("prediction_error", "estimation_error"):
+            errs = np.array([row[key] for row in rows])
+            assert np.all(np.log10(errs[:-1] / errs[1:]) >= 1.5), (pr, key, errs)
+    holds = [support_conditions_check(X, s)["condition3_holds"] for X, s in verify_supports]
+    assert holds == [True, False, False, True, False, False]
 
 
 def test_estimation_error_small_under_well_conditioned_design():

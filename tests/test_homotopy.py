@@ -590,6 +590,11 @@ def test_hs_config_validation_and_from_dict():
     # a count is any integral number but a bool, NumPy's included
     cfg = HSConfig(max_outer=np.int64(10), inner_fixed_count=np.int32(5))
     assert (cfg.max_outer, cfg.inner_fixed_count) == (10, 5)
+    # stored as Python numbers, so none reaches a trace or JSON file as NumPy's
+    cfg = HSConfig(max_outer=np.int64(10), t0=np.float32(2.5), B=np.int64(4))
+    assert [type(v) for v in (cfg.max_outer, cfg.t0, cfg.B, cfg.h)] == [int, float, float, float]
+    with pytest.raises(ValueError, match="h has the wrong type"):
+        HSConfig(h=10**400)  # past float range
     for bad in ({"max_outer": True}, {"max_outer": np.True_}, {"max_outer": 2.5},
                 {"inner_fixed_count": np.float64(5.0)}):
         with pytest.raises(ValueError, match=f"{next(iter(bad))} has the wrong type"):

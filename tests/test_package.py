@@ -150,3 +150,31 @@ def test_src_defs_have_a_caller():
                        if (p, i) != (path, node.lineno)):
                 uncalled.append(f"{path.name}:{node.lineno} {name}")
     assert uncalled == []
+
+
+# A hand-written number test: the numbers ABCs, NumPy's scalar kinds, a bool
+# instance check or an exact int type check; and an import of numbers.
+NUMBER_TEST = re.compile(r"\bnumbers\.|\bnp\.(integer|floating|number|bool_)\b"
+                         r"|isinstance\([^,()]+,\s*\(?[\w.,\s]*\bbool\b"
+                         r"|type\([^()]*\)\s+is\s+(not\s+)?int\b")
+IMPORTS_NUMBERS = re.compile(r"\s*(import|from)\s+numbers\b")
+
+
+def test_one_number_rule():
+    # Every record tests a number by problem.check_number alone, and only
+    # problem.py imports numbers: seven hand-written tests disagreed, one
+    # taking NumPy integers that the next refused, another passing NumPy's
+    # bools.  The problem JSON's scan of entry types is no number test.
+    import hslasso.problem
+
+    rule = [node for node in ast.parse(Path(hslasso.problem.__file__).read_text()).body
+            if isinstance(node, ast.FunctionDef) and node.name == "check_number"]
+    inside = range(rule[0].lineno, rule[0].end_lineno + 1) if rule else range(0)
+    found = []
+    for path in sorted(Path(hslasso.__file__).parent.glob("*.py")):
+        for i, line in enumerate(path.read_text().splitlines(), start=1):
+            if (NUMBER_TEST.search(line) and not (path.stem == "problem" and i in inside)
+                    or IMPORTS_NUMBERS.match(line) and path.stem != "problem"):
+                found.append(f"{path.name}:{i} {line.strip()}")
+    assert found == []
+    assert rule, "problem.check_number is gone"

@@ -21,6 +21,7 @@ from hslasso import baselines
 from hslasso.baselines import reference_minimum
 from hslasso.problem import (
     LassoProblem,
+    check_number,
     lasso_objective,
     load_problem_binary,
     load_problem_json,
@@ -41,6 +42,20 @@ def test_construction_validates():
     for bad in (True, np.True_, "1"):  # True built lambda = 1.0
         with pytest.raises(ValueError, match="lambda"):
             LassoProblem(y=np.zeros(3), X=np.ones((3, 2)), lam=bad)
+    # an int past float range raised OverflowError, no ValueError
+    with pytest.raises(ValueError, match="lambda has the wrong type"):
+        LassoProblem(y=np.zeros(3), X=np.ones((3, 2)), lam=10**400)
+    assert type(LassoProblem(y=np.zeros(3), X=np.ones((3, 2)), lam=np.int64(2)).lam) is float
+    # the one number test of every record: NumPy's numbers pass as Python's,
+    # a bool, NumPy's too, fails, and so does a float as an integer
+    for value, integral, expected in ((np.int64(3), True, 3), (np.uint8(3), False, 3.0),
+                                      (np.float32(0.5), False, 0.5), (10**400, True, 10**400)):
+        got = check_number("x", value, integral=integral)
+        assert got == expected and type(got) is type(expected)
+    for value, integral in ((True, True), (np.True_, False), (2.5, True), (np.float64(2.0), True),
+                            ("1", False), (None, False), (1j, False), (10**400, False)):
+        with pytest.raises(ValueError, match="x has the wrong type"):
+            check_number("x", value, integral=integral)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

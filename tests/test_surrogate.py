@@ -29,6 +29,10 @@ def test_spec_rejects_nonpositive_t():
               np.nextafter(hi, math.inf), 1e160):
         with pytest.raises(ValueError):
             SurrogateSpec(t)
+    for t in (True, np.True_, "0.5"):  # True built the level t = 1
+        with pytest.raises(ValueError, match="surrogate level t has the wrong type"):
+            SurrogateSpec(t)
+    assert type(SurrogateSpec(np.float32(0.5)).t) is float
     assert 0 < SurrogateSpec(lo).c_quad < math.inf and 0 < SurrogateSpec(hi).c_quad
 
 
