@@ -9,6 +9,7 @@ Exit codes: 0 ok, 1 finished without convergence, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -334,7 +335,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call.  Defaults
+    are immutable, so no call can hand a changed value to the next."""
     parser = argparse.ArgumentParser(prog="hslasso",
                                      description="Lasso solvers with operation-count benchmarking")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -367,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--n", type=int, default=None)
     pb.add_argument("--p", type=int, default=None)
     pb.add_argument("--methods", default=",".join(DEFAULT_METHODS))
-    pb.add_argument("--epsilons", type=float, nargs="+", default=list(DEFAULT_EPSILONS))
+    pb.add_argument("--epsilons", type=float, nargs="+", default=DEFAULT_EPSILONS)
     pb.add_argument("--lambda", dest="lam", type=float, default=BenchmarkGrid.lam)
     pb.add_argument("--seed", type=int, default=BenchmarkGrid.seed)
     pb.set_defaults(func=cmd_bench)
@@ -375,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="closeness diagnostics on a stored problem")
     pv.add_argument("--input", required=True)
     pv.add_argument("--levels", type=float, nargs="+",
-                    default=[1.0, 0.1, 0.01, 1e-3, 1e-4])
+                    default=(1.0, 0.1, 0.01, 1e-3, 1e-4))
     pv.set_defaults(func=cmd_verify)
     for sp in (pg, ps, pb, pv):
         sp.add_argument("--out-dir", default="out")

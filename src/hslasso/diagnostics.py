@@ -30,18 +30,6 @@ SWEEP_GRAD_TOL = 1e-10
 SWEEP_MAX_NEWTON = 500_000
 
 
-def _rotate(x, y, c: float, s: float, bufs) -> None:
-    """x <- c*x - s*y and y <- s*x + c*y in place, each product rounded once;
-    x and y are columns of [U; V], so one call rotates both factors."""
-    cx, sy, sx = bufs
-    np.multiply(x, c, out=cx)
-    np.multiply(y, s, out=sy)
-    np.multiply(x, s, out=sx)
-    np.subtract(cx, sy, out=x)
-    np.multiply(y, c, out=cx)
-    np.add(sx, cx, out=y)
-
-
 def jacobi_svd(a, tol: float = 1e-13, max_sweeps: int = 60):
     """Thin SVD by one-sided Jacobi rotations: a = U @ diag(s) @ Vt.
 
@@ -52,10 +40,12 @@ def jacobi_svd(a, tol: float = 1e-13, max_sweeps: int = 60):
     U is stacked above V, so a rotation is one in-place update of a
     column pair of length m + n through three scratch buffers.  Each
     column's squared norm is cached and recomputed only after the column
-    is rotated.  The floating-point operations and their order are those
-    of the plain loop with three dot products per pair, so the factors
-    are the same bytes.  Raises ValueError on a NaN or inf entry, and
-    NumericalFailure when the last of max_sweeps sweeps still finds a
+    is rotated.  Dot products go through ``ndarray.dot`` on the same
+    strided views: the BLAS call of ``@``, with less dispatch, which is
+    most of a call's time on vectors this short.  The floating-point
+    operations and their order are those of the plain loop with three dot
+    products per pair, so the factors are the same bytes.  Raises ValueError on a NaN or inf entry,
+    and NumericalFailure when the last of max_sweeps sweeps still finds a
     column pair with cosine >= tol: its factors would not be orthogonal.
     """
     a = np.asarray(a, dtype=float)
@@ -72,8 +62,10 @@ def jacobi_svd(a, tol: float = 1e-13, max_sweeps: int = 60):
     w = np.vstack((a, np.eye(n)))
     wcols = [w[:, k] for k in range(n)]
     ucols = [w[:m, k] for k in range(n)]
-    norms = [float(col @ col) for col in ucols]
-    bufs = (np.empty(m + n), np.empty(m + n), np.empty(m + n))
+    norms = [float(col.dot(col)) for col in ucols]
+    cx, sy, sx = np.empty(m + n), np.empty(m + n), np.empty(m + n)
+    multiply, subtract, add = np.multiply, np.subtract, np.add
+    sqrt, copysign = math.sqrt, math.copysign
     off = math.inf  # max_sweeps = 0 shows nothing converged
     for _ in range(max_sweeps):
         off = 0.0
@@ -82,21 +74,30 @@ def jacobi_svd(a, tol: float = 1e-13, max_sweeps: int = 60):
             for j in range(i + 1, n):
                 uj = ucols[j]
                 aii, ajj = norms[i], norms[j]
-                aij = float(ui @ uj)
-                root = math.sqrt(aii * ajj)
-                if aii * ajj > 0:
+                aij = float(ui.dot(uj))
+                prod = aii * ajj
+                root = sqrt(prod)
+                if prod > 0:
                     off = max(off, abs(aij) / root)
                 if abs(aij) <= tol * root or aij == 0.0:
                     continue
                 zeta = (ajj - aii) / (2.0 * aij)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
+                t = copysign(1.0, zeta) / (abs(zeta) + sqrt(1.0 + zeta * zeta))
                 if zeta == 0.0:
                     t = 1.0
-                c = 1.0 / math.sqrt(1.0 + t * t)
+                c = 1.0 / sqrt(1.0 + t * t)
                 s = c * t
-                _rotate(wcols[i], wcols[j], c, s, bufs)
-                norms[i] = float(ui @ ui)
-                norms[j] = float(uj @ uj)
+                # x <- c*x - s*y and y <- s*x + c*y in place, each product
+                # rounded once; x and y are columns of [U; V]
+                x, y = wcols[i], wcols[j]
+                multiply(x, c, cx)
+                multiply(y, s, sy)
+                multiply(x, s, sx)
+                subtract(cx, sy, x)
+                multiply(y, c, cx)
+                add(sx, cx, y)
+                norms[i] = float(ui.dot(ui))
+                norms[j] = float(uj.dot(uj))
         if off < tol:
             break
     else:
@@ -146,8 +147,8 @@ def prediction_error(problem: LassoProblem, beta_tilde, beta_hat) -> float:
     beta_hat = np.asarray(beta_hat, dtype=float)
     if beta_tilde.shape != (problem.p,) or beta_hat.shape != (problem.p,):
         raise ValueError("coefficient vectors must have length p")
-    d = problem.X @ (beta_tilde - beta_hat)
-    return float(d @ d / problem.n)
+    d = problem.X.dot(beta_tilde - beta_hat)
+    return float(d.dot(d) / problem.n)
 
 
 def estimation_error(beta_tilde, beta_hat) -> float:
@@ -156,7 +157,7 @@ def estimation_error(beta_tilde, beta_hat) -> float:
     if beta_tilde.shape != beta_hat.shape:
         raise ValueError("coefficient vectors must have equal length")
     d = beta_tilde - beta_hat
-    return float(d @ d)
+    return float(d.dot(d))
 
 
 def support_conditions_check(X, s_set) -> dict:
@@ -211,8 +212,9 @@ def support_conditions_check(X, s_set) -> dict:
 
 
 def closeness_sweep(problem: LassoProblem, ref, ts) -> list[dict]:
-    """Prediction and estimation errors of the smoothed minimizer along a
-    decreasing grid of levels.  Each minimizer is damped Newton from zero to
+    """Prediction and estimation errors of the smoothed minimizer at each
+    level of ts: one row per level given, in the order given, repeats
+    included.  Each minimizer is damped Newton from zero to
     ||grad F_t|| <= SWEEP_GRAD_TOL, uncounted; NumericalFailure after
     SWEEP_MAX_NEWTON steps."""
     rows = []

@@ -123,8 +123,8 @@ def lasso_objective(problem: LassoProblem, beta) -> float:
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (problem.p,):
         raise ValueError(f"beta must have shape ({problem.p},), got {beta.shape}")
-    r = problem.y - problem.X @ beta
-    return float(r @ r / (2.0 * problem.n) + problem.lam * np.abs(beta).sum())
+    r = problem.y - problem.X.dot(beta)
+    return float(r.dot(r) / (2.0 * problem.n) + problem.lam * np.abs(beta).sum())
 
 
 def subgradient_residual(problem: LassoProblem, beta) -> float:
@@ -136,7 +136,7 @@ def subgradient_residual(problem: LassoProblem, beta) -> float:
     clamps.
     """
     beta = np.asarray(beta, dtype=float)
-    g = problem.gram @ beta - problem.xty
+    g = problem.gram.dot(beta) - problem.xty
     lam = problem.lam
     a = np.abs(g + lam * np.sign(beta))  # |g_i| where beta_i = 0
     return max(float(np.where(beta != 0.0, a, a - lam).max()), 0.0)

@@ -133,8 +133,8 @@ def surrogate_value(problem: LassoProblem, spec: SurrogateSpec, beta) -> float:
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (problem.p,):
         raise ValueError(f"beta must have shape ({problem.p},), got {beta.shape}")
-    r = problem.y - problem.X @ beta
-    return float(r @ r / (2.0 * problem.n) + problem.lam * np.sum(spec.value(beta)))
+    r = problem.y - problem.X.dot(beta)
+    return float(r.dot(r) / (2.0 * problem.n) + problem.lam * np.sum(spec.value(beta)))
 
 
 def surrogate_grad(problem: LassoProblem, spec: SurrogateSpec,
@@ -206,7 +206,7 @@ def minimize_surrogate(problem: LassoProblem, spec: SurrogateSpec, beta_init: np
                                    f"> {tol:.3g} after {max_iters} iterations")
         hess = problem.gram + np.diag(problem.lam * spec.hess_diag(beta))
         d = -np.linalg.solve(hess, g)
-        slope = float(g @ d)
+        slope = float(g.dot(d))
         if not slope < 0.0:  # hess numerically singular: no descent direction
             d = -g
             slope = -gnorm * gnorm

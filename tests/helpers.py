@@ -4,8 +4,10 @@ per-coordinate coordinate-descent sweep, a Jacobi pseudo-inverse,
 instance factories, the objective and ops columns of a trace, and the
 closeness sweep's level minimizer.  These deliberately avoid the
 library's own solver paths.  The earlier bodies of the CD sweep, the
-subgradient residual, the objective, the Jacobi SVD, the penalty
-gradient, the smoothed gradient, the accelerated step (``AGDState``,
+subgradient residual, the objective, the smoothed objective's value, the
+prediction and estimation errors and the Jacobi SVD (these six through
+``@``, where the library calls ``ndarray.dot``), the penalty gradient,
+the smoothed gradient, the accelerated step (``AGDState``,
 ``agd_state``, ``agd_step``) and the HS inner loop (a plain loop of
 ``agd_step``) are kept here too, so that their library versions are
 pinned to the same bytes; so is the earlier record of the support
@@ -293,6 +295,21 @@ def subgradient_residual_before(problem, beta) -> float:
     lam = problem.lam
     r = np.where(beta != 0.0, g + lam * np.sign(beta), g - np.clip(g, -lam, lam))
     return float(np.max(np.abs(r))) if r.size else 0.0
+
+
+def surrogate_value_before(problem, spec, beta) -> float:
+    r = problem.y - problem.X @ beta
+    return float(r @ r / (2.0 * problem.n) + problem.lam * np.sum(spec.value(beta)))
+
+
+def prediction_error_before(problem, beta_tilde, beta_hat) -> float:
+    d = problem.X @ (beta_tilde - beta_hat)
+    return float(d @ d / problem.n)
+
+
+def estimation_error_before(beta_tilde, beta_hat) -> float:
+    d = beta_tilde - beta_hat
+    return float(d @ d)
 
 
 def jacobi_svd_before(a, tol: float = 1e-13, max_sweeps: int = 60):

@@ -711,3 +711,34 @@ def test_verify_leaves_numpy_ma_unimported(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads((tmp_path / "verify.json").read_text())
     assert "error" not in report["support_conditions"]  # the check ran
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())}
+
+
+def test_reused_parser_writes_what_a_fresh_process_writes(tmp_path, capsys):
+    # main parses with one parser per process; a flagged call must not leave
+    # its values behind as the next call's defaults
+    assert build_parser() is build_parser()
+    args = build_parser().parse_args(["verify", "--input", "p.json"])
+    assert isinstance(args.levels, tuple)
+    assert isinstance(build_parser().parse_args(["bench"]).epsilons, tuple)
+    assert run_cli(["datagen", "--n", "20", "--p", "5", "--lambda", "0.1",
+                    "--out-dir", str(tmp_path)]) == 0
+    small_bench = ["bench", "--sim", "sim1", "--n", "20", "--p", "5", "--methods", "ista"]
+    calls = [["verify", "--input", str(tmp_path / "problem.json"), "--levels", "0.5"],
+             ["verify", "--input", str(tmp_path / "problem.json")],
+             small_bench + ["--epsilons", "0.05"],
+             small_bench]
+    for k, argv in enumerate(calls):
+        assert run_cli(argv + ["--out-dir", str(tmp_path / f"main{k}")]) == 0, argv
+    capsys.readouterr()
+    for k, argv in enumerate(calls):
+        proc = run_module(argv + ["--out-dir", str(tmp_path / f"fresh{k}")])
+        assert proc.returncode == 0, proc.stderr
+        assert _files(tmp_path / f"main{k}") == _files(tmp_path / f"fresh{k}"), argv
+    assert len(json.loads((tmp_path / "main0" / "verify.json").read_text())
+               ["closeness_sweep"]) == 1
+    assert len(json.loads((tmp_path / "main1" / "verify.json").read_text())
+               ["closeness_sweep"]) == 5

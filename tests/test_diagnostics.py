@@ -241,7 +241,9 @@ def test_prediction_error_sweep_decreases():
     rows = closeness_sweep(pr, ref, ts=(1.0, 0.1, 0.01, 1e-3, 1e-4))
     # the documented Newton stop, bit for bit; at t = 0.5 and 3e-4 an iterate's
     # gradient norm lies in (1e-10, 1e-9], so a stop of 1e-9 shows there too
-    for row in rows + closeness_sweep(pr, ref, ts=(0.5, 3e-4)):
+    given = closeness_sweep(pr, ref, ts=(0.5, 3e-4, 0.5))  # one row per level, in order
+    assert [row["t"] for row in given] == [0.5, 3e-4, 0.5]
+    for row in rows + given:
         bt = surrogate_minimizer(pr, row["t"])
         assert row["prediction_error"] == prediction_error(pr, bt, ref.beta_hat)
         assert row["estimation_error"] == estimation_error(bt, ref.beta_hat)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from helpers import (
     bench_problems,
     grid_search_2d,
@@ -19,6 +20,7 @@ from helpers import (
 )
 from hslasso import baselines
 from hslasso.baselines import reference_minimum
+from hslasso.diagnostics import estimation_error, prediction_error
 from hslasso.problem import (
     LassoProblem,
     check_number,
@@ -465,3 +467,54 @@ def test_binary_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ValueError):
         load_problem_binary(path)
+
+
+@pytest.fixture(scope="module")
+def deep_iterates():
+    """The 48 homotopy-deep problems (eight grid seeds at lambda 0.1; grid
+    seed 0 holds the six closeness-verify problems before their sign flips),
+    each with iterates: zero, a dense and a sparse draw with signed zeros,
+    the closeness sweep's minimizer at t = 1e-2 and, last, the reference
+    minimizer."""
+    rng = np.random.default_rng(3000)
+    cases = []
+    for seed in range(0, 80, 10):
+        for pr in bench_problems(((50, 20), (100, 50), (50, 80)), 0.1, seed):
+            dense = rng.standard_normal(pr.p)
+            sparse = np.where(rng.random(pr.p) < 0.5, 0.0, rng.standard_normal(pr.p))
+            sparse[rng.random(pr.p) < 0.2] = -0.0
+            cases.append((pr, [np.zeros(pr.p), dense, sparse,
+                               helpers.surrogate_minimizer(pr, 1e-2),
+                               reference_minimum(pr, 1e-10).beta_hat]))
+    return cases
+
+
+def _same_bytes(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+# name -> (the library helper, its argument tuples at iterate b with reference ref)
+DOT_HELPERS = {
+    "lasso_objective": (lasso_objective, lambda pr, b, ref: [(pr, b)]),
+    "subgradient_residual": (subgradient_residual, lambda pr, b, ref: [(pr, b)]),
+    "surrogate_value": (surrogate_value, lambda pr, b, ref: [(pr, SurrogateSpec(t), b)
+                                                            for t in (1.0, 1e-2, 1e-4)]),
+    "prediction_error": (prediction_error, lambda pr, b, ref: [(pr, b, ref)]),
+    "estimation_error": (estimation_error, lambda pr, b, ref: [(b, ref)]),
+}
+
+
+@pytest.mark.parametrize("name", list(DOT_HELPERS))
+def test_dot_helpers_match_their_matmul_copies(deep_iterates, name):
+    # These helpers call ndarray.dot where their copies in helpers call @;
+    # on a numpy or BLAS build where the two round differently this fails
+    # by the helper's name.
+    fn, arguments = DOT_HELPERS[name]
+    copy = getattr(helpers, f"{name}_before")
+    checked = 0
+    for pr, iterates in deep_iterates:
+        for b in iterates:
+            for args in arguments(pr, b, iterates[-1]):
+                assert _same_bytes(fn(*args), copy(*args)), (name, pr)
+                checked += 1
+    assert checked >= 48 * 5

@@ -1,0 +1,33 @@
+"""tools/same_bytes.py: what counts as a difference between two runs."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_bytes.py"
+
+
+def _differences():
+    spec = importlib.util.spec_from_file_location("same_bytes", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.differences
+
+
+def _run(files, wall=1.0, ops_hs=5, failed=0):
+    """A run as the tool reads it: the result line and the outputs."""
+    metrics = {"wall_s": {"value": wall, "unit": "s"},
+               "ops.hs": {"value": ops_hs, "unit": "count"}}
+    return {"correct": True, "attempted": 6, "failed": failed, "metrics": metrics}, files
+
+
+def test_same_bytes_flags_outputs_ops_and_counts_but_not_timings():
+    differences = _differences()
+    base = _run({"grid0/bench_ops.csv": b"1\n"})
+    assert differences(base, _run({"grid0/bench_ops.csv": b"1\n"}, wall=2.0)) == []
+    assert differences(base, _run({"grid0/bench_ops.csv": b"2\n"})) == [
+        "outputs/grid0/bench_ops.csv"]
+    assert differences(base, _run({})) == ["outputs/grid0/bench_ops.csv"]
+    assert differences(base, _run({"grid0/bench_ops.csv": b"1\n"}, ops_hs=6)) == [
+        "ops.hs: 5 != 6"]
+    assert differences(base, _run({"grid0/bench_ops.csv": b"1\n"}, failed=1)) == [
+        "failed: 0 != 1"]

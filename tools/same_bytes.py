@@ -1,0 +1,86 @@
+"""Check that two trees write the same benchmark bytes and op counts.
+
+    python3 tools/same_bytes.py --parent DIR [--seed S]
+
+Runs ``perfbench/run.py --seconds 0`` at ``--trace 0`` and ``--trace 1``
+for every workload in BENCHMARK.json, first in DIR, then in the tree
+that holds this script. Each run's ``outputs/`` must hold the same files
+with the same bytes in both trees, every ``ops.*`` metric of the traced
+runs must be equal, and so must each run's correct, attempted and failed
+fields. Prints one line per run pair and exits 1 on any difference or on
+a run that fails, 0 otherwise. Timings are not compared.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parents[1]
+
+
+def run_tree(tree: Path, workload: str, seed: int, trace: int) -> tuple[dict, dict]:
+    """One ``--seconds 0`` run in ``tree``: its result line and its outputs,
+    file path (relative to ``outputs/``) -> bytes."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", "0", "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{tree}: {workload} trace {trace} exited {proc.returncode}:\n"
+                           f"{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    outputs = tree / ".perfbench_out" / f"{workload}-seed{seed}-trace{trace}" / "outputs"
+    files = {str(p.relative_to(outputs)): p.read_bytes()
+             for p in sorted(outputs.rglob("*")) if p.is_file()}
+    return result, files
+
+
+def op_counts(result: dict) -> dict:
+    return {k: v["value"] for k, v in result["metrics"].items() if k.startswith("ops.")}
+
+
+def differences(parent: tuple[dict, dict], change: tuple[dict, dict]) -> list[str]:
+    """What differs between two runs' results and outputs; empty if nothing."""
+    (p_result, p_files), (c_result, c_files) = parent, change
+    found = [f"outputs/{name}" for name in sorted(p_files.keys() | c_files.keys())
+             if p_files.get(name) != c_files.get(name)]
+    found += [f"{key}: {p_result.get(key)} != {c_result.get(key)}"
+              for key in ("correct", "attempted", "failed")
+              if p_result.get(key) != c_result.get(key)]
+    p_ops, c_ops = op_counts(p_result), op_counts(c_result)
+    found += [f"{key}: {p_ops.get(key)} != {c_ops.get(key)}"
+              for key in sorted(p_ops.keys() | c_ops.keys()) if p_ops.get(key) != c_ops.get(key)]
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True, type=Path,
+                        help="root of the tree to compare against")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    parent = args.parent.resolve()
+    if not (parent / "perfbench" / "run.py").is_file():
+        parser.error(f"{parent} holds no perfbench/run.py")
+    workloads = [w["name"] for w in json.loads((HERE / "BENCHMARK.json").read_text())["workloads"]]
+    same = True
+    for workload in workloads:
+        for trace in (0, 1):
+            runs = [run_tree(tree, workload, args.seed, trace) for tree in (parent, HERE)]
+            found = differences(*runs)
+            label = f"{workload} trace {trace}"
+            if found:
+                same = False
+                print(f"{label}: DIFFERS: " + "; ".join(found))
+            else:
+                ops = "".join(f", {k}={v}" for k, v in op_counts(runs[1][0]).items())
+                print(f"{label}: same ({len(runs[1][1])} output files{ops})")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
