@@ -36,6 +36,11 @@ from .problem import (
 from .trace import SolverTrace
 
 METHODS = ("ista", "fista", "cd", "sl")
+# the protocol of every run: sl's smoothing, and the reference's residual
+# tolerance and step cap
+SL_ALPHA = 100.0
+REF_TOL = 1e-10
+REF_MAX_ITERS = 500_000
 
 
 @dataclass(frozen=True)
@@ -47,26 +52,18 @@ class BaselineConfig:
     epsilon: float
     max_iters: int
     ref: ReferenceSolution | None  # None until the reference is computed
-    sl_alpha: float | None = None
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        counts = ("max_iters",)
-        reals = ("epsilon",) + (() if self.sl_alpha is None else ("sl_alpha",))
-        vars(self).update({name: check_number(name, getattr(self, name), integral=name in counts)
-                           for name in reals + counts})
+        vars(self).update(epsilon=check_number("epsilon", self.epsilon),
+                          max_iters=check_number("max_iters", self.max_iters, integral=True))
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not np.all(np.isfinite(self.beta0)):
             raise ValueError("beta0 must be finite (no NaN or inf entries)")
-        if self.method == "sl":
-            if self.sl_alpha is None or not 0 < self.sl_alpha < math.inf:
-                raise ValueError("sl requires a positive, finite sl_alpha")
-        elif self.sl_alpha is not None:
-            raise ValueError("sl_alpha is only meaningful for method 'sl'")
 
 
 def iterate(state, step, stop, max_iters: int):
@@ -264,9 +261,9 @@ def _sl_step(problem, alpha, step, state, counter):
 
 def sl_solve(problem: LassoProblem, config: BaselineConfig,
              counter: OpCounter | None = None) -> SolverTrace:
-    """Momentum descent on the smoothed objective with fixed step
-    1 / (sigma_max^2(X/sqrt(n)) + lambda*alpha/2)."""
-    alpha = config.sl_alpha
+    """Momentum descent on the smoothed objective, alpha = SL_ALPHA, with
+    fixed step 1 / (sigma_max^2(X/sqrt(n)) + lambda*alpha/2)."""
+    alpha = SL_ALPHA
     counter = counter if counter is not None else OpCounter()
     step = 1.0 / (problem.eig_max + problem.lam * alpha / 2.0)
     counter.mults += 2
@@ -311,61 +308,62 @@ FINISH_LOOSE_TOL = 1e-1
 FINISH_TIGHTEN = 2.0
 
 
-def _minimize_to_residual(problem, state, step, tol, max_iters, finish=None):
-    """Drive ``step`` until the subgradient residual is <= tol; None at the cap.
+def _minimize_to_residual(problem, state, step, finish=None):
+    """Drive ``step`` until the subgradient residual is <= REF_TOL; None at
+    REF_MAX_ITERS steps.
 
     With ``finish``, the run also stops at residual FINISH_LOOSE_TOL and at
-    each FINISH_TIGHTEN times smaller one above tol, and returns
+    each FINISH_TIGHTEN times smaller one above REF_TOL, and returns
     finish(iterate) the first time that is not None.  It resumes from its
     full state after each refusal, so without an accepted finish the result
     is the plain run's iterate; the cap counts every step.  The reference's
-    finish accepts only a solve with residual <= tol, which depends on the
-    iterate's sign pattern alone, so where the stops lie changes only the
-    cost: a problem with a unique minimizer gets the same bytes at whichever
-    stop first finds its pattern.
+    finish accepts only a solve with residual <= REF_TOL, which depends on
+    the iterate's sign pattern alone, so where the stops lie changes only
+    the cost: a problem with a unique minimizer gets the same bytes at
+    whichever stop first finds its pattern.
     """
-    stop_tol = tol if finish is None else max(FINISH_LOOSE_TOL, tol)
+    stop_tol = REF_TOL if finish is None else max(FINISH_LOOSE_TOL, REF_TOL)
+    max_iters = REF_MAX_ITERS
     while True:
         state, steps, reached = iterate(
             state, step, lambda s, k: subgradient_residual(problem, s[0]) <= stop_tol, max_iters)
         max_iters -= steps
         if not reached:
             return None
-        if stop_tol <= tol:
+        if stop_tol <= REF_TOL:
             return state[0]
         finished = finish(state[0])
         if finished is not None:
             return finished
-        stop_tol = max(stop_tol / FINISH_TIGHTEN, tol)
+        stop_tol = max(stop_tol / FINISH_TIGHTEN, REF_TOL)
 
 
-def fista_minimize_to_residual(problem, beta0, tol, max_iters=500_000, finish=None):
-    """Accelerated proximal gradient until the minimum-norm subgradient of
-    the objective drops below tol; returns None if the cap is hit.
-    ``finish`` is tried on the way, as in :func:`_minimize_to_residual`."""
+def fista_minimize_to_residual(problem, finish=None):
+    """Accelerated proximal gradient from zero until the minimum-norm subgradient
+    drops below REF_TOL; None at the cap.  ``finish`` is tried on the way, as
+    in :func:`_minimize_to_residual`."""
+    beta = np.zeros(problem.p)
     L = problem.eig_max
     if not L > 0:
-        return np.zeros(problem.p) if subgradient_residual(problem, np.zeros(problem.p)) <= tol else None
+        return beta if subgradient_residual(problem, beta) <= REF_TOL else None
     thr = problem.lam / L
-    beta = np.asarray(beta0, dtype=float).copy()
     return _minimize_to_residual(problem, (beta, beta.copy(), 1.0),
-                                 lambda s: _fista_step(problem, L, thr, s, None), tol, max_iters,
-                                 finish)
+                                 lambda s: _fista_step(problem, L, thr, s, None), finish)
 
 
-def cd_minimize_to_residual(problem, beta0, tol, max_iters=500_000):
-    """Cyclic coordinate descent until the subgradient residual drops below
-    tol; returns None if the sweep cap is hit.  No library path calls it:
+def cd_minimize_to_residual(problem):
+    """Cyclic coordinate descent from zero until the subgradient residual
+    drops below REF_TOL; None at the sweep cap.  No library path calls it:
     the test suite runs it as an independent cross-check of the reference.
     """
     xtx = problem.gram * problem.n
     data = _cd_data(xtx, problem.xty * problem.n, problem.n * problem.lam)
-    beta = np.asarray(beta0, dtype=float).copy()
+    beta = np.zeros(problem.p)
     return _minimize_to_residual(problem, (beta, xtx @ beta),
-                                 lambda s: _cd_sweep(s[0], data, s[1], None), tol, max_iters)
+                                 lambda s: _cd_sweep(s[0], data, s[1], None))
 
 
-def support_kkt_solution(problem: LassoProblem, beta, tol: float) -> np.ndarray | None:
+def support_kkt_solution(problem: LassoProblem, beta) -> np.ndarray | None:
     """Exact minimizer on the sign pattern of beta, or None.
 
     With S = supp(beta) and s = sign(beta_S), solves the stationarity
@@ -373,7 +371,7 @@ def support_kkt_solution(problem: LassoProblem, beta, tol: float) -> np.ndarray 
     active-set step of the exact Lasso homotopy (Osborne, Presnell &
     Turlach, IMA J. Numer. Anal. 2000; LARS, Efron et al., Ann. Stat. 2004).
     b is returned only if it keeps the signs s and its subgradient residual
-    is <= tol; a singular gram_SS returns None.
+    is <= REF_TOL; a singular gram_SS returns None.
     """
     beta = np.asarray(beta, dtype=float)
     S = np.flatnonzero(beta)
@@ -383,34 +381,34 @@ def support_kkt_solution(problem: LassoProblem, beta, tol: float) -> np.ndarray 
         b[S] = np.linalg.solve(problem.gram[np.ix_(S, S)], problem.xty[S] - problem.lam * s)
     except np.linalg.LinAlgError:
         return None
-    if np.array_equal(np.sign(b[S]), s) and subgradient_residual(problem, b) <= tol:
+    if np.array_equal(np.sign(b[S]), s) and subgradient_residual(problem, b) <= REF_TOL:
         return b
     return None
 
 
-def _reference_iterate(problem: LassoProblem, tol: float) -> tuple[np.ndarray | None, str]:
+def _reference_iterate(problem: LassoProblem) -> tuple[np.ndarray | None, str]:
     """FISTA from zero, finished by :func:`support_kkt_solution` at the first
     looser residual where that solve is accepted; otherwise FISTA's own
-    iterate at residual <= tol.  Returns (beta or None at the cap, method)."""
+    iterate at residual <= REF_TOL.  Returns (beta or None at the cap, method)."""
     method = "fista"
 
     def finish(beta):
         nonlocal method
-        exact = support_kkt_solution(problem, beta, tol)
+        exact = support_kkt_solution(problem, beta)
         if exact is not None:  # the run returns at the first accepted solve
             method = "support-kkt"
         return exact
 
-    beta = fista_minimize_to_residual(problem, np.zeros(problem.p), tol, finish=finish)
+    beta = fista_minimize_to_residual(problem, finish=finish)
     return beta, method
 
 
-def reference_minimum(problem: LassoProblem, tol: float) -> ReferenceSolution:
+def reference_minimum(problem: LassoProblem) -> ReferenceSolution:
     """Certified ground-truth minimum: the iterate of :func:`_reference_iterate`,
-    whose subgradient residual is <= tol, certified by the Lasso duality gap G
-    (Gap Safe screening: Fercoq, Gramfort & Salmon, ICML 2015).  With
-    r = y - X b, g = X'r/n and a = min(1, lambda/||g||_inf), theta = a r/n is
-    dual feasible, so G = f(b) - (theta'y - (n/2)||theta||^2) >= f(b) - f*.
+    whose subgradient residual is <= tol = REF_TOL, certified by the Lasso
+    duality gap G (Gap Safe screening: Fercoq, Gramfort & Salmon, ICML 2015).
+    With r = y - X b, g = X'r/n and a = min(1, lambda/||g||_inf), theta = a r/n
+    is dual feasible, so G = f(b) - (theta'y - (n/2)||theta||^2) >= f(b) - f*.
     The residual bound tol bounds G:
       G = (1-a)^2 ||r||^2/(2n) + lambda ||b||_1 - a g'b;
       ||g||_inf <= lambda + tol, so 1-a <= tol/lambda, and g_i b_i >= (lambda - tol)|b_i|;
@@ -418,9 +416,8 @@ def reference_minimum(problem: LassoProblem, tol: float) -> ReferenceSolution:
            <= (tol/lambda)^2 ||r||^2/(2n) + 2 tol ||b||_1.
     A larger G, beyond 1e-12 max(1, |f|) of round-off, raises NumericalFailure.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"reference tolerance {tol!r} must be positive and finite")
-    beta, method = _reference_iterate(problem, tol)
+    tol = REF_TOL
+    beta, method = _reference_iterate(problem)
     if beta is None:
         raise NumericalFailure("reference solver did not reach the residual tolerance")
     f = lasso_objective(problem, beta)

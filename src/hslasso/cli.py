@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, diagnostics
-from .baselines import reference_minimum
+from .baselines import REF_TOL, SL_ALPHA, reference_minimum
 from .datagen import SyntheticSpec, generate
 from .homotopy import HSConfig, hs_solve
 from .opcount import OpCounter
@@ -42,11 +42,9 @@ SIM_PATTERNS = {"sim1": "dense-exp", "sim2": "sparse-exp"}
 SIM_BETA0 = {"sim1": 1.0, "sim2": 0.1}  # flat starting values of the flat methods
 GEN_DEFAULTS = dict(scenario="sim1", n=50, p=20, rho=0.1, snr=SyntheticSpec.snr, lam=1e-3,
                     seed=0)
-# the protocol of every run, solve's, verify's and each bench cell's: the
-# reference tolerance, the step cap of a flat solve and sl's smoothing
-REF_TOL = 1e-10
+# the step cap of every flat solve, solve's and each bench cell's; the
+# reference's tolerance and sl's smoothing are baselines.REF_TOL and SL_ALPHA
 MAX_ITERS = 200000
-SL_ALPHA = 100.0
 # the paper's bench protocol: fixed-count inner loop, oracle outer stop,
 # and HSConfig's own h, tau and max_outer
 BENCH_HS = HSConfig(t0=3.0, inner_stop="fixed", inner_fixed_count=50, outer_stop="oracle")
@@ -154,12 +152,11 @@ def _beta0_vector(problem: LassoProblem, spec: str) -> np.ndarray:
 def _cell_config(method, epsilon, hs, beta0):
     """The checked config of one solver run to ``epsilon``, built before the
     reference; ``hs`` is the homotopy config before its precision is set.
-    The flat settings are checked for every method, as ``sl`` reads them all."""
-    flat = baselines.BaselineConfig(method="sl", beta0=beta0, epsilon=epsilon,
-                                    max_iters=MAX_ITERS, ref=None, sl_alpha=SL_ALPHA)
-    if method == "hs":
-        return replace(hs, epsilon=epsilon)
-    return replace(flat, method=method, sl_alpha=SL_ALPHA if method == "sl" else None)
+    The flat settings are checked under ``hs`` too, so a bad ``--beta0`` or
+    step cap is a usage error whatever the method."""
+    flat = baselines.BaselineConfig(method="ista" if method == "hs" else method, beta0=beta0,
+                                    epsilon=epsilon, max_iters=MAX_ITERS, ref=None)
+    return replace(hs, epsilon=epsilon) if method == "hs" else flat
 
 
 def _solve_cell(problem, cfg, ref):
@@ -177,7 +174,7 @@ def cmd_solve(args) -> int:
             hs = HSConfig.from_dict(json.load(fh))
     problem = _load_problem(args.input)
     cfg = _cell_config(args.method, args.epsilon, hs, _beta0_vector(problem, args.beta0))
-    ref = reference_minimum(problem, REF_TOL)
+    ref = reference_minimum(problem)
     trace, counter = _solve_cell(problem, cfg, ref)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -245,7 +242,7 @@ def run_bench(grid: BenchmarkGrid) -> tuple[str, str, str, dict]:
             problem = generate(spec, lam=grid.lam)
             cfgs = [_cell_config(method, tightest, BENCH_HS, SIM_BETA0[sim] * np.ones(p))
                     for method in grid.methods]
-            ref = reference_minimum(problem, REF_TOL)
+            ref = reference_minimum(problem)
             for method, cfg in zip(grid.methods, cfgs):
                 trace, counter = _solve_cell(problem, cfg, ref)
                 hits = [trace.first_ops_at_gap(ref.f_min, eps) for eps in epsilons]
@@ -302,7 +299,7 @@ def cmd_verify(args) -> int:
     for t in args.levels:  # each level is checked before the reference runs
         SurrogateSpec(t)
     problem = _load_problem(args.input)
-    ref = reference_minimum(problem, REF_TOL)
+    ref = reference_minimum(problem)
     sweep = diagnostics.closeness_sweep(problem, ref, tuple(args.levels))
     tol = diagnostics.default_support_tol(ref.beta_hat)
     support = diagnostics.support_set(ref.beta_hat, tol)
@@ -366,8 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # one protocol, BENCH_HS, MAX_ITERS, SL_ALPHA and REF_TOL; the flags pick the grid only
     pb = sub.add_parser("bench", help="run the benchmark grid")
-    pb.add_argument("--scenario", "--sim", dest="sim",
-                    choices=(*SIM_PATTERNS, "both"), default="both")
+    pb.add_argument("--sim", choices=(*SIM_PATTERNS, "both"), default="both")
     pb.add_argument("--n", type=int, default=None)
     pb.add_argument("--p", type=int, default=None)
     pb.add_argument("--methods", default=",".join(DEFAULT_METHODS))

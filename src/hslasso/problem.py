@@ -202,6 +202,9 @@ def load_problem_binary(path) -> LassoProblem:
         if len(header) != 16:
             raise ValueError(f"truncated header: {len(header)} of 16 bytes after the magic")
         n, p, lam = struct.unpack("<IId", header)
-        y = np.frombuffer(fh.read(8 * n), dtype="<f8")
-        X = np.frombuffer(fh.read(8 * n * p), dtype="<f8").reshape((n, p), order="F")
-    return LassoProblem(y=y, X=X, lam=lam)
+        body = fh.read()  # the file's own length, whatever the header declares
+    if len(body) != 8 * n * (p + 1):
+        raise ValueError(f"body of {len(body)} bytes; the header's n={n}, p={p} "
+                         f"declare {8 * n * (p + 1)}")
+    data = np.frombuffer(body, dtype="<f8")
+    return LassoProblem(y=data[:n], X=data[n:].reshape((n, p), order="F"), lam=lam)

@@ -116,13 +116,13 @@ def test_criterion_2_oracle_equivalence():
     count = 0
     for seed in range(15):  # exhaustive 1e-3 grid over [-3,3]^2
         pr = make_problem(200 + seed, n=10, p=2, lam=0.1 + 0.02 * seed)
-        ref = reference_minimum(pr, 1e-10)
+        ref = reference_minimum(pr)
         best, _ = grid_search_2d(pr)
         worst_grid = max(worst_grid, abs(ref.f_min - best))
         count += 1
     for seed in range(35):  # multiresolution refinement for p = 3
         pr = make_problem(300 + seed, n=12, p=3, lam=0.08 + 0.01 * seed)
-        ref = reference_minimum(pr, 1e-10)
+        ref = reference_minimum(pr)
         best, _ = grid_refine(pr)
         worst_grid = max(worst_grid, abs(ref.f_min - best))
         count += 1
@@ -133,7 +133,7 @@ def test_criterion_2_oracle_equivalence():
         y = 2.0 * rng.standard_normal(n)
         lam = 0.02 + 0.01 * seed
         pr = identity_problem(y, lam)
-        ref = reference_minimum(pr, 1e-10)
+        ref = reference_minimum(pr)
         expected = identity_closed_form(y, n, lam)
         worst_id = max(worst_id, float(np.max(np.abs(ref.beta_hat - expected))))
     ok = worst_grid < 1e-5 and worst_id < 1e-8
@@ -145,17 +145,17 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_bound_dominance():
     start = time.time()
-    solvers = (("ista", ista_solve, None), ("fista", fista_solve, None),
-               ("cd", cd_solve, None), ("sl", sl_solve, 100.0))
+    solvers = (("ista", ista_solve), ("fista", fista_solve), ("cd", cd_solve),
+               ("sl", sl_solve))
     worst = -np.inf
     ok = True
     for seed in range(20):
         pr = generate(SyntheticSpec(n=50, p=20, rho=0.1, seed=seed), lam=1e-3)
-        ref = reference_minimum(pr, 1e-10)
+        ref = reference_minimum(pr)
         beta0 = np.ones(20)
-        for method, solver, alpha in solvers:
+        for method, solver in solvers:
             cfg = BaselineConfig(method=method, beta0=beta0, epsilon=1e-30,
-                                 max_iters=5000, ref=ref, sl_alpha=alpha)
+                                 max_iters=5000, ref=ref)
             tr = solver(pr, cfg)
             f = f_values(tr)
             ks = np.arange(1, len(f))
@@ -224,7 +224,7 @@ def test_criterion_4_agd_contraction_and_prox():
 def test_criterion_5_hs_end_to_end():
     start = time.time()
     pr = generate(SyntheticSpec(n=50, p=20, rho=0.1, seed=1000), lam=1e-3)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
 
     oracle_cfg = HSConfig(t0=3.0, h=0.1, epsilon=0.005, outer_stop="oracle",
                           ref=ref, inner_stop="fixed", inner_fixed_count=50)
@@ -309,7 +309,7 @@ def test_criterion_7_diagnostics():
     worst = 0.0
     for seed in range(10):
         pr = generate(SyntheticSpec(n=50, p=20, rho=0.1, seed=seed), lam=1e-3)
-        ref = reference_minimum(pr, 1e-10)
+        ref = reference_minimum(pr)
         bt = surrogate_minimizer(pr, 1e-4)
         worst = max(worst, prediction_error(pr, bt, ref.beta_hat))
     ok = worst < 1e-6

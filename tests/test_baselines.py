@@ -20,6 +20,7 @@ from helpers import (
 )
 from hslasso.baselines import (
     METHODS,
+    SL_ALPHA,
     BaselineConfig,
     _cd_data,
     _cd_sweep,
@@ -62,21 +63,16 @@ def test_soft_threshold_is_prox(x, alpha):
     assert abs(z - best) <= res + 1e-12
 
 
-def _cfg(method, pr, ref, eps=1e-8, beta0=None, iters=20000, alpha=None):
+def _cfg(method, pr, ref, eps=1e-8, beta0=None, iters=20000):
     b0 = np.ones(pr.p) if beta0 is None else beta0
-    return BaselineConfig(method=method, beta0=b0, epsilon=eps, max_iters=iters,
-                          ref=ref, sl_alpha=alpha)
+    return BaselineConfig(method=method, beta0=b0, epsilon=eps, max_iters=iters, ref=ref)
 
 
 def test_validation():
     pr = make_problem(0)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     with pytest.raises(ValueError):
         _cfg("nope", pr, ref)
-    with pytest.raises(ValueError):
-        _cfg("sl", pr, ref)  # missing alpha
-    with pytest.raises(ValueError):
-        _cfg("ista", pr, ref, alpha=3.0)  # stray alpha
     for bad in (np.nan, np.inf):
         beta0 = np.ones(pr.p)
         beta0[1] = bad
@@ -101,21 +97,11 @@ def test_validation():
             for iters in (np.int64(7), 7)]
     assert [len(tr.records) for tr in runs] == [8, 8]
     assert runs[0].final_beta.tobytes() == runs[1].final_beta.tobytes()
-    for bad in (-1.0, np.inf):  # inf ran sl with step 0 and a NaN smoothed objective
-        with pytest.raises(ValueError, match="sl_alpha"):
-            _cfg("sl", pr, ref, alpha=bad)
-    for bad in (True, np.True_, "100"):  # True ran sl at alpha 1
-        with pytest.raises(ValueError, match="sl_alpha has the wrong type"):
-            _cfg("sl", pr, ref, alpha=bad)
-    assert type(_cfg("sl", pr, ref, alpha=np.int64(100)).sl_alpha) is float
-    for bad in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="reference tolerance"):
-            reference_minimum(pr, bad)
 
 
 def test_ista_stops_immediately_at_reference():
     pr = make_problem(1)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     tr = ista_solve(pr, _cfg("ista", pr, ref, beta0=ref.beta_hat.copy()))
     assert tr.converged
     assert len(tr.records) == 1  # only the initial row
@@ -126,7 +112,7 @@ def test_ista_identity_one_step_reaches_closed_form():
     y = rng.standard_normal(5) * 2
     lam = 0.1
     pr = identity_problem(y, lam)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     tr = ista_solve(pr, _cfg("ista", pr, ref, eps=1e-12, beta0=np.zeros(5), iters=3))
     expected = identity_closed_form(y, 5, lam)
     assert np.max(np.abs(tr.final_beta - expected)) < 1e-10
@@ -140,7 +126,7 @@ def test_fista_momentum_recurrence():
     assert t3 == pytest.approx((1 + math.sqrt(1 + 4 * t2 * t2)) / 2)
     # first iteration equals an ISTA step (zero momentum weight)
     pr = make_problem(2)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     a = ista_solve(pr, _cfg("ista", pr, ref, eps=1e-30, iters=1))
     b = fista_solve(pr, _cfg("fista", pr, ref, eps=1e-30, iters=1))
     assert np.array_equal(a.final_beta, b.final_beta)
@@ -153,7 +139,7 @@ def test_cd_one_sweep_on_orthonormal_columns():
     X = q * math.sqrt(n)
     y = np.random.default_rng(4).standard_normal(n)
     pr = LassoProblem(y=y, X=X, lam=0.05)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     tr = cd_solve(pr, _cfg("cd", pr, ref, eps=1e-30, beta0=np.zeros(4), iters=1))
     expected = soft_threshold(X.T @ y, n * pr.lam) / n
     assert np.max(np.abs(tr.final_beta - expected)) < 1e-10
@@ -162,7 +148,7 @@ def test_cd_one_sweep_on_orthonormal_columns():
 
 def test_cd_fixed_point_is_subgradient_optimal():
     pr = make_problem(6, n=25, p=8, lam=0.05)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     tr = cd_solve(pr, _cfg("cd", pr, ref, eps=1e-30, iters=400))
     assert subgradient_residual(pr, tr.final_beta) < 1e-8
 
@@ -180,7 +166,7 @@ def test_cd_rejects_zero_diagonal():
 
 def test_cd_deterministic():
     pr = make_problem(7, p=5)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     t1 = cd_solve(pr, _cfg("cd", pr, ref, iters=50))
     t2 = cd_solve(pr, _cfg("cd", pr, ref, iters=50))
     assert np.array_equal(t1.final_beta, t2.final_beta)
@@ -196,7 +182,7 @@ def _orthonormal_problem():
 
 def _sign_crossing_start(pr):
     # start on the far side of zero from the minimizer in every coordinate
-    beta_hat = reference_minimum(pr, 1e-10).beta_hat
+    beta_hat = reference_minimum(pr).beta_hat
     return -3.0 * np.where(beta_hat >= 0.0, 1.0, -1.0)
 
 
@@ -310,8 +296,7 @@ def test_charge_pinned(case):
     c = OpCounter()
     if case in METHODS:
         never = ReferenceSolution(beta_hat=np.zeros(p), f_min=-np.inf, dual_gap=1e-9)
-        alpha = 100.0 if case == "sl" else None
-        tr = solve(pr, BaselineConfig(case, np.ones(p), 1e-12, 50, never, alpha), c)
+        tr = solve(pr, BaselineConfig(case, np.ones(p), 1e-12, 50, never), c)
         assert len(tr.records) == 51
         assert not tr.converged
         assert np.all(np.diff(trace_ops(tr)) == per_iterate)
@@ -374,15 +359,16 @@ def test_sl_gradient_at_least_squares_point():
 
 def test_sl_objective_decreases_and_converges():
     pr = make_problem(10, n=30, p=6, lam=1e-3)
-    ref = reference_minimum(pr, 1e-10)
-    tr = sl_solve(pr, _cfg("sl", pr, ref, eps=1e-4, iters=20000, alpha=200.0))
+    ref = reference_minimum(pr)
+    # the smoothing bias is at most lambda*p*2ln2/SL_ALPHA = 8.3e-5, inside eps
+    tr = sl_solve(pr, _cfg("sl", pr, ref, eps=1e-4, iters=20000))
     assert tr.converged
     assert lasso_objective(pr, tr.final_beta) - ref.f_min <= 1e-4
 
 
 def test_theoretical_bound_values():
     pr = make_problem(11)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     beta0 = np.ones(pr.p)
     d2 = float(np.sum((beta0 - ref.beta_hat) ** 2))
     L = pr.eig_max
@@ -411,9 +397,10 @@ def test_theoretical_bound_values():
 ])
 def test_bound_dominance_small_instance(method, solver, alpha):
     pr = make_problem(12, n=30, p=8, lam=1e-3)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     beta0 = np.ones(8)
-    tr = solver(pr, _cfg(method, pr, ref, eps=1e-30, beta0=beta0, iters=800, alpha=alpha))
+    assert alpha in (None, SL_ALPHA)  # sl's envelope is checked at this smoothing
+    tr = solver(pr, _cfg(method, pr, ref, eps=1e-30, beta0=beta0, iters=800))
     f = f_values(tr)
     for k in range(1, len(f)):
         bound = theoretical_bound(method, k, pr, beta0, ref)
@@ -422,7 +409,7 @@ def test_bound_dominance_small_instance(method, solver, alpha):
 
 def test_solver_agreement_at_tight_precision():
     pr = make_problem(13, n=30, p=6, lam=0.02)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     finals = {}
     for m, s in (("ista", ista_solve), ("fista", fista_solve), ("cd", cd_solve)):
         tr = s(pr, _cfg(m, pr, ref, eps=1e-10, iters=200000))
@@ -434,7 +421,7 @@ def test_solver_agreement_at_tight_precision():
 
 def test_trace_schema_for_flat_methods():
     pr = make_problem(14)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     c = OpCounter()
     tr = fista_solve(pr, _cfg("fista", pr, ref, eps=1e-6), c)
     csv = tr.to_csv().splitlines()

@@ -43,6 +43,8 @@ def test_usage_error_exit_code(tmp_path):
                solve + ["--max-inner", "5"],
                ["bench", "--t0", "3"], ["bench", "--inner-fixed", "9"],
                ["bench", "--max-iters", "5"], ["bench", "--format", "json"],
+               # one spelling of the simulation flag; datagen keeps --scenario
+               ["bench", "--scenario", "sim1"],
                # homotopy settings other than t0 and h are keys of the --hs-config file
                solve + ["--bound", "5"], solve + ["--tau", "1e-3"],
                solve + ["--inner-stop", "gradient"], solve + ["--inner-fixed", "9"],
@@ -78,8 +80,8 @@ FLAG_SURFACE = {
     "datagen": ["--lambda", "--n", "--name", "--out-dir", "--p", "--rho", "--scenario",
                 "--seed", "--snr", "--sparsity"],
     "solve": ["--beta0", "--epsilon", "--hs-config", "--input", "--method", "--out-dir"],
-    "bench": ["--epsilons", "--lambda", "--methods", "--n", "--out-dir", "--p", "--scenario",
-              "--seed", "--sim"],
+    "bench": ["--epsilons", "--lambda", "--methods", "--n", "--out-dir", "--p", "--seed",
+              "--sim"],
     "verify": ["--input", "--levels", "--out-dir"],
 }
 
@@ -130,6 +132,28 @@ def test_truncated_binary_header_is_usage_error(tmp_path):
         load_problem_binary(short)
     assert run_cli(["solve", "--method", "ista", "--input", str(short),
                     "--out-dir", str(tmp_path)]) == 2
+
+
+def test_binary_body_length_must_match_the_header(tmp_path, capsys):
+    # a header declaring n = p = 2**32 - 1 ended in a MemoryError traceback
+    # (exit 1), and 8 stray bytes after a valid body loaded silently
+    from hslasso.problem import load_problem_binary
+
+    assert run_cli(["datagen", "--n", "12", "--p", "5", "--out-dir", str(tmp_path)]) == 0
+    good = (tmp_path / "problem.bin").read_bytes()
+    huge = good[:4] + (2**32 - 1).to_bytes(4, "little") * 2 + good[12:]
+    for name, data in (("huge.bin", huge), ("long.bin", good + bytes(8)),
+                       ("short.bin", good[:-8])):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="the header's n="):
+            load_problem_binary(path)
+        proc = run_module(["solve", "--method", "ista", "--input", str(path),
+                           "--out-dir", str(tmp_path / "out")])
+        assert proc.returncode == 2, proc.stderr
+        assert "usage error" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+    assert load_problem_binary(tmp_path / "problem.bin").n == 12
 
 
 def test_solve_reproduces_bench_cell(tmp_path, capsys):
@@ -234,7 +258,6 @@ def test_hs_settings_have_one_source(tmp_path, capsys, flags, config):
 
 
 @pytest.mark.parametrize("method,flags,protocol", [
-    ("sl", [], {"SL_ALPHA": -1.0}),
     ("ista", ["--epsilon", "-1"], {}),
     ("fista", [], {"MAX_ITERS": 0}),
     ("cd", ["--beta0", "nan"], {}),
@@ -242,13 +265,12 @@ def test_hs_settings_have_one_source(tmp_path, capsys, flags, config):
     ("hs", ["--epsilon", "0"], {}),
     ("hs", ["--beta0", "nan"], {}),
     ("hs", [], {"MAX_ITERS": 0}),
-    ("ista", [], {"SL_ALPHA": -5.0}),
-], ids=["sl-alpha", "ista-epsilon", "fista-max-iters", "cd-beta0-nan", "cd-beta0-word",
-        "hs-epsilon", "hs-beta0-nan", "hs-max-iters", "ista-sl-alpha"])
+], ids=["ista-epsilon", "fista-max-iters", "cd-beta0-nan", "cd-beta0-word",
+        "hs-epsilon", "hs-beta0-nan", "hs-max-iters"])
 def test_solve_checks_inputs_before_the_reference(tmp_path, monkeypatch, method, flags,
                                                   protocol):
-    # each was rejected only after a full reference solve; the step cap and
-    # sl's smoothing, once flags, are protocol constants checked the same way
+    # each was rejected only after a full reference solve; the step cap,
+    # once a flag, is a protocol constant checked the same way
     import hslasso.cli as cli
 
     assert run_cli(["datagen", "--n", "20", "--p", "5", "--out-dir", str(tmp_path)]) == 0
@@ -273,7 +295,7 @@ def test_solve_checks_inputs_before_the_reference(tmp_path, monkeypatch, method,
 def test_non_finite_tolerances_are_usage_errors(tmp_path, capsys, argv, setting):
     # --epsilon inf exited 0 after no step, or 2 with only "math domain
     # error"; B = inf ended in an OverflowError traceback when counting the
-    # levels. The reference tolerance is the constant REF_TOL, no flag.
+    # levels. The reference tolerance is the constant baselines.REF_TOL, no flag.
     assert run_cli(["datagen", "--n", "20", "--p", "5", "--out-dir", str(tmp_path)]) == 0
     (tmp_path / "theoretical.json").write_text('{"outer_stop": "theoretical-count"}')
     (tmp_path / "infinite_b.json").write_text(
@@ -337,7 +359,7 @@ def test_zero_column_design_is_solved(tmp_path):
     X[:, 2] = 0.0
     y = X @ rng.uniform(-1.0, 1.0, 6) + 0.3 * rng.standard_normal(30)
     pr = LassoProblem(y=y, X=X, lam=0.05)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     assert ref.beta_hat[2] == 0.0
     assert 0.0 <= ref.dual_gap <= 1e-9
     path = tmp_path / "zero_column.json"
@@ -362,14 +384,14 @@ def test_uncertified_reference_is_numerical_failure(tmp_path, monkeypatch, capsy
         if method == "fista":
             monkeypatch.setattr(baselines, "support_kkt_solution", lambda *args: None)
 
-        def perturbed(problem, tol, method=method):
-            beta, found = find(problem, tol)
+        def perturbed(problem, method=method):
+            beta, found = find(problem)
             assert found == method
             return beta + 1e-3, found
 
         monkeypatch.setattr(baselines, "_reference_iterate", perturbed)
         with pytest.raises(NumericalFailure, match="duality gap"):
-            reference_minimum(pr, 1e-10)
+            reference_minimum(pr)
         assert run_cli(["solve", "--method", "fista", "--input", str(path),
                         "--out-dir", str(tmp_path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
@@ -444,7 +466,7 @@ def test_solve_roundtrip_and_exit_codes(tmp_path, capsys, monkeypatch):
 
 def test_bench_table_shape_matches_contract(tmp_path):
     # one scenario, three methods, default nine precision targets
-    rc = run_cli(["bench", "--scenario", "sim1", "--n", "50", "--p", "20",
+    rc = run_cli(["bench", "--sim", "sim1", "--n", "50", "--p", "20",
                   "--methods", "ista,fista,hs", "--seed", "7",
                   "--out-dir", str(tmp_path)])
     assert rc == 0
@@ -516,6 +538,37 @@ def test_bench_matches_golden_bytes(name):
     golden = Path(__file__).parent / "data" / name
     assert table.encode() == (golden / "bench_table.csv").read_bytes()
     assert ops.encode() == (golden / "bench_ops.csv").read_bytes()
+
+
+PAPER_GRID = BenchmarkGrid(methods=("ista", "fista", "cd", "sl", "hs"))  # default grid
+
+
+@pytest.fixture(scope="module")
+def paper_grid_csvs():
+    return run_bench(PAPER_GRID)[:3]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bench_does_not_depend_on_row_order(monkeypatch, paper_grid_csvs, seed):
+    # Permuting a problem's rows leaves the Lasso problem as it is but changes
+    # the rounding of X'X/n and X'y/n: no first hit, curve point or op count
+    # of the default grid may move with it.
+    import hslasso.cli as cli
+
+    generate = cli.generate
+    rng = np.random.default_rng(seed)
+
+    def permuted(spec, lam):
+        problem = generate(spec, lam=lam)
+        order = rng.permutation(problem.n)
+        return LassoProblem(y=problem.y[order], X=problem.X[order], lam=problem.lam)
+
+    monkeypatch.setattr(cli, "generate", permuted)
+    names = ("bench_table.csv", "bench_curves.csv", "bench_ops.csv")
+    for name, plain, shuffled in zip(names, paper_grid_csvs, run_bench(PAPER_GRID)[:3]):
+        rows = set(plain.splitlines()) ^ set(shuffled.splitlines())
+        moved = sorted({"/".join(row.split(",")[:4]) for row in rows})
+        assert plain == shuffled, f"{name}: cells moved under row permutation: {moved}"
 
 
 def test_bench_unreached_thresholds_leave_cells_empty(monkeypatch):

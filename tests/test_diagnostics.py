@@ -79,7 +79,7 @@ def test_jacobi_svd_matches_earlier_kernel_on_seeded_matrices(name):
 def verify_references():
     """The six closeness-verify problems (grid seed 0, lambda 0.1, before the
     workload's sign flips) with their references."""
-    return [(pr, reference_minimum(pr, 1e-10))
+    return [(pr, reference_minimum(pr))
             for pr in bench_problems(((50, 20), (100, 50), (50, 80)), 0.1)]
 
 
@@ -208,7 +208,7 @@ def test_support_of_identity_reference_matches_threshold_rule():
     from helpers import identity_problem
 
     pr = identity_problem(y, lam)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     got = support_set(ref.beta_hat, default_support_tol(ref.beta_hat))
     expected = np.flatnonzero(np.abs(y) > pr.n * lam)
     assert got.tolist() == expected.tolist()
@@ -237,7 +237,7 @@ def test_estimation_error_cases():
 
 def test_prediction_error_sweep_decreases():
     pr = generate(SyntheticSpec(n=50, p=20, rho=0.1, seed=4), lam=1e-3)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     rows = closeness_sweep(pr, ref, ts=(1.0, 0.1, 0.01, 1e-3, 1e-4))
     # the documented Newton stop, bit for bit; at t = 0.5 and 3e-4 an iterate's
     # gradient norm lies in (1e-10, 1e-9], so a stop of 1e-9 shows there too
@@ -268,14 +268,14 @@ def test_closeness_errors_fall_as_t_squared(verify_references, verify_supports):
 
 def test_estimation_error_small_under_well_conditioned_design():
     pr = generate(SyntheticSpec(n=50, p=10, rho=0.0, seed=6), lam=1e-3)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     bt = surrogate_minimizer(pr, 1e-4)
     assert estimation_error(bt, ref.beta_hat) < 1e-4
 
 
 def test_surrogate_minimizer_raises_when_not_converged(monkeypatch):
     pr = generate(SyntheticSpec(n=50, p=20, rho=0.1, seed=4), lam=1e-3)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     monkeypatch.setattr(diagnostics, "SWEEP_MAX_NEWTON", 1)
     with pytest.raises(NumericalFailure):
         closeness_sweep(pr, ref, (1e-4,))

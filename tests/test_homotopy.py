@@ -448,7 +448,7 @@ def test_inner_solve_matches_agd_step_at_the_step_cap(monkeypatch):
 
 def test_hs_zero_outer_iterations_for_huge_epsilon():
     pr = sim1_problem()
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     cfg = HSConfig(t0=3.0, epsilon=1e9, outer_stop="oracle", ref=ref)
     tr = hs_solve(pr, cfg, OpCounter())
     assert tr.converged
@@ -458,7 +458,7 @@ def test_hs_zero_outer_iterations_for_huge_epsilon():
 
 def test_hs_reaches_table_scenario_precision():
     pr = sim1_problem()
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     cfg = HSConfig(t0=3.0, h=0.1, epsilon=0.005, outer_stop="oracle", ref=ref)
     tr = hs_solve(pr, cfg, OpCounter())
     assert tr.converged
@@ -482,7 +482,7 @@ def test_hs_t_column_exact_geometric_sequence():
 
 def test_hs_outer_gap_envelope_floor_mode():
     pr = sim1_problem()
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     cfg = HSConfig(t0=3.0, h=0.1, outer_stop="t-floor", tau=1e-3,
                    inner_fixed_count=50, max_outer=500)
     tr = hs_solve(pr, cfg, OpCounter())
@@ -517,7 +517,7 @@ def test_hs_violated_bound_flag():
 
 def test_hs_max_outer_cap_flags_nonconvergence():
     pr = sim1_problem()
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     cfg = HSConfig(t0=3.0, h=0.1, epsilon=1e-13, outer_stop="oracle",
                    ref=ref, max_outer=2)
     tr = hs_solve(pr, cfg, OpCounter())
@@ -547,7 +547,7 @@ def test_hs_oracle_mode_requires_reference():
 
 def test_hs_auto_t0_resolution():
     pr = make_problem(15, n=25, p=5, lam=0.05)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     cfg = HSConfig(t0=None, h=0.1, epsilon=0.01, outer_stop="oracle", ref=ref)
     tr = hs_solve(pr, cfg, OpCounter())
     assert tr.converged
@@ -558,7 +558,7 @@ def test_hs_auto_t0_keeps_no_eigenvectors_on_the_problem():
     # find_t0 and initial_beta decompose the gram per call; afterwards the
     # instance holds no p x p array but the gram itself
     pr = make_problem(16, n=12, p=20, lam=0.05)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     cfg = HSConfig(t0=None, h=0.1, epsilon=0.05, outer_stop="oracle", ref=ref)
     hs_solve(pr, cfg, OpCounter())
     square = [name for name, value in vars(pr).items()
@@ -716,7 +716,7 @@ def test_hs_theoretical_inner_stop_converges_on_p_gt_n():
     # for gradient norms below round-off (2.74e-16 at t = 1.07642e-05)
     pr = _p_gt_n_cell()
     cfg = HSConfig(t0=3, h=0.1, epsilon=1e-5, tau=1e-9, inner_stop="theoretical",
-                   ref=reference_minimum(pr, 1e-10))
+                   ref=reference_minimum(pr))
     trace = hs_solve(pr, cfg)
     assert trace.converged
     assert trace.metadata["outer_iterations"] == 123

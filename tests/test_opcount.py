@@ -21,7 +21,7 @@ def test_setup_excluded_from_total():
 
 def test_counters_never_decrease_across_solver_run():
     pr = make_problem(0)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     c = OpCounter()
     trace = ista_solve(pr, BaselineConfig("ista", np.ones(pr.p), 1e-6, 500, ref), c)
     ops = trace_ops(trace)
@@ -30,7 +30,7 @@ def test_counters_never_decrease_across_solver_run():
 
 def test_ista_iteration_charge_constant_and_deterministic():
     pr = make_problem(1, n=30, p=20)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
 
     def run():
         c = OpCounter()
@@ -49,7 +49,7 @@ def test_ista_iteration_charge_constant_and_deterministic():
 
 def test_additivity_of_per_iteration_deltas():
     pr = make_problem(2, p=6)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     c = OpCounter()
     tr = ista_solve(pr, BaselineConfig("ista", np.ones(6), 1e-8, 300, ref), c)
     ops = trace_ops(tr)

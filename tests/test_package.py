@@ -39,7 +39,7 @@ def test_public_surface():
 CONFIG_FIELDS = {
     "HSConfig": ["t0", "h", "epsilon", "B", "tau", "inner_stop", "inner_fixed_count",
                  "inner_grad_tol", "outer_stop", "ref", "max_outer"],
-    "BaselineConfig": ["method", "beta0", "epsilon", "max_iters", "ref", "sl_alpha"],
+    "BaselineConfig": ["method", "beta0", "epsilon", "max_iters", "ref"],
     "BenchmarkGrid": ["sims", "scenarios", "epsilons", "methods", "seed", "lam"],
     "SyntheticSpec": ["n", "p", "rho", "snr", "pattern", "sparsity", "seed"],
 }

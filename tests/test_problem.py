@@ -199,7 +199,7 @@ def test_reference_matches_identity_closed_form():
     y = rng.standard_normal(6) * 2.0
     lam = 0.05
     pr = identity_problem(y, lam)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     expected = identity_closed_form(y, 6, lam)
     assert np.max(np.abs(ref.beta_hat - expected)) < 1e-8
 
@@ -208,7 +208,7 @@ def test_reference_zero_when_lambda_dominates():
     pr = make_problem(8, lam=1.0)
     lam_big = float(np.max(np.abs(pr.xty))) * 1.01
     pr_big = LassoProblem(y=pr.y, X=pr.X, lam=lam_big)
-    ref = reference_minimum(pr_big, 1e-10)
+    ref = reference_minimum(pr_big)
     assert np.all(ref.beta_hat == 0.0)
     # brute-force corroboration on a p=2 instance
     pr2 = make_problem(9, p=2)
@@ -220,7 +220,7 @@ def test_reference_zero_when_lambda_dominates():
 
 def test_reference_matches_grid_search_p2():
     pr = make_problem(10, n=10, p=2, lam=0.15)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     best, _ = grid_search_2d(pr, res=1e-3)
     assert abs(ref.f_min - best) < 1e-5
     assert ref.f_min <= best + 1e-12
@@ -238,8 +238,8 @@ def test_windowed_grid_search_matches_brute_force():
 
 def test_reference_residual_and_idempotence():
     pr = make_problem(11)
-    ref1 = reference_minimum(pr, 1e-10)
-    ref2 = reference_minimum(pr, 1e-10)
+    ref1 = reference_minimum(pr)
+    ref2 = reference_minimum(pr)
     assert subgradient_residual(pr, ref1.beta_hat) <= 1e-10
     assert abs(ref1.f_min - ref2.f_min) <= 10 * 1e-10
     assert ref1.f_min == pytest.approx(lasso_objective(pr, ref1.beta_hat), rel=0, abs=0)
@@ -263,8 +263,8 @@ def test_reference_agrees_with_coordinate_descent():
     from hslasso.baselines import cd_minimize_to_residual
 
     for pr in _cross_check_instances():
-        ref = reference_minimum(pr, 1e-10)
-        beta_cd = cd_minimize_to_residual(pr, np.zeros(pr.p), 1e-10)
+        ref = reference_minimum(pr)
+        beta_cd = cd_minimize_to_residual(pr)
         assert beta_cd is not None
         assert abs(ref.f_min - lasso_objective(pr, beta_cd)) <= 1e-12
         assert abs(ref.dual_gap) <= 1e-9  # round-off may leave it just below 0
@@ -281,10 +281,10 @@ def test_reference_support_kkt_on_paper_grid():
     from hslasso.baselines import fista_minimize_to_residual
 
     for pr in bench_problems(*PAPER_GRID):
-        ref = reference_minimum(pr, 1e-10)
+        ref = reference_minimum(pr)
         assert ref.method == "support-kkt"
         assert abs(ref.dual_gap) <= 1e-13
-        beta_fista = fista_minimize_to_residual(pr, np.zeros(pr.p), 1e-10)
+        beta_fista = fista_minimize_to_residual(pr)
         f_fista = lasso_objective(pr, beta_fista)
         assert abs(ref.f_min - f_fista) <= 1e-15 * max(1.0, abs(ref.f_min))
 
@@ -298,11 +298,11 @@ def test_reference_bytes_do_not_depend_on_the_finish_schedule(monkeypatch):
     problems = [*bench_problems(*PAPER_GRID), *bench_problems(*DEEP_GRID),
                 *_cross_check_instances()]
     assert len(problems) == 4 + 6 + 61
-    current = [reference_minimum(pr, 1e-10) for pr in problems]
+    current = [reference_minimum(pr) for pr in problems]
     monkeypatch.setattr(baselines, "FINISH_LOOSE_TOL", 1e-5)
     monkeypatch.setattr(baselines, "FINISH_TIGHTEN", 100.0)
     for pr, ref in zip(problems, current):
-        before = reference_minimum(pr, 1e-10)
+        before = reference_minimum(pr)
         assert ref.beta_hat.tobytes() == before.beta_hat.tobytes()
         assert (ref.f_min, ref.dual_gap, ref.method) == (before.f_min, before.dual_gap,
                                                          before.method)
@@ -321,7 +321,7 @@ def test_reference_finish_is_tried_early_on_paper_grid(monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(baselines, "_fista_step", spy)
-    methods = [reference_minimum(pr, 1e-10).method for pr in bench_problems(*PAPER_GRID)]
+    methods = [reference_minimum(pr).method for pr in bench_problems(*PAPER_GRID)]
     assert methods == ["support-kkt"] * 4
     assert 0 < steps <= 3000
 
@@ -367,10 +367,10 @@ def test_reference_falls_back_to_fista_on_singular_support():
     X[:, 3] = X[:, 1]
     pr = LassoProblem(y=X @ rng.uniform(-1.0, 1.0, 8) + 0.1 * rng.standard_normal(20),
                       X=X, lam=0.01)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     assert ref.method == "fista"
     assert ref.beta_hat[1] == ref.beta_hat[3] != 0.0
-    assert np.array_equal(ref.beta_hat, fista_minimize_to_residual(pr, np.zeros(pr.p), 1e-10))
+    assert np.array_equal(ref.beta_hat, fista_minimize_to_residual(pr))
     assert 0.0 <= ref.dual_gap <= 1e-9
 
 
@@ -383,15 +383,15 @@ def test_reference_retries_a_refused_support_solve(monkeypatch):
     solve = baselines.support_kkt_solution
     sizes = []
 
-    def spy(problem, beta, tol):
-        exact = solve(problem, beta, tol)
+    def spy(problem, beta):
+        exact = solve(problem, beta)
         sizes.append((np.count_nonzero(beta), exact is not None))
         return exact
 
     monkeypatch.setattr(baselines, "support_kkt_solution", spy)
     rng = np.random.default_rng(2)
     pr = LassoProblem(y=rng.standard_normal(10), X=rng.standard_normal((10, 30)), lam=1e-5)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     assert sizes[0][0] > pr.n and not sizes[0][1]
     assert sizes[-1] == (pr.n, True)
     assert ref.method == "support-kkt"
@@ -403,19 +403,14 @@ def test_support_kkt_solution_refuses_wrong_signs():
     from hslasso.baselines import support_kkt_solution
 
     pr = make_problem(11)
-    ref = reference_minimum(pr, 1e-10)
+    ref = reference_minimum(pr)
     assert np.count_nonzero(ref.beta_hat) >= 1
-    assert support_kkt_solution(pr, ref.beta_hat, 1e-10) is not None
+    assert support_kkt_solution(pr, ref.beta_hat) is not None
     j = int(np.flatnonzero(ref.beta_hat)[0])
     flipped = ref.beta_hat.copy()
     flipped[j] = -flipped[j]
-    assert support_kkt_solution(pr, flipped, 1e-10) is None
+    assert support_kkt_solution(pr, flipped) is None
 
-
-def test_reference_rejects_bad_tol():
-    pr = make_problem(12)
-    with pytest.raises(ValueError):
-        reference_minimum(pr, 0.0)
 
 
 @given(st.integers(0, 10_000))
@@ -485,7 +480,7 @@ def deep_iterates():
             sparse[rng.random(pr.p) < 0.2] = -0.0
             cases.append((pr, [np.zeros(pr.p), dense, sparse,
                                helpers.surrogate_minimizer(pr, 1e-2),
-                               reference_minimum(pr, 1e-10).beta_hat]))
+                               reference_minimum(pr).beta_hat]))
     return cases
 
 

@@ -6,11 +6,11 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_bytes.py"
 
 
-def _differences():
+def _tool():
     spec = importlib.util.spec_from_file_location("same_bytes", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.differences
+    return module
 
 
 def _run(files, wall=1.0, ops_hs=5, failed=0):
@@ -21,7 +21,7 @@ def _run(files, wall=1.0, ops_hs=5, failed=0):
 
 
 def test_same_bytes_flags_outputs_ops_and_counts_but_not_timings():
-    differences = _differences()
+    differences = _tool().differences
     base = _run({"grid0/bench_ops.csv": b"1\n"})
     assert differences(base, _run({"grid0/bench_ops.csv": b"1\n"}, wall=2.0)) == []
     assert differences(base, _run({"grid0/bench_ops.csv": b"2\n"})) == [
@@ -31,3 +31,18 @@ def test_same_bytes_flags_outputs_ops_and_counts_but_not_timings():
         "ops.hs: 5 != 6"]
     assert differences(base, _run({"grid0/bench_ops.csv": b"1\n"}, failed=1)) == [
         "failed: 0 != 1"]
+
+
+def test_same_bytes_compares_the_four_cli_bench_files():
+    # perfbench writes no bench_meta.json or bench_curves.csv; the CLI run does
+    tool = _tool()
+    files = tool.cli_bench_files(TOOL.parents[1])
+    assert sorted(files) == ["bench_curves.csv", "bench_meta.json", "bench_ops.csv",
+                             "bench_table.csv"]
+    assert b'"sl_alpha": 100.0' in files["bench_meta.json"]
+    assert tool.changed_files(files, dict(files), "bench") == []
+    moved = {**files, "bench_meta.json": files["bench_meta.json"].replace(b"1e-10", b"1e-08")}
+    assert tool.changed_files(files, moved, "bench") == ["bench/bench_meta.json"]
+    del moved["bench_ops.csv"]
+    assert tool.changed_files(files, moved, "bench") == ["bench/bench_meta.json",
+                                                         "bench/bench_ops.csv"]

@@ -7,19 +7,25 @@ for every workload in BENCHMARK.json, first in DIR, then in the tree
 that holds this script. Each run's ``outputs/`` must hold the same files
 with the same bytes in both trees, every ``ops.*`` metric of the traced
 runs must be equal, and so must each run's correct, attempted and failed
-fields. Prints one line per run pair and exits 1 on any difference or on
-a run that fails, 0 otherwise. Timings are not compared.
+fields. Then it runs ``python -m hslasso.cli bench`` with all five
+methods on each tree's ``src/``, and the four files it writes, the
+``bench_meta.json`` that perfbench never writes among them, must have
+the same bytes too. Prints one line per run pair and exits 1 on any
+difference or on a run that fails, 0 otherwise. Timings are not compared.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
+CLI_BENCH = ["bench", "--methods", "ista,fista,cd,sl,hs"]
 
 
 def run_tree(tree: Path, workload: str, seed: int, trace: int) -> tuple[dict, dict]:
@@ -39,6 +45,24 @@ def run_tree(tree: Path, workload: str, seed: int, trace: int) -> tuple[dict, di
     return result, files
 
 
+def cli_bench_files(tree: Path) -> dict:
+    """``python -m hslasso.cli bench`` on ``tree``'s ``src/``: the files it
+    writes, name -> bytes."""
+    with tempfile.TemporaryDirectory() as out:
+        proc = subprocess.run([sys.executable, "-m", "hslasso.cli", *CLI_BENCH, "--out-dir", out],
+                              cwd=tree, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(tree / "src")})
+        if proc.returncode != 0:
+            raise RuntimeError(f"{tree}: cli bench exited {proc.returncode}:\n{proc.stderr}")
+        return {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
+
+
+def changed_files(parent: dict, change: dict, root: str) -> list[str]:
+    """The files, under ``root``, that one of two runs lacks or writes otherwise."""
+    return [f"{root}/{name}" for name in sorted(parent.keys() | change.keys())
+            if parent.get(name) != change.get(name)]
+
+
 def op_counts(result: dict) -> dict:
     return {k: v["value"] for k, v in result["metrics"].items() if k.startswith("ops.")}
 
@@ -46,8 +70,7 @@ def op_counts(result: dict) -> dict:
 def differences(parent: tuple[dict, dict], change: tuple[dict, dict]) -> list[str]:
     """What differs between two runs' results and outputs; empty if nothing."""
     (p_result, p_files), (c_result, c_files) = parent, change
-    found = [f"outputs/{name}" for name in sorted(p_files.keys() | c_files.keys())
-             if p_files.get(name) != c_files.get(name)]
+    found = changed_files(p_files, c_files, "outputs")
     found += [f"{key}: {p_result.get(key)} != {c_result.get(key)}"
               for key in ("correct", "attempted", "failed")
               if p_result.get(key) != c_result.get(key)]
@@ -79,6 +102,11 @@ def main(argv=None) -> int:
             else:
                 ops = "".join(f", {k}={v}" for k, v in op_counts(runs[1][0]).items())
                 print(f"{label}: same ({len(runs[1][1])} output files{ops})")
+    files = [cli_bench_files(tree) for tree in (parent, HERE)]
+    found = changed_files(*files, "bench")
+    same &= not found
+    print("cli bench: " + (f"DIFFERS: {'; '.join(found)}" if found
+                           else f"same ({len(files[1])} files)"))
     return 0 if same else 1
 
 
