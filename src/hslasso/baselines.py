@@ -4,11 +4,11 @@ evaluators for their published worst-case gap envelopes.
 
 Each method is a step map on a state tuple whose first entry is the
 iterate, and :func:`iterate` drives every map (the homotopy inner and outer
-loops too).  Each map charges its work to the operation counter once per
-step, in closed form.  The four solvers stop against a precomputed
+loops too).  The maps only compute: a solve charges its steps by count,
+once, from ``opcount.CHARGES``.  The four solvers stop against a precomputed
 reference minimum, matching the measurement protocol of the benchmark
 harness: the stopping comparison is free.  The reference oracle runs the
-same FISTA map uncharged, to a subgradient-residual tolerance, tries an
+same FISTA map, to a subgradient-residual tolerance, tries an
 exact solve on the iterate's support from residual 1e-1 on, halving the
 stop after each refusal, and certifies the result by the Lasso duality
 gap; the CD map run the same way is the test suite's independent
@@ -82,63 +82,52 @@ def iterate(state, step, stop, max_iters: int):
     return state, k, True
 
 
-def _run_flat(problem, config, counter, start, step, inner_iters=1, aux=None):
+def _run_flat(problem, config, counter, start, step, charge, inner_iters=1, aux=None):
     """Drive a flat method from ``start(beta0)`` until the objective is
     within config.epsilon of the reference minimum, appending one trace
-    row per iterate (``aux`` gives the F_t column; default F).
-    """
+    row per iterate (``aux`` gives the F_t column; default F).  Row k reads
+    the start's total plus k steps of ``charge``; the steps are charged at
+    the end."""
     trace = SolverTrace()
+    base = counter.total()
+    per_step = OpCounter().charge(charge, problem.p).total()
 
     def stop(state, k):
         beta = state[0]
         f = lasso_objective(problem, beta)
         trace.append(k, 0.0, inner_iters if k else 0, f,
-                     f if aux is None else aux(beta), counter.total())
+                     f if aux is None else aux(beta), base + k * per_step)
         return f - config.ref.f_min <= config.epsilon
 
     beta0 = np.asarray(config.beta0, dtype=float).copy()
-    state, _, trace.converged = iterate(start(beta0), step, stop, config.max_iters)
+    state, steps, trace.converged = iterate(start(beta0), step, stop, config.max_iters)
+    counter.charge(charge, problem.p, steps)
     trace.final_beta = state[0]
     return trace
 
 
-def _prox_grad_step(problem, point, L, thr, counter):
-    """Soft threshold at thr = lambda/L of point - (gram*point - xty)/L.
-
-    Charged p^2+p mults, p^2+2p adds and 2p comparisons: the matvec, the
-    shift, the scaled step and the soft threshold.
-    """
+def _prox_grad_step(problem, point, L, thr):
+    """Soft threshold at thr = lambda/L of point - (gram*point - xty)/L."""
     moved = point - (problem.gram @ point - problem.xty) / L
-    if counter is not None:
-        p = point.size
-        counter.mults += p * p + p
-        counter.adds += p * p + 2 * p
-        counter.comparisons += 2 * p
     return np.sign(moved) * np.maximum(np.abs(moved) - thr, 0.0)
 
 
-def _fista_step(problem, L, thr, state, counter):
-    """Prox-gradient step at the extrapolated point, then the momentum
-    update: 1 sqrt, p+3 mults and 2p+2 adds beyond the prox-gradient step."""
+def _fista_step(problem, L, thr, state):
+    """Prox-gradient step at the extrapolated point, then the momentum update."""
     beta, point, momentum = state
-    beta_new = _prox_grad_step(problem, point, L, thr, counter)
+    beta_new = _prox_grad_step(problem, point, L, thr)
     momentum_new = (1.0 + math.sqrt(1.0 + 4.0 * momentum**2)) / 2.0
     point = beta_new + ((momentum - 1.0) / momentum_new) * (beta_new - beta)
-    if counter is not None:
-        p = beta.size
-        counter.transcendentals += 1
-        counter.mults += p + 3
-        counter.adds += 2 * p + 2
     return beta_new, point, momentum_new
 
 
 def _prox_grad_setup(problem, counter):
-    """Step size L, threshold lambda/L (one mult) and the counter to charge."""
+    """Step size L, threshold lambda/L and the counter to charge."""
     L = problem.eig_max
     if not L > 0:
         raise ValueError("gram matrix has no positive eigenvalue; step size undefined")
     counter = counter if counter is not None else OpCounter()
-    counter.mults += 1
+    counter.charge("prox-grad-setup", problem.p)
     return L, problem.lam / L, counter
 
 
@@ -146,7 +135,7 @@ def ista_solve(problem: LassoProblem, config: BaselineConfig,
                counter: OpCounter | None = None) -> SolverTrace:
     L, thr, counter = _prox_grad_setup(problem, counter)
     return _run_flat(problem, config, counter, lambda b: (b,),
-                     lambda s: (_prox_grad_step(problem, s[0], L, thr, counter),))
+                     lambda s: (_prox_grad_step(problem, s[0], L, thr),), "prox-grad")
 
 
 def fista_solve(problem: LassoProblem, config: BaselineConfig,
@@ -154,10 +143,10 @@ def fista_solve(problem: LassoProblem, config: BaselineConfig,
     L, thr, counter = _prox_grad_setup(problem, counter)
     # the extrapolated point starts at beta, so the first step has zero momentum
     return _run_flat(problem, config, counter, lambda b: (b, b.copy(), 1.0),
-                     lambda s: _fista_step(problem, L, thr, s, counter))
+                     lambda s: _fista_step(problem, L, thr, s), "fista")
 
 
-def _cd_sweep(beta, data, resid, counter):
+def _cd_sweep(beta, data, resid):
     """One full cycle j = 1..p; resid caches xtx @ beta and is updated in
     place at O(p) per coordinate that moves.
 
@@ -165,12 +154,10 @@ def _cd_sweep(beta, data, resid, counter):
     is scalar float arithmetic with the soft threshold written as two
     comparisons (the dead zone keeps the sign of z on its zero), and a
     move is one multiply into the scratch buffer and one in-place add, so
-    the sweep allocates no array.  Its work is charged once, in closed
-    form (the coordinate-descent convention in ``opcount``).
+    the sweep allocates no array.
     """
     rows, diag, xty, thresh, buf = data
     multiply, add = np.multiply, np.add  # local names: looked up once per sweep
-    p = beta.size
     values = beta.tolist()
     for j, (d, xy) in enumerate(zip(diag, xty)):
         b = values[j]
@@ -186,10 +173,6 @@ def _cd_sweep(beta, data, resid, counter):
             multiply(rows[j], bj - b, buf)
             add(resid, buf, resid)
     beta[:] = values
-    if counter is not None:
-        counter.mults += p * (p + 2)
-        counter.adds += p * (p + 4)
-        counter.comparisons += 2 * p
     return beta, resid
 
 
@@ -207,17 +190,13 @@ def cd_solve(problem: LassoProblem, config: BaselineConfig,
              counter: OpCounter | None = None) -> SolverTrace:
     """Cyclic coordinate descent, ascending order, one trace row per sweep."""
     counter = counter if counter is not None else OpCounter()
-    p = problem.p
     xtx = problem.gram * problem.n
     if np.any(np.diag(xtx) <= 0):
         raise ValueError("degenerate column: zero diagonal in X'X")
     data = _cd_data(xtx, problem.xty * problem.n, problem.n * problem.lam)
-    counter.setup_ops += p * p + p  # rescale cached gram and xty
-    counter.mults += 1 + p * p  # n*lambda, then the matvec xtx @ beta0
-    counter.adds += p * (p - 1)
+    counter.charge("cd-setup", problem.p)
     return _run_flat(problem, config, counter, lambda b: (b, xtx @ b),
-                     lambda s: _cd_sweep(s[0], data, s[1], counter),
-                     inner_iters=p)
+                     lambda s: _cd_sweep(s[0], data, s[1]), "cd", inner_iters=problem.p)
 
 
 def sl_penalty_grad(w, alpha):
@@ -241,21 +220,11 @@ def sl_objective(problem, beta, alpha) -> float:
     return float(r @ r / (2.0 * problem.n) + problem.lam * np.sum(phi))
 
 
-def _sl_step(problem, alpha, step, state, counter):
-    """Momentum point w, then a gradient step on the smoothed objective.
-
-    Charged 1 tanh per entry, p^2+5p+1 mults and p^2+5p+2 adds: the
-    momentum weight and extrapolation, the penalty derivative, the matvec
-    with its shift and penalty term, and the step.
-    """
+def _sl_step(problem, alpha, step, state):
+    """Momentum point w, then a gradient step on the smoothed objective."""
     beta, beta_prev, k = state
     w = beta + ((k - 2.0) / (k + 1.0)) * (beta - beta_prev)
     g = problem.gram @ w - problem.xty + problem.lam * sl_penalty_grad(w, alpha)
-    if counter is not None:
-        p = beta.size
-        counter.transcendentals += p
-        counter.mults += p * p + 5 * p + 1
-        counter.adds += p * p + 5 * p + 2
     return w - step * g, beta, k + 1
 
 
@@ -266,10 +235,9 @@ def sl_solve(problem: LassoProblem, config: BaselineConfig,
     alpha = SL_ALPHA
     counter = counter if counter is not None else OpCounter()
     step = 1.0 / (problem.eig_max + problem.lam * alpha / 2.0)
-    counter.mults += 2
-    counter.adds += 1
+    counter.charge("sl-setup", problem.p)
     return _run_flat(problem, config, counter, lambda b: (b, b.copy(), 0),
-                     lambda s: _sl_step(problem, alpha, step, s, counter),
+                     lambda s: _sl_step(problem, alpha, step, s), "sl",
                      aux=lambda b: sl_objective(problem, b, alpha))
 
 
@@ -348,7 +316,7 @@ def fista_minimize_to_residual(problem, finish=None):
         return beta if subgradient_residual(problem, beta) <= REF_TOL else None
     thr = problem.lam / L
     return _minimize_to_residual(problem, (beta, beta.copy(), 1.0),
-                                 lambda s: _fista_step(problem, L, thr, s, None), finish)
+                                 lambda s: _fista_step(problem, L, thr, s), finish)
 
 
 def cd_minimize_to_residual(problem):
@@ -360,7 +328,7 @@ def cd_minimize_to_residual(problem):
     data = _cd_data(xtx, problem.xty * problem.n, problem.n * problem.lam)
     beta = np.zeros(problem.p)
     return _minimize_to_residual(problem, (beta, xtx @ beta),
-                                 lambda s: _cd_sweep(s[0], data, s[1], None))
+                                 lambda s: _cd_sweep(s[0], data, s[1]))
 
 
 def support_kkt_solution(problem: LassoProblem, beta) -> np.ndarray | None:

@@ -4,9 +4,9 @@ Outer loop: shrink the smoothing level geometrically, t_k = t0*(1-h)^k.
 Inner loop: minimize the smoothed objective F_t with accelerated gradient
 descent using step constants derived from the curvature bounds, warm
 started from the previous outer iterate.  One step map, :func:`agd_map`,
-holds the accelerated step and its charge; both loops run on the shared
-driver ``baselines.iterate``, the outer one over levels and the inner one
-over the step map's iterate pairs.
+holds the accelerated step; both loops run on the shared driver
+``baselines.iterate``, the outer one over levels and the inner one over
+the step map's iterate pairs, and each level charges its steps by count.
 
 The starting level t0 can be searched automatically: the search predicate
 solves the ridge system with shift lambda*log(1+t)^2/(3 t^3) and accepts
@@ -117,7 +117,7 @@ def agd_coefficients(L: float, mu: float) -> tuple[float, float, float]:
     return alpha, q, gamma
 
 
-def agd_map(L: float, mu: float, grad, counter: OpCounter | None = None):
+def agd_map(L: float, mu: float, grad):
     """The accelerated step on the curvature pair (L, mu) as a map
     (beta, beta_bar) -> (beta, beta_bar).
 
@@ -127,18 +127,15 @@ def agd_map(L: float, mu: float, grad, counter: OpCounter | None = None):
     Python-float operand, the slower kind on short vectors; the values are
     the same.  With the Euclidean prox V(x, z) = ||z - x||^2 / 2 the inner
     argmin is closed form: beta+ = (beta + gamma*mu*mid - gamma*g) /
-    (1 + gamma*mu) where mid is the extrapolated point and g = grad(mid).
-    Vector work is charged once per step: the two weighted averages (mid,
-    beta_bar) cost 2p mults and p adds each; the update costs 3p mults and
-    2p adds, or p mults and p adds in the degenerate gamma = inf case.  A
-    step writes no array.
+    (1 + gamma*mu) where mid is the extrapolated point and g = grad(mid);
+    when gamma = inf it is the gradient step mid - g/mu.  A step writes no
+    array.
     """
     alpha, q, gamma = agd_coefficients(L, mu)
     gm = gamma * mu
     scalars = (1.0 - q, q, gm, gamma, 1.0 + gm, mu, 1.0 - alpha, alpha)
     vectors = None
     momentum = not math.isinf(gamma)
-    mults, adds = (7, 4) if momentum else (5, 3)
 
     def step(pair):
         nonlocal vectors
@@ -153,9 +150,6 @@ def agd_map(L: float, mu: float, grad, counter: OpCounter | None = None):
         else:
             beta = mid - g / mu
         beta_bar = one_alpha * beta_bar + alpha * beta
-        if counter is not None:
-            counter.mults += mults * beta.size
-            counter.adds += adds * beta.size
         return beta, beta_bar
 
     return step
@@ -168,7 +162,6 @@ def find_t0(problem: LassoProblem, counter: OpCounter | None = None) -> float:
     doublings), then runs 40 bisection steps toward the smallest
     satisfying point.  The returned value always satisfies the predicate.
     """
-    p = problem.p
     probes = 0
     ridge_solve = problem.ridge_solver()
 
@@ -199,7 +192,7 @@ def find_t0(problem: LassoProblem, counter: OpCounter | None = None) -> float:
         else:
             lo = mid
     if counter is not None:
-        counter.setup_ops += probes * (2 * p * (2 * p - 1) + 2 * p)
+        counter.charge("find-t0-probe", problem.p, probes)
     return hi
 
 
@@ -211,11 +204,8 @@ def initial_beta(problem: LassoProblem, t0: float,
         raise ValueError("t0 must be positive")
     shift = 2.0 * problem.lam * math.log1p(t0) ** 2 / (3.0 * t0**3)
     beta = problem.ridge_solver()(shift)
-    if counter is not None:  # log1p, the shift, two spectral matvecs, the scaling
-        p = problem.p
-        counter.transcendentals += 1
-        counter.mults += 2 * p * p + p + 2
-        counter.adds += 2 * p * p - p
+    if counter is not None:
+        counter.charge("ridge-start", problem.p)
     return beta
 
 
@@ -265,32 +255,22 @@ def inner_solve(problem: LassoProblem, t_k: float, beta_init, config: HSConfig,
     also folds the pair into one running entrywise peak of |beta| and
     |beta_bar|, reduced once per level: max is exact, so for finite iterates
     it is the float that per-step reductions give (a NaN entry is skipped
-    once a later pair holds a number there).
+    once a later pair holds a number there).  The level's constants, its
+    steps and, under the gradient stop, its steps + 1 stop tests are
+    charged by count once the loop ends.
     """
     beta_init = np.asarray(beta_init, dtype=float)
     if t_k < config.tau * (1.0 - 1e-12):
         raise ValueError("inner solve called below the level floor tau")
     spec = SurrogateSpec(t_k)
     L, mu = smoothness_constants(problem, spec, B)
-    if counter is not None:  # log1p, the sqrt in alpha, branch and step coefficients
-        counter.transcendentals += 2
-        counter.mults += 10
-        counter.adds += 4
-    grad = surrogate_grad(problem, spec, counter)
-    step = agd_map(L, mu, grad, counter)
-    p = problem.p
+    grad = surrogate_grad(problem, spec)
+    step = agd_map(L, mu, grad)
 
     if config.inner_stop == "fixed":
         done = lambda beta_bar, k: k >= config.inner_fixed_count
     elif config.inner_stop == "gradient":
-        def done(beta_bar, k):
-            g = grad(beta_bar)
-            if counter is not None:  # norm: p mults, p-1 adds, sqrt, compare
-                counter.mults += p
-                counter.adds += p - 1
-                counter.transcendentals += 1
-                counter.comparisons += 1
-            return float(np.linalg.norm(g)) <= config.inner_grad_tol
+        done = lambda beta_bar, k: float(np.linalg.norm(grad(beta_bar))) <= config.inner_grad_tol
     else:  # theoretical
         # F_t's minimum is a stopping oracle, uncharged: Newton to a gradient
         # norm that certifies a gap below eps_k / 1000.
@@ -309,6 +289,13 @@ def inner_solve(problem: LassoProblem, t_k: float, beta_init, config: HSConfig,
 
     start = beta_init.copy()  # a step rebinds both iterates and writes neither
     (_, beta_bar), steps, stopped = iterate((start, start), step, stop, MAX_INNER_STEPS)
+    if counter is not None:
+        p = problem.p
+        plain = math.isinf(agd_coefficients(L, mu)[2])
+        counter.charge("hs-level", p)
+        counter.charge("hs-step-plain" if plain else "hs-step", p, steps)
+        if config.inner_stop == "gradient":
+            counter.charge("hs-grad-stop", p, steps + 1)
     return beta_bar, steps, not stopped, float(peak.max())
 
 
@@ -353,7 +340,7 @@ def hs_solve(problem: LassoProblem, config: HSConfig,
     def level(state):
         nonlocal inner_caps, max_abs
         t = state[1] * (1.0 - config.h)
-        counter.mults += 1
+        counter.charge("hs-shrink", problem.p)
         beta, steps, cap_hit, level_max = inner_solve(problem, t, state[0], config, counter, B=B)
         inner_caps += int(cap_hit)
         max_abs = max(max_abs, level_max)

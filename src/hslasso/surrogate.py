@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .opcount import OpCounter
 from .problem import LassoProblem, NumericalFailure, check_number
 
 
@@ -137,13 +136,10 @@ def surrogate_value(problem: LassoProblem, spec: SurrogateSpec, beta) -> float:
     return float(r.dot(r) / (2.0 * problem.n) + problem.lam * np.sum(spec.value(beta)))
 
 
-def surrogate_grad(problem: LassoProblem, spec: SurrogateSpec,
-                   counter: OpCounter | None = None):
+def surrogate_grad(problem: LassoProblem, spec: SurrogateSpec):
     """The gradient map beta -> grad F_t(beta) of the level, for iterates of
     shape (p,).  Its operands t, c_inv, c_lin, 2 c_quad and lambda are
-    broadcast once, here.  Each call is charged at matvec + O(p): the p x p
-    matvec, the -xty shift (p adds), the penalty derivative (1 branch
-    comparison, ~3 mults and 1 add per entry), the lambda scale and the sum."""
+    broadcast once, here."""
     p = problem.p
     t, c_inv, c_lin, two_c_quad, lam = (
         np.full(p, v) for v in (spec.t, spec.c_inv, spec.c_lin, 2.0 * spec.c_quad, problem.lam))
@@ -154,10 +150,6 @@ def surrogate_grad(problem: LassoProblem, spec: SurrogateSpec,
         penalty = _penalty_grad(beta, t, c_inv, c_lin, two_c_quad)
         penalty *= lam
         g += penalty
-        if counter is not None:
-            counter.mults += p * p + 4 * p
-            counter.adds += p * (p - 1) + 3 * p
-            counter.comparisons += p
         return g
 
     return grad

@@ -1,8 +1,8 @@
 """Shared independent oracles for the test suite: exact 2-d grid search,
 multiresolution refinement, finite differences, the soft threshold, a
 per-coordinate coordinate-descent sweep, a Jacobi pseudo-inverse,
-instance factories, the objective and ops columns of a trace, and the
-closeness sweep's level minimizer.  These deliberately avoid the
+instance factories, the objective and ops columns of a trace, each bench
+cell's first-hit margin, and the closeness sweep's level minimizer.  These deliberately avoid the
 library's own solver paths.  The earlier bodies of the CD sweep, the
 subgradient residual, the objective, the smoothed objective's value, the
 prediction and estimation errors and the Jacobi SVD (these six through
@@ -63,6 +63,27 @@ def bench_problems(scenarios, lam, seed=0):
             spec = SyntheticSpec(n=n, p=p, rho=GEN_DEFAULTS["rho"], snr=GEN_DEFAULTS["snr"],
                                  pattern=SIM_PATTERNS[sim], seed=seed + 1000 * sim_idx + scen_idx)
             yield generate(spec, lam=lam)
+
+
+def first_hit_margins(grid) -> dict[str, float]:
+    """Each cell of ``run_bench(grid)``, ``sim/n{n}p{p}/method``, for a grid
+    of both simulations, mapped to the smallest relative distance
+    |gap - eps| / eps over its trace's records and the grid's epsilons: how
+    near a first hit sits to the rounding edge where ``gap <= eps`` flips.
+    The cells run as ``run_bench`` runs them."""
+    from hslasso.baselines import reference_minimum
+    from hslasso.cli import BENCH_HS, SIM_BETA0, _cell_config, _solve_cell
+
+    eps = np.array(grid.epsilons)
+    cells = [(sim, n, p) for sim in SIM_PATTERNS for n, p in grid.scenarios]
+    margins = {}
+    for (sim, n, p), problem in zip(cells, bench_problems(grid.scenarios, grid.lam, grid.seed)):
+        ref = reference_minimum(problem)
+        for method in grid.methods:
+            cfg = _cell_config(method, eps.min(), BENCH_HS, SIM_BETA0[sim] * np.ones(p))
+            gaps = f_values(_solve_cell(problem, cfg, ref)[0]) - ref.f_min
+            margins[f"{sim}/n{n}p{p}/{method}"] = float(np.min(np.abs(gaps[:, None] - eps) / eps))
+    return margins
 
 
 def f_values(trace) -> np.ndarray:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import tiny_problem
+from helpers import first_hit_margins, tiny_problem
 from hslasso.baselines import reference_minimum
 from hslasso.cli import BenchmarkGrid, build_parser, main, run_bench
 from hslasso.problem import LassoProblem, save_problem_json
@@ -569,6 +569,21 @@ def test_bench_does_not_depend_on_row_order(monkeypatch, paper_grid_csvs, seed):
         rows = set(plain.splitlines()) ^ set(shuffled.splitlines())
         moved = sorted({"/".join(row.split(",")[:4]) for row in rows})
         assert plain == shuffled, f"{name}: cells moved under row permutation: {moved}"
+
+
+# Below the default grid's smallest first-hit margin: 1.16e-5 on
+# sim1/n50p80/ista, then 1.0e-4 on sim1/n50p80/cd.
+MARGIN_FLOOR = 1e-5
+
+
+def test_default_grid_first_hits_keep_off_rounding_edges():
+    # The row permutations above change the gaps by round-off alone, some
+    # 1e-13 of an epsilon; a cell whose gap comes within MARGIN_FLOOR of an
+    # epsilon is one that a change of arithmetic could move, so it is named.
+    margins = first_hit_margins(PAPER_GRID)
+    assert len(margins) == 20
+    near = {cell: f"{m:.3g}" for cell, m in margins.items() if not m >= MARGIN_FLOOR}
+    assert near == {}, f"cells within {MARGIN_FLOOR:g} (relative) of an epsilon: {near}"
 
 
 def test_bench_unreached_thresholds_leave_cells_empty(monkeypatch):

@@ -1,12 +1,12 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from helpers import (agd_state, agd_step, inner_solve_before, make_problem, numeric_prox_argmin,
-                     tiny_problem, trace_ops)
+                     surrogate_grad_before, tiny_problem, trace_ops)
 from hslasso import homotopy
 from hslasso.baselines import reference_minimum
 from hslasso.datagen import SyntheticSpec, generate
@@ -23,7 +23,7 @@ from hslasso.homotopy import (
     inner_tolerance,
     outer_iteration_count,
 )
-from hslasso.opcount import OpCounter
+from hslasso.opcount import CHARGES, OpCounter
 from hslasso.problem import LassoProblem
 from hslasso.surrogate import (
     SurrogateSpec,
@@ -173,22 +173,25 @@ def test_agd_step_fixed_point():
 ], ids=["momentum", "degenerate"])
 def test_agd_step_charge_pinned(L, mu, mults, adds):
     # counts recorded from the per-operation charges; p = 5, so the
-    # gradient alone is p*p + 4p = 45 mults, p*(p-1) + 3p = 35 adds, p cmps
+    # gradient alone is p*p + 4p = 45 mults, p*(p-1) + 3p = 35 adds, p cmps.
+    # The table's entries against the earlier step and gradient's own charges.
     pr = make_problem(4, n=12, p=5)
     spec = SurrogateSpec(0.5)
     g = OpCounter()
-    surrogate_grad(pr, spec, g)(np.ones(5))
-    assert (g.mults, g.adds, g.transcendentals, g.comparisons) == (45, 35, 0, 5)
+    surrogate_grad_before(pr, spec, np.ones(5), g)
+    assert astuple(g) == CHARGES["hs-gradient"](5) == (45, 35, 0, 5, 0)
     c = OpCounter()
-    agd_map(L, mu, surrogate_grad(pr, spec, c), c)((np.ones(5), np.ones(5)))
-    assert (c.mults, c.adds, c.transcendentals, c.comparisons) == (mults, adds, 0, 5)
+    agd_step(agd_state(np.ones(5), L, mu), lambda v: surrogate_grad_before(pr, spec, v, c), c)
+    name = "hs-step-plain" if math.isinf(agd_coefficients(L, mu)[2]) else "hs-step"
+    assert astuple(c) == CHARGES[name](5) == (mults, adds, 0, 5, 0)
 
 
 @pytest.mark.parametrize("p", [1, 5, 20])
 @pytest.mark.parametrize("degenerate", [False, True], ids=["momentum", "gamma-inf"])
 def test_agd_map_matches_agd_step(p, degenerate):
-    # the step map against the earlier AGDState step of the helpers, 30
-    # chained steps from a pair with beta != beta_bar
+    # the step map against the earlier AGDState step and gradient of the
+    # helpers, 30 chained steps from a pair with beta != beta_bar; the
+    # earlier step's own charges against the table's
     pr = generate(SyntheticSpec(n=30, p=p, rho=0.5, seed=p), lam=0.1)
     spec = SurrogateSpec(0.3)
     L, mu = smoothness_constants(pr, spec, 10.0)
@@ -197,16 +200,17 @@ def test_agd_map_matches_agd_step(p, degenerate):
     assert math.isinf(agd_coefficients(L, mu)[2]) == degenerate
     rng = np.random.default_rng(p)
     beta, beta_bar = rng.standard_normal(p), rng.standard_normal(p)
-    c_new, c_old = OpCounter(), OpCounter()
-    step = agd_map(L, mu, surrogate_grad(pr, spec, c_new), c_new)
+    c_old = OpCounter()
+    step = agd_map(L, mu, surrogate_grad(pr, spec))
+    grad_old = lambda v: surrogate_grad_before(pr, spec, v, c_old)
     state = replace(agd_state(beta, L, mu), beta_bar=beta_bar.copy())
     pair = (beta, beta_bar)
     for _ in range(30):
         pair = step(pair)
-        state = agd_step(state, surrogate_grad(pr, spec, c_old), c_old)
+        state = agd_step(state, grad_old, c_old)
         assert pair[0].tobytes() == state.beta.tobytes()
         assert pair[1].tobytes() == state.beta_bar.tobytes()
-    assert c_new == c_old and c_new.mults > 0
+    assert c_old == OpCounter().charge("hs-step-plain" if degenerate else "hs-step", p, 30)
 
 
 @pytest.mark.parametrize("degenerate", [False, True], ids=["momentum", "gamma-inf"])
@@ -229,11 +233,18 @@ def test_agd_map_writes_neither_input(degenerate):
 
 @pytest.mark.parametrize("degenerate", [False, True], ids=["momentum", "gamma-inf"])
 def test_agd_map_serves_pairs_of_two_sizes(degenerate):
-    # the coefficient vectors follow the pair's shape: p = 3, then 7, then 3
+    # the coefficient vectors follow the pair's shape: p = 3, then 7, then 3;
+    # the earlier step's update charges, plus the table's gradient, make
+    # the table's step
     L, mu = (2.5, 2.5) if degenerate else (9.0, 0.3)
     grad = lambda v: 2.0 * v - 1.0  # gradient of ||b||^2 - sum(b), any size
-    c_new, c_old = OpCounter(), OpCounter()
-    step = agd_map(L, mu, grad, c_new)
+    c_old, expected = OpCounter(), OpCounter()
+
+    def grad_old(v):
+        c_old.charge("hs-gradient", v.size)
+        return grad(v)
+
+    step = agd_map(L, mu, grad)
     rng = np.random.default_rng(9)
     for p in (3, 7, 3):
         beta, beta_bar = rng.standard_normal(p), rng.standard_normal(p)
@@ -241,10 +252,11 @@ def test_agd_map_serves_pairs_of_two_sizes(degenerate):
         state = replace(agd_state(beta, L, mu), beta_bar=beta_bar.copy())
         for _ in range(5):
             pair = step(pair)
-            state = agd_step(state, grad, c_old)
+            state = agd_step(state, grad_old, c_old)
             assert pair[0].tobytes() == state.beta.tobytes()
             assert pair[1].tobytes() == state.beta_bar.tobytes()
-    assert c_new == c_old and c_new.mults > 0
+        expected.charge("hs-step-plain" if degenerate else "hs-step", p, 5)
+    assert c_old == expected
 
 
 def test_agd_step_gamma_mu_one_direction():

@@ -178,3 +178,29 @@ def test_one_number_rule():
                 found.append(f"{path.name}:{i} {line.strip()}")
     assert found == []
     assert rule, "problem.check_number is gone"
+
+
+# An addition to a counter field: only OpCounter.charge may write one.
+COUNTER_WRITE = re.compile(r"\.(mults|adds|transcendentals|comparisons|setup_ops)\s*\+=")
+STEP_MAPS = {"baselines": ("_prox_grad_step", "_fista_step", "_cd_sweep", "_sl_step"),
+             "homotopy": ("agd_map",), "surrogate": ("surrogate_grad",)}
+
+
+def test_one_charge_table():
+    # Every charge is one entry of opcount.CHARGES: the step maps only
+    # compute and the drivers charge their steps by count, so no second
+    # copy of a charge's arithmetic can drift from the table, and each step
+    # map has one path for charged and uncharged callers alike.
+    import importlib
+    import inspect
+
+    found = [f"{path.name}:{i} {line.strip()}"
+             for path in sorted(Path(hslasso.__file__).parent.glob("*.py"))
+             if path.stem != "opcount"
+             for i, line in enumerate(path.read_text().splitlines(), start=1)
+             if COUNTER_WRITE.search(line)]
+    assert found == []
+    takes_counter = [f"{module}.{name}" for module, names in STEP_MAPS.items() for name in names
+                     if "counter" in inspect.signature(
+                         getattr(importlib.import_module(f"hslasso.{module}"), name)).parameters]
+    assert takes_counter == []

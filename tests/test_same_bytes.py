@@ -46,3 +46,20 @@ def test_same_bytes_compares_the_four_cli_bench_files():
     del moved["bench_ops.csv"]
     assert tool.changed_files(files, moved, "bench") == ["bench/bench_meta.json",
                                                          "bench/bench_ops.csv"]
+
+
+def test_same_bytes_compares_hs_solve_runs_under_three_stop_configs(tmp_path):
+    # the bench runs HS under the fixed inner stop and the oracle outer stop
+    # alone; these runs cover the other stops and the t0 search
+    tool = _tool()
+    files = tool.cli_solve_files(TOOL.parents[1], tool.solve_problem(tmp_path))
+    assert sorted(files) == [f"{name}/{f}" for name in sorted(tool.SOLVE_CONFIGS)
+                             for f in ("summary", "trace_hs.csv")]
+    for name in tool.SOLVE_CONFIGS:
+        summary = files[f"{name}/summary"]
+        assert summary.startswith((b"exit=0 method=hs ", b"exit=1 method=hs "))
+        assert b"trace=" not in summary
+    assert b"setup_ops=0 " not in files["gradient/summary"]  # t0 "auto" charges its probes
+    assert tool.changed_files(files, dict(files), "solve") == []
+    moved = {**files, "gradient/trace_hs.csv": files["gradient/trace_hs.csv"] + b"\n"}
+    assert tool.changed_files(files, moved, "solve") == ["solve/gradient/trace_hs.csv"]

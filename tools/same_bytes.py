@@ -10,8 +10,12 @@ runs must be equal, and so must each run's correct, attempted and failed
 fields. Then it runs ``python -m hslasso.cli bench`` with all five
 methods on each tree's ``src/``, and the four files it writes, the
 ``bench_meta.json`` that perfbench never writes among them, must have
-the same bytes too. Prints one line per run pair and exits 1 on any
-difference or on a run that fails, 0 otherwise. Timings are not compared.
+the same bytes too. Last, it runs ``hslasso solve --method hs`` on one
+``datagen`` problem under the HS stop configs that neither the bench nor
+any workload runs (``SOLVE_CONFIGS``): each run's ``trace_hs.csv``, exit
+code and summary line, its trace path aside, must be the same. Prints
+one line per run pair and exits 1 on any difference or on a run that
+fails, 0 otherwise. Timings are not compared.
 """
 
 from __future__ import annotations
@@ -26,6 +30,17 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
 CLI_BENCH = ["bench", "--methods", "ista,fista,cd,sl,hs"]
+SOLVE_PROBLEM = ["datagen", "--scenario", "sim1", "--n", "50", "--p", "20", "--lambda", "0.1",
+                 "--seed", "1"]
+# the gradient and theoretical inner stops, the t-floor and theoretical-count
+# outer stops and the t0 search: the bench runs none of them
+SOLVE_CONFIGS = {
+    "gradient": {"t0": "auto", "inner_stop": "gradient", "inner_grad_tol": 1e-6},
+    "theoretical-t-floor": {"t0": 3.0, "inner_stop": "theoretical", "outer_stop": "t-floor",
+                            "tau": 1e-3},
+    "theoretical-count": {"t0": 3.0, "inner_stop": "theoretical",
+                          "outer_stop": "theoretical-count"},
+}
 
 
 def run_tree(tree: Path, workload: str, seed: int, trace: int) -> tuple[dict, dict]:
@@ -45,16 +60,49 @@ def run_tree(tree: Path, workload: str, seed: int, trace: int) -> tuple[dict, di
     return result, files
 
 
+def run_cli(tree: Path, args: list[str], ok=(0,)) -> subprocess.CompletedProcess:
+    """``python -m hslasso.cli ARGS`` on ``tree``'s ``src/``; an exit code
+    outside ``ok`` raises."""
+    proc = subprocess.run([sys.executable, "-m", "hslasso.cli", *args], cwd=tree,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(tree / "src")})
+    if proc.returncode not in ok:
+        raise RuntimeError(f"{tree}: cli {args[0]} exited {proc.returncode}:\n{proc.stderr}")
+    return proc
+
+
 def cli_bench_files(tree: Path) -> dict:
     """``python -m hslasso.cli bench`` on ``tree``'s ``src/``: the files it
     writes, name -> bytes."""
     with tempfile.TemporaryDirectory() as out:
-        proc = subprocess.run([sys.executable, "-m", "hslasso.cli", *CLI_BENCH, "--out-dir", out],
-                              cwd=tree, capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": str(tree / "src")})
-        if proc.returncode != 0:
-            raise RuntimeError(f"{tree}: cli bench exited {proc.returncode}:\n{proc.stderr}")
+        run_cli(tree, [*CLI_BENCH, "--out-dir", out])
         return {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
+
+
+def solve_problem(out: Path) -> Path:
+    """The problem of the solve runs, written into ``out`` by this tree's
+    ``datagen``."""
+    run_cli(HERE, [*SOLVE_PROBLEM, "--out-dir", str(out)])
+    return out / "problem.json"
+
+
+def cli_solve_files(tree: Path, problem: Path) -> dict:
+    """``hslasso solve --method hs`` on ``problem`` with ``tree``'s ``src/``,
+    once per entry of SOLVE_CONFIGS: ``<config>/trace_hs.csv`` and
+    ``<config>/summary``, the exit code (0, or 1 for a run that did not
+    converge) and the summary line without its trace path, -> bytes."""
+    files = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, config in SOLVE_CONFIGS.items():
+            cfg, out = Path(tmp) / f"{name}.json", Path(tmp) / name
+            cfg.write_text(json.dumps(config))
+            proc = run_cli(tree, ["solve", "--method", "hs", "--input", str(problem),
+                                  "--epsilon", "1e-4", "--hs-config", str(cfg),
+                                  "--out-dir", str(out)], ok=(0, 1))
+            summary = proc.stdout.strip().rsplit(" trace=", 1)[0]
+            files[f"{name}/summary"] = f"exit={proc.returncode} {summary}".encode()
+            files[f"{name}/trace_hs.csv"] = (out / "trace_hs.csv").read_bytes()
+    return files
 
 
 def changed_files(parent: dict, change: dict, root: str) -> list[str]:
@@ -107,6 +155,13 @@ def main(argv=None) -> int:
     same &= not found
     print("cli bench: " + (f"DIFFERS: {'; '.join(found)}" if found
                            else f"same ({len(files[1])} files)"))
+    with tempfile.TemporaryDirectory() as tmp:
+        problem = solve_problem(Path(tmp))
+        files = [cli_solve_files(tree, problem) for tree in (parent, HERE)]
+    found = changed_files(*files, "solve")
+    same &= not found
+    print("cli solve: " + (f"DIFFERS: {'; '.join(found)}" if found
+                           else f"same ({len(SOLVE_CONFIGS)} stop configs)"))
     return 0 if same else 1
 
 
