@@ -5,15 +5,16 @@ evaluators for their published worst-case gap envelopes.
 Each method is a step map on a state tuple whose first entry is the
 iterate, and :func:`iterate` drives every map (the homotopy inner and outer
 loops too).  The maps only compute: a solve charges its steps by count,
-once, from ``opcount.CHARGES``.  The four solvers stop against a precomputed
-reference minimum, matching the measurement protocol of the benchmark
-harness: the stopping comparison is free.  The reference oracle runs the
-same FISTA map, to a subgradient-residual tolerance, tries an
-exact solve on the iterate's support from residual 1e-1 on, halving the
-stop after each refusal, and certifies the result by the Lasso duality
-gap; the CD map run the same way is the test suite's independent
-cross-check.  The CD sweep reads data built once per solve and moves
-through one scratch buffer, so it allocates no array per coordinate.
+once, from ``opcount.CHARGES``, to the counter on its trace.  The four
+solvers stop against a precomputed reference minimum, matching the
+measurement protocol of the benchmark harness: the stopping comparison
+is free.  The reference oracle runs the same FISTA map, to a
+subgradient-residual tolerance, tries an exact solve on the iterate's
+support from residual 1e-1 on, halving the stop after each refusal, and
+certifies the result by the Lasso duality gap; the CD map run the same
+way is the test suite's independent cross-check.  The CD sweep reads
+data built once per solve and moves through one scratch buffer, so it
+allocates no array per coordinate.
 """
 
 from __future__ import annotations
@@ -82,14 +83,14 @@ def iterate(state, step, stop, max_iters: int):
     return state, k, True
 
 
-def _run_flat(problem, config, counter, start, step, charge, inner_iters=1, aux=None):
-    """Drive a flat method from ``start(beta0)`` until the objective is
-    within config.epsilon of the reference minimum, appending one trace
-    row per iterate (``aux`` gives the F_t column; default F).  Row k reads
-    the start's total plus k steps of ``charge``; the steps are charged at
-    the end."""
+def _run_flat(problem, config, setup, start, step, charge, inner_iters=1, aux=None):
+    """Charge ``setup`` to the trace's counter, then drive a flat method
+    from ``start(beta0)`` until the objective is within config.epsilon of
+    the reference minimum, appending one trace row per iterate (``aux``
+    gives the F_t column; default F).  Row k reads the start's total plus
+    k steps of ``charge``; the steps are charged at the end."""
     trace = SolverTrace()
-    base = counter.total()
+    base = trace.counter.charge(setup, problem.p).total()
     per_step = OpCounter().charge(charge, problem.p).total()
 
     def stop(state, k):
@@ -101,7 +102,7 @@ def _run_flat(problem, config, counter, start, step, charge, inner_iters=1, aux=
 
     beta0 = np.asarray(config.beta0, dtype=float).copy()
     state, steps, trace.converged = iterate(start(beta0), step, stop, config.max_iters)
-    counter.charge(charge, problem.p, steps)
+    trace.counter.charge(charge, problem.p, steps)
     trace.final_beta = state[0]
     return trace
 
@@ -121,28 +122,24 @@ def _fista_step(problem, L, thr, state):
     return beta_new, point, momentum_new
 
 
-def _prox_grad_setup(problem, counter):
-    """Step size L, threshold lambda/L and the counter to charge."""
+def _prox_grad_setup(problem):
+    """Step size L and threshold lambda/L."""
     L = problem.eig_max
     if not L > 0:
         raise ValueError("gram matrix has no positive eigenvalue; step size undefined")
-    counter = counter if counter is not None else OpCounter()
-    counter.charge("prox-grad-setup", problem.p)
-    return L, problem.lam / L, counter
+    return L, problem.lam / L
 
 
-def ista_solve(problem: LassoProblem, config: BaselineConfig,
-               counter: OpCounter | None = None) -> SolverTrace:
-    L, thr, counter = _prox_grad_setup(problem, counter)
-    return _run_flat(problem, config, counter, lambda b: (b,),
+def ista_solve(problem: LassoProblem, config: BaselineConfig) -> SolverTrace:
+    L, thr = _prox_grad_setup(problem)
+    return _run_flat(problem, config, "prox-grad-setup", lambda b: (b,),
                      lambda s: (_prox_grad_step(problem, s[0], L, thr),), "prox-grad")
 
 
-def fista_solve(problem: LassoProblem, config: BaselineConfig,
-                counter: OpCounter | None = None) -> SolverTrace:
-    L, thr, counter = _prox_grad_setup(problem, counter)
+def fista_solve(problem: LassoProblem, config: BaselineConfig) -> SolverTrace:
+    L, thr = _prox_grad_setup(problem)
     # the extrapolated point starts at beta, so the first step has zero momentum
-    return _run_flat(problem, config, counter, lambda b: (b, b.copy(), 1.0),
+    return _run_flat(problem, config, "prox-grad-setup", lambda b: (b, b.copy(), 1.0),
                      lambda s: _fista_step(problem, L, thr, s), "fista")
 
 
@@ -186,16 +183,13 @@ def _cd_data(xtx, xty_raw, thresh):
             np.empty(xty_raw.size))
 
 
-def cd_solve(problem: LassoProblem, config: BaselineConfig,
-             counter: OpCounter | None = None) -> SolverTrace:
+def cd_solve(problem: LassoProblem, config: BaselineConfig) -> SolverTrace:
     """Cyclic coordinate descent, ascending order, one trace row per sweep."""
-    counter = counter if counter is not None else OpCounter()
     xtx = problem.gram * problem.n
     if np.any(np.diag(xtx) <= 0):
         raise ValueError("degenerate column: zero diagonal in X'X")
     data = _cd_data(xtx, problem.xty * problem.n, problem.n * problem.lam)
-    counter.charge("cd-setup", problem.p)
-    return _run_flat(problem, config, counter, lambda b: (b, xtx @ b),
+    return _run_flat(problem, config, "cd-setup", lambda b: (b, xtx @ b),
                      lambda s: _cd_sweep(s[0], data, s[1]), "cd", inner_iters=problem.p)
 
 
@@ -228,15 +222,12 @@ def _sl_step(problem, alpha, step, state):
     return w - step * g, beta, k + 1
 
 
-def sl_solve(problem: LassoProblem, config: BaselineConfig,
-             counter: OpCounter | None = None) -> SolverTrace:
+def sl_solve(problem: LassoProblem, config: BaselineConfig) -> SolverTrace:
     """Momentum descent on the smoothed objective, alpha = SL_ALPHA, with
     fixed step 1 / (sigma_max^2(X/sqrt(n)) + lambda*alpha/2)."""
     alpha = SL_ALPHA
-    counter = counter if counter is not None else OpCounter()
     step = 1.0 / (problem.eig_max + problem.lam * alpha / 2.0)
-    counter.charge("sl-setup", problem.p)
-    return _run_flat(problem, config, counter, lambda b: (b, b.copy(), 0),
+    return _run_flat(problem, config, "sl-setup", lambda b: (b, b.copy(), 0),
                      lambda s: _sl_step(problem, alpha, step, s), "sl",
                      aux=lambda b: sl_objective(problem, b, alpha))
 
@@ -261,10 +252,9 @@ def theoretical_bound(method: str, k: int, problem: LassoProblem,
             + 4.0 * math.sqrt(2.0 * problem.lam * problem.n * math.log(2.0)) * math.sqrt(d2) / k)
 
 
-def solve(problem: LassoProblem, config: BaselineConfig,
-          counter: OpCounter | None = None) -> SolverTrace:
+def solve(problem: LassoProblem, config: BaselineConfig) -> SolverTrace:
     dispatch = {"ista": ista_solve, "fista": fista_solve, "cd": cd_solve, "sl": sl_solve}
-    return dispatch[config.method](problem, config, counter)
+    return dispatch[config.method](problem, config)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from . import baselines, diagnostics
 from .baselines import REF_TOL, SL_ALPHA, reference_minimum
 from .datagen import SyntheticSpec, generate
 from .homotopy import HSConfig, hs_solve
-from .opcount import OpCounter
 from .problem import (
     LassoProblem,
     NumericalFailure,
@@ -160,11 +159,10 @@ def _cell_config(method, epsilon, hs, beta0):
 
 
 def _solve_cell(problem, cfg, ref):
-    """Run ``cfg`` against ``ref`` with its own counter: the path of both
-    ``solve`` and every ``bench`` cell."""
-    counter = OpCounter()
+    """Run ``cfg`` against ``ref``: the path of both ``solve`` and every
+    ``bench`` cell.  The trace carries the solve's counter."""
     run = hs_solve if isinstance(cfg, HSConfig) else baselines.solve
-    return run(problem, replace(cfg, ref=ref), counter), counter
+    return run(problem, replace(cfg, ref=ref))
 
 
 def cmd_solve(args) -> int:
@@ -175,12 +173,13 @@ def cmd_solve(args) -> int:
     problem = _load_problem(args.input)
     cfg = _cell_config(args.method, args.epsilon, hs, _beta0_vector(problem, args.beta0))
     ref = reference_minimum(problem)
-    trace, counter = _solve_cell(problem, cfg, ref)
+    trace = _solve_cell(problem, cfg, ref)
+    counter = trace.counter
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / f"trace_{args.method}.csv"
     trace_path.write_text(trace.to_csv())
-    gap = float(trace.records[-1].f_value - ref.f_min) if trace.records else math.nan
+    gap = float(trace.records[-1].f_value - ref.f_min)
     print(f"method={args.method} converged={trace.converged} "
           f"final_gap={_fmt_sig(gap)} ops={counter.total()} setup_ops={counter.setup_ops} "
           f"ref_dual_gap={_fmt_sig(ref.dual_gap)} trace={trace_path}")
@@ -244,7 +243,8 @@ def run_bench(grid: BenchmarkGrid) -> tuple[str, str, str, dict]:
                     for method in grid.methods]
             ref = reference_minimum(problem)
             for method, cfg in zip(grid.methods, cfgs):
-                trace, counter = _solve_cell(problem, cfg, ref)
+                trace = _solve_cell(problem, cfg, ref)
+                counter = trace.counter
                 hits = [trace.first_ops_at_gap(ref.f_min, eps) for eps in epsilons]
                 table_lines.append(f"{sim},{n},{p},{method}," + ",".join(
                     "" if ops is None else str(ops) for ops in hits))

@@ -155,12 +155,13 @@ def agd_map(L: float, mu: float, grad):
     return step
 
 
-def find_t0(problem: LassoProblem, counter: OpCounter | None = None) -> float:
+def find_t0(problem: LassoProblem, counter: OpCounter) -> float:
     """Smallest bracketed level satisfying the boundedness predicate.
 
     Doubles upward from t = 1 until the predicate holds (at most 60
     doublings), then runs 40 bisection steps toward the smallest
-    satisfying point.  The returned value always satisfies the predicate.
+    satisfying point.  The returned value always satisfies the predicate;
+    its probes are charged to ``counter``.
     """
     probes = 0
     ridge_solve = problem.ridge_solver()
@@ -191,21 +192,19 @@ def find_t0(problem: LassoProblem, counter: OpCounter | None = None) -> float:
             hi = mid
         else:
             lo = mid
-    if counter is not None:
-        counter.charge("find-t0-probe", problem.p, probes)
+    counter.charge("find-t0-probe", problem.p, probes)
     return hi
 
 
-def initial_beta(problem: LassoProblem, t0: float,
-                 counter: OpCounter | None = None) -> np.ndarray:
+def initial_beta(problem: LassoProblem, t0: float, counter: OpCounter) -> np.ndarray:
     """Exact minimizer of the smoothed objective restricted to its quadratic
-    branch: solves (X'X/n + 2*lambda*log(1+t0)^2/(3 t0^3) I) b = X'y/n."""
+    branch: solves (X'X/n + 2*lambda*log(1+t0)^2/(3 t0^3) I) b = X'y/n,
+    charged to ``counter``."""
     if not t0 > 0:
         raise ValueError("t0 must be positive")
     shift = 2.0 * problem.lam * math.log1p(t0) ** 2 / (3.0 * t0**3)
     beta = problem.ridge_solver()(shift)
-    if counter is not None:
-        counter.charge("ridge-start", problem.p)
+    counter.charge("ridge-start", problem.p)
     return beta
 
 
@@ -241,8 +240,7 @@ def default_iterate_bound(beta0: np.ndarray) -> float:
 
 
 def inner_solve(problem: LassoProblem, t_k: float, beta_init, config: HSConfig,
-                counter: OpCounter | None = None, *,
-                B: float) -> tuple[np.ndarray, int, bool, float]:
+                counter: OpCounter, *, B: float) -> tuple[np.ndarray, int, bool, float]:
     """Minimize the level-t_k smoothed objective from beta_init.
 
     B is the iterate bound of the curvature constants, resolved once by the
@@ -257,7 +255,7 @@ def inner_solve(problem: LassoProblem, t_k: float, beta_init, config: HSConfig,
     it is the float that per-step reductions give (a NaN entry is skipped
     once a later pair holds a number there).  The level's constants, its
     steps and, under the gradient stop, its steps + 1 stop tests are
-    charged by count once the loop ends.
+    charged by count to ``counter`` once the loop ends.
     """
     beta_init = np.asarray(beta_init, dtype=float)
     if t_k < config.tau * (1.0 - 1e-12):
@@ -289,28 +287,27 @@ def inner_solve(problem: LassoProblem, t_k: float, beta_init, config: HSConfig,
 
     start = beta_init.copy()  # a step rebinds both iterates and writes neither
     (_, beta_bar), steps, stopped = iterate((start, start), step, stop, MAX_INNER_STEPS)
-    if counter is not None:
-        p = problem.p
-        plain = math.isinf(agd_coefficients(L, mu)[2])
-        counter.charge("hs-level", p)
-        counter.charge("hs-step-plain" if plain else "hs-step", p, steps)
-        if config.inner_stop == "gradient":
-            counter.charge("hs-grad-stop", p, steps + 1)
+    plain = math.isinf(agd_coefficients(L, mu)[2])
+    counter.charge("hs-level", problem.p)
+    counter.charge("hs-step-plain" if plain else "hs-step", problem.p, steps)
+    if config.inner_stop == "gradient":
+        counter.charge("hs-grad-stop", problem.p, steps + 1)
     return beta_bar, steps, not stopped, float(peak.max())
 
 
-def hs_solve(problem: LassoProblem, config: HSConfig,
-             counter: OpCounter | None = None) -> SolverTrace:
-    """Run the full two-loop solver and return its trace.
+def hs_solve(problem: LassoProblem, config: HSConfig) -> SolverTrace:
+    """Run the full two-loop solver and return its trace, which carries the
+    solve's op counter.
 
     The level floor tau is hard in every outer stopping mode; oracle mode
     additionally stops as soon as the objective gap against the reference
-    drops to config.epsilon.
+    drops to config.epsilon.  A theoretical-count plan of more levels than
+    tau and max_outer allow is a ValueError, raised before the first level.
     """
     if config.outer_stop == "oracle" and config.ref is None:
         raise ValueError("oracle outer stop requires config.ref")
-    if counter is None:
-        counter = OpCounter()
+    trace = SolverTrace()
+    counter = trace.counter
 
     t0 = config.t0 if config.t0 is not None else find_t0(problem, counter)
     if not config.tau < t0:
@@ -323,8 +320,13 @@ def hs_solve(problem: LassoProblem, config: HSConfig,
     if config.outer_stop == "theoretical-count":
         planned = outer_iteration_count(problem.lam, problem.p, t0, B,
                                         config.h, config.epsilon)
+        t, allowed = t0, 0  # the levels of the loop below, up to the plan
+        while allowed < min(planned, config.max_outer) and t * (1.0 - config.h) >= config.tau:
+            t, allowed = t * (1.0 - config.h), allowed + 1
+        if allowed < planned:
+            raise ValueError(f"theoretical-count plans {planned} levels, but tau = {config.tau!r} "
+                             f"and max_outer = {config.max_outer} allow {allowed}")
 
-    trace = SolverTrace()
     trace.metadata = {"method": "hs", "t0": t0, "B": B, "planned_outer": planned}
     inner_caps = 0
 

@@ -4,7 +4,9 @@ Counts are exact integers, so they do not depend on the host platform,
 BLAS kernels, or interpreter version.  Every charge is one entry of
 :data:`CHARGES`, a closed form in the problem size p: the step maps only
 compute, and each driver charges its steps by count through
-:meth:`OpCounter.charge`, the one writer of a counter.  The conventions:
+:meth:`OpCounter.charge`, the one writer of a counter.  Each solve owns
+one counter, ``trace.counter``, and the helpers it calls take that counter
+as a required argument.  The conventions:
 
 * a dense (rows, cols) matrix-vector product costs ``rows*cols`` mults
   and ``rows*(cols-1)`` adds; an axpy of length m costs m mults and m adds;

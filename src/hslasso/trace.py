@@ -3,7 +3,8 @@
 CSV schema: ``k,t_k,inner_iters,F,F_t,ops``.  Homotopy runs put the
 current level in ``t_k``; flat methods write 0 there.  ``F_t`` is the
 method's auxiliary objective (smoothed objective for surrogate methods,
-equal to ``F`` otherwise).
+equal to ``F`` otherwise).  Each solve owns one op counter,
+``SolverTrace.counter``, charges it and returns it on its trace.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .opcount import OpCounter
 
 CSV_HEADER = "k,t_k,inner_iters,F,F_t,ops"
 
@@ -31,6 +34,7 @@ class SolverTrace:
     final_beta: np.ndarray | None = None
     converged: bool = False
     metadata: dict = field(default_factory=dict)
+    counter: OpCounter = field(default_factory=OpCounter)
 
     def append(self, k, t, inner_iters, f_value, ft_value, cumulative_ops):
         self.records.append(

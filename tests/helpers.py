@@ -81,7 +81,7 @@ def first_hit_margins(grid) -> dict[str, float]:
         ref = reference_minimum(problem)
         for method in grid.methods:
             cfg = _cell_config(method, eps.min(), BENCH_HS, SIM_BETA0[sim] * np.ones(p))
-            gaps = f_values(_solve_cell(problem, cfg, ref)[0]) - ref.f_min
+            gaps = f_values(_solve_cell(problem, cfg, ref)) - ref.f_min
             margins[f"{sim}/n{n}p{p}/{method}"] = float(np.min(np.abs(gaps[:, None] - eps) / eps))
     return margins
 

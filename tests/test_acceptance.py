@@ -43,7 +43,6 @@ from hslasso.homotopy import (
     agd_map,
     hs_solve,
 )
-from hslasso.opcount import OpCounter
 from hslasso.surrogate import SurrogateSpec, smoothness_constants, surrogate_grad, surrogate_value
 
 
@@ -228,7 +227,7 @@ def test_criterion_5_hs_end_to_end():
 
     oracle_cfg = HSConfig(t0=3.0, h=0.1, epsilon=0.005, outer_stop="oracle",
                           ref=ref, inner_stop="fixed", inner_fixed_count=50)
-    tr = hs_solve(pr, oracle_cfg, OpCounter())
+    tr = hs_solve(pr, oracle_cfg)
     from hslasso.problem import lasso_objective
 
     gap = lasso_objective(pr, tr.final_beta) - ref.f_min
@@ -237,7 +236,7 @@ def test_criterion_5_hs_end_to_end():
     # level column and precision envelope on a run driven to the floor
     floor_cfg = HSConfig(t0=3.0, h=0.1, outer_stop="t-floor", tau=1e-3,
                          inner_stop="fixed", inner_fixed_count=50, max_outer=500)
-    tr2 = hs_solve(pr, floor_cfg, OpCounter())
+    tr2 = hs_solve(pr, floor_cfg)
     expected_t = 3.0
     t_exact = tr2.records[0].t == 3.0
     for r in tr2.records[1:]:

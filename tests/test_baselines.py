@@ -299,7 +299,8 @@ def test_charge_pinned(case):
     c = OpCounter()
     if case in METHODS:
         never = ReferenceSolution(beta_hat=np.zeros(p), f_min=-np.inf, dual_gap=1e-9)
-        tr = solve(pr, BaselineConfig(case, np.ones(p), 1e-12, 50, never), c)
+        tr = solve(pr, BaselineConfig(case, np.ones(p), 1e-12, 50, never))
+        c = tr.counter
         assert len(tr.records) == 51
         assert not tr.converged
         assert np.all(np.diff(trace_ops(tr)) == per_iterate)
@@ -315,6 +316,18 @@ def test_charge_pinned(case):
     assert astuple(c) == counts
     if case == "cd":  # (mults, adds, transcendentals, comparisons, setup_ops) of one sweep
         assert CHARGES["cd"](p) == (80, 96, 0, 16, 0)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_trace_counter_totals_the_last_row(method):
+    # each solve owns one counter, returned on its trace, and its last row
+    # reads the counter's total
+    pr = make_problem(7, n=20, p=8)
+    tr = solve(pr, _cfg(method, pr, reference_minimum(pr), eps=1e-3))
+    assert tr.converged and len(tr.records) > 2
+    assert tr.counter.total() == tr.records[-1].cumulative_ops
+    assert tr.counter.setup_ops == CHARGES[f"{method}-setup" if method in ("cd", "sl")
+                                           else "prox-grad-setup"](pr.p)[4]
 
 
 def test_sl_penalty_grad_matches_finite_differences():
@@ -414,9 +427,8 @@ def test_solver_agreement_at_tight_precision():
 def test_trace_schema_for_flat_methods():
     pr = make_problem(14)
     ref = reference_minimum(pr)
-    c = OpCounter()
-    tr = fista_solve(pr, _cfg("fista", pr, ref, eps=1e-6), c)
+    tr = fista_solve(pr, _cfg("fista", pr, ref, eps=1e-6))
     csv = tr.to_csv().splitlines()
     assert csv[0] == "k,t_k,inner_iters,F,F_t,ops"
     assert all(line.split(",")[1] == "0.0" for line in csv[1:])
-    assert int(csv[-1].split(",")[-1]) == c.total()
+    assert int(csv[-1].split(",")[-1]) == tr.counter.total()

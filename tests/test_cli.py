@@ -10,6 +10,7 @@ import pytest
 from helpers import first_hit_margins, tiny_problem
 from hslasso.baselines import reference_minimum
 from hslasso.cli import BenchmarkGrid, build_parser, main, run_bench
+from hslasso.datagen import SyntheticSpec, generate
 from hslasso.problem import LassoProblem, save_problem_json
 
 
@@ -340,6 +341,21 @@ def test_solve_with_a_tiny_default_bound_converges(tmp_path, capsys):
                   "--hs-config", str(tmp_path / "hs.json"), "--out-dir", str(tmp_path)])
     assert rc == 0
     assert "converged=True" in capsys.readouterr().out
+
+
+def test_solve_theoretical_count_beyond_the_floor_is_usage_error(tmp_path, capsys):
+    # exited 1 with its gap met: the floor stopped the plan's 133 levels after 97
+    save_problem_json(generate(SyntheticSpec(n=50, p=20, rho=0.1, seed=1), lam=0.1),
+                      tmp_path / "p.json")
+    (tmp_path / "hs.json").write_text(
+        '{"t0": 3.0, "inner_stop": "theoretical", "outer_stop": "theoretical-count"}')
+    rc = run_cli(["solve", "--method", "hs", "--input", str(tmp_path / "p.json"),
+                  "--epsilon", "1e-4", "--hs-config", str(tmp_path / "hs.json"),
+                  "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "plans 133 levels, but tau = 0.0001 and max_outer = 1000 allow 97" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_finite_problem_json_is_usage_error(tmp_path):

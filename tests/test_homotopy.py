@@ -45,14 +45,14 @@ def sim1_problem(seed=1000):
 
 def test_find_t0_zero_response_hits_bisection_floor():
     pr = LassoProblem(y=np.zeros(5), X=np.eye(5), lam=0.3)
-    t0 = find_t0(pr)
+    t0 = find_t0(pr, OpCounter())
     assert t0 == pytest.approx(2.0**-40, rel=1e-12)
 
 
 def test_find_t0_satisfies_predicate_at_return():
     rng = np.random.default_rng(0)
     pr = LassoProblem(y=50.0 * np.ones(6) + rng.standard_normal(6), X=np.eye(6), lam=0.5)
-    t0 = find_t0(pr)
+    t0 = find_t0(pr, OpCounter())
     shift = pr.lam * math.log1p(t0) ** 2 / (3.0 * t0**3)
     sol = pr.ridge_solver()(shift)
     assert np.max(np.abs(sol)) <= t0
@@ -85,28 +85,28 @@ def test_find_t0_charges_setup_bucket_only():
 
 def test_initial_beta_zero_response():
     pr = LassoProblem(y=np.zeros(4), X=np.eye(4), lam=0.2)
-    assert np.array_equal(initial_beta(pr, 1.0), np.zeros(4))
+    assert np.array_equal(initial_beta(pr, 1.0, OpCounter()), np.zeros(4))
 
 
 def test_initial_beta_approaches_least_squares():
     pr = make_problem(5, n=40, p=6, lam=1e-12)
     beta_ls = np.linalg.solve(pr.gram, pr.xty)
-    b0 = initial_beta(pr, 2.0)
+    b0 = initial_beta(pr, 2.0, OpCounter())
     assert np.max(np.abs(b0 - beta_ls)) < 1e-8
 
 
 def test_initial_beta_bounded_by_found_t0():
     for seed in range(6):
         pr = make_problem(seed, n=25, p=6, lam=0.05)
-        t0 = find_t0(pr)
-        b0 = initial_beta(pr, t0)
+        t0 = find_t0(pr, OpCounter())
+        b0 = initial_beta(pr, t0, OpCounter())
         assert np.max(np.abs(b0)) <= t0 * (1 + 1e-12)
 
 
 def test_initial_beta_rejects_bad_t0():
     pr = make_problem(6)
     with pytest.raises(ValueError):
-        initial_beta(pr, 0.0)
+        initial_beta(pr, 0.0, OpCounter())
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +315,16 @@ def test_inner_solve_stops_at_entry_when_optimal():
     pr = sim1_problem()
     cfg = HSConfig(t0=1.0, inner_stop="gradient", inner_grad_tol=1e-6, B=10.0)
     # converge once, then restart from the solution
-    beta1, steps1, _, _ = inner_solve(pr, 0.5, np.zeros(pr.p), cfg, B=10.0)
+    beta1, steps1, _, _ = inner_solve(pr, 0.5, np.zeros(pr.p), cfg, OpCounter(), B=10.0)
     assert steps1 > 0
-    steps2 = inner_solve(pr, 0.5, beta1, cfg, B=10.0)[1]
+    steps2 = inner_solve(pr, 0.5, beta1, cfg, OpCounter(), B=10.0)[1]
     assert steps2 <= 1
 
 
 def test_inner_solve_fixed_mode_runs_exact_count():
     pr = sim1_problem()
     cfg = HSConfig(t0=1.0, inner_stop="fixed", inner_fixed_count=7, B=10.0)
-    steps = inner_solve(pr, 0.5, np.ones(pr.p), cfg, B=10.0)[1]
+    steps = inner_solve(pr, 0.5, np.ones(pr.p), cfg, OpCounter(), B=10.0)[1]
     assert steps == 7
 
 
@@ -358,7 +358,7 @@ def test_inner_solve_theoretical_steps_scale_with_log_tolerance():
     pr = sim1_problem()
     cfg = HSConfig(t0=3.0, h=0.1, outer_stop="t-floor", tau=5e-3,
                    inner_stop="theoretical", B=10.0, max_outer=200)
-    tr = hs_solve(pr, cfg, OpCounter())
+    tr = hs_solve(pr, cfg)
     steps = np.array([r.inner_iters for r in tr.records[1:]], dtype=float)
     logs = np.array([math.log(1.0 / inner_tolerance(pr.lam, pr.p, 10.0, r.t))
                      for r in tr.records[1:]])
@@ -373,8 +373,8 @@ def test_inner_solve_theoretical_stop_pinned():
     pr = sim1_problem()
     cfg = HSConfig(t0=3.0, h=0.1, outer_stop="t-floor", tau=5e-3,
                    inner_stop="theoretical", B=10.0)
-    counter = OpCounter()
-    tr = hs_solve(pr, cfg, counter)
+    tr = hs_solve(pr, cfg)
+    counter = tr.counter
     assert [r.inner_iters for r in tr.records] == [0] * 31 + [1, 1, 2, 1, 2, 1] + [2] * 23 + [1]
     assert counter.total() == 66423
     assert tr.converged
@@ -384,7 +384,7 @@ def test_inner_solve_rejects_level_below_floor():
     pr = sim1_problem()
     cfg = HSConfig(t0=1.0, tau=1e-2, B=10.0)
     with pytest.raises(ValueError):
-        inner_solve(pr, 1e-3, np.zeros(pr.p), cfg, B=10.0)
+        inner_solve(pr, 1e-3, np.zeros(pr.p), cfg, OpCounter(), B=10.0)
 
 
 def assert_same_inner_solve(pr, levels, beta0, cfg, B=None):
@@ -409,7 +409,7 @@ def assert_same_inner_solve(pr, levels, beta0, cfg, B=None):
 @pytest.mark.parametrize("p", [1, 5, 20])
 def test_inner_solve_matches_a_loop_of_agd_step(p, inner_stop):
     pr = generate(SyntheticSpec(n=30, p=p, rho=0.5, seed=p), lam=0.1)
-    beta0 = initial_beta(pr, 2.0)
+    beta0 = initial_beta(pr, 2.0, OpCounter())
     for B in (None, 10.0):
         cfg = HSConfig(t0=2.0, inner_stop=inner_stop, inner_fixed_count=40,
                        inner_grad_tol=1e-6, B=B)
@@ -434,7 +434,7 @@ def test_inner_solve_peak_counts_the_averaged_iterate():
     pr = generate(SyntheticSpec(n=30, p=1, rho=0.5, seed=5), lam=0.1)
     spec = SurrogateSpec(0.05)
     cfg = HSConfig(t0=2.0, inner_fixed_count=400, B=10.0)
-    out = inner_solve(pr, spec.t, np.zeros(1), cfg, B=10.0)
+    out = inner_solve(pr, spec.t, np.zeros(1), cfg, OpCounter(), B=10.0)
     assert out[1:] == inner_solve_before(pr, spec.t, np.zeros(1), cfg)[1:]
     step = agd_map(*smoothness_constants(pr, spec, 10.0), surrogate_grad(pr, spec))
     pair = (np.zeros(1), np.zeros(1))
@@ -450,7 +450,7 @@ def test_inner_solve_matches_agd_step_at_the_step_cap(monkeypatch):
     pr = sim1_problem()
     cfg = HSConfig(t0=1.0, inner_stop="gradient", inner_grad_tol=1e-300, B=10.0)
     assert_same_inner_solve(pr, (0.5,), np.ones(pr.p), cfg, 10.0)
-    assert inner_solve(pr, 0.5, np.ones(pr.p), cfg, B=10.0)[1:3] == (3, True)
+    assert inner_solve(pr, 0.5, np.ones(pr.p), cfg, OpCounter(), B=10.0)[1:3] == (3, True)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +462,7 @@ def test_hs_zero_outer_iterations_for_huge_epsilon():
     pr = sim1_problem()
     ref = reference_minimum(pr)
     cfg = HSConfig(t0=3.0, epsilon=1e9, outer_stop="oracle", ref=ref)
-    tr = hs_solve(pr, cfg, OpCounter())
+    tr = hs_solve(pr, cfg)
     assert tr.converged
     assert tr.metadata["outer_iterations"] == 0
     assert len(tr.records) == 1
@@ -472,7 +472,7 @@ def test_hs_reaches_table_scenario_precision():
     pr = sim1_problem()
     ref = reference_minimum(pr)
     cfg = HSConfig(t0=3.0, h=0.1, epsilon=0.005, outer_stop="oracle", ref=ref)
-    tr = hs_solve(pr, cfg, OpCounter())
+    tr = hs_solve(pr, cfg)
     assert tr.converged
     from hslasso.problem import lasso_objective
 
@@ -482,7 +482,7 @@ def test_hs_reaches_table_scenario_precision():
 def test_hs_t_column_exact_geometric_sequence():
     pr = sim1_problem()
     cfg = HSConfig(t0=3.0, h=0.1, outer_stop="t-floor", tau=1e-2, max_outer=500)
-    tr = hs_solve(pr, cfg, OpCounter())
+    tr = hs_solve(pr, cfg)
     expected = 3.0
     assert tr.records[0].t == expected
     for r in tr.records[1:]:
@@ -497,7 +497,7 @@ def test_hs_outer_gap_envelope_floor_mode():
     ref = reference_minimum(pr)
     cfg = HSConfig(t0=3.0, h=0.1, outer_stop="t-floor", tau=1e-3,
                    inner_fixed_count=50, max_outer=500)
-    tr = hs_solve(pr, cfg, OpCounter())
+    tr = hs_solve(pr, cfg)
     B_obs = tr.metadata["max_abs_iterate"]
     for r in tr.records[1:]:
         envelope = pr.lam * pr.p * (2 * B_obs + 1) * r.t
@@ -508,14 +508,14 @@ def test_hs_warm_start_matches_manual_chain():
     pr = sim1_problem()
     cfg = HSConfig(t0=3.0, h=0.1, outer_stop="t-floor", tau=2.0,
                    inner_stop="fixed", inner_fixed_count=3, B=10.0)
-    tr = hs_solve(pr, cfg, OpCounter())
+    tr = hs_solve(pr, cfg)
     # replicate by hand: init, then chained inner solves at t0*0.9^k
-    beta = initial_beta(pr, 3.0)
+    beta = initial_beta(pr, 3.0, OpCounter())
     t = 3.0
     betas = []
     for _ in range(tr.metadata["outer_iterations"]):
         t *= 0.9
-        beta = inner_solve(pr, t, beta, cfg, B=10.0)[0]
+        beta = inner_solve(pr, t, beta, cfg, OpCounter(), B=10.0)[0]
         betas.append(beta)
     assert np.array_equal(tr.final_beta, betas[-1])
 
@@ -523,7 +523,7 @@ def test_hs_warm_start_matches_manual_chain():
 def test_hs_violated_bound_flag():
     pr = sim1_problem()
     cfg = HSConfig(t0=3.0, h=0.1, outer_stop="t-floor", tau=1.0, B=1e-6)
-    tr = hs_solve(pr, cfg, OpCounter())
+    tr = hs_solve(pr, cfg)
     assert tr.metadata["violated_bound"]
 
 
@@ -532,7 +532,7 @@ def test_hs_max_outer_cap_flags_nonconvergence():
     ref = reference_minimum(pr)
     cfg = HSConfig(t0=3.0, h=0.1, epsilon=1e-13, outer_stop="oracle",
                    ref=ref, max_outer=2)
-    tr = hs_solve(pr, cfg, OpCounter())
+    tr = hs_solve(pr, cfg)
     assert not tr.converged
     assert tr.metadata["outer_iterations"] == 2
 
@@ -541,7 +541,7 @@ def test_hs_theoretical_count_mode_runs_planned_iterations():
     pr = sim1_problem()
     cfg = HSConfig(t0=3.0, h=0.1, epsilon=0.5, B=10.0,
                    outer_stop="theoretical-count", tau=1e-6, max_outer=10_000)
-    tr = hs_solve(pr, cfg, OpCounter())
+    tr = hs_solve(pr, cfg)
     planned = outer_iteration_count(pr.lam, pr.p, 3.0, 10.0, 0.1, 0.5)
     assert tr.converged
     assert tr.metadata["outer_iterations"] == planned == tr.metadata["planned_outer"]
@@ -550,18 +550,53 @@ def test_hs_theoretical_count_mode_runs_planned_iterations():
                                    "outer_iterations", "planned_outer", "t0", "violated_bound"]
 
 
+def test_hs_theoretical_count_plan_beyond_the_allowed_levels_is_a_usage_error(monkeypatch):
+    # ran to the floor after 97 of 133 planned levels and reported
+    # converged=False with its gap met
+    pr = generate(SyntheticSpec(n=50, p=20, rho=0.1, seed=1), lam=0.1)
+    cfg = HSConfig(t0=3.0, epsilon=1e-4, outer_stop="theoretical-count")
+    last = 3.0
+    for _ in range(133):  # the loop's own product, down to the planned level
+        last *= 1.0 - cfg.h
+    levels = []
+    monkeypatch.setattr(homotopy, "inner_solve", lambda *a, **k: levels.append(a[1]))
+    for changes, allowed in (({}, 97), ({"tau": 1e-6, "max_outer": 100}, 100),
+                             ({"tau": math.nextafter(last, 1.0)}, 132)):
+        with pytest.raises(ValueError, match=f"plans 133 levels, .* allow {allowed}$"):
+            hs_solve(pr, replace(cfg, **changes))
+    assert levels == []  # raised before the first level
+    monkeypatch.undo()
+    for changes in ({"tau": last}, {"tau": 1e-6, "max_outer": 133}):
+        tr = hs_solve(pr, replace(cfg, **changes))
+        assert tr.converged and tr.metadata["outer_iterations"] == 133
+
+
+@pytest.mark.parametrize("settings", [
+    {"t0": 3.0, "outer_stop": "oracle"},
+    {"inner_stop": "gradient", "inner_grad_tol": 1e-6, "outer_stop": "oracle"},
+    {"t0": 3.0, "inner_stop": "theoretical", "outer_stop": "t-floor", "tau": 1e-2}])
+def test_hs_trace_counter_totals_the_last_row(settings):
+    # the solve owns its counter: find_t0, the ridge start and every level
+    # charge the one counter that the trace returns
+    pr = sim1_problem()
+    tr = hs_solve(pr, HSConfig(epsilon=1e-5, ref=reference_minimum(pr), **settings))
+    assert tr.converged and tr.metadata["outer_iterations"] > 0
+    assert tr.counter.total() == tr.records[-1].cumulative_ops
+    assert (tr.counter.setup_ops > 0) == ("t0" not in settings)  # the t0 probes
+
+
 def test_hs_oracle_mode_requires_reference():
     pr = sim1_problem()
     cfg = HSConfig(t0=3.0, outer_stop="oracle")
     with pytest.raises(ValueError):
-        hs_solve(pr, cfg, OpCounter())
+        hs_solve(pr, cfg)
 
 
 def test_hs_auto_t0_resolution():
     pr = make_problem(15, n=25, p=5, lam=0.05)
     ref = reference_minimum(pr)
     cfg = HSConfig(t0=None, h=0.1, epsilon=0.01, outer_stop="oracle", ref=ref)
-    tr = hs_solve(pr, cfg, OpCounter())
+    tr = hs_solve(pr, cfg)
     assert tr.converged
     assert tr.metadata["t0"] > 0
 
@@ -572,7 +607,7 @@ def test_hs_auto_t0_keeps_no_eigenvectors_on_the_problem():
     pr = make_problem(16, n=12, p=20, lam=0.05)
     ref = reference_minimum(pr)
     cfg = HSConfig(t0=None, h=0.1, epsilon=0.05, outer_stop="oracle", ref=ref)
-    hs_solve(pr, cfg, OpCounter())
+    hs_solve(pr, cfg)
     square = [name for name, value in vars(pr).items()
               if isinstance(value, np.ndarray) and value.shape == (pr.p, pr.p)]
     assert square == ["gram"]
@@ -642,7 +677,7 @@ def test_hs_solve_raises_a_tiny_default_bound_to_the_level_range():
     assert trace.converged
     # with B < t, mu took B**3 (2.7e187 against L = 1.91 at t = 0.9), and
     # the 1/mu steps left final_beta at initial_beta, bit for bit
-    assert not np.array_equal(trace.final_beta, initial_beta(tiny_problem(), 1.0))
+    assert not np.array_equal(trace.final_beta, initial_beta(tiny_problem(), 1.0, OpCounter()))
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +694,7 @@ def test_minimize_surrogate_matches_gradient_inner_solve(n, p):
     pr = _shape_problem(n, p, lam=0.1)
     t = 0.1
     cfg = HSConfig(t0=1.0, inner_stop="gradient", inner_grad_tol=1e-10, B=10.0)
-    agd = inner_solve(pr, t, np.zeros(pr.p), cfg, B=10.0)[0]
+    agd = inner_solve(pr, t, np.zeros(pr.p), cfg, OpCounter(), B=10.0)[0]
     newton, _ = minimize_surrogate(pr, SurrogateSpec(t), np.zeros(pr.p), 1e-10, 200)
     assert np.max(np.abs(newton - agd)) <= 1e-8
 

@@ -22,8 +22,7 @@ def test_setup_excluded_from_total():
 def test_counters_never_decrease_across_solver_run():
     pr = make_problem(0)
     ref = reference_minimum(pr)
-    c = OpCounter()
-    trace = ista_solve(pr, BaselineConfig("ista", np.ones(pr.p), 1e-6, 500, ref), c)
+    trace = ista_solve(pr, BaselineConfig("ista", np.ones(pr.p), 1e-6, 500, ref))
     ops = trace_ops(trace)
     assert np.all(np.diff(ops) >= 0)
 
@@ -33,9 +32,8 @@ def test_ista_iteration_charge_constant_and_deterministic():
     ref = reference_minimum(pr)
 
     def run():
-        c = OpCounter()
-        tr = ista_solve(pr, BaselineConfig("ista", np.ones(20), 1e-9, 200, ref), c)
-        return tr, c
+        tr = ista_solve(pr, BaselineConfig("ista", np.ones(20), 1e-9, 200, ref))
+        return tr, tr.counter
 
     tr1, c1 = run()
     tr2, c2 = run()
@@ -50,8 +48,7 @@ def test_ista_iteration_charge_constant_and_deterministic():
 def test_additivity_of_per_iteration_deltas():
     pr = make_problem(2, p=6)
     ref = reference_minimum(pr)
-    c = OpCounter()
-    tr = ista_solve(pr, BaselineConfig("ista", np.ones(6), 1e-8, 300, ref), c)
+    tr = ista_solve(pr, BaselineConfig("ista", np.ones(6), 1e-8, 300, ref))
     ops = trace_ops(tr)
     total_from_deltas = ops[0] + np.sum(np.diff(ops))
-    assert total_from_deltas == c.total()
+    assert total_from_deltas == tr.counter.total()

@@ -95,7 +95,7 @@ def _imported_modules(module):
 
 # The package's modules in import order: each may import only from the
 # layers before its own, so the imports form one stack without a cycle.
-STACK = (("opcount", "trace"), ("problem",), ("surrogate", "datagen"), ("baselines",),
+STACK = (("opcount",), ("trace",), ("problem",), ("surrogate", "datagen"), ("baselines",),
          ("homotopy",), ("diagnostics",), ("cli",))
 
 
@@ -186,21 +186,43 @@ STEP_MAPS = {"baselines": ("_prox_grad_step", "_fista_step", "_cd_sweep", "_sl_s
              "homotopy": ("agd_map",), "surrogate": ("surrogate_grad",)}
 
 
+def _src_lines(pattern, skip=()):
+    """The lines of ``src/hslasso/*.py`` that ``pattern`` matches, the
+    modules in ``skip`` aside."""
+    return [f"{path.name}:{i} {line.strip()}"
+            for path in sorted(Path(hslasso.__file__).parent.glob("*.py")) if path.stem not in skip
+            for i, line in enumerate(path.read_text().splitlines(), start=1)
+            if pattern.search(line)]
+
+
+def _taking_counter(names_by_module):
+    """The functions, ``module.name``, that have a ``counter`` parameter."""
+    import importlib
+    import inspect
+
+    return [f"{module}.{name}" for module, names in names_by_module.items() for name in names
+            if "counter" in inspect.signature(
+                getattr(importlib.import_module(f"hslasso.{module}"), name)).parameters]
+
+
 def test_one_charge_table():
     # Every charge is one entry of opcount.CHARGES: the step maps only
     # compute and the drivers charge their steps by count, so no second
     # copy of a charge's arithmetic can drift from the table, and each step
     # map has one path for charged and uncharged callers alike.
-    import importlib
-    import inspect
+    assert _src_lines(COUNTER_WRITE, skip=("opcount",)) == []
+    assert _taking_counter(STEP_MAPS) == []
 
-    found = [f"{path.name}:{i} {line.strip()}"
-             for path in sorted(Path(hslasso.__file__).parent.glob("*.py"))
-             if path.stem != "opcount"
-             for i, line in enumerate(path.read_text().splitlines(), start=1)
-             if COUNTER_WRITE.search(line)]
-    assert found == []
-    takes_counter = [f"{module}.{name}" for module, names in STEP_MAPS.items() for name in names
-                     if "counter" in inspect.signature(
-                         getattr(importlib.import_module(f"hslasso.{module}"), name)).parameters]
-    assert takes_counter == []
+
+# A counter tested against None, or typed as optional: an uncounted mode.
+OPTIONAL_COUNTER = re.compile(r"counter is (not )?None|OpCounter \| None")
+SOLVES = {"baselines": ("ista_solve", "fista_solve", "cd_solve", "sl_solve", "solve"),
+          "homotopy": ("hs_solve",)}
+
+
+def test_one_counter_owner():
+    # Each solve makes its one counter and returns it on its trace; the
+    # helpers it calls take that counter as a required argument, so no
+    # charging function keeps a path that counts nothing.
+    assert _src_lines(OPTIONAL_COUNTER) == []
+    assert _taking_counter(SOLVES) == []

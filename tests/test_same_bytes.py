@@ -60,6 +60,8 @@ def test_same_bytes_compares_hs_solve_runs_under_three_stop_configs(tmp_path):
         assert summary.startswith((b"exit=0 method=hs ", b"exit=1 method=hs "))
         assert b"trace=" not in summary
     assert b"setup_ops=0 " not in files["gradient/summary"]  # t0 "auto" charges its probes
+    # its tau allows every planned level, so the planned run meets its gap
+    assert files["theoretical-count/summary"].startswith(b"exit=0 method=hs converged=True ")
     assert tool.changed_files(files, dict(files), "solve") == []
     moved = {**files, "gradient/trace_hs.csv": files["gradient/trace_hs.csv"] + b"\n"}
     assert tool.changed_files(files, moved, "solve") == ["solve/gradient/trace_hs.csv"]

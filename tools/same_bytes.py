@@ -33,13 +33,14 @@ CLI_BENCH = ["bench", "--methods", "ista,fista,cd,sl,hs"]
 SOLVE_PROBLEM = ["datagen", "--scenario", "sim1", "--n", "50", "--p", "20", "--lambda", "0.1",
                  "--seed", "1"]
 # the gradient and theoretical inner stops, the t-floor and theoretical-count
-# outer stops and the t0 search: the bench runs none of them
+# outer stops and the t0 search: the bench runs none of them; tau = 1e-6
+# allows 141 levels, enough for the 133 that theoretical-count plans here
 SOLVE_CONFIGS = {
     "gradient": {"t0": "auto", "inner_stop": "gradient", "inner_grad_tol": 1e-6},
     "theoretical-t-floor": {"t0": 3.0, "inner_stop": "theoretical", "outer_stop": "t-floor",
                             "tau": 1e-3},
     "theoretical-count": {"t0": 3.0, "inner_stop": "theoretical",
-                          "outer_stop": "theoretical-count"},
+                          "outer_stop": "theoretical-count", "tau": 1e-6},
 }
 
 
