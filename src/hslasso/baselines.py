@@ -37,9 +37,10 @@ from .problem import (
 from .trace import SolverTrace
 
 METHODS = ("ista", "fista", "cd", "sl")
-# the protocol of every run: sl's smoothing, and the reference's residual
-# tolerance and step cap
+# the protocol of every run: sl's smoothing, the flat solvers' step cap, and
+# the reference's residual tolerance and step cap
 SL_ALPHA = 100.0
+MAX_ITERS = 200_000
 REF_TOL = 1e-10
 REF_MAX_ITERS = 500_000
 
@@ -51,18 +52,14 @@ class BaselineConfig:
     method: str
     beta0: np.ndarray
     epsilon: float
-    max_iters: int
     ref: ReferenceSolution | None  # None until the reference is computed
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        vars(self).update(epsilon=check_number("epsilon", self.epsilon),
-                          max_iters=check_number("max_iters", self.max_iters, integral=True))
+        vars(self).update(epsilon=check_number("epsilon", self.epsilon))
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
         if not np.all(np.isfinite(self.beta0)):
             raise ValueError("beta0 must be finite (no NaN or inf entries)")
 
@@ -84,9 +81,9 @@ def iterate(state, step, stop, max_iters: int):
 
 
 def _run_flat(problem, config, setup, start, step, charge, inner_iters=1, aux=None):
-    """Charge ``setup`` to the trace's counter, then drive a flat method
-    from ``start(beta0)`` until the objective is within config.epsilon of
-    the reference minimum, appending one trace row per iterate (``aux``
+    """Charge ``setup`` to the trace's counter, then drive a flat method from
+    ``start(beta0)``, for at most MAX_ITERS steps, until the objective is within
+    config.epsilon of the reference minimum, one trace row per iterate (``aux``
     gives the F_t column; default F).  Row k reads the start's total plus
     k steps of ``charge``; the steps are charged at the end."""
     trace = SolverTrace()
@@ -101,7 +98,7 @@ def _run_flat(problem, config, setup, start, step, charge, inner_iters=1, aux=No
         return f - config.ref.f_min <= config.epsilon
 
     beta0 = np.asarray(config.beta0, dtype=float).copy()
-    state, steps, trace.converged = iterate(start(beta0), step, stop, config.max_iters)
+    state, steps, trace.converged = iterate(start(beta0), step, stop, MAX_ITERS)
     trace.counter.charge(charge, problem.p, steps)
     trace.final_beta = state[0]
     return trace
@@ -183,12 +180,17 @@ def _cd_data(xtx, xty_raw, thresh):
             np.empty(xty_raw.size))
 
 
-def cd_solve(problem: LassoProblem, config: BaselineConfig) -> SolverTrace:
-    """Cyclic coordinate descent, ascending order, one trace row per sweep."""
+def _cd_setup(problem):
+    """X'X and :func:`_cd_data`'s sweep data of one CD run; a zero column raises."""
     xtx = problem.gram * problem.n
     if np.any(np.diag(xtx) <= 0):
         raise ValueError("degenerate column: zero diagonal in X'X")
-    data = _cd_data(xtx, problem.xty * problem.n, problem.n * problem.lam)
+    return xtx, _cd_data(xtx, problem.xty * problem.n, problem.n * problem.lam)
+
+
+def cd_solve(problem: LassoProblem, config: BaselineConfig) -> SolverTrace:
+    """Cyclic coordinate descent, ascending order, one trace row per sweep."""
+    xtx, data = _cd_setup(problem)
     return _run_flat(problem, config, "cd-setup", lambda b: (b, xtx @ b),
                      lambda s: _cd_sweep(s[0], data, s[1]), "cd", inner_iters=problem.p)
 
@@ -267,8 +269,9 @@ FINISH_TIGHTEN = 2.0
 
 
 def _minimize_to_residual(problem, state, step, finish=None):
-    """Drive ``step`` until the subgradient residual is <= REF_TOL; None at
-    REF_MAX_ITERS steps.
+    """Drive ``step`` until the subgradient residual is <= REF_TOL.  Returns
+    (beta, finished): beta is None at REF_MAX_ITERS steps, and finished
+    tells whether beta is ``finish``'s.
 
     With ``finish``, the run also stops at residual FINISH_LOOSE_TOL and at
     each FINISH_TIGHTEN times smaller one above REF_TOL, and returns
@@ -287,23 +290,23 @@ def _minimize_to_residual(problem, state, step, finish=None):
             state, step, lambda s, k: subgradient_residual(problem, s[0]) <= stop_tol, max_iters)
         max_iters -= steps
         if not reached:
-            return None
+            return None, False
         if stop_tol <= REF_TOL:
-            return state[0]
+            return state[0], False
         finished = finish(state[0])
         if finished is not None:
-            return finished
+            return finished, True
         stop_tol = max(stop_tol / FINISH_TIGHTEN, REF_TOL)
 
 
 def fista_minimize_to_residual(problem, finish=None):
     """Accelerated proximal gradient from zero until the minimum-norm subgradient
-    drops below REF_TOL; None at the cap.  ``finish`` is tried on the way, as
-    in :func:`_minimize_to_residual`."""
+    drops below REF_TOL; ``finish`` is tried on the way.  Returns (beta or None
+    at the cap, finished), as :func:`_minimize_to_residual` does."""
     beta = np.zeros(problem.p)
     L = problem.eig_max
     if not L > 0:
-        return beta if subgradient_residual(problem, beta) <= REF_TOL else None
+        return (beta if subgradient_residual(problem, beta) <= REF_TOL else None), False
     thr = problem.lam / L
     return _minimize_to_residual(problem, (beta, beta.copy(), 1.0),
                                  lambda s: _fista_step(problem, L, thr, s), finish)
@@ -314,11 +317,10 @@ def cd_minimize_to_residual(problem):
     drops below REF_TOL; None at the sweep cap.  No library path calls it:
     the test suite runs it as an independent cross-check of the reference.
     """
-    xtx = problem.gram * problem.n
-    data = _cd_data(xtx, problem.xty * problem.n, problem.n * problem.lam)
+    xtx, data = _cd_setup(problem)
     beta = np.zeros(problem.p)
     return _minimize_to_residual(problem, (beta, xtx @ beta),
-                                 lambda s: _cd_sweep(s[0], data, s[1]))
+                                 lambda s: _cd_sweep(s[0], data, s[1]))[0]
 
 
 def support_kkt_solution(problem: LassoProblem, beta) -> np.ndarray | None:
@@ -344,27 +346,12 @@ def support_kkt_solution(problem: LassoProblem, beta) -> np.ndarray | None:
     return None
 
 
-def _reference_iterate(problem: LassoProblem) -> tuple[np.ndarray | None, str]:
-    """FISTA from zero, finished by :func:`support_kkt_solution` at the first
-    looser residual where that solve is accepted; otherwise FISTA's own
-    iterate at residual <= REF_TOL.  Returns (beta or None at the cap, method)."""
-    method = "fista"
-
-    def finish(beta):
-        nonlocal method
-        exact = support_kkt_solution(problem, beta)
-        if exact is not None:  # the run returns at the first accepted solve
-            method = "support-kkt"
-        return exact
-
-    beta = fista_minimize_to_residual(problem, finish=finish)
-    return beta, method
-
-
 def reference_minimum(problem: LassoProblem) -> ReferenceSolution:
-    """Certified ground-truth minimum: the iterate of :func:`_reference_iterate`,
-    whose subgradient residual is <= tol = REF_TOL, certified by the Lasso
-    duality gap G (Gap Safe screening: Fercoq, Gramfort & Salmon, ICML 2015).
+    """Certified ground-truth minimum: FISTA from zero, finished by
+    :func:`support_kkt_solution` at the first looser residual where that solve
+    is accepted (method "support-kkt"), else FISTA's own iterate ("fista"), at
+    residual <= tol = REF_TOL, certified by the Lasso duality gap G (Gap Safe
+    screening: Fercoq, Gramfort & Salmon, ICML 2015).
     With r = y - X b, g = X'r/n and a = min(1, lambda/||g||_inf), theta = a r/n
     is dual feasible, so G = f(b) - (theta'y - (n/2)||theta||^2) >= f(b) - f*.
     The residual bound tol bounds G:
@@ -375,7 +362,8 @@ def reference_minimum(problem: LassoProblem) -> ReferenceSolution:
     A larger G, beyond 1e-12 max(1, |f|) of round-off, raises NumericalFailure.
     """
     tol = REF_TOL
-    beta, method = _reference_iterate(problem)
+    beta, exact = fista_minimize_to_residual(
+        problem, finish=lambda b: support_kkt_solution(problem, b))
     if beta is None:
         raise NumericalFailure("reference solver did not reach the residual tolerance")
     f = lasso_objective(problem, beta)
@@ -387,4 +375,5 @@ def reference_minimum(problem: LassoProblem) -> ReferenceSolution:
     if not gap <= bound + 1e-12 * max(1.0, abs(f)):
         raise NumericalFailure(f"reference duality gap {gap!r} exceeds {bound!r}, the bound "
                                f"implied by the residual tolerance {tol!r}")
-    return ReferenceSolution(beta_hat=_readonly(beta), f_min=f, dual_gap=gap, method=method)
+    return ReferenceSolution(beta_hat=_readonly(beta), f_min=f, dual_gap=gap,
+                             method="support-kkt" if exact else "fista")

@@ -41,11 +41,8 @@ SIM_PATTERNS = {"sim1": "dense-exp", "sim2": "sparse-exp"}
 SIM_BETA0 = {"sim1": 1.0, "sim2": 0.1}  # flat starting values of the flat methods
 GEN_DEFAULTS = dict(scenario="sim1", n=50, p=20, rho=0.1, snr=SyntheticSpec.snr, lam=1e-3,
                     seed=0)
-# the step cap of every flat solve, solve's and each bench cell's; the
-# reference's tolerance and sl's smoothing are baselines.REF_TOL and SL_ALPHA
-MAX_ITERS = 200000
 # the paper's bench protocol: fixed-count inner loop, oracle outer stop,
-# and HSConfig's own h, tau and max_outer
+# and HSConfig's own h and tau
 BENCH_HS = HSConfig(t0=3.0, inner_stop="fixed", inner_fixed_count=50, outer_stop="oracle")
 
 OPS_CSV_HEADER = "sim,n,p,method,ops_total,ops_setup,ops_mult,ops_add,ops_trans,ops_cmp"
@@ -151,10 +148,10 @@ def _beta0_vector(problem: LassoProblem, spec: str) -> np.ndarray:
 def _cell_config(method, epsilon, hs, beta0):
     """The checked config of one solver run to ``epsilon``, built before the
     reference; ``hs`` is the homotopy config before its precision is set.
-    The flat settings are checked under ``hs`` too, so a bad ``--beta0`` or
-    step cap is a usage error whatever the method."""
+    The flat settings are checked under ``hs`` too, so a bad ``--beta0`` is
+    a usage error whatever the method."""
     flat = baselines.BaselineConfig(method="ista" if method == "hs" else method, beta0=beta0,
-                                    epsilon=epsilon, max_iters=MAX_ITERS, ref=None)
+                                    epsilon=epsilon, ref=None)
     return replace(hs, epsilon=epsilon) if method == "hs" else flat
 
 
@@ -228,7 +225,7 @@ def run_bench(grid: BenchmarkGrid) -> tuple[str, str, str, dict]:
         "hs": {"t0": BENCH_HS.t0, "h": BENCH_HS.h, "inner_stop": BENCH_HS.inner_stop,
                "inner_fixed": BENCH_HS.inner_fixed_count, "tau": BENCH_HS.tau},
         "sl_alpha": SL_ALPHA,
-        "max_iters": MAX_ITERS,
+        "max_iters": baselines.MAX_ITERS,
         "seed_rule": "problem seed = seed + 1000*sim_index + scenario_index",
         "cells": {},
     }
@@ -309,14 +306,10 @@ def cmd_verify(args) -> int:
         "support_tol": tol,
         "closeness_sweep": sweep,
     }
-    if 0 < support.size < problem.p:
-        try:
-            report["support_conditions"] = diagnostics.support_conditions_check(
-                problem.X, support)
-        except ValueError as exc:
-            report["support_conditions"] = {"error": str(exc)}
-    else:
-        report["support_conditions"] = {"error": "support empty or full; conditions undefined"}
+    try:  # an empty or full support, or a rank-deficient X_S, is an error block
+        report["support_conditions"] = diagnostics.support_conditions_check(problem.X, support)
+    except ValueError as exc:
+        report["support_conditions"] = {"error": str(exc)}
     text = json.dumps(report, indent=2)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -361,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--hs-config", help="JSON file of HS settings; default HSConfig()")
     ps.set_defaults(func=cmd_solve)
 
-    # one protocol, BENCH_HS, MAX_ITERS, SL_ALPHA and REF_TOL; the flags pick the grid only
+    # one protocol, BENCH_HS and the module constants; the flags pick the grid only
     pb = sub.add_parser("bench", help="run the benchmark grid")
     pb.add_argument("--sim", choices=(*SIM_PATTERNS, "both"), default="both")
     pb.add_argument("--n", type=int, default=None)

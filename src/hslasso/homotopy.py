@@ -38,6 +38,8 @@ OUTER_STOP_MODES = ("oracle", "theoretical-count", "t-floor")
 AUX_NEWTON_MAX_ITERS = 1000
 # Safety cap on the AGD steps of one level; the bench's fixed-count loop takes 50.
 MAX_INNER_STEPS = 100_000
+# Safety cap on the levels of one solve; the default tau stops a t0 = 3 solve at 97.
+MAX_OUTER = 1000
 
 
 @dataclass(frozen=True)
@@ -58,14 +60,13 @@ class HSConfig:
     inner_grad_tol: float = 1e-8
     outer_stop: str = "oracle"
     ref: ReferenceSolution | None = None
-    max_outer: int = 1000
 
     def __post_init__(self) -> None:
-        counts = ("inner_fixed_count", "max_outer")
         reals = ("h", "epsilon", "tau", "inner_grad_tol") + tuple(
             name for name in ("t0", "B") if getattr(self, name) is not None)
-        vars(self).update({name: check_number(name, getattr(self, name), integral=name in counts)
-                           for name in counts + reals})
+        count = check_number("inner_fixed_count", self.inner_fixed_count, integral=True)
+        vars(self).update({name: check_number(name, getattr(self, name)) for name in reals},
+                          inner_fixed_count=count)
         if not 0.0 < self.h < 1.0:
             raise ValueError("h must lie strictly in (0, 1)")
         if not 0 < self.epsilon < math.inf:
@@ -79,9 +80,8 @@ class HSConfig:
             raise ValueError(f"inner_stop must be one of {INNER_STOP_MODES}")
         if self.outer_stop not in OUTER_STOP_MODES:
             raise ValueError(f"outer_stop must be one of {OUTER_STOP_MODES}")
-        for name in counts:
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        if self.inner_fixed_count < 1:
+            raise ValueError("inner_fixed_count must be >= 1")
         if not self.inner_grad_tol > 0:
             raise ValueError("inner_grad_tol must be positive")
 
@@ -301,8 +301,9 @@ def hs_solve(problem: LassoProblem, config: HSConfig) -> SolverTrace:
 
     The level floor tau is hard in every outer stopping mode; oracle mode
     additionally stops as soon as the objective gap against the reference
-    drops to config.epsilon.  A theoretical-count plan of more levels than
-    tau and max_outer allow is a ValueError, raised before the first level.
+    drops to config.epsilon; no solve runs more than MAX_OUTER levels.  A
+    theoretical-count plan of more levels than tau and MAX_OUTER allow is a
+    ValueError, raised before the first level.
     """
     if config.outer_stop == "oracle" and config.ref is None:
         raise ValueError("oracle outer stop requires config.ref")
@@ -321,11 +322,11 @@ def hs_solve(problem: LassoProblem, config: HSConfig) -> SolverTrace:
         planned = outer_iteration_count(problem.lam, problem.p, t0, B,
                                         config.h, config.epsilon)
         t, allowed = t0, 0  # the levels of the loop below, up to the plan
-        while allowed < min(planned, config.max_outer) and t * (1.0 - config.h) >= config.tau:
+        while allowed < min(planned, MAX_OUTER) and t * (1.0 - config.h) >= config.tau:
             t, allowed = t * (1.0 - config.h), allowed + 1
         if allowed < planned:
             raise ValueError(f"theoretical-count plans {planned} levels, but tau = {config.tau!r} "
-                             f"and max_outer = {config.max_outer} allow {allowed}")
+                             f"and MAX_OUTER = {MAX_OUTER} allow {allowed}")
 
     trace.metadata = {"method": "hs", "t0": t0, "B": B, "planned_outer": planned}
     inner_caps = 0
@@ -352,7 +353,7 @@ def hs_solve(problem: LassoProblem, config: HSConfig) -> SolverTrace:
     append_row(t0, 0, beta)
     (beta, _), k_done, stopped = iterate(
         (beta, t0), level, lambda state, k: reached(k) or state[1] * (1.0 - config.h) < config.tau,
-        config.max_outer)
+        MAX_OUTER)
     converged = stopped and (config.outer_stop == "t-floor" or reached(k_done))
     trace.final_beta = beta
     trace.converged = converged and inner_caps == 0

@@ -22,6 +22,7 @@ from helpers import (
     numeric_prox_argmin,
     surrogate_minimizer,
 )
+from hslasso import baselines
 from hslasso.baselines import (
     BaselineConfig,
     cd_solve,
@@ -142,8 +143,9 @@ def test_criterion_2_oracle_equivalence():
            time.time() - start, budget=30.0)
 
 
-def test_criterion_3_bound_dominance():
+def test_criterion_3_bound_dominance(monkeypatch):
     start = time.time()
+    monkeypatch.setattr(baselines, "MAX_ITERS", 5000)  # the step cap of every run
     solvers = (("ista", ista_solve), ("fista", fista_solve), ("cd", cd_solve),
                ("sl", sl_solve))
     worst = -np.inf
@@ -153,8 +155,7 @@ def test_criterion_3_bound_dominance():
         ref = reference_minimum(pr)
         beta0 = np.ones(20)
         for method, solver in solvers:
-            cfg = BaselineConfig(method=method, beta0=beta0, epsilon=1e-30,
-                                 max_iters=5000, ref=ref)
+            cfg = BaselineConfig(method=method, beta0=beta0, epsilon=1e-30, ref=ref)
             tr = solver(pr, cfg)
             f = f_values(tr)
             ks = np.arange(1, len(f))
@@ -235,7 +236,7 @@ def test_criterion_5_hs_end_to_end():
 
     # level column and precision envelope on a run driven to the floor
     floor_cfg = HSConfig(t0=3.0, h=0.1, outer_stop="t-floor", tau=1e-3,
-                         inner_stop="fixed", inner_fixed_count=50, max_outer=500)
+                         inner_stop="fixed", inner_fixed_count=50)
     tr2 = hs_solve(pr, floor_cfg)
     expected_t = 3.0
     t_exact = tr2.records[0].t == 3.0

@@ -258,25 +258,18 @@ def test_hs_settings_have_one_source(tmp_path, capsys, flags, config):
     assert not (tmp_path / "trace_hs.csv").exists()
 
 
-@pytest.mark.parametrize("method,flags,protocol", [
-    ("ista", ["--epsilon", "-1"], {}),
-    ("fista", [], {"MAX_ITERS": 0}),
-    ("cd", ["--beta0", "nan"], {}),
-    ("cd", ["--beta0", "foo"], {}),
-    ("hs", ["--epsilon", "0"], {}),
-    ("hs", ["--beta0", "nan"], {}),
-    ("hs", [], {"MAX_ITERS": 0}),
-], ids=["ista-epsilon", "fista-max-iters", "cd-beta0-nan", "cd-beta0-word",
-        "hs-epsilon", "hs-beta0-nan", "hs-max-iters"])
-def test_solve_checks_inputs_before_the_reference(tmp_path, monkeypatch, method, flags,
-                                                  protocol):
-    # each was rejected only after a full reference solve; the step cap,
-    # once a flag, is a protocol constant checked the same way
+@pytest.mark.parametrize("method,flags", [
+    ("ista", ["--epsilon", "-1"]),
+    ("cd", ["--beta0", "nan"]),
+    ("cd", ["--beta0", "foo"]),
+    ("hs", ["--epsilon", "0"]),
+    ("hs", ["--beta0", "nan"]),
+], ids=["ista-epsilon", "cd-beta0-nan", "cd-beta0-word", "hs-epsilon", "hs-beta0-nan"])
+def test_solve_checks_inputs_before_the_reference(tmp_path, monkeypatch, method, flags):
+    # each was rejected only after a full reference solve
     import hslasso.cli as cli
 
     assert run_cli(["datagen", "--n", "20", "--p", "5", "--out-dir", str(tmp_path)]) == 0
-    for name, value in protocol.items():
-        monkeypatch.setattr(cli, name, value)
 
     def no_reference(*args):
         raise AssertionError("reference_minimum ran before the inputs were checked")
@@ -353,7 +346,7 @@ def test_solve_theoretical_count_beyond_the_floor_is_usage_error(tmp_path, capsy
                   "--epsilon", "1e-4", "--hs-config", str(tmp_path / "hs.json"),
                   "--out-dir", str(tmp_path / "out")])
     assert rc == 2
-    assert "plans 133 levels, but tau = 0.0001 and max_outer = 1000 allow 97" in (
+    assert "plans 133 levels, but tau = 0.0001 and MAX_OUTER = 1000 allow 97" in (
         capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
@@ -392,7 +385,7 @@ def test_uncertified_reference_is_numerical_failure(tmp_path, monkeypatch, capsy
     from hslasso import baselines
     from hslasso.problem import NumericalFailure
 
-    find = baselines._reference_iterate
+    find = baselines.fista_minimize_to_residual
     pr = LassoProblem(y=np.arange(6.0), X=np.eye(6) + 0.1, lam=0.05)
     path = tmp_path / "problem.json"
     save_problem_json(pr, path)
@@ -400,12 +393,12 @@ def test_uncertified_reference_is_numerical_failure(tmp_path, monkeypatch, capsy
         if method == "fista":
             monkeypatch.setattr(baselines, "support_kkt_solution", lambda *args: None)
 
-        def perturbed(problem, method=method):
-            beta, found = find(problem)
-            assert found == method
-            return beta + 1e-3, found
+        def perturbed(problem, finish, exact=method == "support-kkt"):
+            beta, finished = find(problem, finish=finish)
+            assert finished == exact
+            return beta + 1e-3, finished
 
-        monkeypatch.setattr(baselines, "_reference_iterate", perturbed)
+        monkeypatch.setattr(baselines, "fista_minimize_to_residual", perturbed)
         with pytest.raises(NumericalFailure, match="duality gap"):
             reference_minimum(pr)
         assert run_cli(["solve", "--method", "fista", "--input", str(path),
@@ -432,7 +425,7 @@ def test_datagen_writes_all_formats(tmp_path):
 
 
 def test_solve_roundtrip_and_exit_codes(tmp_path, capsys, monkeypatch):
-    import hslasso.cli as cli
+    from hslasso import baselines
 
     assert run_cli(["datagen", "--scenario", "sim1", "--n", "30", "--p", "8",
                     "--seed", "1", "--out-dir", str(tmp_path)]) == 0
@@ -459,7 +452,7 @@ def test_solve_roundtrip_and_exit_codes(tmp_path, capsys, monkeypatch):
                         "--out-dir", str(tmp_path)]) == 2
 
     # unreachable precision within one iteration: finishes unconverged
-    monkeypatch.setattr(cli, "MAX_ITERS", 1)
+    monkeypatch.setattr(baselines, "MAX_ITERS", 1)
     rc = run_cli(["solve", "--method", "ista", "--input", prob,
                   "--epsilon", "1e-14", "--out-dir", str(tmp_path)])
     assert rc == 1
@@ -478,6 +471,16 @@ def test_solve_roundtrip_and_exit_codes(tmp_path, capsys, monkeypatch):
                   "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "usage error" in capsys.readouterr().err
+
+
+def test_solve_max_outer_is_no_config_key(tmp_path, capsys):
+    # the level cap is the constant homotopy.MAX_OUTER, as max_inner is MAX_INNER_STEPS
+    assert run_cli(["datagen", "--n", "20", "--p", "5", "--out-dir", str(tmp_path)]) == 0
+    (tmp_path / "hs.json").write_text('{"max_outer": 5}')
+    assert run_cli(["solve", "--method", "hs", "--input", str(tmp_path / "problem.json"),
+                    "--hs-config", str(tmp_path / "hs.json"), "--out-dir", str(tmp_path)]) == 2
+    assert "no config key 'max_outer'" in capsys.readouterr().err
+    assert not (tmp_path / "trace_hs.csv").exists()
 
 
 def test_bench_table_shape_matches_contract(tmp_path):
@@ -603,14 +606,16 @@ def test_default_grid_first_hits_keep_off_rounding_edges():
 
 
 def test_bench_unreached_thresholds_leave_cells_empty(monkeypatch):
-    import hslasso.cli as cli
+    from hslasso import baselines
 
-    monkeypatch.setattr(cli, "MAX_ITERS", 2)
+    monkeypatch.setattr(baselines, "MAX_ITERS", 2)
     table, _, _, meta = run_bench(BenchmarkGrid(sims=("sim1",), scenarios=((20, 6),),
                                                 methods=("ista",), epsilons=(0.05, 1e-9)))
     cells = table.splitlines()[1].split(",")[4:]
     assert cells[-1] == ""  # 1e-9 unreachable in two iterations
     assert not next(iter(meta["cells"].values()))["converged"]
+    # the echo is the cap the run read, not a copy taken at import
+    assert meta["max_iters"] == baselines.MAX_ITERS == 2
 
 
 def test_bench_runs_one_protocol():
@@ -628,7 +633,7 @@ def test_bench_runs_one_protocol():
         3.0, 0.1, "fixed", 50, 1e-4, "oracle")
     assert meta["hs"] == {"t0": hs.t0, "h": hs.h, "inner_stop": hs.inner_stop,
                           "inner_fixed": hs.inner_fixed_count, "tau": hs.tau}
-    assert meta["max_iters"] == cli.MAX_ITERS == 200000
+    assert meta["max_iters"] == cli.baselines.MAX_ITERS == 200000
 
 
 def test_benchmark_grid_validation(tmp_path):
@@ -764,6 +769,19 @@ def test_datagen_sparse_scenario_with_fewer_than_ten_columns(tmp_path):
     assert json.loads((tmp_path / "problem.meta.json").read_text())["sparsity"] == 5
     assert run_cli(["datagen", "--scenario", "sim2", "--p", "5", "--sparsity", "6",
                     "--out-dir", str(tmp_path)]) == 2
+
+
+def test_verify_reports_an_empty_support_as_an_error_block(tmp_path, capsys):
+    # lambda above lambda_max = ||X'y/n||_inf: the minimizer is zero, so the
+    # conditions are undefined, and the check's own message says why
+    pr = tiny_problem()
+    lam_max = float(np.max(np.abs(pr.X.T @ pr.y))) / pr.n
+    save_problem_json(LassoProblem(y=pr.y, X=pr.X, lam=2.0 * lam_max), tmp_path / "p.json")
+    assert run_cli(["verify", "--input", str(tmp_path / "p.json"), "--levels", "0.1",
+                    "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "verify.json").read_text())
+    assert report["support"] == []
+    assert report["support_conditions"] == {"error": "support set must be nonempty"}
 
 
 def test_verify_reports(tmp_path, capsys):

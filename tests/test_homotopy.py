@@ -357,7 +357,7 @@ def test_inner_solve_geometric_contraction():
 def test_inner_solve_theoretical_steps_scale_with_log_tolerance():
     pr = sim1_problem()
     cfg = HSConfig(t0=3.0, h=0.1, outer_stop="t-floor", tau=5e-3,
-                   inner_stop="theoretical", B=10.0, max_outer=200)
+                   inner_stop="theoretical", B=10.0)
     tr = hs_solve(pr, cfg)
     steps = np.array([r.inner_iters for r in tr.records[1:]], dtype=float)
     logs = np.array([math.log(1.0 / inner_tolerance(pr.lam, pr.p, 10.0, r.t))
@@ -481,7 +481,7 @@ def test_hs_reaches_table_scenario_precision():
 
 def test_hs_t_column_exact_geometric_sequence():
     pr = sim1_problem()
-    cfg = HSConfig(t0=3.0, h=0.1, outer_stop="t-floor", tau=1e-2, max_outer=500)
+    cfg = HSConfig(t0=3.0, h=0.1, outer_stop="t-floor", tau=1e-2)
     tr = hs_solve(pr, cfg)
     expected = 3.0
     assert tr.records[0].t == expected
@@ -496,7 +496,7 @@ def test_hs_outer_gap_envelope_floor_mode():
     pr = sim1_problem()
     ref = reference_minimum(pr)
     cfg = HSConfig(t0=3.0, h=0.1, outer_stop="t-floor", tau=1e-3,
-                   inner_fixed_count=50, max_outer=500)
+                   inner_fixed_count=50)
     tr = hs_solve(pr, cfg)
     B_obs = tr.metadata["max_abs_iterate"]
     for r in tr.records[1:]:
@@ -527,11 +527,11 @@ def test_hs_violated_bound_flag():
     assert tr.metadata["violated_bound"]
 
 
-def test_hs_max_outer_cap_flags_nonconvergence():
+def test_hs_max_outer_cap_flags_nonconvergence(monkeypatch):
+    monkeypatch.setattr(homotopy, "MAX_OUTER", 2)
     pr = sim1_problem()
     ref = reference_minimum(pr)
-    cfg = HSConfig(t0=3.0, h=0.1, epsilon=1e-13, outer_stop="oracle",
-                   ref=ref, max_outer=2)
+    cfg = HSConfig(t0=3.0, h=0.1, epsilon=1e-13, outer_stop="oracle", ref=ref)
     tr = hs_solve(pr, cfg)
     assert not tr.converged
     assert tr.metadata["outer_iterations"] == 2
@@ -540,7 +540,7 @@ def test_hs_max_outer_cap_flags_nonconvergence():
 def test_hs_theoretical_count_mode_runs_planned_iterations():
     pr = sim1_problem()
     cfg = HSConfig(t0=3.0, h=0.1, epsilon=0.5, B=10.0,
-                   outer_stop="theoretical-count", tau=1e-6, max_outer=10_000)
+                   outer_stop="theoretical-count", tau=1e-6)
     tr = hs_solve(pr, cfg)
     planned = outer_iteration_count(pr.lam, pr.p, 3.0, 10.0, 0.1, 0.5)
     assert tr.converged
@@ -560,14 +560,16 @@ def test_hs_theoretical_count_plan_beyond_the_allowed_levels_is_a_usage_error(mo
         last *= 1.0 - cfg.h
     levels = []
     monkeypatch.setattr(homotopy, "inner_solve", lambda *a, **k: levels.append(a[1]))
-    for changes, allowed in (({}, 97), ({"tau": 1e-6, "max_outer": 100}, 100),
-                             ({"tau": math.nextafter(last, 1.0)}, 132)):
+    for tau, cap, allowed in ((cfg.tau, 1000, 97), (1e-6, 100, 100),
+                              (math.nextafter(last, 1.0), 1000, 132)):
+        monkeypatch.setattr(homotopy, "MAX_OUTER", cap)
         with pytest.raises(ValueError, match=f"plans 133 levels, .* allow {allowed}$"):
-            hs_solve(pr, replace(cfg, **changes))
+            hs_solve(pr, replace(cfg, tau=tau))
     assert levels == []  # raised before the first level
     monkeypatch.undo()
-    for changes in ({"tau": last}, {"tau": 1e-6, "max_outer": 133}):
-        tr = hs_solve(pr, replace(cfg, **changes))
+    for tau, cap in ((last, 1000), (1e-6, 133)):
+        monkeypatch.setattr(homotopy, "MAX_OUTER", cap)
+        tr = hs_solve(pr, replace(cfg, tau=tau))
         assert tr.converged and tr.metadata["outer_iterations"] == 133
 
 
@@ -623,11 +625,11 @@ def test_hs_config_validation_and_from_dict():
     for bad in ({"epsilon": 0.0}, {"epsilon": math.inf}, {"tau": 0.0}, {"B": -1.0}, {"B": math.inf},
                 {"t0": 1e160}, {"tau": 1e-300}, {"B": 1e200}, {"B": 1e-120},
                 {"outer_stop": "nope"},
-                {"inner_fixed_count": 0}, {"inner_grad_tol": 0.0}, {"max_outer": 0}):
+                {"inner_fixed_count": 0}, {"inner_grad_tol": 0.0}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             HSConfig(**bad)
     # each was accepted: a count of 2.5 ran 3 steps or levels, and true was 1.0
-    for bad in ({"inner_fixed_count": 2.5}, {"max_outer": 2.5}, {"inner_fixed_count": True},
+    for bad in ({"inner_fixed_count": 2.5}, {"inner_fixed_count": True},
                 {"tau": True}, {"B": True}, {"t0": True}, {"inner_grad_tol": True},
                 {"h": "0.1"}):
         with pytest.raises(ValueError, match=f"{next(iter(bad))} has the wrong type"):
@@ -635,20 +637,20 @@ def test_hs_config_validation_and_from_dict():
     cfg = HSConfig.from_dict({"t0": "auto", "h": 0.2, "inner_stop": "gradient"})
     assert cfg.t0 is None and cfg.h == 0.2
     # a count is any integral number but a bool, NumPy's included
-    cfg = HSConfig(max_outer=np.int64(10), inner_fixed_count=np.int32(5))
-    assert (cfg.max_outer, cfg.inner_fixed_count) == (10, 5)
+    assert HSConfig(inner_fixed_count=np.int32(5)).inner_fixed_count == 5
     # stored as Python numbers, so none reaches a trace or JSON file as NumPy's
-    cfg = HSConfig(max_outer=np.int64(10), t0=np.float32(2.5), B=np.int64(4))
-    assert [type(v) for v in (cfg.max_outer, cfg.t0, cfg.B, cfg.h)] == [int, float, float, float]
+    cfg = HSConfig(inner_fixed_count=np.int64(10), t0=np.float32(2.5), B=np.int64(4))
+    assert [type(v) for v in (cfg.inner_fixed_count, cfg.t0, cfg.B, cfg.h)] == [
+        int, float, float, float]
     with pytest.raises(ValueError, match="h has the wrong type"):
         HSConfig(h=10**400)  # past float range
-    for bad in ({"max_outer": True}, {"max_outer": np.True_}, {"max_outer": 2.5},
-                {"inner_fixed_count": np.float64(5.0)}):
+    for bad in ({"inner_fixed_count": True}, {"inner_fixed_count": np.True_},
+                {"inner_fixed_count": 2.5}, {"inner_fixed_count": np.float64(5.0)}):
         with pytest.raises(ValueError, match=f"{next(iter(bad))} has the wrong type"):
             HSConfig(**bad)
-    # max_inner is the constant MAX_INNER_STEPS; the precision and the
-    # reference are the caller's, not settings of a config file
-    for key in ("no_such_key", "max_inner", "epsilon", "ref"):
+    # max_inner and max_outer are the constants MAX_INNER_STEPS and MAX_OUTER;
+    # the precision and the reference are the caller's, not settings of a file
+    for key in ("no_such_key", "max_inner", "max_outer", "epsilon", "ref"):
         with pytest.raises(ValueError, match=f"no config key '{key}'"):
             HSConfig.from_dict({key: 1})
     with pytest.raises(ValueError, match="wrong type"):

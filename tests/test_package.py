@@ -38,8 +38,8 @@ def test_public_surface():
 # deliberate change to this list, as FLAG_SURFACE is for the CLI's options.
 CONFIG_FIELDS = {
     "HSConfig": ["t0", "h", "epsilon", "B", "tau", "inner_stop", "inner_fixed_count",
-                 "inner_grad_tol", "outer_stop", "ref", "max_outer"],
-    "BaselineConfig": ["method", "beta0", "epsilon", "max_iters", "ref"],
+                 "inner_grad_tol", "outer_stop", "ref"],
+    "BaselineConfig": ["method", "beta0", "epsilon", "ref"],
     "BenchmarkGrid": ["sims", "scenarios", "epsilons", "methods", "seed", "lam"],
     "SyntheticSpec": ["n", "p", "rho", "snr", "pattern", "sparsity", "seed"],
 }
@@ -49,6 +49,34 @@ def test_config_fields():
     fields = {name: [f.name for f in dataclasses.fields(getattr(hslasso, name)) if f.init]
               for name in CONFIG_FIELDS}
     assert fields == CONFIG_FIELDS
+
+
+# Every iteration cap of the package, by module: a safety cap that no run
+# sets, patched where a test needs it to bind.
+CAPS = {"baselines": ["MAX_ITERS", "REF_MAX_ITERS"],
+        "diagnostics": ["SWEEP_MAX_NEWTON"],
+        "homotopy": ["AUX_NEWTON_MAX_ITERS", "MAX_INNER_STEPS", "MAX_OUTER"]}
+
+
+def test_caps_are_constants():
+    # BaselineConfig.max_iters and HSConfig.max_outer were caps set per
+    # config, though no caller set either to anything but its default
+    import importlib
+
+    assert [f"{name}.{f.name}" for name in CONFIG_FIELDS
+            for f in dataclasses.fields(getattr(hslasso, name)) if f.name.startswith("max_")] == []
+    caps = {}
+    for path in sorted(Path(hslasso.__file__).parent.glob("*.py")):
+        names = sorted(target.id for node in ast.parse(path.read_text()).body
+                       if isinstance(node, ast.Assign) for target in node.targets
+                       if isinstance(target, ast.Name) and "MAX" in target.id)
+        if names:
+            caps[path.stem] = names
+    assert caps == CAPS
+    for module, names in CAPS.items():
+        for name in names:
+            value = getattr(importlib.import_module(f"hslasso.{module}"), name)
+            assert type(value) is int and value >= 1, f"{module}.{name}"
 
 
 def test_import_leaves_the_cli_unimported():
@@ -70,8 +98,7 @@ def test_import_leaves_the_cli_unimported():
 def test_configs_are_frozen():
     # configs are checked when built, so none may change afterwards
     configs = [hslasso.HSConfig(), hslasso.BenchmarkGrid(),
-               hslasso.BaselineConfig(method="ista", beta0=np.ones(2), epsilon=0.1,
-                                      max_iters=10, ref=None)]
+               hslasso.BaselineConfig(method="ista", beta0=np.ones(2), epsilon=0.1, ref=None)]
     for cfg in configs:
         name = dataclasses.fields(cfg)[0].name
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -284,7 +284,8 @@ def test_reference_support_kkt_on_paper_grid():
         ref = reference_minimum(pr)
         assert ref.method == "support-kkt"
         assert abs(ref.dual_gap) <= 1e-13
-        beta_fista = fista_minimize_to_residual(pr)
+        beta_fista, finished = fista_minimize_to_residual(pr)
+        assert not finished  # no finish given: FISTA's own iterate
         f_fista = lasso_objective(pr, beta_fista)
         assert abs(ref.f_min - f_fista) <= 1e-15 * max(1.0, abs(ref.f_min))
 
@@ -370,7 +371,7 @@ def test_reference_falls_back_to_fista_on_singular_support():
     ref = reference_minimum(pr)
     assert ref.method == "fista"
     assert ref.beta_hat[1] == ref.beta_hat[3] != 0.0
-    assert np.array_equal(ref.beta_hat, fista_minimize_to_residual(pr))
+    assert np.array_equal(ref.beta_hat, fista_minimize_to_residual(pr)[0])
     assert 0.0 <= ref.dual_gap <= 1e-9
 
 
