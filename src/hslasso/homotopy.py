@@ -158,41 +158,30 @@ def agd_map(L: float, mu: float, grad):
 def find_t0(problem: LassoProblem, counter: OpCounter) -> float:
     """Smallest bracketed level satisfying the boundedness predicate.
 
-    Doubles upward from t = 1 until the predicate holds (at most 60
-    doublings), then runs 40 bisection steps toward the smallest
-    satisfying point.  The returned value always satisfies the predicate;
-    its probes are charged to ``counter``.
+    Probes t = 1, 2, 4, ... until the predicate holds, raising
+    NumericalFailure once the 60th doubling fails, then runs 40 bisection
+    steps between the last failing level (0 when t = 1 holds) and the
+    first satisfying one.  The returned value always satisfies the
+    predicate; its 1 + doublings + 40 probes are charged to ``counter``.
     """
-    probes = 0
     ridge_solve = problem.ridge_solver()
 
-    def predicate(t: float) -> bool:
-        nonlocal probes
-        probes += 1
+    def holds(t: float) -> bool:
         shift = problem.lam * math.log1p(t) ** 2 / (3.0 * t**3)
-        sol = ridge_solve(shift)
-        return float(np.max(np.abs(sol))) <= t
+        return float(np.max(np.abs(ridge_solve(shift)))) <= t
 
-    t = 1.0
-    if predicate(t):
-        lo, hi = 0.0, t
-    else:
-        satisfied = False
-        for _ in range(60):
-            t *= 2.0
-            if predicate(t):
-                satisfied = True
-                break
-        if not satisfied:
+    lo, hi, doublings = 0.0, 1.0, 0
+    while not holds(hi):
+        if doublings == 60:
             raise NumericalFailure("no starting level found after 60 doublings")
-        lo, hi = t / 2.0, t
+        lo, hi, doublings = hi, 2.0 * hi, doublings + 1
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if predicate(mid):
+        if holds(mid):
             hi = mid
         else:
             lo = mid
-    counter.charge("find-t0-probe", problem.p, probes)
+    counter.charge("find-t0-probe", problem.p, 1 + doublings + 40)
     return hi
 
 
@@ -315,21 +304,23 @@ def hs_solve(problem: LassoProblem, config: HSConfig) -> SolverTrace:
         raise ValueError("tau must be smaller than the resolved t0")
     beta = initial_beta(problem, t0, counter)
     B = config.B if config.B is not None else default_iterate_bound(beta)
-    max_abs = float(np.max(np.abs(beta)))
+
+    # the schedule t_k = t_{k-1}(1-h) down to tau; the loop runs at most
+    # MAX_OUTER levels, and one entry more only shows that the cap binds
+    levels = [t0]
+    while len(levels) < MAX_OUTER + 2 and (t := levels[-1] * (1.0 - config.h)) >= config.tau:
+        levels.append(t)
 
     planned = None
     if config.outer_stop == "theoretical-count":
         planned = outer_iteration_count(problem.lam, problem.p, t0, B,
                                         config.h, config.epsilon)
-        t, allowed = t0, 0  # the levels of the loop below, up to the plan
-        while allowed < min(planned, MAX_OUTER) and t * (1.0 - config.h) >= config.tau:
-            t, allowed = t * (1.0 - config.h), allowed + 1
+        allowed = min(MAX_OUTER, len(levels) - 1)
         if allowed < planned:
             raise ValueError(f"theoretical-count plans {planned} levels, but tau = {config.tau!r} "
                              f"and MAX_OUTER = {MAX_OUTER} allow {allowed}")
 
     trace.metadata = {"method": "hs", "t0": t0, "B": B, "planned_outer": planned}
-    inner_caps = 0
 
     def append_row(t, inner_steps, beta):
         trace.append(len(trace.records), t, inner_steps, lasso_objective(problem, beta),
@@ -340,20 +331,18 @@ def hs_solve(problem: LassoProblem, config: HSConfig) -> SolverTrace:
             return trace.records[-1].f_value - config.ref.f_min <= config.epsilon
         return config.outer_stop == "theoretical-count" and k >= planned
 
-    def level(state):
-        nonlocal inner_caps, max_abs
-        t = state[1] * (1.0 - config.h)
+    def level(state):  # (iterate, level index, inner cap hits, peak |beta|)
+        beta, k, caps, peak = state
+        t = levels[k + 1]
         counter.charge("hs-shrink", problem.p)
-        beta, steps, cap_hit, level_max = inner_solve(problem, t, state[0], config, counter, B=B)
-        inner_caps += int(cap_hit)
-        max_abs = max(max_abs, level_max)
+        beta, steps, cap_hit, level_max = inner_solve(problem, t, beta, config, counter, B=B)
         append_row(t, steps, beta)
-        return beta, t
+        return beta, k + 1, caps + int(cap_hit), max(peak, level_max)
 
     append_row(t0, 0, beta)
-    (beta, _), k_done, stopped = iterate(
-        (beta, t0), level, lambda state, k: reached(k) or state[1] * (1.0 - config.h) < config.tau,
-        MAX_OUTER)
+    (beta, _, inner_caps, max_abs), k_done, stopped = iterate(
+        (beta, 0, 0, float(np.max(np.abs(beta)))), level,
+        lambda state, k: reached(k) or k + 1 == len(levels), MAX_OUTER)
     converged = stopped and (config.outer_stop == "t-floor" or reached(k_done))
     trace.final_beta = beta
     trace.converged = converged and inner_caps == 0

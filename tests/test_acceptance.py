@@ -150,6 +150,7 @@ def test_criterion_3_bound_dominance(monkeypatch):
                ("sl", sl_solve))
     worst = -np.inf
     ok = True
+    steps = {method: [] for method, _ in solvers}  # steps run; the 1e-30 stop ends most early
     for seed in range(20):
         pr = generate(SyntheticSpec(n=50, p=20, rho=0.1, seed=seed), lam=1e-3)
         ref = reference_minimum(pr)
@@ -158,6 +159,7 @@ def test_criterion_3_bound_dominance(monkeypatch):
             cfg = BaselineConfig(method=method, beta0=beta0, epsilon=1e-30, ref=ref)
             tr = solver(pr, cfg)
             f = f_values(tr)
+            steps[method].append(len(f) - 1)
             ks = np.arange(1, len(f))
             bounds = np.array([theoretical_bound(method, int(k), pr, beta0, ref)
                                for k in ks])
@@ -165,7 +167,9 @@ def test_criterion_3_bound_dominance(monkeypatch):
             worst = max(worst, excess)
             ok &= excess <= 1e-9
     finish(3, "theoretical-bound dominance", ok,
-           f"20 instances x 4 methods x 5000 iters, worst excess {worst:.2e}",
+           "20 instances x 4 methods, steps run of 5000 (min/median/max) "
+           + ", ".join(f"{m} {min(k)}/{np.median(k):g}/{max(k)}" for m, k in steps.items())
+           + f", worst excess {worst:.2e}",
            time.time() - start, budget=60.0)
 
 
@@ -278,8 +282,10 @@ def test_criterion_6_benchmark_trends():
             int(v) if v else None for v in f[4:]]
 
     ordering_ok = True
+    hs_levels = []  # HS's outer levels per cell: 0 means its ridge start met every eps
     for sim in ("sim1", "sim2"):
         for (n, p) in ((50, 20), (50, 80)):
+            hs_levels.append(meta["cells"][f"{sim}/n{n}p{p}/hs"]["hs_metadata"]["outer_iterations"])
             for j, eps in enumerate(eps_cols):
                 if eps > 0.01:
                     continue
@@ -299,7 +305,8 @@ def test_criterion_6_benchmark_trends():
         slope_ok &= si >= 1.5 * sf
     ok = ordering_ok and slope_ok
     finish(6, "benchmark trend reproduction", ok,
-           f"ordering hs<=fista<ista at eps<=0.01 on 4 cells: {ordering_ok}; "
+           f"ordering hs<=fista<ista at eps<=0.01 on 4 cells: {ordering_ok}, "
+           f"HS outer levels per cell {hs_levels}; "
            f"ista/fista slope ratios per sim {[f'{r:.2f}' for r in ratios]}",
            time.time() - start, budget=300.0)
 

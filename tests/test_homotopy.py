@@ -24,7 +24,7 @@ from hslasso.homotopy import (
     outer_iteration_count,
 )
 from hslasso.opcount import CHARGES, OpCounter
-from hslasso.problem import LassoProblem
+from hslasso.problem import LassoProblem, NumericalFailure
 from hslasso.surrogate import (
     SurrogateSpec,
     minimize_surrogate,
@@ -76,6 +76,19 @@ def test_find_t0_charges_setup_bucket_only():
     find_t0(pr, c)
     assert c.setup_ops > 0
     assert c.total() == 0
+
+
+def test_find_t0_gives_up_after_60_doublings():
+    # a response of size ~1e17 takes 57 doublings from t = 1, one of ~1e19
+    # more than the 60 the search makes before it gives up
+    base = sim1_problem(1)
+    c = OpCounter()
+    t0 = find_t0(LassoProblem(y=1e17 * base.y, X=base.X, lam=base.lam), c)
+    assert t0 == pytest.approx(9.04e16, rel=1e-3)
+    assert astuple(c) == astuple(OpCounter().charge("find-t0-probe", 20, 1 + 57 + 40))
+    assert c.setup_ops == 156_800
+    with pytest.raises(NumericalFailure, match="no starting level found after 60 doublings"):
+        find_t0(LassoProblem(y=1e19 * base.y, X=base.X, lam=base.lam), OpCounter())
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +548,17 @@ def test_hs_max_outer_cap_flags_nonconvergence(monkeypatch):
     tr = hs_solve(pr, cfg)
     assert not tr.converged
     assert tr.metadata["outer_iterations"] == 2
+    # t-floor mode: levels 2.7 and 2.43 lie above tau = 2.4, so the floor
+    # falls on the cap and the run converged; above tau = 2.1 lies 2.187 too
+    for tau, converged in ((2.4, True), (2.1, False)):
+        tr = hs_solve(pr, replace(cfg, outer_stop="t-floor", tau=tau))
+        assert (tr.converged, tr.metadata["outer_iterations"]) == (converged, 2)
+    # an inner step cap hit on each level flags the solve too, once per level
+    monkeypatch.setattr(homotopy, "MAX_INNER_STEPS", 3)
+    tr = hs_solve(pr, replace(cfg, outer_stop="t-floor", tau=2.4, inner_stop="gradient",
+                              inner_grad_tol=1e-300))
+    assert not tr.converged
+    assert tr.metadata["inner_cap_hits"] == 2
 
 
 def test_hs_theoretical_count_mode_runs_planned_iterations():
