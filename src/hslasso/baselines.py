@@ -371,7 +371,8 @@ def reference_minimum(problem: LassoProblem) -> ReferenceSolution:
     r = problem.y - problem.X @ beta
     theta = r / max(n, float(np.max(np.abs(problem.X.T @ r))) / lam)
     gap = f - float(theta @ problem.y - 0.5 * n * (theta @ theta))
-    bound = 2.0 * tol * float(np.sum(np.abs(beta))) + (tol / lam) ** 2 * float(r @ r) / (2.0 * n)
+    ratio = tol / lam  # squared by *, which overflows to inf where ** raises
+    bound = 2.0 * tol * float(np.sum(np.abs(beta))) + ratio * ratio * float(r @ r) / (2.0 * n)
     if not gap <= bound + 1e-12 * max(1.0, abs(f)):
         raise NumericalFailure(f"reference duality gap {gap!r} exceeds {bound!r}, the bound "
                                f"implied by the residual tolerance {tol!r}")

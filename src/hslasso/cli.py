@@ -199,15 +199,36 @@ def grid_from_args(args) -> BenchmarkGrid:
                          seed=args.seed, lam=args.lam)
 
 
+def bench_problems(grid: BenchmarkGrid):
+    """Yield (sim, n, p, seed, problem) in run order; the problem seed is
+    the grid seed + 1000*sim index + scenario index."""
+    for sim_idx, sim in enumerate(grid.sims, start=1):
+        for scen_idx, (n, p) in enumerate(grid.scenarios):
+            seed = grid.seed + 1000 * sim_idx + scen_idx
+            spec = SyntheticSpec(n=n, p=p, rho=GEN_DEFAULTS["rho"], snr=GEN_DEFAULTS["snr"],
+                                 pattern=SIM_PATTERNS[sim], seed=seed)
+            yield sim, n, p, seed, generate(spec, lam=grid.lam)
+
+
+def bench_cells(grid: BenchmarkGrid):
+    """Yield (sim, n, p, seed, method, ref, trace) per cell in run order.
+    Each problem's configs are checked before its reference runs; every
+    method then solves to the tightest precision, the flat methods from
+    the flat start and HS at ``BENCH_HS``."""
+    tightest = min(grid.epsilons)
+    for sim, n, p, seed, problem in bench_problems(grid):
+        cfgs = [_cell_config(method, tightest, BENCH_HS, SIM_BETA0[sim] * np.ones(p))
+                for method in grid.methods]
+        ref = reference_minimum(problem)
+        for method, cfg in zip(grid.methods, cfgs):
+            yield sim, n, p, seed, method, ref, _solve_cell(problem, cfg, ref)
+
+
 def run_bench(grid: BenchmarkGrid) -> tuple[str, str, str, dict]:
-    """Run the grid; returns (table_csv, curves_csv, ops_csv, metadata).
-
-    One run per (simulation, scenario, method) to the tightest precision;
-    the looser thresholds are read off the same trace.
-    """
+    """Write the cells of :func:`bench_cells`; returns (table_csv,
+    curves_csv, ops_csv, metadata).  Each cell runs once, to the tightest
+    precision, and the looser thresholds are read off its trace."""
     epsilons = list(grid.epsilons)
-    tightest = min(epsilons)
-
     eps_headers = ",".join(f"eps_{e!r}" for e in epsilons)
     table_lines = [f"sim,n,p,method,{eps_headers}"]
     curve_lines = ["sim,n,p,method,epsilon,log10_inv_eps,ops,log10_ops"]
@@ -229,45 +250,32 @@ def run_bench(grid: BenchmarkGrid) -> tuple[str, str, str, dict]:
         "seed_rule": "problem seed = seed + 1000*sim_index + scenario_index",
         "cells": {},
     }
-
-    for sim_idx, sim in enumerate(grid.sims, start=1):
-        for scen_idx, (n, p) in enumerate(grid.scenarios):
-            seed = grid.seed + 1000 * sim_idx + scen_idx
-            spec = SyntheticSpec(n=n, p=p, rho=GEN_DEFAULTS["rho"], snr=GEN_DEFAULTS["snr"],
-                                 pattern=SIM_PATTERNS[sim], seed=seed)
-            problem = generate(spec, lam=grid.lam)
-            cfgs = [_cell_config(method, tightest, BENCH_HS, SIM_BETA0[sim] * np.ones(p))
-                    for method in grid.methods]
-            ref = reference_minimum(problem)
-            for method, cfg in zip(grid.methods, cfgs):
-                trace = _solve_cell(problem, cfg, ref)
-                counter = trace.counter
-                hits = [trace.first_ops_at_gap(ref.f_min, eps) for eps in epsilons]
-                table_lines.append(f"{sim},{n},{p},{method}," + ",".join(
-                    "" if ops is None else str(ops) for ops in hits))
-                for eps, ops in zip(epsilons, hits):
-                    if ops is None:
-                        continue
-                    curve_lines.append(
-                        f"{sim},{n},{p},{method},{eps!r},"
-                        f"{_fmt_sig(math.log10(1.0 / eps))},{ops},"
-                        f"{_fmt_sig(math.log10(ops)) if ops > 0 else ''}"
-                    )
-                ops_lines.append(f"{sim},{n},{p},{method},{counter.total()},{counter.setup_ops},"
-                                 f"{counter.mults},{counter.adds},"
-                                 f"{counter.transcendentals},{counter.comparisons}")
-                meta["cells"][f"{sim}/n{n}p{p}/{method}"] = {
-                    "seed": seed,
-                    "converged": trace.converged,
-                    "f_min": ref.f_min,
-                    "ref_dual_gap": ref.dual_gap,
-                    "ref_method": ref.method,
-                    "ops_total": counter.total(),
-                    "ops_setup": counter.setup_ops,
-                    **({"hs_metadata": {k: trace.metadata[k] for k in
-                        ("outer_iterations", "violated_bound", "max_abs_iterate")}}
-                       if method == "hs" else {}),
-                }
+    for sim, n, p, seed, method, ref, trace in bench_cells(grid):
+        counter = trace.counter
+        hits = [trace.first_ops_at_gap(ref.f_min, eps) for eps in epsilons]
+        table_lines.append(f"{sim},{n},{p},{method}," + ",".join(
+            "" if ops is None else str(ops) for ops in hits))
+        for eps, ops in zip(epsilons, hits):
+            if ops is None:
+                continue
+            curve_lines.append(f"{sim},{n},{p},{method},{eps!r},"
+                               f"{_fmt_sig(math.log10(1.0 / eps))},{ops},"
+                               f"{_fmt_sig(math.log10(ops)) if ops > 0 else ''}")
+        ops_lines.append(f"{sim},{n},{p},{method},{counter.total()},{counter.setup_ops},"
+                         f"{counter.mults},{counter.adds},"
+                         f"{counter.transcendentals},{counter.comparisons}")
+        meta["cells"][f"{sim}/n{n}p{p}/{method}"] = {
+            "seed": seed,
+            "converged": trace.converged,
+            "f_min": ref.f_min,
+            "ref_dual_gap": ref.dual_gap,
+            "ref_method": ref.method,
+            "ops_total": counter.total(),
+            "ops_setup": counter.setup_ops,
+            **({"hs_metadata": {k: trace.metadata[k] for k in
+                ("outer_iterations", "violated_bound", "max_abs_iterate")}}
+               if method == "hs" else {}),
+        }
     table_csv = "\n".join(table_lines) + "\n"
     curves_csv = "\n".join(curve_lines) + "\n"
     ops_csv = "\n".join(ops_lines) + "\n"

@@ -67,8 +67,8 @@ class HSConfig:
         count = check_number("inner_fixed_count", self.inner_fixed_count, integral=True)
         vars(self).update({name: check_number(name, getattr(self, name)) for name in reals},
                           inner_fixed_count=count)
-        if not 0.0 < self.h < 1.0:
-            raise ValueError("h must lie strictly in (0, 1)")
+        if not (self.h < 1.0 and 1.0 - self.h < 1.0):  # else no level shrinks
+            raise ValueError("h must lie strictly in (0, 1), with 1 - h < 1 in floating point")
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
         for name in ("tau", "t0", "B"):  # levels, and the bound that is cubed like them
@@ -210,8 +210,8 @@ def outer_iteration_count(lam: float, p: int, t0: float, B: float,
     lam*p*(2B+1)*t0*(1-h)^k <= epsilon, clamped below at 0."""
     if not (lam > 0 and p > 0 and t0 > 0 and B > 0 and epsilon > 0):
         raise ValueError("arguments must be positive")
-    if not 0.0 < h < 1.0:
-        raise ValueError("h must lie in (0, 1)")
+    if not (h < 1.0 and 1.0 - h < 1.0):  # else log(1 - h) is 0
+        raise ValueError("h must lie in (0, 1), with 1 - h < 1 in floating point")
     raw = -math.log(lam * p * t0 * (2.0 * B + 1.0) / epsilon) / math.log(1.0 - h)
     return max(0, math.ceil(raw))
 

@@ -1,18 +1,19 @@
-"""Shared independent oracles for the test suite: exact 2-d grid search,
+"""Shared oracles for the test suite.  Exact 2-d grid search,
 multiresolution refinement, finite differences, the soft threshold, a
-per-coordinate coordinate-descent sweep, a Jacobi pseudo-inverse,
-instance factories, the objective and ops columns of a trace, each bench
-cell's first-hit margin, and the closeness sweep's level minimizer.  These deliberately avoid the
-library's own solver paths.  The earlier bodies of the CD sweep, the
-subgradient residual, the objective, the smoothed objective's value, the
-prediction and estimation errors and the Jacobi SVD (these six through
-``@``, where the library calls ``ndarray.dot``), the penalty gradient,
-the smoothed gradient, the accelerated step (``AGDState``,
-``agd_state``, ``agd_step``) and the HS inner loop (a plain loop of
-``agd_step``) are kept here too, so that their library versions are
-pinned to the same bytes; so is the earlier record of the support
-conditions, ``SupportConditionReport``, so that the block ``verify.json``
-writes is pinned to the same JSON."""
+per-coordinate coordinate-descent sweep and the instance factories avoid
+the library's solver paths.  The pseudo-inverse runs the library's
+Jacobi SVD, the level minimizer its Newton solve, and the bench's
+problems and first-hit margins come from the cells ``run_bench`` writes
+(``cli.bench_problems``, ``cli.bench_cells``).  The earlier bodies of
+the CD sweep, the subgradient residual, the objective, the smoothed
+objective's value, the prediction and estimation errors and the Jacobi
+SVD (these six through ``@``, where the library calls ``ndarray.dot``),
+the penalty gradient, the smoothed gradient, the accelerated step
+(``AGDState``, ``agd_state``, ``agd_step``) and the HS inner loop (a
+plain loop of ``agd_step``) are kept here too, so that their library
+versions are pinned to the same bytes; so is the earlier record of the
+support conditions, ``SupportConditionReport``, so that the block
+``verify.json`` writes is pinned to the same JSON."""
 
 from __future__ import annotations
 
@@ -21,11 +22,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from hslasso import homotopy
+from hslasso import cli, homotopy
 from hslasso.baselines import iterate
 from hslasso.diagnostics import PINV_RCOND, _pinv_from_svd, jacobi_svd
-from hslasso.cli import GEN_DEFAULTS, SIM_PATTERNS
-from hslasso.datagen import SyntheticSpec, generate
 from hslasso.homotopy import agd_coefficients, default_iterate_bound, inner_tolerance
 from hslasso.opcount import OpCounter
 from hslasso.problem import LassoProblem
@@ -57,33 +56,20 @@ def tiny_problem():
 
 def bench_problems(scenarios, lam, seed=0):
     """The problems ``run_bench`` draws for a grid of both simulations, in
-    its order: problem seed = seed + 1000*sim index + scenario index."""
-    for sim_idx, sim in enumerate(SIM_PATTERNS, start=1):
-        for scen_idx, (n, p) in enumerate(scenarios):
-            spec = SyntheticSpec(n=n, p=p, rho=GEN_DEFAULTS["rho"], snr=GEN_DEFAULTS["snr"],
-                                 pattern=SIM_PATTERNS[sim], seed=seed + 1000 * sim_idx + scen_idx)
-            yield generate(spec, lam=lam)
+    its order."""
+    grid = cli.BenchmarkGrid(scenarios=scenarios, lam=lam, seed=seed)
+    return (problem for *_, problem in cli.bench_problems(grid))
 
 
 def first_hit_margins(grid) -> dict[str, float]:
-    """Each cell of ``run_bench(grid)``, ``sim/n{n}p{p}/method``, for a grid
-    of both simulations, mapped to the smallest relative distance
-    |gap - eps| / eps over its trace's records and the grid's epsilons: how
-    near a first hit sits to the rounding edge where ``gap <= eps`` flips.
-    The cells run as ``run_bench`` runs them."""
-    from hslasso.baselines import reference_minimum
-    from hslasso.cli import BENCH_HS, SIM_BETA0, _cell_config, _solve_cell
-
+    """Each cell that ``run_bench(grid)`` writes, ``sim/n{n}p{p}/method``,
+    mapped to the smallest |gap - eps| / eps over its trace's records and
+    the grid's epsilons: how near a first hit sits to the rounding edge
+    where ``gap <= eps`` flips."""
     eps = np.array(grid.epsilons)
-    cells = [(sim, n, p) for sim in SIM_PATTERNS for n, p in grid.scenarios]
-    margins = {}
-    for (sim, n, p), problem in zip(cells, bench_problems(grid.scenarios, grid.lam, grid.seed)):
-        ref = reference_minimum(problem)
-        for method in grid.methods:
-            cfg = _cell_config(method, eps.min(), BENCH_HS, SIM_BETA0[sim] * np.ones(p))
-            gaps = f_values(_solve_cell(problem, cfg, ref)) - ref.f_min
-            margins[f"{sim}/n{n}p{p}/{method}"] = float(np.min(np.abs(gaps[:, None] - eps) / eps))
-    return margins
+    return {f"{sim}/n{n}p{p}/{method}":
+            float(np.min(np.abs((f_values(trace) - ref.f_min)[:, None] - eps) / eps))
+            for sim, n, p, _, method, ref, trace in cli.bench_cells(grid)}
 
 
 def f_values(trace) -> np.ndarray:

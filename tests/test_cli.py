@@ -9,7 +9,7 @@ import pytest
 
 from helpers import first_hit_margins, tiny_problem
 from hslasso.baselines import reference_minimum
-from hslasso.cli import BenchmarkGrid, build_parser, main, run_bench
+from hslasso.cli import BenchmarkGrid, bench_cells, bench_problems, build_parser, main, run_bench
 from hslasso.datagen import SyntheticSpec, generate
 from hslasso.problem import LassoProblem, save_problem_json
 
@@ -75,6 +75,13 @@ def test_usage_error_exit_code(tmp_path):
         assert run_cli(["solve", "--method", method, "--input", str(tmp_path / "problem.json"),
                         "--hs-config", str(tmp_path / "inf.json"),
                         "--out-dir", str(tmp_path / "out")]) == 2, method
+    # an h with 1 - h == 1 shrinks no level: theoretical-count divided by
+    # log(1 - h) = 0 (traceback, exit 1), and t-floor ran 1000 levels at t0 (exit 1)
+    for stop in ("theoretical-count", "t-floor"):
+        (tmp_path / "h.json").write_text('{"t0": 3, "h": 1e-17, "outer_stop": "%s"}' % stop)
+        assert run_cli(["solve", "--method", "hs", "--input", str(tmp_path / "problem.json"),
+                        "--hs-config", str(tmp_path / "h.json"),
+                        "--out-dir", str(tmp_path / "out")]) == 2, stop
 
 
 FLAG_SURFACE = {
@@ -601,6 +608,28 @@ def test_bench_does_not_depend_on_row_order(monkeypatch, paper_grid_csvs, axis, 
         rows = set(plain.splitlines()) ^ set(shuffled.splitlines())
         moved = sorted({"/".join(row.split(",")[:4]) for row in rows})
         assert plain == shuffled, f"{name}: cells moved under {axis} permutation: {moved}"
+
+
+def test_bench_cells_are_the_rows_run_bench_writes():
+    # run_bench formats what bench_cells yields, in its order, and the seed
+    # rule is bench_problems': grid seed + 1000*sim index + scenario index
+    grid = BenchmarkGrid(scenarios=((20, 6), (30, 8)), epsilons=(0.05, 0.01),
+                         methods=("ista", "cd", "hs"), seed=4)
+    table, _, ops, meta = run_bench(grid)
+    cells = list(bench_cells(grid))
+    assert [f"{sim},{n},{p},{method}" for sim, n, p, _, method, _, _ in cells] == [
+        ",".join(row.split(",")[:4]) for row in table.splitlines()[1:]]
+    assert [str(trace.counter.total()) for *_, trace in cells] == [
+        row.split(",")[4] for row in ops.splitlines()[1:]]
+    problems = list(bench_problems(grid))
+    assert [(sim, n, p, seed) for sim, n, p, seed, _ in problems] == [
+        (sim, n, p, 4 + 1000 * i + j) for i, sim in enumerate(("sim1", "sim2"), start=1)
+        for j, (n, p) in enumerate(grid.scenarios)]
+    for k, (sim, n, p, seed, method, ref, _) in enumerate(cells):
+        assert (sim, n, p, seed) == problems[k // 3][:4]
+        assert meta["cells"][f"{sim}/n{n}p{p}/{method}"]["seed"] == seed
+        # the problem each cell solved is the one bench_problems yields
+        assert np.array_equal(ref.beta_hat, reference_minimum(problems[k // 3][4]).beta_hat)
 
 
 # Below the default grid's smallest first-hit margin: 1.16e-5 on

@@ -148,6 +148,13 @@ def test_outer_iteration_count_halving_increment():
     assert outer_iteration_count(lam, p, t0, B, h, 0.01) == math.ceil(halved_raw)
 
 
+def test_outer_iteration_count_rejects_an_h_that_shrinks_nothing():
+    # 1 - 1e-17 == 1, so log(1 - h) was 0: a ZeroDivisionError
+    for h in (0.0, 1e-17, 1.0, math.nan):
+        with pytest.raises(ValueError, match="h must"):
+            outer_iteration_count(1e-3, 20, 3.0, 10.0, h, 0.005)
+
+
 def test_outer_iteration_count_matches_loop_oracle():
     lam, p, t0, B, h, eps = 1e-3, 20, 3.0, 10.0, 0.1, 0.005
     count = 0
@@ -646,7 +653,8 @@ def test_hs_config_validation_and_from_dict():
         HSConfig(t0=1.0, tau=2.0)
     with pytest.raises(ValueError):
         HSConfig(inner_stop="nope")
-    for bad in ({"epsilon": 0.0}, {"epsilon": math.inf}, {"tau": 0.0}, {"B": -1.0}, {"B": math.inf},
+    for bad in ({"h": 0.0}, {"h": 1e-17}, {"h": math.nan},
+                {"epsilon": 0.0}, {"epsilon": math.inf}, {"tau": 0.0}, {"B": -1.0}, {"B": math.inf},
                 {"t0": 1e160}, {"tau": 1e-300}, {"B": 1e200}, {"B": 1e-120},
                 {"outer_stop": "nope"},
                 {"inner_fixed_count": 0}, {"inner_grad_tol": 0.0}):

@@ -245,6 +245,18 @@ def test_reference_residual_and_idempotence():
     assert ref1.f_min == pytest.approx(lasso_objective(pr, ref1.beta_hat), rel=0, abs=0)
 
 
+@pytest.mark.parametrize("lam", [1e-200, 1e-300])
+def test_reference_certifies_a_lambda_far_below_its_tolerance(lam):
+    # (REF_TOL / lambda) ** 2 raised OverflowError for lambda between about
+    # 5.6e-319 and 7.5e-165 (every CLI run: a traceback, exit 1); the bound is
+    # now inf, as at 5e-324, so the certificate is vacuous: the dual point is
+    # near 0 and G is f itself
+    pr = make_problem(12, n=5, p=3, lam=lam)
+    ref = reference_minimum(pr)
+    assert subgradient_residual(pr, ref.beta_hat) <= baselines.REF_TOL
+    assert ref.dual_gap == pytest.approx(ref.f_min, rel=1e-12)
+
+
 def _cross_check_instances():
     # the criterion-2 instances, then one p > n design
     for seed in range(15):
