@@ -389,7 +389,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NumericalFailure as exc:
+    except (NumericalFailure, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:  # bad flags, malformed or unreadable files

@@ -121,28 +121,23 @@ def agd_map(L: float, mu: float, grad):
     """The accelerated step on the curvature pair (L, mu) as a map
     (beta, beta_bar) -> (beta, beta_bar).
 
-    The level's coefficients are formed once, here, and broadcast at the
-    first step into float64 vectors of the iterate's shape (again for a
-    pair of another shape), so that no ufunc call of a step takes a
-    Python-float operand, the slower kind on short vectors; the values are
-    the same.  With the Euclidean prox V(x, z) = ||z - x||^2 / 2 the inner
-    argmin is closed form: beta+ = (beta + gamma*mu*mid - gamma*g) /
-    (1 + gamma*mu) where mid is the extrapolated point and g = grad(mid);
-    when gamma = inf it is the gradient step mid - g/mu.  A step writes no
-    array.
+    The level's coefficients are formed once, here, as 0-d float64 arrays:
+    a ufunc call costs the same with a 0-d operand as with a vector, less
+    than with a Python float, and the broadcast gives each entry the same
+    float, so the map serves a pair of any shape.  With the Euclidean prox
+    V(x, z) = ||z - x||^2 / 2 the inner argmin is closed form: beta+ =
+    (beta + gamma*mu*mid - gamma*g) / (1 + gamma*mu) where mid is the
+    extrapolated point and g = grad(mid); when gamma = inf it is the
+    gradient step mid - g/mu.  A step writes no array.
     """
     alpha, q, gamma = agd_coefficients(L, mu)
     gm = gamma * mu
-    scalars = (1.0 - q, q, gm, gamma, 1.0 + gm, mu, 1.0 - alpha, alpha)
-    vectors = None
     momentum = not math.isinf(gamma)
+    one_q, q, gm, gamma, one_gm, mu, one_alpha, alpha = (
+        np.array(c) for c in (1.0 - q, q, gm, gamma, 1.0 + gm, mu, 1.0 - alpha, alpha))
 
     def step(pair):
-        nonlocal vectors
         beta, beta_bar = pair
-        if vectors is None or vectors[0].shape != beta.shape:
-            vectors = [np.full(beta.shape, c) for c in scalars]
-        one_q, q, gm, gamma, one_gm, mu, one_alpha, alpha = vectors
         mid = one_q * beta_bar + q * beta
         g = grad(mid)
         if momentum:

@@ -19,9 +19,10 @@ The smoothed objective itself, F_t(b) = ||y - X b||^2/(2n) + lambda
 sum_i phi_t(b_i), is defined here too: its value, its gradient and its
 damped-Newton minimizer.  The gradient is a map built once per level,
 which holds the level's scalars (t, the branch coefficients and lambda) as
-float64 vectors the length of the iterate: on vectors of 20 to 80 entries
-a ufunc call with a Python-float operand costs about 1.5 times one on two
-arrays (numpy 2.4), and the values, hence the bytes, are the same.
+0-d float64 arrays: on vectors of 20 to 80 entries a ufunc call with a 0-d
+operand costs what one on two vectors costs, about 0.6 times one with a
+Python float (numpy 2.4), and the broadcast gives every entry the same
+float, so the bytes are the same.
 """
 
 from __future__ import annotations
@@ -139,10 +140,9 @@ def surrogate_value(problem: LassoProblem, spec: SurrogateSpec, beta) -> float:
 def surrogate_grad(problem: LassoProblem, spec: SurrogateSpec):
     """The gradient map beta -> grad F_t(beta) of the level, for iterates of
     shape (p,).  Its operands t, c_inv, c_lin, 2 c_quad and lambda are
-    broadcast once, here."""
-    p = problem.p
+    formed once, here, as 0-d float64 arrays."""
     t, c_inv, c_lin, two_c_quad, lam = (
-        np.full(p, v) for v in (spec.t, spec.c_inv, spec.c_lin, 2.0 * spec.c_quad, problem.lam))
+        np.array(v) for v in (spec.t, spec.c_inv, spec.c_lin, 2.0 * spec.c_quad, problem.lam))
 
     def grad(beta: np.ndarray) -> np.ndarray:
         g = problem.gram @ beta
@@ -172,10 +172,10 @@ def minimize_surrogate(problem: LassoProblem, spec: SurrogateSpec, beta_init: np
     Optimization, 9.5).  Near the optimum F differences fall below
     round-off, so a step that raises F by at most 4 eps |F| and strictly
     lowers ||g|| is accepted too.  When gram is singular (p > n) and many
-    entries sit on the flat outer branch, hess can be singular to working
-    precision and the computed direction need not descend; the step then
-    falls back to d = -g.  Returns (beta, F(beta)) once ||g|| is at most
-    grad_tol or, if larger, the round-off floor
+    entries sit on the flat outer branch, hess can be singular, exactly or
+    to working precision, and np.linalg.solve fail or its direction not
+    descend; the step then falls back to d = -g.  Returns (beta, F(beta))
+    once ||g|| is at most grad_tol or, if larger, the round-off floor
     NEWTON_ROUNDOFF_ULPS * eps * (eig_max ||beta|| + ||X'y/n||) at the
     current beta; raises NumericalFailure after max_iters Newton steps or
     when the step falls below 1e-20.
@@ -197,7 +197,10 @@ def minimize_surrogate(problem: LassoProblem, spec: SurrogateSpec, beta_init: np
             raise NumericalFailure(f"damped Newton at t={spec.t:g}: ||grad|| = {gnorm:.3g} "
                                    f"> {tol:.3g} after {max_iters} iterations")
         hess = problem.gram + np.diag(problem.lam * spec.hess_diag(beta))
-        d = -np.linalg.solve(hess, g)
+        try:
+            d = -np.linalg.solve(hess, g)
+        except np.linalg.LinAlgError:  # exactly singular: d = 0 takes the fallback below
+            d = np.zeros_like(g)
         slope = float(g.dot(d))
         if not slope < 0.0:  # hess numerically singular: no descent direction
             d = -g

@@ -762,6 +762,18 @@ def test_verify_minimizer_failure_is_numerical_exit(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "verify.json").exists()
 
 
+def test_linalg_error_is_numerical_exit(tmp_path, monkeypatch, capsys):
+    # numpy's LinAlgError is a ValueError, which main reports as a usage error
+    import hslasso.cli as cli
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "generate", singular)
+    assert run_cli(["datagen", "--out-dir", str(tmp_path)]) == 3
+    assert "numerical failure: Singular matrix" in capsys.readouterr().err
+
+
 def test_verify_svd_failure_is_numerical_exit(tmp_path, monkeypatch, capsys):
     # one Jacobi sweep left non-orthogonal factors, and verify exited 0 on them
     import functools

@@ -253,7 +253,7 @@ def test_agd_map_writes_neither_input(degenerate):
 
 @pytest.mark.parametrize("degenerate", [False, True], ids=["momentum", "gamma-inf"])
 def test_agd_map_serves_pairs_of_two_sizes(degenerate):
-    # the coefficient vectors follow the pair's shape: p = 3, then 7, then 3;
+    # 0-d operands serve any shape: p = 3, then 7, then 3;
     # the earlier step's update charges, plus the table's gradient, make
     # the table's step
     L, mu = (2.5, 2.5) if degenerate else (9.0, 0.3)
@@ -765,6 +765,16 @@ def test_minimize_surrogate_survives_singular_newton_system():
     spec = SurrogateSpec(1e-4)
     beta, _ = minimize_surrogate(pr, spec, np.zeros(pr.p), 1e-10, 1000)
     assert float(np.linalg.norm(surrogate_grad(pr, spec)(beta))) <= 1e-10
+
+
+def test_minimize_surrogate_falls_back_on_an_exactly_singular_newton_system():
+    # the 1 x 3 problem of `datagen --n 1 --p 3 --seed 0`: at t = 1e-4 the
+    # Newton matrix turns exactly singular and np.linalg.solve raised
+    # LinAlgError, which `verify` reported as a usage error; the step now
+    # falls back to d = -g, so the capped run ends in NumericalFailure
+    pr = generate(SyntheticSpec(n=1, p=3, rho=0.1, seed=0), lam=1e-3)
+    with pytest.raises(NumericalFailure, match="after 20 iterations"):
+        minimize_surrogate(pr, SurrogateSpec(1e-4), np.zeros(pr.p), 1e-10, 20)
 
 
 def test_minimize_surrogate_returns_converged_start_unchanged():

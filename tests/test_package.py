@@ -144,38 +144,54 @@ def test_layering():
     assert "homotopy" not in _imported_modules(hslasso.diagnostics)
 
 
-# Definitions in src/ that no src/ or perfbench/ line names, each with why it stays.
+# Definitions in src/ that no src/ or perfbench/ line calls, each with why it
+# stays; a method is named with its class.
 NO_CALLER = {
     "theoretical_bound": "acceptance criterion 3's envelope, documented in README",
     "cd_minimize_to_residual": "the suite's cross-check of the reference; "
                                "perfbench/tracer.py hooks it",
+    "SurrogateSpec.grad": "acceptance criterion 1's derivative, named in README",
 }
 
 
 def test_src_defs_have_a_caller():
-    # Keep in src/ only what a run reads: every top-level function, class and
-    # method, dunders aside, is named on some other line of src/ or perfbench/.
-    # Re-exports in __init__.py are no callers.  It matches words, not calls,
-    # so a common name (ops, value) or one named only in a comment passes.
+    # Keep in src/ only what a run reads: every top-level function and class
+    # is named on some other line of src/ or perfbench/, and every method,
+    # dunders aside, is read as an attribute (`.name`) outside its own body.
+    # Re-exports in __init__.py are no callers.  A top-level name is matched
+    # as a word, so one named only in a comment passes; a method is matched
+    # by the AST, so a common name (grad, value) on other lines is no caller.
     root = Path(hslasso.__file__).parents[2]
     sources = sorted(Path(hslasso.__file__).parent.glob("*.py"))
-    lines = [(path, i, line) for path in sources + sorted((root / "perfbench").glob("*.py"))
-             if path.name != "__init__.py"
+    readers = [path for path in sources + sorted((root / "perfbench").glob("*.py"))
+               if path.name != "__init__.py"]
+    lines = [(path, i, line) for path in readers
              for i, line in enumerate(path.read_text().splitlines(), start=1)]
+    attributes = [(path, node.lineno, node.attr) for path in readers
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute)]
     uncalled = []
     for path in sources:
         tree = ast.parse(path.read_text())
-        defs = [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-        defs += [node for cls in tree.body if isinstance(cls, ast.ClassDef)
-                 for node in cls.body if isinstance(node, ast.FunctionDef)]
-        for node in defs:
+        defs = [(node.name, node) for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        methods = [(f"{cls.name}.{node.name}", node) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef)
+                   for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for qualname, node in defs + methods:
             name = node.name
-            if name.startswith("__") and name.endswith("__") or name in NO_CALLER:
+            if name.startswith("__") and name.endswith("__") or qualname in NO_CALLER:
                 continue
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            if not any(word.search(line) for p, i, line in lines
-                       if (p, i) != (path, node.lineno)):
-                uncalled.append(f"{path.name}:{node.lineno} {name}")
+            if "." in qualname:  # a method
+                body = range(node.lineno, node.end_lineno + 1)
+                called = any(attr == name and not (p == path and i in body)
+                             for p, i, attr in attributes)
+            else:
+                word = re.compile(rf"\b{re.escape(name)}\b")
+                called = any(word.search(line) for p, i, line in lines
+                             if (p, i) != (path, node.lineno))
+            if not called:
+                uncalled.append(f"{path.name}:{node.lineno} {qualname}")
     assert uncalled == []
 
 

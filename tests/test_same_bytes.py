@@ -50,18 +50,26 @@ def test_same_bytes_compares_the_four_cli_bench_files():
 
 def test_same_bytes_compares_hs_solve_runs_under_three_stop_configs(tmp_path):
     # the bench runs HS under the fixed inner stop and the oracle outer stop
-    # alone; these runs cover the other stops and the t0 search
+    # alone; these runs cover the other stops and the t0 search.  The same
+    # call runs each flat method once, whose trace floats the bench files
+    # show only through first-hit op counts
     tool = _tool()
     files = tool.cli_solve_files(TOOL.parents[1], tool.solve_problem(tmp_path))
-    assert sorted(files) == [f"{name}/{f}" for name in sorted(tool.SOLVE_CONFIGS)
-                             for f in ("summary", "trace_hs.csv")]
-    for name in tool.SOLVE_CONFIGS:
+    runs = {**{m: m for m in tool.FLAT_METHODS}, **{name: "hs" for name in tool.SOLVE_CONFIGS}}
+    assert sorted(files) == sorted(f"{name}/{f}" for name, method in runs.items()
+                                   for f in ("summary", f"trace_{method}.csv"))
+    for name, method in runs.items():
         summary = files[f"{name}/summary"]
-        assert summary.startswith((b"exit=0 method=hs ", b"exit=1 method=hs "))
+        assert summary.startswith((f"exit=0 method={method} ".encode(),
+                                   f"exit=1 method={method} ".encode()))
         assert b"trace=" not in summary
+        assert files[f"{name}/trace_{method}.csv"].count(b"\n") > 1  # a header and rows
     assert b"setup_ops=0 " not in files["gradient/summary"]  # t0 "auto" charges its probes
     # its tau allows every planned level, so the planned run meets its gap
     assert files["theoretical-count/summary"].startswith(b"exit=0 method=hs converged=True ")
     assert tool.changed_files(files, dict(files), "solve") == []
     moved = {**files, "gradient/trace_hs.csv": files["gradient/trace_hs.csv"] + b"\n"}
     assert tool.changed_files(files, moved, "solve") == ["solve/gradient/trace_hs.csv"]
+    cd = files["cd/trace_cd.csv"]  # its last digit moved by one
+    moved = {**files, "cd/trace_cd.csv": cd[:-2] + bytes([cd[-2] ^ 1]) + cd[-1:]}
+    assert tool.changed_files(files, moved, "solve") == ["solve/cd/trace_cd.csv"]

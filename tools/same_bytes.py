@@ -10,10 +10,12 @@ runs must be equal, and so must each run's correct, attempted and failed
 fields. Then it runs ``python -m hslasso.cli bench`` with all five
 methods on each tree's ``src/``, and the four files it writes, the
 ``bench_meta.json`` that perfbench never writes among them, must have
-the same bytes too. Last, it runs ``hslasso solve --method hs`` on one
-``datagen`` problem under the HS stop configs that neither the bench nor
-any workload runs (``SOLVE_CONFIGS``): each run's ``trace_hs.csv``, exit
-code and summary line, its trace path aside, must be the same. Prints
+the same bytes too. Last, it runs ``hslasso solve`` on one ``datagen``
+problem, once per flat method (``FLAT_METHODS``), whose floats the bench
+files show only through first-hit op counts, and with ``--method hs``
+under the HS stop configs that neither the bench nor any workload runs
+(``SOLVE_CONFIGS``): each run's trace CSV, exit code and summary line,
+its trace path aside, must be the same. Prints
 one line per run pair and exits 1 on any difference or on a run that
 fails, 0 otherwise. Timings are not compared.
 """
@@ -32,6 +34,7 @@ HERE = Path(__file__).resolve().parents[1]
 CLI_BENCH = ["bench", "--methods", "ista,fista,cd,sl,hs"]
 SOLVE_PROBLEM = ["datagen", "--scenario", "sim1", "--n", "50", "--p", "20", "--lambda", "0.1",
                  "--seed", "1"]
+FLAT_METHODS = ("ista", "fista", "cd", "sl")
 # the gradient and theoretical inner stops, the t-floor and theoretical-count
 # outer stops and the t0 search: the bench runs none of them; tau = 1e-6
 # allows 141 levels, enough for the 133 that theoretical-count plans here
@@ -88,21 +91,26 @@ def solve_problem(out: Path) -> Path:
 
 
 def cli_solve_files(tree: Path, problem: Path) -> dict:
-    """``hslasso solve --method hs`` on ``problem`` with ``tree``'s ``src/``,
-    once per entry of SOLVE_CONFIGS: ``<config>/trace_hs.csv`` and
-    ``<config>/summary``, the exit code (0, or 1 for a run that did not
-    converge) and the summary line without its trace path, -> bytes."""
+    """``hslasso solve --epsilon 1e-4`` on ``problem`` with ``tree``'s
+    ``src/``: once per entry of FLAT_METHODS at the default ``--beta0``, then
+    with ``--method hs`` once per entry of SOLVE_CONFIGS.  Returns
+    ``<run>/trace_<method>.csv`` and ``<run>/summary``, the exit code (0, or
+    1 for a run that did not converge) and the summary line without its
+    trace path, -> bytes; a run is named by its flat method or HS config."""
     files = {}
     with tempfile.TemporaryDirectory() as tmp:
+        runs = [(method, method, []) for method in FLAT_METHODS]
         for name, config in SOLVE_CONFIGS.items():
-            cfg, out = Path(tmp) / f"{name}.json", Path(tmp) / name
+            cfg = Path(tmp) / f"{name}.json"
             cfg.write_text(json.dumps(config))
-            proc = run_cli(tree, ["solve", "--method", "hs", "--input", str(problem),
-                                  "--epsilon", "1e-4", "--hs-config", str(cfg),
-                                  "--out-dir", str(out)], ok=(0, 1))
+            runs.append((name, "hs", ["--hs-config", str(cfg)]))
+        for name, method, extra in runs:
+            out = Path(tmp) / name
+            proc = run_cli(tree, ["solve", "--method", method, "--input", str(problem),
+                                  "--epsilon", "1e-4", *extra, "--out-dir", str(out)], ok=(0, 1))
             summary = proc.stdout.strip().rsplit(" trace=", 1)[0]
             files[f"{name}/summary"] = f"exit={proc.returncode} {summary}".encode()
-            files[f"{name}/trace_hs.csv"] = (out / "trace_hs.csv").read_bytes()
+            files[f"{name}/trace_{method}.csv"] = (out / f"trace_{method}.csv").read_bytes()
     return files
 
 
@@ -162,7 +170,8 @@ def main(argv=None) -> int:
     found = changed_files(*files, "solve")
     same &= not found
     print("cli solve: " + (f"DIFFERS: {'; '.join(found)}" if found
-                           else f"same ({len(SOLVE_CONFIGS)} stop configs)"))
+                           else f"same ({len(FLAT_METHODS)} flat methods, "
+                                f"{len(SOLVE_CONFIGS)} HS stop configs)"))
     return 0 if same else 1
 
 
