@@ -21,12 +21,11 @@ from .diagnostics import (
 from .homotopy import (
     HSConfig,
     agd_map,
-    find_t0,
     hs_solve,
-    initial_beta,
     inner_solve,
     inner_tolerance,
     outer_iteration_count,
+    ridge_start,
 )
 from .opcount import OpCounter
 from .problem import (

@@ -8,11 +8,11 @@ holds the accelerated step; both loops run on the shared driver
 ``baselines.iterate``, the outer one over levels and the inner one over
 the step map's iterate pairs, and each level charges its steps by count.
 
-The starting level t0 can be searched automatically: the search predicate
-solves the ridge system with shift lambda*log(1+t)^2/(3 t^3) and accepts
-t once the solution is bounded entrywise by t.  The initial iterate
-solves the ridge system with the stationarity shift of the smoothed
-objective on its quadratic branch, 2*lambda*log(1+t0)^2/(3 t0^3).
+The start, :func:`ridge_start`, reads one factorization of the gram: it
+searches t0 when none is given, by ridge solves at the shift
+lambda*log(1+t)^2/(3 t^3), and solves for the initial iterate at the
+quadratic branch's stationarity shift 2*lambda*log(1+t0)^2/(3 t0^3).  A
+searched t0 at or below tau runs no level.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ MAX_OUTER = 1000
 class HSConfig:
     """Tunables of the homotopy solver, checked when built.
 
-    ``t0=None`` resolves the starting level with :func:`find_t0`;
+    ``t0=None`` searches the starting level with :func:`ridge_start`;
     ``B=None`` resolves with :func:`default_iterate_bound`.
     """
 
@@ -150,46 +150,45 @@ def agd_map(L: float, mu: float, grad):
     return step
 
 
-def find_t0(problem: LassoProblem, counter: OpCounter) -> float:
-    """Smallest bracketed level satisfying the boundedness predicate.
+def ridge_start(problem: LassoProblem, t0: float | None,
+                counter: OpCounter) -> tuple[float, np.ndarray]:
+    """The start (t0, beta0) of the homotopy, both read from one ridge
+    factorization of the gram and charged to ``counter``.
 
-    Probes t = 1, 2, 4, ... until the predicate holds, raising
-    NumericalFailure once the 60th doubling fails, then runs 40 bisection
-    steps between the last failing level (0 when t = 1 holds) and the
-    first satisfying one.  The returned value always satisfies the
-    predicate; its 1 + doublings + 40 probes are charged to ``counter``.
+    A ``t0`` of None is searched: the smallest bracketed level t at which
+    the ridge solution with shift lambda*log(1+t)^2/(3 t^3) is bounded
+    entrywise by t.  The search probes t = 1, 2, 4, ... until that holds,
+    raising NumericalFailure once the 60th doubling fails, then bisects 40
+    times between the last failing level (0 when t = 1 holds) and the
+    first satisfying one, whose end it keeps; its 1 + doublings + 40 probes
+    are charged to setup.  beta0 minimizes the smoothed objective restricted
+    to its quadratic branch: (X'X/n + 2*lambda*log(1+t0)^2/(3 t0^3) I) b = X'y/n.
     """
     ridge_solve = problem.ridge_solver()
+    if t0 is None:
+        def holds(t: float) -> bool:
+            shift = problem.lam * math.log1p(t) ** 2 / (3.0 * t**3)
+            return float(np.max(np.abs(ridge_solve(shift)))) <= t
 
-    def holds(t: float) -> bool:
-        shift = problem.lam * math.log1p(t) ** 2 / (3.0 * t**3)
-        return float(np.max(np.abs(ridge_solve(shift)))) <= t
-
-    lo, hi, doublings = 0.0, 1.0, 0
-    while not holds(hi):
-        if doublings == 60:
-            raise NumericalFailure("no starting level found after 60 doublings")
-        lo, hi, doublings = hi, 2.0 * hi, doublings + 1
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    counter.charge("find-t0-probe", problem.p, 1 + doublings + 40)
-    return hi
-
-
-def initial_beta(problem: LassoProblem, t0: float, counter: OpCounter) -> np.ndarray:
-    """Exact minimizer of the smoothed objective restricted to its quadratic
-    branch: solves (X'X/n + 2*lambda*log(1+t0)^2/(3 t0^3) I) b = X'y/n,
-    charged to ``counter``."""
+        lo, hi, doublings = 0.0, 1.0, 0
+        while not holds(hi):
+            if doublings == 60:
+                raise NumericalFailure("no starting level found after 60 doublings")
+            lo, hi, doublings = hi, 2.0 * hi, doublings + 1
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            if holds(mid):
+                hi = mid
+            else:
+                lo = mid
+        counter.charge("find-t0-probe", problem.p, 1 + doublings + 40)
+        t0 = hi
     if not t0 > 0:
         raise ValueError("t0 must be positive")
     shift = 2.0 * problem.lam * math.log1p(t0) ** 2 / (3.0 * t0**3)
-    beta = problem.ridge_solver()(shift)
+    beta = ridge_solve(shift)
     counter.charge("ridge-start", problem.p)
-    return beta
+    return t0, beta
 
 
 def inner_tolerance(lam: float, p: int, B: float, t_k: float) -> float:
@@ -294,10 +293,7 @@ def hs_solve(problem: LassoProblem, config: HSConfig) -> SolverTrace:
     trace = SolverTrace()
     counter = trace.counter
 
-    t0 = config.t0 if config.t0 is not None else find_t0(problem, counter)
-    if not config.tau < t0:
-        raise ValueError("tau must be smaller than the resolved t0")
-    beta = initial_beta(problem, t0, counter)
+    t0, beta = ridge_start(problem, config.t0, counter)
     B = config.B if config.B is not None else default_iterate_bound(beta)
 
     # the schedule t_k = t_{k-1}(1-h) down to tau; the loop runs at most

@@ -23,8 +23,8 @@ as a required argument.  The conventions:
 
 Charged to no method: the gram X'X/n, X'y/n and its extreme eigenvalues,
 which each ``LassoProblem`` computes once as shared precomputation, and
-the eigendecomposition that each ``ridge_solver()`` call runs (once in
-``initial_beta``, once in ``find_t0``).
+the eigendecomposition that each ``ridge_solver()`` call runs (once per
+HS solve, in ``ridge_start``).
 """
 
 from __future__ import annotations

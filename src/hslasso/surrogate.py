@@ -155,6 +155,18 @@ def surrogate_grad(problem: LassoProblem, spec: SurrogateSpec):
     return grad
 
 
+def _woodbury_solve(problem: LassoProblem, D: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(gram + diag(D))^-1 g for a positive D, by the Woodbury identity
+    (Golub & Van Loan, Matrix Computations, 4th ed., 2.1.4):
+    D^-1 g - D^-1 X' (n I + X D^-1 X')^-1 X D^-1 g.  Its one n x n system
+    has every eigenvalue at least n, so it is well posed on a p > n design
+    where the p x p one is singular to working precision."""
+    XD = problem.X / D
+    Dg = g / D
+    inner = problem.n * np.eye(problem.n) + XD @ problem.X.T
+    return Dg - XD.T @ np.linalg.solve(inner, problem.X @ Dg)
+
+
 # Multiple of eps * (eig_max ||beta|| + ||X'y/n||), the round-off in the
 # gradient's matvec and shift, below which the Newton stop is not asked to go.
 NEWTON_ROUNDOFF_ULPS = 4.0
@@ -174,7 +186,8 @@ def minimize_surrogate(problem: LassoProblem, spec: SurrogateSpec, beta_init: np
     lowers ||g|| is accepted too.  When gram is singular (p > n) and many
     entries sit on the flat outer branch, hess can be singular, exactly or
     to working precision, and np.linalg.solve fail or its direction not
-    descend; the step then falls back to d = -g.  Returns (beta, F(beta))
+    descend; the step then takes the direction of :func:`_woodbury_solve`,
+    and d = -g where that fails too.  Returns (beta, F(beta))
     once ||g|| is at most grad_tol or, if larger, the round-off floor
     NEWTON_ROUNDOFF_ULPS * eps * (eig_max ||beta|| + ||X'y/n||) at the
     current beta; raises NumericalFailure after max_iters Newton steps or
@@ -196,13 +209,19 @@ def minimize_surrogate(problem: LassoProblem, spec: SurrogateSpec, beta_init: np
         if iters >= max_iters:
             raise NumericalFailure(f"damped Newton at t={spec.t:g}: ||grad|| = {gnorm:.3g} "
                                    f"> {tol:.3g} after {max_iters} iterations")
-        hess = problem.gram + np.diag(problem.lam * spec.hess_diag(beta))
-        try:
-            d = -np.linalg.solve(hess, g)
-        except np.linalg.LinAlgError:  # exactly singular: d = 0 takes the fallback below
-            d = np.zeros_like(g)
-        slope = float(g.dot(d))
-        if not slope < 0.0:  # hess numerically singular: no descent direction
+        D = problem.lam * spec.hess_diag(beta)
+        solves = [lambda: np.linalg.solve(problem.gram + np.diag(D), g)]
+        if problem.p > problem.n:
+            solves.append(lambda: _woodbury_solve(problem, D, g))
+        for solve in solves:
+            try:
+                d = -solve()
+            except np.linalg.LinAlgError:  # exactly singular
+                continue
+            slope = float(g.dot(d))
+            if slope < 0.0:
+                break
+        else:  # no solve gave a descent direction
             d = -g
             slope = -gnorm * gnorm
         noise = 4.0 * np.finfo(float).eps * abs(f)

@@ -35,7 +35,7 @@ from hslasso.baselines import (
     solve,
     theoretical_bound,
 )
-from hslasso.homotopy import HSConfig, find_t0, initial_beta, inner_solve
+from hslasso.homotopy import HSConfig, inner_solve, ridge_start
 from hslasso.opcount import CHARGES, OpCounter
 from hslasso.problem import (
     LassoProblem,
@@ -289,8 +289,8 @@ PINNED_CHARGES = {
     "cd": ((4065, 4856, 0, 800, 72), 192),
     "inner-fixed": ((7610, 5604, 2, 400, 0), 50),
     "inner-gradient": ((7282, 5663, 31, 485, 0), 28),
-    "initial-beta": ((138, 120, 1, 0, 0), None),
-    "find-t0": ((0, 0, 0, 0, 10496), None),
+    "initial-beta": ((138, 120, 1, 0, 0), None),  # the ridge start at a given t0
+    "find-t0": ((138, 120, 1, 0, 10496), None),  # and at a searched one
 }
 
 
@@ -311,10 +311,8 @@ def test_charge_pinned(case, monkeypatch):
         assert not tr.converged
         assert np.all(np.diff(trace_ops(tr)) == per_iterate)
         assert trace_ops(tr)[-1] == c.total()
-    elif case == "initial-beta":
-        initial_beta(pr, 3.0, c)
-    elif case == "find-t0":
-        find_t0(pr, c)
+    elif case in ("initial-beta", "find-t0"):
+        ridge_start(pr, 3.0 if case == "initial-beta" else None, c)
     else:
         cfg = HSConfig(inner_stop=case.split("-")[1], inner_grad_tol=1e-6)
         steps = inner_solve(pr, 0.5, np.zeros(p), cfg, c, B=1.0)[1]

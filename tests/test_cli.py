@@ -214,13 +214,14 @@ PROBLEM_2x1 = '"n": 2, "p": 1, "X": [[1.0], [2.0]]'
     ("--input", '{%s, "lambda": 0.1, "y": [true, false]}' % PROBLEM_2x1),
     ("--input", '{%s, "lambda": 0.1, "y": ["1.0", 2.0]}' % PROBLEM_2x1),
     ("--input", '{"n": 2, "p": 1, "X": [1.0, 2.0], "lambda": 0.1, "y": [1.0, 2.0]}'),
+    ("--input", '{"n": 2, "p": 2, "X": [[1.0], [2.0]], "lambda": 0.1, "y": [1.0, 2.0]}'),
     ("--input", '{%s, "lambda": 0.1, "y": [1%s, 2.0]}' % (PROBLEM_2x1, "0" * 400)),
     ("--input", '{%s, "lambda": 1%s, "y": [1.0, 2.0]}' % (PROBLEM_2x1, "0" * 400)),
     ("--hs-config", "[]"),
     ("--hs-config", '{"inner_fixed_count": 2.5}'),
     ("--hs-config", '{"h": 1%s}' % ("0" * 400)),
 ], ids=["problem-array", "lambda-string", "lambda-null", "y-object", "lambda-bool", "n-bool",
-        "X-bool", "y-bool", "y-string", "X-flat", "y-huge-int", "lambda-huge-int",
+        "X-bool", "y-bool", "y-string", "X-flat", "X-shape", "y-huge-int", "lambda-huge-int",
         "hs-config-array", "hs-config-float-count", "hs-config-huge-int"])
 def test_wrongly_shaped_json_is_usage_error(tmp_path, capsys, flag, text):
     # each was a traceback (exit 1) from an AttributeError, TypeError or
@@ -382,6 +383,59 @@ def test_zero_column_design_is_solved(tmp_path):
     save_problem_json(pr, path)
     assert run_cli(["solve", "--method", "fista", "--input", str(path),
                     "--out-dir", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("method", ["ista", "fista"])
+def test_all_zero_design_is_usage_error_under_prox_gradient(tmp_path, capsys, method):
+    # the gram is 0, so the step 1/L has no L; every other method solves it
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"n": 3, "p": 2, "lambda": 0.1, "y": [1.0, 2.0, 3.0],
+                                "X": [[0.0, 0.0]] * 3}))
+    assert run_cli(["solve", "--method", method, "--input", str(path),
+                    "--out-dir", str(tmp_path)]) == 2
+    assert "gram matrix has no positive eigenvalue" in capsys.readouterr().err
+
+
+def test_solve_hs_with_a_searched_t0_below_tau_runs_no_level(tmp_path, capsys):
+    # lambda = 4 leaves the ridge start within tau of zero; the searched t0
+    # was "tau must be smaller than the resolved t0", a usage error (exit 2)
+    assert run_cli(["datagen", "--n", "50", "--p", "20", "--lambda", "4", "--seed", "1",
+                    "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert run_cli(["solve", "--method", "hs", "--input", str(tmp_path / "problem.json"),
+                    "--out-dir", str(tmp_path)]) == 0
+    assert "method=hs converged=True " in capsys.readouterr().out
+    rows = (tmp_path / "trace_hs.csv").read_text().splitlines()
+    assert len(rows) == 2 and float(rows[1].split(",")[1]) < 1e-4
+
+
+def test_solve_beta0_zeros_starts_at_the_origin(tmp_path):
+    from hslasso.problem import lasso_objective
+
+    pr = generate(SyntheticSpec(n=12, p=5, rho=0.1, seed=2), lam=0.1)
+    path = tmp_path / "problem.json"
+    save_problem_json(pr, path)
+    assert run_cli(["solve", "--method", "ista", "--input", str(path), "--beta0", "zeros",
+                    "--out-dir", str(tmp_path)]) == 0
+    header, first = (tmp_path / "trace_ista.csv").read_text().splitlines()[:2]
+    assert header.split(",")[3] == "F"
+    assert float(first.split(",")[3]) == lasso_objective(pr, np.zeros(pr.p))
+
+
+def test_reference_step_cap_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    # one FISTA step of the reference reaches no residual tolerance
+    from hslasso import baselines
+    from hslasso.problem import NumericalFailure
+
+    pr = generate(SyntheticSpec(n=12, p=5, rho=0.1, seed=2), lam=0.1)
+    path = tmp_path / "problem.json"
+    save_problem_json(pr, path)
+    monkeypatch.setattr(baselines, "REF_MAX_ITERS", 1)
+    with pytest.raises(NumericalFailure, match="did not reach the residual tolerance"):
+        reference_minimum(pr)
+    assert run_cli(["solve", "--method", "fista", "--input", str(path),
+                    "--out-dir", str(tmp_path)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_uncertified_reference_is_numerical_failure(tmp_path, monkeypatch, capsys):
@@ -814,6 +868,17 @@ def test_verify_sparse_scenario_with_fewer_than_ten_columns(tmp_path):
                   "--levels", "0.1", "--out-dir", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "verify.json").exists()
+
+
+@pytest.mark.parametrize("n,p,seed", [(1, 3, 0), (2, 5, 0), (2, 5, 1), (3, 8, 1), (3, 8, 3)])
+def test_verify_finishes_on_tiny_p_gt_n_problems(tmp_path, n, p, seed):
+    # the dense Newton solve fails at t = 1e-4 on each; its d = -g fallback
+    # took 3.1 to 38.2 s per sweep, and 2 x 5 seed 1 exited 3
+    assert run_cli(["datagen", "--n", str(n), "--p", str(p), "--seed", str(seed),
+                    "--out-dir", str(tmp_path)]) == 0
+    assert run_cli(["verify", "--input", str(tmp_path / "problem.json"),
+                    "--out-dir", str(tmp_path)]) == 0
+    assert len(json.loads((tmp_path / "verify.json").read_text())["closeness_sweep"]) == 5
 
 
 def test_datagen_sparse_scenario_with_fewer_than_ten_columns(tmp_path):

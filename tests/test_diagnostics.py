@@ -356,6 +356,9 @@ def test_conditions_validate_support():
         support_conditions_check(X, [])
     with pytest.raises(ValueError):
         support_conditions_check(X, list(range(5)))  # not a proper subset
+    for index in (X.shape[1], -1):
+        with pytest.raises(ValueError, match="support indices out of range"):
+            support_conditions_check(X, [0, index])
     X_rankdef = X.copy()
     X_rankdef[:, 1] = X_rankdef[:, 0]
     with pytest.raises(ValueError):

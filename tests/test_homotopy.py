@@ -16,12 +16,11 @@ from hslasso.homotopy import (
     agd_coefficients,
     agd_map,
     default_iterate_bound,
-    find_t0,
     hs_solve,
-    initial_beta,
     inner_solve,
     inner_tolerance,
     outer_iteration_count,
+    ridge_start,
 )
 from hslasso.opcount import CHARGES, OpCounter
 from hslasso.problem import LassoProblem, NumericalFailure
@@ -45,14 +44,14 @@ def sim1_problem(seed=1000):
 
 def test_find_t0_zero_response_hits_bisection_floor():
     pr = LassoProblem(y=np.zeros(5), X=np.eye(5), lam=0.3)
-    t0 = find_t0(pr, OpCounter())
+    t0, _ = ridge_start(pr, None, OpCounter())
     assert t0 == pytest.approx(2.0**-40, rel=1e-12)
 
 
 def test_find_t0_satisfies_predicate_at_return():
     rng = np.random.default_rng(0)
     pr = LassoProblem(y=50.0 * np.ones(6) + rng.standard_normal(6), X=np.eye(6), lam=0.5)
-    t0 = find_t0(pr, OpCounter())
+    t0, _ = ridge_start(pr, None, OpCounter())
     shift = pr.lam * math.log1p(t0) ** 2 / (3.0 * t0**3)
     sol = pr.ridge_solver()(shift)
     assert np.max(np.abs(sol)) <= t0
@@ -71,11 +70,13 @@ def test_find_t0_predicate_ratio_vanishes_at_large_t():
 
 
 def test_find_t0_charges_setup_bucket_only():
+    # the search adds setup ops and nothing else to the ridge start's charge
     pr = make_problem(4)
-    c = OpCounter()
-    find_t0(pr, c)
-    assert c.setup_ops > 0
-    assert c.total() == 0
+    searched, given = OpCounter(), OpCounter()
+    t0, beta = ridge_start(pr, None, searched)
+    assert ridge_start(pr, t0, given)[1].tobytes() == beta.tobytes()
+    assert searched.setup_ops > 0 and given.setup_ops == 0
+    assert astuple(searched)[:4] == astuple(given)[:4] == CHARGES["ridge-start"](pr.p)[:4]
 
 
 def test_find_t0_gives_up_after_60_doublings():
@@ -83,12 +84,46 @@ def test_find_t0_gives_up_after_60_doublings():
     # more than the 60 the search makes before it gives up
     base = sim1_problem(1)
     c = OpCounter()
-    t0 = find_t0(LassoProblem(y=1e17 * base.y, X=base.X, lam=base.lam), c)
+    t0, _ = ridge_start(LassoProblem(y=1e17 * base.y, X=base.X, lam=base.lam), None, c)
     assert t0 == pytest.approx(9.04e16, rel=1e-3)
-    assert astuple(c) == astuple(OpCounter().charge("find-t0-probe", 20, 1 + 57 + 40))
+    assert astuple(c) == astuple(OpCounter().charge("find-t0-probe", 20, 1 + 57 + 40)
+                                 .charge("ridge-start", 20))
     assert c.setup_ops == 156_800
     with pytest.raises(NumericalFailure, match="no starting level found after 60 doublings"):
-        find_t0(LassoProblem(y=1e19 * base.y, X=base.X, lam=base.lam), OpCounter())
+        ridge_start(LassoProblem(y=1e19 * base.y, X=base.X, lam=base.lam), None, OpCounter())
+
+
+def test_ridge_start_factors_the_gram_once_per_solve(monkeypatch):
+    # the search and the ridge start read one eigendecomposition (two
+    # before): the same t0, trace and counter, and the trace of the solve
+    # given that t0 from the start
+    calls = []
+    ridge_solver = LassoProblem.ridge_solver
+    monkeypatch.setattr(LassoProblem, "ridge_solver",
+                        lambda self: calls.append(1) or ridge_solver(self))
+    pr = sim1_problem()
+    cfg = HSConfig(epsilon=1e-5, ref=reference_minimum(pr))
+    tr = hs_solve(pr, cfg)
+    assert len(calls) == 1
+    assert tr.metadata["t0"] == 1.2307495347122313
+    assert astuple(tr.counter) == (279921, 234816, 19, 9000, 67200)
+    assert tr.converged and tr.metadata["outer_iterations"] == 9
+    assert tr.records[-1].cumulative_ops == 523756
+    assert tr.records == hs_solve(pr, replace(cfg, t0=tr.metadata["t0"])).records
+
+
+def test_searched_t0_at_or_below_tau_runs_no_level():
+    # beta* = 0 for y = 0, and the searched t0 is 2^-40, far below tau: the
+    # ridge start is the answer under every outer stop (a usage error before)
+    pr = LassoProblem(y=np.zeros(5), X=np.eye(5), lam=0.3)
+    ref = reference_minimum(pr)
+    for stop in ("oracle", "t-floor", "theoretical-count"):
+        tr = hs_solve(pr, HSConfig(outer_stop=stop, ref=ref))
+        assert tr.converged and tr.metadata["outer_iterations"] == 0
+        assert tr.metadata["t0"] < HSConfig().tau and len(tr.records) == 1
+        assert np.array_equal(tr.final_beta, np.zeros(5))
+    with pytest.raises(ValueError, match="t0 must be larger than tau"):
+        HSConfig(t0=1e-5)  # an explicit t0 at or below tau stays a usage error
 
 
 # ---------------------------------------------------------------------------
@@ -98,28 +133,28 @@ def test_find_t0_gives_up_after_60_doublings():
 
 def test_initial_beta_zero_response():
     pr = LassoProblem(y=np.zeros(4), X=np.eye(4), lam=0.2)
-    assert np.array_equal(initial_beta(pr, 1.0, OpCounter()), np.zeros(4))
+    t0, beta0 = ridge_start(pr, 1.0, OpCounter())
+    assert t0 == 1.0 and np.array_equal(beta0, np.zeros(4))
 
 
 def test_initial_beta_approaches_least_squares():
     pr = make_problem(5, n=40, p=6, lam=1e-12)
     beta_ls = np.linalg.solve(pr.gram, pr.xty)
-    b0 = initial_beta(pr, 2.0, OpCounter())
+    b0 = ridge_start(pr, 2.0, OpCounter())[1]
     assert np.max(np.abs(b0 - beta_ls)) < 1e-8
 
 
 def test_initial_beta_bounded_by_found_t0():
     for seed in range(6):
         pr = make_problem(seed, n=25, p=6, lam=0.05)
-        t0 = find_t0(pr, OpCounter())
-        b0 = initial_beta(pr, t0, OpCounter())
+        t0, b0 = ridge_start(pr, None, OpCounter())
         assert np.max(np.abs(b0)) <= t0 * (1 + 1e-12)
 
 
 def test_initial_beta_rejects_bad_t0():
     pr = make_problem(6)
-    with pytest.raises(ValueError):
-        initial_beta(pr, 0.0, OpCounter())
+    with pytest.raises(ValueError, match="t0 must be positive"):
+        ridge_start(pr, 0.0, OpCounter())
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +464,7 @@ def assert_same_inner_solve(pr, levels, beta0, cfg, B=None):
 @pytest.mark.parametrize("p", [1, 5, 20])
 def test_inner_solve_matches_a_loop_of_agd_step(p, inner_stop):
     pr = generate(SyntheticSpec(n=30, p=p, rho=0.5, seed=p), lam=0.1)
-    beta0 = initial_beta(pr, 2.0, OpCounter())
+    beta0 = ridge_start(pr, 2.0, OpCounter())[1]
     for B in (None, 10.0):
         cfg = HSConfig(t0=2.0, inner_stop=inner_stop, inner_fixed_count=40,
                        inner_grad_tol=1e-6, B=B)
@@ -530,7 +565,7 @@ def test_hs_warm_start_matches_manual_chain():
                    inner_stop="fixed", inner_fixed_count=3, B=10.0)
     tr = hs_solve(pr, cfg)
     # replicate by hand: init, then chained inner solves at t0*0.9^k
-    beta = initial_beta(pr, 3.0, OpCounter())
+    beta = ridge_start(pr, 3.0, OpCounter())[1]
     t = 3.0
     betas = []
     for _ in range(tr.metadata["outer_iterations"]):
@@ -609,7 +644,7 @@ def test_hs_theoretical_count_plan_beyond_the_allowed_levels_is_a_usage_error(mo
     {"inner_stop": "gradient", "inner_grad_tol": 1e-6, "outer_stop": "oracle"},
     {"t0": 3.0, "inner_stop": "theoretical", "outer_stop": "t-floor", "tau": 1e-2}])
 def test_hs_trace_counter_totals_the_last_row(settings):
-    # the solve owns its counter: find_t0, the ridge start and every level
+    # the solve owns its counter: the t0 search, the ridge start and every level
     # charge the one counter that the trace returns
     pr = sim1_problem()
     tr = hs_solve(pr, HSConfig(epsilon=1e-5, ref=reference_minimum(pr), **settings))
@@ -635,7 +670,7 @@ def test_hs_auto_t0_resolution():
 
 
 def test_hs_auto_t0_keeps_no_eigenvectors_on_the_problem():
-    # find_t0 and initial_beta decompose the gram per call; afterwards the
+    # ridge_start decomposes the gram per call; afterwards the
     # instance holds no p x p array but the gram itself
     pr = make_problem(16, n=12, p=20, lam=0.05)
     ref = reference_minimum(pr)
@@ -710,8 +745,8 @@ def test_hs_solve_raises_a_tiny_default_bound_to_the_level_range():
     assert trace.metadata["B"] == 1e-100
     assert trace.converged
     # with B < t, mu took B**3 (2.7e187 against L = 1.91 at t = 0.9), and
-    # the 1/mu steps left final_beta at initial_beta, bit for bit
-    assert not np.array_equal(trace.final_beta, initial_beta(tiny_problem(), 1.0, OpCounter()))
+    # the 1/mu steps left final_beta at the ridge start, bit for bit
+    assert not np.array_equal(trace.final_beta, ridge_start(tiny_problem(), 1.0, OpCounter())[1])
 
 
 # ---------------------------------------------------------------------------
@@ -767,14 +802,57 @@ def test_minimize_surrogate_survives_singular_newton_system():
     assert float(np.linalg.norm(surrogate_grad(pr, spec)(beta))) <= 1e-10
 
 
-def test_minimize_surrogate_falls_back_on_an_exactly_singular_newton_system():
+def test_minimize_surrogate_falls_back_on_an_exactly_singular_newton_system(monkeypatch):
     # the 1 x 3 problem of `datagen --n 1 --p 3 --seed 0`: at t = 1e-4 the
-    # Newton matrix turns exactly singular and np.linalg.solve raised
-    # LinAlgError, which `verify` reported as a usage error; the step now
-    # falls back to d = -g, so the capped run ends in NumericalFailure
+    # 3 x 3 Newton matrix turns exactly singular and np.linalg.solve raises;
+    # the step solves the 1 x 1 Woodbury system instead.  Its d = -g
+    # fallback needed more than 500 000 steps (verify: 19.8 s)
+    raised, solve = [], np.linalg.solve
+
+    def spy(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            raised.append(a.shape)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
     pr = generate(SyntheticSpec(n=1, p=3, rho=0.1, seed=0), lam=1e-3)
-    with pytest.raises(NumericalFailure, match="after 20 iterations"):
-        minimize_surrogate(pr, SurrogateSpec(1e-4), np.zeros(pr.p), 1e-10, 20)
+    spec = SurrogateSpec(1e-4)
+    beta, value = minimize_surrogate(pr, spec, np.zeros(pr.p), 1e-10, 20)
+    assert raised == [(3, 3)]
+    assert float(np.linalg.norm(surrogate_grad(pr, spec)(beta))) <= 1e-10
+    assert value == pytest.approx(0.0015308660333304984, rel=1e-12)
+
+
+# F_t's minimum at verify's five default levels, from zero, on the five p > n
+# problems `datagen --n N --p P --seed S` (lambda = 1e-3) where the dense
+# Newton solve raises or points uphill at t = 1e-4.  The values are those of
+# the d = -g fallback, which took 3.1 to 38.2 s per sweep; on 2 x 5 seed 1 it
+# failed at t = 1e-4 after 500 000 steps (None)
+WOODBURY_SWEEPS = {
+    (1, 3, 0): (0.0002931283982510167, 0.0012832955767113294, 0.0015040406024310529,
+                0.0015284046792323118, 0.0015308660333304984),
+    (2, 5, 0): (0.0012518573141011686, 0.0041413317513213175, 0.004754544494811439,
+                0.004821886052690502, 0.004828685814671128),
+    (2, 5, 1): (0.0005310152779253627, 0.0027219406589810333, 0.00324950898521338,
+                0.003307682393129699, None),
+    (3, 8, 1): (0.0021949560656961548, 0.006744114620222315, 0.0077205584968327,
+                0.007828025072922913, 0.007838877938347595),
+    (3, 8, 3): (0.0003294798803176851, 0.0022056985373463275, 0.0027487692000545474,
+                0.002811092319683958, 0.002817404468472086),
+}
+
+
+@pytest.mark.parametrize("n,p,seed", list(WOODBURY_SWEEPS))
+def test_minimize_surrogate_keeps_newton_steps_on_tiny_p_gt_n(n, p, seed):
+    pr = _shape_problem(n, p, seed=seed)
+    for t, expected in zip((1.0, 0.1, 0.01, 1e-3, 1e-4), WOODBURY_SWEEPS[n, p, seed]):
+        spec = SurrogateSpec(t)
+        beta, value = minimize_surrogate(pr, spec, np.zeros(p), 1e-10, 200)
+        assert float(np.linalg.norm(surrogate_grad(pr, spec)(beta))) <= 1e-10
+        if expected is not None:
+            assert value == pytest.approx(expected, rel=1e-12)
 
 
 def test_minimize_surrogate_returns_converged_start_unchanged():

@@ -17,10 +17,10 @@ PUBLIC_SURFACE = [
     "OpCounter", "ReferenceSolution", "SolverTrace", "SurrogateSpec", "SyntheticSpec",
     "TraceRecord", "agd_map",
     "beta_pattern", "cd_solve", "equicorrelated_design", "estimation_error",
-    "find_t0", "fista_solve", "generate", "hs_solve", "initial_beta", "inner_solve",
-    "inner_tolerance", "ista_solve", "jacobi_svd", "lasso_objective", "load_problem_binary",
-    "load_problem_json", "noise_scale_for_snr", "outer_iteration_count", "prediction_error",
-    "reference_minimum", "run_bench", "save_problem_binary", "save_problem_json", "sl_solve",
+    "fista_solve", "generate", "hs_solve", "inner_solve", "inner_tolerance", "ista_solve",
+    "jacobi_svd", "lasso_objective", "load_problem_binary", "load_problem_json",
+    "noise_scale_for_snr", "outer_iteration_count", "prediction_error", "reference_minimum",
+    "ridge_start", "run_bench", "save_problem_binary", "save_problem_json", "sl_solve",
     "smoothness_constants", "subgradient_residual", "support_conditions_check", "support_set",
     "surrogate_value", "theoretical_bound",
 ]

@@ -48,12 +48,16 @@ def test_same_bytes_compares_the_four_cli_bench_files():
                                                          "bench/bench_ops.csv"]
 
 
-def test_same_bytes_compares_hs_solve_runs_under_three_stop_configs(tmp_path):
-    # the bench runs HS under the fixed inner stop and the oracle outer stop
-    # alone; these runs cover the other stops and the t0 search.  The same
-    # call runs each flat method once, whose trace floats the bench files
-    # show only through first-hit op counts
+def test_same_bytes_compares_hs_solve_runs_under_each_config(tmp_path):
+    # the bench runs HS at t0 = 3 under the fixed inner stop and the oracle
+    # outer stop alone; these runs cover the default config, whose t0 is
+    # searched, the other stops and the t0 search under the gradient stop.
+    # The same call runs each flat method once, whose trace floats the bench
+    # files show only through first-hit op counts
     tool = _tool()
+    assert list(tool.SOLVE_CONFIGS) == ["default", "gradient", "theoretical-t-floor",
+                                        "theoretical-count"]
+    assert tool.SOLVE_CONFIGS["default"] == {}  # HSConfig(), as `solve` runs without a file
     files = tool.cli_solve_files(TOOL.parents[1], tool.solve_problem(tmp_path))
     runs = {**{m: m for m in tool.FLAT_METHODS}, **{name: "hs" for name in tool.SOLVE_CONFIGS}}
     assert sorted(files) == sorted(f"{name}/{f}" for name, method in runs.items()
@@ -64,7 +68,8 @@ def test_same_bytes_compares_hs_solve_runs_under_three_stop_configs(tmp_path):
                                    f"exit=1 method={method} ".encode()))
         assert b"trace=" not in summary
         assert files[f"{name}/trace_{method}.csv"].count(b"\n") > 1  # a header and rows
-    assert b"setup_ops=0 " not in files["gradient/summary"]  # t0 "auto" charges its probes
+    for name in ("default", "gradient"):  # a searched t0 charges its probes
+        assert b"setup_ops=0 " not in files[f"{name}/summary"]
     # its tau allows every planned level, so the planned run meets its gap
     assert files["theoretical-count/summary"].startswith(b"exit=0 method=hs converged=True ")
     assert tool.changed_files(files, dict(files), "solve") == []

@@ -13,7 +13,7 @@ methods on each tree's ``src/``, and the four files it writes, the
 the same bytes too. Last, it runs ``hslasso solve`` on one ``datagen``
 problem, once per flat method (``FLAT_METHODS``), whose floats the bench
 files show only through first-hit op counts, and with ``--method hs``
-under the HS stop configs that neither the bench nor any workload runs
+under the HS configs that neither the bench nor any workload runs
 (``SOLVE_CONFIGS``): each run's trace CSV, exit code and summary line,
 its trace path aside, must be the same. Prints
 one line per run pair and exits 1 on any difference or on a run that
@@ -35,10 +35,13 @@ CLI_BENCH = ["bench", "--methods", "ista,fista,cd,sl,hs"]
 SOLVE_PROBLEM = ["datagen", "--scenario", "sim1", "--n", "50", "--p", "20", "--lambda", "0.1",
                  "--seed", "1"]
 FLAT_METHODS = ("ista", "fista", "cd", "sl")
-# the gradient and theoretical inner stops, the t-floor and theoretical-count
-# outer stops and the t0 search: the bench runs none of them; tau = 1e-6
-# allows 141 levels, enough for the 133 that theoretical-count plans here
+# HSConfig(), the path of `solve --method hs` without --hs-config, then the
+# gradient and theoretical inner stops, the t-floor and theoretical-count
+# outer stops and the t0 search: the bench runs none of them (it fixes t0);
+# tau = 1e-6 allows 141 levels, enough for the 133 that theoretical-count
+# plans here
 SOLVE_CONFIGS = {
+    "default": {},
     "gradient": {"t0": "auto", "inner_stop": "gradient", "inner_grad_tol": 1e-6},
     "theoretical-t-floor": {"t0": 3.0, "inner_stop": "theoretical", "outer_stop": "t-floor",
                             "tau": 1e-3},
@@ -171,7 +174,7 @@ def main(argv=None) -> int:
     same &= not found
     print("cli solve: " + (f"DIFFERS: {'; '.join(found)}" if found
                            else f"same ({len(FLAT_METHODS)} flat methods, "
-                                f"{len(SOLVE_CONFIGS)} HS stop configs)"))
+                                f"{len(SOLVE_CONFIGS)} HS configs)"))
     return 0 if same else 1
 
 
