@@ -75,8 +75,6 @@ class LassoProblem:
         self.gram = _readonly(X.T @ X / n)
         self.xty = _readonly(X.T @ y / n)
         eigvals = np.linalg.eigh(self.gram)[0]
-        if eigvals[0] < -1e-10:
-            raise ValueError("gram matrix not positive semidefinite within 1e-10")
         self.eig_min = float(max(eigvals[0], 0.0))
         self.eig_max = float(max(eigvals[-1], 0.0))
 
@@ -85,8 +83,8 @@ class LassoProblem:
         spectrum, with one eigendecomposition for all the shifts it is given:
         the same deterministic eigh as the one at construction.
 
-        Eigenvalue noise below zero is clamped (the gram is validated
-        positive semidefinite at construction).
+        Eigenvalue noise below zero is clamped, as ``eig_min`` is: X'X/n is
+        positive semidefinite, so only rounding puts an eigenvalue there.
         """
         evals, vecs = np.linalg.eigh(self.gram)
         evals = np.maximum(evals, 0.0)

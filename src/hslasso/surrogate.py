@@ -159,8 +159,8 @@ def _woodbury_solve(problem: LassoProblem, D: np.ndarray, g: np.ndarray) -> np.n
     """(gram + diag(D))^-1 g for a positive D, by the Woodbury identity
     (Golub & Van Loan, Matrix Computations, 4th ed., 2.1.4):
     D^-1 g - D^-1 X' (n I + X D^-1 X')^-1 X D^-1 g.  Its one n x n system
-    has every eigenvalue at least n, so it is well posed on a p > n design
-    where the p x p one is singular to working precision."""
+    has every eigenvalue at least n, whatever the shape or rank of X, so it
+    is well posed where the p x p one is singular to working precision."""
     XD = problem.X / D
     Dg = g / D
     inner = problem.n * np.eye(problem.n) + XD @ problem.X.T
@@ -183,15 +183,15 @@ def minimize_surrogate(problem: LassoProblem, spec: SurrogateSpec, beta_init: np
     F(b + s d) <= F(b) + 1e-4 s g'd holds (Boyd & Vandenberghe, Convex
     Optimization, 9.5).  Near the optimum F differences fall below
     round-off, so a step that raises F by at most 4 eps |F| and strictly
-    lowers ||g|| is accepted too.  When gram is singular (p > n) and many
-    entries sit on the flat outer branch, hess can be singular, exactly or
-    to working precision, and np.linalg.solve fail or its direction not
-    descend; the step then takes the direction of :func:`_woodbury_solve`,
-    and d = -g where that fails too.  Returns (beta, F(beta))
-    once ||g|| is at most grad_tol or, if larger, the round-off floor
-    NEWTON_ROUNDOFF_ULPS * eps * (eig_max ||beta|| + ||X'y/n||) at the
-    current beta; raises NumericalFailure after max_iters Newton steps or
-    when the step falls below 1e-20.
+    lowers ||g|| is accepted too.  When gram is singular (p > n, or
+    dependent columns on any shape) and many entries sit on the flat outer
+    branch, hess can be singular, exactly or to working precision, and
+    np.linalg.solve fail or its direction not descend; the step then takes
+    the direction of :func:`_woodbury_solve`, and d = -g where that fails
+    too.  Returns (beta, F(beta)) once ||g|| is at most grad_tol or, if
+    larger, the round-off floor NEWTON_ROUNDOFF_ULPS * eps * (eig_max
+    ||beta|| + ||X'y/n||) at the current beta; raises NumericalFailure
+    after max_iters Newton steps or when the step falls below 1e-20.
     """
     ulps = NEWTON_ROUNDOFF_ULPS * np.finfo(float).eps
     xty_norm = float(np.linalg.norm(problem.xty))
@@ -210,10 +210,8 @@ def minimize_surrogate(problem: LassoProblem, spec: SurrogateSpec, beta_init: np
             raise NumericalFailure(f"damped Newton at t={spec.t:g}: ||grad|| = {gnorm:.3g} "
                                    f"> {tol:.3g} after {max_iters} iterations")
         D = problem.lam * spec.hess_diag(beta)
-        solves = [lambda: np.linalg.solve(problem.gram + np.diag(D), g)]
-        if problem.p > problem.n:
-            solves.append(lambda: _woodbury_solve(problem, D, g))
-        for solve in solves:
+        for solve in (lambda: np.linalg.solve(problem.gram + np.diag(D), g),
+                      lambda: _woodbury_solve(problem, D, g)):
             try:
                 d = -solve()
             except np.linalg.LinAlgError:  # exactly singular

@@ -385,6 +385,19 @@ def test_zero_column_design_is_solved(tmp_path):
                     "--out-dir", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("method", ["fista", "hs"])
+def test_design_in_large_units_is_solved(tmp_path, capsys, method):
+    # sim1 50 x 80 with its columns scaled by 1e3: eigh puts the gram's bottom
+    # eigenvalue at -1.6e-9, rounding that a fixed -1e-10 floor once refused
+    # as "gram matrix not positive semidefinite" (exit 2)
+    base = generate(SyntheticSpec(n=50, p=80, rho=0.1, seed=1001), lam=1e-3)
+    path = tmp_path / "large_units.json"
+    save_problem_json(LassoProblem(base.y, base.X * 1e3, base.lam), path)
+    assert run_cli(["solve", "--method", method, "--input", str(path), "--epsilon", "0.05",
+                    "--out-dir", str(tmp_path)]) == 0
+    assert f"method={method} converged=True " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("method", ["ista", "fista"])
 def test_all_zero_design_is_usage_error_under_prox_gradient(tmp_path, capsys, method):
     # the gram is 0, so the step 1/L has no L; every other method solves it

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import (agd_state, agd_step, inner_solve_before, make_problem, numeric_prox_argmin,
                      surrogate_grad_before, tiny_problem, trace_ops)
-from hslasso import homotopy
+from hslasso import homotopy, surrogate
 from hslasso.baselines import reference_minimum
 from hslasso.datagen import SyntheticSpec, generate
 from hslasso.homotopy import (
@@ -823,6 +823,81 @@ def test_minimize_surrogate_falls_back_on_an_exactly_singular_newton_system(monk
     assert raised == [(3, 3)]
     assert float(np.linalg.norm(surrogate_grad(pr, spec)(beta))) <= 1e-10
     assert value == pytest.approx(0.0015308660333304984, rel=1e-12)
+
+
+def _rank_one_design():
+    # 6 x 3 with every column a multiple of the first: p <= n, gram of rank 1
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((6, 3))
+    X[:, 1] = X[:, 0]
+    X[:, 2] = 2 * X[:, 0]
+    return LassoProblem(10 * rng.standard_normal(6), X, 1e-3)
+
+
+def test_minimize_surrogate_takes_the_woodbury_direction_on_a_rank_deficient_p_le_n_design(
+        monkeypatch):
+    # at t = 1e-6 the dense 3 x 3 solve raises, as on a p > n design; with
+    # d = -g on each such step the run needs 118 533 steps.  The 6 x 6
+    # Woodbury system can lose its n I to rounding beside X D^-1 X' and
+    # raise too, so some steps may still take d = -g
+    pr = _rank_one_design()
+    raised, woodbury, solve, woodbury_solve = [], [], np.linalg.solve, surrogate._woodbury_solve
+
+    def spy(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            raised.append(a.shape)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    monkeypatch.setattr(surrogate, "_woodbury_solve",
+                        lambda *args: woodbury.append(1) or woodbury_solve(*args))
+    spec = SurrogateSpec(1e-6)
+    beta, value = minimize_surrogate(pr, spec, np.zeros(pr.p), 1e-10, 200)
+    assert (3, 3) in raised and woodbury
+    assert float(np.linalg.norm(surrogate_grad(pr, spec)(beta))) <= 1e-10
+    assert value == pytest.approx(28.310935411110606, rel=1e-12)
+
+
+def test_minimize_surrogate_on_a_rank_deficient_design_is_unchanged_where_the_dense_solve_works(
+        monkeypatch):
+    # at t >= 1e-4 the dense solve neither raises nor points uphill, so the
+    # Woodbury rung never runs and each F_t is the bytes of the dense path
+    pr = _rank_one_design()
+    levels = (1.0, 0.1, 0.01, 1e-3, 1e-4)
+    values = [minimize_surrogate(pr, SurrogateSpec(t), np.zeros(pr.p), 1e-10, 200)[1]
+              for t in levels]
+    assert values == pytest.approx([28.310374906378986, 28.310761455640158, 28.310915923757968,
+                                    28.310933441986542, 28.31093521575135], rel=1e-12)
+
+    def unreached(*args):
+        raise AssertionError("the Woodbury rung ran")
+
+    monkeypatch.setattr(surrogate, "_woodbury_solve", unreached)
+    assert values == [minimize_surrogate(pr, SurrogateSpec(t), np.zeros(pr.p), 1e-10, 200)[1]
+                      for t in levels]
+
+
+def test_minimize_surrogate_steepest_descent_rung_converges(monkeypatch):
+    # both solves raise, so every step takes d = -g; on this well-conditioned
+    # problem (kappa(gram) = 1.9) that takes 25 steps
+    pr = _shape_problem(50, 5, rho=0.0, lam=0.1)
+    spec = SurrogateSpec(1.0)
+    newton, _ = minimize_surrogate(pr, spec, np.zeros(pr.p), 1e-10, 50)
+    tried = []
+
+    def singular(*args):
+        tried.append(1)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(surrogate, "_woodbury_solve", singular)
+    beta, value = minimize_surrogate(pr, spec, np.zeros(pr.p), 1e-10, 50)
+    assert len(tried) % 2 == 0 and len(tried) >= 2  # both rungs, on every step
+    assert float(np.linalg.norm(surrogate_grad(pr, spec)(beta))) <= 1e-10
+    assert np.max(np.abs(beta - newton)) <= 1e-9
+    assert value == surrogate_value(pr, spec, beta)
 
 
 # F_t's minimum at verify's five default levels, from zero, on the five p > n

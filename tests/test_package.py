@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import hslasso
+from hslasso.homotopy import agd_coefficients
 
 PUBLIC_SURFACE = [
     "BaselineConfig", "BenchmarkGrid", "HSConfig", "LassoProblem", "NumericalFailure",
@@ -269,3 +270,33 @@ def test_one_counter_owner():
     # charging function keeps a path that counts nothing.
     assert _src_lines(OPTIONAL_COUNTER) == []
     assert _taking_counter(SOLVES) == []
+
+
+# Rejections of the public API that no other test reaches: each call, and a
+# pattern its ValueError message must match, naming the fault
+REJECTIONS = {
+    "unknown simulation": (lambda: hslasso.BenchmarkGrid(sims=("sim3",)),
+                           r"unknown simulation 'sim3'"),
+    "unknown pattern": (lambda: hslasso.SyntheticSpec(n=5, p=3, rho=0.1, pattern="x"),
+                        r"pattern must be one of"),
+    "no rows": (lambda: hslasso.LassoProblem(np.zeros(0), np.zeros((0, 3)), 0.1),
+                r"need n >= 1 and p >= 1"),
+    "1-d svd input": (lambda: hslasso.jacobi_svd(np.ones(3)), r"need a 2-d matrix"),
+    "wrong-length vector": (
+        lambda: hslasso.prediction_error(
+            hslasso.LassoProblem(np.ones(3), np.eye(3), 0.1), np.zeros(2), np.zeros(3)),
+        r"coefficient vectors must have length p"),
+    "zero modulus": (lambda: agd_coefficients(1.0, 0.0),
+                     r"strong convexity modulus must be positive"),
+    "zero level": (lambda: hslasso.inner_tolerance(0.1, 3, 1.0, 0.0),
+                   r"inner_tolerance arguments must be positive"),
+    "zero epsilon": (lambda: hslasso.outer_iteration_count(0.1, 3, 1.0, 1.0, 0.1, 0.0),
+                     r"arguments must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTIONS))
+def test_public_api_rejections_name_the_fault(case):
+    call, message = REJECTIONS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

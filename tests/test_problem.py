@@ -20,6 +20,7 @@ from helpers import (
 )
 from hslasso import baselines
 from hslasso.baselines import reference_minimum
+from hslasso.datagen import SyntheticSpec, generate
 from hslasso.diagnostics import estimation_error, prediction_error
 from hslasso.problem import (
     LassoProblem,
@@ -74,6 +75,17 @@ def test_construction_rejects_non_finite(bad):
         LassoProblem(y=y_bad, X=X, lam=0.1)
     with pytest.raises(ValueError, match="lambda"):
         LassoProblem(y=y, X=X, lam=bad)
+
+
+def test_construction_accepts_a_design_in_large_units():
+    # X'X/n is positive semidefinite for every real X; with the columns of
+    # sim1 50 x 80 scaled by 1e3 eigh returns a bottom eigenvalue of -1.6e-9,
+    # rounding that a fixed -1e-10 floor once refused
+    base = generate(SyntheticSpec(n=50, p=80, rho=0.1, seed=1001), lam=1e-3)
+    pr = LassoProblem(base.y, base.X * 1e3, base.lam)
+    assert np.linalg.eigh(pr.gram)[0][0] < -1e-10
+    assert pr.eig_min == 0.0
+    assert pr.eig_max == pytest.approx(1e6 * base.eig_max, rel=1e-12)
 
 
 def test_cached_gram_and_immutability():

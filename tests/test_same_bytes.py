@@ -3,6 +3,9 @@
 import importlib.util
 from pathlib import Path
 
+from hslasso import surrogate
+from hslasso.cli import main
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_bytes.py"
 
 
@@ -58,7 +61,7 @@ def test_same_bytes_compares_hs_solve_runs_under_each_config(tmp_path):
     assert list(tool.SOLVE_CONFIGS) == ["default", "gradient", "theoretical-t-floor",
                                         "theoretical-count"]
     assert tool.SOLVE_CONFIGS["default"] == {}  # HSConfig(), as `solve` runs without a file
-    files = tool.cli_solve_files(TOOL.parents[1], tool.solve_problem(tmp_path))
+    files = tool.cli_solve_files(TOOL.parents[1], tool.write_problem(tmp_path, tool.SOLVE_PROBLEM))
     runs = {**{m: m for m in tool.FLAT_METHODS}, **{name: "hs" for name in tool.SOLVE_CONFIGS}}
     assert sorted(files) == sorted(f"{name}/{f}" for name, method in runs.items()
                                    for f in ("summary", f"trace_{method}.csv"))
@@ -78,3 +81,21 @@ def test_same_bytes_compares_hs_solve_runs_under_each_config(tmp_path):
     cd = files["cd/trace_cd.csv"]  # its last digit moved by one
     moved = {**files, "cd/trace_cd.csv": cd[:-2] + bytes([cd[-2] ^ 1]) + cd[-1:]}
     assert tool.changed_files(files, moved, "solve") == ["solve/cd/trace_cd.csv"]
+
+
+def test_same_bytes_compares_a_verify_run_that_takes_the_woodbury_direction(tmp_path,
+                                                                           monkeypatch):
+    # the dense Newton solve raises or points uphill on this p > n problem,
+    # so its verify.json holds F_t minima that the Woodbury direction found
+    tool = _tool()
+    problem = tool.write_problem(tmp_path, tool.VERIFY_PROBLEM)
+    woodbury, solve = [], surrogate._woodbury_solve
+    monkeypatch.setattr(surrogate, "_woodbury_solve",
+                        lambda *args: woodbury.append(1) or solve(*args))
+    assert main(["verify", "--input", str(problem), "--out-dir", str(tmp_path / "v")]) == 0
+    assert woodbury
+    files = tool.cli_verify_files(TOOL.parents[1], problem)
+    assert files == {"exit": b"0", "verify.json": (tmp_path / "v" / "verify.json").read_bytes()}
+    assert tool.changed_files(files, dict(files), "verify") == []
+    assert tool.changed_files(files, {"exit": b"3"}, "verify") == ["verify/exit",
+                                                                    "verify/verify.json"]

@@ -10,14 +10,18 @@ runs must be equal, and so must each run's correct, attempted and failed
 fields. Then it runs ``python -m hslasso.cli bench`` with all five
 methods on each tree's ``src/``, and the four files it writes, the
 ``bench_meta.json`` that perfbench never writes among them, must have
-the same bytes too. Last, it runs ``hslasso solve`` on one ``datagen``
+the same bytes too. Next, it runs ``hslasso solve`` on one ``datagen``
 problem, once per flat method (``FLAT_METHODS``), whose floats the bench
 files show only through first-hit op counts, and with ``--method hs``
 under the HS configs that neither the bench nor any workload runs
 (``SOLVE_CONFIGS``): each run's trace CSV, exit code and summary line,
-its trace path aside, must be the same. Prints
-one line per run pair and exits 1 on any difference or on a run that
-fails, 0 otherwise. Timings are not compared.
+its trace path aside, must be the same. Last, it runs ``hslasso verify``
+on the small p > n problem ``VERIFY_PROBLEM``, where the dense Newton
+solve raises or points uphill and damped Newton takes its Woodbury
+direction, a path the ``closeness-verify`` problems never reach: its
+``verify.json`` and exit code must be the same. Prints one line per run
+pair and exits 1 on any difference or on a run that fails, 0 otherwise.
+Timings are not compared.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ CLI_BENCH = ["bench", "--methods", "ista,fista,cd,sl,hs"]
 SOLVE_PROBLEM = ["datagen", "--scenario", "sim1", "--n", "50", "--p", "20", "--lambda", "0.1",
                  "--seed", "1"]
 FLAT_METHODS = ("ista", "fista", "cd", "sl")
+VERIFY_PROBLEM = ["datagen", "--n", "3", "--p", "8", "--seed", "1", "--lambda", "1e-3"]
 # HSConfig(), the path of `solve --method hs` without --hs-config, then the
 # gradient and theoretical inner stops, the t-floor and theoretical-count
 # outer stops and the t0 search: the bench runs none of them (it fixes t0);
@@ -86,10 +91,10 @@ def cli_bench_files(tree: Path) -> dict:
         return {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
 
 
-def solve_problem(out: Path) -> Path:
-    """The problem of the solve runs, written into ``out`` by this tree's
-    ``datagen``."""
-    run_cli(HERE, [*SOLVE_PROBLEM, "--out-dir", str(out)])
+def write_problem(out: Path, datagen: list[str]) -> Path:
+    """The problem of the ``datagen`` arguments, written into ``out`` by this
+    tree's ``datagen``."""
+    run_cli(HERE, [*datagen, "--out-dir", str(out)])
     return out / "problem.json"
 
 
@@ -114,6 +119,19 @@ def cli_solve_files(tree: Path, problem: Path) -> dict:
             summary = proc.stdout.strip().rsplit(" trace=", 1)[0]
             files[f"{name}/summary"] = f"exit={proc.returncode} {summary}".encode()
             files[f"{name}/trace_{method}.csv"] = (out / f"trace_{method}.csv").read_bytes()
+    return files
+
+
+def cli_verify_files(tree: Path, problem: Path) -> dict:
+    """``hslasso verify`` on ``problem`` with ``tree``'s ``src/``: its exit
+    code (0, or 3 for a numerical failure, which writes nothing) and the
+    ``verify.json`` it writes, name -> bytes."""
+    with tempfile.TemporaryDirectory() as out:
+        proc = run_cli(tree, ["verify", "--input", str(problem), "--out-dir", out], ok=(0, 3))
+        written = Path(out) / "verify.json"
+        files = {"exit": str(proc.returncode).encode()}
+        if written.is_file():
+            files["verify.json"] = written.read_bytes()
     return files
 
 
@@ -168,13 +186,19 @@ def main(argv=None) -> int:
     print("cli bench: " + (f"DIFFERS: {'; '.join(found)}" if found
                            else f"same ({len(files[1])} files)"))
     with tempfile.TemporaryDirectory() as tmp:
-        problem = solve_problem(Path(tmp))
+        problem = write_problem(Path(tmp) / "solve", SOLVE_PROBLEM)
         files = [cli_solve_files(tree, problem) for tree in (parent, HERE)]
-    found = changed_files(*files, "solve")
-    same &= not found
-    print("cli solve: " + (f"DIFFERS: {'; '.join(found)}" if found
-                           else f"same ({len(FLAT_METHODS)} flat methods, "
-                                f"{len(SOLVE_CONFIGS)} HS configs)"))
+        found = changed_files(*files, "solve")
+        same &= not found
+        print("cli solve: " + (f"DIFFERS: {'; '.join(found)}" if found
+                               else f"same ({len(FLAT_METHODS)} flat methods, "
+                                    f"{len(SOLVE_CONFIGS)} HS configs)"))
+        problem = write_problem(Path(tmp) / "verify", VERIFY_PROBLEM)
+        files = [cli_verify_files(tree, problem) for tree in (parent, HERE)]
+        found = changed_files(*files, "verify")
+        same &= not found
+        print("cli verify: " + (f"DIFFERS: {'; '.join(found)}" if found
+                                else f"same (exit {files[1]['exit'].decode()})"))
     return 0 if same else 1
 
 
