@@ -25,9 +25,8 @@ from .surrogate import SurrogateSpec, minimize_surrogate
 
 SVD_METHOD = "one-sided-jacobi"
 PINV_RCOND = 1e-12
-# the closeness sweep's Newton stop and step cap
+# the closeness sweep's Newton stop
 SWEEP_GRAD_TOL = 1e-10
-SWEEP_MAX_NEWTON = 500_000
 
 
 def jacobi_svd(a, tol: float = 1e-13, max_sweeps: int = 60):
@@ -216,11 +215,10 @@ def closeness_sweep(problem: LassoProblem, ref, ts) -> list[dict]:
     level of ts: one row per level given, in the order given, repeats
     included.  Each minimizer is damped Newton from zero to
     ||grad F_t|| <= SWEEP_GRAD_TOL, uncounted; NumericalFailure after
-    SWEEP_MAX_NEWTON steps."""
+    ``surrogate.MAX_NEWTON`` steps."""
     rows = []
     for t in ts:
-        bt = minimize_surrogate(problem, SurrogateSpec(t), np.zeros(problem.p), SWEEP_GRAD_TOL,
-                                SWEEP_MAX_NEWTON)[0]
+        bt = minimize_surrogate(problem, SurrogateSpec(t), np.zeros(problem.p), SWEEP_GRAD_TOL)[0]
         rows.append({
             "t": t,
             "prediction_error": prediction_error(problem, bt, ref.beta_hat),

@@ -33,9 +33,6 @@ from .trace import SolverTrace
 INNER_STOP_MODES = ("fixed", "theoretical", "gradient")
 OUTER_STOP_MODES = ("oracle", "theoretical-count", "t-floor")
 
-# Newton iteration cap of the theoretical stop's oracle (a few hundred at most
-# from zero on p > n designs down to t = 1e-4; warm starts need far fewer).
-AUX_NEWTON_MAX_ITERS = 1000
 # Safety cap on the AGD steps of one level; the bench's fixed-count loop takes 50.
 MAX_INNER_STEPS = 100_000
 # Safety cap on the levels of one solve; the default tau stops a t0 = 3 solve at 97.
@@ -257,7 +254,7 @@ def inner_solve(problem: LassoProblem, t_k: float, beta_init, config: HSConfig,
         # norm that certifies a gap below eps_k / 1000.
         eps_k = inner_tolerance(problem.lam, problem.p, B, t_k)
         gtol = math.sqrt(2.0 * mu * max(eps_k * 1e-3, 1e-18)) * 1e-2
-        fmin_k = minimize_surrogate(problem, spec, beta_init, gtol, AUX_NEWTON_MAX_ITERS)[1]
+        fmin_k = minimize_surrogate(problem, spec, beta_init, gtol)[1]
         done = lambda beta_bar, k: surrogate_value(problem, spec, beta_bar) - fmin_k <= eps_k
 
     peak = np.abs(beta_init)

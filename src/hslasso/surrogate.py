@@ -155,25 +155,28 @@ def surrogate_grad(problem: LassoProblem, spec: SurrogateSpec):
     return grad
 
 
-def _woodbury_solve(problem: LassoProblem, D: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(gram + diag(D))^-1 g for a positive D, by the Woodbury identity
-    (Golub & Van Loan, Matrix Computations, 4th ed., 2.1.4):
-    D^-1 g - D^-1 X' (n I + X D^-1 X')^-1 X D^-1 g.  Its one n x n system
-    has every eigenvalue at least n, whatever the shape or rank of X, so it
-    is well posed where the p x p one is singular to working precision."""
-    XD = problem.X / D
-    Dg = g / D
-    inner = problem.n * np.eye(problem.n) + XD @ problem.X.T
-    return Dg - XD.T @ np.linalg.solve(inner, problem.X @ Dg)
+def _svd_solve(problem: LassoProblem, D: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(gram + diag(D))^-1 g for a positive D, through the SVD of
+    A = X D^-1/2 / sqrt(n) with V complete (p x p): D^-1/2 V diag(1/(1 + s^2))
+    V' D^-1/2 g, s padded with zeros.  Its product with g is a sum of
+    nonnegative terms, so it descends on any X; a tall X forms no n x n U."""
+    root = np.sqrt(D)
+    _, s, Vt = np.linalg.svd(problem.X / (root * math.sqrt(problem.n)),
+                             full_matrices=problem.n < problem.p)
+    shrink = 1.0 + np.pad(s * s, (0, problem.p - s.size))
+    return Vt.T @ ((Vt @ (g / root)) / shrink) / root
 
 
 # Multiple of eps * (eig_max ||beta|| + ||X'y/n||), the round-off in the
 # gradient's matvec and shift, below which the Newton stop is not asked to go.
 NEWTON_ROUNDOFF_ULPS = 4.0
+# Newton step cap of one minimization, sweep or oracle: from zero to 1e-10 on
+# sim1 50x80 (seed 1001, lambda = 1e-3), the level t = 1e-10 takes 1 571 steps.
+MAX_NEWTON = 500_000
 
 
 def minimize_surrogate(problem: LassoProblem, spec: SurrogateSpec, beta_init: np.ndarray,
-                       grad_tol: float, max_iters: int) -> tuple[np.ndarray, float]:
+                       grad_tol: float) -> tuple[np.ndarray, float]:
     """Damped Newton minimizer of the smoothed objective; never charges a
     counter (oracle and diagnostic use only).
 
@@ -185,13 +188,13 @@ def minimize_surrogate(problem: LassoProblem, spec: SurrogateSpec, beta_init: np
     round-off, so a step that raises F by at most 4 eps |F| and strictly
     lowers ||g|| is accepted too.  When gram is singular (p > n, or
     dependent columns on any shape) and many entries sit on the flat outer
-    branch, hess can be singular, exactly or to working precision, and
-    np.linalg.solve fail or its direction not descend; the step then takes
-    the direction of :func:`_woodbury_solve`, and d = -g where that fails
-    too.  Returns (beta, F(beta)) once ||g|| is at most grad_tol or, if
-    larger, the round-off floor NEWTON_ROUNDOFF_ULPS * eps * (eig_max
-    ||beta|| + ||X'y/n||) at the current beta; raises NumericalFailure
-    after max_iters Newton steps or when the step falls below 1e-20.
+    branch, the Hessian can be singular, exactly or to working precision,
+    and np.linalg.solve fail or its direction not descend; the step then
+    takes the direction of :func:`_svd_solve`.  Returns (beta, F(beta))
+    once ||g|| is at most grad_tol or, if larger, the round-off floor
+    NEWTON_ROUNDOFF_ULPS * eps * (eig_max ||beta|| + ||X'y/n||) at the
+    current beta; raises NumericalFailure after MAX_NEWTON Newton steps,
+    when neither direction descends or when the step falls below 1e-20.
     """
     ulps = NEWTON_ROUNDOFF_ULPS * np.finfo(float).eps
     xty_norm = float(np.linalg.norm(problem.xty))
@@ -206,22 +209,21 @@ def minimize_surrogate(problem: LassoProblem, spec: SurrogateSpec, beta_init: np
 
     iters = 0
     while gnorm > (tol := tol_at(beta)):
-        if iters >= max_iters:
+        if iters >= MAX_NEWTON:
             raise NumericalFailure(f"damped Newton at t={spec.t:g}: ||grad|| = {gnorm:.3g} "
-                                   f"> {tol:.3g} after {max_iters} iterations")
+                                   f"> {tol:.3g} after {MAX_NEWTON} iterations")
         D = problem.lam * spec.hess_diag(beta)
-        for solve in (lambda: np.linalg.solve(problem.gram + np.diag(D), g),
-                      lambda: _woodbury_solve(problem, D, g)):
-            try:
-                d = -solve()
-            except np.linalg.LinAlgError:  # exactly singular
-                continue
+        try:
+            d = -np.linalg.solve(problem.gram + np.diag(D), g)
             slope = float(g.dot(d))
-            if slope < 0.0:
-                break
-        else:  # no solve gave a descent direction
-            d = -g
-            slope = -gnorm * gnorm
+        except np.linalg.LinAlgError:  # exactly singular
+            slope = math.nan
+        if not slope < 0.0:
+            d = -_svd_solve(problem, D, g)
+            slope = float(g.dot(d))
+            if not slope < 0.0:
+                raise NumericalFailure(f"damped Newton at t={spec.t:g}: no descent direction "
+                                       f"at ||grad|| = {gnorm:.3g} > {tol:.3g}")
         noise = 4.0 * np.finfo(float).eps * abs(f)
         s = 1.0
         while True:

@@ -13,10 +13,13 @@ the penalty gradient, the smoothed gradient, the accelerated step
 plain loop of ``agd_step``) are kept here too, so that their library
 versions are pinned to the same bytes; so is the earlier record of the
 support conditions, ``SupportConditionReport``, so that the block
-``verify.json`` writes is pinned to the same JSON."""
+``verify.json`` writes is pinned to the same JSON.  ``count_ops`` tallies
+the elements numpy's ufuncs compute in a call, the side of the op-charge
+audit that does not read ``opcount``."""
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import asdict, dataclass, replace
 
@@ -84,8 +87,89 @@ def trace_ops(trace) -> np.ndarray:
 
 def surrogate_minimizer(problem, t) -> np.ndarray:
     """The level-t minimizer that ``verify`` documents: damped Newton from
-    zero to ||grad F_t|| <= 1e-10, at most 500 000 steps."""
-    return minimize_surrogate(problem, SurrogateSpec(t), np.zeros(problem.p), 1e-10, 500_000)[0]
+    zero to ||grad F_t|| <= 1e-10, at most ``surrogate.MAX_NEWTON`` steps."""
+    return minimize_surrogate(problem, SurrogateSpec(t), np.zeros(problem.p), 1e-10)[0]
+
+
+# The OpCounter field that each ufunc's elements count in, under the op
+# conventions of ``opcount``; None for a sign-bit operation, which no
+# convention charges.  A ufunc missing here raises, so no call goes untallied.
+UFUNC_CLASSES = {
+    "add": "adds", "subtract": "adds",
+    "multiply": "mults", "divide": "mults",
+    "sqrt": "transcendentals", "tanh": "transcendentals",
+    "maximum": "comparisons", "minimum": "comparisons", "fmax": "comparisons",
+    "sign": "comparisons", "less_equal": "comparisons", "logical_or": "comparisons",
+    "absolute": None, "copysign": None,
+}
+_OPEN_TALLIES = []
+
+
+class _Tallied(np.ndarray):
+    """An array whose ufunc calls add their elements, by class, to the
+    counter of the innermost open :func:`count_ops` call.  A matmul of an
+    (r, k) matrix and a k-vector adds r k mults and r (k - 1) adds; a
+    reduction adds one op per element it folds; any other call one per
+    element of its result."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        def plain(x):
+            return x.view(np.ndarray) if isinstance(x, _Tallied) else x
+
+        if out is not None:
+            kwargs["out"] = tuple(map(plain, out))
+        result = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+        if _OPEN_TALLIES:
+            counter, size = _OPEN_TALLIES[-1], np.size(result)
+            if ufunc is np.matmul:
+                inner = np.shape(inputs[0])[-1]
+                counter.mults += size * inner
+                counter.adds += size * (inner - 1)
+            elif method in ("__call__", "reduce"):
+                field = UFUNC_CLASSES[ufunc.__name__]
+                if method == "reduce":
+                    size = np.size(inputs[0]) - size
+                if field is not None:
+                    setattr(counter, field, getattr(counter, field) + size)
+            else:
+                raise NotImplementedError(f"ufunc method {method!r}")
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return result.view(_Tallied) if isinstance(result, np.ndarray) else result
+
+
+def _tallied(value):
+    """value with every array in it viewed as a tallying array: the entries
+    of a tuple or list, and a LassoProblem's y, X, gram and X'y (on a copy)."""
+    if isinstance(value, np.ndarray):
+        return value.view(_Tallied)
+    if isinstance(value, (tuple, list)):
+        return type(value)(map(_tallied, value))
+    if isinstance(value, LassoProblem):
+        problem = copy.copy(value)
+        for name in ("y", "X", "gram", "xty"):
+            setattr(problem, name, _tallied(getattr(value, name)))
+        return problem
+    return value
+
+
+def count_ops(fn, *args):
+    """Run fn on args with their arrays made tallying, and return (the
+    elements numpy's ufuncs computed, by class, as an OpCounter; fn's
+    result).  Arrays that fn builds from a tallying one tally too, so a
+    closure returned by one call counts in a later one.  ``np.asarray``
+    is ``np.asanyarray`` during the call, so that no map drops the view;
+    Python float arithmetic and ``np.linalg.norm``, which takes a plain
+    view, are not seen."""
+    counter = OpCounter()
+    _OPEN_TALLIES.append(counter)
+    asarray, np.asarray = np.asarray, np.asanyarray
+    try:
+        result = fn(*map(_tallied, args))
+    finally:
+        np.asarray = asarray
+        _OPEN_TALLIES.pop()
+    return counter, result
 
 
 def objective_on_grid(problem, pts):
@@ -500,8 +584,7 @@ def inner_solve_before(problem, t_k, beta_init, config, counter=None, B=None):
     else:
         eps_k = inner_tolerance(problem.lam, problem.p, B, t_k)
         gtol = math.sqrt(2.0 * mu * max(eps_k * 1e-3, 1e-18)) * 1e-2
-        fmin_k = minimize_surrogate(problem, spec, beta_init, gtol,
-                                    homotopy.AUX_NEWTON_MAX_ITERS)[1]
+        fmin_k = minimize_surrogate(problem, spec, beta_init, gtol)[1]
         stop = lambda state, k: surrogate_value(problem, spec, state.beta_bar) - fmin_k <= eps_k
 
     state, steps, stopped = iterate(state, step, stop, homotopy.MAX_INNER_STEPS)

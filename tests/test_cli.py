@@ -817,9 +817,9 @@ def test_benchmark_grid_validation(tmp_path):
 
 
 def test_verify_minimizer_failure_is_numerical_exit(tmp_path, monkeypatch, capsys):
-    from hslasso import diagnostics
+    from hslasso import surrogate
 
-    monkeypatch.setattr(diagnostics, "SWEEP_MAX_NEWTON", 1)
+    monkeypatch.setattr(surrogate, "MAX_NEWTON", 1)
     assert run_cli(["datagen", "--scenario", "sim1", "--n", "40", "--p", "10",
                     "--out-dir", str(tmp_path)]) == 0
     rc = run_cli(["verify", "--input", str(tmp_path / "problem.json"),
@@ -827,6 +827,39 @@ def test_verify_minimizer_failure_is_numerical_exit(tmp_path, monkeypatch, capsy
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
     assert not (tmp_path / "verify.json").exists()
+
+
+def test_verify_line_search_stall_is_numerical_exit(tmp_path, monkeypatch, capsys):
+    # every trial point reads higher than the start, so the step halves
+    # below 1e-20 without an accepted point
+    import math
+
+    from hslasso import surrogate
+
+    value = surrogate.surrogate_value
+    monkeypatch.setattr(surrogate, "surrogate_value",
+                        lambda problem, spec, beta: value(problem, spec, beta)
+                        if not np.any(beta) else math.inf)
+    assert run_cli(["datagen", "--scenario", "sim1", "--n", "40", "--p", "10",
+                    "--out-dir", str(tmp_path)]) == 0
+    rc = run_cli(["verify", "--input", str(tmp_path / "problem.json"),
+                  "--levels", "1e-3", "--out-dir", str(tmp_path)])
+    assert rc == 3
+    assert "line search stalled" in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
+
+
+def test_ridge_start_on_a_singular_ridge_system_is_numerical_exit(tmp_path, capsys):
+    # at lambda = 1e-300 the t0 search doubles t while the ridge solution
+    # stays unbounded, until its shift lambda*log(1+t)^2/(3 t^3) underflows
+    # to 0 at t = 2^29, beside a gram eigenvalue (rank 2, p = 5) clamped to 0
+    assert run_cli(["datagen", "--n", "2", "--p", "5", "--seed", "1", "--lambda", "1e-300",
+                    "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rc = run_cli(["solve", "--method", "hs", "--input", str(tmp_path / "problem.json"),
+                  "--out-dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert "ridge system not positive definite" in capsys.readouterr().err
 
 
 def test_linalg_error_is_numerical_exit(tmp_path, monkeypatch, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import (SupportConditionReport, bench_problems, jacobi_svd_before, make_problem, pinv,
                      surrogate_minimizer)
-from hslasso import diagnostics
+from hslasso import diagnostics, surrogate
 from hslasso.baselines import reference_minimum
 from hslasso.datagen import SyntheticSpec, generate
 from hslasso.diagnostics import (
@@ -276,7 +276,7 @@ def test_estimation_error_small_under_well_conditioned_design():
 def test_surrogate_minimizer_raises_when_not_converged(monkeypatch):
     pr = generate(SyntheticSpec(n=50, p=20, rho=0.1, seed=4), lam=1e-3)
     ref = reference_minimum(pr)
-    monkeypatch.setattr(diagnostics, "SWEEP_MAX_NEWTON", 1)
+    monkeypatch.setattr(surrogate, "MAX_NEWTON", 1)
     with pytest.raises(NumericalFailure):
         closeness_sweep(pr, ref, (1e-4,))
 

@@ -9,6 +9,7 @@ from helpers import (agd_state, agd_step, inner_solve_before, make_problem, nume
                      surrogate_grad_before, tiny_problem, trace_ops)
 from hslasso import homotopy, surrogate
 from hslasso.baselines import reference_minimum
+from hslasso.cli import main
 from hslasso.datagen import SyntheticSpec, generate
 from hslasso.homotopy import (
     INNER_STOP_MODES,
@@ -23,7 +24,7 @@ from hslasso.homotopy import (
     ridge_start,
 )
 from hslasso.opcount import CHARGES, OpCounter
-from hslasso.problem import LassoProblem, NumericalFailure
+from hslasso.problem import LassoProblem, NumericalFailure, save_problem_json
 from hslasso.surrogate import (
     SurrogateSpec,
     minimize_surrogate,
@@ -759,23 +760,25 @@ def _shape_problem(n, p, rho=0.1, lam=1e-3, seed=3):
 
 
 @pytest.mark.parametrize("n,p", [(50, 20), (8, 12)])
-def test_minimize_surrogate_matches_gradient_inner_solve(n, p):
+def test_minimize_surrogate_matches_gradient_inner_solve(n, p, monkeypatch):
+    monkeypatch.setattr(surrogate, "MAX_NEWTON", 200)
     pr = _shape_problem(n, p, lam=0.1)
     t = 0.1
     cfg = HSConfig(t0=1.0, inner_stop="gradient", inner_grad_tol=1e-10, B=10.0)
     agd = inner_solve(pr, t, np.zeros(pr.p), cfg, OpCounter(), B=10.0)[0]
-    newton, _ = minimize_surrogate(pr, SurrogateSpec(t), np.zeros(pr.p), 1e-10, 200)
+    newton, _ = minimize_surrogate(pr, SurrogateSpec(t), np.zeros(pr.p), 1e-10)
     assert np.max(np.abs(newton - agd)) <= 1e-8
 
 
-def test_minimize_surrogate_commutes_with_column_sign_flips():
+def test_minimize_surrogate_commutes_with_column_sign_flips(monkeypatch):
+    monkeypatch.setattr(surrogate, "MAX_NEWTON", 1000)
     base = _shape_problem(50, 80, lam=0.1)
     signs = np.random.default_rng(5).choice((-1.0, 1.0), size=base.p)
     flipped = LassoProblem(base.y, base.X * signs, base.lam)
     for t in (1.0, 1e-4):
         spec = SurrogateSpec(t)
-        b, f = minimize_surrogate(base, spec, np.zeros(base.p), 1e-10, 1000)
-        bf, ff = minimize_surrogate(flipped, spec, np.zeros(base.p), 1e-10, 1000)
+        b, f = minimize_surrogate(base, spec, np.zeros(base.p), 1e-10)
+        bf, ff = minimize_surrogate(flipped, spec, np.zeros(base.p), 1e-10)
         assert np.array_equal(bf, signs * b)
         assert ff == f
 
@@ -784,29 +787,31 @@ def test_minimize_surrogate_commutes_with_column_sign_flips():
 @pytest.mark.parametrize("lam", [1e-3, 1.0])
 @pytest.mark.parametrize("rho", [0.0, 0.9])
 @pytest.mark.parametrize("n,p", [(50, 20), (50, 80)])
-def test_minimize_surrogate_converges_across_designs(n, p, rho, lam, t):
+def test_minimize_surrogate_converges_across_designs(n, p, rho, lam, t, monkeypatch):
+    monkeypatch.setattr(surrogate, "MAX_NEWTON", 1000)
     pr = _shape_problem(n, p, rho=rho, lam=lam, seed=7)
     spec = SurrogateSpec(t)
-    beta, value = minimize_surrogate(pr, spec, np.zeros(pr.p), 1e-10, 1000)
+    beta, value = minimize_surrogate(pr, spec, np.zeros(pr.p), 1e-10)
     assert float(np.linalg.norm(surrogate_grad(pr, spec)(beta))) <= 1e-10
     assert value == surrogate_value(pr, spec, beta)
 
 
-def test_minimize_surrogate_survives_singular_newton_system():
+def test_minimize_surrogate_survives_singular_newton_system(monkeypatch):
     # p > n with lam = 1e-3 and t = 1e-4: after a few steps most entries sit
     # on the flat outer branch, the Newton matrix is singular to working
     # precision and its solution points uphill; plain Newton stalls here.
+    monkeypatch.setattr(surrogate, "MAX_NEWTON", 1000)
     pr = _shape_problem(20, 40, rho=0.0, seed=3)
     spec = SurrogateSpec(1e-4)
-    beta, _ = minimize_surrogate(pr, spec, np.zeros(pr.p), 1e-10, 1000)
+    beta, _ = minimize_surrogate(pr, spec, np.zeros(pr.p), 1e-10)
     assert float(np.linalg.norm(surrogate_grad(pr, spec)(beta))) <= 1e-10
 
 
 def test_minimize_surrogate_falls_back_on_an_exactly_singular_newton_system(monkeypatch):
     # the 1 x 3 problem of `datagen --n 1 --p 3 --seed 0`: at t = 1e-4 the
     # 3 x 3 Newton matrix turns exactly singular and np.linalg.solve raises;
-    # the step solves the 1 x 1 Woodbury system instead.  Its d = -g
-    # fallback needed more than 500 000 steps (verify: 19.8 s)
+    # the step takes the SVD direction instead.  A d = -g fallback needed
+    # more than 500 000 steps there (verify: 19.8 s)
     raised, solve = [], np.linalg.solve
 
     def spy(a, b):
@@ -817,9 +822,10 @@ def test_minimize_surrogate_falls_back_on_an_exactly_singular_newton_system(monk
             raise
 
     monkeypatch.setattr(np.linalg, "solve", spy)
+    monkeypatch.setattr(surrogate, "MAX_NEWTON", 20)
     pr = generate(SyntheticSpec(n=1, p=3, rho=0.1, seed=0), lam=1e-3)
     spec = SurrogateSpec(1e-4)
-    beta, value = minimize_surrogate(pr, spec, np.zeros(pr.p), 1e-10, 20)
+    beta, value = minimize_surrogate(pr, spec, np.zeros(pr.p), 1e-10)
     assert raised == [(3, 3)]
     assert float(np.linalg.norm(surrogate_grad(pr, spec)(beta))) <= 1e-10
     assert value == pytest.approx(0.0015308660333304984, rel=1e-12)
@@ -834,78 +840,84 @@ def _rank_one_design():
     return LassoProblem(10 * rng.standard_normal(6), X, 1e-3)
 
 
-def test_minimize_surrogate_takes_the_woodbury_direction_on_a_rank_deficient_p_le_n_design(
-        monkeypatch):
+def test_minimize_surrogate_takes_the_svd_direction_on_a_rank_one_p_le_n_design(monkeypatch):
     # at t = 1e-6 the dense 3 x 3 solve raises, as on a p > n design; with
-    # d = -g on each such step the run needs 118 533 steps.  The 6 x 6
-    # Woodbury system can lose its n I to rounding beside X D^-1 X' and
-    # raise too, so some steps may still take d = -g
+    # d = -g on each such step the run needs 118 533 steps.  The n x n
+    # Woodbury system lost its n I to rounding beside X D^-1 X' and raised
+    # on 24 of its 30 solves here; the SVD direction forms no n x n system
+    # and descends on every step
     pr = _rank_one_design()
-    raised, woodbury, solve, woodbury_solve = [], [], np.linalg.solve, surrogate._woodbury_solve
+    shapes, raised, slopes = [], [], []
+    solve, svd_solve = np.linalg.solve, surrogate._svd_solve
 
     def spy(a, b):
+        shapes.append(a.shape)
         try:
             return solve(a, b)
         except np.linalg.LinAlgError:
             raised.append(a.shape)
             raise
 
+    def svd_spy(problem, D, g):
+        x = svd_solve(problem, D, g)
+        slopes.append(float(g.dot(-x)))  # the slope of the direction -x
+        return x
+
     monkeypatch.setattr(np.linalg, "solve", spy)
-    monkeypatch.setattr(surrogate, "_woodbury_solve",
-                        lambda *args: woodbury.append(1) or woodbury_solve(*args))
+    monkeypatch.setattr(surrogate, "_svd_solve", svd_spy)
+    monkeypatch.setattr(surrogate, "MAX_NEWTON", 200)
     spec = SurrogateSpec(1e-6)
-    beta, value = minimize_surrogate(pr, spec, np.zeros(pr.p), 1e-10, 200)
-    assert (3, 3) in raised and woodbury
+    beta, value = minimize_surrogate(pr, spec, np.zeros(pr.p), 1e-10)
+    assert set(shapes) == {(3, 3)} and raised
+    assert slopes and max(slopes) < 0.0
     assert float(np.linalg.norm(surrogate_grad(pr, spec)(beta))) <= 1e-10
-    assert value == pytest.approx(28.310935411110606, rel=1e-12)
+    assert value == 28.310935411110606
 
 
 def test_minimize_surrogate_on_a_rank_deficient_design_is_unchanged_where_the_dense_solve_works(
         monkeypatch):
     # at t >= 1e-4 the dense solve neither raises nor points uphill, so the
-    # Woodbury rung never runs and each F_t is the bytes of the dense path
+    # SVD rung never runs and each F_t is the bytes of the dense path
+    monkeypatch.setattr(surrogate, "MAX_NEWTON", 200)
     pr = _rank_one_design()
     levels = (1.0, 0.1, 0.01, 1e-3, 1e-4)
-    values = [minimize_surrogate(pr, SurrogateSpec(t), np.zeros(pr.p), 1e-10, 200)[1]
+    values = [minimize_surrogate(pr, SurrogateSpec(t), np.zeros(pr.p), 1e-10)[1]
               for t in levels]
     assert values == pytest.approx([28.310374906378986, 28.310761455640158, 28.310915923757968,
                                     28.310933441986542, 28.31093521575135], rel=1e-12)
 
     def unreached(*args):
-        raise AssertionError("the Woodbury rung ran")
+        raise AssertionError("the SVD rung ran")
 
-    monkeypatch.setattr(surrogate, "_woodbury_solve", unreached)
-    assert values == [minimize_surrogate(pr, SurrogateSpec(t), np.zeros(pr.p), 1e-10, 200)[1]
+    monkeypatch.setattr(surrogate, "_svd_solve", unreached)
+    assert values == [minimize_surrogate(pr, SurrogateSpec(t), np.zeros(pr.p), 1e-10)[1]
                       for t in levels]
 
 
-def test_minimize_surrogate_steepest_descent_rung_converges(monkeypatch):
-    # both solves raise, so every step takes d = -g; on this well-conditioned
-    # problem (kappa(gram) = 1.9) that takes 25 steps
-    pr = _shape_problem(50, 5, rho=0.0, lam=0.1)
-    spec = SurrogateSpec(1.0)
-    newton, _ = minimize_surrogate(pr, spec, np.zeros(pr.p), 1e-10, 50)
-    tried = []
-
-    def singular(*args):
-        tried.append(1)
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    monkeypatch.setattr(surrogate, "_woodbury_solve", singular)
-    beta, value = minimize_surrogate(pr, spec, np.zeros(pr.p), 1e-10, 50)
-    assert len(tried) % 2 == 0 and len(tried) >= 2  # both rungs, on every step
-    assert float(np.linalg.norm(surrogate_grad(pr, spec)(beta))) <= 1e-10
-    assert np.max(np.abs(beta - newton)) <= 1e-9
-    assert value == surrogate_value(pr, spec, beta)
+def test_minimize_surrogate_raises_when_no_rung_descends(tmp_path, monkeypatch, capsys):
+    # on the 1 x 3 problem of `datagen --n 1 --p 3 --seed 0` the dense solve
+    # raises at t = 1e-4; with the SVD rung made to point uphill no rung is
+    # left, so the run raises on that step and verify exits 3
+    pr = generate(SyntheticSpec(n=1, p=3, rho=0.1, seed=0), lam=1e-3)
+    save_problem_json(pr, tmp_path / "problem.json")
+    uphill = []
+    monkeypatch.setattr(surrogate, "_svd_solve", lambda problem, D, g: uphill.append(1) or -g)
+    with pytest.raises(NumericalFailure, match="no descent direction"):
+        minimize_surrogate(pr, SurrogateSpec(1e-4), np.zeros(pr.p), 1e-10)
+    assert uphill == [1]
+    rc = main(["verify", "--input", str(tmp_path / "problem.json"), "--levels", "1e-4",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert "no descent direction" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "verify.json").exists()
 
 
 # F_t's minimum at verify's five default levels, from zero, on the five p > n
 # problems `datagen --n N --p P --seed S` (lambda = 1e-3) where the dense
 # Newton solve raises or points uphill at t = 1e-4.  The values are those of
-# the d = -g fallback, which took 3.1 to 38.2 s per sweep; on 2 x 5 seed 1 it
+# a d = -g fallback, which took 3.1 to 38.2 s per sweep; on 2 x 5 seed 1 it
 # failed at t = 1e-4 after 500 000 steps (None)
-WOODBURY_SWEEPS = {
+SVD_SWEEPS = {
     (1, 3, 0): (0.0002931283982510167, 0.0012832955767113294, 0.0015040406024310529,
                 0.0015284046792323118, 0.0015308660333304984),
     (2, 5, 0): (0.0012518573141011686, 0.0041413317513213175, 0.004754544494811439,
@@ -919,22 +931,25 @@ WOODBURY_SWEEPS = {
 }
 
 
-@pytest.mark.parametrize("n,p,seed", list(WOODBURY_SWEEPS))
-def test_minimize_surrogate_keeps_newton_steps_on_tiny_p_gt_n(n, p, seed):
+@pytest.mark.parametrize("n,p,seed", list(SVD_SWEEPS))
+def test_minimize_surrogate_keeps_newton_steps_on_tiny_p_gt_n(n, p, seed, monkeypatch):
+    monkeypatch.setattr(surrogate, "MAX_NEWTON", 200)
     pr = _shape_problem(n, p, seed=seed)
-    for t, expected in zip((1.0, 0.1, 0.01, 1e-3, 1e-4), WOODBURY_SWEEPS[n, p, seed]):
+    for t, expected in zip((1.0, 0.1, 0.01, 1e-3, 1e-4), SVD_SWEEPS[n, p, seed]):
         spec = SurrogateSpec(t)
-        beta, value = minimize_surrogate(pr, spec, np.zeros(p), 1e-10, 200)
+        beta, value = minimize_surrogate(pr, spec, np.zeros(p), 1e-10)
         assert float(np.linalg.norm(surrogate_grad(pr, spec)(beta))) <= 1e-10
         if expected is not None:
             assert value == pytest.approx(expected, rel=1e-12)
 
 
-def test_minimize_surrogate_returns_converged_start_unchanged():
+def test_minimize_surrogate_returns_converged_start_unchanged(monkeypatch):
     pr = sim1_problem()
     spec = SurrogateSpec(1e-4)
-    beta, value = minimize_surrogate(pr, spec, np.zeros(pr.p), 1e-10, 1000)
-    again, again_value = minimize_surrogate(pr, spec, beta, 1e-10, 0)
+    monkeypatch.setattr(surrogate, "MAX_NEWTON", 1000)
+    beta, value = minimize_surrogate(pr, spec, np.zeros(pr.p), 1e-10)
+    monkeypatch.setattr(surrogate, "MAX_NEWTON", 0)
+    again, again_value = minimize_surrogate(pr, spec, beta, 1e-10)
     assert np.array_equal(again, beta) and again_value == value
 
 
@@ -943,12 +958,13 @@ def _p_gt_n_cell():
     return generate(SyntheticSpec(n=50, p=80, rho=0.1, seed=1002), lam=0.1)
 
 
-def test_minimize_surrogate_stops_at_the_round_off_floor():
+def test_minimize_surrogate_stops_at_the_round_off_floor(monkeypatch):
     # 2.74e-16 is below what this gradient resolves (its norm stalls near
     # 5e-16), so the stop must come from the round-off floor, not the cap
+    monkeypatch.setattr(surrogate, "MAX_NEWTON", 1000)
     pr = _p_gt_n_cell()
     spec = SurrogateSpec(1.07642e-05)
-    beta, value = minimize_surrogate(pr, spec, np.zeros(pr.p), 2.74e-16, 1000)
+    beta, value = minimize_surrogate(pr, spec, np.zeros(pr.p), 2.74e-16)
     floor = 4.0 * np.finfo(float).eps * (pr.eig_max * np.linalg.norm(beta)
                                          + np.linalg.norm(pr.xty))
     assert float(np.linalg.norm(surrogate_grad(pr, spec)(beta))) <= floor

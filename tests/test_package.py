@@ -55,8 +55,8 @@ def test_config_fields():
 # Every iteration cap of the package, by module: a safety cap that no run
 # sets, patched where a test needs it to bind.
 CAPS = {"baselines": ["MAX_ITERS", "REF_MAX_ITERS"],
-        "diagnostics": ["SWEEP_MAX_NEWTON"],
-        "homotopy": ["AUX_NEWTON_MAX_ITERS", "MAX_INNER_STEPS", "MAX_OUTER"]}
+        "homotopy": ["MAX_INNER_STEPS", "MAX_OUTER"],
+        "surrogate": ["MAX_NEWTON"]}
 
 
 def test_caps_are_constants():

@@ -131,6 +131,12 @@ def test_ridge_solve_matches_up_front_spectrum():
         assert np.array_equal(solve(shift), expected)
 
 
+def test_repr_names_the_sizes_and_lambda():
+    # perfbench's failure messages print a problem through its repr
+    pr = LassoProblem(np.ones(2), np.eye(2, 3), 0.5)
+    assert repr(pr) == "LassoProblem(n=2, p=3, lambda=0.5)"
+
+
 def test_objective_zero_cases():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((6, 4))

@@ -83,17 +83,15 @@ def test_same_bytes_compares_hs_solve_runs_under_each_config(tmp_path):
     assert tool.changed_files(files, moved, "solve") == ["solve/cd/trace_cd.csv"]
 
 
-def test_same_bytes_compares_a_verify_run_that_takes_the_woodbury_direction(tmp_path,
-                                                                           monkeypatch):
+def test_same_bytes_compares_a_verify_run_that_takes_the_svd_direction(tmp_path, monkeypatch):
     # the dense Newton solve raises or points uphill on this p > n problem,
-    # so its verify.json holds F_t minima that the Woodbury direction found
+    # so its verify.json holds F_t minima that the SVD direction found
     tool = _tool()
     problem = tool.write_problem(tmp_path, tool.VERIFY_PROBLEM)
-    woodbury, solve = [], surrogate._woodbury_solve
-    monkeypatch.setattr(surrogate, "_woodbury_solve",
-                        lambda *args: woodbury.append(1) or solve(*args))
+    svd, solve = [], surrogate._svd_solve
+    monkeypatch.setattr(surrogate, "_svd_solve", lambda *args: svd.append(1) or solve(*args))
     assert main(["verify", "--input", str(problem), "--out-dir", str(tmp_path / "v")]) == 0
-    assert woodbury
+    assert svd
     files = tool.cli_verify_files(TOOL.parents[1], problem)
     assert files == {"exit": b"0", "verify.json": (tmp_path / "v" / "verify.json").read_bytes()}
     assert tool.changed_files(files, dict(files), "verify") == []

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import central_diff, make_problem, spec_grad_before, surrogate_grad_before
+from hslasso import surrogate
 from hslasso.opcount import OpCounter
+from hslasso.problem import LassoProblem
 from hslasso.surrogate import LEVEL_RANGE, SurrogateSpec, smoothness_constants, surrogate_grad
 
 T_GRID = (10.0, 1.0, 0.1, 0.01, 0.001)
@@ -288,3 +290,22 @@ def test_condition_number_bound_dominates_constants():
         L, mu = smoothness_constants(pr, SurrogateSpec(t), B)
         assert L / mu <= bound * (1 + 1e-12)
         t *= 1.7
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 39), st.integers(1, 39), st.integers(0, 2**32 - 1),
+       st.floats(-10.0, 0.0), st.floats(-12.0, 2.0))
+def test_svd_direction_descends_on_rank_deficient_designs(n, p, seed, log_t, log_scale):
+    # X of rank below min(n, p) where it can be, entries of beta spread over
+    # 14 decades around log_scale: the dense Newton solve raises or points
+    # uphill on many of these, the SVD direction on none
+    rng = np.random.default_rng(seed)
+    rank = max(1, min(n, p) - 1)
+    X = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, p))
+    pr = LassoProblem(rng.standard_normal(n), X, 10 ** rng.uniform(-4.0, 0.0))
+    spec = SurrogateSpec(10 ** log_t)
+    beta = rng.standard_normal(p) * 10 ** (log_scale + rng.uniform(-7.0, 7.0, size=p))
+    g = surrogate_grad(pr, spec)(beta)
+    d = -surrogate._svd_solve(pr, pr.lam * spec.hess_diag(beta), g)
+    assert np.all(np.isfinite(d))
+    assert float(g.dot(d)) < 0.0
