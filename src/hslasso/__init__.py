@@ -39,7 +39,7 @@ from .problem import (
     save_problem_json,
     subgradient_residual,
 )
-from .surrogate import SurrogateSpec, smoothness_constants, surrogate_value
+from .surrogate import SurrogateSpec, smoothness_constants
 from .trace import SolverTrace, TraceRecord
 
 __version__ = "0.1.0"

@@ -80,12 +80,12 @@ def iterate(state, step, stop, max_iters: int):
     return state, k, True
 
 
-def _run_flat(problem, config, setup, start, step, charge, inner_iters=1, aux=None):
+def _run_flat(problem, config, setup, start, step, charge, inner_iters=1, penalty=None):
     """Charge ``setup`` to the trace's counter, then drive a flat method from
     ``start(beta0)``, for at most MAX_ITERS steps, until the objective is within
-    config.epsilon of the reference minimum, one trace row per iterate (``aux``
-    gives the F_t column; default F).  Row k reads the start's total plus
-    k steps of ``charge``; the steps are charged at the end."""
+    config.epsilon of the reference minimum, one trace row per iterate (its F_t
+    column is the objective with ``penalty``, F by default).  Row k reads the
+    start's total plus k steps of ``charge``; the steps are charged at the end."""
     trace = SolverTrace()
     base = trace.counter.charge(setup, problem.p).total()
     per_step = OpCounter().charge(charge, problem.p).total()
@@ -94,7 +94,8 @@ def _run_flat(problem, config, setup, start, step, charge, inner_iters=1, aux=No
         beta = state[0]
         f = lasso_objective(problem, beta)
         trace.append(k, 0.0, inner_iters if k else 0, f,
-                     f if aux is None else aux(beta), base + k * per_step)
+                     f if penalty is None else lasso_objective(problem, beta, penalty),
+                     base + k * per_step)
         return f - config.ref.f_min <= config.epsilon
 
     beta0 = np.asarray(config.beta0, dtype=float).copy()
@@ -195,9 +196,16 @@ def cd_solve(problem: LassoProblem, config: BaselineConfig) -> SolverTrace:
                      lambda s: _cd_sweep(s[0], data, s[1]), "cd", inner_iters=problem.p)
 
 
+def sl_penalty(w, alpha):
+    """The smoothed penalty phi_a(u) = (2/a) log(1+e^(a u)) - u, entrywise,
+    with softplus as max(z, 0) + log1p(e^-|z|), which does not overflow."""
+    z = alpha * w
+    softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    return 2.0 * softplus / alpha - w
+
+
 def sl_penalty_grad(w, alpha):
-    """Entrywise derivative of the smoothed penalty
-    phi_a(u) = (2/a) log(1+e^(a u)) - u, namely tanh(a u / 2).
+    """Entrywise derivative of :func:`sl_penalty`, namely tanh(a u / 2).
 
     Smooth, bounded in (-1, 1) and finite at u = 0.  The curvature is at
     most a/2, matching the solver's step size
@@ -205,15 +213,6 @@ def sl_penalty_grad(w, alpha):
     """
     w = np.asarray(w, dtype=float)
     return np.tanh(0.5 * alpha * w)
-
-
-def sl_objective(problem, beta, alpha) -> float:
-    w = np.asarray(beta, dtype=float)
-    z = alpha * w
-    softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-    phi = 2.0 * softplus / alpha - w
-    r = problem.y - problem.X @ w
-    return float(r @ r / (2.0 * problem.n) + problem.lam * np.sum(phi))
 
 
 def _sl_step(problem, alpha, step, state):
@@ -231,7 +230,7 @@ def sl_solve(problem: LassoProblem, config: BaselineConfig) -> SolverTrace:
     step = 1.0 / (problem.eig_max + problem.lam * alpha / 2.0)
     return _run_flat(problem, config, "sl-setup", lambda b: (b, b.copy(), 0),
                      lambda s: _sl_step(problem, alpha, step, s), "sl",
-                     aux=lambda b: sl_objective(problem, b, alpha))
+                     penalty=lambda w: sl_penalty(w, alpha))
 
 
 def theoretical_bound(method: str, k: int, problem: LassoProblem,

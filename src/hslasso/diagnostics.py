@@ -25,11 +25,14 @@ from .surrogate import SurrogateSpec, minimize_surrogate
 
 SVD_METHOD = "one-sided-jacobi"
 PINV_RCOND = 1e-12
+# Jacobi's stop, a largest column cosine below JACOBI_TOL, and its sweep cap
+JACOBI_TOL = 1e-13
+MAX_SWEEPS = 60
 # the closeness sweep's Newton stop
 SWEEP_GRAD_TOL = 1e-10
 
 
-def jacobi_svd(a, tol: float = 1e-13, max_sweeps: int = 60):
+def jacobi_svd(a):
     """Thin SVD by one-sided Jacobi rotations: a = U @ diag(s) @ Vt.
 
     Columns are rotated pairwise until mutually orthogonal; singular
@@ -43,10 +46,12 @@ def jacobi_svd(a, tol: float = 1e-13, max_sweeps: int = 60):
     strided views: the BLAS call of ``@``, with less dispatch, which is
     most of a call's time on vectors this short.  The floating-point
     operations and their order are those of the plain loop with three dot
-    products per pair, so the factors are the same bytes.  Raises ValueError on a NaN or inf entry,
-    and NumericalFailure when the last of max_sweeps sweeps still finds a
-    column pair with cosine >= tol: its factors would not be orthogonal.
+    products per pair, so the factors are the same bytes.  Raises
+    ValueError on a NaN or inf entry, and NumericalFailure when the last of
+    MAX_SWEEPS sweeps still finds a column pair with cosine >= JACOBI_TOL:
+    its factors would not be orthogonal.
     """
+    tol, max_sweeps = JACOBI_TOL, MAX_SWEEPS
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError("need a 2-d matrix")
@@ -65,7 +70,7 @@ def jacobi_svd(a, tol: float = 1e-13, max_sweeps: int = 60):
     cx, sy, sx = np.empty(m + n), np.empty(m + n), np.empty(m + n)
     multiply, subtract, add = np.multiply, np.subtract, np.add
     sqrt, copysign = math.sqrt, math.copysign
-    off = math.inf  # max_sweeps = 0 shows nothing converged
+    off = math.inf  # MAX_SWEEPS = 0 shows nothing converged
     for _ in range(max_sweeps):
         off = 0.0
         for i in range(n - 1):
@@ -117,14 +122,14 @@ def jacobi_svd(a, tol: float = 1e-13, max_sweeps: int = 60):
     return u, sing, v.T
 
 
-def _kept(s, rcond: float) -> np.ndarray:
-    """The singular values above rcond * sigma_max, which a pseudo-inverse inverts."""
-    return s > rcond * (s[0] if s.size else 0.0)
+def _kept(s) -> np.ndarray:
+    """The singular values above PINV_RCOND * sigma_max, which a pseudo-inverse inverts."""
+    return s > PINV_RCOND * (s[0] if s.size else 0.0)
 
 
-def _pinv_from_svd(u, s, vt, rcond: float) -> np.ndarray:
+def _pinv_from_svd(u, s, vt) -> np.ndarray:
     """Pseudo-inverse from the thin SVD a = U diag(s) Vt."""
-    sinv = np.where(_kept(s, rcond), 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    sinv = np.where(_kept(s), 1.0 / np.where(s > 0, s, 1.0), 0.0)
     return vt.T @ (sinv[:, None] * u.T)
 
 
@@ -186,18 +191,18 @@ def support_conditions_check(X, s_set) -> dict:
     xsc = X[:, ~in_s]
 
     u_s, s_vals, vt_s = jacobi_svd(xs)
-    if np.count_nonzero(_kept(s_vals, PINV_RCOND)) < s_idx.size:
+    if np.count_nonzero(_kept(s_vals)) < s_idx.size:
         raise ValueError("X_S is rank deficient")
     # equals (X_S'X_S)^-1 X_S' at full column rank; reuses the rank test's SVD
-    gram_s_inv_xs_t = _pinv_from_svd(u_s, s_vals, vt_s, PINV_RCOND)
+    gram_s_inv_xs_t = _pinv_from_svd(u_s, s_vals, vt_s)
     u_sc, s_sc, vt_sc = jacobi_svd(xsc)
-    pinv_sc = _pinv_from_svd(u_sc, s_sc, vt_sc, PINV_RCOND)
+    pinv_sc = _pinv_from_svd(u_sc, s_sc, vt_sc)
 
     a_mat = gram_s_inv_xs_t @ xsc + (pinv_sc @ xs).T
     _, s1, _ = jacobi_svd(a_mat)
 
     sigma_max_s1 = float(s1[0]) if s1.size else 0.0
-    sigma_min_s2 = 1.0 if np.count_nonzero(_kept(s_sc, PINV_RCOND)) == xsc.shape[1] else 0.0
+    sigma_min_s2 = 1.0 if np.count_nonzero(_kept(s_sc)) == xsc.shape[1] else 0.0
     holds = sigma_max_s1 < min(2.0, 2.0 * sigma_min_s2)
     return {
         "s_set": s_idx.tolist(),

@@ -27,7 +27,7 @@ from .opcount import OpCounter
 from .problem import (LassoProblem, NumericalFailure, ReferenceSolution, check_number,
                       lasso_objective)
 from .surrogate import (LEVEL_RANGE, SurrogateSpec, check_level, minimize_surrogate,
-                        smoothness_constants, surrogate_grad, surrogate_value)
+                        smoothness_constants, surrogate_grad)
 from .trace import SolverTrace
 
 INNER_STOP_MODES = ("fixed", "theoretical", "gradient")
@@ -255,7 +255,7 @@ def inner_solve(problem: LassoProblem, t_k: float, beta_init, config: HSConfig,
         eps_k = inner_tolerance(problem.lam, problem.p, B, t_k)
         gtol = math.sqrt(2.0 * mu * max(eps_k * 1e-3, 1e-18)) * 1e-2
         fmin_k = minimize_surrogate(problem, spec, beta_init, gtol)[1]
-        done = lambda beta_bar, k: surrogate_value(problem, spec, beta_bar) - fmin_k <= eps_k
+        done = lambda beta_bar, k: lasso_objective(problem, beta_bar, spec.value) - fmin_k <= eps_k
 
     peak = np.abs(beta_init)
     scratch = np.empty_like(peak)
@@ -312,7 +312,7 @@ def hs_solve(problem: LassoProblem, config: HSConfig) -> SolverTrace:
 
     def append_row(t, inner_steps, beta):
         trace.append(len(trace.records), t, inner_steps, lasso_objective(problem, beta),
-                     surrogate_value(problem, SurrogateSpec(t), beta), counter.total())
+                     lasso_objective(problem, beta, SurrogateSpec(t).value), counter.total())
 
     def reached(k):  # the configured outer stop; the level floor is checked apart
         if config.outer_stop == "oracle":  # the last row holds the current objective

@@ -1,4 +1,4 @@
-"""Lasso problem container, objectives, serialization.
+"""Lasso problem container, objective, serialization.
 
 The problem instance is immutable after construction: it keeps read-only
 copies of y and X, leaving the caller's arrays as they were, and the
@@ -117,12 +117,15 @@ class ReferenceSolution:
     method: str = "fista"
 
 
-def lasso_objective(problem: LassoProblem, beta) -> float:
+def lasso_objective(problem: LassoProblem, beta, penalty=np.abs) -> float:
+    """(1/(2n)) ||y - X beta||^2 + lambda sum_i penalty(beta)_i, the one
+    objective evaluator: f with the default penalty |.|, F_t with
+    ``SurrogateSpec(t).value`` and sl's with ``baselines.sl_penalty``."""
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (problem.p,):
         raise ValueError(f"beta must have shape ({problem.p},), got {beta.shape}")
     r = problem.y - problem.X.dot(beta)
-    return float(r.dot(r) / (2.0 * problem.n) + problem.lam * np.abs(beta).sum())
+    return float(r.dot(r) / (2.0 * problem.n) + problem.lam * penalty(beta).sum())
 
 
 def subgradient_residual(problem: LassoProblem, beta) -> float:

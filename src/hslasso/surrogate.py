@@ -15,14 +15,14 @@ second derivative is the max-form (2/3) log(1+t)^2 * max(|x|, t)^-3 on
 both branches; it serves both the step-size constants and the Newton
 Hessian of the smoothed objective.
 
-The smoothed objective itself, F_t(b) = ||y - X b||^2/(2n) + lambda
-sum_i phi_t(b_i), is defined here too: its value, its gradient and its
-damped-Newton minimizer.  The gradient is a map built once per level,
-which holds the level's scalars (t, the branch coefficients and lambda) as
-0-d float64 arrays: on vectors of 20 to 80 entries a ufunc call with a 0-d
-operand costs what one on two vectors costs, about 0.6 times one with a
-Python float (numpy 2.4), and the broadcast gives every entry the same
-float, so the bytes are the same.
+The smoothed objective F_t is the Lasso objective f with phi_t for |.|,
+valued by ``lasso_objective(problem, b, spec.value)``; its gradient and
+damped-Newton minimizer are here.  The gradient is a map built once per
+level, which holds the level's scalars (t, the branch coefficients and
+lambda) as 0-d float64 arrays: on vectors of 20 to 80 entries a ufunc call
+with a 0-d operand costs what one on two vectors costs, about 0.6 times
+one with a Python float (numpy 2.4), and the broadcast gives every entry
+the same float, so the bytes are the same.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import LassoProblem, NumericalFailure, check_number
+from .problem import LassoProblem, NumericalFailure, check_number, lasso_objective
 
 
 # Range of a level t and of the iterate bound B, both cubed (t**3 in c_quad,
@@ -127,16 +127,6 @@ def smoothness_constants(problem, spec: SurrogateSpec, B: float) -> tuple[float,
     return L, mu
 
 
-def surrogate_value(problem: LassoProblem, spec: SurrogateSpec, beta) -> float:
-    """F_t at beta: the Lasso objective with the l1 penalty replaced by the
-    level-t smoothed penalty."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (problem.p,):
-        raise ValueError(f"beta must have shape ({problem.p},), got {beta.shape}")
-    r = problem.y - problem.X.dot(beta)
-    return float(r.dot(r) / (2.0 * problem.n) + problem.lam * np.sum(spec.value(beta)))
-
-
 def surrogate_grad(problem: LassoProblem, spec: SurrogateSpec):
     """The gradient map beta -> grad F_t(beta) of the level, for iterates of
     shape (p,).  Its operands t, c_inv, c_lin, 2 c_quad and lambda are
@@ -200,7 +190,7 @@ def minimize_surrogate(problem: LassoProblem, spec: SurrogateSpec, beta_init: np
     xty_norm = float(np.linalg.norm(problem.xty))
     beta = np.array(beta_init, dtype=float)
     grad = surrogate_grad(problem, spec)
-    f = surrogate_value(problem, spec, beta)
+    f = lasso_objective(problem, beta, spec.value)
     g = grad(beta)
     gnorm = float(np.linalg.norm(g))
 
@@ -228,7 +218,7 @@ def minimize_surrogate(problem: LassoProblem, spec: SurrogateSpec, beta_init: np
         s = 1.0
         while True:
             cand = beta + s * d
-            f_cand = surrogate_value(problem, spec, cand)
+            f_cand = lasso_objective(problem, cand, spec.value)
             if f_cand <= f + 1e-4 * s * slope:
                 g_cand = grad(cand)
                 break

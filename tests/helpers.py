@@ -27,11 +27,11 @@ import numpy as np
 
 from hslasso import cli, homotopy
 from hslasso.baselines import iterate
-from hslasso.diagnostics import PINV_RCOND, _pinv_from_svd, jacobi_svd
+from hslasso.diagnostics import _pinv_from_svd, jacobi_svd
 from hslasso.homotopy import agd_coefficients, default_iterate_bound, inner_tolerance
 from hslasso.opcount import OpCounter
-from hslasso.problem import LassoProblem
-from hslasso.surrogate import SurrogateSpec, minimize_surrogate, smoothness_constants, surrogate_value
+from hslasso.problem import LassoProblem, lasso_objective
+from hslasso.surrogate import SurrogateSpec, minimize_surrogate, smoothness_constants
 
 # Grid points evaluated on each side of a row's continuous minimizer.
 ROW_WINDOW = 3
@@ -192,9 +192,9 @@ def soft_threshold(x, alpha):
     return float(out) if out.ndim == 0 else out
 
 
-def pinv(a, rcond=PINV_RCOND):
+def pinv(a):
     """Pseudo-inverse through the library's Jacobi SVD and cutoff."""
-    return _pinv_from_svd(*jacobi_svd(a), rcond)
+    return _pinv_from_svd(*jacobi_svd(a))
 
 
 def _grid_values(problem, x1, x2):
@@ -393,6 +393,15 @@ def surrogate_value_before(problem, spec, beta) -> float:
     return float(r @ r / (2.0 * problem.n) + problem.lam * np.sum(spec.value(beta)))
 
 
+def sl_objective_before(problem, beta, alpha) -> float:
+    w = np.asarray(beta, dtype=float)
+    z = alpha * w
+    softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    phi = 2.0 * softplus / alpha - w
+    r = problem.y - problem.X @ w
+    return float(r @ r / (2.0 * problem.n) + problem.lam * np.sum(phi))
+
+
 def prediction_error_before(problem, beta_tilde, beta_hat) -> float:
     d = problem.X @ (beta_tilde - beta_hat)
     return float(d @ d / problem.n)
@@ -585,7 +594,8 @@ def inner_solve_before(problem, t_k, beta_init, config, counter=None, B=None):
         eps_k = inner_tolerance(problem.lam, problem.p, B, t_k)
         gtol = math.sqrt(2.0 * mu * max(eps_k * 1e-3, 1e-18)) * 1e-2
         fmin_k = minimize_surrogate(problem, spec, beta_init, gtol)[1]
-        stop = lambda state, k: surrogate_value(problem, spec, state.beta_bar) - fmin_k <= eps_k
+        def stop(state, k):
+            return lasso_objective(problem, state.beta_bar, spec.value) - fmin_k <= eps_k
 
     state, steps, stopped = iterate(state, step, stop, homotopy.MAX_INNER_STEPS)
     return state.beta_bar, steps, not stopped, max_abs

@@ -44,7 +44,8 @@ from hslasso.homotopy import (
     agd_map,
     hs_solve,
 )
-from hslasso.surrogate import SurrogateSpec, smoothness_constants, surrogate_grad, surrogate_value
+from hslasso.problem import lasso_objective
+from hslasso.surrogate import SurrogateSpec, smoothness_constants, surrogate_grad
 
 
 ACCEPTANCE_LINES = []
@@ -187,15 +188,15 @@ def test_criterion_4_agd_contraction_and_prox():
         pair = (beta0, beta0)
         for _ in range(3000):
             pair = step(pair)
-        fstar = surrogate_value(pr, spec, pair[1])
+        fstar = lasso_objective(pr, pair[1], spec.value)
         bstar = pair[1]
-        gap0 = surrogate_value(pr, spec, beta0) - fstar
+        gap0 = lasso_objective(pr, beta0, spec.value) - fstar
         first = step((beta0, beta0))
         bracket = gap0 + 0.5 * mu * float(np.sum((first[0] - bstar) ** 2))
         pair = (beta0, beta0)
         for s in range(1, 120):
             pair = step(pair)
-            gap = surrogate_value(pr, spec, pair[1]) - fstar
+            gap = lasso_objective(pr, pair[1], spec.value) - fstar
             margin = gap - (1 - alpha) ** s * bracket
             worst_margin = max(worst_margin, margin)
             ok &= margin <= 1e-12
@@ -233,7 +234,6 @@ def test_criterion_5_hs_end_to_end():
     oracle_cfg = HSConfig(t0=3.0, h=0.1, epsilon=0.005, outer_stop="oracle",
                           ref=ref, inner_stop="fixed", inner_fixed_count=50)
     tr = hs_solve(pr, oracle_cfg)
-    from hslasso.problem import lasso_objective
 
     gap = lasso_objective(pr, tr.final_beta) - ref.f_min
     ok = tr.converged and gap <= 0.005

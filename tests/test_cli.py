@@ -836,9 +836,9 @@ def test_verify_line_search_stall_is_numerical_exit(tmp_path, monkeypatch, capsy
 
     from hslasso import surrogate
 
-    value = surrogate.surrogate_value
-    monkeypatch.setattr(surrogate, "surrogate_value",
-                        lambda problem, spec, beta: value(problem, spec, beta)
+    value = surrogate.lasso_objective
+    monkeypatch.setattr(surrogate, "lasso_objective",
+                        lambda problem, beta, penalty: value(problem, beta, penalty)
                         if not np.any(beta) else math.inf)
     assert run_cli(["datagen", "--scenario", "sim1", "--n", "40", "--p", "10",
                     "--out-dir", str(tmp_path)]) == 0
@@ -876,12 +876,9 @@ def test_linalg_error_is_numerical_exit(tmp_path, monkeypatch, capsys):
 
 def test_verify_svd_failure_is_numerical_exit(tmp_path, monkeypatch, capsys):
     # one Jacobi sweep left non-orthogonal factors, and verify exited 0 on them
-    import functools
-
     from hslasso import diagnostics
 
-    capped = functools.partial(diagnostics.jacobi_svd, max_sweeps=1)
-    monkeypatch.setattr(diagnostics, "jacobi_svd", capped)
+    monkeypatch.setattr(diagnostics, "MAX_SWEEPS", 1)
     assert run_cli(["datagen", "--scenario", "sim2", "--n", "50", "--p", "20",
                     "--lambda", "0.1", "--out-dir", str(tmp_path)]) == 0
     rc = run_cli(["verify", "--input", str(tmp_path / "problem.json"),

@@ -141,11 +141,13 @@ def test_conditions_block_matches_earlier_record(verify_supports):
         assert json.dumps(block, indent=2) == json.dumps(record.to_dict(), indent=2)
 
 
-def test_jacobi_svd_raises_when_not_converged():
+def test_jacobi_svd_raises_when_not_converged(monkeypatch):
     # one sweep left this matrix with max |U'U - I| = 0.40 and no error
     a = np.random.default_rng(0).standard_normal((40, 30))
-    with pytest.raises(NumericalFailure, match="not converged"):
-        jacobi_svd(a, max_sweeps=1)
+    with monkeypatch.context() as mp:
+        mp.setattr(diagnostics, "MAX_SWEEPS", 1)
+        with pytest.raises(NumericalFailure, match="not converged"):
+            jacobi_svd(a)
     u, _, vt = jacobi_svd(a)
     assert np.abs(u.T @ u - np.eye(30)).max() < 1e-12
     assert np.abs(vt @ vt.T - np.eye(30)).max() < 1e-12

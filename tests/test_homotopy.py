@@ -24,14 +24,8 @@ from hslasso.homotopy import (
     ridge_start,
 )
 from hslasso.opcount import CHARGES, OpCounter
-from hslasso.problem import LassoProblem, NumericalFailure, save_problem_json
-from hslasso.surrogate import (
-    SurrogateSpec,
-    minimize_surrogate,
-    smoothness_constants,
-    surrogate_grad,
-    surrogate_value,
-)
+from hslasso.problem import LassoProblem, NumericalFailure, lasso_objective, save_problem_json
+from hslasso.surrogate import SurrogateSpec, minimize_surrogate, smoothness_constants, surrogate_grad
 
 
 def sim1_problem(seed=1000):
@@ -355,10 +349,10 @@ def test_agd_monotone_bar_values_in_fixed_loop():
     spec = SurrogateSpec(0.5)
     step = agd_map(*smoothness_constants(pr, spec, 10.0), surrogate_grad(pr, spec))
     pair = (np.ones(pr.p), np.ones(pr.p))
-    vals = [surrogate_value(pr, spec, pair[1])]
+    vals = [lasso_objective(pr, pair[1], spec.value)]
     for _ in range(80):
         pair = step(pair)
-        vals.append(surrogate_value(pr, spec, pair[1]))
+        vals.append(lasso_objective(pr, pair[1], spec.value))
     assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
 
 
@@ -397,16 +391,16 @@ def test_inner_solve_geometric_contraction():
     pair = (beta0, beta0)
     for _ in range(3000):
         pair = step(pair)
-    fstar = surrogate_value(pr, spec, pair[1])
+    fstar = lasso_objective(pr, pair[1], spec.value)
     bstar = pair[1]
 
-    gap0 = surrogate_value(pr, spec, beta0) - fstar
+    gap0 = lasso_objective(pr, beta0, spec.value) - fstar
     first = step((beta0, beta0))
     bracket = gap0 + 0.5 * mu * float(np.sum((first[0] - bstar) ** 2))
     pair = (beta0, beta0)
     for s in range(1, 150):
         pair = step(pair)
-        gap = surrogate_value(pr, spec, pair[1]) - fstar
+        gap = lasso_objective(pr, pair[1], spec.value) - fstar
         assert gap <= (1 - alpha) ** s * bracket + 1e-12
 
 
@@ -530,7 +524,6 @@ def test_hs_reaches_table_scenario_precision():
     cfg = HSConfig(t0=3.0, h=0.1, epsilon=0.005, outer_stop="oracle", ref=ref)
     tr = hs_solve(pr, cfg)
     assert tr.converged
-    from hslasso.problem import lasso_objective
 
     assert lasso_objective(pr, tr.final_beta) - ref.f_min <= 0.005
 
@@ -793,7 +786,7 @@ def test_minimize_surrogate_converges_across_designs(n, p, rho, lam, t, monkeypa
     spec = SurrogateSpec(t)
     beta, value = minimize_surrogate(pr, spec, np.zeros(pr.p), 1e-10)
     assert float(np.linalg.norm(surrogate_grad(pr, spec)(beta))) <= 1e-10
-    assert value == surrogate_value(pr, spec, beta)
+    assert value == lasso_objective(pr, beta, spec.value)
 
 
 def test_minimize_surrogate_survives_singular_newton_system(monkeypatch):
@@ -968,7 +961,7 @@ def test_minimize_surrogate_stops_at_the_round_off_floor(monkeypatch):
     floor = 4.0 * np.finfo(float).eps * (pr.eig_max * np.linalg.norm(beta)
                                          + np.linalg.norm(pr.xty))
     assert float(np.linalg.norm(surrogate_grad(pr, spec)(beta))) <= floor
-    assert value == surrogate_value(pr, spec, beta)
+    assert value == lasso_objective(pr, beta, spec.value)
 
 
 def test_hs_theoretical_inner_stop_converges_on_p_gt_n():

@@ -23,7 +23,7 @@ PUBLIC_SURFACE = [
     "noise_scale_for_snr", "outer_iteration_count", "prediction_error", "reference_minimum",
     "ridge_start", "run_bench", "save_problem_binary", "save_problem_json", "sl_solve",
     "smoothness_constants", "subgradient_residual", "support_conditions_check", "support_set",
-    "surrogate_value", "theoretical_bound",
+    "theoretical_bound",
 ]
 
 
@@ -55,25 +55,37 @@ def test_config_fields():
 # Every iteration cap of the package, by module: a safety cap that no run
 # sets, patched where a test needs it to bind.
 CAPS = {"baselines": ["MAX_ITERS", "REF_MAX_ITERS"],
+        "diagnostics": ["MAX_SWEEPS"],
         "homotopy": ["MAX_INNER_STEPS", "MAX_OUTER"],
         "surrogate": ["MAX_NEWTON"]}
 
 
 def test_caps_are_constants():
     # BaselineConfig.max_iters and HSConfig.max_outer were caps set per
-    # config, though no caller set either to anything but its default
+    # config, though no caller set either to anything but its default;
+    # jacobi_svd's max_sweeps=60 was one set per call
     import importlib
 
     assert [f"{name}.{f.name}" for name in CONFIG_FIELDS
             for f in dataclasses.fields(getattr(hslasso, name)) if f.name.startswith("max_")] == []
-    caps = {}
+    caps, defaulted = {}, []
     for path in sorted(Path(hslasso.__file__).parent.glob("*.py")):
-        names = sorted(target.id for node in ast.parse(path.read_text()).body
+        tree = ast.parse(path.read_text())
+        names = sorted(target.id for node in tree.body
                        if isinstance(node, ast.Assign) for target in node.targets
                        if isinstance(target, ast.Name) and "MAX" in target.id)
         if names:
             caps[path.stem] = names
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = [*args.posonlyargs, *args.args]
+                with_default = positional[len(positional) - len(args.defaults):] + [
+                    a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                defaulted += [f"{path.stem}.{node.name}({a.arg})"
+                              for a in with_default if a.arg.startswith("max_")]
     assert caps == CAPS
+    assert defaulted == []  # a cap is a module constant, not a parameter's default
     for module, names in CAPS.items():
         for name in names:
             value = getattr(importlib.import_module(f"hslasso.{module}"), name)

@@ -19,7 +19,7 @@ from helpers import (
     subgradient_residual_before,
 )
 from hslasso import baselines
-from hslasso.baselines import reference_minimum
+from hslasso.baselines import SL_ALPHA, reference_minimum, sl_penalty
 from hslasso.datagen import SyntheticSpec, generate
 from hslasso.diagnostics import estimation_error, prediction_error
 from hslasso.problem import (
@@ -32,7 +32,7 @@ from hslasso.problem import (
     save_problem_json,
     subgradient_residual,
 )
-from hslasso.surrogate import SurrogateSpec, surrogate_value
+from hslasso.surrogate import SurrogateSpec
 
 
 def test_construction_validates():
@@ -154,9 +154,11 @@ def test_objective_hand_value():
 
 
 def test_objective_dimension_mismatch():
+    # f, F_t and sl's objective share one shape check; sl's had none
     pr = make_problem(1)
-    with pytest.raises(ValueError):
-        lasso_objective(pr, np.zeros(pr.p + 1))
+    for penalty in (np.abs, SurrogateSpec(0.5).value, lambda w: sl_penalty(w, SL_ALPHA)):
+        with pytest.raises(ValueError, match="shape"):
+            lasso_objective(pr, np.zeros(pr.p + 1), penalty)
 
 
 def test_objective_convex_along_segments():
@@ -173,14 +175,14 @@ def test_objective_convex_along_segments():
 
 def test_surrogate_objective_zero_beta_is_residual_only():
     pr = make_problem(3)
-    assert surrogate_value(pr, SurrogateSpec(0.7), np.zeros(pr.p)) == pytest.approx(
+    assert lasso_objective(pr, np.zeros(pr.p), SurrogateSpec(0.7).value) == pytest.approx(
         float(pr.y @ pr.y) / (2 * pr.n), rel=1e-14)
 
 
 def test_surrogate_objective_boundary_example():
     pr = LassoProblem(y=np.array([0.0]), X=np.array([[1.0]]), lam=1.0)
     expected = 0.5 + math.log(2.0) ** 2 / 3.0
-    value = surrogate_value(pr, SurrogateSpec(1.0), np.array([1.0]))
+    value = lasso_objective(pr, np.array([1.0]), SurrogateSpec(1.0).value)
     assert value == pytest.approx(expected, rel=1e-14)
 
 
@@ -189,10 +191,10 @@ def test_surrogate_objective_converges_to_objective():
     rng = np.random.default_rng(9)
     beta = rng.uniform(0.5, 2.0, pr.p) * rng.choice([-1, 1], pr.p)
     target = lasso_objective(pr, beta)
-    diffs = [abs(surrogate_value(pr, SurrogateSpec(t), beta) - target)
+    diffs = [abs(lasso_objective(pr, beta, SurrogateSpec(t).value) - target)
              for t in (1.0, 0.1, 0.01, 0.001)]
     assert all(d2 < d1 for d1, d2 in zip(diffs, diffs[1:]))
-    assert abs(surrogate_value(pr, SurrogateSpec(1e-6), beta) - target) < 1e-6
+    assert abs(lasso_objective(pr, beta, SurrogateSpec(1e-6).value) - target) < 1e-6
 
 
 def test_surrogate_objective_below_objective():
@@ -201,15 +203,14 @@ def test_surrogate_objective_below_objective():
     for _ in range(30):
         beta = rng.standard_normal(pr.p) * 3
         for t in (2.0, 0.5, 0.01):
-            assert surrogate_value(pr, SurrogateSpec(t), beta) <= lasso_objective(pr, beta) + 1e-12
+            value = lasso_objective(pr, beta, SurrogateSpec(t).value)
+            assert value <= lasso_objective(pr, beta) + 1e-12
 
 
 def test_surrogate_objective_rejects_bad_t():
     pr = make_problem(6)
     with pytest.raises(ValueError):
-        surrogate_value(pr, SurrogateSpec(0.0), np.zeros(pr.p))
-    with pytest.raises(ValueError, match="shape"):
-        surrogate_value(pr, SurrogateSpec(0.5), np.zeros(pr.p + 1))
+        lasso_objective(pr, np.zeros(pr.p), SurrogateSpec(0.0).value)
 
 
 def test_reference_matches_identity_closed_form():
@@ -519,12 +520,16 @@ def _same_bytes(a, b):
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
-# name -> (the library helper, its argument tuples at iterate b with reference ref)
+# name of the earlier copy in helpers -> (the library call, its argument tuples
+# at iterate b with reference ref); F_t and sl's objective are lasso_objective
+# with another penalty
 DOT_HELPERS = {
     "lasso_objective": (lasso_objective, lambda pr, b, ref: [(pr, b)]),
     "subgradient_residual": (subgradient_residual, lambda pr, b, ref: [(pr, b)]),
-    "surrogate_value": (surrogate_value, lambda pr, b, ref: [(pr, SurrogateSpec(t), b)
-                                                            for t in (1.0, 1e-2, 1e-4)]),
+    "surrogate_value": (lambda pr, spec, b: lasso_objective(pr, b, spec.value),
+                        lambda pr, b, ref: [(pr, SurrogateSpec(t), b) for t in (1.0, 1e-2, 1e-4)]),
+    "sl_objective": (lambda pr, b, alpha: lasso_objective(pr, b, lambda w: sl_penalty(w, alpha)),
+                     lambda pr, b, ref: [(pr, b, alpha) for alpha in (1.0, SL_ALPHA)]),
     "prediction_error": (prediction_error, lambda pr, b, ref: [(pr, b, ref)]),
     "estimation_error": (estimation_error, lambda pr, b, ref: [(b, ref)]),
 }
