@@ -1,45 +1,20 @@
 """Homotopy-shrinkage Lasso solver, baseline solvers, and an
-operation-counting benchmark harness."""
+operation-counting benchmark harness.
 
-from .baselines import (
-    BaselineConfig,
-    cd_solve,
-    fista_solve,
-    ista_solve,
-    reference_minimum,
-    sl_solve,
-    theoretical_bound,
-)
-from .datagen import SyntheticSpec, beta_pattern, equicorrelated_design, generate, noise_scale_for_snr
-from .diagnostics import (
-    estimation_error,
-    jacobi_svd,
-    prediction_error,
-    support_conditions_check,
-    support_set,
-)
-from .homotopy import (
-    HSConfig,
-    agd_map,
-    hs_solve,
-    inner_solve,
-    inner_tolerance,
-    outer_iteration_count,
-    ridge_start,
-)
+The package exports what a caller constructs, runs or catches, and the types
+those return. A step inside an entry point is imported from the module that
+defines it, e.g. ``hslasso.homotopy.ridge_start``."""
+
+from .baselines import (BaselineConfig, cd_solve, fista_solve, ista_solve, reference_minimum,
+                        sl_solve, theoretical_bound)
+from .datagen import SyntheticSpec, generate
+from .diagnostics import estimation_error, prediction_error, support_conditions_check
+from .homotopy import HSConfig, hs_solve
 from .opcount import OpCounter
-from .problem import (
-    LassoProblem,
-    NumericalFailure,
-    ReferenceSolution,
-    lasso_objective,
-    load_problem_binary,
-    load_problem_json,
-    save_problem_binary,
-    save_problem_json,
-    subgradient_residual,
-)
-from .surrogate import SurrogateSpec, smoothness_constants
+from .problem import (LassoProblem, NumericalFailure, ReferenceSolution, lasso_objective,
+                      load_problem_binary, load_problem_json, save_problem_binary,
+                      save_problem_json)
+from .surrogate import SurrogateSpec
 from .trace import SolverTrace, TraceRecord
 
 __version__ = "0.1.0"

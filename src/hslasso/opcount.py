@@ -24,7 +24,9 @@ as a required argument.  The conventions:
 Charged to no method: the gram X'X/n, X'y/n and its extreme eigenvalues,
 which each ``LassoProblem`` computes once as shared precomputation, and
 the eigendecomposition that each ``ridge_solver()`` call runs (once per
-HS solve, in ``ridge_start``).
+HS solve, in ``ridge_start``).  The projection V'X'y/n, which that call
+forms once, is charged once, as one of the ridge start's two spectral
+matvecs; a t0 probe charges the one matvec it performs.
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ CHARGES = {
     "hs-level": lambda p: (10, 4, 2, 0, 0),
     # the ridge start: log(1+t0), the shift, two spectral matvecs, the scaling
     "ridge-start": lambda p: (2 * p * p + p + 2, 2 * p * p - p, 1, 0, 0),
-    "find-t0-probe": lambda p: (0, 0, 0, 0, 2 * p * (2 * p - 1) + 2 * p),  # in setup
+    # a t0 probe, in setup: the shift, the division and one spectral matvec
+    "find-t0-probe": lambda p: (0, 0, 0, 0, 2 * p * p + p),
 }
 
 

@@ -290,7 +290,7 @@ PINNED_CHARGES = {
     "inner-fixed": ((7610, 5604, 2, 400, 0), 50),
     "inner-gradient": ((7282, 5663, 31, 485, 0), 28),
     "initial-beta": ((138, 120, 1, 0, 0), None),  # the ridge start at a given t0
-    "find-t0": ((138, 120, 1, 0, 10496), None),  # and at a searched one
+    "find-t0": ((138, 120, 1, 0, 5576), None),  # and at a searched one
 }
 
 

@@ -283,6 +283,18 @@ def test_surrogate_minimizer_raises_when_not_converged(monkeypatch):
         closeness_sweep(pr, ref, (1e-4,))
 
 
+@pytest.mark.xfail(strict=True, raises=NumericalFailure, reason="ROADMAP item 28")
+@pytest.mark.parametrize("n, p, seed", [(2, 5, 1), (2, 8, 1), (2, 8, 2)])
+def test_closeness_sweep_reaches_small_levels_on_rank_2_designs(n, p, seed):
+    # the `datagen --n n --p p --seed seed --lambda 1e-3` problems on which
+    # `verify --levels 1e-6 1e-8` exits 3: damped Newton's second full step
+    # lands far out on the gram's null space, and at t = 1e-8 the line
+    # search stalls there; a fix of the step flips these to passes
+    pr = generate(SyntheticSpec(n=n, p=p, rho=0.1, seed=seed), lam=1e-3)
+    rows = closeness_sweep(pr, reference_minimum(pr), (1e-6, 1e-8))
+    assert [row["t"] for row in rows] == [1e-6, 1e-8]
+
+
 # ---------------------------------------------------------------------------
 # design-condition report
 # ---------------------------------------------------------------------------

@@ -158,9 +158,7 @@ ADJUSTMENTS = {
     "ridge-start": {"log(1 + t0) and the shift in Python floats": _scalar(2, 0, 1),
                     "eigh returns its eigenvalues as a plain array, so the shift's add is "
                     "not seen": lambda p: (0, p, 0, 0, 0)},
-    "find-t0-probe": {"the projection V' X'y/n is charged per probe; ridge_solver() forms it "
-                      "once": lambda p: (0, 0, 0, 0, p * p + p * (p - 1)),
-                      "the shift's add on eigh's plain eigenvalues, as in ridge-start":
+    "find-t0-probe": {"the shift's add on eigh's plain eigenvalues, as in ridge-start":
                           lambda p: (0, 0, 0, 0, p),
                       "the probe's max |b| reduction is a bound test, not charged":
                           lambda p: (0, 0, 0, 0, 1 - p)},

@@ -16,14 +16,10 @@ from hslasso.homotopy import agd_coefficients
 PUBLIC_SURFACE = [
     "BaselineConfig", "BenchmarkGrid", "HSConfig", "LassoProblem", "NumericalFailure",
     "OpCounter", "ReferenceSolution", "SolverTrace", "SurrogateSpec", "SyntheticSpec",
-    "TraceRecord", "agd_map",
-    "beta_pattern", "cd_solve", "equicorrelated_design", "estimation_error",
-    "fista_solve", "generate", "hs_solve", "inner_solve", "inner_tolerance", "ista_solve",
-    "jacobi_svd", "lasso_objective", "load_problem_binary", "load_problem_json",
-    "noise_scale_for_snr", "outer_iteration_count", "prediction_error", "reference_minimum",
-    "ridge_start", "run_bench", "save_problem_binary", "save_problem_json", "sl_solve",
-    "smoothness_constants", "subgradient_residual", "support_conditions_check", "support_set",
-    "theoretical_bound",
+    "TraceRecord", "cd_solve", "estimation_error", "fista_solve", "generate", "hs_solve",
+    "ista_solve", "lasso_objective", "load_problem_binary", "load_problem_json",
+    "prediction_error", "reference_minimum", "run_bench", "save_problem_binary",
+    "save_problem_json", "sl_solve", "support_conditions_check", "theoretical_bound",
 ]
 
 
@@ -33,6 +29,16 @@ def test_public_surface():
     names = sorted(name for name in dir(hslasso) if not name.startswith("_")
                    and not isinstance(getattr(hslasso, name), types.ModuleType))
     assert names == PUBLIC_SURFACE
+
+
+def test_readme_names_the_public_surface():
+    # README's "Python API" section lists the exports by role, in one
+    # bulleted paragraph; an export added or removed updates both
+    readme = (Path(hslasso.__file__).parents[2] / "README.md").read_text()
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    listed = [name for block in section.split("\n\n") if block.startswith("- ")
+              for name in re.findall(r"`(\w+)`", block)]
+    assert sorted(listed) == PUBLIC_SURFACE
 
 
 # Every settable field of each config, in order; adding or removing one is a
@@ -293,16 +299,16 @@ REJECTIONS = {
                         r"pattern must be one of"),
     "no rows": (lambda: hslasso.LassoProblem(np.zeros(0), np.zeros((0, 3)), 0.1),
                 r"need n >= 1 and p >= 1"),
-    "1-d svd input": (lambda: hslasso.jacobi_svd(np.ones(3)), r"need a 2-d matrix"),
+    "1-d svd input": (lambda: hslasso.diagnostics.jacobi_svd(np.ones(3)), r"need a 2-d matrix"),
     "wrong-length vector": (
         lambda: hslasso.prediction_error(
             hslasso.LassoProblem(np.ones(3), np.eye(3), 0.1), np.zeros(2), np.zeros(3)),
         r"coefficient vectors must have length p"),
     "zero modulus": (lambda: agd_coefficients(1.0, 0.0),
                      r"strong convexity modulus must be positive"),
-    "zero level": (lambda: hslasso.inner_tolerance(0.1, 3, 1.0, 0.0),
+    "zero level": (lambda: hslasso.homotopy.inner_tolerance(0.1, 3, 1.0, 0.0),
                    r"inner_tolerance arguments must be positive"),
-    "zero epsilon": (lambda: hslasso.outer_iteration_count(0.1, 3, 1.0, 1.0, 0.1, 0.0),
+    "zero epsilon": (lambda: hslasso.homotopy.outer_iteration_count(0.1, 3, 1.0, 1.0, 0.1, 0.0),
                      r"arguments must be positive"),
 }
 
