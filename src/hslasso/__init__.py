@@ -12,8 +12,7 @@ from .diagnostics import estimation_error, prediction_error, support_conditions_
 from .homotopy import HSConfig, hs_solve
 from .opcount import OpCounter
 from .problem import (LassoProblem, NumericalFailure, ReferenceSolution, lasso_objective,
-                      load_problem_binary, load_problem_json, save_problem_binary,
-                      save_problem_json)
+                      load_problem_json, save_problem_json)
 from .surrogate import SurrogateSpec
 from .trace import SolverTrace, TraceRecord
 

@@ -22,15 +22,8 @@ from . import baselines, diagnostics
 from .baselines import REF_TOL, SL_ALPHA, reference_minimum
 from .datagen import SyntheticSpec, generate
 from .homotopy import HSConfig, hs_solve
-from .problem import (
-    LassoProblem,
-    NumericalFailure,
-    check_number,
-    load_problem_binary,
-    load_problem_json,
-    save_problem_binary,
-    save_problem_json,
-)
+from .problem import (LassoProblem, NumericalFailure, check_number, load_problem_json,
+                      save_problem_json)
 from .surrogate import SurrogateSpec
 
 DEFAULT_EPSILONS = (0.05, 0.03, 0.02, 0.01, 0.009, 0.008, 0.007, 0.006, 0.005)
@@ -96,12 +89,6 @@ class BenchmarkGrid:
         vars(self).update(seed=seed, lam=lam, scenarios=scenarios, epsilons=epsilons)
 
 
-def _load_problem(path: str) -> LassoProblem:
-    if path.endswith(".bin"):
-        return load_problem_binary(path)
-    return load_problem_json(path)
-
-
 def _fmt_sig(x: float, digits: int = 12) -> str:
     return f"{x:.{digits}g}"
 
@@ -120,12 +107,11 @@ def cmd_datagen(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     stem = args.name
     save_problem_json(problem, out / f"{stem}.json")
-    save_problem_binary(problem, out / f"{stem}.bin")
     meta = spec.metadata()
     meta["lambda"] = args.lam
     with open(out / f"{stem}.meta.json", "w") as fh:
         json.dump(meta, fh, indent=2)
-    print(f"wrote {out / (stem + '.json')}, {out / (stem + '.bin')}, {out / (stem + '.meta.json')}")
+    print(f"wrote {out / (stem + '.json')}, {out / (stem + '.meta.json')}")
     return 0
 
 
@@ -167,7 +153,7 @@ def cmd_solve(args) -> int:
     if args.hs_config:
         with open(args.hs_config) as fh:
             hs = HSConfig.from_dict(json.load(fh))
-    problem = _load_problem(args.input)
+    problem = load_problem_json(args.input)
     cfg = _cell_config(args.method, args.epsilon, hs, _beta0_vector(problem, args.beta0))
     ref = reference_minimum(problem)
     trace = _solve_cell(problem, cfg, ref)
@@ -303,7 +289,7 @@ def cmd_bench(args) -> int:
 def cmd_verify(args) -> int:
     for t in args.levels:  # each level is checked before the reference runs
         SurrogateSpec(t)
-    problem = _load_problem(args.input)
+    problem = load_problem_json(args.input)
     ref = reference_minimum(problem)
     sweep = diagnostics.closeness_sweep(problem, ref, tuple(args.levels))
     tol = diagnostics.default_support_tol(ref.beta_hat)

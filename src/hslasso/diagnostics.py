@@ -17,6 +17,7 @@ not orthogonal, when its last sweep still rotates a pair.
 from __future__ import annotations
 
 import math
+from itertools import count, takewhile
 
 import numpy as np
 
@@ -218,15 +219,19 @@ def support_conditions_check(X, s_set) -> dict:
 def closeness_sweep(problem: LassoProblem, ref, ts) -> list[dict]:
     """Prediction and estimation errors of the smoothed minimizer at each
     level of ts: one row per level given, in the order given, repeats
-    included.  Each minimizer is damped Newton from zero to
-    ||grad F_t|| <= SWEEP_GRAD_TOL, uncounted; NumericalFailure after
-    ``surrogate.MAX_NEWTON`` steps."""
-    rows = []
-    for t in ts:
-        bt = minimize_surrogate(problem, SurrogateSpec(t), np.zeros(problem.p), SWEEP_GRAD_TOL)[0]
-        rows.append({
-            "t": t,
-            "prediction_error": prediction_error(problem, bt, ref.beta_hat),
-            "estimation_error": estimation_error(bt, ref.beta_hat),
-        })
-    return rows
+    included.  Damped Newton to ||grad F_t|| <= SWEEP_GRAD_TOL, uncounted,
+    walks the distinct levels down, each from the last minimizer: from zero
+    at the largest, or at 1, 0.1, ... above it when it is below 0.1, so that
+    no level stalls far out on a rank-deficient gram's null space.
+    NumericalFailure after ``surrogate.MAX_NEWTON`` steps at one level."""
+    levels = sorted(set(ts), reverse=True)
+    ladder = ([] if not levels or levels[0] >= 0.1 else
+              list(takewhile(lambda d: d > levels[0], (10.0**-k for k in count()))))
+    bt = np.zeros(problem.p)
+    minimizers = {}
+    for t in ladder + levels:
+        bt = minimizers[t] = minimize_surrogate(problem, SurrogateSpec(t), bt, SWEEP_GRAD_TOL)[0]
+    return [{"t": t,
+             "prediction_error": prediction_error(problem, minimizers[t], ref.beta_hat),
+             "estimation_error": estimation_error(minimizers[t], ref.beta_hat)}
+            for t in ts]

@@ -61,7 +61,7 @@ CHARGES = {
     "sl-setup": lambda p: (2, 1, 0, 0, 0),  # the step 1 / (eig_max + lambda*alpha/2)
     # an sl step: momentum weight and extrapolation, penalty derivative (p
     # tanh), gradient matvec with shift and penalty term, step
-    "sl": lambda p: (p * p + 5 * p + 1, p * p + 5 * p + 2, p, 0, 0),
+    "sl": lambda p: (p * p + 4 * p + 1, p * p + 4 * p + 2, p, 0, 0),
     "hs-gradient": _hs_gradient,  # grad F_t, the part of the three entries below
     # an HS AGD step: the gradient, the extrapolated point and the new average
     # (2p mults and p adds each) and the prox update (3p, 2p), or the plain

@@ -14,13 +14,10 @@ from __future__ import annotations
 import contextlib
 import json
 import numbers
-import struct
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-
-BINARY_MAGIC = b"LSSO"
 
 
 class NumericalFailure(RuntimeError):
@@ -145,8 +142,7 @@ def subgradient_residual(problem: LassoProblem, beta) -> float:
 
 # ---------------------------------------------------------------------------
 # Serialization.  JSON carries the instance as plain lists (X row-major);
-# the binary format is a little-endian stream: magic "LSSO", u32 n, u32 p,
-# f64 lambda, then y (n doubles) and X in column-major order (n*p doubles).
+# floats are written by repr, so every entry reads back bit for bit.
 # ---------------------------------------------------------------------------
 
 
@@ -184,28 +180,3 @@ def load_problem_json(path) -> LassoProblem:
         return LassoProblem(y=y, X=X, lam=doc["lambda"])
     except (TypeError, OverflowError) as exc:  # e.g. "X": 5, or an int past float range
         raise ValueError(f"problem value of the wrong type: {exc}") from exc
-
-
-def save_problem_binary(problem: LassoProblem, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(BINARY_MAGIC)
-        fh.write(struct.pack("<IId", problem.n, problem.p, problem.lam))
-        fh.write(problem.y.astype("<f8").tobytes())
-        fh.write(np.asfortranarray(problem.X).astype("<f8").tobytes(order="F"))
-
-
-def load_problem_binary(path) -> LassoProblem:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != BINARY_MAGIC:
-            raise ValueError(f"bad magic {magic!r}; expected {BINARY_MAGIC!r}")
-        header = fh.read(16)
-        if len(header) != 16:
-            raise ValueError(f"truncated header: {len(header)} of 16 bytes after the magic")
-        n, p, lam = struct.unpack("<IId", header)
-        body = fh.read()  # the file's own length, whatever the header declares
-    if len(body) != 8 * n * (p + 1):
-        raise ValueError(f"body of {len(body)} bytes; the header's n={n}, p={p} "
-                         f"declare {8 * n * (p + 1)}")
-    data = np.frombuffer(body, dtype="<f8")
-    return LassoProblem(y=data[:n], X=data[n:].reshape((n, p), order="F"), lam=lam)

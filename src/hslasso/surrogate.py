@@ -149,7 +149,9 @@ def _svd_solve(problem: LassoProblem, D: np.ndarray, g: np.ndarray) -> np.ndarra
     """(gram + diag(D))^-1 g for a positive D, through the SVD of
     A = X D^-1/2 / sqrt(n) with V complete (p x p): D^-1/2 V diag(1/(1 + s^2))
     V' D^-1/2 g, s padded with zeros.  Its product with g is a sum of
-    nonnegative terms, so it descends on any X; a tall X forms no n x n U."""
+    nonnegative terms, so it descends on any X; a tall X forms no n x n U.
+    Reached from far starts on a singular gram, e.g. from zero at t = 1e-4 on
+    ``datagen --n 1 --p 3 --seed 0``; no workload or default ``verify`` does."""
     root = np.sqrt(D)
     _, s, Vt = np.linalg.svd(problem.X / (root * math.sqrt(problem.n)),
                              full_matrices=problem.n < problem.p)

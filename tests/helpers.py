@@ -86,9 +86,25 @@ def trace_ops(trace) -> np.ndarray:
 
 
 def surrogate_minimizer(problem, t) -> np.ndarray:
-    """The level-t minimizer that ``verify`` documents: damped Newton from
-    zero to ||grad F_t|| <= 1e-10, at most ``surrogate.MAX_NEWTON`` steps."""
+    """The level-t minimizer by damped Newton from zero to ||grad F_t|| <=
+    1e-10, at most ``surrogate.MAX_NEWTON`` steps."""
     return minimize_surrogate(problem, SurrogateSpec(t), np.zeros(problem.p), 1e-10)[0]
+
+
+def sweep_minimizers(problem, ts) -> dict:
+    """The minimizers that ``verify`` documents, level -> beta: damped
+    Newton to ||grad F_t|| <= 1e-10 at each distinct level of ts from the
+    largest down, each from the minimizer before it.  The first starts
+    from zero, at 1, 0.1, 0.01, ... down to the largest level when that
+    level is below 0.1."""
+    levels = sorted(set(ts), reverse=True)
+    ladder = []
+    while levels and levels[0] < 0.1 and 10.0**-len(ladder) > levels[0]:
+        ladder.append(10.0**-len(ladder))
+    beta, found = np.zeros(problem.p), {}
+    for t in ladder + levels:
+        beta = found[t] = minimize_surrogate(problem, SurrogateSpec(t), beta, 1e-10)[0]
+    return found
 
 
 # The OpCounter field that each ufunc's elements count in, under the op

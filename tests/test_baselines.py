@@ -35,7 +35,8 @@ from hslasso.baselines import (
     solve,
     theoretical_bound,
 )
-from hslasso.homotopy import HSConfig, inner_solve, ridge_start
+from hslasso.datagen import SyntheticSpec, generate
+from hslasso.homotopy import HSConfig, hs_solve, inner_solve, ridge_start
 from hslasso.opcount import CHARGES, OpCounter
 from hslasso.problem import (
     LassoProblem,
@@ -285,7 +286,7 @@ PINNED_CHARGES = {
     # one iterate (flat methods) or the step count (inner solve)
     "ista": ((3601, 4000, 0, 800, 0), 168),
     "fista": ((4151, 4900, 50, 800, 0), 198),
-    "sl": ((5252, 5301, 400, 0, 0), 219),
+    "sl": ((4852, 4901, 400, 0, 0), 203),
     "cd": ((4065, 4856, 0, 800, 72), 192),
     "inner-fixed": ((7610, 5604, 2, 400, 0), 50),
     "inner-gradient": ((7282, 5663, 31, 485, 0), 28),
@@ -437,3 +438,47 @@ def test_trace_schema_for_flat_methods():
     assert csv[0] == "k,t_k,inner_iters,F,F_t,ops"
     assert all(line.split(",")[1] == "0.0" for line in csv[1:])
     assert int(csv[-1].split(",")[-1]) == tr.counter.total()
+
+
+# ROADMAP item 29.  The Lasso is equivariant under (X, y, lambda) ->
+# (X, c y, c lambda): the minimizer scales by c and f by c^2, and with c a
+# power of two every product is exact, so a method free of a unit of beta
+# runs the same steps from c times its start to c^2 times its epsilon
+UNIT_CASES = ((20, 1e-3), (80, 1e-3), (80, 0.1))  # sim1 50 x p, seed 1001, lambda
+_NOT_EQUIVARIANT = {
+    "sl": "ROADMAP item 29: SL_ALPHA is in units of 1/beta",
+    "hs": "ROADMAP item 29: tau and the surrogate's log(1 + t) are in units of beta, "
+          "so t0 scaled by c does not suffice",
+}
+
+
+def _unit_run(method, p, lam, c, epsilon=1e-4):
+    """(values, ops, beta) of one run on (X, c y, c lambda): the reference's
+    f_min and dual gap and its beta_hat, or each trace row's f and ops and
+    the final beta of a run from c * ones (HS: from t0 = 3 c) to c^2 epsilon."""
+    base = generate(SyntheticSpec(n=50, p=p, rho=0.1, seed=1001), lam=lam)
+    pr = LassoProblem(c * base.y, base.X, c * lam)
+    ref = reference_minimum(pr)
+    if method == "reference":
+        return [ref.f_min, ref.dual_gap], [], ref.beta_hat
+    if method == "hs":
+        tr = hs_solve(pr, HSConfig(t0=3.0 * c, epsilon=c * c * epsilon, ref=ref))
+    else:
+        tr = solve(pr, BaselineConfig(method, c * np.ones(p), c * c * epsilon, ref))
+    return ([r.f_value for r in tr.records], [r.cumulative_ops for r in tr.records],
+            tr.final_beta)
+
+
+@pytest.mark.parametrize("method, p, lam", [
+    *((method, p, lam) for method in ("reference", "ista", "fista", "cd")
+      for p, lam in UNIT_CASES),
+    *(pytest.param(method, 20, 1e-3,
+                   marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=why))
+      for method, why in _NOT_EQUIVARIANT.items())])
+def test_results_scale_exactly_with_the_units_of_y(method, p, lam):
+    values, ops, beta = _unit_run(method, p, lam, 1.0)
+    for c in (2.0**-10, 2.0**10):
+        c_values, c_ops, c_beta = _unit_run(method, p, lam, c)
+        assert c_values == [c * c * v for v in values], c
+        assert c_ops == ops, c
+        assert np.array_equal(c_beta, c * beta), c

@@ -131,37 +131,19 @@ def test_unreadable_paths_are_usage_errors(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-def test_truncated_binary_header_is_usage_error(tmp_path):
-    from hslasso.problem import load_problem_binary
-
-    short = tmp_path / "short.bin"
-    short.write_bytes(b"LSSO\x01")
-    with pytest.raises(ValueError, match="truncated header"):
-        load_problem_binary(short)
-    assert run_cli(["solve", "--method", "ista", "--input", str(short),
-                    "--out-dir", str(tmp_path)]) == 2
-
-
 def test_binary_body_length_must_match_the_header(tmp_path, capsys):
-    # a header declaring n = p = 2**32 - 1 ended in a MemoryError traceback
-    # (exit 1), and 8 stray bytes after a valid body loaded silently
-    from hslasso.problem import load_problem_binary
-
+    # the binary format is gone; a leftover .bin file, a header declaring
+    # n = p = 2**32 - 1 among them, is a usage error like any non-JSON input
     assert run_cli(["datagen", "--n", "12", "--p", "5", "--out-dir", str(tmp_path)]) == 0
-    good = (tmp_path / "problem.bin").read_bytes()
-    huge = good[:4] + (2**32 - 1).to_bytes(4, "little") * 2 + good[12:]
-    for name, data in (("huge.bin", huge), ("long.bin", good + bytes(8)),
-                       ("short.bin", good[:-8])):
+    header = b"LSSO" + (2**32 - 1).to_bytes(4, "little") * 2 + bytes(8)
+    for name, data in (("huge.bin", header + bytes(64)), ("short.bin", b"LSSO\x01")):
         path = tmp_path / name
         path.write_bytes(data)
-        with pytest.raises(ValueError, match="the header's n="):
-            load_problem_binary(path)
         proc = run_module(["solve", "--method", "ista", "--input", str(path),
                            "--out-dir", str(tmp_path / "out")])
         assert proc.returncode == 2, proc.stderr
         assert "usage error" in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
-    assert load_problem_binary(tmp_path / "problem.bin").n == 12
 
 
 def test_solve_reproduces_bench_cell(tmp_path, capsys):
@@ -484,18 +466,15 @@ def test_datagen_writes_all_formats(tmp_path):
     rc = run_cli(["datagen", "--scenario", "sim1", "--n", "12", "--p", "5",
                   "--seed", "3", "--out-dir", str(tmp_path)])
     assert rc == 0
-    assert (tmp_path / "problem.json").exists()
-    assert (tmp_path / "problem.bin").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json", "problem.meta.json"]
     meta = json.loads((tmp_path / "problem.meta.json").read_text())
     assert meta["n"] == 12 and meta["seed"] == 3
     assert "pcg64" in meta["rng"]
 
-    from hslasso.problem import load_problem_binary, load_problem_json
+    from hslasso.problem import load_problem_json
 
     pj = load_problem_json(tmp_path / "problem.json")
-    pb = load_problem_binary(tmp_path / "problem.bin")
-    assert np.array_equal(pj.X, pb.X)
-    assert np.array_equal(pj.y, pb.y)
+    assert (pj.n, pj.p) == (12, 5)
 
 
 def test_solve_roundtrip_and_exit_codes(tmp_path, capsys, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (SupportConditionReport, bench_problems, jacobi_svd_before, make_problem, pinv,
-                     surrogate_minimizer)
+                     surrogate_minimizer, sweep_minimizers)
 from hslasso import diagnostics, surrogate
 from hslasso.baselines import reference_minimum
 from hslasso.datagen import SyntheticSpec, generate
@@ -240,15 +240,19 @@ def test_estimation_error_cases():
 def test_prediction_error_sweep_decreases():
     pr = generate(SyntheticSpec(n=50, p=20, rho=0.1, seed=4), lam=1e-3)
     ref = reference_minimum(pr)
-    rows = closeness_sweep(pr, ref, ts=(1.0, 0.1, 0.01, 1e-3, 1e-4))
-    # the documented Newton stop, bit for bit; at t = 0.5 and 3e-4 an iterate's
-    # gradient norm lies in (1e-10, 1e-9], so a stop of 1e-9 shows there too
+    ts = (1.0, 0.1, 0.01, 1e-3, 1e-4)
+    rows = closeness_sweep(pr, ref, ts)
+    # the documented chain and Newton stop, bit for bit; at t = 0.5 and 3e-4
+    # an iterate's gradient norm lies in (1e-10, 1e-9], so a stop of 1e-9
+    # shows there too
     given = closeness_sweep(pr, ref, ts=(0.5, 3e-4, 0.5))  # one row per level, in order
     assert [row["t"] for row in given] == [0.5, 3e-4, 0.5]
-    for row in rows + given:
-        bt = surrogate_minimizer(pr, row["t"])
-        assert row["prediction_error"] == prediction_error(pr, bt, ref.beta_hat)
-        assert row["estimation_error"] == estimation_error(bt, ref.beta_hat)
+    for sweep, levels in ((rows, ts), (given, (0.5, 3e-4))):
+        minimizers = sweep_minimizers(pr, levels)
+        for row in sweep:
+            bt = minimizers[row["t"]]
+            assert row["prediction_error"] == prediction_error(pr, bt, ref.beta_hat)
+            assert row["estimation_error"] == estimation_error(bt, ref.beta_hat)
     errs = [r["prediction_error"] for r in rows]
     for a, b in zip(errs, errs[1:]):
         assert b <= a + 1e-12  # allow noise-level inversions only
@@ -283,16 +287,19 @@ def test_surrogate_minimizer_raises_when_not_converged(monkeypatch):
         closeness_sweep(pr, ref, (1e-4,))
 
 
-@pytest.mark.xfail(strict=True, raises=NumericalFailure, reason="ROADMAP item 28")
-@pytest.mark.parametrize("n, p, seed", [(2, 5, 1), (2, 8, 1), (2, 8, 2)])
-def test_closeness_sweep_reaches_small_levels_on_rank_2_designs(n, p, seed):
+@pytest.mark.parametrize("n, p, seed, levels", [(2, 5, 1, (1e-6, 1e-8)), (2, 8, 1, (1e-6, 1e-8)),
+                                                (2, 8, 2, (1e-6, 1e-8)), (2, 5, 1, (1e-8,))])
+def test_closeness_sweep_reaches_small_levels_on_rank_2_designs(n, p, seed, levels):
     # the `datagen --n n --p p --seed seed --lambda 1e-3` problems on which
-    # `verify --levels 1e-6 1e-8` exits 3: damped Newton's second full step
-    # lands far out on the gram's null space, and at t = 1e-8 the line
-    # search stalls there; a fix of the step flips these to passes
+    # `verify --levels 1e-6 1e-8` exited 3 while each level started from
+    # zero: damped Newton's second full step landed far out on the gram's
+    # null space, and at t = 1e-8 the line search stalled there.  Along the
+    # path, each level from the one above, every level finishes; a lone
+    # 1e-8 needs the decade ladder above it to do so
     pr = generate(SyntheticSpec(n=n, p=p, rho=0.1, seed=seed), lam=1e-3)
-    rows = closeness_sweep(pr, reference_minimum(pr), (1e-6, 1e-8))
-    assert [row["t"] for row in rows] == [1e-6, 1e-8]
+    rows = closeness_sweep(pr, reference_minimum(pr), levels)
+    assert [row["t"] for row in rows] == list(levels)
+    assert all(np.isfinite(row["prediction_error"]) for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -889,16 +889,20 @@ def test_minimize_surrogate_on_a_rank_deficient_design_is_unchanged_where_the_de
 
 def test_minimize_surrogate_raises_when_no_rung_descends(tmp_path, monkeypatch, capsys):
     # on the 1 x 3 problem of `datagen --n 1 --p 3 --seed 0` the dense solve
-    # raises at t = 1e-4; with the SVD rung made to point uphill no rung is
-    # left, so the run raises on that step and verify exits 3
+    # raises at t = 1e-4 from zero; with the SVD rung made to point uphill no
+    # rung is left, so the run raises on that step.  verify starts each level
+    # from the one above it, where the dense step descends on these designs,
+    # so it meets the SVD rung only across a jump of decades: on `datagen --n 2
+    # --p 5 --seed 0` from 0.1 to 1e-8, where it then exits 3
     pr = generate(SyntheticSpec(n=1, p=3, rho=0.1, seed=0), lam=1e-3)
-    save_problem_json(pr, tmp_path / "problem.json")
     uphill = []
     monkeypatch.setattr(surrogate, "_svd_solve", lambda problem, D, g: uphill.append(1) or -g)
     with pytest.raises(NumericalFailure, match="no descent direction"):
         minimize_surrogate(pr, SurrogateSpec(1e-4), np.zeros(pr.p), 1e-10)
     assert uphill == [1]
-    rc = main(["verify", "--input", str(tmp_path / "problem.json"), "--levels", "1e-4",
+    pr = generate(SyntheticSpec(n=2, p=5, rho=0.1, seed=0), lam=1e-3)
+    save_problem_json(pr, tmp_path / "problem.json")
+    rc = main(["verify", "--input", str(tmp_path / "problem.json"), "--levels", "0.1", "1e-8",
                "--out-dir", str(tmp_path / "out")])
     assert rc == 3
     assert "no descent direction" in capsys.readouterr().err

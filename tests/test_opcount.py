@@ -143,8 +143,7 @@ ADJUSTMENTS = {
     "cd": {"each coordinate's partial residual, threshold, division and step in Python "
            "floats": lambda p: (2 * p, 4 * p, 0, 2 * p, 0)},
     "sl-setup": {"the step 1 / (eig_max + lambda alpha / 2) in Python floats": _scalar(2, 1)},
-    "sl": {"the momentum weight (k - 2) / (k + 1) in Python floats": _scalar(1, 2),
-           "charged and not performed: p mults and p adds per step": lambda p: (p, p, 0, 0, 0)},
+    "sl": {"the momentum weight (k - 2) / (k + 1) in Python floats": _scalar(1, 2)},
     "hs-gradient": {"the derivative compares |x| with t twice per entry, in the max and the "
                     "branch mask; one branch comparison is charged": BRANCH_TEST},
     "hs-step": {"the gradient's two branch comparisons": BRANCH_TEST},

@@ -17,9 +17,9 @@ PUBLIC_SURFACE = [
     "BaselineConfig", "BenchmarkGrid", "HSConfig", "LassoProblem", "NumericalFailure",
     "OpCounter", "ReferenceSolution", "SolverTrace", "SurrogateSpec", "SyntheticSpec",
     "TraceRecord", "cd_solve", "estimation_error", "fista_solve", "generate", "hs_solve",
-    "ista_solve", "lasso_objective", "load_problem_binary", "load_problem_json",
-    "prediction_error", "reference_minimum", "run_bench", "save_problem_binary",
-    "save_problem_json", "sl_solve", "support_conditions_check", "theoretical_bound",
+    "ista_solve", "lasso_objective", "load_problem_json", "prediction_error",
+    "reference_minimum", "run_bench", "save_problem_json", "sl_solve",
+    "support_conditions_check", "theoretical_bound",
 ]
 
 

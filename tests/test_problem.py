@@ -26,9 +26,7 @@ from hslasso.problem import (
     LassoProblem,
     check_number,
     lasso_objective,
-    load_problem_binary,
     load_problem_json,
-    save_problem_binary,
     save_problem_json,
     subgradient_residual,
 )
@@ -459,41 +457,21 @@ def test_json_roundtrip(seed):
 
 
 def test_file_roundtrips(tmp_path):
+    # floats are written by repr, so every entry reads back bit for bit:
+    # -0.0, subnormals, 1/3 and the float after 1 among them
     pr = make_problem(33, n=7, p=3, lam=0.2)
-    jpath = tmp_path / "prob.json"
-    bpath = tmp_path / "prob.bin"
-    save_problem_json(pr, jpath)
-    save_problem_binary(pr, bpath)
-    pj = load_problem_json(jpath)
-    pb = load_problem_binary(bpath)
-    for other in (pj, pb):
-        assert np.array_equal(other.X, pr.X)
-        assert np.array_equal(other.y, pr.y)
-        assert other.lam == pr.lam
-
-
-def test_binary_layout(tmp_path):
-    pr = make_problem(34, n=2, p=2, lam=0.25)
-    path = tmp_path / "prob.bin"
-    save_problem_binary(pr, path)
-    raw = path.read_bytes()
-    assert raw[:4] == b"LSSO"
-    n = int.from_bytes(raw[4:8], "little")
-    p = int.from_bytes(raw[8:12], "little")
-    assert (n, p) == (2, 2)
-    lam = np.frombuffer(raw[12:20], dtype="<f8")[0]
-    assert lam == 0.25
-    y = np.frombuffer(raw[20:20 + 8 * n], dtype="<f8")
-    assert np.array_equal(y, pr.y)
-    X_cols = np.frombuffer(raw[20 + 8 * n:], dtype="<f8").reshape((n, p), order="F")
-    assert np.array_equal(X_cols, pr.X)
-
-
-def test_binary_bad_magic(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(ValueError):
-        load_problem_binary(path)
+    X = pr.X.copy()
+    X[0] = (-0.0, 5e-324, 7e-310)
+    X[1] = (1.0 / 3.0, np.nextafter(1.0, 2.0), -1e149)
+    y = pr.y.copy()
+    y[:3] = (-0.0, 2.0**-1074, 0.1 + 0.2)
+    pr = LassoProblem(y=y, X=X, lam=1.0 / 3.0)
+    path = tmp_path / "prob.json"
+    save_problem_json(pr, path)
+    back = load_problem_json(path)
+    assert back.X.tobytes() == pr.X.tobytes()
+    assert back.y.tobytes() == pr.y.tobytes()
+    assert np.float64(back.lam).tobytes() == np.float64(pr.lam).tobytes()
 
 
 @pytest.fixture(scope="module")

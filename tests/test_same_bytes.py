@@ -3,7 +3,6 @@
 import importlib.util
 from pathlib import Path
 
-from hslasso import surrogate
 from hslasso.cli import main
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_bytes.py"
@@ -83,15 +82,13 @@ def test_same_bytes_compares_hs_solve_runs_under_each_config(tmp_path):
     assert tool.changed_files(files, moved, "solve") == ["solve/cd/trace_cd.csv"]
 
 
-def test_same_bytes_compares_a_verify_run_that_takes_the_svd_direction(tmp_path, monkeypatch):
-    # the dense Newton solve raises or points uphill on this p > n problem,
-    # so its verify.json holds F_t minima that the SVD direction found
+def test_same_bytes_compares_a_verify_run_on_a_rank_deficient_p_gt_n_design(tmp_path):
+    # a 3 x 8 design: its gram has rank 3, so F_t's curvature on the other
+    # five directions is the penalty's alone
     tool = _tool()
     problem = tool.write_problem(tmp_path, tool.VERIFY_PROBLEM)
-    svd, solve = [], surrogate._svd_solve
-    monkeypatch.setattr(surrogate, "_svd_solve", lambda *args: svd.append(1) or solve(*args))
+    assert tool.VERIFY_PROBLEM[1:5] == ["--n", "3", "--p", "8"]
     assert main(["verify", "--input", str(problem), "--out-dir", str(tmp_path / "v")]) == 0
-    assert svd
     files = tool.cli_verify_files(TOOL.parents[1], problem)
     assert files == {"exit": b"0", "verify.json": (tmp_path / "v" / "verify.json").read_bytes()}
     assert tool.changed_files(files, dict(files), "verify") == []

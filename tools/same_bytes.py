@@ -16,9 +16,8 @@ files show only through first-hit op counts, and with ``--method hs``
 under the HS configs that neither the bench nor any workload runs
 (``SOLVE_CONFIGS``): each run's trace CSV, exit code and summary line,
 its trace path aside, must be the same. Last, it runs ``hslasso verify``
-on the small p > n problem ``VERIFY_PROBLEM``, where the dense Newton
-solve raises or points uphill and damped Newton takes its SVD direction,
-a path the ``closeness-verify`` problems never reach: its
+on the small p > n problem ``VERIFY_PROBLEM``, whose gram is rank
+deficient, a shape the ``closeness-verify`` problems do not have: its
 ``verify.json`` and exit code must be the same. Prints one line per run
 pair and exits 1 on any difference or on a run that fails, 0 otherwise.
 Timings are not compared.
@@ -39,7 +38,7 @@ CLI_BENCH = ["bench", "--methods", "ista,fista,cd,sl,hs"]
 SOLVE_PROBLEM = ["datagen", "--scenario", "sim1", "--n", "50", "--p", "20", "--lambda", "0.1",
                  "--seed", "1"]
 FLAT_METHODS = ("ista", "fista", "cd", "sl")
-# damped Newton takes the SVD direction here where the dense solve fails
+# a 3 x 8 design, whose gram has rank 3
 VERIFY_PROBLEM = ["datagen", "--n", "3", "--p", "8", "--seed", "1", "--lambda", "1e-3"]
 # HSConfig(), the path of `solve --method hs` without --hs-config, then the
 # gradient and theoretical inner stops, the t-floor and theoretical-count
