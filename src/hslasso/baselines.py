@@ -3,18 +3,18 @@ coordinate descent, and a smoothed-penalty momentum method, plus
 evaluators for their published worst-case gap envelopes.
 
 Each method is a step map on a state tuple whose first entry is the
-iterate, and :func:`iterate` drives every map (the homotopy inner and outer
-loops too).  The maps only compute: a solve charges its steps by count,
-once, from ``opcount.CHARGES``, to the counter on its trace.  The four
-solvers stop against a precomputed reference minimum, matching the
-measurement protocol of the benchmark harness: the stopping comparison
-is free.  The reference oracle runs the same FISTA map, to a
-subgradient-residual tolerance, tries an exact solve on the iterate's
-support from residual 1e-1 on, halving the stop after each refusal, and
-certifies the result by the Lasso duality gap; the CD map run the same
-way is the test suite's independent cross-check.  The CD sweep reads
-data built once per solve and moves through one scratch buffer, so it
-allocates no array per coordinate.
+iterate, and :func:`iterate` drives every map (the homotopy's loops, its
+t0 doublings and damped Newton too).  The maps only compute: a solve
+charges its steps by count, once, from ``opcount.CHARGES``, to the
+counter on its trace.  The four solvers stop against a precomputed
+reference minimum, matching the measurement protocol of the benchmark
+harness: the stopping comparison is free.  The reference oracle runs the
+same FISTA map, to a subgradient-residual tolerance, tries an exact solve
+on the iterate's support from residual 1e-1 on, halving the stop after
+each refusal, and certifies the result by the Lasso duality gap; the CD
+map run the same way is the test suite's independent cross-check.  The
+CD sweep reads data built once per solve and moves through one scratch
+buffer, so it allocates no array per coordinate.
 """
 
 from __future__ import annotations
@@ -267,10 +267,10 @@ FINISH_LOOSE_TOL = 1e-1
 FINISH_TIGHTEN = 2.0
 
 
-def _minimize_to_residual(problem, state, step, finish=None):
-    """Drive ``step`` until the subgradient residual is <= REF_TOL.  Returns
-    (beta, finished): beta is None at REF_MAX_ITERS steps, and finished
-    tells whether beta is ``finish``'s.
+def fista_minimize_to_residual(problem, finish=None):
+    """Accelerated proximal gradient from zero until the minimum-norm
+    subgradient drops below REF_TOL.  Returns (beta, finished): beta is None
+    at REF_MAX_ITERS steps, and finished tells whether beta is ``finish``'s.
 
     With ``finish``, the run also stops at residual FINISH_LOOSE_TOL and at
     each FINISH_TIGHTEN times smaller one above REF_TOL, and returns
@@ -282,11 +282,17 @@ def _minimize_to_residual(problem, state, step, finish=None):
     the cost: a problem with a unique minimizer gets the same bytes at
     whichever stop first finds its pattern.
     """
+    beta = np.zeros(problem.p)
+    L = problem.eig_max
+    if not L > 0:
+        return (beta if subgradient_residual(problem, beta) <= REF_TOL else None), False
+    thr = problem.lam / L
+    state, max_iters = (beta, beta.copy(), 1.0), REF_MAX_ITERS
     stop_tol = REF_TOL if finish is None else max(FINISH_LOOSE_TOL, REF_TOL)
-    max_iters = REF_MAX_ITERS
     while True:
         state, steps, reached = iterate(
-            state, step, lambda s, k: subgradient_residual(problem, s[0]) <= stop_tol, max_iters)
+            state, lambda s: _fista_step(problem, L, thr, s),
+            lambda s, k: subgradient_residual(problem, s[0]) <= stop_tol, max_iters)
         max_iters -= steps
         if not reached:
             return None, False
@@ -298,19 +304,6 @@ def _minimize_to_residual(problem, state, step, finish=None):
         stop_tol = max(stop_tol / FINISH_TIGHTEN, REF_TOL)
 
 
-def fista_minimize_to_residual(problem, finish=None):
-    """Accelerated proximal gradient from zero until the minimum-norm subgradient
-    drops below REF_TOL; ``finish`` is tried on the way.  Returns (beta or None
-    at the cap, finished), as :func:`_minimize_to_residual` does."""
-    beta = np.zeros(problem.p)
-    L = problem.eig_max
-    if not L > 0:
-        return (beta if subgradient_residual(problem, beta) <= REF_TOL else None), False
-    thr = problem.lam / L
-    return _minimize_to_residual(problem, (beta, beta.copy(), 1.0),
-                                 lambda s: _fista_step(problem, L, thr, s), finish)
-
-
 def cd_minimize_to_residual(problem):
     """Cyclic coordinate descent from zero until the subgradient residual
     drops below REF_TOL; None at the sweep cap.  No library path calls it:
@@ -318,8 +311,10 @@ def cd_minimize_to_residual(problem):
     """
     xtx, data = _cd_setup(problem)
     beta = np.zeros(problem.p)
-    return _minimize_to_residual(problem, (beta, xtx @ beta),
-                                 lambda s: _cd_sweep(s[0], data, s[1]))[0]
+    (beta, _), _, reached = iterate(
+        (beta, xtx @ beta), lambda s: _cd_sweep(s[0], data, s[1]),
+        lambda s, k: subgradient_residual(problem, s[0]) <= REF_TOL, REF_MAX_ITERS)
+    return beta if reached else None
 
 
 def support_kkt_solution(problem: LassoProblem, beta) -> np.ndarray | None:

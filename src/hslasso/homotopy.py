@@ -167,11 +167,10 @@ def ridge_start(problem: LassoProblem, t0: float | None,
             shift = problem.lam * math.log1p(t) ** 2 / (3.0 * t**3)
             return float(np.max(np.abs(ridge_solve(shift)))) <= t
 
-        lo, hi, doublings = 0.0, 1.0, 0
-        while not holds(hi):
-            if doublings == 60:
-                raise NumericalFailure("no starting level found after 60 doublings")
-            lo, hi, doublings = hi, 2.0 * hi, doublings + 1
+        (lo, hi), doublings, found = iterate((0.0, 1.0), lambda b: (b[1], 2.0 * b[1]),
+                                             lambda b, k: holds(b[1]), 60)
+        if not found:
+            raise NumericalFailure("no starting level found after 60 doublings")
         for _ in range(40):
             mid = 0.5 * (lo + hi)
             if holds(mid):

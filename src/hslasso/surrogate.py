@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .baselines import iterate
 from .problem import LassoProblem, NumericalFailure, check_number, lasso_objective
 
 
@@ -167,72 +168,73 @@ NEWTON_ROUNDOFF_ULPS = 4.0
 MAX_NEWTON = 500_000
 
 
+def _newton_step(problem: LassoProblem, spec: SurrogateSpec, grad, state):
+    """One damped Newton step on F_t from the state (beta, F(beta), g, ||g||).
+
+    The direction d solves (gram + diag(lam*hess_diag)) d = -g.  Where gram is
+    singular (p > n, or dependent columns) and many entries sit on the flat
+    outer branch, that Hessian can be singular, exactly or to working
+    precision; where np.linalg.solve raises or d does not descend, d is
+    :func:`_svd_solve`'s.  The step s halves until the Armijo test
+    F(b + s d) <= F(b) + 1e-4 s g'd holds (Boyd & Vandenberghe, Convex
+    Optimization, 9.5) or, as F differences near the optimum fall below
+    round-off, F rises by at most 4 eps |F| and ||g|| strictly falls.
+    Raises NumericalFailure when neither direction descends or s < 1e-20.
+    """
+    beta, f, g, gnorm = state
+    D = problem.lam * spec.hess_diag(beta)
+    try:
+        d = -np.linalg.solve(problem.gram + np.diag(D), g)
+        slope = float(g.dot(d))
+    except np.linalg.LinAlgError:  # exactly singular
+        slope = math.nan
+    if not slope < 0.0:
+        d = -_svd_solve(problem, D, g)
+        slope = float(g.dot(d))
+        if not slope < 0.0:
+            raise NumericalFailure(f"damped Newton at t={spec.t:g}: no descent direction "
+                                   f"at ||grad|| = {gnorm:.3g}")
+    noise = 4.0 * np.finfo(float).eps * abs(f)
+    s = 1.0
+    while True:
+        cand = beta + s * d
+        f_cand = lasso_objective(problem, cand, spec.value)
+        armijo = f_cand <= f + 1e-4 * s * slope
+        if armijo or f_cand <= f + noise:
+            g_cand = grad(cand)
+            if armijo or float(np.linalg.norm(g_cand)) < gnorm:
+                break
+        s *= 0.5
+        if s < 1e-20:
+            raise NumericalFailure(f"damped Newton at t={spec.t:g}: line search stalled "
+                                   f"at ||grad|| = {gnorm:.3g}")
+    return cand, f_cand, g_cand, float(np.linalg.norm(g_cand))
+
+
 def minimize_surrogate(problem: LassoProblem, spec: SurrogateSpec, beta_init: np.ndarray,
                        grad_tol: float) -> tuple[np.ndarray, float]:
-    """Damped Newton minimizer of the smoothed objective; never charges a
-    counter (oracle and diagnostic use only).
-
-    F_t is C^2 and strictly convex: its Hessian gram + diag(lam*hess_diag)
-    is positive definite because hess_diag > 0.  Each iteration solves for
-    the Newton direction d and halves the step s until the Armijo test
-    F(b + s d) <= F(b) + 1e-4 s g'd holds (Boyd & Vandenberghe, Convex
-    Optimization, 9.5).  Near the optimum F differences fall below
-    round-off, so a step that raises F by at most 4 eps |F| and strictly
-    lowers ||g|| is accepted too.  When gram is singular (p > n, or
-    dependent columns on any shape) and many entries sit on the flat outer
-    branch, the Hessian can be singular, exactly or to working precision,
-    and np.linalg.solve fail or its direction not descend; the step then
-    takes the direction of :func:`_svd_solve`.  Returns (beta, F(beta))
-    once ||g|| is at most grad_tol or, if larger, the round-off floor
-    NEWTON_ROUNDOFF_ULPS * eps * (eig_max ||beta|| + ||X'y/n||) at the
-    current beta; raises NumericalFailure after MAX_NEWTON Newton steps,
-    when neither direction descends or when the step falls below 1e-20.
+    """Damped Newton minimizer of the smoothed objective: :func:`_newton_step`
+    on ``baselines.iterate``; never charges a counter (oracle and diagnostic
+    use only).  F_t is C^2 and strictly convex, its Hessian positive definite
+    as hess_diag > 0.  Returns (beta, F(beta)) once ||g|| is at most grad_tol
+    or, if larger, the round-off floor NEWTON_ROUNDOFF_ULPS * eps *
+    (eig_max ||beta|| + ||X'y/n||) at the current beta; raises
+    NumericalFailure after MAX_NEWTON steps or where a step does.
     """
     ulps = NEWTON_ROUNDOFF_ULPS * np.finfo(float).eps
     xty_norm = float(np.linalg.norm(problem.xty))
     beta = np.array(beta_init, dtype=float)
     grad = surrogate_grad(problem, spec)
-    f = lasso_objective(problem, beta, spec.value)
     g = grad(beta)
-    gnorm = float(np.linalg.norm(g))
 
     def tol_at(b):
         return max(grad_tol, ulps * (problem.eig_max * float(np.linalg.norm(b)) + xty_norm))
 
-    iters = 0
-    while gnorm > (tol := tol_at(beta)):
-        if iters >= MAX_NEWTON:
-            raise NumericalFailure(f"damped Newton at t={spec.t:g}: ||grad|| = {gnorm:.3g} "
-                                   f"> {tol:.3g} after {MAX_NEWTON} iterations")
-        D = problem.lam * spec.hess_diag(beta)
-        try:
-            d = -np.linalg.solve(problem.gram + np.diag(D), g)
-            slope = float(g.dot(d))
-        except np.linalg.LinAlgError:  # exactly singular
-            slope = math.nan
-        if not slope < 0.0:
-            d = -_svd_solve(problem, D, g)
-            slope = float(g.dot(d))
-            if not slope < 0.0:
-                raise NumericalFailure(f"damped Newton at t={spec.t:g}: no descent direction "
-                                       f"at ||grad|| = {gnorm:.3g} > {tol:.3g}")
-        noise = 4.0 * np.finfo(float).eps * abs(f)
-        s = 1.0
-        while True:
-            cand = beta + s * d
-            f_cand = lasso_objective(problem, cand, spec.value)
-            if f_cand <= f + 1e-4 * s * slope:
-                g_cand = grad(cand)
-                break
-            if f_cand <= f + noise:
-                g_cand = grad(cand)
-                if float(np.linalg.norm(g_cand)) < gnorm:
-                    break
-            s *= 0.5
-            if s < 1e-20:
-                raise NumericalFailure(f"damped Newton at t={spec.t:g}: line search stalled "
-                                       f"at ||grad|| = {gnorm:.3g} > {tol:.3g}")
-        beta, f, g = cand, f_cand, g_cand
-        gnorm = float(np.linalg.norm(g))
-        iters += 1
+    (beta, f, _, gnorm), _, reached = iterate(
+        (beta, lasso_objective(problem, beta, spec.value), g, float(np.linalg.norm(g))),
+        lambda state: _newton_step(problem, spec, grad, state),
+        lambda state, k: not state[3] > tol_at(state[0]), MAX_NEWTON)
+    if not reached:
+        raise NumericalFailure(f"damped Newton at t={spec.t:g}: ||grad|| = {gnorm:.3g} "
+                               f"> {tol_at(beta):.3g} after {MAX_NEWTON} iterations")
     return beta, f

@@ -9,9 +9,11 @@ the CD sweep, the subgradient residual, the objective, the smoothed
 objective's value, the prediction and estimation errors and the Jacobi
 SVD (these six through ``@``, where the library calls ``ndarray.dot``),
 the penalty gradient, the smoothed gradient, the accelerated step
-(``AGDState``, ``agd_state``, ``agd_step``) and the HS inner loop (a
-plain loop of ``agd_step``) are kept here too, so that their library
-versions are pinned to the same bytes; so is the earlier record of the
+(``AGDState``, ``agd_state``, ``agd_step``), the HS inner loop (a
+plain loop of ``agd_step``), the damped Newton loop and the reference's
+residual driver (both loops with their own step counter and cap test)
+are kept here too, so that their library versions are pinned to the
+same bytes; so is the earlier record of the
 support conditions, ``SupportConditionReport``, so that the block
 ``verify.json`` writes is pinned to the same JSON.  ``count_ops`` tallies
 the elements numpy's ufuncs compute in a call, the side of the op-charge
@@ -25,13 +27,14 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from hslasso import cli, homotopy
-from hslasso.baselines import iterate
+from hslasso import cli, homotopy, surrogate
+from hslasso.baselines import (FINISH_LOOSE_TOL, FINISH_TIGHTEN, REF_MAX_ITERS, REF_TOL,
+                               iterate)
 from hslasso.diagnostics import _pinv_from_svd, jacobi_svd
 from hslasso.homotopy import agd_coefficients, default_iterate_bound, inner_tolerance
 from hslasso.opcount import OpCounter
-from hslasso.problem import LassoProblem, lasso_objective
-from hslasso.surrogate import SurrogateSpec, minimize_surrogate, smoothness_constants
+from hslasso.problem import LassoProblem, NumericalFailure, lasso_objective, subgradient_residual
+from hslasso.surrogate import SurrogateSpec, minimize_surrogate, smoothness_constants, surrogate_grad
 
 # Grid points evaluated on each side of a row's continuous minimizer.
 ROW_WINDOW = 3
@@ -615,3 +618,79 @@ def inner_solve_before(problem, t_k, beta_init, config, counter=None, B=None):
 
     state, steps, stopped = iterate(state, step, stop, homotopy.MAX_INNER_STEPS)
     return state.beta_bar, steps, not stopped, max_abs
+
+
+def minimize_surrogate_before(problem, spec, beta_init, grad_tol):
+    """``surrogate.minimize_surrogate`` as a loop with its own step counter and
+    cap test.  It reads the module's cap and SVD direction when called, as
+    the library does, so a test's monkeypatch reaches both."""
+    MAX_NEWTON, _svd_solve = surrogate.MAX_NEWTON, surrogate._svd_solve
+    ulps = surrogate.NEWTON_ROUNDOFF_ULPS * np.finfo(float).eps
+    xty_norm = float(np.linalg.norm(problem.xty))
+    beta = np.array(beta_init, dtype=float)
+    grad = surrogate_grad(problem, spec)
+    f = lasso_objective(problem, beta, spec.value)
+    g = grad(beta)
+    gnorm = float(np.linalg.norm(g))
+
+    def tol_at(b):
+        return max(grad_tol, ulps * (problem.eig_max * float(np.linalg.norm(b)) + xty_norm))
+
+    iters = 0
+    while gnorm > (tol := tol_at(beta)):
+        if iters >= MAX_NEWTON:
+            raise NumericalFailure(f"damped Newton at t={spec.t:g}: ||grad|| = {gnorm:.3g} "
+                                   f"> {tol:.3g} after {MAX_NEWTON} iterations")
+        D = problem.lam * spec.hess_diag(beta)
+        try:
+            d = -np.linalg.solve(problem.gram + np.diag(D), g)
+            slope = float(g.dot(d))
+        except np.linalg.LinAlgError:  # exactly singular
+            slope = math.nan
+        if not slope < 0.0:
+            d = -_svd_solve(problem, D, g)
+            slope = float(g.dot(d))
+            if not slope < 0.0:
+                raise NumericalFailure(f"damped Newton at t={spec.t:g}: no descent direction "
+                                       f"at ||grad|| = {gnorm:.3g} > {tol:.3g}")
+        noise = 4.0 * np.finfo(float).eps * abs(f)
+        s = 1.0
+        while True:
+            cand = beta + s * d
+            f_cand = lasso_objective(problem, cand, spec.value)
+            if f_cand <= f + 1e-4 * s * slope:
+                g_cand = grad(cand)
+                break
+            if f_cand <= f + noise:
+                g_cand = grad(cand)
+                if float(np.linalg.norm(g_cand)) < gnorm:
+                    break
+            s *= 0.5
+            if s < 1e-20:
+                raise NumericalFailure(f"damped Newton at t={spec.t:g}: line search stalled "
+                                       f"at ||grad|| = {gnorm:.3g} > {tol:.3g}")
+        beta, f, g = cand, f_cand, g_cand
+        gnorm = float(np.linalg.norm(g))
+        iters += 1
+    return beta, f
+
+
+def minimize_to_residual_before(problem, state, step, finish=None):
+    """The reference's residual driver, ``step`` from ``state`` to residual
+    REF_TOL with ``finish`` tried on the way, as one function that
+    ``baselines.fista_minimize_to_residual`` and ``cd_minimize_to_residual``
+    both called.  Returns (beta or None at REF_MAX_ITERS, finished)."""
+    stop_tol = REF_TOL if finish is None else max(FINISH_LOOSE_TOL, REF_TOL)
+    max_iters = REF_MAX_ITERS
+    while True:
+        state, steps, reached = iterate(
+            state, step, lambda s, k: subgradient_residual(problem, s[0]) <= stop_tol, max_iters)
+        max_iters -= steps
+        if not reached:
+            return None, False
+        if stop_tol <= REF_TOL:
+            return state[0], False
+        finished = finish(state[0])
+        if finished is not None:
+            return finished, True
+        stop_tol = max(stop_tol / FINISH_TIGHTEN, REF_TOL)

@@ -15,10 +15,12 @@ from helpers import (
     identity_closed_form,
     identity_problem,
     make_problem,
+    minimize_surrogate_before,
+    minimize_to_residual_before,
     soft_threshold,
     trace_ops,
 )
-from hslasso import baselines
+from hslasso import baselines, surrogate
 from hslasso.baselines import (
     METHODS,
     SL_ALPHA,
@@ -27,19 +29,23 @@ from hslasso.baselines import (
     _cd_sweep,
     cd_minimize_to_residual,
     cd_solve,
+    fista_minimize_to_residual,
     fista_solve,
     ista_solve,
     reference_minimum,
     sl_penalty_grad,
     sl_solve,
     solve,
+    support_kkt_solution,
     theoretical_bound,
 )
 from hslasso.datagen import SyntheticSpec, generate
 from hslasso.homotopy import HSConfig, hs_solve, inner_solve, ridge_start
 from hslasso.opcount import CHARGES, OpCounter
+from hslasso.surrogate import SurrogateSpec, minimize_surrogate
 from hslasso.problem import (
     LassoProblem,
+    NumericalFailure,
     ReferenceSolution,
     lasso_objective,
     subgradient_residual,
@@ -482,3 +488,133 @@ def test_results_scale_exactly_with_the_units_of_y(method, p, lam):
         assert c_values == [c * c * v for v in values], c
         assert c_ops == ops, c
         assert np.array_equal(c_beta, c * beta), c
+
+
+# ---------------------------------------------------------------------------
+# the loops that moved onto `iterate`, pinned to their earlier bodies
+# ---------------------------------------------------------------------------
+
+
+PAPER_GRID = ((50, 20), (50, 80)), 1e-3  # the default bench grid's scenarios and lambda
+VERIFY_GRID = ((50, 20), (100, 50), (50, 80)), 0.1  # closeness-verify's six, unflipped
+VERIFY_LEVELS = (1.0, 0.1, 0.01, 1e-3, 1e-4)  # verify's default levels
+
+
+def _walk(minimize, problem, levels):
+    """(beta, F) at each of ``levels``, walked down from zero, each level
+    from the minimizer before it, as ``verify`` walks them."""
+    beta, found = np.zeros(problem.p), []
+    for t in levels:
+        beta, f = minimize(problem, SurrogateSpec(t), beta, 1e-10)
+        found.append((beta, f))
+    return found
+
+
+def _walks(problems, levels):
+    return [(_walk(minimize_surrogate, pr, levels), _walk(minimize_surrogate_before, pr, levels))
+            for pr in problems]
+
+
+def _failures(problem, t, tail):
+    """The messages of the NumericalFailure that the library and the earlier
+    body raise from zero at level t, the earlier one without its ``> tol``
+    tail when ``tail``: a step does not know the stop tolerance."""
+    found = []
+    for minimize in (minimize_surrogate, minimize_surrogate_before):
+        with pytest.raises(NumericalFailure) as failure:
+            minimize(problem, SurrogateSpec(t), np.zeros(problem.p), 1e-10)
+        found.append(str(failure.value))
+    new, old = found
+    if tail:
+        old, cut = old.rsplit(" > ", 1)
+        assert cut == "1e-10"
+    return [(new, old)]
+
+
+def _fista_runs(finish):
+    found = []
+    for pr in bench_problems(*PAPER_GRID):
+        L, beta, fin = pr.eig_max, np.zeros(pr.p), finish and (lambda b: finish(pr, b))
+        before = minimize_to_residual_before(
+            pr, (beta, beta.copy(), 1.0), lambda s: baselines._fista_step(pr, L, pr.lam / L, s), fin)
+        found.append((fista_minimize_to_residual(pr, fin), before))
+    return found
+
+
+def _cd_runs():
+    found = []
+    for pr in bench_problems(*PAPER_GRID):
+        xtx, data = baselines._cd_setup(pr)
+        beta = np.zeros(pr.p)
+        before = minimize_to_residual_before(pr, (beta, xtx @ beta),
+                                             lambda s: _cd_sweep(s[0], data, s[1]))[0]
+        found.append((cd_minimize_to_residual(pr), before))
+    return found
+
+
+def _tiny_p_gt_n(seed):
+    return generate(SyntheticSpec(n=2, p=5, rho=0.1, seed=seed), lam=1e-3)
+
+
+def _at_the_cap(monkeypatch):
+    monkeypatch.setattr(surrogate, "MAX_NEWTON", 1)
+    return _failures(next(bench_problems(*VERIFY_GRID)), 1e-3, tail=False)
+
+
+def _uphill_svd(monkeypatch):
+    monkeypatch.setattr(surrogate, "_svd_solve", lambda problem, D, g: -g)
+    return _failures(_tiny_p_gt_n(0), 1e-8, tail=True)
+
+
+# row -> (its (library, earlier body) result pairs, given the monkeypatch;
+# the SVD-direction steps that both runs take together, None where unchecked)
+LOOP_PINS = {
+    # the dense direction on every step, and a few steps that raise F by at
+    # most 4 eps |F|, taken by the round-off acceptance
+    "newton-dense": (lambda mp: _walks(bench_problems(*VERIFY_GRID), VERIFY_LEVELS), 0),
+    # a jump of decades on a rank-2 gram: one SVD step per seed and run
+    "newton-svd": (lambda mp: _walks(map(_tiny_p_gt_n, (0, 1)), (0.1, 1e-8)), 4),
+    "newton-cap": (_at_the_cap, None),
+    # from zero at 1e-8 a full step lands far out on the gram's null space
+    "newton-stall": (lambda mp: _failures(_tiny_p_gt_n(1), 1e-8, tail=True), None),
+    "newton-no-descent": (_uphill_svd, None),
+    "fista-residual": (lambda mp: _fista_runs(None), None),
+    "fista-residual-support-kkt": (lambda mp: _fista_runs(support_kkt_solution), None),
+    "cd-residual": (lambda mp: _cd_runs(), None),
+}
+
+
+def _same(a, b):
+    """Equal structure, with arrays and floats equal byte for byte."""
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    if a is None or isinstance(a, (str, bool)):
+        return a == b
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("name", list(LOOP_PINS))
+def test_loops_on_the_driver_match_their_earlier_bodies(name, monkeypatch):
+    # damped Newton and the reference's residual drivers run on
+    # baselines.iterate; their earlier loops, kept in helpers, must give the
+    # same bytes, the same exception and the same message up to its tail
+    svd_calls, rises = [], []
+    svd_solve, step = surrogate._svd_solve, surrogate._newton_step
+
+    def step_spy(problem, spec, grad, state):
+        new = step(problem, spec, grad, state)
+        rises.append(new[1] > state[1])
+        return new
+
+    monkeypatch.setattr(surrogate, "_svd_solve", lambda *a: svd_calls.append(1) or svd_solve(*a))
+    monkeypatch.setattr(surrogate, "_newton_step", step_spy)
+    pairs, svd_steps = LOOP_PINS[name]
+    found = pairs(monkeypatch)
+    assert found
+    for new, old in found:
+        assert _same(new, old), name
+    if svd_steps is not None:
+        assert len(svd_calls) == svd_steps
+    if name == "newton-dense":
+        assert any(rises)

@@ -141,7 +141,7 @@ def _imported_modules(module):
 
 # The package's modules in import order: each may import only from the
 # layers before its own, so the imports form one stack without a cycle.
-STACK = (("opcount",), ("trace",), ("problem",), ("surrogate", "datagen"), ("baselines",),
+STACK = (("opcount",), ("trace",), ("problem",), ("baselines", "datagen"), ("surrogate",),
          ("homotopy",), ("diagnostics",), ("cli",))
 
 

@@ -82,15 +82,28 @@ def test_same_bytes_compares_hs_solve_runs_under_each_config(tmp_path):
     assert tool.changed_files(files, moved, "solve") == ["solve/cd/trace_cd.csv"]
 
 
-def test_same_bytes_compares_a_verify_run_on_a_rank_deficient_p_gt_n_design(tmp_path):
+def test_same_bytes_compares_a_verify_run_on_a_rank_deficient_p_gt_n_design(tmp_path,
+                                                                             monkeypatch):
     # a 3 x 8 design: its gram has rank 3, so F_t's curvature on the other
-    # five directions is the penalty's alone
+    # five directions is the penalty's alone.  A 2 x 5 design walked from
+    # 0.1 to 1e-8 then takes one Newton step in the SVD direction
+    from hslasso import surrogate
+
     tool = _tool()
-    problem = tool.write_problem(tmp_path, tool.VERIFY_PROBLEM)
     assert tool.VERIFY_PROBLEM[1:5] == ["--n", "3", "--p", "8"]
-    assert main(["verify", "--input", str(problem), "--out-dir", str(tmp_path / "v")]) == 0
-    files = tool.cli_verify_files(TOOL.parents[1], problem)
-    assert files == {"exit": b"0", "verify.json": (tmp_path / "v" / "verify.json").read_bytes()}
-    assert tool.changed_files(files, dict(files), "verify") == []
-    assert tool.changed_files(files, {"exit": b"3"}, "verify") == ["verify/exit",
-                                                                    "verify/verify.json"]
+    assert list(tool.VERIFY_RUNS) == ["verify", "verify-svd"]
+    svd_solve, svd_steps = surrogate._svd_solve, []
+    monkeypatch.setattr(surrogate, "_svd_solve",
+                        lambda *a: svd_steps.append(1) or svd_solve(*a))
+    for name, (datagen, levels) in tool.VERIFY_RUNS.items():
+        problem = tool.write_problem(tmp_path / name, datagen)
+        before = len(svd_steps)
+        assert main(["verify", "--input", str(problem), *levels,
+                     "--out-dir", str(tmp_path / name / "v")]) == 0
+        assert len(svd_steps) - before == (name == "verify-svd")
+        files = tool.cli_verify_files(TOOL.parents[1], problem, levels)
+        assert files == {"exit": b"0",
+                         "verify.json": (tmp_path / name / "v" / "verify.json").read_bytes()}
+        assert tool.changed_files(files, dict(files), "verify") == []
+        assert tool.changed_files(files, {"exit": b"3"}, "verify") == ["verify/exit",
+                                                                        "verify/verify.json"]

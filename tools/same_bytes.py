@@ -16,10 +16,13 @@ files show only through first-hit op counts, and with ``--method hs``
 under the HS configs that neither the bench nor any workload runs
 (``SOLVE_CONFIGS``): each run's trace CSV, exit code and summary line,
 its trace path aside, must be the same. Last, it runs ``hslasso verify``
-on the small p > n problem ``VERIFY_PROBLEM``, whose gram is rank
-deficient, a shape the ``closeness-verify`` problems do not have: its
-``verify.json`` and exit code must be the same. Prints one line per run
-pair and exits 1 on any difference or on a run that fails, 0 otherwise.
+once per entry of ``VERIFY_RUNS``, on small p > n problems whose gram is
+rank deficient, a shape the ``closeness-verify`` problems do not have:
+at the default levels on ``VERIFY_PROBLEM``, and from t = 0.1 to 1e-8 on
+``SVD_PROBLEM``, whose jump of decades takes a damped Newton step in the
+SVD direction that no workload takes. Each run's ``verify.json`` and
+exit code must be the same. Prints one line per run pair and exits 1 on
+any difference or on a run that fails, 0 otherwise.
 Timings are not compared.
 """
 
@@ -40,6 +43,11 @@ SOLVE_PROBLEM = ["datagen", "--scenario", "sim1", "--n", "50", "--p", "20", "--l
 FLAT_METHODS = ("ista", "fista", "cd", "sl")
 # a 3 x 8 design, whose gram has rank 3
 VERIFY_PROBLEM = ["datagen", "--n", "3", "--p", "8", "--seed", "1", "--lambda", "1e-3"]
+# a 2 x 5 design, whose gram has rank 2
+SVD_PROBLEM = ["datagen", "--n", "2", "--p", "5", "--seed", "0", "--lambda", "1e-3"]
+# run -> (datagen arguments, verify's --levels arguments, none for the default)
+VERIFY_RUNS = {"verify": (VERIFY_PROBLEM, []),
+               "verify-svd": (SVD_PROBLEM, ["--levels", "0.1", "1e-8"])}
 # HSConfig(), the path of `solve --method hs` without --hs-config, then the
 # gradient and theoretical inner stops, the t-floor and theoretical-count
 # outer stops and the t0 search: the bench runs none of them (it fixes t0);
@@ -122,12 +130,14 @@ def cli_solve_files(tree: Path, problem: Path) -> dict:
     return files
 
 
-def cli_verify_files(tree: Path, problem: Path) -> dict:
-    """``hslasso verify`` on ``problem`` with ``tree``'s ``src/``: its exit
-    code (0, or 3 for a numerical failure, which writes nothing) and the
-    ``verify.json`` it writes, name -> bytes."""
+def cli_verify_files(tree: Path, problem: Path, levels=()) -> dict:
+    """``hslasso verify`` on ``problem`` with ``tree``'s ``src/`` and the
+    extra arguments ``levels``: its exit code (0, or 3 for a numerical
+    failure, which writes nothing) and the ``verify.json`` it writes,
+    name -> bytes."""
     with tempfile.TemporaryDirectory() as out:
-        proc = run_cli(tree, ["verify", "--input", str(problem), "--out-dir", out], ok=(0, 3))
+        proc = run_cli(tree, ["verify", "--input", str(problem), *levels, "--out-dir", out],
+                       ok=(0, 3))
         written = Path(out) / "verify.json"
         files = {"exit": str(proc.returncode).encode()}
         if written.is_file():
@@ -193,12 +203,13 @@ def main(argv=None) -> int:
         print("cli solve: " + (f"DIFFERS: {'; '.join(found)}" if found
                                else f"same ({len(FLAT_METHODS)} flat methods, "
                                     f"{len(SOLVE_CONFIGS)} HS configs)"))
-        problem = write_problem(Path(tmp) / "verify", VERIFY_PROBLEM)
-        files = [cli_verify_files(tree, problem) for tree in (parent, HERE)]
-        found = changed_files(*files, "verify")
-        same &= not found
-        print("cli verify: " + (f"DIFFERS: {'; '.join(found)}" if found
-                                else f"same (exit {files[1]['exit'].decode()})"))
+        for name, (datagen, levels) in VERIFY_RUNS.items():
+            problem = write_problem(Path(tmp) / name, datagen)
+            files = [cli_verify_files(tree, problem, levels) for tree in (parent, HERE)]
+            found = changed_files(*files, name)
+            same &= not found
+            print(f"cli {name}: " + (f"DIFFERS: {'; '.join(found)}" if found
+                                     else f"same (exit {files[1]['exit'].decode()})"))
     return 0 if same else 1
 
 
